@@ -38,6 +38,8 @@ def _field_from(p: int, ext) -> Fq:
     base = Fq(p)
     if not ext:
         return base
+    if not isinstance(ext, list) or not all(isinstance(c, int) for c in ext):
+        raise ParseError("the extension modulus is an array of integer coefficients")
     return Fq(p, modulus=ext, base=base)
 
 
@@ -93,11 +95,14 @@ def _regulator_input_from_json(data: dict) -> RegulatorInput:
     except (GFError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
     points = []
-    for entry in data.get("points", []):
+    entries = data.get("points", [])
+    if not isinstance(entries, list):
+        raise ParseError("'points' must be an array")
+    for entry in entries:
         if entry == "inf":
             points.append(infinity_point())
             continue
-        if not isinstance(entry, dict) or "poly" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("poly"), list):
             raise ParseError("each point is 'inf' or an object with a 'poly' array")
         coeffs = [_trunc_from_json(field, 2, c) for c in entry["poly"]]
         try:
@@ -109,8 +114,16 @@ def _regulator_input_from_json(data: dict) -> RegulatorInput:
         if key not in data:
             raise ParseError(f"missing function {key!r}")
         fn_data = data[key]
+        if not isinstance(fn_data, dict):
+            raise ParseError(f"function {key!r} must be an object")
         unit = _trunc_from_json(field, 2, fn_data.get("unit", [1]))
-        factors = tuple((int(i), int(e)) for i, e in fn_data.get("factors", []))
+        factors = fn_data.get("factors", [])
+        if not isinstance(factors, list):
+            raise ParseError(f"factors of {key!r} must be an array")
+        try:
+            factors = tuple((int(i), int(e)) for i, e in factors)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"factors of {key!r} are [point, exponent] pairs") from exc
         fns[key] = GoodFunction(unit, factors)
     try:
         return RegulatorInput(field, tuple(points), fns["f"], fns["g"], fns["h"])
@@ -132,10 +145,13 @@ def _cycle_from_json(data: dict) -> cycles.ParamCycle:
         if key not in data:
             raise ParseError(f"missing coordinate {key!r}")
         coord = data[key]
+        if not (isinstance(coord, dict) and isinstance(coord.get("num"), list)
+                and isinstance(coord.get("den"), list)):
+            raise ParseError(f"coordinate {key!r} must be an object with num and den arrays")
         try:
             num = [_trunc_from_json(field, p, c) for c in coord["num"]]
             den = [_trunc_from_json(field, p, c) for c in coord["den"]]
-        except (KeyError, TruncError) as exc:
+        except TruncError as exc:
             raise ParseError(f"bad coordinate {key}: {exc}") from exc
         if not num or not den:
             raise ParseError(f"coordinate {key} needs nonempty num and den")

@@ -6,11 +6,19 @@ arbitrary base field, which keeps relative traces and residue-field
 constructions straightforward.  Raw element data is an int for a prime field
 and a tuple of base-field raws for an extension; :class:`FqElem` is a thin
 wrapper over that data.
+
+Polynomial multiplication, division and gcd over a prime field (``base is
+None``) run on plain int lists: one lead inverse per division, one ``% p``
+per coefficient update, and Kronecker substitution for long products.  Over
+an extension they run the generic loop over the field's ``_raw_*`` methods;
+that loop is also the reference the tests compare the int kernel against.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from typing import Iterator, Sequence
 
 
@@ -34,11 +42,37 @@ class ZeroPolynomial(GFError):
     """Operation undefined for the zero polynomial."""
 
 
+class NotInSubfield(GFError):
+    """A trace, which must be Galois-fixed, left the subfield it belongs to."""
+
+
+# Miller-Rabin with these bases is exact below the bound (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < _MR_EXACT_BELOW:
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for a in _MR_BASES:
+            x = pow(a, d, n)
+            if x == 1 or x == n - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        return True
     d = 3
     while d * d <= n:
         if n % d == 0:
@@ -295,23 +329,50 @@ def _rsub(field: Fq, a: list, b: list) -> list:
     return [field._raw_sub(x, y) for x, y in zip(a, b)]
 
 
-def _rmul_packed(a: list, b: list, p: int) -> list:
-    """Prime-field polynomial product via integer packing (64-bit limbs).
+# (limb bytes, array typecode) for unsigned limbs of 16, 32 and 64 bits
+_LIMBS = tuple((array(code).itemsize, code) for code in "HIQ")
 
-    Exact as long as convolution sums stay below 2^63, which holds with huge
-    margin for p <= 11 and the degree ranges this package meets.
+
+def _rmul_packed(a: list, b: list, p: int) -> list:
+    """Prime-field polynomial product by Kronecker substitution.
+
+    A product coefficient is a sum of at most min(len a, len b) terms below
+    (p-1)^2, so limbs of 2*bitlen(p-1) + bitlen(min(len a, len b)) bits hold
+    it without carry.  Limbs of up to 64 bits pack and unpack through
+    ``array``; wider ones through byte slices.
     """
-    abuf = b"".join(c.to_bytes(8, "little") for c in a)
-    bbuf = b"".join(c.to_bytes(8, "little") for c in b)
-    prod = int.from_bytes(abuf, "little") * int.from_bytes(bbuf, "little")
     n = len(a) + len(b) - 1
-    raw = prod.to_bytes(8 * n + 8, "little")
-    return [int.from_bytes(raw[8 * i: 8 * i + 8], "little") % p for i in range(n)]
+    bits = 2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length()
+    width = (bits + 7) // 8
+    for size, code in _LIMBS:
+        if width <= size:
+            abuf, bbuf = array(code, a), array(code, b)
+            if sys.byteorder == "big":
+                abuf.byteswap()
+                bbuf.byteswap()
+            prod = int.from_bytes(abuf, "little") * int.from_bytes(bbuf, "little")
+            out = array(code, prod.to_bytes(size * n, "little"))
+            if sys.byteorder == "big":
+                out.byteswap()
+            return [c % p for c in out]
+    abuf = b"".join(c.to_bytes(width, "little") for c in a)
+    bbuf = b"".join(c.to_bytes(width, "little") for c in b)
+    prod = int.from_bytes(abuf, "little") * int.from_bytes(bbuf, "little")
+    raw = prod.to_bytes(width * n, "little")
+    return [int.from_bytes(raw[width * i: width * i + width], "little") % p for i in range(n)]
 
 
 def _rmul(field: Fq, a: list, b: list) -> list:
-    if field.base is None and len(a) + len(b) > 16:
-        return _rmul_packed(a, b, field.p)
+    if field.base is None:
+        p = field.p
+        if len(a) + len(b) > 16:
+            return _rmul_packed(a, b, p)
+        acc = [0] * (len(a) + len(b) - 1)
+        nb = len(b)
+        for i, x in enumerate(a):
+            if x:
+                acc[i:i + nb] = [s + x * y for s, y in zip(acc[i:i + nb], b)]
+        return [c % p for c in acc]
     zero = field._raw_from_int(0)
     acc = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -322,16 +383,41 @@ def _rmul(field: Fq, a: list, b: list) -> list:
     return acc
 
 
+def _prime_reduce(rem: list, b: list, p: int, quot: list | None = None) -> list:
+    """Reduce ``rem`` modulo ``b`` over F_p in place and return the trimmed remainder.
+
+    ``b`` has a nonzero lead.  When ``quot`` is given, quotient coefficient
+    k is stored in ``quot[k]``.
+    """
+    db = len(b) - 1
+    lead_inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    for k in range(len(rem) - 1 - db, -1, -1):
+        c = rem[k + db] * lead_inv % p
+        if c:
+            if quot is not None:
+                quot[k] = c
+            rem[k:k + db] = [(r - c * y) % p for r, y in zip(rem[k:k + db], low)]
+    del rem[db:]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
 def _rdivmod(field: Fq, a: list, b: list) -> tuple[list, list]:
     zero = field._raw_from_int(0)
     b = list(b)
     while len(b) > 1 and field._raw_is_zero(b[-1]):
         b.pop()
-    lead_inv = field._raw_inv(b[-1])
+    if field._raw_is_zero(b[-1]):
+        raise DivisionByZero(f"inverting zero in {field}")
     rem = list(a)
     if len(rem) < len(b):
         return [zero], rem
     quot = [zero] * (len(rem) - len(b) + 1)
+    if field.base is None:
+        return quot, _prime_reduce(rem, b, field.p, quot)
+    lead_inv = field._raw_inv(b[-1])
     for k in range(len(rem) - len(b), -1, -1):
         c = field._raw_mul(rem[k + len(b) - 1], lead_inv)
         if field._raw_is_zero(c):
@@ -466,7 +552,8 @@ def trace_to_prime(x: FqElem) -> FqElem:
     raw = acc.raw
     f = field
     while f.base is not None:
-        assert all(f.base._raw_is_zero(c) for c in raw[1:])
+        if not all(f.base._raw_is_zero(c) for c in raw[1:]):
+            raise NotInSubfield(f"trace of {x} in {field} is not in F_{field.p}")
         raw = raw[0]
         f = f.base
     return FqElem(prime, raw)
@@ -477,13 +564,13 @@ def trace_to_base(x: FqElem) -> FqElem:
     field = x.field
     if field.base is None:
         raise ValueError("a prime-field element has no base field")
-    q = field.base.order
     acc = x
     y = x
     for _ in range(field.degree - 1):
-        y = y ** q
+        y = frobenius(y, field.base.degree_abs)
         acc = acc + y
-    assert all(field.base._raw_is_zero(c) for c in acc.raw[1:])
+    if not all(field.base._raw_is_zero(c) for c in acc.raw[1:]):
+        raise NotInSubfield(f"trace of {x} in {field} is not in {field.base}")
     return FqElem(field.base, acc.raw[0])
 
 
@@ -689,6 +776,16 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, self._check(other)
+        f = self.field
+        if f.base is None:
+            p = f.p
+            ra, rb = list(a.coeffs), list(b.coeffs)
+            while rb:
+                ra, rb = rb, _prime_reduce(ra, rb, p)
+            if ra:
+                lead_inv = pow(ra[-1], -1, p)
+                ra = [c * lead_inv % p for c in ra]
+            return Poly._from_raw(f, ra)
         while not b.is_zero:
             a, b = b, a % b
         if a.is_zero:

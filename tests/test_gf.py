@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from charp_dilog import gf
 from charp_dilog.gf import (
     BadPrime,
     CtxMismatch,
     DivisionByZero,
     Fq,
+    NotInSubfield,
     Poly,
     ZeroPolynomial,
     factor_squarefree_irreducibles,
@@ -189,13 +191,84 @@ def test_factor_over_extension(F25):
     assert got == {x + u: 1, x + u ** 3: 2}
 
 
-def test_packed_multiplication_matches_schoolbook(F5):
-    rng = spawn(4, "packed")
+def _schoolbook(a: Poly, b: Poly) -> Poly:
+    field = a.field
+    if a.is_zero or b.is_zero:
+        return Poly(field)
+    return Poly(field, [sum((a.coeff(i) * b.coeff(k - i) for i in range(k + 1)),
+                            start=field.zero)
+                        for k in range(a.degree + b.degree + 1)])
+
+
+@pytest.mark.parametrize("p", [5, 7, 4294967311, 2 ** 61 - 1])
+def test_packed_multiplication_matches_schoolbook(p):
+    field = Fq(p)
+    rng = spawn(4, "packed", p)
     for _ in range(20):
-        a = Poly(F5, [F5.random_element(rng) for _ in range(rng.randrange(1, 40))])
-        b = Poly(F5, [F5.random_element(rng) for _ in range(rng.randrange(1, 40))])
-        slow = Poly(F5, [sum((a.coeff(i) * b.coeff(k - i) for i in range(k + 1)),
-                             start=F5.zero)
-                         for k in range(a.degree + b.degree + 1)]) \
-            if not (a.is_zero or b.is_zero) else Poly(F5)
-        assert a * b == slow
+        a = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(1, 40))])
+        b = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(1, 40))])
+        assert a * b == _schoolbook(a, b)
+    # every coefficient p - 1: the largest convolution sums a limb must hold
+    top = Poly(field, [p - 1] * 17)
+    assert top * top == _schoolbook(top, top)
+
+
+def _rand_poly(field, rng, degree):
+    return Poly(field, [field.random_element(rng) for _ in range(degree)] + [field.one])
+
+
+@pytest.mark.parametrize("name, max_deg", [("F7", 200), ("F11", 200), ("F49", 40)])
+def test_divmod_gcd_differential(request, name, max_deg):
+    field = request.getfixturevalue(name)
+    # the generic _raw_* loop over a quadratic extension is the oracle for
+    # the prime-field int kernel (u^2 + 1 is irreducible for p = 3 mod 4)
+    ext = Fq(field.p, modulus=[1, 0, 1], base=field) if field.base is None else None
+    rng = spawn(6, "kernel-differential", name)
+    for trial in range(20):
+        common = _rand_poly(field, rng, rng.randrange(0, max_deg // 3))
+        a = common * _rand_poly(field, rng, rng.randrange(0, 2 * max_deg // 3)) * field(3)
+        b = common * _rand_poly(field, rng, rng.randrange(0, 2 * max_deg // 3))
+        if trial == 0:
+            a = Poly(field)
+        q, r = divmod(a, b)
+        assert q * b + r == a and r.degree < b.degree
+        g = a.gcd(b)
+        assert g.is_monic and (a % g).is_zero and (b % g).is_zero
+        assert (g % common).is_zero if trial else g == b.monic()[0]
+        assert g == a.xgcd(b)[0] == b.gcd(a)
+        assert (a // g) * g == a and (b // g) * g == b
+        if ext is not None and trial < 5:
+            ea, eb = a.embedded(ext), b.embedded(ext)
+            assert divmod(ea, eb) == (q.embedded(ext), r.embedded(ext))
+            assert ea.gcd(eb) == g.embedded(ext)
+            assert ea * eb == (a * b).embedded(ext)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_gcd_and_factor_match_sympy(p):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor, gf_gcd
+
+    field = Fq(p)
+    rng = spawn(7, "sympy-oracle", p)
+    for _ in range(10):
+        common = _rand_poly(field, rng, rng.randrange(0, 6))
+        a = common * _rand_poly(field, rng, rng.randrange(0, 30))
+        b = common * _rand_poly(field, rng, rng.randrange(0, 30))
+        high_a, high_b = list(reversed(a.coeffs)), list(reversed(b.coeffs))
+        assert list(reversed(a.gcd(b).coeffs)) == gf_gcd(high_a, high_b, p, ZZ)
+        f = a * b
+        ours = {tuple(reversed(g.coeffs)): m for g, m in factor_squarefree_irreducibles(f)}
+        lead, theirs = gf_factor(list(reversed(f.coeffs)), p, ZZ)
+        assert lead == f.leading().lift_int()
+        assert ours == {tuple(g): m for g, m in theirs}
+
+
+def test_trace_outside_subfield_raises(monkeypatch, F25):
+    # with Frobenius replaced by the identity, trace(u) = deg * u is not fixed
+    monkeypatch.setattr(gf, "frobenius", lambda x, power=1: x)
+    with pytest.raises(NotInSubfield):
+        trace_to_prime(F25.gen())
+    with pytest.raises(NotInSubfield):
+        trace_to_base(F25.gen())
