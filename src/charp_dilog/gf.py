@@ -12,11 +12,17 @@ None``) run on plain int lists: one lead inverse per division, one ``% p``
 per coefficient update, and Kronecker substitution for long products.  Over
 an extension they run the generic loop over the field's ``_raw_*`` methods;
 that loop is also the reference the tests compare the int kernel against.
+
+An extension of a prime field keeps its raws as int tuples: element products
+are int schoolbook products reduced by the modulus with one ``% p`` per
+coefficient, and polynomial products map to one prime-field product by
+Kronecker substitution.  Deeper towers recurse through the base field.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from array import array
 from typing import Iterator, Sequence
@@ -145,6 +151,17 @@ class Fq:
     def is_unit(self, x: "FqElem") -> bool:
         return not x.is_zero
 
+    # A ring handle with ``_raw_mul_low`` has elements that carry ``.raw``
+    # data for its ``_raw_*`` kernel; tpoly.Trunc then unwraps coefficients
+    # once, computes on raws and wraps the result once with ``_wrap``.
+
+    def _raw_mul_low(self, a: list, b: list, n: int) -> list:
+        """The low n coefficients of the product of two raw coefficient lists."""
+        return _rmul(self, a, b, n)
+
+    def _wrap(self, raws) -> tuple["FqElem", ...]:
+        return tuple([FqElem(self, r) for r in raws])
+
     # -- construction and coercion ----------------------------------------
 
     def __call__(self, x) -> "FqElem":
@@ -207,50 +224,79 @@ class Fq:
         return (self.base._raw_from_int(n),) + (zero,) * (self.degree - 1)
 
     def _raw_add(self, a, b):
-        if self.base is None:
+        base = self.base
+        if base is None:
             return (a + b) % self.p
-        badd = self.base._raw_add
-        return tuple(badd(x, y) for x, y in zip(a, b))
+        if base.base is None:
+            p = self.p
+            return tuple([(x + y) % p for x, y in zip(a, b)])
+        return tuple([base._raw_add(x, y) for x, y in zip(a, b)])
 
     def _raw_sub(self, a, b):
-        if self.base is None:
+        base = self.base
+        if base is None:
             return (a - b) % self.p
-        bsub = self.base._raw_sub
-        return tuple(bsub(x, y) for x, y in zip(a, b))
+        if base.base is None:
+            p = self.p
+            return tuple([(x - y) % p for x, y in zip(a, b)])
+        return tuple([base._raw_sub(x, y) for x, y in zip(a, b)])
 
     def _raw_neg(self, a):
-        if self.base is None:
+        base = self.base
+        if base is None:
             return (-a) % self.p
-        bneg = self.base._raw_neg
-        return tuple(bneg(x) for x in a)
+        if base.base is None:
+            p = self.p
+            return tuple([(-x) % p for x in a])
+        return tuple([base._raw_neg(x) for x in a])
 
     def _raw_mul(self, a, b):
-        if self.base is None:
-            return (a * b) % self.p
         base = self.base
-        d = self.degree
-        zero = base._raw_from_int(0)
-        acc = [zero] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x == zero:
-                continue
-            for j, y in enumerate(b):
-                acc[i + j] = base._raw_add(acc[i + j], base._raw_mul(x, y))
-        # reduce by the monic modulus
-        mod = self.modulus
+        if base is None:
+            return (a * b) % self.p
+        if base.base is None:
+            return self._raw_dot((a,), (b,))
+        return _tower_mul(self, a, b)
+
+    def _raw_dot(self, xs: Sequence, ys: Sequence):
+        """The sum of the products of paired raws, reduced once at the end.
+
+        Over an extension of a prime field the products are int schoolbook
+        products in u, summed before one reduction by the modulus."""
+        base = self.base
+        if base is None:
+            return sum(map(operator.mul, xs, ys)) % self.p
+        if base.base is None:
+            d = self.degree
+            acc = [0] * (2 * d - 1)
+            for x, y in zip(xs, ys):
+                for i, xi in enumerate(x):
+                    if xi:
+                        acc[i:i + d] = [s + xi * yj for s, yj in zip(acc[i:i + d], y)]
+            return self._reduce_ints(acc)
+        acc = self._raw_from_int(0)
+        for x, y in zip(xs, ys):
+            acc = self._raw_add(acc, self._raw_mul(x, y))
+        return acc
+
+    def _reduce_ints(self, acc: list) -> tuple:
+        """Reduce 2d - 1 int coefficients in u by the monic modulus, with one
+        ``% p`` per output coefficient (extensions of a prime field only)."""
+        d, mod = self.degree, self.modulus
         for k in range(2 * d - 2, d - 1, -1):
             top = acc[k]
-            if top == zero:
-                continue
-            acc[k] = zero
-            for j in range(d):
-                acc[k - d + j] = base._raw_sub(acc[k - d + j], base._raw_mul(top, mod[j]))
-        return tuple(acc[:d])
+            if top:
+                acc[k - d:k] = [s - top * c for s, c in zip(acc[k - d:k], mod)]
+        p = self.p
+        return tuple([c % p for c in acc[:d]])
 
     def _raw_is_zero(self, a) -> bool:
-        if self.base is None:
+        base = self.base
+        if base is None:
             return a == 0
-        return all(self.base._raw_is_zero(x) for x in a)
+        if base.base is None:
+            return not any(a)
+        return all(base._raw_is_zero(x) for x in a)
 
     def _raw_inv(self, a):
         if self._raw_is_zero(a):
@@ -303,6 +349,31 @@ class Fq:
         return f"{self.base}[u]/{_modulus_str(self)}"
 
 
+def _tower_mul(field: Fq, a: tuple, b: tuple) -> tuple:
+    """Extension-field product through the base field's raw kernel: schoolbook,
+    then reduction by the monic modulus.  Any base works; ``Fq._raw_mul`` uses
+    it when the base is itself an extension, and the tests compare the int
+    path against it."""
+    base = field.base
+    d = field.degree
+    zero = base._raw_from_int(0)
+    acc = [zero] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x == zero:
+            continue
+        for j, y in enumerate(b):
+            acc[i + j] = base._raw_add(acc[i + j], base._raw_mul(x, y))
+    mod = field.modulus
+    for k in range(2 * d - 2, d - 1, -1):
+        top = acc[k]
+        if top == zero:
+            continue
+        acc[k] = zero
+        for j in range(d):
+            acc[k - d + j] = base._raw_sub(acc[k - d + j], base._raw_mul(top, mod[j]))
+    return tuple(acc[:d])
+
+
 def _modulus_str(field: Fq) -> str:
     terms = []
     for i, c in enumerate(field.modulus):
@@ -321,12 +392,22 @@ def _rtrim(field: Fq, c: list) -> list:
     return c or [field._raw_from_int(0)]
 
 
-def _rsub(field: Fq, a: list, b: list) -> list:
-    n = max(len(a), len(b))
+def _radd(field: Fq, a: Sequence, b: Sequence) -> list:
+    if field.base is None:
+        p = field.p
+        return [(x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    add = field._raw_add
     zero = field._raw_from_int(0)
-    a = a + [zero] * (n - len(a))
-    b = b + [zero] * (n - len(b))
-    return [field._raw_sub(x, y) for x, y in zip(a, b)]
+    return [add(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=zero)]
+
+
+def _rsub(field: Fq, a: Sequence, b: Sequence) -> list:
+    if field.base is None:
+        p = field.p
+        return [(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    sub = field._raw_sub
+    zero = field._raw_from_int(0)
+    return [sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=zero)]
 
 
 # (limb bytes, array typecode) for unsigned limbs of 16, 32 and 64 bits
@@ -362,23 +443,40 @@ def _rmul_packed(a: list, b: list, p: int) -> list:
     return [int.from_bytes(raw[width * i: width * i + width], "little") % p for i in range(n)]
 
 
-def _rmul(field: Fq, a: list, b: list) -> list:
-    if field.base is None:
+def _rmul(field: Fq, a: list, b: list, n: int | None = None) -> list:
+    """The product of two nonempty raw coefficient lists; with ``n``, only its
+    low n coefficients, zero-padded to length n (the inputs may then carry
+    trailing zeros)."""
+    if n is None:
+        size = len(a) + len(b) - 1
+    else:
+        a, b, size = _rtrim(field, a[:n]), _rtrim(field, b[:n]), n
+    base = field.base
+    if base is None:
         p = field.p
         if len(a) + len(b) > 16:
-            return _rmul_packed(a, b, p)
-        acc = [0] * (len(a) + len(b) - 1)
+            out = _rmul_packed(a, b, p)
+            return out if n is None else out[:n] + [0] * (n - len(out))
+        acc = [0] * size
         nb = len(b)
         for i, x in enumerate(a):
             if x:
                 acc[i:i + nb] = [s + x * y for s, y in zip(acc[i:i + nb], b)]
         return [c % p for c in acc]
+    if base.base is None:
+        # Kronecker substitution u -> X, x -> X^w: a product of u-degree at
+        # most 2d - 2 < w, so block k of the F_p product is coefficient k
+        w = 2 * field.degree - 1
+        pad = (0,) * (field.degree - 1)
+        flat = _rmul(base, [c for x in a for c in x + pad], [c for y in b for c in y + pad],
+                     size * w)
+        return [field._reduce_ints(flat[k * w:k * w + w]) for k in range(size)]
     zero = field._raw_from_int(0)
-    acc = [zero] * (len(a) + len(b) - 1)
+    acc = [zero] * size
     for i, x in enumerate(a):
         if field._raw_is_zero(x):
             continue
-        for j, y in enumerate(b):
+        for j, y in enumerate(b[:size - i]):
             acc[i + j] = field._raw_add(acc[i + j], field._raw_mul(x, y))
     return acc
 
@@ -580,9 +678,7 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Fq, coeffs=()):
-        raws = []
-        for c in coeffs:
-            raws.append(field(c).raw if not isinstance(c, FqElem) else field(c).raw)
+        raws = [field(c).raw for c in coeffs]
         while raws and field._raw_is_zero(raws[-1]):
             raws.pop()
         self.field = field
@@ -645,12 +741,7 @@ class Poly:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = f._raw_from_int(0)
-        a = list(self.coeffs) + [zero] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [zero] * (n - len(other.coeffs))
-        return Poly._from_raw(f, [f._raw_add(x, y) for x, y in zip(a, b)])
+        return Poly._from_raw(self.field, _radd(self.field, self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -658,7 +749,7 @@ class Poly:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return Poly._from_raw(self.field, _rsub(self.field, self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
         other = self._check(other)
@@ -668,11 +759,14 @@ class Poly:
 
     def __neg__(self):
         f = self.field
+        if f.base is None:
+            p = f.p
+            return Poly._from_raw(f, [p - c if c else 0 for c in self.coeffs])
         return Poly._from_raw(f, [f._raw_neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (int, FqElem)):
-            c = self.field(other) if isinstance(other, int) else self.field(other)
+            c = self.field(other)
             f = self.field
             return Poly._from_raw(f, [f._raw_mul(c.raw, x) for x in self.coeffs])
         other = self._check(other)

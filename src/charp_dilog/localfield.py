@@ -394,58 +394,6 @@ class LaurentLocal:
             return self.coeffs[i]
         return self.field.zero
 
-    def _align(self, other: "LaurentLocal"):
-        if self.field != other.field or self.center != other.center:
-            raise CtxMismatch("expansions at different centers")
-
-    def __add__(self, other: "LaurentLocal") -> "LaurentLocal":
-        self._align(other)
-        prec = min(self.prec, other.prec)
-        val = min(self.val, other.val)
-        out = [self.field.zero] * (prec - val)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                e = src.val + i
-                if e < prec:
-                    out[e - val] = out[e - val] + c
-        return LaurentLocal(self.field, self.center, val, tuple(out), prec)
-
-    def __neg__(self) -> "LaurentLocal":
-        return LaurentLocal(self.field, self.center, self.val,
-                            tuple(-c for c in self.coeffs), self.prec)
-
-    def __sub__(self, other: "LaurentLocal") -> "LaurentLocal":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentLocal") -> "LaurentLocal":
-        self._align(other)
-        # product exponents are reliable below min(v1 + p2, v2 + p1)
-        prec = min(self.val + other.prec, other.val + self.prec)
-        val = self.val + other.val
-        out = [self.field.zero] * max(0, prec - val)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                e = self.val + i + other.val + j
-                if e < prec:
-                    out[e - val] = out[e - val] + a * b
-        return LaurentLocal(self.field, self.center, val, tuple(out), prec)
-
-    def inverse(self) -> "LaurentLocal":
-        if not self.coeffs or self.coeffs[0].is_zero:
-            raise ZeroArgument("cannot invert: leading coefficient unknown or zero")
-        n = self.prec - self.val
-        lead = self.coeffs[0].inverse()
-        out = [lead]
-        for k in range(1, n):
-            acc = self.field.zero
-            for j in range(1, k + 1):
-                c = self.coeffs[j] if j < len(self.coeffs) else self.field.zero
-                acc = acc + c * out[k - j]
-            out.append(-lead * acc)
-        # 1/f has valuation -val and the same number of reliable terms
-        return LaurentLocal(self.field, self.center, -self.val, tuple(out),
-                            -self.val + n)
-
 
 def expand_at(f: RatFn, center, order: int) -> LaurentLocal:
     """Laurent-expand f in the local parameter at ``center``, exactly through ``order``.

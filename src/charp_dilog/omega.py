@@ -33,7 +33,8 @@ class NotCongruentModT2(OmegaError):
 
 
 class CaseTableGap(OmegaError):
-    """No branch of the coefficient case table matched (implementation fault)."""
+    """A case table (letter-triple formula or antiderivative coefficients) met
+    a case it excludes (implementation fault)."""
 
 
 class NotDivisible(OmegaError):
@@ -96,10 +97,11 @@ def omega_letters(l1: Letter, l2: Letter, l3: Letter, p: int) -> RatFn | None:
             value = value - A.payload * (c * C.payload * _dpayload(B))
     elif b > c:
         # a = b > c; c = 0 would force 2a = p, impossible for odd p
-        assert c > 0, "tie case with constant third letter cannot occur for p >= 5"
+        if c == 0:
+            raise CaseTableGap(f"tie case ({a},{b},0) needs 2a = p = {p}")
         value = C.payload * (a * A.payload * _dpayload(B) - b * B.payload * _dpayload(A))
     else:
-        raise AssertionError("a = b = c would need 3 | p")
+        raise CaseTableGap(f"a = b = c = {a} needs 3 | p = {p}")
     return value if sign == 1 else -value
 
 
@@ -366,8 +368,8 @@ def antider_primitive(a: int, b: int, c: int, w: int, x: RatFn,
             coeff = s_coeff(a, b, c, i, j, k, w, p)
             if coeff == 0:
                 continue
-            assert da[i] is not None and db[j] is not None and dc[k] is not None, \
-                "case table let an undefined payload through"
+            if da[i] is None or db[j] is None or dc[k] is None:
+                raise CaseTableGap(f"coefficient of an undefined payload at ({i},{j},{k})")
             total = total + coeff * da[i] * db[j] * dc[k]
     return xq_over_q * total
 

@@ -386,7 +386,8 @@ def local_relift_report(inp: RegulatorInput, point_idx: int, alt_seed: int,
     if perturb_t1 is None:
         alt_lift = _lift_input(inp, p, alt_seed)
         kprime_alt, zhat_alt = _point_field_and_root(inp, alt_lift, point_idx)
-        assert kprime == kprime_alt
+        if kprime != kprime_alt:
+            raise CtxMismatch(f"alternative lifting reduces to {kprime_alt}, not {kprime}")
         goods_alt = []
         for which, fn in enumerate(inp.functions()):
             goods_alt.append(GoodElem(fn.exponent_of(point_idx),

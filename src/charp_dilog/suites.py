@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import bloch, cycles, omega, regulator
-from .gf import Fq, factor_squarefree_irreducibles, trace_to_base
+from .gf import Fq, NotInSubfield, factor_squarefree_irreducibles, trace_to_base
 from .localfield import INF, OneForm, RatFn, RatFnRing, is_exact_form, residue_at
 from .omega import Letter
 from .rng import spawn
@@ -286,7 +286,8 @@ def _quadratic_point_check(base: Fq, quad: Fq, rng, result: SuiteResult, trial: 
 def _descend_to(base: Fq):
     def down(c):
         coeffs = c.coeffs()
-        assert all(x.is_zero for x in coeffs[1:]), "coefficient not Galois-stable"
+        if not all(x.is_zero for x in coeffs[1:]):
+            raise NotInSubfield(f"coefficient {c} is not Galois-stable over {base}")
         return coeffs[0]
 
     return down
@@ -396,7 +397,8 @@ def _moebius_closed_form(inp):
     for fn in inp.functions():
         opts = []
         for i, e in fn.factors:
-            assert e in (1, -1)
+            if e not in (1, -1):
+                raise ValueError("closed-form expansion implemented for exponents +-1")
             for root in point_roots[i]:
                 opts.append((root, e))
         choices.append(opts)

@@ -8,10 +8,24 @@ A coefficient ring is any handle exposing ``characteristic``, ``zero``,
 ``one``, ``from_int`` and ``is_unit`` whose elements support +, -, *, and
 ``inverse()``; :class:`charp_dilog.gf.Fq` and
 :class:`charp_dilog.localfield.RatFnRing` both qualify.
+
+A ring handle that also has ``_raw_mul_low`` (an :class:`~charp_dilog.gf.Fq`)
+gets the raw path: +, -, negation, ``scaled``, products and inverses unwrap
+each coefficient's ``.raw`` once, compute with the field's ``_raw_*`` kernel
+(products through the field's one polynomial multiply, truncated), and wrap
+the result once with the ring's ``_wrap``.  Other rings run the same
+algorithms on ring elements.
+
+The branch logarithm comes from the logarithmic derivative: with
+theta = t d/dt, theta(log u) = theta(u) / u, and theta scales the coefficient
+of t^n by n, which is invertible for 0 < n < m <= p.  That costs one inverse
+and one product, O(m^2).
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,33 +54,45 @@ class HenselFailure(TruncError):
     """No simple root to lift (derivative not a unit at the start point)."""
 
 
-_INV_TABLES: dict[int, list[int]] = {}
+def _inverses(p: int, n: int) -> list[int]:
+    """Inverses of 1..n-1 modulo p, for n <= p (index 0 holds 0)."""
+    inv = [0, 1][:n]
+    for i in range(2, n):
+        # p = (p // i) i + (p % i) gives 1/i = -(p // i) / (p % i), with p % i < i
+        inv.append(-(p // i) * inv[p % i] % p)
+    return inv
 
 
-def _inv_table(p: int) -> list[int]:
-    """Inverses of 1..p-1 modulo p (index 0 unused)."""
-    table = _INV_TABLES.get(p)
-    if table is None:
-        table = [0] * p
-        for i in range(1, p):
-            table[i] = pow(i, p - 2, p)
-        _INV_TABLES[p] = table
-    return table
+def inv_factorials(p: int, n: int | None = None) -> list[int]:
+    """Inverses of k! modulo p for 0 <= k < n, for n <= p (default n = p)."""
+    if n is None:
+        n = p
+    out = [1] * n
+    fact = 1
+    for k in range(1, n):
+        fact = fact * k % p
+    inv = pow(fact, -1, p)
+    for k in range(n - 1, 0, -1):
+        out[k] = inv
+        inv = inv * k % p
+    return out
 
 
-_INV_FACTORIALS: dict[int, list[int]] = {}
+def _computes_raw(ring) -> bool:
+    return hasattr(ring, "_raw_mul_low")
 
 
-def inv_factorials(p: int) -> list[int]:
-    """Inverses of n! modulo p for 0 <= n < p."""
-    table = _INV_FACTORIALS.get(p)
-    if table is None:
-        fact = [1] * p
-        for n in range(1, p):
-            fact[n] = fact[n - 1] * n % p
-        table = [pow(f, p - 2, p) for f in fact]
-        _INV_FACTORIALS[p] = table
-    return table
+def _series_inverse(a: Sequence, inv, dot, mul, neg) -> list:
+    """Coefficients of 1/a modulo t^len(a), from a_0 b_n + ... + a_n b_0 = 0 (n > 0)."""
+    out = [inv(a[0])]
+    minus = neg(out[0])
+    for n in range(1, len(a)):
+        out.append(mul(minus, dot(a[1:n + 1], out[::-1])))
+    return out
+
+
+def _dot(xs: Sequence, ys: Sequence):
+    return functools.reduce(operator.add, map(operator.mul, xs, ys))
 
 
 class Trunc:
@@ -84,6 +110,21 @@ class Trunc:
         self.ring = ring
         self.m = m
         self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _of(cls, ring, m: int, coeffs: Sequence) -> "Trunc":
+        """Build without checks: ``coeffs`` holds exactly m elements of ``ring``."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.m = m
+        self.coeffs = tuple(coeffs)
+        return self
+
+    def _raws(self) -> list:
+        return [c.raw for c in self.coeffs]
+
+    def _wrap(self, raws: Sequence) -> "Trunc":
+        return Trunc._of(self.ring, self.m, self.ring._wrap(raws))
 
     @classmethod
     def constant(cls, ring, m: int, c) -> "Trunc":
@@ -125,23 +166,38 @@ class Trunc:
 
     def __add__(self, other):
         other = self._check(other)
-        return Trunc(self.ring, self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        ring = self.ring
+        if _computes_raw(ring):
+            add = ring._raw_add
+            return self._wrap([add(a.raw, b.raw) for a, b in zip(self.coeffs, other.coeffs)])
+        return Trunc._of(ring, self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
-        return Trunc(self.ring, self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        ring = self.ring
+        if _computes_raw(ring):
+            sub = ring._raw_sub
+            return self._wrap([sub(a.raw, b.raw) for a, b in zip(self.coeffs, other.coeffs)])
+        return Trunc._of(ring, self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __neg__(self):
-        return Trunc(self.ring, self.m, [-a for a in self.coeffs])
+        ring = self.ring
+        if _computes_raw(ring):
+            neg = ring._raw_neg
+            return self._wrap([neg(a.raw) for a in self.coeffs])
+        return Trunc._of(ring, self.m, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         other = self._check(other)
-        zero = self.ring.zero
+        ring = self.ring
+        if _computes_raw(ring):
+            return self._wrap(ring._raw_mul_low(self._raws(), other._raws(), self.m))
+        zero = ring.zero
         out = [zero] * self.m
         for i, a in enumerate(self.coeffs):
             if a == zero:
@@ -151,25 +207,27 @@ class Trunc:
                 if b == zero:
                     continue
                 out[i + j] = out[i + j] + a * b
-        return Trunc(self.ring, self.m, out)
+        return Trunc._of(ring, self.m, out)
 
     __rmul__ = __mul__
 
     def scaled(self, c) -> "Trunc":
         """Multiply every coefficient by a ring scalar."""
-        return Trunc(self.ring, self.m, [a * c for a in self.coeffs])
+        ring = self.ring
+        if _computes_raw(ring):
+            mul, r = ring._raw_mul, ring(c).raw
+            return self._wrap([mul(a.raw, r) for a in self.coeffs])
+        return Trunc._of(ring, self.m, [a * c for a in self.coeffs])
 
     def inverse(self) -> "Trunc":
         if not self.is_unit:
             raise NonUnitConstantTerm("inverting a non-unit of R[t]/(t^m)")
-        inv0 = self.coeffs[0].inverse()
-        out = [inv0]
-        for n in range(1, self.m):
-            acc = self.ring.zero
-            for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k]
-            out.append(-inv0 * acc)
-        return Trunc(self.ring, self.m, out)
+        ring = self.ring
+        if _computes_raw(ring):
+            return self._wrap(_series_inverse(self._raws(), ring._raw_inv, ring._raw_dot,
+                                              ring._raw_mul, ring._raw_neg))
+        return Trunc._of(ring, self.m, _series_inverse(self.coeffs, lambda c: c.inverse(), _dot,
+                                                       operator.mul, operator.neg))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -238,7 +296,8 @@ def trunc_exp(alpha: Trunc) -> Trunc:
     ring = alpha.ring
     if alpha.coeffs[0] != ring.zero:
         raise NonzeroConstantTerm("exponent must have zero constant term")
-    inv_fact = inv_factorials(ring.characteristic)
+    # alpha^n vanishes mod t^m for n >= m
+    inv_fact = inv_factorials(ring.characteristic, alpha.m)
     result = Trunc.one(ring, alpha.m)
     power = Trunc.one(ring, alpha.m)
     for n in range(1, alpha.m):
@@ -247,20 +306,26 @@ def trunc_exp(alpha: Trunc) -> Trunc:
     return result
 
 
+def _weighted(x: Trunc, weights: Sequence[int]) -> Trunc:
+    """Multiply the coefficient of t^n by the integer weights[n]."""
+    ring = x.ring
+    if _computes_raw(ring):
+        mul, from_int = ring._raw_mul, ring._raw_from_int
+        return x._wrap([mul(c.raw, from_int(w)) for c, w in zip(x.coeffs, weights)])
+    return Trunc._of(ring, x.m, [c * ring.from_int(w) for c, w in zip(x.coeffs, weights)])
+
+
 def log_circ(u: Trunc) -> Trunc:
-    """The branch logarithm log(u / u(0)), defined for units when m <= p."""
-    ring = u.ring
+    """The branch logarithm log(u / u(0)), defined for units when m <= p.
+
+    theta(log u) = theta(u) / u for theta = t d/dt, and theta^-1 divides the
+    coefficient of t^n by n (0 < n < m <= p), so l_n = [t^n](theta(u) / u) / n.
+    """
     if not u.is_unit:
         raise NonUnitConstantTerm("log of a non-unit")
-    inv = _inv_table(ring.characteristic)
-    z = u.scaled(u.coeffs[0].inverse()) - Trunc.one(ring, u.m)
-    result = Trunc.zero(ring, u.m)
-    power = Trunc.one(ring, u.m)
-    for n in range(1, u.m):
-        power = power * z
-        coeff = ring.from_int(inv[n] if n % 2 == 1 else -inv[n] % ring.characteristic)
-        result = result + power.scaled(coeff)
-    return result
+    m = u.m
+    euler = _weighted(u, range(m))
+    return _weighted(euler * u.inverse(), _inverses(u.ring.characteristic, m))
 
 
 def ell_i(u: Trunc, i: int):

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from charp_dilog import regulator, suites
 from charp_dilog.cli import main
+from charp_dilog.gf import Fq, NotInSubfield
+from charp_dilog.tpoly import Trunc
 
 
 @pytest.fixture
@@ -211,3 +214,26 @@ def test_env_seed_default(monkeypatch, thm1_file, capsys):
     parser = cli_mod.build_parser()
     args = parser.parse_args(["rho-k", "--input", thm1_file])
     assert args.seed == 17
+
+
+def test_suite_descent_rejects_unstable_coefficient():
+    base = Fq(5)
+    quad = Fq(5, modulus=[2, 0, 1], base=base)
+    assert suites._descend_to(base)(quad.from_coeffs([3])) == base(3)
+    with pytest.raises(NotInSubfield):
+        suites._descend_to(base)(quad.gen())
+
+
+def test_moebius_closed_form_rejects_higher_exponents():
+    field = Fq(5)
+    one2 = Trunc.one(field, 2)
+    pts = tuple(regulator.finite_point(field, [Trunc(field, 2, [-c, 1]), one2])
+                for c in (0, 1, 2))
+    inp = regulator.RegulatorInput(
+        field, pts,
+        regulator.GoodFunction(one2, ((0, 2),)),
+        regulator.GoodFunction(one2, ((1, 1),)),
+        regulator.GoodFunction(one2, ((2, 1),)),
+    )
+    with pytest.raises(ValueError, match="exponents"):
+        suites._moebius_closed_form(inp)

@@ -272,3 +272,70 @@ def test_trace_outside_subfield_raises(monkeypatch, F25):
         trace_to_prime(F25.gen())
     with pytest.raises(NotInSubfield):
         trace_to_base(F25.gen())
+
+
+@pytest.mark.parametrize("p, modulus", [(5, [2, 0, 1]), (11, [1, 0, 1]),
+                                        (5, [1, 1, 0, 1]), (7, [2, 0, 0, 1])])
+def test_extension_int_kernel_matches_tower_loop(p, modulus):
+    # over a prime base the raw kernel works on int tuples; the recursive
+    # loop through the base field's kernel is the oracle
+    field = Fq(p, modulus=modulus, base=Fq(p))
+    base = field.base
+    rng = spawn(12, "ext-int-kernel", p, len(modulus))
+    elems = [field.random_element(rng).raw for _ in range(40)]
+    elems += [field.zero.raw, field.one.raw, tuple([p - 1] * field.degree)]
+    for a in elems:
+        for b in elems[::7]:
+            assert field._raw_mul(a, b) == gf._tower_mul(field, a, b)
+            assert field._raw_add(a, b) == tuple(base._raw_add(x, y) for x, y in zip(a, b))
+            assert field._raw_sub(a, b) == tuple(base._raw_sub(x, y) for x, y in zip(a, b))
+        assert field._raw_neg(a) == tuple(base._raw_neg(x) for x in a)
+        assert field._raw_is_zero(a) == all(base._raw_is_zero(x) for x in a)
+        if not field._raw_is_zero(a):
+            assert field._raw_mul(a, field._raw_inv(a)) == field.one.raw
+
+
+@pytest.mark.parametrize("name", ["F7", "F11", "F49"])
+def test_poly_add_sub_neg(request, name):
+    field = request.getfixturevalue(name)
+    ext = Fq(field.p, modulus=[1, 0, 1], base=field) if field.base is None else None
+    rng = spawn(13, "poly-add", name)
+    for _ in range(30):
+        a = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(0, 12))])
+        b = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(0, 12))])
+        if rng.randrange(3) == 0:
+            b = a + Poly(field, [field.random_element(rng) for _ in range(3)])  # cancels on top
+        total, diff = a + b, a - b
+        for k in range(max(len(a.coeffs), len(b.coeffs))):
+            assert total.coeff(k) == a.coeff(k) + b.coeff(k)
+            assert diff.coeff(k) == a.coeff(k) - b.coeff(k)
+        assert total.degree <= max(a.degree, b.degree) and diff.degree <= max(a.degree, b.degree)
+        assert -a + a == Poly(field) and diff + b == a and (-diff) == b - a
+        if ext is not None:
+            ea, eb = a.embedded(ext), b.embedded(ext)
+            assert (ea + eb, ea - eb, -ea) == (total.embedded(ext), diff.embedded(ext),
+                                               (-a).embedded(ext))
+
+
+@pytest.mark.parametrize("name", ["F7", "F49", "F121", "F625"])
+def test_product_kernel_matches_schoolbook(request, name):
+    # prime (int or packed), extension over a prime field (Kronecker through
+    # the prime kernel) and a tower (the _raw_* loop); n keeps the low n
+    if name == "F121":
+        field = Fq(11, modulus=[1, 0, 1], base=Fq(11))
+    elif name == "F625":
+        f25 = Fq(5, modulus=[2, 0, 1], base=Fq(5))
+        field = Fq(5, modulus=[f25.from_coeffs([1, 1]), 0, 1], base=f25)
+    else:
+        field = request.getfixturevalue(name)
+    rng = spawn(14, "product-kernel", name)
+    for _ in range(25):
+        a = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(1, 14))])
+        b = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(1, 14))])
+        full = _schoolbook(a, b)
+        assert a * b == full
+        if a.is_zero or b.is_zero:
+            continue
+        for n in (1, 3, 11):
+            low = gf._rmul(field, list(a.coeffs) + [field.zero.raw] * 2, list(b.coeffs), n)
+            assert low == [full.coeff(k).raw for k in range(n)]

@@ -68,19 +68,6 @@ def test_expand_precision_guard(R5, F5):
     assert e.coeff(0).is_zero  # exactly zero below the valuation
 
 
-def test_laurent_arithmetic_precision(R5, F5):
-    s = R5.gen
-    a = expand_at(s.inverse(), F5.zero, 4)
-    b = expand_at(R5.one + s, F5.zero, 2)
-    prod = a * b
-    assert prod.coeff(-1) == F5.one
-    assert prod.coeff(0) == F5.one
-    with pytest.raises(InsufficientPrecision):
-        prod.coeff(3)
-    inv = b.inverse()
-    assert inv.coeff(0) == F5.one and inv.coeff(1) == -F5.one
-
-
 def test_residue_examples(R5, F5):
     s = R5.gen
     assert residue_at(dlog(s), F5.zero) == F5.one

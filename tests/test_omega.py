@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
+from charp_dilog import omega
 from charp_dilog.gf import Fq
 from charp_dilog.localfield import OneForm, RatFn, RatFnRing, residue_at
 from charp_dilog.omega import (
+    CaseTableGap,
     Letter,
     NotCongruentModT2,
     NotDivisible,
@@ -12,6 +14,7 @@ from charp_dilog.omega import (
     antider_primitive,
     letters_of_unit,
     omega_char0_defect,
+    omega_letters,
     omega_p,
     omega_p_pair,
     res_invariance_check,
@@ -391,3 +394,22 @@ def test_char0_defect_residue_identity(p):
         lhs = ell(res_local(qt, s_tilde), ring=field) - ell(res_local(qh, s_hat), ring=field)
         form = omega_char0_defect(qt, qh)
         assert lhs == residue_at(form, field.zero)
+
+
+def test_letter_formula_rejects_excluded_ties(R5):
+    # the exponents come from an odd prime p, so a = b > c = 0 (2a = p) and
+    # a = b = c (3a = p) cannot occur; forced through p, both raise typed errors
+    x = R5.gen + 1
+    with pytest.raises(CaseTableGap):
+        omega_letters(Letter(2, x), Letter(0, x), Letter(2, x), 4)
+    with pytest.raises(CaseTableGap):
+        omega_letters(Letter(3, x), Letter(3, x), Letter(3, x), 9)
+
+
+def test_antiderivative_rejects_undefined_payload(monkeypatch, R5):
+    # a constant letter (a = 0) has no zeroth payload derivative; the case
+    # table gives it coefficient 0, and a table that does not is caught
+    monkeypatch.setattr(omega, "s_coeff", lambda *args: 1)
+    s = R5.gen
+    with pytest.raises(CaseTableGap):
+        antider_primitive(0, 1, 1, 3, s, s + 1, s + 2, s + 3)

@@ -1,5 +1,6 @@
 import pytest
 
+from charp_dilog import regulator
 from charp_dilog.gf import CtxMismatch, Fq
 from charp_dilog.regulator import (
     DegenerateConfiguration,
@@ -198,3 +199,29 @@ def test_input_validation(F5, F7):
                        GoodFunction(one2, ()))
     with pytest.raises(ValueError):
         finite_point(F5, [Trunc(F5, 2, [1, 0]), Trunc(F5, 2, [2, 0])])  # not monic
+
+
+def test_relift_rejects_a_different_residue_field(monkeypatch, F5):
+    # both liftings reduce to the same point, so a different residue field
+    # for the alternative one is a fault, reported as CtxMismatch
+    rng = spawn(6, "relift-id")
+    inp = linear_input(F5, *rand_theorem1_triple(F5, rng))
+    real_field, real_lift = regulator._point_field_and_root, regulator._lift_input
+    alt = {}
+
+    def lift(inp, p, seed):
+        out = real_lift(inp, p, seed)
+        if seed == 99:
+            alt["lift"] = out
+        return out
+
+    def field_and_root(inp, lift, idx):
+        kprime, root = real_field(inp, lift, idx)
+        if lift is alt.get("lift"):
+            kprime = Fq(5, modulus=[2, 0, 1], base=F5)
+        return kprime, root
+
+    monkeypatch.setattr(regulator, "_lift_input", lift)
+    monkeypatch.setattr(regulator, "_point_field_and_root", field_and_root)
+    with pytest.raises(CtxMismatch):
+        local_relift_report(inp, 0, alt_seed=99, lift_seed=0)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charp_dilog.gf import Fq
+from charp_dilog.localfield import RatFnRing
 from charp_dilog.rng import spawn
 from charp_dilog.tpoly import (
     HenselFailure,
@@ -173,3 +174,93 @@ def test_hensel_rejects_double_roots(F5):
     poly = [one, Trunc.constant(F5, m, F5(-2)), one]
     with pytest.raises(HenselFailure):
         hensel_root_zpoly(poly, F5.one)
+
+
+# -- the raw path against the generic loop and the series definition ----------
+
+class GenericRing:
+    """An Fq behind the plain ring-handle protocol, without the raw kernel, so
+    Trunc runs its generic loop on FqElem coefficients."""
+
+    def __init__(self, field):
+        self.characteristic = field.characteristic
+        self.zero, self.one = field.zero, field.one
+        self.from_int, self.is_unit = field.from_int, field.is_unit
+
+
+def log_series_oracle(u):
+    """log(u/u(0)) = sum_{n<m} (-1)^(n+1) z^n / n with z = u/u(0) - 1."""
+    ring, m = u.ring, u.m
+    z = u.scaled(u.c0.inverse()) - Trunc.one(ring, m)
+    result = Trunc.zero(ring, m)
+    power = Trunc.one(ring, m)
+    for n in range(1, m):
+        power = power * z
+        coeff = ring.from_int(pow(n, -1, ring.characteristic) * (-1) ** (n + 1))
+        result = result + power.scaled(coeff)
+    return result
+
+
+def _tower_rings():
+    f5 = Fq(5)
+    f25 = Fq(5, modulus=[2, 0, 1], base=f5)
+    # u^2 - g is irreducible over F_25 for g a non-square
+    g = next(x for x in f25.elements() if not x.is_zero and x ** 12 != f25.one)
+    f11 = Fq(11)
+    return {"F5": f5, "F7": Fq(7), "F11": f11,
+            "F121": Fq(11, modulus=[1, 0, 1], base=f11),
+            "F625": Fq(5, modulus=[-g, 0, 1], base=f25)}
+
+
+RINGS = _tower_rings()
+
+
+@pytest.mark.parametrize("name", list(RINGS))
+def test_raw_path_matches_generic_loop(name):
+    field = RINGS[name]
+    generic = GenericRing(field)
+    rng = spawn(9, "raw-trunc", name)
+    for m in sorted({2, 3, field.p}):
+        for trial in range(12):
+            a = [field.random_element(rng) for _ in range(m)]
+            b = [field.random_element(rng) for _ in range(m)]
+            if trial % 4 == 1:
+                b[1:] = [field.zero] * (m - 1)   # a constant factor
+            elif trial % 4 == 2:
+                a[m // 2:] = [field.zero] * (m - m // 2)   # trailing zeros
+            x, y = Trunc(field, m, a), Trunc(field, m, b)
+            gx, gy = Trunc(generic, m, a), Trunc(generic, m, b)
+            assert (x * y).coeffs == (gx * gy).coeffs
+            assert (x + y).coeffs == (gx + gy).coeffs
+            assert (x - y).coeffs == (gx - gy).coeffs
+            assert (-x).coeffs == (-gx).coeffs
+            c = field.random_element(rng)
+            assert x.scaled(c).coeffs == gx.scaled(c).coeffs
+            if x.is_unit:
+                inv = x.inverse()
+                assert inv.coeffs == gx.inverse().coeffs
+                assert x * inv == Trunc.one(field, m)
+                log = log_circ(x)
+                assert log == log_series_oracle(x)
+                assert log.coeffs == log_circ(gx).coeffs
+                assert log.coeffs == log_series_oracle(gx).coeffs
+
+
+def test_log_over_ratfn_ring_matches_series(F5):
+    ring = RatFnRing(F5)
+    rng = spawn(10, "ratfn-log")
+    for m in (3, 5):
+        for _ in range(3):
+            u = rand_unit(ring, m, rng)
+            assert log_circ(u) == log_series_oracle(u)
+
+
+def test_log_and_exp_at_huge_prime():
+    # the inverse and factorial tables are sized by m, not by p
+    field = Fq(2 ** 61 - 1)
+    rng = spawn(11, "huge-p")
+    for _ in range(20):
+        u = rand_unit(field, 3, rng)
+        log = log_circ(u)
+        assert log == log_series_oracle(u)
+        assert trunc_exp(log).scaled(u.c0) == u
