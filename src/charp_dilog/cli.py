@@ -55,6 +55,8 @@ def _elem_from_json(field: Fq, data) -> FqElem:
             return field.from_int(data)
         if field.base is None:
             raise ParseError(f"prime-field element must be an int, got {data!r}")
+        if not isinstance(data, list):
+            raise ParseError(f"extension-field element must be an int or an array, got {data!r}")
         return field.from_coeffs([_elem_from_json(field.base, c) for c in data])
     except GFError as exc:
         raise ParseError(str(exc)) from exc
@@ -63,7 +65,11 @@ def _elem_from_json(field: Fq, data) -> FqElem:
 def _trunc_from_json(field: Fq, m: int, data) -> Trunc:
     """A truncated element, as a bare coefficient array or {"m":..,"coeffs":[..]}."""
     if isinstance(data, dict):
-        if int(data.get("m", m)) != m:
+        try:
+            given = int(data.get("m", m))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"element modulus {data.get('m')!r} is not an integer") from exc
+        if given != m:
             raise ParseError(f"element modulus {data.get('m')} does not match {m}")
         data = data.get("coeffs", [])
     if not isinstance(data, list):

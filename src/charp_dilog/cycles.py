@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
-from .gf import Fq, FqElem, Poly, factor_squarefree_irreducibles, trace_to_base
+from .gf import Fq, FqElem, Poly, factor_squarefree_irreducibles, residue_field, trace_to_base
 from .tpoly import Trunc, hensel_root_zpoly, rp_eval
 from .wedge import ell, ell_p, wedge
 
@@ -140,12 +140,7 @@ def admissibility_check(cycle: ParamCycle) -> AdmissibilityReport:
 
 
 def _check_other_coords(report, cycle, reds, i, pi, label):
-    field = cycle.field
-    if pi.degree == 1:
-        kprime, theta = field, -pi.coeff(0)
-    else:
-        kprime = Fq(field.p, modulus=[pi.coeff(k) for k in range(pi.degree + 1)], base=field)
-        theta = kprime.gen()
+    theta = residue_field(pi)[1]
     for j in range(3):
         if j == i:
             continue
@@ -213,25 +208,15 @@ def boundary(cycle: ParamCycle) -> list[BoundaryPoint]:
 
 def _finite_boundary_point(cycle: ParamCycle, i: int, coeffs: list, pi: Poly,
                            label: str) -> BoundaryPoint:
-    field = cycle.field
-    if pi.degree == 1:
-        kprime, root0 = field, -pi.coeff(0)
-        emb = coeffs
-    else:
-        kprime = Fq(field.p, modulus=[pi.coeff(k) for k in range(pi.degree + 1)], base=field)
-        root0 = kprime.gen()
-        emb = [c.map_coeffs(kprime.embed, kprime) for c in coeffs]
-    z0 = hensel_root_zpoly(emb, root0)
+    kprime, root0 = residue_field(pi)
+    z0 = hensel_root_zpoly([c.embedded(kprime) for c in coeffs], root0)
     pair = []
     zero = Trunc.zero(kprime, z0.m)
     for j in range(3):
         if j == i:
             continue
-        numj = list(cycle.coords[j].num)
-        denj = list(cycle.coords[j].den)
-        if kprime != field:
-            numj = [c.map_coeffs(kprime.embed, kprime) for c in numj]
-            denj = [c.map_coeffs(kprime.embed, kprime) for c in denj]
+        numj = [c.embedded(kprime) for c in cycle.coords[j].num]
+        denj = [c.embedded(kprime) for c in cycle.coords[j].den]
         pair.append(rp_eval(numj, z0, zero) * rp_eval(denj, z0, zero).inverse())
     return BoundaryPoint(kprime, tuple(pair), face_sign(i + 1, label == INF_FACE),
                          (i + 1, label), pi)

@@ -1071,3 +1071,14 @@ def roots_in_field(f: Poly) -> list[FqElem]:
         if g.degree == 1:
             out.append(-g.coeff(0))
     return out
+
+
+def residue_field(pi: Poly) -> tuple[Fq, FqElem]:
+    """The residue field of the closed point cut out by a monic irreducible pi,
+    with the root of pi there: the coefficient field and -pi(0) for degree 1,
+    else field[u]/(pi) and the class of u."""
+    field = pi.field
+    if pi.degree == 1:
+        return field, -pi.coeff(0)
+    ext = Fq(field.p, modulus=[pi.coeff(i) for i in range(pi.degree + 1)], base=field)
+    return ext, ext.gen()

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial
+from .gf import CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, residue_field
+from .tpoly import _series_inverse
 
 
 class LocalFieldError(Exception):
@@ -309,6 +310,10 @@ class RatFnRing:
     def from_int(self, n: int) -> RatFn:
         return RatFn.from_int(self.field, n)
 
+    def embed(self, c: FqElem) -> RatFn:
+        """A coefficient-field element as a constant function."""
+        return RatFn.const(self.field(c))
+
     def is_unit(self, x: RatFn) -> bool:
         return not x.is_zero
 
@@ -357,16 +362,6 @@ class OneForm:
 
     def __repr__(self) -> str:
         return f"{self.fn} ds"
-
-
-def derive(f: RatFn) -> RatFn:
-    """d/ds by the quotient rule, exactly."""
-    return f.derivative()
-
-
-def dlog(f: RatFn) -> OneForm:
-    """The logarithmic differential df/f."""
-    return f.dlog()
 
 
 @dataclass(frozen=True)
@@ -419,16 +414,13 @@ def expand_at(f: RatFn, center, order: int) -> LaurentLocal:
     n_terms = order - val + 1
     if n_terms <= 0:
         return LaurentLocal(field, center, val, (), order + 1)
-    a = [num.coeff(vn + i) for i in range(n_terms)]
-    b = [den.coeff(vd + i) for i in range(n_terms)]
-    inv0 = b[0].inverse()
-    out = []
-    for k in range(n_terms):
-        acc = a[k]
-        for j in range(1, k + 1):
-            acc = acc - b[j] * out[k - j]
-        out.append(acc * inv0)
-    return LaurentLocal(field, center, val, tuple(out), order + 1)
+    # the quotient of the two windows, on raw coefficients: numerator times
+    # the series inverse of the denominator, mod (local parameter)^n_terms
+    b = list(den.coeffs[vd:vd + n_terms])
+    b += [field._raw_from_int(0)] * (n_terms - len(b))
+    inv = _series_inverse(b, field._raw_inv, field._raw_dot, field._raw_mul, field._raw_neg)
+    out = field._raw_mul_low(list(num.coeffs[vn:vn + n_terms]), inv, n_terms)
+    return LaurentLocal(field, center, val, field._wrap(out), order + 1)
 
 
 def _trailing_zeros(f: Poly) -> int:
@@ -482,12 +474,7 @@ def residue_at(omega: OneForm, point) -> FqElem:
         exp = expand_at(g, f.field.zero, target)
         return -exp.coeff(target)
     if isinstance(point, Poly):
-        if point.degree == 1:
-            theta = -point.coeff(0)
-        else:
-            ext = Fq(point.field.p, modulus=[point.coeff(i) for i in range(point.degree + 1)],
-                     base=point.field)
-            theta = ext.gen()
+        theta = residue_field(point)[1]
     elif isinstance(point, FqElem):
         theta = point
     else:

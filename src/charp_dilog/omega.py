@@ -16,8 +16,9 @@ from typing import NamedTuple, Sequence
 
 from .gf import FqElem
 from .localfield import OneForm, RatFn, RatFnRing, residue_at
-from .tpoly import ModulusMismatch, Trunc, ell_all, inv_factorials, trunc_exp, unit_decompose
-from .wedge import WedgeK
+from .tpoly import (ModulusMismatch, Trunc, UnitDecomp, ell_all, inv_factorials, unit_decompose,
+                    unit_recompose)
+from .wedge import WedgeK, ratfn_at_trunc, substitute
 
 
 class OmegaError(Exception):
@@ -162,40 +163,20 @@ def omega_p_pair(w: WedgeK, ring: RatFnRing | None = None) -> OneForm:
 # -- reparametrization -------------------------------------------------------
 
 def sigma_apply(x: RatFn, w: int, u: Trunc) -> Trunc:
-    """Apply s -> s + x t^w to a unit, letter by letter, in closed form."""
+    """Apply s -> s + x t^w to a unit: the closed-form image of its letters,
+    multiplied back into one unit."""
     ring: RatFnRing = u.ring
     p = ring.characteristic
     if u.m != p:
         raise ModulusMismatch("sigma acts on units of R[t]/(t^p)")
-    inv_fact = inv_factorials(p)
-    if w >= p:
-        return u
-    result = Trunc.one(ring, p)
-    for letter in letters_of_unit(u):
+    # e(a t^i) e(b t^i) = e((a + b) t^i), so letters of one exponent add up
+    a0, exps = ring.one, [ring.zero] * (p - 1)
+    for letter in sigma_letters(x, w, letters_of_unit(u), p):
         if letter.a == 0:
-            result = result * Trunc.constant(ring, p, letter.payload)
-            deriv = letter.payload.derivative() / letter.payload
-            i = 1
-            while letter.a + i * w < p:
-                coeff = (x ** i) * deriv * inv_fact[i]
-                result = result * _exp_single(ring, p, letter.a + i * w, coeff)
-                deriv = deriv.derivative()
-                i += 1
+            a0 = a0 * letter.payload
         else:
-            deriv = letter.payload
-            i = 0
-            while letter.a + i * w < p:
-                coeff = (x ** i) * deriv * inv_fact[i]
-                result = result * _exp_single(ring, p, letter.a + i * w, coeff)
-                deriv = deriv.derivative()
-                i += 1
-    return result
-
-
-def _exp_single(ring, m: int, e: int, coeff: RatFn) -> Trunc:
-    if coeff.is_zero:
-        return Trunc.one(ring, m)
-    return trunc_exp(Trunc(ring, m, [ring.zero] * e + [coeff]))
+            exps[letter.a - 1] = exps[letter.a - 1] + letter.payload
+    return unit_recompose(UnitDecomp(ring, p, a0, tuple(exps)))
 
 
 def substitute_s(u: Trunc, image: Trunc) -> Trunc:
@@ -205,27 +186,9 @@ def substitute_s(u: Trunc, image: Trunc) -> Trunc:
     at the image truncation; this is the automorphism itself, independent of
     the letter formulas, and doubles as their cross-check.
     """
-    ring: RatFnRing = u.ring
-    if image.c0 != ring.gen:
+    if image.c0 != u.ring.gen:
         raise ValueError("substitution must restrict to the identity modulo (t)")
-    acc = Trunc.zero(ring, u.m)
-    for j, cj in enumerate(u.coeffs):
-        if cj.is_zero:
-            continue
-        acc = acc + _ratfn_at_rtrunc(cj, image).shifted(j)
-    return acc
-
-
-def _ratfn_at_rtrunc(r: RatFn, x: Trunc) -> Trunc:
-    ring: RatFnRing = x.ring
-
-    def poly_at(p) -> Trunc:
-        acc = Trunc.zero(ring, x.m)
-        for i in range(p.degree, -1, -1):
-            acc = acc * x + RatFn.const(p.coeff(i))
-        return acc
-
-    return poly_at(r.num) * poly_at(r.den).inverse()
+    return substitute(u.coeffs, image)
 
 
 def sigma_image_of_s(ring: RatFnRing, xs: Sequence[RatFn]) -> Trunc:
@@ -235,28 +198,17 @@ def sigma_image_of_s(ring: RatFnRing, xs: Sequence[RatFn]) -> Trunc:
     return Trunc(ring, p, coeffs)
 
 
-def sigma_general(xs: Sequence[RatFn], u: Trunc) -> Trunc:
-    """Apply s -> s + sum_w xs[w-1] t^w by direct substitution."""
-    return substitute_s(u, sigma_image_of_s(u.ring, xs))
-
-
 def sigma_letters(x: RatFn, w: int, letters: Sequence[Letter], p: int) -> list[Letter]:
     """The closed-form image of a letter list under s -> s + x t^w."""
+    if w < 1:
+        raise ValueError(f"the weight w = {w} must be positive")
     inv_fact = inv_factorials(p)
     out: list[Letter] = []
     for letter in letters:
         out.append(letter)
-        if letter.a == 0:
-            deriv = letter.payload.derivative() / letter.payload
-        else:
-            deriv = letter.payload.derivative()
-        i = 1
-        e = letter.a + w
-        while e < p:
-            out.append(Letter(e, (x ** i) * deriv * inv_fact[i]))
-            i += 1
-            e += w
-            deriv = deriv.derivative()
+        ladder = _derivative_ladder(letter.a, letter.payload, (p - 1 - letter.a) // w)
+        for i in range(1, len(ladder)):
+            out.append(Letter(letter.a + i * w, (x ** i) * ladder[i] * inv_fact[i]))
     return out
 
 
@@ -273,14 +225,13 @@ def sigma_image_letters(xs: Sequence[RatFn], entry, ring: RatFnRing) -> list[Let
     out: list[Letter] = []
     for letter in letters:
         if letter.a == 0:
-            moved = _ratfn_at_rtrunc(letter.payload, image)
+            moved = ratfn_at_trunc(letter.payload, image)
             out.append(Letter(0, moved.c0))
-            from .tpoly import ell_all
             for j, lj in enumerate(ell_all(moved), start=1):
                 if not lj.is_zero:
                     out.append(Letter(j, lj))
         else:
-            moved = _ratfn_at_rtrunc(letter.payload, image)
+            moved = ratfn_at_trunc(letter.payload, image)
             for j, cj in enumerate(moved.coeffs):
                 e = letter.a + j
                 if e >= p:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import CtxMismatch, Fq, FqElem, Poly, is_irreducible, trace_to_base
+from .gf import CtxMismatch, Fq, FqElem, Poly, is_irreducible, residue_field, trace_to_base
 from .localfield import RatFn, RatFnRing, residue_at
 from .rng import spawn
 from .tpoly import Trunc, hensel_root_zpoly, rp_eval
@@ -166,18 +166,8 @@ def _lift_input(inp: RegulatorInput, m: int, seed: int | None) -> _Lift:
 
 def _point_field_and_root(inp: RegulatorInput, lift: _Lift, idx: int):
     """The residue field of a finite table point and the Hensel root of its lift."""
-    field = inp.field
-    red = inp.points[idx].reduction(field)
-    if red.degree == 1:
-        kprime = field
-        root0 = -red.coeff(0)
-        coeffs = lift.points[idx]
-    else:
-        kprime = Fq(field.p, modulus=[red.coeff(i) for i in range(red.degree + 1)],
-                    base=field)
-        root0 = kprime.gen()
-        coeffs = [c.map_coeffs(kprime.embed, kprime) for c in lift.points[idx]]
-    zhat = hensel_root_zpoly(coeffs, root0)
+    kprime, root0 = residue_field(inp.points[idx].reduction(inp.field))
+    zhat = hensel_root_zpoly([c.embedded(kprime) for c in lift.points[idx]], root0)
     return kprime, zhat
 
 
@@ -186,16 +176,12 @@ def _value_at_point(inp: RegulatorInput, lift: _Lift, which: int, idx: int,
     """The unit part of function ``which`` at table point ``idx``, reduced at the
     lifted point (evaluated at the Hensel root)."""
     fn = inp.functions()[which]
-    val = lift.units[which]
-    if kprime != inp.field:
-        val = val.map_coeffs(kprime.embed, kprime)
+    val = lift.units[which].embedded(kprime)
     zero = Trunc.zero(kprime, lift.m)
     for i, e in fn.factors:
         if i == idx:
             continue
-        coeffs = lift.points[i]
-        if kprime != inp.field:
-            coeffs = [c.map_coeffs(kprime.embed, kprime) for c in coeffs]
+        coeffs = [c.embedded(kprime) for c in lift.points[i]]
         val = val * rp_eval(coeffs, zhat, zero) ** e
     return val
 
@@ -336,8 +322,7 @@ def _realize_local(inp: RegulatorInput, lift: _Lift, idx: int, kprime: Fq,
     szero = Trunc.zero(kprime, m)
 
     def realize_zpoly(coeffs: list[Trunc]) -> Trunc:
-        if kprime != inp.field:
-            coeffs = [c.map_coeffs(kprime.embed, kprime) for c in coeffs]
+        coeffs = [c.embedded(kprime) for c in coeffs]
         # evaluate at zhat + s as a polynomial in s with Trunc coefficients
         spoly = [szero]
         for c in reversed(coeffs):
@@ -354,12 +339,10 @@ def _realize_local(inp: RegulatorInput, lift: _Lift, idx: int, kprime: Fq,
 
     realized_points = {}
     for i in {i for fn in inp.functions() for i, _ in fn.factors} | {idx}:
-        realized_points[i] = realize_zpoly(list(lift.points[i]))
+        realized_points[i] = realize_zpoly(lift.points[i])
     entries = []
     for which, fn in enumerate(inp.functions()):
-        unit = lift.units[which]
-        if kprime != inp.field:
-            unit = unit.map_coeffs(kprime.embed, kprime)
+        unit = lift.units[which].embedded(kprime)
         val = Trunc(ring, m, [RatFn.const(c) for c in unit.coeffs])
         for i, e in fn.factors:
             val = val * realized_points[i] ** e

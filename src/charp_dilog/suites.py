@@ -276,9 +276,8 @@ def _quadratic_point_check(base: Fq, quad: Fq, rng, result: SuiteResult, trial: 
         regulator.GoodFunction(one2, ((2, 1),)),
     )
     value = regulator.rho_K(inp, lift_seed=trial)
-    aq = alpha.map_coeffs(quad.embed, quad)
-    bq = beta.map_coeffs(quad.embed, quad)
-    expected = trace_to_base(regulator.theorem1_closed_form(gamma, aq, bq))
+    expected = trace_to_base(regulator.theorem1_closed_form(gamma, alpha.embedded(quad),
+                                                            beta.embedded(quad)))
     result.record(value == expected, "theorem1-quadratic-trace",
                   gamma=gamma, value=value, expected=expected)
 
@@ -381,16 +380,13 @@ def _moebius_closed_form(inp):
     point_roots = []
     for pt in inp.points:
         if pt.degree == 1:
-            root = -pt.poly[0]
-            if split != field:
-                root = root.map_coeffs(split.embed, split)
-            point_roots.append([root])
+            point_roots.append([(-pt.poly[0]).embedded(split)])
         else:
             from .gf import roots_in_field
             from .tpoly import hensel_root_zpoly
 
             red = pt.reduction(field).embedded(split)
-            coeffs = [c.map_coeffs(split.embed, split) for c in pt.poly]
+            coeffs = [c.embedded(split) for c in pt.poly]
             point_roots.append([hensel_root_zpoly(coeffs, r0)
                                 for r0 in roots_in_field(red)])
     choices = []

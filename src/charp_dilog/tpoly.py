@@ -282,6 +282,12 @@ class Trunc:
         return Trunc(ring if ring is not None else self.ring, self.m,
                      [fn(c) for c in self.coeffs])
 
+    def embedded(self, ring) -> "Trunc":
+        """The same element with coefficients pushed into an extension field."""
+        if ring == self.ring:
+            return self
+        return Trunc._of(ring, self.m, [ring.embed(c) for c in self.coeffs])
+
     def __repr__(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -369,19 +375,6 @@ def unit_recompose(d: UnitDecomp) -> Trunc:
 
 # -- generic dense polynomials over an arbitrary ring (lists, low first) --
 
-def rp_trim(coeffs: list, zero) -> list:
-    while coeffs and coeffs[-1] == zero:
-        coeffs.pop()
-    return coeffs
-
-
-def rp_add(a: Sequence, b: Sequence, zero) -> list:
-    n = max(len(a), len(b))
-    a = list(a) + [zero] * (n - len(a))
-    b = list(b) + [zero] * (n - len(b))
-    return [x + y for x, y in zip(a, b)]
-
-
 def rp_mul(a: Sequence, b: Sequence, zero) -> list:
     if not a or not b:
         return []
@@ -397,10 +390,6 @@ def rp_eval(coeffs: Sequence, x, zero):
     for c in reversed(list(coeffs)):
         acc = acc * x + c
     return acc
-
-
-def rp_derivative(coeffs: Sequence, ring) -> list:
-    return [ring.from_int(i) * c for i, c in enumerate(coeffs)][1:]
 
 
 def rp_divmod_monic(a: Sequence, b: Sequence, zero) -> tuple[list, list]:

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import Fq, FqElem
 from .localfield import RatFn
-from .tpoly import ModulusMismatch, Trunc, ell_all
+from .tpoly import ModulusMismatch, Trunc, ell_all, newton_root, rp_eval
 
 
 class WedgeError(Exception):
@@ -217,32 +216,26 @@ def res_good(goods: Sequence[GoodElem], reduce_fn: Callable) -> WedgeK:
 # -- local evaluation at a lifted point -------------------------------------
 
 def ratfn_at_trunc(r: RatFn, x: Trunc) -> Trunc:
-    """Evaluate a rational function at a truncated-ring point over an F_q ring.
+    """Evaluate a rational function at a truncated-ring point.
 
-    The point ring may be the coefficient field of ``r`` or a tower extension
-    of it; the denominator must be a unit at the point.
+    The point ring is r's coefficient field, an extension built directly over
+    it, or the rational functions over it; the denominator must be a unit at
+    the point.
     """
-    ring: Fq = x.ring
+    ring = x.ring
     zero = Trunc.zero(ring, x.m)
     r = r.reduced()
-
-    def poly_at(p) -> Trunc:
-        acc = zero
-        for i in range(p.degree, -1, -1):
-            acc = acc * x + _embed_any(p.coeff(i), ring)
-        return acc
-
-    num = poly_at(r.num)
-    den = poly_at(r.den)
-    return num * den.inverse()
+    num, den = ([ring.embed(f.coeff(i)) for i in range(f.degree + 1)] for f in (r.num, r.den))
+    return rp_eval(num, x, zero) * rp_eval(den, x, zero).inverse()
 
 
-def _embed_any(c: FqElem, target: Fq) -> FqElem:
-    if c.field == target:
-        return c
-    if target.base is not None:
-        return target.embed(_embed_any(c, target.base))
-    raise ValueError(f"cannot embed element of {c.field} into {target}")
+def substitute(coeffs: Sequence[RatFn], x: Trunc) -> Trunc:
+    """sum_j coeffs[j](x) t^j: a truncation with rational coefficients at the point x."""
+    acc = Trunc.zero(x.ring, x.m)
+    for j, cj in enumerate(coeffs):
+        if not cj.is_zero:
+            acc = acc + ratfn_at_trunc(cj, x).shifted(j)
+    return acc
 
 
 def local_point(s_tilde: Trunc) -> Trunc:
@@ -252,31 +245,11 @@ def local_point(s_tilde: Trunc) -> Trunc:
     point defined by the uniformizer, so reductions at the point are
     evaluations at this root.
     """
-    from .tpoly import newton_root
-
     _check_uniformizer(s_tilde)
-    field = s_tilde.ring.field
-    m = s_tilde.m
-
-    def F(x: Trunc) -> Trunc:
-        acc = Trunc.zero(field, m)
-        for j, cj in enumerate(s_tilde.coeffs):
-            if cj.is_zero:
-                continue
-            acc = acc + ratfn_at_trunc(cj, x).shifted(j)
-        return acc
-
     derivs = [c.derivative() for c in s_tilde.coeffs]
-
-    def Fp(x: Trunc) -> Trunc:
-        acc = Trunc.zero(field, m)
-        for j, cj in enumerate(derivs):
-            if cj.is_zero:
-                continue
-            acc = acc + ratfn_at_trunc(cj, x).shifted(j)
-        return acc
-
-    return newton_root(F, Fp, Trunc.zero(field, m))
+    return newton_root(lambda x: substitute(s_tilde.coeffs, x),
+                       lambda x: substitute(derivs, x),
+                       Trunc.zero(s_tilde.ring.field, s_tilde.m))
 
 
 def reduce_at(s_tilde: Trunc) -> Callable[[Trunc], Trunc]:
@@ -287,18 +260,7 @@ def reduce_at(s_tilde: Trunc) -> Callable[[Trunc], Trunc]:
     root of the uniformizer.
     """
     root = local_point(s_tilde)
-    field = s_tilde.ring.field
-    m = s_tilde.m
-
-    def reduce_fn(u: Trunc) -> Trunc:
-        acc = Trunc.zero(field, m)
-        for j, cj in enumerate(u.coeffs):
-            if cj.is_zero:
-                continue
-            acc = acc + ratfn_at_trunc(cj, root).shifted(j)
-        return acc
-
-    return reduce_fn
+    return lambda u: substitute(u.coeffs, root)
 
 
 def res_local(triple: Sequence[Trunc], s_tilde: Trunc) -> WedgeK:

@@ -102,16 +102,21 @@ def test_parse_error_exit_code(tmp_path, capsys):
     fns = {"f": {"factors": [[0, 1]]}, "g": {"factors": [[1, 1]]}, "h": {"factors": [[2, 1]]}}
     for bad_entry in ({"f": 3}, {"g": [1]}, {"h": "x"}, {"f": {"factors": 3}},
                       {"g": {"factors": [[None, 1]]}}, {"points": 3},
-                      {"points": [{"poly": 3}]}, {"ext": 3}, {"ext": [[1], 0, 1]}):
+                      {"points": [{"poly": 3}]}, {"ext": 3}, {"ext": [[1], 0, 1]},
+                      {"f": {"unit": {"m": [2], "coeffs": [1]}, "factors": [[0, 1]]}},
+                      {"f": {"unit": {"m": {}, "coeffs": [1]}, "factors": [[0, 1]]}},
+                      {"ext": [2, 0, 1], "points": [{"poly": [[None], [1]]}]}):
         shaped = tmp_path / "shaped.json"
         shaped.write_text(json.dumps({"p": 5, "points": [], **fns, **bad_entry}))
         assert main(["rho-k", "--input", str(shaped)]) == 2
         assert "Traceback" not in capsys.readouterr().err
     coords = {key: {"num": [[1]], "den": [[1]]} for key in ("y1", "y2", "y3")}
-    for bad_coord in (3, {"num": 3, "den": [[1]]}, {"num": [[1]]}):
+    for bad_coord in (3, {"num": 3, "den": [[1]]}, {"num": [[1]]},
+                      {"num": [{"m": [7], "coeffs": [1]}], "den": [[1]]}):
         cycle = tmp_path / "cycle.json"
         cycle.write_text(json.dumps({"p": 7, **coords, "y2": bad_coord}))
         assert main(["cycle", "rho-k", "--input", str(cycle)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_extension_field_input(tmp_path, capsys):

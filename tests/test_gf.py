@@ -339,3 +339,17 @@ def test_product_kernel_matches_schoolbook(request, name):
         for n in (1, 3, 11):
             low = gf._rmul(field, list(a.coeffs) + [field.zero.raw] * 2, list(b.coeffs), n)
             assert low == [full.coeff(k).raw for k in range(n)]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_residue_field_holds_a_root(F5, degree):
+    rng = spawn(12, "residue-field", degree)
+    for _ in range(5):
+        while True:
+            pi = Poly(F5, [F5.random_element(rng) for _ in range(degree)] + [1])
+            if is_irreducible(pi):
+                break
+        field, root = gf.residue_field(pi)
+        assert field.order == 5 ** degree
+        assert root.field == field
+        assert pi.evaluate(root).is_zero

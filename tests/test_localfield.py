@@ -1,6 +1,12 @@
 import pytest
 
-from charp_dilog.gf import Poly, factor_squarefree_irreducibles, trace_to_base
+from charp_dilog.gf import (
+    Poly,
+    factor_squarefree_irreducibles,
+    is_irreducible,
+    residue_field,
+    trace_to_base,
+)
 from charp_dilog.localfield import (
     INF,
     InsufficientPrecision,
@@ -9,8 +15,6 @@ from charp_dilog.localfield import (
     RatFnRing,
     ZeroArgument,
     cartier,
-    derive,
-    dlog,
     expand_at,
     is_exact_form,
     residue_at,
@@ -25,9 +29,9 @@ def R5(F5):
 
 def test_derive_examples(R5, F5):
     s = R5.gen
-    assert derive(s * s) == 2 * s
-    assert dlog(RatFn.const(F5(3))).is_zero
-    assert derive(s ** 5).is_zero  # d(s^p) = 0 in characteristic p
+    assert (s * s).derivative() == 2 * s
+    assert RatFn.const(F5(3)).dlog().is_zero
+    assert (s ** 5).derivative().is_zero  # d(s^p) = 0 in characteristic p
 
 
 def test_dlog_additive(R5):
@@ -37,12 +41,12 @@ def test_dlog_additive(R5):
         g = R5.random_element(rng)
         if f.is_zero or g.is_zero:
             continue
-        assert dlog(f * g).fn == (dlog(f) + dlog(g)).fn
+        assert (f * g).dlog().fn == (f.dlog() + g.dlog()).fn
 
 
 def test_dlog_zero_argument(R5):
     with pytest.raises(ZeroArgument):
-        dlog(R5.zero)
+        R5.zero.dlog()
 
 
 def test_expand_basic(R5, F5):
@@ -70,14 +74,14 @@ def test_expand_precision_guard(R5, F5):
 
 def test_residue_examples(R5, F5):
     s = R5.gen
-    assert residue_at(dlog(s), F5.zero) == F5.one
+    assert residue_at(s.dlog(), F5.zero) == F5.one
     assert residue_at(OneForm(R5.one), F5.zero).is_zero
     assert residue_at(OneForm(R5.one), INF).is_zero
     # ds has residue 0 at every point including infinity; 1/s^2 ds too
     assert residue_at(OneForm(s ** -2), F5.zero).is_zero
     assert residue_at(OneForm(s ** -2), INF).is_zero
     # ds/s at infinity: -du/u, residue -1
-    assert residue_at(dlog(s), INF) == -F5.one
+    assert residue_at(s.dlog(), INF) == -F5.one
 
 
 def test_residue_at_higher_degree_point(F5):
@@ -88,7 +92,7 @@ def test_residue_at_higher_degree_point(F5):
     r = residue_at(OneForm(f), pi)
     assert r.field.degree == 2
     # res of dlog(pi) at pi is ord = 1 in the residue field
-    assert residue_at(dlog(RatFn(pi)), pi) == r.field.one
+    assert residue_at(RatFn(pi).dlog(), pi) == r.field.one
 
 
 def test_residue_of_dlog_is_order(R5, F5):
@@ -104,7 +108,7 @@ def test_residue_of_dlog_is_order(R5, F5):
                 for pi, _ in factor_squarefree_irreducibles(poly):
                     support.add(pi)
         for pi in support:
-            res = residue_at(dlog(f), pi)
+            res = residue_at(f.dlog(), pi)
             n = f.ord_at(pi)
             assert res == res.field.from_int(n)
 
@@ -157,7 +161,7 @@ def test_cartier_kernel_is_exact(R5, F5):
     rng = spawn(4, "cartier")
     s = R5.gen
     assert not is_exact_form(OneForm(s ** 4))       # s^(p-1) ds is not a derivative
-    assert not is_exact_form(dlog(s))               # logarithmic form
+    assert not is_exact_form(s.dlog())              # logarithmic form
     for _ in range(40):
         g = R5.random_element(rng, 3, 3)
         assert is_exact_form(OneForm(g.derivative()))
@@ -166,7 +170,7 @@ def test_cartier_kernel_is_exact(R5, F5):
         f = R5.random_element(rng, 2, 2)
         if f.is_zero:
             continue
-        assert cartier(dlog(f)).fn == dlog(f).fn
+        assert cartier(f.dlog()).fn == f.dlog().fn
 
 
 def test_lazy_reduction_invariants(R5, F5):
@@ -177,3 +181,47 @@ def test_lazy_reduction_invariants(R5, F5):
     assert a.reduced().num == b.reduced().num
     assert a.ord_at(F5(-2)) == 0
     assert hash(a) == hash(b)
+
+
+def _check_times_denominator(f, center, order):
+    """Expansion of f times that of its denominator equals the numerator's,
+    for every coefficient that f's expansion through ``order`` determines."""
+    ef = expand_at(f, center, order)
+    num, den = RatFn(f.num), RatFn(f.den)
+    vd = expand_at(den, center, 0).val
+    top = order + vd
+    ed = expand_at(den, center, top - ef.val)
+    en = expand_at(num, center, top)
+    for k in range(ef.val + vd, top + 1):
+        acc = ef.field.zero
+        for i in range(ef.val, k - vd + 1):
+            acc = acc + ef.coeff(i) * ed.coeff(k - i)
+        assert acc == en.coeff(k)
+    return ef
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_expand_at_times_denominator_is_numerator(F7, degree):
+    # centres in F_7 (degree 1) or in a quadratic residue field; denominators
+    # carry the point's polynomial to some power so poles occur
+    rng = spawn(11, "expand-product", degree)
+    p = F7.p
+    while True:
+        pi = Poly(F7, [F7.random_element(rng) for _ in range(degree)] + [1])
+        if is_irreducible(pi):
+            break
+    field, theta = residue_field(pi)
+    checked = 0
+    while checked < 30:
+        num = Poly(F7, [F7.random_element(rng) for _ in range(rng.randrange(1, 7))])
+        den = Poly(F7, [F7.random_element(rng) for _ in range(rng.randrange(1, 4))])
+        if num.is_zero or den.is_zero:
+            continue
+        f = RatFn(num, den * pi ** rng.randrange(3))
+        for center in (theta, field.random_element(rng), INF):
+            val = expand_at(f, center, 0).val
+            one = _check_times_denominator(f, center, val)
+            assert len(one.coeffs) == 1 and not one.coeff(val).is_zero
+            e = _check_times_denominator(f, center, val + rng.randrange(2 * p + 1))
+            assert e.field == (F7 if center is INF else field)
+        checked += 1

@@ -21,7 +21,6 @@ from charp_dilog.omega import (
     res_omega_pair,
     s_coeff,
     sigma_apply,
-    sigma_general,
     sigma_image_letters,
     sigma_image_of_s,
     sigma_letters,
@@ -164,6 +163,15 @@ def test_sigma_identity_for_large_weight(R5):
     assert sigma_apply(rand_ratfn(R5, rng), 5, u) == u
 
 
+def test_sigma_rejects_nonpositive_weight(R5):
+    u = eletter(R5, 2, R5.gen)
+    for w in (0, -1):
+        with pytest.raises(ValueError):
+            sigma_apply(R5.gen, w, u)
+        with pytest.raises(ValueError):
+            sigma_letters(R5.gen, w, [Letter(2, R5.gen)], 5)
+
+
 def test_sigma_on_coordinate_matches_displayed_formula(R5, F5):
     # sigma(s) = s * prod e(x^i (1/s)^(i-1) / i! t^(iw)) truncated
     x = RatFn.const(F5(2))
@@ -186,7 +194,7 @@ def test_sigma_closed_form_equals_substitution(R5):
                   [rand_ratfn(R5, rng) for _ in range(4)])
         xs = [R5.zero] * 4
         xs[w - 1] = x
-        assert sigma_apply(x, w, u) == sigma_general(xs, u)
+        assert sigma_apply(x, w, u) == substitute_s(u, sigma_image_of_s(R5, xs))
 
 
 def test_sigma_letters_match_sigma_apply(R5):

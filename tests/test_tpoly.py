@@ -264,3 +264,13 @@ def test_log_and_exp_at_huge_prime():
         log = log_circ(u)
         assert log == log_series_oracle(u)
         assert trunc_exp(log).scaled(u.c0) == u
+
+
+def test_embedded_keeps_its_own_ring(F5, F25):
+    rng = spawn(13, "embedded")
+    x = Trunc(F5, 3, [F5.random_element(rng) for _ in range(3)])
+    assert x.embedded(F5) is x
+    assert x.embedded(Fq(5)) is x
+    y = x.embedded(F25)
+    assert y.ring == F25 and list(y.coeffs) == [F25.embed(c) for c in x.coeffs]
+    assert y.embedded(F25) is y

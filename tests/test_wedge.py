@@ -188,11 +188,11 @@ def test_res_local_projective_line_computation(R5, F5):
 def _recentered(u, theta, ring):
     # substitute z -> z + theta so the point of interest sits at the origin
     shift = Trunc.constant(ring, ring.characteristic, ring.gen + RatFn.const(theta))
-    from charp_dilog.omega import _ratfn_at_rtrunc
+    from charp_dilog.wedge import ratfn_at_trunc
     acc = Trunc.zero(ring, u.m)
     for j, cj in enumerate(u.coeffs):
         if not cj.is_zero:
-            acc = acc + _ratfn_at_rtrunc(cj, shift).shifted(j)
+            acc = acc + ratfn_at_trunc(cj, shift).shifted(j)
     return acc
 
 
