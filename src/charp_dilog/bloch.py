@@ -117,80 +117,65 @@ def pounds1(s):
     return acc
 
 
-def _closed_form_parts(x: Trunc):
-    ring = x.ring
-    s = x.coeffs[0]
-    a = x.coeffs[1]
-    one = ring.one
-    return ring, s, a, one
+def _symbol_sum(b: BlochSym, ring, name: str, closed_form):
+    """sum_k k * closed_form(ring, s, a) over generators s + a t of R[t]/(t^2)."""
+    value = None if ring is None else ring.zero
+    for k, x in b.terms:
+        if x.m != 2:
+            raise NotFlat(f"{name} generators live over R[t]/(t^2)")
+        if not flat_check(x):
+            raise NotFlat(f"generator {x!r} is not flat")
+        ring = x.ring
+        term = ring.from_int(k) * closed_form(ring, x.coeffs[0], x.coeffs[1])
+        value = term if value is None else value + term
+    return value
+
+
+def _li2_closed_form(ring, s, a):
+    p = ring.characteristic
+    half_inv = ring.from_int(pow(2, p - 2, p))
+    denom = s * (ring.one - s)
+    return -(a * a * a) * half_inv * (denom * denom).inverse()
+
+
+def _li2p_closed_form(ring, s, a):
+    ratio = a * (s * (ring.one - s)).inverse()
+    return ratio ** ring.characteristic * pounds1(s)
 
 
 def li2(b: BlochSym, ring=None):
     """The additive dilogarithm on symbols over R[t]/(t^2): -a^3/(2 s^2 (1-s)^2)."""
-    value = None if ring is None else ring.zero
-    for k, x in b.terms:
-        if x.m != 2:
-            raise NotFlat("li2 generators live over R[t]/(t^2)")
-        if not flat_check(x):
-            raise NotFlat(f"generator {x!r} is not flat")
-        ring, s, a, one = _closed_form_parts(x)
-        p = ring.characteristic
-        half_inv = ring.from_int(pow(2, p - 2, p))
-        denom = s * (one - s)
-        term = -(a * a * a) * half_inv * (denom * denom).inverse()
-        term = ring.from_int(k) * term
-        value = term if value is None else value + term
-    return value
+    return _symbol_sum(b, ring, "li2", _li2_closed_form)
 
 
 def li2p(b: BlochSym, ring=None):
     """The characteristic-p dilogarithm: (a/(s(1-s)))^p * pounds1(s)."""
-    value = None if ring is None else ring.zero
+    return _symbol_sum(b, ring, "li2p", _li2p_closed_form)
+
+
+def _via_lift(b: BlochSym, seed: int, deep: bool):
+    """The dilogarithm as the wedge functional of delta of a random lift:
+    ell_p at depth p when ``deep``, else ell at depth 3."""
+    name = "li2p" if deep else "li2"
+    fn = ell_p if deep else ell
+    rng = spawn(seed, name + "-lift")
+    value = None
     for k, x in b.terms:
         if x.m != 2:
-            raise NotFlat("li2p generators live over R[t]/(t^2)")
-        if not flat_check(x):
-            raise NotFlat(f"generator {x!r} is not flat")
-        ring, s, a, one = _closed_form_parts(x)
-        p = ring.characteristic
-        ratio = a * (s * (one - s)).inverse()
-        term = ratio ** p * pounds1(s)
-        term = ring.from_int(k) * term
+            raise NotFlat(f"{name} generators live over R[t]/(t^2)")
+        lifted = x.random_extended(x.ring.characteristic if deep else 3, rng)
+        if not flat_check(lifted):
+            raise LiftNotFlat("random lift left the flat locus")
+        term = x.ring.from_int(k) * fn(delta(symbol(lifted)))
         value = term if value is None else value + term
     return value
-
-
-def _lift(x: Trunc, m_target: int, rng) -> Trunc:
-    tail = [x.ring.random_element(rng) for _ in range(m_target - x.m)]
-    lifted = x.extended(m_target, tail)
-    if not flat_check(lifted):
-        raise LiftNotFlat("random lift left the flat locus")
-    return lifted
 
 
 def li2_via_lift(b: BlochSym, seed: int = 0):
     """li2 through an arbitrary lift to R[t]/(t^3) and the ell functional."""
-    rng = spawn(seed, "li2-lift")
-    value = None
-    for k, x in b.terms:
-        if x.m != 2:
-            raise NotFlat("li2 generators live over R[t]/(t^2)")
-        lifted = _lift(x, 3, rng)
-        term = ell(delta(symbol(lifted)))
-        term = x.ring.from_int(k) * term
-        value = term if value is None else value + term
-    return value
+    return _via_lift(b, seed, deep=False)
 
 
 def li2p_via_lift(b: BlochSym, seed: int = 0):
     """li2p through an arbitrary lift to R[t]/(t^p) and the ell_p functional."""
-    rng = spawn(seed, "li2p-lift")
-    value = None
-    for k, x in b.terms:
-        if x.m != 2:
-            raise NotFlat("li2p generators live over R[t]/(t^2)")
-        lifted = _lift(x, x.ring.characteristic, rng)
-        term = ell_p(delta(symbol(lifted)))
-        term = x.ring.from_int(k) * term
-        value = term if value is None else value + term
-    return value
+    return _via_lift(b, seed, deep=True)

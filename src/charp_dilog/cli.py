@@ -22,8 +22,7 @@ from .regulator import (
     RegulatorInput,
     finite_point,
     infinity_point,
-    rho_breakdown,
-    rho_K_breakdown,
+    regulate,
 )
 from .suites import SUITES, UnknownSuite, run_suite
 from .tpoly import Trunc, TruncError
@@ -79,10 +78,6 @@ def _trunc_from_json(field: Fq, m: int, data) -> Trunc:
     return Trunc(field, m, [_elem_from_json(field, c) for c in data])
 
 
-def _trunc_to_json(x: Trunc):
-    return [_elem_to_json(c) for c in x.coeffs]
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -91,15 +86,20 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _regulator_input_from_json(data: dict) -> RegulatorInput:
+def _input_field(data: dict) -> Fq:
+    """The field named by an input file's 'p' and optional 'ext'."""
     try:
         p = int(data["p"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("input needs an integer field 'p'") from exc
     try:
-        field = _field_from(p, data.get("ext"))
+        return _field_from(p, data.get("ext"))
     except (GFError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _regulator_input_from_json(data: dict) -> RegulatorInput:
+    field = _input_field(data)
     points = []
     entries = data.get("points", [])
     if not isinstance(entries, list):
@@ -138,14 +138,8 @@ def _regulator_input_from_json(data: dict) -> RegulatorInput:
 
 
 def _cycle_from_json(data: dict) -> cycles.ParamCycle:
-    try:
-        p = int(data["p"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("input needs an integer field 'p'") from exc
-    try:
-        field = _field_from(p, data.get("ext"))
-    except (GFError, ValueError) as exc:
-        raise ParseError(str(exc)) from exc
+    field = _input_field(data)
+    p = field.p
     coords = []
     for key in ("y1", "y2", "y3"):
         if key not in data:
@@ -206,11 +200,10 @@ def _cmd_dilog(args, out, closed_form) -> int:
     return 0
 
 
-def cmd_rho_k(args, out, deep: bool = True) -> int:
+def cmd_regulator(args, out) -> int:
     data = _load_json(args.input)
     inp = _regulator_input_from_json(data)
-    fn = rho_K_breakdown if deep else rho_breakdown
-    total, breakdown = fn(inp, lift_seed=args.seed)
+    total, breakdown = regulate(inp, lift_seed=args.seed, deep=args.deep)
     rows = [{"point": str(idx), "value": _elem_to_json(v)} for idx, v in breakdown]
     rows.append({"point": "total", "value": _elem_to_json(total)})
     _emit(rows, args.format, out)
@@ -227,7 +220,7 @@ def cmd_cycle(args, out) -> int:
         _emit(rows, args.format, out)
         return 1
     pts = cycles.boundary(cyc)
-    value = (cycles.ell_p_zero_cycle if args.deep else cycles.ell_zero_cycle)(pts, cyc.field)
+    value = cycles.zero_cycle_value(pts, cyc.field, deep=args.deep)
     rows = []
     for pt in pts:
         rows.append({"face": f"({pt.face[0]},{pt.face[1]})", "at": repr(pt.where),
@@ -263,8 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact characteristic-p dilogarithms, regulators and cycle invariants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, ext=False, seed=False, inp=False):
-        sp.add_argument("--p", type=int, default=5, help="prime characteristic (>= 5)")
+    def common(sp, p=False, ext=False, seed=False, inp=False):
+        # input-file commands take the prime from the file, and only the
+        # regulators and the suites draw random numbers
+        if p:
+            sp.add_argument("--p", type=int, default=5, help="prime characteristic (>= 5)")
         sp.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
         if ext:
             sp.add_argument("--ext", type=json.loads, default=None,
@@ -275,31 +271,32 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--input", required=True, help="JSON input file")
 
     sp = sub.add_parser("li1", help="table of the truncated-logarithm polynomial")
-    common(sp)
+    common(sp, p=True)
     sp.add_argument("--x", type=int, default=None, help="single argument instead of a table")
 
     for name, help_text in (("li2", "additive dilogarithm at [s + a t]"),
                             ("li2p", "deep dilogarithm at [s + a t]")):
         sp = sub.add_parser(name, help=help_text)
-        common(sp, ext=True)
+        common(sp, p=True, ext=True)
         sp.add_argument("--s", type=json.loads, required=True)
         sp.add_argument("--a", type=json.loads, required=True)
 
-    sp = sub.add_parser("rho-k", help="deep regulator of a good-function triple")
-    common(sp, seed=True, inp=True)
-    sp = sub.add_parser("rho", help="depth-3 regulator of a good-function triple")
-    common(sp, seed=True, inp=True)
+    for name, deep, help_text in (("rho-k", True, "deep regulator of a good-function triple"),
+                                  ("rho", False, "depth-3 regulator of a good-function triple")):
+        sp = sub.add_parser(name, help=help_text)
+        common(sp, seed=True, inp=True)
+        sp.set_defaults(deep=deep)
 
     sp = sub.add_parser("cycle", help="invariants of a parametrized cycle")
     cyc_sub = sp.add_subparsers(dest="cycle_command", required=True)
     for name, deep in (("rho-k", True), ("rho", False)):
         csp = cyc_sub.add_parser(name)
-        common(csp, seed=True, inp=True)
+        common(csp, inp=True)
         csp.set_defaults(deep=deep)
 
     sp = sub.add_parser("verify", help="run a seeded verification suite")
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    common(sp, seed=True)
+    common(sp, p=True, seed=True)
     sp.add_argument("--trials", type=int, default=None)
     return parser
 
@@ -315,10 +312,8 @@ def main(argv=None) -> int:
             return _cmd_dilog(args, out, bloch.li2)
         if args.command == "li2p":
             return _cmd_dilog(args, out, bloch.li2p)
-        if args.command == "rho-k":
-            return cmd_rho_k(args, out, deep=True)
-        if args.command == "rho":
-            return cmd_rho_k(args, out, deep=False)
+        if args.command in ("rho-k", "rho"):
+            return cmd_regulator(args, out)
         if args.command == "cycle":
             return cmd_cycle(args, out)
         if args.command == "verify":

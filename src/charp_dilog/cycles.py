@@ -12,7 +12,7 @@ modulus property the acceptance suite pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .gf import Fq, FqElem, Poly, factor_squarefree_irreducibles, residue_field, trace_to_base
 from .tpoly import Trunc, hensel_root_zpoly, rp_eval
@@ -233,8 +233,10 @@ def _param_inf_boundary_point(cycle: ParamCycle, i: int, label: str) -> Boundary
                          (i + 1, label), PARAM_INF)
 
 
-def _zero_cycle_value(points: Sequence[BoundaryPoint], functional: Callable,
-                      field: Fq) -> FqElem:
+def zero_cycle_value(points: Sequence[BoundaryPoint], field: Fq, deep: bool = True) -> FqElem:
+    """Signed traced functional values of the boundary pairs: ell_p when
+    ``deep``, else ell."""
+    functional = ell_p if deep else ell
     total = field.zero
     for pt in points:
         v = functional(wedge(*pt.pair), ring=pt.kprime)
@@ -244,24 +246,14 @@ def _zero_cycle_value(points: Sequence[BoundaryPoint], functional: Callable,
     return total
 
 
-def ell_zero_cycle(points: Sequence[BoundaryPoint], field: Fq) -> FqElem:
-    """Signed traced ell values of the boundary pairs."""
-    return _zero_cycle_value(points, ell, field)
-
-
-def ell_p_zero_cycle(points: Sequence[BoundaryPoint], field: Fq) -> FqElem:
-    """Signed traced deep-functional values of the boundary pairs."""
-    return _zero_cycle_value(points, ell_p, field)
-
-
 def rho_cycle(cycle: ParamCycle) -> FqElem:
     """The ell-invariant of an admissible cycle (boundary pairs read mod t^3)."""
-    return ell_zero_cycle(boundary(cycle), cycle.field)
+    return zero_cycle_value(boundary(cycle), cycle.field, deep=False)
 
 
 def rho_K_cycle(cycle: ParamCycle) -> FqElem:
     """The deep invariant of an admissible cycle."""
-    return ell_p_zero_cycle(boundary(cycle), cycle.field)
+    return zero_cycle_value(boundary(cycle), cycle.field)
 
 
 def modulus_compare(z1: ParamCycle, z2: ParamCycle, m: int) -> bool:
@@ -287,10 +279,10 @@ def _coord_congruent(c1: Coordinate, c2: Coordinate, m: int) -> bool:
     n1, d1 = _normalized(c1)
     n2, d2 = _normalized(c2)
     for a, b in _zip_pad(n1, n2):
-        if not _congruent(a, b, m):
+        if not a.congruent(b, m):
             return False
     for a, b in _zip_pad(d1, d2):
-        if not _congruent(a, b, m):
+        if not a.congruent(b, m):
             return False
     return True
 
@@ -300,10 +292,6 @@ def _zip_pad(a: list, b: list):
     za = a[0] - a[0]
     for i in range(n):
         yield (a[i] if i < len(a) else za), (b[i] if i < len(b) else za)
-
-
-def _congruent(a: Trunc, b: Trunc, m: int) -> bool:
-    return a.coeffs[:m] == b.coeffs[:m]
 
 
 def graph_cycle(inp, lift_seed: int = 0) -> ParamCycle:

@@ -710,10 +710,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one.raw
-
     def coeff(self, i: int) -> FqElem:
         if 0 <= i < len(self.coeffs):
             return FqElem(self.field, self.coeffs[i])

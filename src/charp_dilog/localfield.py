@@ -118,11 +118,6 @@ class RatFn:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_constant(self) -> bool:
-        r = self.reduced()
-        return r.num.degree <= 0 and r.den.degree == 0
-
     # -- arithmetic -----------------------------------------------------------
 
     def _coerce(self, other) -> "RatFn":

@@ -327,10 +327,6 @@ def antider_primitive(a: int, b: int, c: int, w: int, x: RatFn,
 
 # -- residues of pairs of liftings --------------------------------------------
 
-def _congruent_mod_t2(u: Trunc, v: Trunc) -> bool:
-    return u.coeffs[:2] == v.coeffs[:2]
-
-
 def res_omega_pair(qtilde: WedgeK, qhat: WedgeK, ring: RatFnRing | None = None) -> FqElem:
     """Residue at s = 0 of the form difference of two liftings congruent mod t^2.
 
@@ -344,7 +340,7 @@ def res_omega_pair(qtilde: WedgeK, qhat: WedgeK, ring: RatFnRing | None = None) 
         if k1 != k2:
             raise NotCongruentModT2("liftings have different coefficients")
         for u, v in zip(e1, e2):
-            if not _congruent_mod_t2(u, v):
+            if not u.congruent(v, 2):
                 raise NotCongruentModT2("entries differ modulo t^2")
     if ring is None and qtilde.terms:
         ring = _entry_ring(qtilde)
@@ -371,7 +367,7 @@ def omega_char0_defect(qtilde: Sequence[Trunc], qhat: Sequence[Trunc]) -> OneFor
     for u, v in zip(qtilde, qhat):
         if u.m != 3 or v.m != 3:
             raise ModulusMismatch("defect form lives over R[t]/(t^3)")
-        if not _congruent_mod_t2(u, v):
+        if not u.congruent(v, 2):
             raise NotCongruentModT2("triples differ modulo t^2")
         lu, lv = ell_all(u), ell_all(v)
         a0.append(u.c0)

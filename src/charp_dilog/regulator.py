@@ -141,10 +141,6 @@ class _Lift:
     units: list
 
 
-def _lift_trunc(x: Trunc, m: int, rng) -> Trunc:
-    return x.extended(m, [x.ring.random_element(rng) for _ in range(m - x.m)])
-
-
 def _lift_input(inp: RegulatorInput, m: int, seed: int | None) -> _Lift:
     """Coefficientwise lift to depth m: seeded random tails, or zero tails when
     the seed is None (the trivial lift)."""
@@ -152,7 +148,7 @@ def _lift_input(inp: RegulatorInput, m: int, seed: int | None) -> _Lift:
         lift = lambda c: c.extended(m)
     else:
         rng = spawn(seed, "regulator-lift", m)
-        lift = lambda c: _lift_trunc(c, m, rng)
+        lift = lambda c: c.random_extended(m, rng)
     one = Trunc.one(inp.field, m)
     points = []
     for pt in inp.points:
@@ -192,19 +188,13 @@ def _singular_support(inp: RegulatorInput) -> tuple[list[int], bool]:
     return finite, at_infinity
 
 
-def _residue_value(inp: RegulatorInput, lift: _Lift, idx: int,
-                   functional: Callable) -> FqElem:
-    """Tr_k of the functional applied to the residue at one finite table point."""
-    kprime, zhat = _point_field_and_root(inp, lift, idx)
-    goods = []
-    for which, fn in enumerate(inp.functions()):
-        goods.append(GoodElem(fn.exponent_of(idx),
-                              _value_at_point(inp, lift, which, idx, kprime, zhat)))
-    res = res_good(goods, lambda u: u)
-    val = functional(res, ring=kprime)
-    if kprime == inp.field:
-        return val
-    return trace_to_base(val)
+def _residue_value(inp: RegulatorInput, lift: _Lift, idx: int, kprime: Fq,
+                   zhat: Trunc, functional: Callable) -> FqElem:
+    """The functional applied to the residue at one finite table point, in the
+    point's residue field."""
+    goods = [GoodElem(fn.exponent_of(idx), _value_at_point(inp, lift, which, idx, kprime, zhat))
+             for which, fn in enumerate(inp.functions())]
+    return functional(res_good(goods, lambda u: u), ring=kprime)
 
 
 def _residue_value_infinity(inp: RegulatorInput, lift: _Lift,
@@ -220,40 +210,41 @@ def _residue_value_infinity(inp: RegulatorInput, lift: _Lift,
     return functional(res, ring=inp.field)
 
 
-def _regulate(inp: RegulatorInput, seed: int, m: int, functional: Callable):
-    lift = _lift_input(inp, m, seed)
+def _traced(v: FqElem, field: Fq) -> FqElem:
+    return v if v.field == field else trace_to_base(v)
+
+
+def regulate(inp: RegulatorInput, lift_seed: int | None = 0, deep: bool = True):
+    """The regulator and its per-point breakdown [(point, value), ...].
+
+    Traced residues of a seeded global good lifting: to depth p with the
+    ell_p functional when ``deep``, else to depth 3 with ell.  A ``lift_seed``
+    of None takes the trivial (zero-tail) lift.
+    """
+    functional = ell_p if deep else ell
+    lift = _lift_input(inp, inp.field.p if deep else 3, lift_seed)
     finite, at_inf = _singular_support(inp)
     breakdown = []
-    total = inp.field.zero
     for idx in finite:
-        v = _residue_value(inp, lift, idx, functional)
-        breakdown.append((idx, v))
-        total = total + v
+        kprime, zhat = _point_field_and_root(inp, lift, idx)
+        v = _residue_value(inp, lift, idx, kprime, zhat, functional)
+        breakdown.append((idx, _traced(v, inp.field)))
     if at_inf:
-        v = _residue_value_infinity(inp, lift, functional)
-        breakdown.append((INFINITY, v))
+        breakdown.append((INFINITY, _residue_value_infinity(inp, lift, functional)))
+    total = inp.field.zero
+    for _, v in breakdown:
         total = total + v
-    return total, breakdown, lift
+    return total, breakdown
 
 
 def rho_K(inp: RegulatorInput, lift_seed: int | None = 0) -> FqElem:
     """The deep regulator: traced residues of a seeded global good lifting to depth p."""
-    return _regulate(inp, lift_seed, inp.field.p, ell_p)[0]
+    return regulate(inp, lift_seed)[0]
 
 
 def rho(inp: RegulatorInput, lift_seed: int | None = 0) -> FqElem:
     """The depth-3 regulator with the ell functional."""
-    return _regulate(inp, lift_seed, 3, ell)[0]
-
-
-def rho_K_breakdown(inp: RegulatorInput, lift_seed: int = 0):
-    total, breakdown, _ = _regulate(inp, lift_seed, inp.field.p, ell_p)
-    return total, breakdown
-
-
-def rho_breakdown(inp: RegulatorInput, lift_seed: int = 0):
-    total, breakdown, _ = _regulate(inp, lift_seed, 3, ell)
-    return total, breakdown
+    return regulate(inp, lift_seed, deep=False)[0]
 
 
 # -- the closed form ----------------------------------------------------------
@@ -318,32 +309,15 @@ def _realize_local(inp: RegulatorInput, lift: _Lift, idx: int, kprime: Fq,
     local model at the point: coordinate s with z = zhat + s, coefficients
     rational functions over the residue field."""
     ring = RatFnRing(kprime)
-    m = lift.m
-    szero = Trunc.zero(kprime, m)
-
-    def realize_zpoly(coeffs: list[Trunc]) -> Trunc:
-        coeffs = [c.embedded(kprime) for c in coeffs]
-        # evaluate at zhat + s as a polynomial in s with Trunc coefficients
-        spoly = [szero]
-        for c in reversed(coeffs):
-            # spoly * (zhat + s) + c
-            shifted = [szero] + spoly
-            scaled = [t * zhat for t in spoly] + [szero]
-            spoly = [u + v for u, v in zip(shifted, scaled)]
-            spoly[0] = spoly[0] + c
-        # transpose into a truncation with rational-function coefficients
-        out = []
-        for j in range(m):
-            out.append(RatFn(Poly(kprime, [sp.coeffs[j] for sp in spoly])))
-        return Trunc(ring, m, out)
-
+    zero = Trunc.zero(ring, lift.m)
+    z = zhat.embedded(ring) + ring.gen
     realized_points = {}
     for i in {i for fn in inp.functions() for i, _ in fn.factors} | {idx}:
-        realized_points[i] = realize_zpoly(lift.points[i])
+        coeffs = [c.embedded(kprime).embedded(ring) for c in lift.points[i]]
+        realized_points[i] = rp_eval(coeffs, z, zero)
     entries = []
     for which, fn in enumerate(inp.functions()):
-        unit = lift.units[which].embedded(kprime)
-        val = Trunc(ring, m, [RatFn.const(c) for c in unit.coeffs])
+        val = lift.units[which].embedded(kprime).embedded(ring)
         for i, e in fn.factors:
             val = val * realized_points[i] ** e
         entries.append(val)
@@ -361,7 +335,8 @@ def local_relift_report(inp: RegulatorInput, point_idx: int, alt_seed: int,
     the correction then fails, which is exactly the depth-2 threshold.
     """
     p = inp.field.p
-    std_total, breakdown, std_lift = _regulate(inp, lift_seed, p, ell_p)
+    std_total, breakdown = regulate(inp, lift_seed)
+    std_lift = _lift_input(inp, p, lift_seed)
     kprime, zhat_std = _point_field_and_root(inp, std_lift, point_idx)
     ring = RatFnRing(kprime)
     entries_std, unif_std = _realize_local(inp, std_lift, point_idx, kprime, zhat_std)
@@ -371,12 +346,7 @@ def local_relift_report(inp: RegulatorInput, point_idx: int, alt_seed: int,
         kprime_alt, zhat_alt = _point_field_and_root(inp, alt_lift, point_idx)
         if kprime != kprime_alt:
             raise CtxMismatch(f"alternative lifting reduces to {kprime_alt}, not {kprime}")
-        goods_alt = []
-        for which, fn in enumerate(inp.functions()):
-            goods_alt.append(GoodElem(fn.exponent_of(point_idx),
-                                      _value_at_point(inp, alt_lift, which, point_idx,
-                                                      kprime, zhat_alt)))
-        point_value_alt = ell_p(res_good(goods_alt, lambda u: u), ring=kprime)
+        point_value_alt = _residue_value(inp, alt_lift, point_idx, kprime, zhat_alt, ell_p)
         entries_alt, _ = _realize_local(inp, alt_lift, point_idx, kprime, zhat_alt)
         defect = omega.res_omega_pair(wedge(*entries_std), wedge(*entries_alt), ring)
     else:
@@ -394,15 +364,7 @@ def local_relift_report(inp: RegulatorInput, point_idx: int, alt_seed: int,
         diff = omega.omega_p(wedge(*entries_std), ring) - omega.omega_p(wedge(*entries_alt), ring)
         defect = residue_at(diff, kprime.zero)
 
-    corrected = point_value_alt + defect
-    traced = corrected if kprime == inp.field else trace_to_base(corrected)
     std_point = dict(breakdown).get(point_idx, inp.field.zero)
-    value = std_total - std_point + traced
+    value = std_total - std_point + _traced(point_value_alt + defect, inp.field)
     return RelifReport(value=value, defect=defect, standard_value=std_total,
                        point_value_alt=point_value_alt)
-
-
-def rho_K_with_local_relift(inp: RegulatorInput, point_idx: int, alt_seed: int,
-                            lift_seed: int = 0) -> FqElem:
-    """The regulator recomputed through an alternative local lifting at one point."""
-    return local_relift_report(inp, point_idx, alt_seed, lift_seed).value

@@ -33,13 +33,6 @@ def rand_nonzero(field: Fq, rng) -> FqElem:
             return x
 
 
-def rand_avoiding(field: Fq, rng, avoid: Sequence[FqElem]) -> FqElem:
-    while True:
-        x = field.random_element(rng)
-        if all(x != a for a in avoid):
-            return x
-
-
 def rand_trunc(ring, m: int, rng, unit: bool = False) -> Trunc:
     while True:
         x = Trunc(ring, m, [ring.random_element(rng) for _ in range(m)])

@@ -268,6 +268,10 @@ class Trunc:
             raise ValueError("lift tail too long")
         return Trunc(self.ring, m2, list(self.coeffs) + tail)
 
+    def random_extended(self, m2: int, rng) -> "Trunc":
+        """Lift into R[t]/(t^m2) with tail coefficients drawn in order from rng."""
+        return self.extended(m2, [self.ring.random_element(rng) for _ in range(m2 - self.m)])
+
     def shifted(self, j: int) -> "Trunc":
         """Multiply by t^j."""
         if j == 0:

@@ -37,10 +37,6 @@ class WedgeK:
 
     terms: tuple
 
-    @property
-    def arity(self) -> int:
-        return len(self.terms[0][1]) if self.terms else 0
-
     def __add__(self, other: "WedgeK") -> "WedgeK":
         return WedgeK(self.terms + other.terms)
 
@@ -70,44 +66,46 @@ def wedge(*entries, coeff: int = 1) -> WedgeK:
     return WedgeK(((coeff, tuple(entries)),))
 
 
-def ell(w: WedgeK, ring=None):
-    """The functional ell_2 ^ ell_1 on wedges of units of R[t]/(t^m), m >= 3."""
+def _wedge_sum(w: WedgeK, ring, pair_value: Callable):
+    """sum_k k * pair_value(a, b) over the terms; the zero of ``ring`` when empty."""
     value = None
     for k, (a, b) in w.terms:
-        if a.m < 3:
-            raise ModulusTooSmall("ell needs modulus m >= 3")
-        r = a.ring
-        la, lb = ell_all(a), ell_all(b)
-        term = la[1] * lb[0] - lb[1] * la[0]
-        term = r.from_int(k) * term
+        term = a.ring.from_int(k) * pair_value(a, b)
         value = term if value is None else value + term
     if value is None:
         if ring is None:
             raise ValueError("empty wedge needs an explicit ring for its zero")
         return ring.zero
     return value
+
+
+def _ell_pair(a: Trunc, b: Trunc):
+    if a.m < 3:
+        raise ModulusTooSmall("ell needs modulus m >= 3")
+    la, lb = ell_all(a), ell_all(b)
+    return la[1] * lb[0] - lb[1] * la[0]
+
+
+def _ell_p_pair(a: Trunc, b: Trunc):
+    r = a.ring
+    p = r.characteristic
+    if a.m != p:
+        raise ModulusMismatch("ell_p needs modulus m = p")
+    la, lb = ell_all(a), ell_all(b)
+    acc = r.zero
+    for i in range(1, p):
+        acc = acc + r.from_int(i) * (la[p - i - 1] * lb[i - 1] - lb[p - i - 1] * la[i - 1])
+    return r.from_int((p + 1) // 2) * acc
+
+
+def ell(w: WedgeK, ring=None):
+    """The functional ell_2 ^ ell_1 on wedges of units of R[t]/(t^m), m >= 3."""
+    return _wedge_sum(w, ring, _ell_pair)
 
 
 def ell_p(w: WedgeK, ring=None):
     """The functional (1/2) sum_i i * (ell_{p-i} ^ ell_i) on wedges of units of R_p."""
-    value = None
-    for k, (a, b) in w.terms:
-        r = a.ring
-        p = r.characteristic
-        if a.m != p:
-            raise ModulusMismatch("ell_p needs modulus m = p")
-        la, lb = ell_all(a), ell_all(b)
-        acc = r.zero
-        for i in range(1, p):
-            acc = acc + r.from_int(i) * (la[p - i - 1] * lb[i - 1] - lb[p - i - 1] * la[i - 1])
-        half = r.from_int((p + 1) // 2)
-        term = r.from_int(k) * half * acc
-        value = term if value is None else value + term
-    if value is None:
-        if ring is None:
-            raise ValueError("empty wedge needs an explicit ring for its zero")
-        return ring.zero
-    return value
+    return _wedge_sum(w, ring, _ell_p_pair)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from charp_dilog import regulator, suites
+from charp_dilog import cycles, regulator, suites
 from charp_dilog.cli import main
 from charp_dilog.gf import Fq, NotInSubfield
+from charp_dilog.rng import spawn
+from charp_dilog.sampling import rand_admissible_graph
 from charp_dilog.tpoly import Trunc
 
 
@@ -90,6 +92,52 @@ def test_rho_k_repeated_entry_zero(tmp_path, capsys):
 def test_rho_command(thm1_file, capsys):
     assert main(["rho", "--input", thm1_file, "--format", "json"]) == 0
     json.loads(capsys.readouterr().out)
+
+
+def test_plain_and_deep_routes_match_the_library(tmp_path, capsys):
+    # (z - alpha) ^ (z - beta) ^ (z - gamma) over F_7 with alpha = 1 + 6t,
+    # beta = 2, gamma = 3 + 4t, where the two regulators differ
+    field = Fq(7)
+    inp = regulator.linear_input(field, *(Trunc(field, 2, c) for c in ([1, 6], [2, 0], [3, 4])))
+    data = {"schema": 1, "p": 7, "ext": None,
+            "points": [{"poly": [[6, 1], [1]]}, {"poly": [[5, 0], [1]]}, {"poly": [[4, 3], [1]]}],
+            "f": {"factors": [[0, 1]]}, "g": {"factors": [[1, 1]]}, "h": {"factors": [[2, 1]]}}
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(data))
+    assert regulator.rho(inp, 3) != regulator.rho_K(inp, 3)
+    for command, value in (("rho", regulator.rho), ("rho-k", regulator.rho_K)):
+        assert main([command, "--input", str(path), "--seed", "3", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        total = rows.pop()
+        assert total == {"point": "total", "value": value(inp, 3).raw}
+        assert sum(r["value"] for r in rows) % 7 == total["value"]
+
+    _, cyc = rand_admissible_graph(Fq(5), spawn(2, "cli-cycle"), seed=0)
+    data = {"p": 5}
+    for key, coord in zip(("y1", "y2", "y3"), cyc.coords):
+        data[key] = {part: [[c.raw for c in x.coeffs] for x in getattr(coord, part)]
+                     for part in ("num", "den")}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(data))
+    assert cycles.rho_cycle(cyc) != cycles.rho_K_cycle(cyc)
+    for command, value in (("rho", cycles.rho_cycle), ("rho-k", cycles.rho_K_cycle)):
+        assert main(["cycle", command, "--input", str(path), "--format", "json"]) == 0
+        total = json.loads(capsys.readouterr().out)[-1]
+        assert total["face"] == "total" and total["value"] == value(cyc).raw
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho-k", "--p", "5"], ["rho", "--p", "5"],
+    ["cycle", "rho-k", "--p", "5"], ["cycle", "rho", "--p", "5"],
+    ["cycle", "rho-k", "--seed", "1"], ["cycle", "rho", "--seed", "1"],
+])
+def test_input_file_commands_reject_unused_options(argv, thm1_file, capsys):
+    # the prime comes from the input file, and cycle invariants draw no randomness
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--input", thm1_file])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -9,11 +9,10 @@ from charp_dilog.regulator import (
     finite_point,
     linear_input,
     local_relift_report,
+    regulate,
     rescaled_t,
     rho,
     rho_K,
-    rho_K_breakdown,
-    rho_K_with_local_relift,
     theorem1_closed_form,
 )
 from charp_dilog.rng import spawn
@@ -77,7 +76,7 @@ def test_support_is_dividing_points_plus_infinity(F5):
     rng = spawn(3, "support")
     alpha, beta, gamma = rand_theorem1_triple(F5, rng)
     inp = linear_input(F5, alpha, beta, gamma)
-    _, breakdown = rho_K_breakdown(inp, 0)
+    _, breakdown = regulate(inp, 0)
     labels = [idx for idx, _ in breakdown]
     assert labels == [0, 1, 2, "inf"]
 
@@ -137,7 +136,7 @@ def test_relift_preserves_value_with_nonzero_defect(F7):
         rep = local_relift_report(inp, 2, alt_seed=trial + 100, lift_seed=trial)
         assert rep.value == rep.standard_value
         seen_nonzero = seen_nonzero or not rep.defect.is_zero
-        assert rho_K_with_local_relift(inp, 1, alt_seed=trial + 7, lift_seed=trial) == \
+        assert local_relift_report(inp, 1, alt_seed=trial + 7, lift_seed=trial).value == \
             rep.standard_value
     assert seen_nonzero
 

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import charp_dilog
 
+ROOT = Path(__file__).resolve().parents[1]
+TREES = ("src", "tests", "perfbench", "scripts")
+
 
 def test_no_assert_statements():
     # invariants are typed exceptions because python -O strips every assert
@@ -15,3 +18,39 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreferenced_definitions(root: Path) -> list[str]:
+    """Non-dunder functions, classes and methods of the library whose name no
+    file under the trees uses as a name, an attribute, an import or an
+    identifier-like string (the benchmark's tracer binds by string)."""
+    used = set()
+    defined = []
+    package = root / "src" / "charp_dilog"
+    for tree in TREES:
+        for path in sorted((root / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.update(node.name.split("."))
+                    used.add(node.asname)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    parts = node.value.split(".")
+                    if all(part.isidentifier() for part in parts):
+                        used.update(parts)
+                elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                      and path.parent == package and not _is_dunder(node.name)):
+                    defined.append((node.name, f"{path.name}:{node.lineno}"))
+    return [f"{where} {name}" for name, where in defined if name not in used]
+
+
+def test_no_unreferenced_definitions():
+    dead = unreferenced_definitions(ROOT)
+    assert not dead, f"definitions nothing refers to: {dead}"
