@@ -231,6 +231,8 @@ def cmd_cycle(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    if args.trials is not None and args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
     results = []
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:

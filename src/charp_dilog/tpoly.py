@@ -20,6 +20,13 @@ The branch logarithm comes from the logarithmic derivative: with
 theta = t d/dt, theta(log u) = theta(u) / u, and theta scales the coefficient
 of t^n by n, which is invertible for 0 < n < m <= p.  That costs one inverse
 and one product, O(m^2).
+
+Polynomials in z over F_q[t]/(t^m) are evaluated by one Horner kernel on
+raw coefficient lists, with products through ``_raw_mul_low``.  Hensel
+lifting is Newton iteration with precision doubling on those lists (von zur
+Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 9.4): the precisions are
+2, 3, ..., m, each the ceiling of half the next, and g = 1/P'(x) follows by
+its own Newton step g <- g (2 - P'(x) g) instead of a series inverse.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+from .gf import _rsub
 
 
 class TruncError(Exception):
@@ -47,11 +56,11 @@ class NonzeroConstantTerm(TruncError):
 
 
 class IndexOutOfRange(TruncError):
-    """Coefficient index outside 1 <= i < m."""
+    """Coefficient index outside 1 <= i < m, or a negative power of t."""
 
 
 class HenselFailure(TruncError):
-    """No simple root to lift (derivative not a unit at the start point)."""
+    """No simple root to lift (not a root mod t, or derivative not a unit there)."""
 
 
 def _inverses(p: int, n: int) -> list[int]:
@@ -273,10 +282,10 @@ class Trunc:
         return self.extended(m2, [self.ring.random_element(rng) for _ in range(m2 - self.m)])
 
     def shifted(self, j: int) -> "Trunc":
-        """Multiply by t^j."""
-        if j == 0:
-            return self
-        return Trunc(self.ring, self.m, [self.ring.zero] * j + list(self.coeffs[: self.m - j]))
+        """Multiply by t^j for j >= 0 (zero when j >= m)."""
+        if j < 0:
+            raise IndexOutOfRange(f"t^{j} is not in R[t]/(t^{self.m})")
+        return Trunc._of(self.ring, self.m, ([self.ring.zero] * j + list(self.coeffs))[:self.m])
 
     def congruent(self, other: "Trunc", m2: int) -> bool:
         """Whether self and other agree modulo t^m2."""
@@ -377,7 +386,7 @@ def unit_recompose(d: UnitDecomp) -> Trunc:
     return acc
 
 
-# -- generic dense polynomials over an arbitrary ring (lists, low first) --
+# -- polynomials in z over R[t]/(t^m) (lists, low first) ---------------------
 
 def rp_mul(a: Sequence, b: Sequence, zero) -> list:
     if not a or not b:
@@ -389,54 +398,60 @@ def rp_mul(a: Sequence, b: Sequence, zero) -> list:
     return out
 
 
-def rp_eval(coeffs: Sequence, x, zero):
+def _horner(ring, coeffs: Sequence[list], x: list, n: int) -> list:
+    """sum_k coeffs[k] x^k mod t^n on raw coefficient lists over an Fq; a
+    coefficient may be shorter than n (a scalar is a list of length one)."""
+    add, mul_low = ring._raw_add, ring._raw_mul_low
+    acc = list(coeffs[-1][:n])
+    acc += [ring._raw_from_int(0)] * (n - len(acc))
+    for c in reversed(coeffs[:-1]):
+        acc = mul_low(acc, x, n)
+        acc[:len(c)] = [add(a, b) for a, b in zip(acc, c)]
+    return acc
+
+
+def rp_eval(coeffs: Sequence, x: Trunc, zero):
+    """sum_k coeffs[k] x^k; a coefficient is a Trunc like x or a ring scalar."""
+    ring = x.ring
+    if not coeffs:
+        return zero
+    if _computes_raw(ring):
+        raws = [x._check(c)._raws() if isinstance(c, Trunc) else [ring(c).raw] for c in coeffs]
+        return x._wrap(_horner(ring, raws, x._raws(), x.m))
     acc = zero
     for c in reversed(list(coeffs)):
         acc = acc * x + c
     return acc
 
 
-def rp_divmod_monic(a: Sequence, b: Sequence, zero) -> tuple[list, list]:
-    """Divide by a monic polynomial over any commutative ring."""
-    rem = list(a)
-    db = len(b) - 1
-    if len(rem) <= db:
-        return [], rem
-    quot = [zero] * (len(rem) - db)
-    for k in range(len(rem) - db - 1, -1, -1):
-        c = rem[k + db]
-        quot[k] = c
-        for j in range(db + 1):
-            rem[k + j] = rem[k + j] - c * b[j]
-    return quot, rem[:db]
-
-
-def newton_root(f: Callable[[Trunc], Trunc], fprime: Callable[[Trunc], Trunc],
-                x0: Trunc) -> Trunc:
-    """Solve f(x) = 0 in R[t]/(t^m) by Newton iteration from a simple root mod t."""
-    x = x0
-    d = fprime(x)
-    if not d.is_unit:
-        raise HenselFailure("derivative is not a unit at the starting point")
-    steps = max(1, (x0.m - 1).bit_length() + 1)
-    for _ in range(steps):
-        x = x - f(x) * fprime(x).inverse()
-    if not f(x).is_zero:
+def newton_root(ring, coeffs: Sequence[list], x0, m: int) -> list:
+    """The root of P(z) = sum_k coeffs[k] z^k in F_q[t]/(t^m) that is x0 mod t,
+    on raw data of the Fq ``ring``.  Raises :class:`HenselFailure` unless x0 is
+    a simple root mod t, or if the lift fails the check P(x) = 0 mod t^m."""
+    mul_low, from_int, is_zero = ring._raw_mul_low, ring._raw_from_int, ring._raw_is_zero
+    dcoeffs = [[ring._raw_mul(from_int(k), c) for c in coeffs[k]]
+               for k in range(1, len(coeffs))] or [[from_int(0)]]
+    d0 = _horner(ring, dcoeffs, [x0], 1)[0]
+    if is_zero(d0) or not is_zero(_horner(ring, coeffs, [x0], 1)[0]):
+        raise HenselFailure("the starting point is not a simple root mod t")
+    precisions = [m]
+    while precisions[-1] > 2:
+        precisions.append((precisions[-1] + 1) // 2)
+    x, g = [x0], [ring._raw_inv(d0)]
+    for k in reversed(precisions):
+        # x is a root and g = 1/P'(x) mod t^j at the previous precision j >= k/2
+        x = _rsub(ring, x, mul_low(g, _horner(ring, coeffs, x, k), k))
+        if k < m:
+            e = mul_low(_horner(ring, dcoeffs, x, k), g, k)
+            g = mul_low(g, _rsub(ring, [from_int(2)], e), k)
+    if not all(map(is_zero, _horner(ring, coeffs, x, m))):
         raise HenselFailure("Newton iteration failed to converge")
     return x
 
 
 def hensel_root_zpoly(coeffs: Sequence[Trunc], x0) -> Trunc:
-    """Lift a simple root x0 (mod t) of a polynomial with Trunc coefficients.
-
-    ``coeffs`` are the z-coefficients, each a Trunc over a field ring; ``x0``
-    is a field element with P(x0) = 0 mod t.
-    """
-    ring = coeffs[0].ring
-    m = coeffs[0].m
-    zero = Trunc.zero(ring, m)
-    dcoeffs = [c.scaled(ring.from_int(i)) for i, c in enumerate(coeffs)][1:]
-    start = Trunc.constant(ring, m, x0)
-    return newton_root(lambda x: rp_eval(coeffs, x, zero),
-                       lambda x: rp_eval(dcoeffs, x, zero) if dcoeffs else zero,
-                       start)
+    """Lift a simple root x0 (mod t, a field element) of a polynomial whose
+    z-coefficients are Truncs over one Fq: unwrap once, lift, wrap once."""
+    first = coeffs[0]
+    raws = [first._check(c)._raws() for c in coeffs]
+    return first._wrap(newton_root(first.ring, raws, first.ring(x0).raw, first.m))

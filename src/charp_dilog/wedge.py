@@ -12,11 +12,13 @@ of the residue ring.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .gf import Poly
 from .localfield import RatFn
-from .tpoly import ModulusMismatch, Trunc, ell_all, newton_root, rp_eval
+from .tpoly import ModulusMismatch, Trunc, ell_all, hensel_root_zpoly, rp_eval
 
 
 class WedgeError(Exception):
@@ -153,36 +155,6 @@ def goodness_split(f: Trunc, s_tilde: Trunc) -> GoodElem:
     return GoodElem(n, u)
 
 
-def goodness_split_zpoly(f: Sequence[Trunc], s_tilde: Sequence[Trunc]) -> GoodElem:
-    """Goodness split in the polynomial model: f, s_tilde are polynomials in z
-    with truncated-ring coefficients, s_tilde monic with irreducible reduction.
-
-    Returns the exponent and the polynomial unit part; :class:`NotGood` when
-    the remaining cofactor is not invertible at the point.
-    """
-    from .tpoly import rp_divmod_monic
-
-    ring = s_tilde[0].ring
-    m = s_tilde[0].m
-    zero = Trunc.zero(ring, m)
-    f = list(f)
-    n = 0
-    while True:
-        q, r = rp_divmod_monic(f, list(s_tilde), zero)
-        if q and all(c.is_zero for c in r):
-            f = q
-            n += 1
-        else:
-            break
-    from .gf import Poly
-
-    red = Poly(ring, [c.c0 for c in f])
-    pt = Poly(ring, [c.c0 for c in s_tilde])
-    if (red % pt).is_zero:
-        raise NotGood("cofactor vanishes at the point")
-    return GoodElem(n, f)
-
-
 def res_good(goods: Sequence[GoodElem], reduce_fn: Callable) -> WedgeK:
     """The residue of a triple of good elements, as a wedge over the residue ring.
 
@@ -241,13 +213,20 @@ def local_point(s_tilde: Trunc) -> Trunc:
 
     The root lies in (t) of F_q[t]/(t^m); it is the coordinate of the lifted
     point defined by the uniformizer, so reductions at the point are
-    evaluations at this root.
+    evaluations at this root.  With D the lcm of the coefficients'
+    denominators, D(0) != 0 (no coefficient has a pole at the point), so
+    D * s_tilde is a polynomial in z with the same simple root at 0, whose
+    Hensel lift is unique.
     """
     _check_uniformizer(s_tilde)
-    derivs = [c.derivative() for c in s_tilde.coeffs]
-    return newton_root(lambda x: substitute(s_tilde.coeffs, x),
-                       lambda x: substitute(derivs, x),
-                       Trunc.zero(s_tilde.ring.field, s_tilde.m))
+    field, m = s_tilde.ring.field, s_tilde.m
+    fracs = [c.reduced() for c in s_tilde.coeffs]
+    den = functools.reduce(lambda d, f: d * (f.den // d.gcd(f.den)), fracs, Poly(field, [1]))
+    nums = [(f.num * (den // f.den)).coeffs for f in fracs]
+    zero = field._raw_from_int(0)
+    coeffs = [Trunc._of(field, m, field._wrap([c[k] if k < len(c) else zero for c in nums]))
+              for k in range(max(map(len, nums)))]
+    return hensel_root_zpoly(coeffs, field.zero)
 
 
 def reduce_at(s_tilde: Trunc) -> Callable[[Trunc], Trunc]:

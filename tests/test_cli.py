@@ -246,6 +246,15 @@ def test_verify_pass_and_exit_codes(capsys):
     assert "five-term p=5 trials=5" in out and "pass" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(trials, capsys):
+    # a suite that runs no check must not report a pass
+    assert main(["verify", "five-term", "--p", "5", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trials" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "nope", "--p", "5"])

@@ -1,6 +1,8 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import charp_dilog
@@ -54,3 +56,28 @@ def unreferenced_definitions(root: Path) -> list[str]:
 def test_no_unreferenced_definitions():
     dead = unreferenced_definitions(ROOT)
     assert not dead, f"definitions nothing refers to: {dead}"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_bindings_exist():
+    # the benchmark's tracer wraps library attributes by name; a refactor that
+    # drops or renames one would make every traced run exit early
+    spans = _load_spans()
+    missing = []
+    for name, mod_name, owner, attrs, *_ in spans.SPANS + spans.COUNTERS:
+        module = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
+        target = module if owner is None else getattr(module, owner, None)
+        missing += [f"{name}: {mod_name}.{owner + '.' if owner else ''}{attr}"
+                    for attr in attrs if target is None or attr not in vars(target)]
+    for mod_name, attr in spans.REQUIRED_REBINDS:
+        module = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
+        if not callable(getattr(module, attr, None)):
+            missing.append(f"{mod_name}.{attr}")
+    assert not missing, f"tracer bindings missing from the library: {missing}"

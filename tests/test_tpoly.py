@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from charp_dilog.gf import Fq
+from charp_dilog.gf import Fq, Poly, is_irreducible, residue_field
 from charp_dilog.localfield import RatFnRing
 from charp_dilog.rng import spawn
+from charp_dilog.sampling import rand_trunc
 from charp_dilog.tpoly import (
     HenselFailure,
     IndexOutOfRange,
@@ -19,6 +20,8 @@ from charp_dilog.tpoly import (
     unit_decompose,
     unit_recompose,
 )
+
+from oracles import hensel_root_oracle, trunc_horner
 
 
 def rand_unit(ring, m, rng):
@@ -149,6 +152,22 @@ def test_shift_truncates(m):
     assert one.shifted(1) == (t if m >= 2 else one)
 
 
+@given(st.integers(2, 7), st.integers(0, 9))
+def test_shift_is_multiplication_by_t_power(m, j):
+    F7 = Fq(7)
+    x = Trunc(F7, m, [3, 1, 4, 1, 5, 2, 6][:m])
+    t_power = Trunc.one(F7, m)
+    for _ in range(j):
+        t_power = t_power * Trunc.t(F7, m)
+    assert x.shifted(j) == x * t_power
+    assert x.shifted(j).is_zero == (j >= m)
+
+
+def test_negative_shift_raises(F7):
+    with pytest.raises(IndexOutOfRange):
+        Trunc.one(F7, 3).shifted(-1)
+
+
 def test_hensel_root_lifts_simple_roots(F5):
     rng = spawn(5, "hensel")
     m = 5
@@ -174,6 +193,93 @@ def test_hensel_rejects_double_roots(F5):
     poly = [one, Trunc.constant(F5, m, F5(-2)), one]
     with pytest.raises(HenselFailure):
         hensel_root_zpoly(poly, F5.one)
+    # (z - 1)^2 + t: P'(1) = 0 mod t, and no lift exists at all
+    with pytest.raises(HenselFailure):
+        hensel_root_zpoly([one + Trunc.t(F5, m)] + poly[1:], F5.one)
+
+
+def test_rp_eval_raw_horner_matches_trunc_arithmetic(F7, F49):
+    rng = spawn(7, "rp-eval")
+    for field in (F7, F49):
+        for m in (2, 4, 7):
+            x = rand_trunc(field, m, rng)
+            # Trunc and scalar coefficients mixed, as in ratfn_at_trunc
+            coeffs = [rand_trunc(field, m, rng) if rng.randrange(2) else field.random_element(rng)
+                      for _ in range(rng.randrange(1, 6))]
+            assert rp_eval(coeffs, x, Trunc.zero(field, m)) == trunc_horner(coeffs, x)
+    with pytest.raises(ModulusMismatch):
+        rp_eval([Trunc.one(F7, 3), Trunc.one(F7, 4)], Trunc.t(F7, 4), Trunc.zero(F7, 4))
+
+
+def test_hensel_rejects_non_roots(F5):
+    m = 5
+    one = Trunc.one(F5, m)
+    # z - 1 has the simple root 1, which one Newton step from 0 would reach
+    with pytest.raises(HenselFailure):
+        hensel_root_zpoly([-one, one], F5.zero)
+    with pytest.raises(HenselFailure):
+        hensel_root_zpoly([Trunc(F5, m, [1, 1]), one, one], F5.one)  # P(1) = 3, P'(1) = 3
+    with pytest.raises(HenselFailure):
+        hensel_root_zpoly([Trunc.t(F5, m)], F5.zero)  # constant in z
+
+
+def _hensel_fields():
+    F5, F11 = Fq(5), Fq(11)
+    F25 = Fq(5, modulus=[2, 0, 1], base=F5)
+    # u has order 8 in F_25^x, so it is a non-square and z^2 - u is irreducible
+    F625 = Fq(5, modulus=[-F25.gen(), 0, 1], base=F25)
+    return [F5, Fq(7), F11, Fq(11, modulus=[1, 0, 1], base=F11), F25, F625]
+
+
+def _depths(p):
+    return sorted({m for m in (2, 3, 4, 5, 7, p) if m <= p})
+
+
+def test_hensel_matches_full_precision_newton_in_the_coefficient_field():
+    for field in _hensel_fields():
+        rng = spawn(field.order, "hensel-oracle")
+        for m in _depths(field.p):
+            for degree in range(1, 5):
+                for _ in range(3):
+                    r0 = field.random_element(rng)
+                    coeffs = [rand_trunc(field, m, rng) for _ in range(degree + 1)]
+                    # shift the constant term so that P(r0) = 0 mod t
+                    at_r0 = trunc_horner(coeffs, Trunc.constant(field, m, r0)).c0
+                    coeffs[0] = coeffs[0] - Trunc.constant(field, m, at_r0)
+                    deriv = [c.scaled(field.from_int(k)) for k, c in enumerate(coeffs)][1:]
+                    if trunc_horner(deriv, Trunc.constant(field, m, r0)).c0.is_zero:
+                        with pytest.raises(HenselFailure):
+                            hensel_root_zpoly(coeffs, r0)
+                        continue
+                    root = hensel_root_zpoly(coeffs, r0)
+                    assert root == hensel_root_oracle(coeffs, r0)
+                    assert root.c0 == r0 and trunc_horner(coeffs, root).is_zero
+
+
+def test_hensel_matches_full_precision_newton_in_residue_fields():
+    # P = pi * cofactor mod t with pi irreducible of degree 2: the root lives
+    # in the residue field of pi, as at the regulator's and the cycles' points
+    for field in _hensel_fields()[:5]:
+        rng = spawn(field.order, "hensel-residue")
+        for m in _depths(field.p):
+            for degree in range(2, 5):
+                while True:
+                    pi = Poly(field, [field.random_element(rng), field.random_element(rng), 1])
+                    if is_irreducible(pi):
+                        break
+                cofactor = Poly(field, [field.random_element(rng)
+                                        for _ in range(degree - 2)] + [1])
+                if (cofactor % pi).is_zero:
+                    cofactor = Poly(field, [1])
+                reduction = pi * cofactor
+                coeffs = [Trunc(field, m, [reduction.coeff(k)] +
+                                [field.random_element(rng) for _ in range(m - 1)])
+                          for k in range(reduction.degree + 1)]
+                kprime, r0 = residue_field(pi)
+                coeffs = [c.embedded(kprime) for c in coeffs]
+                root = hensel_root_zpoly(coeffs, r0)
+                assert root == hensel_root_oracle(coeffs, r0)
+                assert root.c0 == r0 and trunc_horner(coeffs, root).is_zero
 
 
 # -- the raw path against the generic loop and the series definition ----------

@@ -3,7 +3,7 @@ import pytest
 from charp_dilog.gf import Fq
 from charp_dilog.localfield import RatFn, RatFnRing
 from charp_dilog.rng import spawn
-from charp_dilog.sampling import rand_regular_unit_ratfn, rand_trunc
+from charp_dilog.sampling import rand_good_lifting_pair, rand_regular_unit_ratfn, rand_trunc
 from charp_dilog.tpoly import ModulusMismatch, Trunc, trunc_exp
 from charp_dilog.wedge import (
     GoodElem,
@@ -13,11 +13,13 @@ from charp_dilog.wedge import (
     ell,
     ell_p,
     goodness_split,
-    goodness_split_zpoly,
+    local_point,
     res_good,
     res_local,
     wedge,
 )
+
+from oracles import goodness_split_zpoly, local_point_oracle
 
 
 def test_ell_alternating_and_constant_kill(F5):
@@ -146,6 +148,22 @@ def test_goodness_split_zpoly_not_good(F5):
     f = [Trunc.t(F5, m), one]  # z + t: not good at z = 0
     with pytest.raises(NotGood):
         goodness_split_zpoly(f, s_tilde)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_local_point_matches_substitution_newton(p):
+    # the lift of D * s_tilde as a polynomial in z equals the Newton root that
+    # substitutes into the rational coefficients of s_tilde at every step
+    ring = RatFnRing(Fq(p))
+    rng = spawn(p, "local-point")
+    for _ in range(6):
+        _, _, s_tilde, s_hat = rand_good_lifting_pair(ring, rng)
+        # a unit multiple whose coefficients have distinct denominators
+        w = Trunc(ring, p, [rand_regular_unit_ratfn(ring, rng, deg=1) for _ in range(p)])
+        for unif in (s_tilde, s_hat, w * s_tilde):
+            root = local_point(unif)
+            assert root == local_point_oracle(unif)
+            assert root.c0.is_zero
 
 
 def test_res_good_drops_double_units(R5, F5):
