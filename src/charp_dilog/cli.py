@@ -213,13 +213,13 @@ def cmd_regulator(args, out) -> int:
 def cmd_cycle(args, out) -> int:
     data = _load_json(args.input)
     cyc = _cycle_from_json(data)
-    report = cycles.admissibility_check(cyc)
-    if not report.ok:
+    try:
+        pts = cycles.boundary(cyc)
+    except cycles.NotAdmissible as exc:
         rows = [{"failure": f.code, "coordinate": f.coordinate + 1, "detail": f.detail}
-                for f in report.failures]
+                for f in exc.report.failures]
         _emit(rows, args.format, out)
         return 1
-    pts = cycles.boundary(cyc)
     value = cycles.zero_cycle_value(pts, cyc.field, deep=args.deep)
     rows = []
     for pt in pts:
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
             return cmd_verify(args, out)
         raise AssertionError("unreachable")
     except (ParseError, BadPrime, UnknownSuite, TruncError, LocalFieldError,
-            GFError, cycles.NotAdmissible, ValueError) as exc:
+            GFError, cycles.NotAdmissible, bloch.BlochError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

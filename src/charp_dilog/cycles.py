@@ -12,10 +12,12 @@ modulus property the acceptance suite pins down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from itertools import zip_longest
+from typing import NamedTuple, Sequence
 
 from .gf import Fq, FqElem, Poly, factor_squarefree_irreducibles, residue_field, trace_to_base
-from .tpoly import Trunc, hensel_root_zpoly, rp_eval
+from .regulator import _lift_input
+from .tpoly import Trunc, hensel_root_zpoly, rp_eval, rp_mul
 from .wedge import ell, ell_p, wedge
 
 
@@ -24,7 +26,12 @@ class CycleError(Exception):
 
 
 class NotAdmissible(CycleError):
-    """The cycle fails the admissibility checks; see the report."""
+    """The cycle fails the admissibility checks; ``report`` lists the failures."""
+
+    def __init__(self, report: AdmissibilityReport):
+        super().__init__("; ".join(f"{f.code}[y{f.coordinate + 1}]: {f.detail}"
+                                   for f in report.failures))
+        self.report = report
 
 
 INF_FACE = "inf"
@@ -61,10 +68,9 @@ class ParamCycle:
 def make_cycle(field: Fq, coords: Sequence[tuple[Sequence[Trunc], Sequence[Trunc]]]) -> ParamCycle:
     if len(coords) != 3:
         raise ValueError("a cycle has three coordinates")
-    packed = []
-    for num, den in coords:
-        packed.append(Coordinate(tuple(num), tuple(den)))
-    return ParamCycle(field, tuple(packed))
+    if not all(num and den for num, den in coords):
+        raise ValueError("a coordinate needs a nonempty numerator and denominator")
+    return ParamCycle(field, tuple(Coordinate(tuple(num), tuple(den)) for num, den in coords))
 
 
 @dataclass(frozen=True)
@@ -74,9 +80,21 @@ class Failure:
     detail: str
 
 
+class Face(NamedTuple):
+    """A simple face the check found; a finite one keeps pi as ``where``, the
+    z-coefficients whose reduction pi divides, and (residue field, root of pi)."""
+
+    coordinate: int
+    label: str
+    where: object = PARAM_INF
+    coeffs: tuple = ()
+    root: tuple = ()
+
+
 @dataclass
 class AdmissibilityReport:
     failures: list = dc_field(default_factory=list)
+    faces: list = dc_field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -95,6 +113,8 @@ def admissibility_check(cycle: ParamCycle) -> AdmissibilityReport:
     point at infinity is read off degrees honestly), that every face root is
     simple (including at infinity, where the degree gap plays that role), and
     that at each face root the other two coordinates avoid 0, 1 and infinity.
+    Each simple face goes into ``report.faces``, in the order ``boundary``
+    lists its points.
     """
     report = AdmissibilityReport()
     field = cycle.field
@@ -121,13 +141,16 @@ def admissibility_check(cycle: ParamCycle) -> AdmissibilityReport:
         return report
     for i in range(3):
         num, den = reds[i]
-        for target, label in ((num, ZERO_FACE), (den, INF_FACE)):
+        coord = cycle.coords[i]
+        for target, coeffs, label in ((num, coord.num, ZERO_FACE), (den, coord.den, INF_FACE)):
             for pi, mult in factor_squarefree_irreducibles(target):
                 if mult > 1:
                     report.failures.append(Failure("NonSimpleRoot", i,
                                                    f"face {label} root {pi!r} has multiplicity {mult}"))
                     continue
-                _check_other_coords(report, cycle, reds, i, pi, label)
+                root = residue_field(pi)
+                report.faces.append(Face(i, label, pi, coeffs, root))
+                _check_other_coords(report, reds, i, root[1], label)
         gap = den.degree - num.degree
         if gap != 0:
             label = ZERO_FACE if gap > 0 else INF_FACE
@@ -135,12 +158,12 @@ def admissibility_check(cycle: ParamCycle) -> AdmissibilityReport:
                 report.failures.append(Failure("NonSimpleRoot", i,
                                                f"face {label} at the parameter infinity has multiplicity {abs(gap)}"))
             else:
-                _check_other_coords_at_param_inf(report, cycle, reds, i)
+                report.faces.append(Face(i, label))
+                _check_other_coords_at_param_inf(report, reds, i)
     return report
 
 
-def _check_other_coords(report, cycle, reds, i, pi, label):
-    theta = residue_field(pi)[1]
+def _check_other_coords(report, reds, i, theta, label):
     for j in range(3):
         if j == i:
             continue
@@ -152,7 +175,7 @@ def _check_other_coords(report, cycle, reds, i, pi, label):
                                            f"coordinate hits 0, 1 or infinity over face ({i + 1}, {label})"))
 
 
-def _check_other_coords_at_param_inf(report, cycle, reds, i):
+def _check_other_coords_at_param_inf(report, reds, i):
     for j in range(3):
         if j == i:
             continue
@@ -178,59 +201,36 @@ class BoundaryPoint:
 
 
 def boundary(cycle: ParamCycle) -> list[BoundaryPoint]:
-    """The signed boundary points with Hensel-deformed positions.
+    """The signed boundary points with Hensel-deformed positions, one for each
+    face that ``admissibility_check`` found.
 
-    For face (i, 0) the roots of the i-th numerator's reduction are lifted to
-    roots of the full numerator over t; for (i, inf) the denominator plays
-    that role; the parameter point at infinity contributes through the degree
-    gap, where the deformed point is constant and the surviving values are
-    ratios of leading coefficients.
+    For face (i, 0) the root of the i-th numerator's reduction is lifted to a
+    root of the full numerator over t; for (i, inf) the denominator plays that
+    role; the parameter point at infinity contributes through the degree gap,
+    where the deformed point is constant and the surviving values are ratios
+    of leading coefficients.
     """
     report = admissibility_check(cycle)
     if not report.ok:
-        raise NotAdmissible("; ".join(f"{f.code}[y{f.coordinate + 1}]: {f.detail}"
-                                      for f in report.failures))
-    field = cycle.field
-    out = []
-    for i in range(3):
-        num, den = cycle.coords[i].num, cycle.coords[i].den
-        red_num, red_den = cycle.coords[i].reductions(field)
-        for coeffs, red, label in ((num, red_num, ZERO_FACE), (den, red_den, INF_FACE)):
-            for pi, _ in factor_squarefree_irreducibles(red):
-                out.append(_finite_boundary_point(cycle, i, list(coeffs), pi, label))
-        gap = red_den.degree - red_num.degree
-        if gap == 1:
-            out.append(_param_inf_boundary_point(cycle, i, ZERO_FACE))
-        elif gap == -1:
-            out.append(_param_inf_boundary_point(cycle, i, INF_FACE))
-    return out
+        raise NotAdmissible(report)
+    return [_boundary_point(cycle, face) for face in report.faces]
 
 
-def _finite_boundary_point(cycle: ParamCycle, i: int, coeffs: list, pi: Poly,
-                           label: str) -> BoundaryPoint:
-    kprime, root0 = residue_field(pi)
-    z0 = hensel_root_zpoly([c.embedded(kprime) for c in coeffs], root0)
-    pair = []
-    zero = Trunc.zero(kprime, z0.m)
-    for j in range(3):
-        if j == i:
-            continue
-        numj = [c.embedded(kprime) for c in cycle.coords[j].num]
-        denj = [c.embedded(kprime) for c in cycle.coords[j].den]
-        pair.append(rp_eval(numj, z0, zero) * rp_eval(denj, z0, zero).inverse())
-    return BoundaryPoint(kprime, tuple(pair), face_sign(i + 1, label == INF_FACE),
-                         (i + 1, label), pi)
-
-
-def _param_inf_boundary_point(cycle: ParamCycle, i: int, label: str) -> BoundaryPoint:
-    field = cycle.field
-    pair = []
-    for j in range(3):
-        if j == i:
-            continue
-        pair.append(cycle.coords[j].num[-1] * cycle.coords[j].den[-1].inverse())
-    return BoundaryPoint(field, tuple(pair), face_sign(i + 1, label == INF_FACE),
-                         (i + 1, label), PARAM_INF)
+def _boundary_point(cycle: ParamCycle, face: Face) -> BoundaryPoint:
+    others = [c for j, c in enumerate(cycle.coords) if j != face.coordinate]
+    if face.where is PARAM_INF:
+        kprime = cycle.field
+        pair = [c.num[-1] * c.den[-1].inverse() for c in others]
+    else:
+        kprime, root0 = face.root
+        z0 = hensel_root_zpoly([c.embedded(kprime) for c in face.coeffs], root0)
+        zero = Trunc.zero(kprime, z0.m)
+        values = [[rp_eval([x.embedded(kprime) for x in coeffs], z0, zero)
+                   for coeffs in (c.num, c.den)] for c in others]
+        pair = [num * den.inverse() for num, den in values]
+    i = face.coordinate + 1
+    return BoundaryPoint(kprime, tuple(pair), face_sign(i, face.label == INF_FACE),
+                         (i, face.label), face.where)
 
 
 def zero_cycle_value(points: Sequence[BoundaryPoint], field: Fq, deep: bool = True) -> FqElem:
@@ -261,37 +261,23 @@ def modulus_compare(z1: ParamCycle, z2: ParamCycle, m: int) -> bool:
     after normalizing representatives (monic denominators)."""
     if z1.field != z2.field:
         return False
-    for c1, c2 in zip(z1.coords, z2.coords):
-        if not _coord_congruent(c1, c2, m):
+    for i, (c1, c2) in enumerate(zip(z1.coords, z2.coords)):
+        (n1, d1), (n2, d2) = _normalized(c1, i), _normalized(c2, i)
+        pairs = [*zip_longest(n1, n2, fillvalue=n1[0] - n1[0]),
+                 *zip_longest(d1, d2, fillvalue=d1[0] - d1[0])]
+        if not all(a.congruent(b, m) for a, b in pairs):
             return False
     return True
 
 
-def _normalized(coord: Coordinate) -> tuple[list, list]:
+def _normalized(coord: Coordinate, i: int) -> tuple[list, list]:
     lead = coord.den[-1]
     if not lead.is_unit:
-        raise NotAdmissible("cannot normalize: denominator leading coefficient is not a unit")
+        raise NotAdmissible(AdmissibilityReport([Failure(
+            "LeadingCoefficientDegenerates", i,
+            "cannot normalize: denominator leading coefficient is not a unit")]))
     inv = lead.inverse()
     return [c * inv for c in coord.num], [c * inv for c in coord.den]
-
-
-def _coord_congruent(c1: Coordinate, c2: Coordinate, m: int) -> bool:
-    n1, d1 = _normalized(c1)
-    n2, d2 = _normalized(c2)
-    for a, b in _zip_pad(n1, n2):
-        if not a.congruent(b, m):
-            return False
-    for a, b in _zip_pad(d1, d2):
-        if not a.congruent(b, m):
-            return False
-    return True
-
-
-def _zip_pad(a: list, b: list):
-    n = max(len(a), len(b))
-    za = a[0] - a[0]
-    for i in range(n):
-        yield (a[i] if i < len(a) else za), (b[i] if i < len(b) else za)
 
 
 def graph_cycle(inp, lift_seed: int = 0) -> ParamCycle:
@@ -301,9 +287,6 @@ def graph_cycle(inp, lift_seed: int = 0) -> ParamCycle:
     reduces to the given depth-2 data; its invariant matches the regulator
     value up to one global sign fixed once by the acceptance suite.
     """
-    from .regulator import _lift_input
-    from .tpoly import rp_mul
-
     field = inp.field
     p = field.p
     lift = _lift_input(inp, p, lift_seed)

@@ -47,7 +47,8 @@ class SuiteResult:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """A run passes when it made at least one check and none failed."""
+        return self.checks > 0 and not self.failures
 
     def record(self, passed: bool, label: str, **context):
         self.checks += 1

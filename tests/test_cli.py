@@ -1,6 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, strategies as st
 
 from charp_dilog import cycles, regulator, suites
 from charp_dilog.cli import main
@@ -54,6 +57,36 @@ def test_li2_commands(capsys):
     # -a^3 / (2 s^2 (1-s)^2): -8/(2*9*4) = -8/72 -> mod 7: -1/2 = 3
     assert row["value"] == 3
     assert main(["li2p", "--p", "7", "--s", "3", "--a", "2"]) == 0
+
+
+@pytest.mark.parametrize("command", ["li2", "li2p"])
+@pytest.mark.parametrize("s", ["0", "1"])
+def test_dilog_at_a_non_flat_point_is_an_input_error(command, s, capsys):
+    assert main([command, "--p", "5", "--s", s, "--a", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
+SMALL_INTS = st.one_of(st.sampled_from([0, 1]), st.integers(-3, 12))
+
+
+@given(command=st.sampled_from(["li1", "li2", "li2p"]), p=st.sampled_from([5, 7]),
+       x=st.one_of(st.none(), SMALL_INTS), s=SMALL_INTS, a=SMALL_INTS,
+       ext=st.sampled_from([None, [2, 0, 1], [0, 1, 1]]))
+def test_dilog_commands_keep_the_exit_code_contract(command, p, x, s, a, ext):
+    # [2, 0, 1] is irreducible over F_5 and F_7; [0, 1, 1] = u(u + 1) is not
+    argv = [command, "--p", str(p)]
+    if command == "li1":
+        argv += [] if x is None else ["--x", str(x)]
+    else:
+        argv += ["--s", str(s), "--a", str(a)]
+        argv += [] if ext is None else ["--ext", json.dumps(ext)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error:")
 
 
 def test_rho_k_sample_file(thm1_file, capsys):
@@ -253,6 +286,15 @@ def test_verify_rejects_trials_below_one(trials, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "--trials" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_suite_that_checked_nothing_does_not_pass():
+    result = suites.run_suite("five-term", 5, trials=0)
+    assert result.checks == 0 and not result.failures
+    assert not result.ok and result.to_dict()["passed"] is False
+    # pinned checks count: the residue formula runs three at trials=0
+    pinned = suites.run_suite("residue-formula", 5, trials=0)
+    assert pinned.checks > 0 and pinned.ok
 
 
 def test_verify_unknown_suite():

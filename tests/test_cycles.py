@@ -1,5 +1,6 @@
 import pytest
 
+from charp_dilog import cycles
 from charp_dilog.cycles import (
     BoundaryPoint,
     NotAdmissible,
@@ -7,6 +8,7 @@ from charp_dilog.cycles import (
     admissibility_check,
     boundary,
     face_sign,
+    graph_cycle,
     make_cycle,
     modulus_compare,
     rho_K_cycle,
@@ -16,7 +18,7 @@ from charp_dilog.cycles import (
 from charp_dilog.gf import Fq, trace_to_base
 from charp_dilog.regulator import rho_K
 from charp_dilog.rng import spawn
-from charp_dilog.sampling import quadratic_extension, rand_admissible_graph
+from charp_dilog.sampling import quadratic_extension, rand_admissible_graph, rand_moebius_input
 from charp_dilog.tpoly import Trunc, rp_eval, rp_mul
 
 
@@ -203,3 +205,61 @@ def test_boundary_matches_regulator_residues(F7):
     from charp_dilog.regulator import regulate
     total, breakdown = regulate(inp, lift_seed=2)
     assert total == rho_K_cycle(cyc)
+
+
+@pytest.mark.parametrize("which", ["num", "den"])
+def test_make_cycle_rejects_an_empty_coordinate(F5, which):
+    p = 5
+    num, den = const_coord(F5, p, 2)
+    empty = ([], den) if which == "num" else (num, [])
+    with pytest.raises(ValueError, match="nonempty"):
+        make_cycle(F5, [empty, const_coord(F5, p, 3), const_coord(F5, p, 4)])
+
+
+def test_boundary_factors_each_reduction_once(monkeypatch, F5):
+    # one walk over the faces: the check factors the six reductions and builds
+    # one residue field per finite face root, and boundary reuses both
+    _, cyc = rand_admissible_graph(F5, spawn(7, "one-walk"), seed=0)
+    calls = {"factor": 0, "field": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cycles, "factor_squarefree_irreducibles",
+                        counting("factor", cycles.factor_squarefree_irreducibles))
+    monkeypatch.setattr(cycles, "residue_field", counting("field", cycles.residue_field))
+    pts = boundary(cyc)
+    finite = [pt for pt in pts if pt.where is not PARAM_INF]
+    assert finite
+    assert calls == {"factor": 6, "field": len(finite)}
+
+
+def test_not_admissible_carries_the_check_report(F5):
+    # the candidates the sampler draws at p = 5; most fail the check
+    rng = spawn(8, "rejected")
+    rejected = 0
+    for trial in range(30):
+        inp = rand_moebius_input(F5, rng, degrees=(1, 1, 1, 1, 2, 2))
+        cyc = graph_cycle(inp, lift_seed=trial)
+        report = admissibility_check(cyc)
+        if report.ok:
+            continue
+        rejected += 1
+        with pytest.raises(NotAdmissible) as info:
+            boundary(cyc)
+        assert info.value.report.failures == report.failures
+    assert rejected > 0
+
+
+def test_modulus_compare_rejects_a_denominator_it_cannot_normalize(F5):
+    p = 5
+    one = Trunc.one(F5, p)
+    den = [one, Trunc(F5, p, [0, 1])]  # leading z-coefficient t is not a unit
+    cyc = make_cycle(F5, [([one], den), const_coord(F5, p, 2), const_coord(F5, p, 3)])
+    with pytest.raises(NotAdmissible) as info:
+        modulus_compare(cyc, cyc, 2)
+    [failure] = info.value.report.failures
+    assert (failure.code, failure.coordinate) == ("LeadingCoefficientDegenerates", 0)
