@@ -165,7 +165,9 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
         out.write("\n")
     elif fmt == "csv":
         if rows:
-            writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
+            # a total row may carry more fields than the rows before it
+            fields = list(dict.fromkeys(key for row in rows for key in row))
+            writer = csv.DictWriter(out, fieldnames=fields)
             writer.writeheader()
             for row in rows:
                 writer.writerow(row)
@@ -258,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact characteristic-p dilogarithms, regulators and cycle invariants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, p=False, ext=False, seed=False, inp=False):
+    def common(sp, p=False, ext=False, seed=False, inp=False, formats=("plain", "json", "csv")):
         # input-file commands take the prime from the file, and only the
         # regulators and the suites draw random numbers
         if p:
             sp.add_argument("--p", type=int, default=5, help="prime characteristic (>= 5)")
-        sp.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+        sp.add_argument("--format", choices=formats, default="plain")
         if ext:
             sp.add_argument("--ext", type=json.loads, default=None,
                             help="extension modulus coefficients over F_p, e.g. [2,0,1]")
@@ -298,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a seeded verification suite")
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    common(sp, p=True, seed=True)
+    common(sp, p=True, seed=True, formats=("plain", "json"))
     sp.add_argument("--trials", type=int, default=None)
     return parser
 

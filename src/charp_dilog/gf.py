@@ -148,12 +148,12 @@ class Fq:
     def from_int(self, n: int) -> "FqElem":
         return FqElem(self, self._raw_from_int(n))
 
-    def is_unit(self, x: "FqElem") -> bool:
-        return not x.is_zero
+    # tpoly.Trunc stores the raws of its coefficients and computes with the
+    # ``_raw_*`` kernel; ``_raw_of`` unwraps an element (or an int) once, and
+    # ``_wrap`` turns raws back into elements at the API boundary.
 
-    # A ring handle with ``_raw_mul_low`` has elements that carry ``.raw``
-    # data for its ``_raw_*`` kernel; tpoly.Trunc then unwraps coefficients
-    # once, computes on raws and wraps the result once with ``_wrap``.
+    def _raw_of(self, x):
+        return self(x).raw
 
     def _raw_mul_low(self, a: list, b: list, n: int) -> list:
         """The low n coefficients of the product of two raw coefficient lists."""
@@ -450,7 +450,7 @@ def _rmul(field: Fq, a: list, b: list, n: int | None = None) -> list:
     if n is None:
         size = len(a) + len(b) - 1
     else:
-        a, b, size = _rtrim(field, a[:n]), _rtrim(field, b[:n]), n
+        a, b, size = _rtrim(field, list(a[:n])), _rtrim(field, list(b[:n])), n
     base = field.base
     if base is None:
         p = field.p

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, residue_field
-from .tpoly import _series_inverse
+from .tpoly import ElementKernel, _series_inverse
 
 
 class LocalFieldError(Exception):
@@ -278,8 +278,9 @@ def _mult_of(f: Poly, pi: Poly) -> int:
             raise ZeroPolynomial("multiplicity of zero polynomial")
 
 
-class RatFnRing:
-    """Coefficient-ring handle for rational functions over a fixed F_q."""
+class RatFnRing(ElementKernel):
+    """Coefficient-ring handle for rational functions over a fixed F_q; each
+    element is its own raw for :class:`~charp_dilog.tpoly.Trunc`."""
 
     __slots__ = ("field",)
 
@@ -308,9 +309,6 @@ class RatFnRing:
     def embed(self, c: FqElem) -> RatFn:
         """A coefficient-field element as a constant function."""
         return RatFn.const(self.field(c))
-
-    def is_unit(self, x: RatFn) -> bool:
-        return not x.is_zero
 
     def random_element(self, rng, num_deg: int = 2, den_deg: int = 2,
                        monic_den: bool = False) -> RatFn:
@@ -413,7 +411,7 @@ def expand_at(f: RatFn, center, order: int) -> LaurentLocal:
     # the series inverse of the denominator, mod (local parameter)^n_terms
     b = list(den.coeffs[vd:vd + n_terms])
     b += [field._raw_from_int(0)] * (n_terms - len(b))
-    inv = _series_inverse(b, field._raw_inv, field._raw_dot, field._raw_mul, field._raw_neg)
+    inv = _series_inverse(field, b)
     out = field._raw_mul_low(list(num.coeffs[vn:vn + n_terms]), inv, n_terms)
     return LaurentLocal(field, center, val, field._wrap(out), order + 1)
 

@@ -4,24 +4,24 @@ Provides exact arithmetic over an abstract coefficient ring, the truncated
 exponential and branch logarithm with their coefficient functionals, the
 canonical unit decomposition, and Newton/Hensel lifting of simple roots.
 
-A coefficient ring is any handle exposing ``characteristic``, ``zero``,
-``one``, ``from_int`` and ``is_unit`` whose elements support +, -, *, and
-``inverse()``; :class:`charp_dilog.gf.Fq` and
-:class:`charp_dilog.localfield.RatFnRing` both qualify.
-
-A ring handle that also has ``_raw_mul_low`` (an :class:`~charp_dilog.gf.Fq`)
-gets the raw path: +, -, negation, ``scaled``, products and inverses unwrap
-each coefficient's ``.raw`` once, compute with the field's ``_raw_*`` kernel
-(products through the field's one polynomial multiply, truncated), and wrap
-the result once with the ring's ``_wrap``.  Other rings run the same
-algorithms on ring elements.
+A :class:`Trunc` stores the raw data of its coefficients, and every
+operation runs one algorithm through its coefficient ring's ``_raw_*``
+kernel: ``_raw_of`` and ``_wrap`` convert between elements and raws at the
+API boundary (construction, ``coeffs``, ``c0``), and ``_raw_add``,
+``_raw_sub``, ``_raw_neg``, ``_raw_mul``, ``_raw_dot``, ``_raw_inv``,
+``_raw_is_zero``, ``_raw_from_int`` and ``_raw_mul_low`` (the low n
+coefficients of a product) compute.  There are two kernels.
+:class:`charp_dilog.gf.Fq` keeps an int or an int tuple per coefficient and
+multiplies through the field's one polynomial multiply.  :class:`ElementKernel`
+keeps each element as its own raw and multiplies by the schoolbook loop; it
+serves :class:`charp_dilog.localfield.RatFnRing`.
 
 The branch logarithm comes from the logarithmic derivative: with
 theta = t d/dt, theta(log u) = theta(u) / u, and theta scales the coefficient
 of t^n by n, which is invertible for 0 < n < m <= p.  That costs one inverse
 and one product, O(m^2).
 
-Polynomials in z over F_q[t]/(t^m) are evaluated by one Horner kernel on
+Polynomials in z over R[t]/(t^m) are evaluated by one Horner kernel on
 raw coefficient lists, with products through ``_raw_mul_low``.  Hensel
 lifting is Newton iteration with precision doubling on those lists (von zur
 Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 9.4): the precisions are
@@ -87,53 +87,82 @@ def inv_factorials(p: int, n: int | None = None) -> list[int]:
     return out
 
 
-def _computes_raw(ring) -> bool:
-    return hasattr(ring, "_raw_mul_low")
-
-
-def _series_inverse(a: Sequence, inv, dot, mul, neg) -> list:
-    """Coefficients of 1/a modulo t^len(a), from a_0 b_n + ... + a_n b_0 = 0 (n > 0)."""
-    out = [inv(a[0])]
-    minus = neg(out[0])
+def _series_inverse(ring, a: Sequence) -> list:
+    """Raws of 1/a modulo t^len(a), from a_0 b_n + ... + a_n b_0 = 0 (n > 0)."""
+    out = [ring._raw_inv(a[0])]
+    minus = ring._raw_neg(out[0])
     for n in range(1, len(a)):
-        out.append(mul(minus, dot(a[1:n + 1], out[::-1])))
+        out.append(ring._raw_mul(minus, ring._raw_dot(a[1:n + 1], out[::-1])))
     return out
 
 
-def _dot(xs: Sequence, ys: Sequence):
-    return functools.reduce(operator.add, map(operator.mul, xs, ys))
+class ElementKernel:
+    """The raw-kernel protocol for a ring whose elements are their own raws.
+
+    A subclass provides ``zero``, ``one``, ``from_int`` and ``characteristic``;
+    its elements support +, -, *, ``inverse()`` and ``is_zero``.  Products
+    skip zero operands and add the partial products in index order.
+    """
+
+    __slots__ = ()
+
+    def _raw_of(self, x):
+        return self.from_int(x) if isinstance(x, int) else x
+
+    def _wrap(self, raws) -> tuple:
+        return tuple(raws)
+
+    def _raw_from_int(self, n: int):
+        return self.from_int(n)
+
+    _raw_add = staticmethod(operator.add)
+    _raw_sub = staticmethod(operator.sub)
+    _raw_neg = staticmethod(operator.neg)
+    _raw_mul = staticmethod(operator.mul)
+    _raw_inv = staticmethod(operator.methodcaller("inverse"))
+    _raw_is_zero = staticmethod(operator.attrgetter("is_zero"))
+
+    @staticmethod
+    def _raw_dot(xs: Sequence, ys: Sequence):
+        return functools.reduce(operator.add, map(operator.mul, xs, ys))
+
+    def _raw_mul_low(self, a: Sequence, b: Sequence, n: int) -> list:
+        zero = self.zero
+        out = [zero] * n
+        for i, x in enumerate(a[:n]):
+            if x == zero:
+                continue
+            for j, y in enumerate(b[:n - i]):
+                if y == zero:
+                    continue
+                out[i + j] = out[i + j] + x * y
+        return out
 
 
 class Trunc:
-    """An element of R[t]/(t^m), held as exactly m coefficients (low first)."""
+    """An element of R[t]/(t^m), held as exactly m raws of its ring (low first)."""
 
-    __slots__ = ("ring", "m", "coeffs")
+    __slots__ = ("ring", "m", "raws")
 
     def __init__(self, ring, m: int, coeffs: Sequence):
         if not 2 <= m <= ring.characteristic:
             raise ModulusMismatch(f"modulus m = {m} outside 2 <= m <= p")
-        coeffs = [ring.from_int(c) if isinstance(c, int) else c for c in coeffs]
-        if len(coeffs) > m:
+        raws = [ring._raw_of(c) for c in coeffs]
+        if len(raws) > m:
             raise ValueError("more coefficients than the modulus allows")
-        coeffs += [ring.zero] * (m - len(coeffs))
+        raws += [ring._raw_from_int(0)] * (m - len(raws))
         self.ring = ring
         self.m = m
-        self.coeffs = tuple(coeffs)
+        self.raws = tuple(raws)
 
     @classmethod
-    def _of(cls, ring, m: int, coeffs: Sequence) -> "Trunc":
-        """Build without checks: ``coeffs`` holds exactly m elements of ``ring``."""
+    def _of(cls, ring, m: int, raws: Sequence) -> "Trunc":
+        """Build without checks: ``raws`` holds exactly m raws of ``ring``."""
         self = object.__new__(cls)
         self.ring = ring
         self.m = m
-        self.coeffs = tuple(coeffs)
+        self.raws = tuple(raws)
         return self
-
-    def _raws(self) -> list:
-        return [c.raw for c in self.coeffs]
-
-    def _wrap(self, raws: Sequence) -> "Trunc":
-        return Trunc._of(self.ring, self.m, self.ring._wrap(raws))
 
     @classmethod
     def constant(cls, ring, m: int, c) -> "Trunc":
@@ -152,91 +181,64 @@ class Trunc:
         return cls(ring, m, [ring.zero, ring.one])
 
     @property
+    def coeffs(self) -> tuple:
+        return self.ring._wrap(self.raws)
+
+    @property
     def c0(self):
-        return self.coeffs[0]
+        return self.ring._wrap(self.raws[:1])[0]
 
     @property
     def is_zero(self) -> bool:
-        zero = self.ring.zero
-        return all(c == zero for c in self.coeffs)
+        zero = self.ring._raw_from_int(0)
+        return all(c == zero for c in self.raws)
 
     @property
     def is_unit(self) -> bool:
-        return self.ring.is_unit(self.coeffs[0])
+        return not self.ring._raw_is_zero(self.raws[0])
 
     def _check(self, other) -> "Trunc":
         if isinstance(other, Trunc):
             if other.ring != self.ring or other.m != self.m:
                 raise ModulusMismatch("mixing truncated rings")
             return other
-        if isinstance(other, int):
-            return Trunc.constant(self.ring, self.m, self.ring.from_int(other))
         return Trunc.constant(self.ring, self.m, other)
 
     def __add__(self, other):
         other = self._check(other)
-        ring = self.ring
-        if _computes_raw(ring):
-            add = ring._raw_add
-            return self._wrap([add(a.raw, b.raw) for a, b in zip(self.coeffs, other.coeffs)])
-        return Trunc._of(ring, self.m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        add = self.ring._raw_add
+        return Trunc._of(self.ring, self.m, [add(a, b) for a, b in zip(self.raws, other.raws)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
-        ring = self.ring
-        if _computes_raw(ring):
-            sub = ring._raw_sub
-            return self._wrap([sub(a.raw, b.raw) for a, b in zip(self.coeffs, other.coeffs)])
-        return Trunc._of(ring, self.m, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        sub = self.ring._raw_sub
+        return Trunc._of(self.ring, self.m, [sub(a, b) for a, b in zip(self.raws, other.raws)])
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __neg__(self):
-        ring = self.ring
-        if _computes_raw(ring):
-            neg = ring._raw_neg
-            return self._wrap([neg(a.raw) for a in self.coeffs])
-        return Trunc._of(ring, self.m, [-a for a in self.coeffs])
+        return Trunc._of(self.ring, self.m, [self.ring._raw_neg(a) for a in self.raws])
 
     def __mul__(self, other):
         other = self._check(other)
-        ring = self.ring
-        if _computes_raw(ring):
-            return self._wrap(ring._raw_mul_low(self._raws(), other._raws(), self.m))
-        zero = ring.zero
-        out = [zero] * self.m
-        for i, a in enumerate(self.coeffs):
-            if a == zero:
-                continue
-            for j in range(self.m - i):
-                b = other.coeffs[j]
-                if b == zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return Trunc._of(ring, self.m, out)
+        return Trunc._of(self.ring, self.m,
+                         self.ring._raw_mul_low(self.raws, other.raws, self.m))
 
     __rmul__ = __mul__
 
     def scaled(self, c) -> "Trunc":
         """Multiply every coefficient by a ring scalar."""
         ring = self.ring
-        if _computes_raw(ring):
-            mul, r = ring._raw_mul, ring(c).raw
-            return self._wrap([mul(a.raw, r) for a in self.coeffs])
-        return Trunc._of(ring, self.m, [a * c for a in self.coeffs])
+        mul, r = ring._raw_mul, ring._raw_of(c)
+        return Trunc._of(ring, self.m, [mul(a, r) for a in self.raws])
 
     def inverse(self) -> "Trunc":
         if not self.is_unit:
             raise NonUnitConstantTerm("inverting a non-unit of R[t]/(t^m)")
-        ring = self.ring
-        if _computes_raw(ring):
-            return self._wrap(_series_inverse(self._raws(), ring._raw_inv, ring._raw_dot,
-                                              ring._raw_mul, ring._raw_neg))
-        return Trunc._of(ring, self.m, _series_inverse(self.coeffs, lambda c: c.inverse(), _dot,
-                                                       operator.mul, operator.neg))
+        return Trunc._of(self.ring, self.m, _series_inverse(self.ring, self.raws))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -257,10 +259,10 @@ class Trunc:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trunc):
             return NotImplemented
-        return self.ring == other.ring and self.m == other.m and self.coeffs == other.coeffs
+        return self.ring == other.ring and self.m == other.m and self.raws == other.raws
 
     def __hash__(self) -> int:
-        return hash((self.m, self.coeffs))
+        return hash((self.m, self.raws))
 
     def reduce_to(self, m2: int) -> "Trunc":
         """Truncate to R[t]/(t^m2) for m2 <= m (the a|_{t^m2} operation)."""
@@ -285,11 +287,12 @@ class Trunc:
         """Multiply by t^j for j >= 0 (zero when j >= m)."""
         if j < 0:
             raise IndexOutOfRange(f"t^{j} is not in R[t]/(t^{self.m})")
-        return Trunc._of(self.ring, self.m, ([self.ring.zero] * j + list(self.coeffs))[:self.m])
+        zeros = [self.ring._raw_from_int(0)] * j
+        return Trunc._of(self.ring, self.m, (zeros + list(self.raws))[:self.m])
 
     def congruent(self, other: "Trunc", m2: int) -> bool:
         """Whether self and other agree modulo t^m2."""
-        return self.coeffs[:m2] == other.coeffs[:m2]
+        return self.raws[:m2] == other.raws[:m2]
 
     def map_coeffs(self, fn: Callable, ring=None) -> "Trunc":
         return Trunc(ring if ring is not None else self.ring, self.m,
@@ -297,9 +300,7 @@ class Trunc:
 
     def embedded(self, ring) -> "Trunc":
         """The same element with coefficients pushed into an extension field."""
-        if ring == self.ring:
-            return self
-        return Trunc._of(ring, self.m, [ring.embed(c) for c in self.coeffs])
+        return self if ring == self.ring else self.map_coeffs(ring.embed, ring)
 
     def __repr__(self) -> str:
         parts = []
@@ -313,7 +314,7 @@ class Trunc:
 def trunc_exp(alpha: Trunc) -> Trunc:
     """The truncated exponential sum_{n<p} alpha^n / n! for alpha in (t)."""
     ring = alpha.ring
-    if alpha.coeffs[0] != ring.zero:
+    if alpha.c0 != ring.zero:
         raise NonzeroConstantTerm("exponent must have zero constant term")
     # alpha^n vanishes mod t^m for n >= m
     inv_fact = inv_factorials(ring.characteristic, alpha.m)
@@ -327,11 +328,8 @@ def trunc_exp(alpha: Trunc) -> Trunc:
 
 def _weighted(x: Trunc, weights: Sequence[int]) -> Trunc:
     """Multiply the coefficient of t^n by the integer weights[n]."""
-    ring = x.ring
-    if _computes_raw(ring):
-        mul, from_int = ring._raw_mul, ring._raw_from_int
-        return x._wrap([mul(c.raw, from_int(w)) for c, w in zip(x.coeffs, weights)])
-    return Trunc._of(ring, x.m, [c * ring.from_int(w) for c, w in zip(x.coeffs, weights)])
+    mul, from_int = x.ring._raw_mul, x.ring._raw_from_int
+    return Trunc._of(x.ring, x.m, [mul(c, from_int(w)) for c, w in zip(x.raws, weights)])
 
 
 def log_circ(u: Trunc) -> Trunc:
@@ -372,7 +370,7 @@ class UnitDecomp:
 def unit_decompose(u: Trunc) -> UnitDecomp:
     if not u.is_unit:
         raise NonUnitConstantTerm("decomposing a non-unit")
-    return UnitDecomp(u.ring, u.m, u.coeffs[0], ell_all(u))
+    return UnitDecomp(u.ring, u.m, u.c0, ell_all(u))
 
 
 def unit_recompose(d: UnitDecomp) -> Trunc:
@@ -399,7 +397,7 @@ def rp_mul(a: Sequence, b: Sequence, zero) -> list:
 
 
 def _horner(ring, coeffs: Sequence[list], x: list, n: int) -> list:
-    """sum_k coeffs[k] x^k mod t^n on raw coefficient lists over an Fq; a
+    """sum_k coeffs[k] x^k mod t^n on raw coefficient lists of ``ring``; a
     coefficient may be shorter than n (a scalar is a list of length one)."""
     add, mul_low = ring._raw_add, ring._raw_mul_low
     acc = list(coeffs[-1][:n])
@@ -415,13 +413,8 @@ def rp_eval(coeffs: Sequence, x: Trunc, zero):
     ring = x.ring
     if not coeffs:
         return zero
-    if _computes_raw(ring):
-        raws = [x._check(c)._raws() if isinstance(c, Trunc) else [ring(c).raw] for c in coeffs]
-        return x._wrap(_horner(ring, raws, x._raws(), x.m))
-    acc = zero
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
+    raws = [x._check(c).raws if isinstance(c, Trunc) else [ring._raw_of(c)] for c in coeffs]
+    return Trunc._of(ring, x.m, _horner(ring, raws, x.raws, x.m))
 
 
 def newton_root(ring, coeffs: Sequence[list], x0, m: int) -> list:
@@ -453,5 +446,6 @@ def hensel_root_zpoly(coeffs: Sequence[Trunc], x0) -> Trunc:
     """Lift a simple root x0 (mod t, a field element) of a polynomial whose
     z-coefficients are Truncs over one Fq: unwrap once, lift, wrap once."""
     first = coeffs[0]
-    raws = [first._check(c)._raws() for c in coeffs]
-    return first._wrap(newton_root(first.ring, raws, first.ring(x0).raw, first.m))
+    raws = [first._check(c).raws for c in coeffs]
+    return Trunc._of(first.ring, first.m,
+                     newton_root(first.ring, raws, first.ring._raw_of(x0), first.m))

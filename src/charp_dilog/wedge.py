@@ -224,7 +224,7 @@ def local_point(s_tilde: Trunc) -> Trunc:
     den = functools.reduce(lambda d, f: d * (f.den // d.gcd(f.den)), fracs, Poly(field, [1]))
     nums = [(f.num * (den // f.den)).coeffs for f in fracs]
     zero = field._raw_from_int(0)
-    coeffs = [Trunc._of(field, m, field._wrap([c[k] if k < len(c) else zero for c in nums]))
+    coeffs = [Trunc._of(field, m, [c[k] if k < len(c) else zero for c in nums])
               for k in range(max(map(len, nums)))]
     return hensel_root_zpoly(coeffs, field.zero)
 

@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -127,6 +129,16 @@ def test_rho_command(thm1_file, capsys):
     json.loads(capsys.readouterr().out)
 
 
+def _cycle_file(tmp_path, cyc):
+    data = {"p": cyc.field.p}
+    for key, coord in zip(("y1", "y2", "y3"), cyc.coords):
+        data[key] = {part: [[c.raw for c in x.coeffs] for x in getattr(coord, part)]
+                     for part in ("num", "den")}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def test_plain_and_deep_routes_match_the_library(tmp_path, capsys):
     # (z - alpha) ^ (z - beta) ^ (z - gamma) over F_7 with alpha = 1 + 6t,
     # beta = 2, gamma = 3 + 4t, where the two regulators differ
@@ -146,17 +158,28 @@ def test_plain_and_deep_routes_match_the_library(tmp_path, capsys):
         assert sum(r["value"] for r in rows) % 7 == total["value"]
 
     _, cyc = rand_admissible_graph(Fq(5), spawn(2, "cli-cycle"), seed=0)
-    data = {"p": 5}
-    for key, coord in zip(("y1", "y2", "y3"), cyc.coords):
-        data[key] = {part: [[c.raw for c in x.coeffs] for x in getattr(coord, part)]
-                     for part in ("num", "den")}
-    path = tmp_path / "cycle.json"
-    path.write_text(json.dumps(data))
+    path = _cycle_file(tmp_path, cyc)
     assert cycles.rho_cycle(cyc) != cycles.rho_K_cycle(cyc)
     for command, value in (("rho", cycles.rho_cycle), ("rho-k", cycles.rho_K_cycle)):
-        assert main(["cycle", command, "--input", str(path), "--format", "json"]) == 0
+        assert main(["cycle", command, "--input", path, "--format", "json"]) == 0
         total = json.loads(capsys.readouterr().out)[-1]
         assert total["face"] == "total" and total["value"] == value(cyc).raw
+
+
+@pytest.mark.parametrize("command", ["rho", "rho-k"])
+def test_cycle_csv_carries_the_total_row(command, tmp_path, capsys):
+    # the point rows have no value field; the total row adds one
+    _, cyc = rand_admissible_graph(Fq(5), spawn(2, "cli-cycle"), seed=0)
+    assert main(["cycle", command, "--input", _cycle_file(tmp_path, cyc),
+                 "--format", "csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    total = rows.pop()
+    value = cycles.rho_K_cycle(cyc) if command == "rho-k" else cycles.rho_cycle(cyc)
+    assert total["face"] == "total" and total["value"] == str(value.raw)
+    assert len(rows) == len(cycles.boundary(cyc))
+    assert all(row["value"] == "" for row in rows)
 
 
 @pytest.mark.parametrize("argv", [
@@ -295,6 +318,32 @@ def test_suite_that_checked_nothing_does_not_pass():
     # pinned checks count: the residue formula runs three at trials=0
     pinned = suites.run_suite("residue-formula", 5, trials=0)
     assert pinned.checks > 0 and pinned.ok
+
+
+def test_verify_rejects_csv_format(capsys):
+    # a verify report is plain text or json; csv was accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "five-term", "--p", "5", "--trials", "1", "--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err and "Traceback" not in captured.err
+
+
+# sha256 of `verify all --p P --trials 2 --seed 0 --format json`; a change that
+# keeps every value keeps these bytes
+VERIFY_DIGESTS = {
+    5: "24eec341d2534b358d4bc92d5f6b24dad2f234372f8078d74bc7c281677679cf",
+    7: "c4b8a91e74405d8d816ef5518e7d0da59a5ee5fb0ac309aed9ed5fd50ee84f80",
+}
+
+
+@pytest.mark.parametrize("p", sorted(VERIFY_DIGESTS))
+def test_verify_all_json_report_bytes_are_pinned(p, capsys):
+    argv = ["verify", "all", "--p", str(p), "--trials", "2", "--seed", "0", "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[p]
 
 
 def test_verify_unknown_suite():

@@ -1,6 +1,6 @@
 import pytest
 
-from charp_dilog import cycles
+from charp_dilog import cycles, suites
 from charp_dilog.cycles import (
     BoundaryPoint,
     NotAdmissible,
@@ -235,6 +235,22 @@ def test_boundary_factors_each_reduction_once(monkeypatch, F5):
     finite = [pt for pt in pts if pt.where is not PARAM_INF]
     assert finite
     assert calls == {"factor": 6, "field": len(finite)}
+
+
+def test_modulus_suite_finds_each_boundary_once(monkeypatch):
+    # run_modulus reads both invariants, and the control, from one boundary
+    # per cycle: the sample, its mod-t^2 perturbation and its mod-t one
+    seen = []
+    found = cycles.boundary
+
+    def counting(cycle):
+        seen.append(cycle)
+        return found(cycle)
+
+    monkeypatch.setattr(cycles, "boundary", counting)
+    result = suites.run_suite("modulus", 5, trials=3, seed=0)
+    assert result.ok
+    assert len(seen) == 3 * 3 and len({id(c) for c in seen}) == len(seen)
 
 
 def test_not_admissible_carries_the_check_report(F5):

@@ -1,11 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from charp_dilog.gf import Fq, Poly, is_irreducible, residue_field
+from charp_dilog.gf import CtxMismatch, Fq, Poly, is_irreducible, residue_field
 from charp_dilog.localfield import RatFnRing
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_trunc
 from charp_dilog.tpoly import (
+    ElementKernel,
     HenselFailure,
     IndexOutOfRange,
     ModulusMismatch,
@@ -48,6 +49,21 @@ def test_modulus_bounds(F5):
         Trunc(F5, 1, [])
     with pytest.raises(ModulusMismatch):
         Trunc(F5, 2, [1]) + Trunc(F5, 3, [1])
+
+
+def test_foreign_coefficients_are_rejected(F5, F25):
+    # a coefficient from another field, or no field element at all, is caught
+    # when the Trunc is built, not later in its arithmetic
+    with pytest.raises(CtxMismatch):
+        Trunc(F5, 3, [F25.gen()])
+    with pytest.raises(CtxMismatch):
+        Trunc(F25, 3, [F5.one])
+    with pytest.raises(CtxMismatch):
+        Trunc(F5, 3, [1]) + F25.gen()
+    with pytest.raises(TypeError):
+        Trunc(F5, 3, ["a"])
+    with pytest.raises(TypeError):
+        Trunc(F5, 3, [1]).scaled("a")
 
 
 def test_inverse_needs_unit(F5):
@@ -284,14 +300,14 @@ def test_hensel_matches_full_precision_newton_in_residue_fields():
 
 # -- the raw path against the generic loop and the series definition ----------
 
-class GenericRing:
-    """An Fq behind the plain ring-handle protocol, without the raw kernel, so
-    Trunc runs its generic loop on FqElem coefficients."""
+class GenericRing(ElementKernel):
+    """An Fq behind the element kernel, so Trunc computes on FqElem
+    coefficients with the element loops instead of the field's raw kernel."""
 
     def __init__(self, field):
         self.characteristic = field.characteristic
         self.zero, self.one = field.zero, field.one
-        self.from_int, self.is_unit = field.from_int, field.is_unit
+        self.from_int = field.from_int
 
 
 def log_series_oracle(u):
