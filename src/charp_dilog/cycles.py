@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
-from .gf import Fq, FqElem, Poly, factor_squarefree_irreducibles, residue_field, trace_to_base
+from .gf import Fq, FqElem, Poly, factor_squarefree_irreducibles, residue_field, trace_to
 from .regulator import _lift_input
 from .tpoly import Trunc, hensel_root_zpoly, rp_eval, rp_mul
 from .wedge import ell, ell_p, wedge
@@ -239,9 +239,7 @@ def zero_cycle_value(points: Sequence[BoundaryPoint], field: Fq, deep: bool = Tr
     functional = ell_p if deep else ell
     total = field.zero
     for pt in points:
-        v = functional(wedge(*pt.pair), ring=pt.kprime)
-        if pt.kprime != field:
-            v = trace_to_base(v)
+        v = trace_to(functional(wedge(*pt.pair), ring=pt.kprime), field)
         total = total + (v if pt.sign == 1 else -v)
     return total
 

@@ -9,14 +9,18 @@ wrapper over that data.
 
 Polynomial multiplication, division and gcd over a prime field (``base is
 None``) run on plain int lists: one lead inverse per division, one ``% p``
-per coefficient update, and Kronecker substitution for long products.  Over
-an extension they run the generic loop over the field's ``_raw_*`` methods;
-that loop is also the reference the tests compare the int kernel against.
+per coefficient update, and Kronecker substitution for long products.
 
 An extension of a prime field keeps its raws as int tuples: element products
 are int schoolbook products reduced by the modulus with one ``% p`` per
 coefficient, and polynomial products map to one prime-field product by
 Kronecker substitution.  Deeper towers recurse through the base field.
+
+Beyond those int kernels, each operation has one generic routine for every
+field and ring: :func:`power` (square-and-multiply for any product),
+:func:`schoolbook` (the low coefficients of a product over any ``_raw_*``
+kernel), :func:`multiplicity` (how often one polynomial divides another) and
+:func:`trace_to` (the trace down a tower of fields).
 """
 
 from __future__ import annotations
@@ -322,13 +326,7 @@ class Fq:
             return self._raw_pow(self._raw_inv(a), -n)
         if self.base is None:
             return pow(a, n, self.p)
-        result = self._raw_from_int(1)
-        while n:
-            if n & 1:
-                result = self._raw_mul(result, a)
-            a = self._raw_mul(a, a)
-            n >>= 1
-        return result
+        return power(a, n, self._raw_from_int(1), self._raw_mul)
 
     # -- value semantics ---------------------------------------------------
 
@@ -354,24 +352,39 @@ def _tower_mul(field: Fq, a: tuple, b: tuple) -> tuple:
     then reduction by the monic modulus.  Any base works; ``Fq._raw_mul`` uses
     it when the base is itself an extension, and the tests compare the int
     path against it."""
-    base = field.base
-    d = field.degree
-    zero = base._raw_from_int(0)
-    acc = [zero] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x == zero:
+    base, d = field.base, field.degree
+    rem = _rdivmod(base, schoolbook(base, a, b, 2 * d - 1), field.modulus)[1][:d]
+    return tuple(rem + [base._raw_from_int(0)] * (d - len(rem)))
+
+
+def power(x, n: int, one, mul):
+    """x^n for n >= 0 by square-and-multiply with the product ``mul``; ``one``
+    is returned for n = 0 and is never multiplied, and nothing is squared
+    after the top bit of n, so n >= 1 costs bitlen(n) + popcount(n) - 2
+    products."""
+    result = one if n == 0 else None
+    while n:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return result
+
+
+def schoolbook(ring, a: Sequence, b: Sequence, n: int) -> list:
+    """The low n coefficients of the product of two raw coefficient lists over
+    any ``_raw_*`` kernel; zero operands on either side are skipped and the
+    partial products are added in index order."""
+    is_zero, add, mul = ring._raw_is_zero, ring._raw_add, ring._raw_mul
+    out = [ring._raw_from_int(0)] * n
+    for i, x in enumerate(a[:n]):
+        if is_zero(x):
             continue
-        for j, y in enumerate(b):
-            acc[i + j] = base._raw_add(acc[i + j], base._raw_mul(x, y))
-    mod = field.modulus
-    for k in range(2 * d - 2, d - 1, -1):
-        top = acc[k]
-        if top == zero:
-            continue
-        acc[k] = zero
-        for j in range(d):
-            acc[k - d + j] = base._raw_sub(acc[k - d + j], base._raw_mul(top, mod[j]))
-    return tuple(acc[:d])
+        for j, y in enumerate(b[:n - i]):
+            if not is_zero(y):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return out
 
 
 def _modulus_str(field: Fq) -> str:
@@ -471,14 +484,7 @@ def _rmul(field: Fq, a: list, b: list, n: int | None = None) -> list:
         flat = _rmul(base, [c for x in a for c in x + pad], [c for y in b for c in y + pad],
                      size * w)
         return [field._reduce_ints(flat[k * w:k * w + w]) for k in range(size)]
-    zero = field._raw_from_int(0)
-    acc = [zero] * size
-    for i, x in enumerate(a):
-        if field._raw_is_zero(x):
-            continue
-        for j, y in enumerate(b[:size - i]):
-            acc[i + j] = field._raw_add(acc[i + j], field._raw_mul(x, y))
-    return acc
+    return schoolbook(field, a, b, size)
 
 
 def _prime_reduce(rem: list, b: list, p: int, quot: list | None = None) -> list:
@@ -633,28 +639,21 @@ def frobenius(x: FqElem, power: int = 1) -> FqElem:
     return x ** (x.field.p ** power)
 
 
+def trace_to(x: FqElem, field: Fq) -> FqElem:
+    """The trace of x down its tower to ``field``, as iterated relative
+    traces; x itself when it already lies in ``field``."""
+    while x.field != field:
+        if x.field.base is None:
+            raise CtxMismatch(f"{field} is not a subfield below {x.field}")
+        x = trace_to_base(x)
+    return x
+
+
 def trace_to_prime(x: FqElem) -> FqElem:
-    """Absolute trace to F_p, as the sum of the Frobenius orbit."""
-    field = x.field
-    if field.base is None:
-        return x
-    acc = x
-    y = x
-    for _ in range(field.degree_abs - 1):
-        y = frobenius(y)
-        acc = acc + y
-    # the result is Frobenius-fixed, hence lies in the prime subfield
-    prime = field
-    while prime.base is not None:
-        prime = prime.base
-    raw = acc.raw
-    f = field
-    while f.base is not None:
-        if not all(f.base._raw_is_zero(c) for c in raw[1:]):
-            raise NotInSubfield(f"trace of {x} in {field} is not in F_{field.p}")
-        raw = raw[0]
-        f = f.base
-    return FqElem(prime, raw)
+    """Absolute trace to F_p, as iterated relative traces down the tower."""
+    while x.field.base is not None:
+        x = trace_to_base(x)
+    return x
 
 
 def trace_to_base(x: FqElem) -> FqElem:
@@ -778,14 +777,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly(self.field, [1])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Poly(self.field, [1]), operator.mul)
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
         other = self._check(other)
@@ -916,14 +908,7 @@ class Poly:
 
 
 def poly_powmod(base: Poly, n: int, mod: Poly) -> Poly:
-    result = Poly(base.field, [1])
-    base = base % mod
-    while n:
-        if n & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        n >>= 1
-    return result
+    return power(base % mod, n, Poly(base.field, [1]), lambda a, b: a * b % mod)
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -1047,17 +1032,24 @@ def _factor_monic(f: Poly, out: dict[Poly, int], rng, mult: int = 1) -> None:
     rem = f
     for sf, d in _distinct_degree(squarefree):
         for g in _equal_degree(sf, d, rng):
-            m = 0
-            while True:
-                q, r = divmod(rem, g)
-                if not r.is_zero:
-                    break
-                rem = q
-                m += 1
+            m, rem = multiplicity(rem, g)
             out[g] = out.get(g, 0) + m * mult
     # what remains collects the factors with multiplicity divisible by p
     if rem.degree > 0:
         _factor_monic(_pth_root_poly(rem), out, rng, mult * f.field.p)
+
+
+def multiplicity(f: Poly, g: Poly) -> tuple[int, Poly]:
+    """The largest n with g^n dividing f, and the cofactor f / g^n, for g of
+    positive degree."""
+    if f.is_zero:
+        raise ZeroPolynomial("multiplicity in the zero polynomial")
+    n = 0
+    while True:
+        q, r = divmod(f, g)
+        if not r.is_zero:
+            return n, f
+        f, n = q, n + 1
 
 
 def roots_in_field(f: Poly) -> list[FqElem]:

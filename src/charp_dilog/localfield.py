@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, residue_field
+from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, multiplicity,
+                 residue_field)
 from .tpoly import ElementKernel, _series_inverse
 
 
@@ -237,8 +238,8 @@ class RatFn:
         r = self.reduced()
         if isinstance(point, FqElem):
             point = Poly(point.field, [-point, 1])
-        return _mult_of(r.num.embedded(point.field), point) - \
-            _mult_of(r.den.embedded(point.field), point)
+        return multiplicity(r.num.embedded(point.field), point)[0] - \
+            multiplicity(r.den.embedded(point.field), point)[0]
 
     def embedded(self, field: Fq) -> "RatFn":
         if field == self.field:
@@ -264,18 +265,6 @@ def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if lead != field.one:
         num = num * lead.inverse()
     return num, den
-
-
-def _mult_of(f: Poly, pi: Poly) -> int:
-    n = 0
-    while True:
-        q, r = divmod(f, pi)
-        if not r.is_zero:
-            return n
-        f = q
-        n += 1
-        if f.is_zero:
-            raise ZeroPolynomial("multiplicity of zero polynomial")
 
 
 class RatFnRing(ElementKernel):
@@ -310,16 +299,25 @@ class RatFnRing(ElementKernel):
         """A coefficient-field element as a constant function."""
         return RatFn.const(self.field(c))
 
-    def random_element(self, rng, num_deg: int = 2, den_deg: int = 2,
-                       monic_den: bool = False) -> RatFn:
+    def _raw_of(self, x) -> RatFn:
+        """A coefficient of a Trunc over this ring: an int, a function over the
+        field, or a field element as a constant."""
+        if isinstance(x, RatFn):
+            if x.field != self.field:
+                raise CtxMismatch(f"function over {x.field} used in {self}")
+            return x
+        if isinstance(x, int):
+            return self.from_int(x)
+        if isinstance(x, FqElem):
+            return self.embed(x)
+        raise TypeError(f"cannot coerce {x!r} into {self}")
+
+    def random_element(self, rng, num_deg: int = 2, den_deg: int = 2) -> RatFn:
         num = Poly(self.field, [self.field.random_element(rng) for _ in range(num_deg + 1)])
         while True:
             den = Poly(self.field, [self.field.random_element(rng) for _ in range(den_deg + 1)])
             if not den.is_zero:
-                break
-        if monic_den and not den.is_zero:
-            den = den.monic()[0]
-        return RatFn(num, den)
+                return RatFn(num, den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatFnRing) and other.field == self.field

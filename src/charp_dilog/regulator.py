@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import CtxMismatch, Fq, FqElem, Poly, is_irreducible, residue_field, trace_to_base
+from .gf import CtxMismatch, Fq, FqElem, Poly, is_irreducible, residue_field, trace_to
 from .localfield import RatFn, RatFnRing, residue_at
 from .rng import spawn
 from .tpoly import Trunc, hensel_root_zpoly, rp_eval
@@ -210,10 +210,6 @@ def _residue_value_infinity(inp: RegulatorInput, lift: _Lift,
     return functional(res, ring=inp.field)
 
 
-def _traced(v: FqElem, field: Fq) -> FqElem:
-    return v if v.field == field else trace_to_base(v)
-
-
 def regulate(inp: RegulatorInput, lift_seed: int | None = 0, deep: bool = True):
     """The regulator and its per-point breakdown [(point, value), ...].
 
@@ -228,7 +224,7 @@ def regulate(inp: RegulatorInput, lift_seed: int | None = 0, deep: bool = True):
     for idx in finite:
         kprime, zhat = _point_field_and_root(inp, lift, idx)
         v = _residue_value(inp, lift, idx, kprime, zhat, functional)
-        breakdown.append((idx, _traced(v, inp.field)))
+        breakdown.append((idx, trace_to(v, inp.field)))
     if at_inf:
         breakdown.append((INFINITY, _residue_value_infinity(inp, lift, functional)))
     total = inp.field.zero
@@ -365,6 +361,6 @@ def local_relift_report(inp: RegulatorInput, point_idx: int, alt_seed: int,
         defect = residue_at(diff, kprime.zero)
 
     std_point = dict(breakdown).get(point_idx, inp.field.zero)
-    value = std_total - std_point + _traced(point_value_alt + defect, inp.field)
+    value = std_total - std_point + trace_to(point_value_alt + defect, inp.field)
     return RelifReport(value=value, defect=defect, standard_value=std_total,
                        point_value_alt=point_value_alt)

@@ -88,7 +88,7 @@ def rand_theorem1_triple(field: Fq, rng) -> tuple[Trunc, Trunc, Trunc]:
         return mk(a0), mk(b0), mk(g0)
 
 
-def rand_letter_wedge_entries(ring: RatFnRing, rng, allow_pole: bool = True) -> list:
+def rand_letter_wedge_entries(ring: RatFnRing, rng) -> list:
     """Three letter-list entries, at least one slot free of constant-term
     letters (the domain on which reparametrization invariance of residues
     holds; see the notes ledger).  Slots occasionally carry a second
@@ -100,8 +100,7 @@ def rand_letter_wedge_entries(ring: RatFnRing, rng, allow_pole: bool = True) -> 
             break
     entries = []
     for a in abc:
-        payload = rand_ratfn(ring, rng, nonzero=True,
-                             pole_at_zero=allow_pole and rng.random() < 0.3)
+        payload = rand_ratfn(ring, rng, nonzero=True, pole_at_zero=rng.random() < 0.3)
         letters = [Letter(a, payload)]
         if rng.random() < 0.4:
             letters.append(Letter(rng.randrange(1, p),
@@ -110,14 +109,13 @@ def rand_letter_wedge_entries(ring: RatFnRing, rng, allow_pole: bool = True) -> 
     return entries
 
 
-def rand_sigma_weights(ring: RatFnRing, rng, allow_pole: bool = True) -> list[RatFn]:
+def rand_sigma_weights(ring: RatFnRing, rng) -> list[RatFn]:
     """Coefficients x_w for a general reparametrization, poles at s = 0 allowed."""
     p = ring.characteristic
     xs = []
     for _ in range(1, p):
         if rng.random() < 0.6:
-            xs.append(rand_ratfn(ring, rng, deg=1,
-                                 pole_at_zero=allow_pole and rng.random() < 0.3))
+            xs.append(rand_ratfn(ring, rng, deg=1, pole_at_zero=rng.random() < 0.3))
         else:
             xs.append(ring.zero)
     if all(x.is_zero for x in xs):
@@ -168,14 +166,15 @@ def rand_good_lifting_pair(ring: RatFnRing, rng):
     return qtilde, qhat, s_tilde, s_hat
 
 
-def rand_oneform(ring: RatFnRing, rng, num_deg: int = 6, den_deg: int = 8):
-    """A random 1-form f ds of bounded degree (for the global residue test)."""
+def rand_oneform(ring: RatFnRing, rng):
+    """A random 1-form f ds, numerator of degree at most 6 and denominator at
+    most 8 (for the global residue test)."""
     from .localfield import OneForm
 
     field = ring.field
     while True:
-        num = Poly(field, [field.random_element(rng) for _ in range(num_deg + 1)])
-        den = Poly(field, [field.random_element(rng) for _ in range(den_deg + 1)])
+        num = Poly(field, [field.random_element(rng) for _ in range(7)])
+        den = Poly(field, [field.random_element(rng) for _ in range(9)])
         if num.is_zero or den.is_zero or den.degree < 1:
             continue
         return OneForm(RatFn(num, den))

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import bloch, cycles, omega, regulator
-from .gf import Fq, NotInSubfield, factor_squarefree_irreducibles, trace_to_base
+from .gf import Fq, NotInSubfield, factor_squarefree_irreducibles, trace_to, trace_to_base
 from .localfield import INF, OneForm, RatFn, RatFnRing, is_exact_form, residue_at
 from .omega import Letter
 from .rng import spawn
@@ -21,6 +21,7 @@ from .sampling import (
     rand_flat_pair,
     rand_good_lifting_pair,
     rand_letter_wedge_entries,
+    rand_nonzero,
     rand_oneform,
     rand_sigma_weights,
     rand_theorem1_triple,
@@ -210,7 +211,7 @@ def run_residue_formula(p: int, trials: int = 100, seed: int = 0) -> SuiteResult
         total = field.zero
         for pi, _ in factor_squarefree_irreducibles(form.fn.reduced().den):
             r = residue_at(form, pi)
-            total = total + (r if r.field == field else trace_to_base(r))
+            total = total + trace_to(r, field)
         total = total + residue_at(form, INF)
         result.record(total.is_zero, "global-residue-sum", form=form)
     return result
@@ -333,17 +334,10 @@ def _perturb_cycle(cyc, order: int, rng):
             j = rng.randrange(len(num))
             c = num[j]
             moved = list(c.coeffs)
-            moved[order] = moved[order] + _nonzero(field, rng)
+            moved[order] = moved[order] + rand_nonzero(field, rng)
             num[j] = Trunc(c.ring, c.m, moved)
         coords.append((num, den))
     return cycles.make_cycle(field, coords)
-
-
-def _nonzero(field, rng):
-    while True:
-        x = field.random_element(rng)
-        if not x.is_zero:
-            return x
 
 
 def run_cross_module(p: int, trials: int = 100, seed: int = 0) -> SuiteResult:

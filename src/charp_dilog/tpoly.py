@@ -13,8 +13,9 @@ API boundary (construction, ``coeffs``, ``c0``), and ``_raw_add``,
 coefficients of a product) compute.  There are two kernels.
 :class:`charp_dilog.gf.Fq` keeps an int or an int tuple per coefficient and
 multiplies through the field's one polynomial multiply.  :class:`ElementKernel`
-keeps each element as its own raw and multiplies by the schoolbook loop; it
-serves :class:`charp_dilog.localfield.RatFnRing`.
+keeps each element as its own raw and multiplies by :func:`charp_dilog.gf.schoolbook`;
+it serves :class:`charp_dilog.localfield.RatFnRing`.  Powers go through
+:func:`charp_dilog.gf.power`.
 
 The branch logarithm comes from the logarithmic derivative: with
 theta = t d/dt, theta(log u) = theta(u) / u, and theta scales the coefficient
@@ -36,7 +37,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import _rsub
+from .gf import _rsub, power, schoolbook
 
 
 class TruncError(Exception):
@@ -100,8 +101,7 @@ class ElementKernel:
     """The raw-kernel protocol for a ring whose elements are their own raws.
 
     A subclass provides ``zero``, ``one``, ``from_int`` and ``characteristic``;
-    its elements support +, -, *, ``inverse()`` and ``is_zero``.  Products
-    skip zero operands and add the partial products in index order.
+    its elements support +, -, *, ``inverse()`` and ``is_zero``.
     """
 
     __slots__ = ()
@@ -126,17 +126,7 @@ class ElementKernel:
     def _raw_dot(xs: Sequence, ys: Sequence):
         return functools.reduce(operator.add, map(operator.mul, xs, ys))
 
-    def _raw_mul_low(self, a: Sequence, b: Sequence, n: int) -> list:
-        zero = self.zero
-        out = [zero] * n
-        for i, x in enumerate(a[:n]):
-            if x == zero:
-                continue
-            for j, y in enumerate(b[:n - i]):
-                if y == zero:
-                    continue
-                out[i + j] = out[i + j] + x * y
-        return out
+    _raw_mul_low = schoolbook
 
 
 class Trunc:
@@ -247,14 +237,7 @@ class Trunc:
     def __pow__(self, n: int) -> "Trunc":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Trunc.one(self.ring, self.m)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Trunc.one(self.ring, self.m), operator.mul)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trunc):
@@ -319,10 +302,10 @@ def trunc_exp(alpha: Trunc) -> Trunc:
     # alpha^n vanishes mod t^m for n >= m
     inv_fact = inv_factorials(ring.characteristic, alpha.m)
     result = Trunc.one(ring, alpha.m)
-    power = Trunc.one(ring, alpha.m)
+    alpha_n = Trunc.one(ring, alpha.m)
     for n in range(1, alpha.m):
-        power = power * alpha
-        result = result + power.scaled(ring.from_int(inv_fact[n]))
+        alpha_n = alpha_n * alpha
+        result = result + alpha_n.scaled(ring.from_int(inv_fact[n]))
     return result
 
 

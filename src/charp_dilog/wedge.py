@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .gf import Poly
 from .localfield import RatFn
-from .tpoly import ModulusMismatch, Trunc, ell_all, hensel_root_zpoly, rp_eval
+from .tpoly import ModulusMismatch, Trunc, hensel_root_zpoly, log_circ, rp_eval
 
 
 class WedgeError(Exception):
@@ -84,20 +84,24 @@ def _wedge_sum(w: WedgeK, ring, pair_value: Callable):
 def _ell_pair(a: Trunc, b: Trunc):
     if a.m < 3:
         raise ModulusTooSmall("ell needs modulus m >= 3")
-    la, lb = ell_all(a), ell_all(b)
-    return la[1] * lb[0] - lb[1] * la[0]
+    r = a.ring
+    la, lb = log_circ(a).raws, log_circ(b).raws
+    # l_2(a) l_1(b) - l_2(b) l_1(a) as one dot product of raw log coefficients
+    return r._wrap([r._raw_dot((la[2], r._raw_neg(lb[2])), (lb[1], la[1]))])[0]
 
 
 def _ell_p_pair(a: Trunc, b: Trunc):
+    # i -> p - i turns the second half of (1/2) sum_i i (l_{p-i}(a) l_i(b) -
+    # l_{p-i}(b) l_i(a)) into the first in characteristic p, so the value is
+    # sum_i i l_{p-i}(a) l_i(b): one dot product of raw log coefficients
     r = a.ring
     p = r.characteristic
     if a.m != p:
         raise ModulusMismatch("ell_p needs modulus m = p")
-    la, lb = ell_all(a), ell_all(b)
-    acc = r.zero
-    for i in range(1, p):
-        acc = acc + r.from_int(i) * (la[p - i - 1] * lb[i - 1] - lb[p - i - 1] * la[i - 1])
-    return r.from_int((p + 1) // 2) * acc
+    la, lb = log_circ(a).raws, log_circ(b).raws
+    mul, from_int = r._raw_mul, r._raw_from_int
+    weighted = [mul(from_int(i), la[p - i]) for i in range(1, p)]
+    return r._wrap([r._raw_dot(weighted, lb[1:])])[0]
 
 
 def ell(w: WedgeK, ring=None):
@@ -106,7 +110,8 @@ def ell(w: WedgeK, ring=None):
 
 
 def ell_p(w: WedgeK, ring=None):
-    """The functional (1/2) sum_i i * (ell_{p-i} ^ ell_i) on wedges of units of R_p."""
+    """The functional (1/2) sum_i i * (ell_{p-i} ^ ell_i) on wedges of units of R_p,
+    where (ell_j ^ ell_i)(a, b) = ell_j(a) ell_i(b) - ell_j(b) ell_i(a)."""
     return _wedge_sum(w, ring, _ell_p_pair)
 
 

@@ -4,9 +4,37 @@ Each one is the plain textbook form of an operation the library computes a
 faster way, kept here so the fast route is always compared with it.
 """
 
-from charp_dilog.gf import Poly
-from charp_dilog.tpoly import HenselFailure, Trunc
+from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius
+from charp_dilog.tpoly import HenselFailure, Trunc, ell_all
 from charp_dilog.wedge import GoodElem, NotGood, substitute
+
+
+def trace_orbit(x):
+    """Absolute trace to F_p as the sum of the Frobenius orbit of x."""
+    field = x.field
+    acc = y = x
+    for _ in range(field.degree_abs - 1):
+        y = frobenius(y)
+        acc = acc + y
+    # the sum is Frobenius-fixed, so at every level of the tower it is a constant
+    raw, f = acc.raw, field
+    while f.base is not None:
+        if not all(f.base._raw_is_zero(c) for c in raw[1:]):
+            raise NotInSubfield(f"trace of {x} in {field} is not in F_{field.p}")
+        raw, f = raw[0], f.base
+    return FqElem(f, raw)
+
+
+def ell_p_antisymmetric(a, b):
+    """(1/2) sum_{i=1}^{p-1} i (l_{p-i}(a) l_i(b) - l_{p-i}(b) l_i(a)), the
+    definition of ell_p on a pair, term by term."""
+    r = a.ring
+    p = r.characteristic
+    la, lb = ell_all(a), ell_all(b)
+    acc = r.zero
+    for i in range(1, p):
+        acc = acc + r.from_int(i) * (la[p - i - 1] * lb[i - 1] - lb[p - i - 1] * la[i - 1])
+    return r.from_int((p + 1) // 2) * acc
 
 
 def trunc_horner(coeffs, x):

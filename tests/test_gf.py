@@ -13,10 +13,15 @@ from charp_dilog.gf import (
     factor_squarefree_irreducibles,
     frobenius,
     is_irreducible,
+    multiplicity,
+    trace_to,
     trace_to_base,
     trace_to_prime,
 )
 from charp_dilog.rng import spawn
+from charp_dilog.tpoly import Trunc
+
+from oracles import trace_orbit
 
 
 def test_prime_guard():
@@ -102,21 +107,83 @@ def test_trace_additive_and_frobenius_stable(F49):
         assert trace_to_prime(frobenius(x)) == trace_to_prime(x)
 
 
-def test_trace_through_a_tower(F25, F5):
-    tower = None
+def _f625(F25):
+    """F_625 as a quadratic extension of F_25."""
     for c in F25.elements():
         try:
-            tower = Fq(5, modulus=[c, F25.one, F25.one], base=F25)
-            break
+            return Fq(5, modulus=[c, F25.one, F25.one], base=F25)
         except ValueError:
             continue
-    assert tower is not None and tower.degree_abs == 4
+    raise AssertionError("no irreducible u^2 + u + c over F_25")
+
+
+def test_trace_through_a_tower(F25, F5):
+    tower = _f625(F25)
+    assert tower.degree_abs == 4
     rng = spawn(5, "tower")
     for _ in range(10):
         x = tower.random_element(rng)
         assert trace_to_base(x).field == F25
-        assert trace_to_prime(x) == trace_to_prime(trace_to_base(x))
+        assert trace_to_prime(x) == trace_orbit(x)
         assert trace_to_prime(x).field == F5
+
+
+def test_trace_to_goes_down_the_tower(F5, F7, F25):
+    tower = _f625(F25)
+    rng = spawn(13, "trace-to")
+    for _ in range(10):
+        x = tower.random_element(rng)
+        assert trace_to(x, tower) is x
+        assert trace_to(x, F25) == trace_to_base(x)
+        assert trace_to(x, F5) == trace_to_base(trace_to_base(x)) == trace_orbit(x)
+        y = F25.random_element(rng)
+        assert trace_to(y, F25) is y
+        assert trace_to(y, F5) == trace_orbit(y)
+    for x, field in ((F25.gen(), F7), (F25.gen(), tower), (F5.one, F25)):
+        with pytest.raises(CtxMismatch):
+            trace_to(x, field)
+
+
+def test_multiplicity(F5, F25):
+    for field, g in ((F5, Poly(F5, [2, 0, 1])), (F25, Poly(F25, [-F25.gen(), 1]))):
+        x = Poly.x(field)
+        cofactor = (x + 1) * (x + 3)
+        assert multiplicity(g ** 3 * cofactor, g) == (3, cofactor)
+        assert multiplicity(cofactor, g) == (0, cofactor)
+        assert multiplicity(g, g) == (1, Poly(field, [1]))
+    with pytest.raises(ZeroPolynomial):
+        multiplicity(Poly(F5), Poly.x(F5))
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    orig = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return orig(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 12, 24, 31, 100])
+def test_power_makes_the_fewest_square_and_multiply_products(monkeypatch, F5, F25, n):
+    # no product with one and no square after the top bit of n
+    bases = [Trunc(F5, 4, [2, 1, 3]), Poly(F5, [1, 2]), F25.gen() + 1]
+    expected = []
+    for x in bases:
+        acc = x ** 0
+        for _ in range(n):
+            acc = acc * x
+        expected.append(acc)
+    calls = [_count_calls(monkeypatch, Trunc, "__mul__"),
+             _count_calls(monkeypatch, Poly, "__mul__"),
+             _count_calls(monkeypatch, Fq, "_raw_mul")]
+    products = n.bit_length() + bin(n).count("1") - 2 if n else 0
+    for x, want, counted in zip(bases, expected, calls):
+        assert x ** n == want
+        assert len(counted) == products
 
 
 def test_relative_trace(F25):

@@ -22,6 +22,22 @@ def test_no_assert_statements():
     assert not found, f"assert statements vanish under python -O: {found}"
 
 
+def test_square_and_multiply_lives_only_in_power():
+    # every power goes through gf.power, the one loop that halves an exponent
+    found = []
+    for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        home = [line for node in tree.body
+                if path.name == "gf.py" and isinstance(node, ast.FunctionDef)
+                and node.name == "power"
+                for line in range(node.lineno, node.end_lineno + 1)]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift)
+                  and isinstance(node.value, ast.Constant) and node.value.value == 1
+                  and node.lineno not in home]
+    assert not found, f"square-and-multiply loops outside gf.power: {found}"
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charp_dilog.gf import CtxMismatch, Fq, Poly, is_irreducible, residue_field
-from charp_dilog.localfield import RatFnRing
+from charp_dilog.localfield import RatFn, RatFnRing
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_trunc
 from charp_dilog.tpoly import (
@@ -64,6 +64,22 @@ def test_foreign_coefficients_are_rejected(F5, F25):
         Trunc(F5, 3, ["a"])
     with pytest.raises(TypeError):
         Trunc(F5, 3, [1]).scaled("a")
+
+
+def test_ratfn_ring_takes_only_its_own_coefficients(F5, F25):
+    # ints, functions over the field and field elements (as constants) build;
+    # anything else is rejected when the Trunc is built
+    R5 = RatFnRing(F5)
+    x = Trunc(R5, 3, [1, F5(2), RatFn.gen(F5)])
+    assert x.coeffs == (R5.one, RatFn.const(F5(2)), R5.gen)
+    with pytest.raises(TypeError):
+        Trunc(R5, 3, ["a"])
+    with pytest.raises(TypeError):
+        Trunc(R5, 3, [1]).scaled("a")
+    with pytest.raises(CtxMismatch):
+        Trunc(R5, 3, [F25.gen()])
+    with pytest.raises(CtxMismatch):
+        Trunc(R5, 3, [RatFn.gen(F25)])
 
 
 def test_inverse_needs_unit(F5):

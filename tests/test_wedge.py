@@ -3,7 +3,12 @@ import pytest
 from charp_dilog.gf import Fq
 from charp_dilog.localfield import RatFn, RatFnRing
 from charp_dilog.rng import spawn
-from charp_dilog.sampling import rand_good_lifting_pair, rand_regular_unit_ratfn, rand_trunc
+from charp_dilog.sampling import (
+    quadratic_extension,
+    rand_good_lifting_pair,
+    rand_regular_unit_ratfn,
+    rand_trunc,
+)
 from charp_dilog.tpoly import ModulusMismatch, Trunc, trunc_exp
 from charp_dilog.wedge import (
     GoodElem,
@@ -19,7 +24,7 @@ from charp_dilog.wedge import (
     wedge,
 )
 
-from oracles import goodness_split_zpoly, local_point_oracle
+from oracles import ell_p_antisymmetric, goodness_split_zpoly, local_point_oracle
 
 
 def test_ell_alternating_and_constant_kill(F5):
@@ -70,6 +75,22 @@ def test_ell_p_bilinear(F5):
         x2 = rand_trunc(F5, 5, rng, unit=True)
         y = rand_trunc(F5, 5, rng, unit=True)
         assert ell_p(wedge(x1 * x2, y)) == ell_p(wedge(x1, y)) + ell_p(wedge(x2, y))
+
+
+@pytest.mark.parametrize("p, ring_kind, pairs", [
+    (5, "prime", 12), (7, "prime", 12), (11, "prime", 8),
+    (5, "quadratic", 8), (7, "quadratic", 8), (11, "quadratic", 6),
+    (5, "ratfn", 6), (7, "ratfn", 6),
+])
+def test_ell_p_one_sum_matches_the_antisymmetric_definition(p, ring_kind, pairs):
+    field = Fq(p)
+    ring = {"prime": field, "quadratic": quadratic_extension(field),
+            "ratfn": RatFnRing(field)}[ring_kind]
+    rng = spawn(14, "ell-p-one-sum", p, ring_kind)
+    for _ in range(pairs):
+        a = rand_trunc(ring, p, rng, unit=True)
+        b = rand_trunc(ring, p, rng, unit=True)
+        assert ell_p(wedge(a, b)) == ell_p_antisymmetric(a, b)
 
 
 def test_ell_p_exponential_pair_oracle(F7):
