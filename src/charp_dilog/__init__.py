@@ -11,7 +11,7 @@ suites behind the command line (:mod:`suites`, :mod:`cli`).
 """
 
 from .gf import Fq, FqElem, Poly, factor_squarefree_irreducibles, trace_to_base, trace_to_prime
-from .localfield import INF, LaurentLocal, OneForm, RatFn, RatFnRing, expand_at, residue_at
+from .localfield import INF, LaurentLocal, LaurentRing, OneForm, RatFn, RatFnRing, expand_at, residue_at
 from .tpoly import Trunc, ell_i, log_circ, trunc_exp, unit_decompose, unit_recompose
 from .wedge import WedgeK, ell, ell_p, goodness_split, res_good, res_local, wedge
 from .bloch import BlochSym, delta, five_term, flat_check, li2, li2_via_lift, li2p, li2p_via_lift, pounds1, symbol

@@ -835,16 +835,18 @@ class Poly:
         return FqElem(f, acc)
 
     def shifted(self, theta: FqElem) -> "Poly":
-        """The composition self(x + theta), over theta's field."""
+        """The composition self(x + theta), over theta's field: a Taylor shift
+        on raw coefficients, a_j += theta a_{j+1} for j = d-1..i, i = 0..d-1."""
         f = theta.field
-        acc = Poly(f)
-        lin = Poly(f, [theta, 1])
-        for c in reversed(list(self.coeffs)):
-            cc = FqElem(self.field, c)
-            if f != self.field:
-                cc = f.embed(cc)
-            acc = acc * lin + cc
-        return acc
+        g = self.embedded(f)
+        if f._raw_is_zero(theta.raw):
+            return g
+        c, t = list(g.coeffs), theta.raw
+        add, mul = f._raw_add, f._raw_mul
+        for i in range(len(c) - 1):
+            for j in range(len(c) - 2, i - 1, -1):
+                c[j] = add(c[j], mul(t, c[j + 1]))
+        return Poly._from_raw(f, c)
 
     def reversed(self) -> "Poly":
         """Coefficients reversed: x^deg * self(1/x)."""

@@ -1,19 +1,25 @@
-"""Rational functions F_q(s), local Laurent expansions, 1-forms and residues.
+"""Rational functions F_q(s), Laurent germs, 1-forms and residues.
 
 The coefficient world for the comparison 1-form: every identity checked in
 this package is algebraic, so the computable subfield of rational functions
-stands in for the Laurent-series field, with :class:`LaurentLocal` as the
-expansion backend.  Expansions are exact through a tracked exponent bound and
-are re-derived from the rational source whenever more precision is needed, so
-residues only ever read provably exact coefficients.
+stands in for the Laurent-series field.  :func:`expand_at` turns a rational
+function into a :class:`LaurentLocal`, its Laurent germ at a point, exact
+below a tracked absolute precision; :class:`LaurentRing` is the coefficient
+ring of such germs, so truncations and forms can be built from them.  A germ
+never guesses: reading a coefficient at or beyond its precision raises
+:class:`InsufficientPrecision`, and a caller that needs more precision
+expands the rational source again, deeper.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, multiplicity,
-                 residue_field)
+from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, _radd, _rsub,
+                 multiplicity, residue_field, schoolbook)
 from .tpoly import ElementKernel, _series_inverse
 
 
@@ -331,9 +337,10 @@ class RatFnRing(ElementKernel):
 
 @dataclass(frozen=True)
 class OneForm:
-    """A Kaehler differential f * ds on the s-line."""
+    """A Kaehler differential f * ds on the s-line; f is a rational function, or
+    a :class:`LaurentLocal` germ of one at a point."""
 
-    fn: RatFn
+    fn: "RatFn | LaurentLocal"
 
     def __add__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.fn + other.fn)
@@ -355,30 +362,178 @@ class OneForm:
         return f"{self.fn} ds"
 
 
-@dataclass(frozen=True)
-class LaurentLocal:
-    """A finite stretch of a Laurent expansion with a tracked precision bound.
+@dataclass(frozen=True, slots=True)
+class LaurentRing:
+    """Coefficient ring of Laurent germs at one point (local parameter s - center,
+    or 1/s at INF) with tracked absolute precision, as in Caruso, "Computations
+    with p-adic numbers" (arXiv:1701.06794).
 
-    Coefficients cover exponents ``val`` .. ``val + len(coeffs) - 1`` and are
-    exact; exponents below ``val`` are exactly zero; exponents at or beyond
-    ``prec`` are unknown and raise :class:`InsufficientPrecision`.
+    A raw is ``(val, prec, coeffs)``: the field raws of exponents val, val + 1,
+    ...; the other exponents below ``prec`` are zero, and those from ``prec``
+    on are unknown.  A sum keeps the lower precision; a product of a and b is
+    one field product, known below min(val_a + prec_b, val_b + prec_a); an
+    inverse keeps the relative precision, once the exact valuation is among
+    the known coefficients (else :class:`InsufficientPrecision`); d/ds loses
+    one.  Exact germs (``prec`` infinite) are the constants; only the zero
+    germ ``(inf, inf, ())`` is zero.
     """
 
     field: Fq
     center: object
-    val: int
-    coeffs: tuple
-    prec: int
+
+    def __post_init__(self):
+        if self.center is not INF and not (isinstance(self.center, FqElem)
+                                           and self.center.field == self.field):
+            raise CtxMismatch(f"{self.center!r} is not a point over {self.field}")
+
+    characteristic = property(lambda self: self.field.p)
+    zero = property(lambda self: LaurentLocal(self, _ZERO))
+    one = property(lambda self: self.from_int(1))
+
+    def from_int(self, n: int) -> "LaurentLocal":
+        return LaurentLocal(self, self._raw_from_int(n))
+
+    def _raw_of(self, x):
+        """A germ of this ring, or an int or field element as a constant."""
+        if isinstance(x, LaurentLocal):
+            if x.ring is not self and x.ring != self:
+                raise CtxMismatch(f"germ of {x.ring} used in {self}")
+            return x.raw
+        return self._constant(self.field._raw_of(x))
+
+    def _wrap(self, raws) -> tuple:
+        return tuple([LaurentLocal(self, r) for r in raws])
+
+    def _constant(self, c):
+        return _ZERO if self.field._raw_is_zero(c) else (0, math.inf, (c,))
+
+    def _raw_from_int(self, n: int):
+        return self._constant(self.field._raw_from_int(n))
+
+    @staticmethod
+    def _raw_is_zero(a) -> bool:
+        return a[0] == math.inf
+
+    def _raw_add(self, a, b, minus: bool = False):
+        if b[0] == math.inf:
+            return a
+        if a[0] == math.inf:
+            return self._raw_neg(b) if minus else b
+        (va, na, ca), (vb, nb, cb) = a, b
+        val, prec = min(va, vb), min(na, nb)
+        size = max(0, min(prec, max(va + len(ca), vb + len(cb))) - val)
+        zero = self.field._raw_from_int(0)
+        xs = [zero] * (va - val) + list(ca[:max(0, size - va + val)])
+        ys = [zero] * (vb - val) + list(cb[:max(0, size - vb + val)])
+        out = (_rsub if minus else _radd)(self.field, xs, ys)[:size]
+        return self._constant(out[0]) if prec == math.inf else (val, prec, tuple(out))
+
+    def _raw_sub(self, a, b):
+        return self._raw_add(a, b, True)
+
+    def _raw_neg(self, a):
+        return a[:2] + (tuple(map(self.field._raw_neg, a[2])),)
+
+    def _raw_mul(self, a, b):
+        if a[0] == math.inf or b[0] == math.inf:
+            return _ZERO
+        (va, na, ca), (vb, nb, cb) = a, b
+        prec = min(va + nb, vb + na)
+        size = min(prec - va - vb, len(ca) + len(cb) - 1)
+        out = self.field._raw_mul_low(ca, cb, size) if size > 0 else ()
+        return va + vb, prec, tuple(out)
+
+    def _raw_dot(self, xs: Sequence, ys: Sequence):
+        return functools.reduce(self._raw_add, map(self._raw_mul, xs, ys))
+
+    _raw_mul_low = schoolbook
+
+    def _raw_inv(self, a):
+        val, prec, c = a
+        if val == math.inf:
+            raise DivisionByZero("inverting the zero germ")
+        k = next((i for i, x in enumerate(c) if not self.field._raw_is_zero(x)), None)
+        if k is None:
+            raise InsufficientPrecision(f"valuation unknown below precision {prec}")
+        val += k
+        # the relative precision; an exact germ is a constant
+        size = 1 if prec == math.inf else prec - val
+        unit = list(c[k:k + size]) + [self.field._raw_from_int(0)] * (size + k - len(c))
+        return -val, prec - 2 * val, tuple(_series_inverse(self.field, unit))
+
+
+_ZERO = (math.inf, math.inf, ())
+
+
+def _germ_op(kernel: str, swap: bool = False):
+    """A binary operator of germs through the ring kernel; ints and field
+    elements are constants, and anything else raises."""
+    def op(self, other):
+        a, b = self.raw, self.ring._raw_of(other)
+        return LaurentLocal(self.ring, getattr(self.ring, kernel)(*((b, a) if swap else (a, b))))
+    return op
+
+
+class LaurentLocal:
+    """A Laurent germ at a point, an element of a :class:`LaurentRing` (whose
+    docstring gives the raw and the precision rules).  ``coeff(e)`` is zero
+    below ``val`` and raises :class:`InsufficientPrecision` from ``prec`` on;
+    from :func:`expand_at`, ``val`` is the exact valuation."""
+
+    __slots__ = ("ring", "raw")
+
+    def __init__(self, ring: LaurentRing, raw):
+        self.ring = ring
+        self.raw = raw
+
+    field = property(lambda self: self.ring.field)
+    val = property(lambda self: self.raw[0])
+    prec = property(lambda self: self.raw[1])
+    coeffs = property(lambda self: self.field._wrap(self.raw[2]))
+    is_zero = property(lambda self: self.raw[0] == math.inf)
 
     def coeff(self, e: int) -> FqElem:
-        if e >= self.prec:
-            raise InsufficientPrecision(f"coefficient {e} beyond precision {self.prec}")
-        if e < self.val:
-            return self.field.zero
-        i = e - self.val
-        if i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero
+        val, prec, c = self.raw
+        if e >= prec:
+            raise InsufficientPrecision(f"coefficient {e} beyond precision {prec}")
+        return FqElem(self.field, c[e - val]) if 0 <= e - val < len(c) else self.field.zero
+
+    __add__ = __radd__ = _germ_op("_raw_add")
+    __sub__ = _germ_op("_raw_sub")
+    __rsub__ = _germ_op("_raw_sub", swap=True)
+    __mul__ = __rmul__ = _germ_op("_raw_mul")
+
+    def __neg__(self):
+        return LaurentLocal(self.ring, self.ring._raw_neg(self.raw))
+
+    def inverse(self) -> "LaurentLocal":
+        return LaurentLocal(self.ring, self.ring._raw_inv(self.raw))
+
+    def __truediv__(self, other):
+        return self * LaurentLocal(self.ring, self.ring._raw_of(other)).inverse()
+
+    def derivative(self) -> "LaurentLocal":
+        """d/ds, which is d/du for the local parameter u = s - center."""
+        if self.ring.center is INF:
+            raise ValueError("d/ds of a germ at infinity is not d/du")
+        val, prec, c = self.raw
+        if prec == math.inf:
+            return self.ring.zero
+        f = self.field
+        out = tuple([f._raw_mul(f._raw_from_int(e), x) for e, x in enumerate(c, start=val)])
+        return LaurentLocal(self.ring, (val - 1, prec - 1, out))
+
+    def __eq__(self, other) -> bool:
+        """Equal raws: a germ known to finite precision equals no exact germ."""
+        if not isinstance(other, LaurentLocal):
+            return NotImplemented
+        return self.ring == other.ring and self.raw == other.raw
+
+    def __hash__(self) -> int:
+        return hash(self.raw)
+
+    def __repr__(self) -> str:
+        return f"LaurentLocal(val={self.val}, prec={self.prec}, {list(self.coeffs)})"
 
 
 def expand_at(f: RatFn, center, order: int) -> LaurentLocal:
@@ -386,7 +541,8 @@ def expand_at(f: RatFn, center, order: int) -> LaurentLocal:
 
     The local parameter is s - center at a finite point and 1/s at INF.
     ``center`` may lie in an extension of f's coefficient field; the expansion
-    is then computed over that extension.
+    is then computed over that extension.  The germ's ``val`` is f's exact
+    valuation there, and its precision is order + 1.
     """
     if f.is_zero:
         raise ZeroArgument("expanding the zero function")
@@ -396,22 +552,23 @@ def expand_at(f: RatFn, center, order: int) -> LaurentLocal:
         field = f.field
     else:
         field = center.field
-        num = f.num.embedded(field).shifted(center)
-        den = f.den.embedded(field).shifted(center)
+        num = f.num.shifted(center)
+        den = f.den.shifted(center)
         shift = 0
+    ring = LaurentRing(field, center)
     vn = _trailing_zeros(num)
     vd = _trailing_zeros(den)
     val = vn - vd + shift
     n_terms = order - val + 1
     if n_terms <= 0:
-        return LaurentLocal(field, center, val, (), order + 1)
+        return LaurentLocal(ring, (val, order + 1, ()))
     # the quotient of the two windows, on raw coefficients: numerator times
     # the series inverse of the denominator, mod (local parameter)^n_terms
     b = list(den.coeffs[vd:vd + n_terms])
     b += [field._raw_from_int(0)] * (n_terms - len(b))
     inv = _series_inverse(field, b)
     out = field._raw_mul_low(list(num.coeffs[vn:vn + n_terms]), inv, n_terms)
-    return LaurentLocal(field, center, val, field._wrap(out), order + 1)
+    return LaurentLocal(ring, (val, order + 1, tuple(out)))
 
 
 def _trailing_zeros(f: Poly) -> int:
@@ -452,24 +609,20 @@ def residue_at(omega: OneForm, point) -> FqElem:
     ``point`` is a finite field element, a monic irreducible polynomial over
     the coefficient field (a closed point; the residue is computed in its
     residue field at the root u), or INF (where the local parameter is
-    u = 1/s and ds = -u^{-2} du).
+    u = 1/s and ds = -u^{-2} du).  The coefficient f is a rational function,
+    or a :class:`LaurentLocal` germ at the point, whose residue coefficient
+    is then read directly (and raises :class:`InsufficientPrecision` when
+    the germ does not know it).
     """
     f = omega.fn
-    if point is INF:
-        if f.is_zero:
-            return f.field.zero
-        target = f.num.degree - f.den.degree + 1
-        if target < 0:
-            return f.field.zero
-        g = RatFn(f.num.reversed(), f.den.reversed())
-        exp = expand_at(g, f.field.zero, target)
-        return -exp.coeff(target)
     if isinstance(point, Poly):
-        theta = residue_field(point)[1]
-    elif isinstance(point, FqElem):
-        theta = point
-    else:
+        point = residue_field(point)[1]
+    elif point is not INF and not isinstance(point, FqElem):
         raise TypeError(f"not a point: {point!r}")
-    if f.is_zero:
-        return theta.field.zero
-    return expand_at(f, theta, -1).coeff(-1)
+    if isinstance(f, RatFn):
+        if f.is_zero:
+            return (f.field if point is INF else point.field).zero
+        f = expand_at(f, point, 1 if point is INF else -1)
+    elif f.ring != LaurentRing(f.field, point):
+        raise CtxMismatch(f"a germ of {f.ring} has no residue at {point!r}")
+    return -f.coeff(1) if point is INF else f.coeff(-1)

@@ -4,10 +4,11 @@ Units are decomposed into letters: a constant-term unit and truncated
 exponentials e(alpha t^a).  The form is the alternating multilinear extension
 of a closed formula on letter triples whose exponents sum to p, valued in
 1-forms over the coefficient field.  Alongside it: the reparametrization
-action s -> s + x t^w in closed form and by direct substitution, the exactness
-identity with its combinatorial coefficients, residue invariance, the residue
-pairing of two congruent liftings, and the depth-3 defect form used by the
-ordinary (non-Kontsevich) regulator route.
+action s -> s + x t^w in closed form and by substitution into letters, the
+exactness identity with its combinatorial coefficients, residue invariance,
+the residue pairing of two congruent liftings, and the depth-3 defect form
+used by the ordinary (non-Kontsevich) regulator route.  Residues at s = 0 are
+computed on Laurent germs there, not on the global rational form.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .gf import FqElem
-from .localfield import OneForm, RatFn, RatFnRing, residue_at
+from .localfield import (InsufficientPrecision, LaurentLocal, LaurentRing, OneForm, RatFn,
+                         RatFnRing, expand_at, residue_at)
 from .tpoly import (ModulusMismatch, Trunc, UnitDecomp, ell_all, inv_factorials, unit_decompose,
                     unit_recompose)
-from .wedge import WedgeK, ratfn_at_trunc, substitute
+from .wedge import WedgeK, ratfn_at_trunc
 
 
 class OmegaError(Exception):
@@ -116,18 +118,19 @@ def _entry_ring(w: WedgeK) -> RatFnRing:
     raise ValueError("cannot infer the coefficient ring; pass it explicitly")
 
 
-def omega_p(w: WedgeK, ring: RatFnRing | None = None) -> OneForm:
-    """The comparison form on a wedge of three units of R[t]/(t^p) over rational functions.
+def omega_p(w: WedgeK, ring=None) -> OneForm:
+    """The comparison form on a wedge of three units of R[t]/(t^p) over ``ring``:
+    rational functions, or their Laurent germs at one point.
 
     Entries may be unit truncations (decomposed canonically) or prepared
     letter lists; the value is the alternating multilinear extension of the
-    letter-triple formula.
+    letter-triple formula.  Without ``ring``, the entries' ring is used.
     """
     if not w.terms:
         if ring is None:
             raise ValueError("empty wedge needs an explicit coefficient ring")
         return OneForm(ring.zero)
-    ring = _entry_ring(w)
+    ring = _entry_ring(w) if ring is None else ring
     p = ring.characteristic
     total = ring.zero
     for k, entries in w.terms:
@@ -177,18 +180,6 @@ def sigma_apply(x: RatFn, w: int, u: Trunc) -> Trunc:
         else:
             exps[letter.a - 1] = exps[letter.a - 1] + letter.payload
     return unit_recompose(UnitDecomp(ring, p, a0, tuple(exps)))
-
-
-def substitute_s(u: Trunc, image: Trunc) -> Trunc:
-    """Apply the substitution s -> image (a truncation with constant term s).
-
-    The direct bivariate route: every rational coefficient of u is evaluated
-    at the image truncation; this is the automorphism itself, independent of
-    the letter formulas, and doubles as their cross-check.
-    """
-    if image.c0 != u.ring.gen:
-        raise ValueError("substitution must restrict to the identity modulo (t)")
-    return substitute(u.coeffs, image)
 
 
 def sigma_image_of_s(ring: RatFnRing, xs: Sequence[RatFn]) -> Trunc:
@@ -244,11 +235,8 @@ def sigma_image_letters(xs: Sequence[RatFn], entry, ring: RatFnRing) -> list[Let
 def res_invariance_check(xs: Sequence[RatFn], w3: WedgeK) -> bool:
     """Whether the residue at s = 0 of the form is unchanged by the reparametrization."""
     ring = _entry_ring(w3)
-    zero_pt = ring.field.zero
     moved = w3.map_entries(lambda u: sigma_image_letters(xs, u, ring))
-    before = residue_at(omega_p(w3, ring), zero_pt)
-    after = residue_at(omega_p(moved, ring), zero_pt)
-    return before == after
+    return res_omega_difference(moved, w3, ring).is_zero
 
 
 # -- the exactness identity ---------------------------------------------------
@@ -331,8 +319,7 @@ def res_omega_pair(qtilde: WedgeK, qhat: WedgeK, ring: RatFnRing | None = None) 
     """Residue at s = 0 of the form difference of two liftings congruent mod t^2.
 
     Realizes both liftings in one coordinate; additive in chains of congruent
-    liftings.  Exact by construction: the rational source supplies any
-    precision an expansion asks for.
+    liftings.
     """
     if len(qtilde.terms) != len(qhat.terms):
         raise NotCongruentModT2("liftings have different presentations")
@@ -342,10 +329,41 @@ def res_omega_pair(qtilde: WedgeK, qhat: WedgeK, ring: RatFnRing | None = None) 
         for u, v in zip(e1, e2):
             if not u.congruent(v, 2):
                 raise NotCongruentModT2("entries differ modulo t^2")
-    if ring is None and qtilde.terms:
-        ring = _entry_ring(qtilde)
-    diff = omega_p(qtilde, ring) - omega_p(qhat, ring)
-    return residue_at(diff, ring.field.zero)
+    return res_omega_difference(qtilde, qhat, ring)
+
+
+def res_omega_difference(w1: WedgeK, w2: WedgeK, ring: RatFnRing | None = None,
+                         prec: int | None = None) -> FqElem:
+    """Residue at s = 0 of omega_p(w1) - omega_p(w2), over rational functions.
+
+    Only germs at s = 0 matter: each rational coefficient or letter payload is
+    expanded there once, to absolute precision ``prec`` (default p + 1), and
+    the form is computed on those germs.  When one runs out of precision the
+    expansions are redone at twice the precision, so the value is exact.
+    """
+    if ring is None:
+        ring = _entry_ring(w1 if w1.terms else w2)
+    germs = LaurentRing(ring.field, ring.field.zero)
+    prec = ring.characteristic + 1 if prec is None else prec
+    if prec < 1:
+        raise ValueError(f"the starting precision {prec} must be positive")
+
+    def germ(f: RatFn) -> LaurentLocal:
+        # rewrapped in the one ring ``germs``, which expand_at's ring equals
+        return germs.zero if f.is_zero else \
+            LaurentLocal(germs, expand_at(f, germs.center, prec - 1).raw)
+
+    def entry(e):
+        if isinstance(e, Trunc):
+            return Trunc._of(germs, e.m, [germ(c).raw for c in e.coeffs])
+        return [Letter(letter.a, germ(letter.payload)) for letter in e]
+
+    while True:
+        try:
+            diff = omega_p(w1.map_entries(entry), germs) - omega_p(w2.map_entries(entry), germs)
+            return residue_at(diff, germs.center)
+        except InsufficientPrecision:
+            prec *= 2
 
 
 _PERMS3 = (

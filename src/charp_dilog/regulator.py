@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .gf import CtxMismatch, Fq, FqElem, Poly, is_irreducible, residue_field, trace_to
-from .localfield import RatFn, RatFnRing, residue_at
+from .localfield import RatFn, RatFnRing
 from .rng import spawn
 from .tpoly import Trunc, hensel_root_zpoly, rp_eval
 from .wedge import GoodElem, ell, ell_p, res_good, wedge
@@ -357,8 +357,7 @@ def local_relift_report(inp: RegulatorInput, point_idx: int, alt_seed: int,
             g = goodness_split(e, unif_std)
             entries_alt.append(g.u * unif_alt ** g.n)
         point_value_alt = ell_p(res_local(entries_alt, unif_alt), ring=kprime)
-        diff = omega.omega_p(wedge(*entries_std), ring) - omega.omega_p(wedge(*entries_alt), ring)
-        defect = residue_at(diff, kprime.zero)
+        defect = omega.res_omega_difference(wedge(*entries_std), wedge(*entries_alt), ring)
 
     std_point = dict(breakdown).get(point_idx, inp.field.zero)
     value = std_total - std_point + trace_to(point_value_alt + defect, inp.field)

@@ -182,10 +182,7 @@ def _remark_counterexample(p: int, result: SuiteResult) -> None:
     b = Trunc.constant(ring, p, one + s)
     v1 = ell_p(res_local([s_minus_t, a, b], s_minus_t), ring=field)
     v2 = ell_p(res_local([s_plain, a, b], s_plain), ring=field)
-    from .wedge import WedgeK
-
-    form = omega.omega_p(WedgeK(((1, (s_minus_t, a, b)), (-1, (s_plain, a, b)))), ring)
-    v3 = residue_at(form, field.zero)
+    v3 = omega.res_omega_difference(wedge(s_minus_t, a, b), wedge(s_plain, a, b), ring)
     result.record(v1 == field.one, "counterexample-deep-value", value=v1)
     result.record(v2.is_zero, "counterexample-plain-value", value=v2)
     result.record(v3.is_zero, "counterexample-form-residue", value=v3)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .gf import _rsub, power, schoolbook
@@ -370,13 +371,12 @@ def unit_recompose(d: UnitDecomp) -> Trunc:
 # -- polynomials in z over R[t]/(t^m) (lists, low first) ---------------------
 
 def rp_mul(a: Sequence, b: Sequence, zero) -> list:
+    """The product of two polynomials in z with Trunc coefficients like ``zero``."""
     if not a or not b:
         return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
+    kernel = SimpleNamespace(_raw_from_int=zero.__mul__, _raw_add=operator.add,
+                             _raw_mul=operator.mul, _raw_is_zero=operator.attrgetter("is_zero"))
+    return schoolbook(kernel, a, b, len(a) + len(b) - 1)
 
 
 def _horner(ring, coeffs: Sequence[list], x: list, n: int) -> list:

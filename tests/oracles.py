@@ -5,6 +5,8 @@ faster way, kept here so the fast route is always compared with it.
 """
 
 from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius
+from charp_dilog.localfield import residue_at
+from charp_dilog.omega import omega_p
 from charp_dilog.tpoly import HenselFailure, Trunc, ell_all
 from charp_dilog.wedge import GoodElem, NotGood, substitute
 
@@ -114,3 +116,21 @@ def goodness_split_zpoly(f, s_tilde):
     if (red % pt).is_zero:
         raise NotGood("cofactor vanishes at the point")
     return GoodElem(n, f)
+
+
+def substitute_s(u, image):
+    """Apply the substitution s -> image (a truncation with constant term s).
+
+    The direct bivariate route: every rational coefficient of u is evaluated
+    at the image truncation; this is the automorphism itself, independent of
+    the letter formulas, and doubles as their cross-check.
+    """
+    if image.c0 != u.ring.gen:
+        raise ValueError("substitution must restrict to the identity modulo (t)")
+    return substitute(u.coeffs, image)
+
+
+def res_omega_difference_global(w1, w2, ring):
+    """Residue at s = 0 of omega_p(w1) - omega_p(w2), with both forms built
+    as global rational functions and the residue read from their difference."""
+    return residue_at(omega_p(w1, ring) - omega_p(w2, ring), ring.field.zero)

@@ -420,3 +420,25 @@ def test_residue_field_holds_a_root(F5, degree):
         assert field.order == 5 ** degree
         assert root.field == field
         assert pi.evaluate(root).is_zero
+
+
+def _composed(f, theta):
+    """f(x + theta) by substitution: sum_k a_k (x + theta)^k with Poly arithmetic."""
+    field = theta.field
+    lin = Poly(field, [theta, 1])
+    acc = Poly(field)
+    for k in range(f.degree + 1):
+        acc = acc + lin ** k * field.embed(f.coeff(k))
+    return acc
+
+
+@pytest.mark.parametrize("name", ["F7", "F49"])
+def test_taylor_shift_matches_substitution(request, F7, F49, name):
+    field = request.getfixturevalue(name)
+    rng = spawn(13, "taylor-shift", name)
+    for trial in range(40):
+        f = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(0, 12))])
+        # theta = 0 in its own field is the identity, without a single product
+        assert f.shifted(field.zero) is f
+        for theta in (field.random_element(rng), F49.zero, F49.random_element(rng)):
+            assert f.shifted(theta) == _composed(f, theta)

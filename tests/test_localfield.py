@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from charp_dilog.gf import (
@@ -7,9 +9,12 @@ from charp_dilog.gf import (
     residue_field,
     trace_to_base,
 )
+from charp_dilog.gf import CtxMismatch, DivisionByZero
 from charp_dilog.localfield import (
     INF,
     InsufficientPrecision,
+    LaurentLocal,
+    LaurentRing,
     OneForm,
     RatFn,
     RatFnRing,
@@ -225,3 +230,62 @@ def test_expand_at_times_denominator_is_numerator(F7, degree):
             e = _check_times_denominator(f, center, val + rng.randrange(2 * p + 1))
             assert e.field == (F7 if center is INF else field)
         checked += 1
+
+
+def _germ(ring, val, prec, coeffs):
+    return LaurentLocal(ring, (val, prec, tuple(c % ring.field.p for c in coeffs)))
+
+
+def _known(g):
+    return [g.coeff(e).lift_int() for e in range(g.val, g.prec)]
+
+
+def test_germ_precision_rules(F7):
+    ring = LaurentRing(F7, F7.zero)
+    a = _germ(ring, -1, 3, [1, 2, 3, 4])    # s^-1 + 2 + 3s + 4s^2 + O(s^3)
+    b = _germ(ring, 2, 5, [1, 1, 0])        # s^2 + s^3 + O(s^5)
+    prod = a * b                            # known below min(-1 + 5, 2 + 3)
+    assert (prod.val, prod.prec) == (1, 4) and _known(prod) == [1, 3, 5]
+    total = a + b                           # known below the lower precision
+    assert (total.val, total.prec) == (-1, 3) and _known(total) == [1, 2, 3, 5]
+    da = a.derivative()                     # d/ds loses one
+    assert (da.val, da.prec) == (-2, 2) and _known(da) == [6, 0, 3, 1]
+    c = _germ(ring, -1, 3, [0, 0, 2, 1])    # 2s + s^2 + O(s^3): valuation 1
+    inv = c.inverse()                       # relative precision 2 is kept
+    assert (inv.val, inv.prec) == (-1, 1) and _known(inv) == [4, 5]
+    unit = _germ(ring, 1, 3, [2, 1]) * inv  # the same germ, with its valuation
+    assert (unit.val, unit.prec) == (0, 2) and _known(unit) == [1, 0]
+    for g, e in ((a, 3), (prod, 4), (da, 2), (inv, 1)):
+        with pytest.raises(InsufficientPrecision):
+            g.coeff(e)
+    with pytest.raises(InsufficientPrecision):
+        _germ(ring, 0, 3, [0, 0, 0]).inverse()  # the valuation is not among the known
+    with pytest.raises(DivisionByZero):
+        ring.zero.inverse()
+
+
+def test_only_the_exact_zero_germ_is_zero(F7):
+    ring = LaurentRing(F7, F7.zero)
+    s = RatFn.gen(F7)
+    one = expand_at(s / s, F7.zero, 4)
+    assert one != ring.one and not (one - one).is_zero  # a germ is never a guess
+    assert (ring.one - ring.one).is_zero and (ring.zero * one).is_zero
+    assert ring.from_int(3).prec == math.inf and (ring.from_int(3) * one).prec == 5
+    assert ring.from_int(3).derivative().is_zero
+    with pytest.raises(CtxMismatch):
+        one + expand_at(s, F7.one, 4)       # germs at different points do not mix
+
+
+def test_residue_of_a_germ(R5, F5):
+    rng = spawn(5, "germ-residue")
+    for _ in range(30):
+        f = R5.random_element(rng, 3, 3) / R5.gen ** rng.randrange(3)
+        if f.is_zero:
+            continue
+        for point in (F5.zero, F5.one, INF):
+            germ = expand_at(f, point, 2)
+            assert residue_at(OneForm(germ), point) == residue_at(OneForm(f), point)
+        with pytest.raises(CtxMismatch):
+            residue_at(OneForm(expand_at(f, F5.zero, 2)), F5.one)
+        with pytest.raises(InsufficientPrecision):
+            residue_at(OneForm(expand_at(f, F5.zero, -2)), F5.zero)

@@ -24,7 +24,6 @@ from charp_dilog.omega import (
     sigma_image_letters,
     sigma_image_of_s,
     sigma_letters,
-    substitute_s,
 )
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import (
@@ -35,6 +34,7 @@ from charp_dilog.sampling import (
 )
 from charp_dilog.tpoly import Trunc, trunc_exp
 from charp_dilog.wedge import WedgeK, wedge
+from oracles import res_omega_difference_global, substitute_s
 
 
 @pytest.fixture
@@ -343,6 +343,42 @@ def test_res_omega_pair_trivial_and_guard(R5):
     bumped[0] = bumped[0] + Trunc(R5, 5, [R5.zero, R5.one])
     with pytest.raises(NotCongruentModT2):
         res_omega_pair(wedge(*bumped), wedge(*qh), R5)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_germ_route_matches_the_global_form(p):
+    # the residue from germs at s = 0 equals the residue of the global rational
+    # form, on congruent liftings and on reparametrized letter wedges with
+    # poles at the origin; a start at precision 1 doubles its way to the same
+    ring = RatFnRing(Fq(p))
+    rng = spawn(18, "germ-route", p)
+    for _ in range(12):
+        qt, qh, _, _ = rand_good_lifting_pair(ring, rng)
+        expected = res_omega_difference_global(wedge(*qt), wedge(*qh), ring)
+        assert res_omega_pair(wedge(*qt), wedge(*qh), ring) == expected
+        assert omega.res_omega_difference(wedge(*qt), wedge(*qh), ring, prec=1) == expected
+    for _ in range(12):
+        w3 = wedge(*rand_letter_wedge_entries(ring, rng))
+        xs = rand_sigma_weights(ring, rng)
+        moved = w3.map_entries(lambda ls: sigma_image_letters(xs, ls, ring))
+        expected = res_omega_difference_global(moved, w3, ring)
+        assert omega.res_omega_difference(moved, w3, ring) == expected
+        assert omega.res_omega_difference(moved, w3, ring, prec=1) == expected
+    with pytest.raises(ValueError):
+        omega.res_omega_difference(moved, w3, ring, prec=0)
+
+
+def test_res_omega_pair_runs_no_gcd(monkeypatch, R5):
+    from charp_dilog.gf import Poly
+
+    qt, qh, _, _ = rand_good_lifting_pair(R5, spawn(19, "no-gcd"))
+    calls = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    res_omega_pair(wedge(*qt), wedge(*qh), R5)
+    assert calls == []
+    res_omega_difference_global(wedge(*qt), wedge(*qh), R5)
+    assert calls  # the counter does see the global route's normalizations
 
 
 def test_res_omega_pair_chain_additivity(R5):

@@ -17,6 +17,7 @@ from charp_dilog.tpoly import (
     hensel_root_zpoly,
     log_circ,
     rp_eval,
+    rp_mul,
     trunc_exp,
     unit_decompose,
     unit_recompose,
@@ -211,11 +212,26 @@ def test_hensel_root_lifts_simple_roots(F5):
                   Trunc.one(F5, m)]
         # (z - r0 - eps t)(z - other)
         lin2 = [Trunc.constant(F5, m, -other), Trunc.one(F5, m)]
-        from charp_dilog.tpoly import rp_mul
         poly = rp_mul(coeffs, lin2, Trunc.zero(F5, m))
         root = hensel_root_zpoly(poly, r0)
         assert rp_eval(poly, root, Trunc.zero(F5, m)).is_zero
         assert root.c0 == r0
+
+
+def test_rp_mul_evaluates_to_the_product(F7):
+    # a product of polynomials in z with Trunc coefficients, zero coefficients
+    # included, evaluates to the product of the values at any point
+    rng = spawn(14, "rp-mul")
+    m = 4
+    zero = Trunc.zero(F7, m)
+    for _ in range(20):
+        a, b = ([rand_trunc(F7, m, rng) if rng.random() < 0.7 else zero
+                 for _ in range(rng.randrange(1, 5))] for _ in range(2))
+        x = rand_trunc(F7, m, rng)
+        product = rp_mul(a, b, zero)
+        assert len(product) == len(a) + len(b) - 1
+        assert rp_eval(product, x, zero) == rp_eval(a, x, zero) * rp_eval(b, x, zero)
+    assert rp_mul([], [zero], zero) == []
 
 
 def test_hensel_rejects_double_roots(F5):
