@@ -368,23 +368,17 @@ class LaurentRing:
     or 1/s at INF) with tracked absolute precision, as in Caruso, "Computations
     with p-adic numbers" (arXiv:1701.06794).
 
-    A raw is ``(val, prec, coeffs)``: the field raws of exponents val, val + 1,
-    ...; the other exponents below ``prec`` are zero, and those from ``prec``
-    on are unknown.  A sum keeps the lower precision; a product of a and b is
-    one field product, known below min(val_a + prec_b, val_b + prec_a); an
-    inverse keeps the relative precision, once the exact valuation is among
-    the known coefficients (else :class:`InsufficientPrecision`); d/ds loses
-    one.  Exact germs (``prec`` infinite) are the constants; only the zero
-    germ ``(inf, inf, ())`` is zero.
+    A raw ``(val, prec, coeffs)`` holds the field raws of exponents val, val + 1,
+    ...; other exponents below ``prec`` are zero, the rest unknown.  A sum keeps
+    the lower precision; a product is one field product, known below
+    min(val_a + prec_b, val_b + prec_a); an inverse keeps the relative precision
+    once the valuation is among the known coefficients (else
+    :class:`InsufficientPrecision`); d/ds loses one.  Constants are exact
+    (``prec`` infinite); only ``(inf, inf, ())`` is zero.
     """
 
     field: Fq
     center: object
-
-    def __post_init__(self):
-        if self.center is not INF and not (isinstance(self.center, FqElem)
-                                           and self.center.field == self.field):
-            raise CtxMismatch(f"{self.center!r} is not a point over {self.field}")
 
     characteristic = property(lambda self: self.field.p)
     zero = property(lambda self: LaurentLocal(self, _ZERO))
@@ -421,15 +415,14 @@ class LaurentRing:
             return self._raw_neg(b) if minus else b
         (va, na, ca), (vb, nb, cb) = a, b
         val, prec = min(va, vb), min(na, nb)
-        size = max(0, min(prec, max(va + len(ca), vb + len(cb))) - val)
         zero = self.field._raw_from_int(0)
-        xs = [zero] * (va - val) + list(ca[:max(0, size - va + val)])
-        ys = [zero] * (vb - val) + list(cb[:max(0, size - vb + val)])
-        out = (_rsub if minus else _radd)(self.field, xs, ys)[:size]
-        return self._constant(out[0]) if prec == math.inf else (val, prec, tuple(out))
+        out = (_rsub if minus else _radd)(self.field, [zero] * (va - val) + list(ca),
+                                          [zero] * (vb - val) + list(cb))
+        if prec == math.inf:
+            return self._constant(out[0])
+        return val, prec, tuple(out[:max(0, prec - val)])
 
-    def _raw_sub(self, a, b):
-        return self._raw_add(a, b, True)
+    _raw_sub = functools.partialmethod(_raw_add, minus=True)
 
     def _raw_neg(self, a):
         return a[:2] + (tuple(map(self.field._raw_neg, a[2])),)
@@ -465,12 +458,12 @@ class LaurentRing:
 _ZERO = (math.inf, math.inf, ())
 
 
-def _germ_op(kernel: str, swap: bool = False):
+def _germ_op(kernel: str):
     """A binary operator of germs through the ring kernel; ints and field
     elements are constants, and anything else raises."""
     def op(self, other):
-        a, b = self.raw, self.ring._raw_of(other)
-        return LaurentLocal(self.ring, getattr(self.ring, kernel)(*((b, a) if swap else (a, b))))
+        raw = getattr(self.ring, kernel)(self.raw, self.ring._raw_of(other))
+        return LaurentLocal(self.ring, raw)
     return op
 
 
@@ -500,7 +493,6 @@ class LaurentLocal:
 
     __add__ = __radd__ = _germ_op("_raw_add")
     __sub__ = _germ_op("_raw_sub")
-    __rsub__ = _germ_op("_raw_sub", swap=True)
     __mul__ = __rmul__ = _germ_op("_raw_mul")
 
     def __neg__(self):
@@ -528,12 +520,6 @@ class LaurentLocal:
         if not isinstance(other, LaurentLocal):
             return NotImplemented
         return self.ring == other.ring and self.raw == other.raw
-
-    def __hash__(self) -> int:
-        return hash(self.raw)
-
-    def __repr__(self) -> str:
-        return f"LaurentLocal(val={self.val}, prec={self.prec}, {list(self.coeffs)})"
 
 
 def expand_at(f: RatFn, center, order: int) -> LaurentLocal:
@@ -609,10 +595,9 @@ def residue_at(omega: OneForm, point) -> FqElem:
     ``point`` is a finite field element, a monic irreducible polynomial over
     the coefficient field (a closed point; the residue is computed in its
     residue field at the root u), or INF (where the local parameter is
-    u = 1/s and ds = -u^{-2} du).  The coefficient f is a rational function,
-    or a :class:`LaurentLocal` germ at the point, whose residue coefficient
-    is then read directly (and raises :class:`InsufficientPrecision` when
-    the germ does not know it).
+    u = 1/s and ds = -u^{-2} du).  f is a rational function, or a
+    :class:`LaurentLocal` germ at the point whose residue coefficient is read;
+    a germ that does not know it raises :class:`InsufficientPrecision`.
     """
     f = omega.fn
     if isinstance(point, Poly):

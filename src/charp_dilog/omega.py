@@ -332,26 +332,21 @@ def res_omega_pair(qtilde: WedgeK, qhat: WedgeK, ring: RatFnRing | None = None) 
     return res_omega_difference(qtilde, qhat, ring)
 
 
-def res_omega_difference(w1: WedgeK, w2: WedgeK, ring: RatFnRing | None = None,
-                         prec: int | None = None) -> FqElem:
+def res_omega_difference(w1: WedgeK, w2: WedgeK, ring: RatFnRing | None = None) -> FqElem:
     """Residue at s = 0 of omega_p(w1) - omega_p(w2), over rational functions.
 
     Only germs at s = 0 matter: each rational coefficient or letter payload is
-    expanded there once, to absolute precision ``prec`` (default p + 1), and
-    the form is computed on those germs.  When one runs out of precision the
-    expansions are redone at twice the precision, so the value is exact.
+    expanded there once, to absolute precision p + 1, and the form is computed
+    on those germs.  When one runs out of precision the expansions are redone
+    at twice the precision, so the value is exact.
     """
     if ring is None:
         ring = _entry_ring(w1 if w1.terms else w2)
     germs = LaurentRing(ring.field, ring.field.zero)
-    prec = ring.characteristic + 1 if prec is None else prec
-    if prec < 1:
-        raise ValueError(f"the starting precision {prec} must be positive")
+    prec = ring.characteristic + 1
 
     def germ(f: RatFn) -> LaurentLocal:
-        # rewrapped in the one ring ``germs``, which expand_at's ring equals
-        return germs.zero if f.is_zero else \
-            LaurentLocal(germs, expand_at(f, germs.center, prec - 1).raw)
+        return germs.zero if f.is_zero else expand_at(f, germs.center, prec - 1)
 
     def entry(e):
         if isinstance(e, Trunc):

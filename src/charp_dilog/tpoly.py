@@ -374,7 +374,7 @@ def rp_mul(a: Sequence, b: Sequence, zero) -> list:
     """The product of two polynomials in z with Trunc coefficients like ``zero``."""
     if not a or not b:
         return []
-    kernel = SimpleNamespace(_raw_from_int=zero.__mul__, _raw_add=operator.add,
+    kernel = SimpleNamespace(_raw_from_int=lambda n: zero, _raw_add=operator.add,
                              _raw_mul=operator.mul, _raw_is_zero=operator.attrgetter("is_zero"))
     return schoolbook(kernel, a, b, len(a) + len(b) - 1)
 

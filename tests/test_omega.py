@@ -349,23 +349,48 @@ def test_res_omega_pair_trivial_and_guard(R5):
 def test_germ_route_matches_the_global_form(p):
     # the residue from germs at s = 0 equals the residue of the global rational
     # form, on congruent liftings and on reparametrized letter wedges with
-    # poles at the origin; a start at precision 1 doubles its way to the same
+    # poles at the origin
     ring = RatFnRing(Fq(p))
     rng = spawn(18, "germ-route", p)
     for _ in range(12):
         qt, qh, _, _ = rand_good_lifting_pair(ring, rng)
         expected = res_omega_difference_global(wedge(*qt), wedge(*qh), ring)
         assert res_omega_pair(wedge(*qt), wedge(*qh), ring) == expected
-        assert omega.res_omega_difference(wedge(*qt), wedge(*qh), ring, prec=1) == expected
     for _ in range(12):
         w3 = wedge(*rand_letter_wedge_entries(ring, rng))
         xs = rand_sigma_weights(ring, rng)
         moved = w3.map_entries(lambda ls: sigma_image_letters(xs, ls, ring))
         expected = res_omega_difference_global(moved, w3, ring)
         assert omega.res_omega_difference(moved, w3, ring) == expected
-        assert omega.res_omega_difference(moved, w3, ring, prec=1) == expected
-    with pytest.raises(ValueError):
-        omega.res_omega_difference(moved, w3, ring, prec=0)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_germ_route_doubles_past_a_deep_pole(monkeypatch, p):
+    # a letter with a pole of order p + 2 at s = 0 needs more than the first
+    # p + 1 terms of its germs: the expansions are redone at twice the
+    # precision, and the residue still equals the global form's
+    ring = RatFnRing(Fq(p))
+    rng = spawn(18, "deep-pole", p)
+    deep = ring.gen ** (-(p + 2))
+    orders = []
+    expand_at = omega.expand_at
+    monkeypatch.setattr(omega, "expand_at", lambda f, c, n: orders.append(n) or expand_at(f, c, n))
+
+    def deep_wedge():
+        entries = rand_letter_wedge_entries(ring, rng)
+        entries[0] = [Letter(letter.a, letter.payload * deep) for letter in entries[0]]
+        return wedge(*entries)
+
+    doubled = []
+    for _ in range(12):
+        w1, w2 = deep_wedge(), deep_wedge()
+        orders.clear()
+        value = omega.res_omega_difference(w1, w2, ring)
+        assert value == res_omega_difference_global(w1, w2, ring)
+        if max(orders) > p:
+            assert max(orders) == 2 * (p + 1) - 1
+            doubled.append(value)
+    assert any(not v.is_zero for v in doubled)
 
 
 def test_res_omega_pair_runs_no_gcd(monkeypatch, R5):
