@@ -16,11 +16,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, _radd, _rsub,
                  multiplicity, residue_field, schoolbook)
-from .tpoly import ElementKernel, _series_inverse
+from .tpoly import ElementKernel, Trunc, _series_inverse
 
 
 class LocalFieldError(Exception):
@@ -555,6 +555,25 @@ def expand_at(f: RatFn, center, order: int) -> LaurentLocal:
     inv = _series_inverse(field, b)
     out = field._raw_mul_low(list(num.coeffs[vn:vn + n_terms]), inv, n_terms)
     return LaurentLocal(ring, (val, order + 1, tuple(out)))
+
+
+def germs_at_zero(field: Fq, prec: int, compute: Callable):
+    """compute(germ), where ``germ`` maps a rational function over ``field``, or
+    a :class:`~charp_dilog.tpoly.Trunc` of them, to its germ at s = 0 below
+    absolute precision ``prec``; while compute reads past what its germs know,
+    it runs again on germs of twice the precision, so the value is exact."""
+    ring = LaurentRing(field, field.zero)
+
+    def germ(x):
+        if isinstance(x, Trunc):
+            return Trunc._of(ring, x.m, [germ(c).raw for c in x.coeffs])
+        return ring.zero if x.is_zero else expand_at(x, ring.center, prec - 1)
+
+    while True:
+        try:
+            return compute(germ)
+        except InsufficientPrecision:
+            prec *= 2
 
 
 def _trailing_zeros(f: Poly) -> int:

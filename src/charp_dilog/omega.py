@@ -4,7 +4,7 @@ Units are decomposed into letters: a constant-term unit and truncated
 exponentials e(alpha t^a).  The form is the alternating multilinear extension
 of a closed formula on letter triples whose exponents sum to p, valued in
 1-forms over the coefficient field.  Alongside it: the reparametrization
-action s -> s + x t^w in closed form and by substitution into letters, the
+action s -> s + x t^w in closed form and, on germs, by Taylor's formula, the
 exactness identity with its combinatorial coefficients, residue invariance,
 the residue pairing of two congruent liftings, and the depth-3 defect form
 used by the ordinary (non-Kontsevich) regulator route.  Residues at s = 0 are
@@ -16,11 +16,10 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .gf import FqElem
-from .localfield import (InsufficientPrecision, LaurentLocal, LaurentRing, OneForm, RatFn,
-                         RatFnRing, expand_at, residue_at)
-from .tpoly import (ModulusMismatch, Trunc, UnitDecomp, ell_all, inv_factorials, unit_decompose,
-                    unit_recompose)
-from .wedge import WedgeK, ratfn_at_trunc
+from .localfield import LaurentRing, OneForm, RatFn, RatFnRing, germs_at_zero, residue_at
+from .tpoly import (ModulusMismatch, Trunc, UnitDecomp, ell_all, inv_factorials, rp_eval,
+                    unit_decompose, unit_recompose)
+from .wedge import WedgeK
 
 
 class OmegaError(Exception):
@@ -182,13 +181,6 @@ def sigma_apply(x: RatFn, w: int, u: Trunc) -> Trunc:
     return unit_recompose(UnitDecomp(ring, p, a0, tuple(exps)))
 
 
-def sigma_image_of_s(ring: RatFnRing, xs: Sequence[RatFn]) -> Trunc:
-    """The truncation s + sum_w xs[w-1] t^w defining a general reparametrization."""
-    p = ring.characteristic
-    coeffs = [ring.gen] + [xs[w - 1] if w - 1 < len(xs) else ring.zero for w in range(1, p)]
-    return Trunc(ring, p, coeffs)
-
-
 def sigma_letters(x: RatFn, w: int, letters: Sequence[Letter], p: int) -> list[Letter]:
     """The closed-form image of a letter list under s -> s + x t^w."""
     if w < 1:
@@ -203,40 +195,41 @@ def sigma_letters(x: RatFn, w: int, letters: Sequence[Letter], p: int) -> list[L
     return out
 
 
-def sigma_image_letters(xs: Sequence[RatFn], entry, ring: RatFnRing) -> list[Letter]:
-    """Letters of the image of an entry under a general reparametrization.
+def sigma_image_letters(delta: Trunc, entry, germ) -> list[Letter]:
+    """Letters of the image of an entry under s -> s + delta, on germs at s = 0.
 
-    A pure exponential letter e(alpha t^a) maps to e(sigma(alpha) t^a), whose
-    letters are read off the truncation sigma(alpha) directly; a constant-term
-    unit goes through one substitution and one branch logarithm.
+    ``delta`` is a truncation of germs in (t), and ``germ`` maps rational
+    payloads to germs.  As delta^k lies in (t^k), Taylor's formula is exact
+    mod t^p: e(alpha t^a) maps to e(sum_{k<p-a} alpha^(k)/k! delta^k t^a), and
+    a constant h to h e(sum_{0<k<p} (h'/h)^(k-1)/k! delta^k), the derivative
+    ladder of :func:`sigma_letters`.
     """
-    p = ring.characteristic
-    image = sigma_image_of_s(ring, xs)
-    letters = _letters_of_entry(entry)
+    ring, p = delta.ring, delta.m
+    zero = Trunc.zero(ring, p)
+    inv_fact = inv_factorials(p)
     out: list[Letter] = []
-    for letter in letters:
+    for letter in _letters_of_entry(entry):
+        payload = germ(letter.payload)
+        ladder = _derivative_ladder(letter.a, payload, p - 1 - letter.a)
         if letter.a == 0:
-            moved = ratfn_at_trunc(letter.payload, image)
-            out.append(Letter(0, moved.c0))
-            for j, lj in enumerate(ell_all(moved), start=1):
-                if not lj.is_zero:
-                    out.append(Letter(j, lj))
-        else:
-            moved = ratfn_at_trunc(letter.payload, image)
-            for j, cj in enumerate(moved.coeffs):
-                e = letter.a + j
-                if e >= p:
-                    break
-                if not cj.is_zero:
-                    out.append(Letter(e, cj))
+            out.append(Letter(0, payload))
+            ladder[0] = ring.zero
+        moved = rp_eval([d * inv_fact[k] for k, d in enumerate(ladder)], delta, zero)
+        out += [Letter(e, c) for e, c in enumerate(moved.coeffs[:p - letter.a], start=letter.a)
+                if not c.is_zero]
     return out
 
 
 def res_invariance_check(xs: Sequence[RatFn], w3: WedgeK) -> bool:
-    """Whether the residue at s = 0 of the form is unchanged by the reparametrization."""
+    """Whether the residue at s = 0 of the form is unchanged by the
+    reparametrization s -> s + sum_w xs[w-1] t^w."""
     ring = _entry_ring(w3)
-    moved = w3.map_entries(lambda u: sigma_image_letters(xs, u, ring))
-    return res_omega_difference(moved, w3, ring).is_zero
+    p = ring.characteristic
+
+    def forms(germ, entry):
+        delta = germ(Trunc(ring, p, [ring.zero, *xs[:p - 1]]))
+        return w3.map_entries(lambda e: sigma_image_letters(delta, e, germ)), w3.map_entries(entry)
+    return _germ_residue(ring, forms).is_zero
 
 
 # -- the exactness identity ---------------------------------------------------
@@ -336,29 +329,28 @@ def res_omega_difference(w1: WedgeK, w2: WedgeK, ring: RatFnRing | None = None) 
     """Residue at s = 0 of omega_p(w1) - omega_p(w2), over rational functions.
 
     Only germs at s = 0 matter: each rational coefficient or letter payload is
-    expanded there once, to absolute precision p + 1, and the form is computed
-    on those germs.  When one runs out of precision the expansions are redone
-    at twice the precision, so the value is exact.
+    expanded there once, and the form is computed on those germs.
     """
     if ring is None:
         ring = _entry_ring(w1 if w1.terms else w2)
+    return _germ_residue(ring, lambda germ, entry: (w1.map_entries(entry), w2.map_entries(entry)))
+
+
+def _germ_residue(ring: RatFnRing, forms) -> FqElem:
+    """Residue at s = 0 of omega_p(w1) - omega_p(w2) for (w1, w2) =
+    forms(germ, entry), where ``entry`` maps a rational unit or letter list to
+    germs; the germs start at absolute precision p + 1 and double until the
+    residue is exact."""
     germs = LaurentRing(ring.field, ring.field.zero)
-    prec = ring.characteristic + 1
 
-    def germ(f: RatFn) -> LaurentLocal:
-        return germs.zero if f.is_zero else expand_at(f, germs.center, prec - 1)
-
-    def entry(e):
-        if isinstance(e, Trunc):
-            return Trunc._of(germs, e.m, [germ(c).raw for c in e.coeffs])
-        return [Letter(letter.a, germ(letter.payload)) for letter in e]
-
-    while True:
-        try:
-            diff = omega_p(w1.map_entries(entry), germs) - omega_p(w2.map_entries(entry), germs)
-            return residue_at(diff, germs.center)
-        except InsufficientPrecision:
-            prec *= 2
+    def residue(germ):
+        def entry(e):
+            if isinstance(e, Trunc):
+                return germ(e)
+            return [Letter(letter.a, germ(letter.payload)) for letter in e]
+        w1, w2 = forms(germ, entry)
+        return residue_at(omega_p(w1, germs) - omega_p(w2, germs), germs.center)
+    return germs_at_zero(ring.field, ring.characteristic + 1, residue)
 
 
 _PERMS3 = (

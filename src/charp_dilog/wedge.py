@@ -7,18 +7,23 @@ which is exactly what the test suite checks.
 
 Also home to the goodness decomposition f = u * s_tilde^n at a local point
 and the induced residue map from triples of good elements to wedges of units
-of the residue ring.
+of the residue ring.  :func:`res_local` takes rational truncations; it finds
+the uniformizer's Hensel root globally, then splits and reduces on germs at
+s = 0 (the reduction is one Horner evaluation at the root), starting at
+absolute precision m + max |n| and doubling on demand.  The global route is
+the test oracle ``res_local_global`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .gf import Poly
-from .localfield import RatFn
-from .tpoly import ModulusMismatch, Trunc, hensel_root_zpoly, log_circ, rp_eval
+from .localfield import RatFn, expand_at, germs_at_zero
+from .tpoly import ModulusMismatch, Trunc, _horner, hensel_root_zpoly, log_circ
 
 
 class WedgeError(Exception):
@@ -123,39 +128,40 @@ class GoodElem:
     u: object
 
 
+def _order(g, below: float = math.inf) -> float:
+    """The order at s = 0 of a rational function or a germ, capped at ``below``.
+    A germ's is read from its known coefficients, as ``val`` is only a lower
+    bound after a sum; an unknown deciding coefficient raises
+    :class:`~charp_dilog.localfield.InsufficientPrecision`."""
+    if isinstance(g, RatFn):
+        return below if g.is_zero else min(g.ord_at(g.field.zero), below)
+    e = g.val
+    while e < below and g.coeff(e).is_zero:
+        e += 1
+    return min(e, below)
+
+
 def _check_uniformizer(s_tilde: Trunc) -> None:
-    zero = s_tilde.ring.field.zero
-    if s_tilde.c0.is_zero or s_tilde.c0.ord_at(zero) != 1:
+    if _order(s_tilde.c0, 2) != 1:
         raise ValueError("reduction of the uniformizer must vanish to order one at s = 0")
-    for c in s_tilde.coeffs:
-        if not c.is_zero and c.ord_at(zero) < 0:
-            raise ValueError("uniformizer has a coefficient with a pole at the point")
-
-
-def _is_regular_unit(u: Trunc) -> bool:
-    """Whether a Trunc over RatFn is a unit of the local ring at s = 0."""
-    zero = u.ring.field.zero
-    if u.c0.is_zero or u.c0.ord_at(zero) != 0:
-        return False
-    for c in u.coeffs[1:]:
-        if not c.is_zero and c.ord_at(zero) < 0:
-            return False
-    return True
+    if any(_order(c, 0) < 0 for c in s_tilde.coeffs):
+        raise ValueError("uniformizer has a coefficient with a pole at the point")
 
 
 def goodness_split(f: Trunc, s_tilde: Trunc) -> GoodElem:
     """Split f = u * s_tilde^n at the point s = 0 of the local model.
 
-    Entries are truncations with rational-function coefficients; ``s_tilde``
-    is a uniformizer (reduction vanishing to first order at the point).
-    Raises :class:`NotGood` when no decomposition with a regular unit exists.
+    Entries are truncations whose coefficients are Laurent germs at s = 0;
+    ``s_tilde`` is a uniformizer (reduction vanishing to first order at the
+    point, no coefficient with a pole).  Raises :class:`NotGood` when no
+    decomposition with a regular unit exists.
     """
     _check_uniformizer(s_tilde)
     if f.c0.is_zero:
         raise NotGood("not a unit of the localized ring")
-    n = f.c0.ord_at(f.ring.field.zero)
+    n = _order(f.c0)
     u = f * s_tilde ** (-n)
-    if not _is_regular_unit(u):
+    if _order(u.c0, 1) != 0 or any(_order(c, 0) < 0 for c in u.coeffs[1:]):
         raise NotGood(f"no unit decomposition with exponent {n}")
     return GoodElem(n, u)
 
@@ -190,29 +196,6 @@ def res_good(goods: Sequence[GoodElem], reduce_fn: Callable) -> WedgeK:
 
 # -- local evaluation at a lifted point -------------------------------------
 
-def ratfn_at_trunc(r: RatFn, x: Trunc) -> Trunc:
-    """Evaluate a rational function at a truncated-ring point.
-
-    The point ring is r's coefficient field, an extension built directly over
-    it, or the rational functions over it; the denominator must be a unit at
-    the point.
-    """
-    ring = x.ring
-    zero = Trunc.zero(ring, x.m)
-    r = r.reduced()
-    num, den = ([ring.embed(f.coeff(i)) for i in range(f.degree + 1)] for f in (r.num, r.den))
-    return rp_eval(num, x, zero) * rp_eval(den, x, zero).inverse()
-
-
-def substitute(coeffs: Sequence[RatFn], x: Trunc) -> Trunc:
-    """sum_j coeffs[j](x) t^j: a truncation with rational coefficients at the point x."""
-    acc = Trunc.zero(x.ring, x.m)
-    for j, cj in enumerate(coeffs):
-        if not cj.is_zero:
-            acc = acc + ratfn_at_trunc(cj, x).shifted(j)
-    return acc
-
-
 def local_point(s_tilde: Trunc) -> Trunc:
     """The Hensel root sigma(t) of the uniformizer: s_tilde(sigma(t), t) = 0.
 
@@ -234,18 +217,26 @@ def local_point(s_tilde: Trunc) -> Trunc:
     return hensel_root_zpoly(coeffs, field.zero)
 
 
-def reduce_at(s_tilde: Trunc) -> Callable[[Trunc], Trunc]:
-    """Reduction into the residue ring of the point cut out by ``s_tilde``.
-
-    Realizes the canonical identification of the point's function ring with
-    F_q[t]/(t^m) that is the identity modulo (t): evaluation at the Hensel
-    root of the uniformizer.
-    """
-    root = local_point(s_tilde)
-    return lambda u: substitute(u.coeffs, root)
+def reduce_at(u: Trunc, root: Trunc) -> Trunc:
+    """The reduction of a unit of germs at the point s = root(t), the
+    identification of the point's function ring with F_q[t]/(t^m) that is the
+    identity mod (t).  As root lies in (t), only the first m - j terms of the
+    coefficient u_j of t^j count: the value is sum_k root^k sum_{j<m-k} [s^k]u_j t^j."""
+    m, field = u.m, root.ring
+    rows = [[c.coeff(k).raw for c in u.coeffs[:m - k]] for k in range(m)]
+    return Trunc._of(field, m, _horner(field, rows, root.raws, m))
 
 
 def res_local(triple: Sequence[Trunc], s_tilde: Trunc) -> WedgeK:
-    """Residue of a wedge of three s_tilde-good local elements at the point."""
-    goods = [goodness_split(f, s_tilde) for f in triple]
-    return res_good(goods, reduce_at(s_tilde))
+    """Residue of a wedge of three s_tilde-good local elements at the point;
+    entries and uniformizer have rational coefficients, and the exponents n
+    that set the starting precision are exact from any expansion."""
+    root = local_point(s_tilde)
+    shift = max((abs(expand_at(f.c0, root.ring.zero, 0).val) for f in triple
+                 if not f.c0.is_zero), default=0)
+
+    def residue(germ):
+        unif = germ(s_tilde)
+        goods = [goodness_split(germ(f), unif) for f in triple]
+        return res_good(goods, lambda u: reduce_at(u, root))
+    return germs_at_zero(root.ring, s_tilde.m + shift, residue)

@@ -6,9 +6,9 @@ faster way, kept here so the fast route is always compared with it.
 
 from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius
 from charp_dilog.localfield import residue_at
-from charp_dilog.omega import omega_p
-from charp_dilog.tpoly import HenselFailure, Trunc, ell_all
-from charp_dilog.wedge import GoodElem, NotGood, substitute
+from charp_dilog.omega import Letter, letters_of_unit, omega_p
+from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, rp_eval
+from charp_dilog.wedge import GoodElem, NotGood, local_point, res_good
 
 
 def trace_orbit(x):
@@ -67,6 +67,54 @@ def hensel_root_oracle(coeffs, x0):
     return newton_fixed_steps(lambda x: trunc_horner(coeffs, x),
                               lambda x: trunc_horner(dcoeffs, x),
                               Trunc.constant(ring, m, x0))
+
+
+def ratfn_at_trunc(r, x):
+    """Evaluate a rational function at a truncated-ring point: numerator and
+    denominator by Horner, then one series inverse.
+
+    The point ring is r's coefficient field, an extension built directly over
+    it, or the rational functions over it; the denominator must be a unit at
+    the point.
+    """
+    ring = x.ring
+    zero = Trunc.zero(ring, x.m)
+    r = r.reduced()
+    num, den = ([ring.embed(f.coeff(i)) for i in range(f.degree + 1)] for f in (r.num, r.den))
+    return rp_eval(num, x, zero) * rp_eval(den, x, zero).inverse()
+
+
+def substitute(coeffs, x):
+    """sum_j coeffs[j](x) t^j: a truncation with rational coefficients at the point x."""
+    acc = Trunc.zero(x.ring, x.m)
+    for j, cj in enumerate(coeffs):
+        if not cj.is_zero:
+            acc = acc + ratfn_at_trunc(cj, x).shifted(j)
+    return acc
+
+
+def goodness_split_global(f, s_tilde):
+    """The split f = u * s_tilde^n over rational functions: n is the order of
+    f(0) at s = 0, and u must have a unit constant term and no coefficient
+    with a pole there."""
+    zero = f.ring.field.zero
+    if f.c0.is_zero:
+        raise NotGood("not a unit of the localized ring")
+    n = f.c0.ord_at(zero)
+    u = f * s_tilde ** (-n)
+    if u.c0.ord_at(zero) != 0 or any(not c.is_zero and c.ord_at(zero) < 0
+                                     for c in u.coeffs[1:]):
+        raise NotGood(f"no unit decomposition with exponent {n}")
+    return GoodElem(n, u)
+
+
+def res_local_global(triple, s_tilde):
+    """The residue of a good triple with the splits and the reductions done on
+    global rational functions: each unit coefficient is substituted at the
+    root of the uniformizer."""
+    root = local_point(s_tilde)
+    goods = [goodness_split_global(f, s_tilde) for f in triple]
+    return res_good(goods, lambda u: substitute(u.coeffs, root))
 
 
 def local_point_oracle(s_tilde):
@@ -128,6 +176,33 @@ def substitute_s(u, image):
     if image.c0 != u.ring.gen:
         raise ValueError("substitution must restrict to the identity modulo (t)")
     return substitute(u.coeffs, image)
+
+
+def sigma_image_of_s(ring, xs):
+    """The truncation s + sum_w xs[w-1] t^w defining a general reparametrization."""
+    p = ring.characteristic
+    coeffs = [ring.gen] + [xs[w - 1] if w - 1 < len(xs) else ring.zero for w in range(1, p)]
+    return Trunc(ring, p, coeffs)
+
+
+def sigma_image_letters_global(xs, entry, ring):
+    """Letters of the image of an entry (a unit or a letter list) under
+    s -> s + sum_w xs[w-1] t^w, each payload substituted as a global rational
+    function: a constant-term unit through one branch logarithm, a pure
+    exponential e(alpha t^a) read off sigma(alpha)."""
+    p = ring.characteristic
+    image = sigma_image_of_s(ring, xs)
+    letters = letters_of_unit(entry) if isinstance(entry, Trunc) else entry
+    out = []
+    for letter in letters:
+        moved = ratfn_at_trunc(letter.payload, image)
+        if letter.a == 0:
+            out.append(Letter(0, moved.c0))
+            tail = enumerate(ell_all(moved), start=1)
+        else:
+            tail = enumerate(moved.coeffs[:p - letter.a], start=letter.a)
+        out += [Letter(e, c) for e, c in tail if not c.is_zero]
+    return out
 
 
 def res_omega_difference_global(w1, w2, ring):

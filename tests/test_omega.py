@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from charp_dilog import omega
+from charp_dilog import localfield, omega
 from charp_dilog.gf import Fq
-from charp_dilog.localfield import OneForm, RatFn, RatFnRing, residue_at
+from charp_dilog.localfield import OneForm, RatFn, RatFnRing, expand_at, germs_at_zero, residue_at
 from charp_dilog.omega import (
     CaseTableGap,
     Letter,
@@ -22,7 +22,6 @@ from charp_dilog.omega import (
     s_coeff,
     sigma_apply,
     sigma_image_letters,
-    sigma_image_of_s,
     sigma_letters,
 )
 from charp_dilog.rng import spawn
@@ -34,7 +33,8 @@ from charp_dilog.sampling import (
 )
 from charp_dilog.tpoly import Trunc, trunc_exp
 from charp_dilog.wedge import WedgeK, wedge
-from oracles import res_omega_difference_global, substitute_s
+from oracles import (res_omega_difference_global, sigma_image_letters_global, sigma_image_of_s,
+                     substitute_s)
 
 
 @pytest.fixture
@@ -223,10 +223,37 @@ def test_sigma_image_letters_match_substitution(R5):
             for letter in ls:
                 u = u * eletter(R5, letter.a, letter.payload)
             direct = substitute_s(u, image)
-            via = sigma_image_letters(xs, ls, R5)
+            via = sigma_image_letters_global(xs, ls, R5)
             assert (omega_p(wedge(via, [Letter(1, R5.one)], [Letter(4, R5.gen)]), R5)
                     - omega_p(wedge(direct, eletter(R5, 1, R5.one),
                                     eletter(R5, 4, R5.gen)), R5)).is_zero
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_germ_sigma_image_letters_match_the_global_letters(p):
+    # the Taylor route on germs at s = 0 gives, letter by letter, the germs of
+    # the letters that substituting into the global rational payloads gives
+    ring = RatFnRing(Fq(p))
+    zero = ring.field.zero
+    rng = spawn(20, "germ-sigma", p)
+    known = 0
+    for _ in range(10):
+        entries = rand_letter_wedge_entries(ring, rng)
+        xs = rand_sigma_weights(ring, rng)
+
+        def moved(germ):
+            delta = germ(Trunc(ring, p, [ring.zero, *xs]))
+            return [sigma_image_letters(delta, ls, germ) for ls in entries]
+
+        for ls, via in zip(entries, germs_at_zero(ring.field, p + 1, moved)):
+            expected = sigma_image_letters_global(xs, ls, ring)
+            assert [g.a for g in via] == [e.a for e in expected]
+            for g, e in zip(via, expected):
+                ref = expand_at(e.payload, zero, min(g.payload.prec, 3 * p) - 1)
+                exps = range(min(g.payload.val, ref.val), ref.prec)
+                assert [g.payload.coeff(k) for k in exps] == [ref.coeff(k) for k in exps]
+                known += ref.prec > ref.val
+    assert known > 30
 
 
 def test_s_coeff_safety_and_antisymmetry():
@@ -359,7 +386,7 @@ def test_germ_route_matches_the_global_form(p):
     for _ in range(12):
         w3 = wedge(*rand_letter_wedge_entries(ring, rng))
         xs = rand_sigma_weights(ring, rng)
-        moved = w3.map_entries(lambda ls: sigma_image_letters(xs, ls, ring))
+        moved = w3.map_entries(lambda ls: sigma_image_letters_global(xs, ls, ring))
         expected = res_omega_difference_global(moved, w3, ring)
         assert omega.res_omega_difference(moved, w3, ring) == expected
 
@@ -373,8 +400,8 @@ def test_germ_route_doubles_past_a_deep_pole(monkeypatch, p):
     rng = spawn(18, "deep-pole", p)
     deep = ring.gen ** (-(p + 2))
     orders = []
-    expand_at = omega.expand_at
-    monkeypatch.setattr(omega, "expand_at", lambda f, c, n: orders.append(n) or expand_at(f, c, n))
+    monkeypatch.setattr(localfield, "expand_at",
+                        lambda f, c, n: orders.append(n) or expand_at(f, c, n))
 
     def deep_wedge():
         entries = rand_letter_wedge_entries(ring, rng)

@@ -38,6 +38,24 @@ def test_square_and_multiply_lives_only_in_power():
     assert not found, f"square-and-multiply loops outside gf.power: {found}"
 
 
+def test_precision_doubling_lives_only_in_germs_at_zero():
+    # every germ route retries through localfield.germs_at_zero, the one loop
+    # that doubles the precision when a germ runs out of known coefficients
+    inside, outside = [], []
+    for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        home = [line for node in tree.body
+                if path.name == "localfield.py" and isinstance(node, ast.FunctionDef)
+                and node.name == "germs_at_zero"
+                for line in range(node.lineno, node.end_lineno + 1)]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and "InsufficientPrecision" in ast.unparse(node.type)):
+                (inside if node.lineno in home else outside).append(f"{path.name}:{node.lineno}")
+    assert inside, "localfield.germs_at_zero no longer catches InsufficientPrecision"
+    assert not outside, f"InsufficientPrecision caught outside germs_at_zero: {outside}"
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 

@@ -1,7 +1,8 @@
 import pytest
 
-from charp_dilog.gf import Fq
-from charp_dilog.localfield import RatFn, RatFnRing
+from charp_dilog import localfield
+from charp_dilog.gf import Fq, Poly
+from charp_dilog.localfield import RatFn, RatFnRing, expand_at, germs_at_zero
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import (
     quadratic_extension,
@@ -19,12 +20,14 @@ from charp_dilog.wedge import (
     ell_p,
     goodness_split,
     local_point,
+    reduce_at,
     res_good,
     res_local,
     wedge,
 )
 
-from oracles import ell_p_antisymmetric, goodness_split_zpoly, local_point_oracle
+from oracles import (ell_p_antisymmetric, goodness_split_global, goodness_split_zpoly,
+                     local_point_oracle, ratfn_at_trunc, res_local_global, substitute)
 
 
 def test_ell_alternating_and_constant_kill(F5):
@@ -127,15 +130,21 @@ def R5(F5):
     return RatFnRing(F5)
 
 
+def _split_at_zero(f, s_tilde):
+    field = s_tilde.ring.field
+    return germs_at_zero(field, s_tilde.m + 1, lambda germ: goodness_split(germ(f), germ(s_tilde)))
+
+
 def test_goodness_split_examples(R5, F5):
     p = 5
     s = R5.gen
     s_tilde = Trunc.constant(R5, p, s)
-    g = goodness_split(s_tilde, s_tilde)
-    assert g.n == 1 and g.u == Trunc.one(R5, p)
+    root = local_point(s_tilde)
+    g = _split_at_zero(s_tilde, s_tilde)
+    assert g.n == 1 and reduce_at(g.u, root) == Trunc.one(F5, p)
     c = Trunc.constant(R5, p, RatFn.const(F5(3)))
-    g = goodness_split(c, s_tilde)
-    assert g.n == 0 and g.u == c
+    g = _split_at_zero(c, s_tilde)
+    assert g.n == 0 and reduce_at(g.u, root) == Trunc.constant(F5, p, F5(3))
 
 
 def test_goodness_split_not_good(R5):
@@ -144,7 +153,9 @@ def test_goodness_split_not_good(R5):
     s_tilde = Trunc.constant(R5, p, s)
     bad = Trunc(R5, p, [s, R5.one])  # s + t: unit coefficient has a pole after peeling
     with pytest.raises(NotGood):
-        goodness_split(bad, s_tilde)
+        _split_at_zero(bad, s_tilde)
+    with pytest.raises(NotGood):
+        goodness_split_global(bad, s_tilde)
 
 
 def test_goodness_split_zpoly_example(F5):
@@ -227,7 +238,6 @@ def test_res_local_projective_line_computation(R5, F5):
 def _recentered(u, theta, ring):
     # substitute z -> z + theta so the point of interest sits at the origin
     shift = Trunc.constant(ring, ring.characteristic, ring.gen + RatFn.const(theta))
-    from charp_dilog.wedge import ratfn_at_trunc
     acc = Trunc.zero(ring, u.m)
     for j, cj in enumerate(u.coeffs):
         if not cj.is_zero:
@@ -254,3 +264,70 @@ def test_res_local_uniformizer_independence(R5, F5):
         v1 = ell_p(res_local(triple, s_tilde), ring=F5)
         v2 = ell_p(res_local(triple, s_other), ring=F5)
         assert v1 == v2
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_res_local_matches_the_global_split_and_reduction(p):
+    # the splits and reductions on germs at s = 0 give the same wedge terms,
+    # exponents and reduced units, as the splits of the global rational
+    # functions with every coefficient substituted at the root; the sampled
+    # uniformizers have no t-term, so their roots lie in (t^2), and a third
+    # uniformizer moved at order t has a root with a t-term
+    ring = RatFnRing(Fq(p))
+    rng = spawn(20, "res-local-germs", p)
+    nonzero = 0
+    for _ in range(8):
+        qt, qh, s_tilde, s_hat = rand_good_lifting_pair(ring, rng)
+        moved = s_tilde + Trunc(ring, p, [0, ring.field.from_int(rng.randrange(1, p))])
+        ns = [goodness_split_global(e, s_tilde).n for e in qt]
+        q_moved = [e * s_tilde ** (-n) * moved ** n for e, n in zip(qt, ns)]
+        assert not local_point(moved).coeffs[1].is_zero
+        for triple, unif in ((qt, s_tilde), (qh, s_hat), (q_moved, moved)):
+            res = res_local(triple, unif)
+            assert res.terms == res_local_global(triple, unif).terms
+            nonzero += not ell_p(res, ring=ring.field).is_zero
+    assert nonzero > 12
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_split_and_reduction_double_from_a_short_start(monkeypatch, p):
+    # from absolute precision 2 the germs cannot carry the units to precision
+    # m: the split and the reduction run again on deeper expansions, seen in
+    # the requested orders, and end on the global route's wedge terms
+    ring = RatFnRing(Fq(p))
+    rng = spawn(21, "res-local-doubling", p)
+    orders = []
+    monkeypatch.setattr(localfield, "expand_at",
+                        lambda f, c, n: orders.append(n) or expand_at(f, c, n))
+    for _ in range(4):
+        qt, _, s_tilde, _ = rand_good_lifting_pair(ring, rng)
+        root = local_point(s_tilde)
+
+        def residue(germ):
+            goods = [goodness_split(germ(f), germ(s_tilde)) for f in qt]
+            return res_good(goods, lambda u: reduce_at(u, root))
+
+        orders.clear()
+        res = germs_at_zero(ring.field, 2, residue)
+        assert res.terms == res_local_global(qt, s_tilde).terms
+        assert min(orders) == 1 and max(orders) >= p
+        assert set(orders) <= {2 ** k - 1 for k in range(1, 8)}
+
+
+def test_germ_split_and_reduction_run_no_gcd(monkeypatch):
+    p = 7
+    ring = RatFnRing(Fq(p))
+    qt, _, s_tilde, _ = rand_good_lifting_pair(ring, spawn(22, "no-gcd"))
+    root = local_point(s_tilde)
+    calls = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+
+    def reductions(germ):
+        unif = germ(s_tilde)
+        return [reduce_at(goodness_split(germ(f), unif).u, root) for f in qt]
+
+    reduced = germs_at_zero(ring.field, 2 * p, reductions)
+    assert calls == []
+    assert reduced == [substitute(goodness_split_global(f, s_tilde).u.coeffs, root) for f in qt]
+    assert calls  # the counter does see the global route's normalizations
