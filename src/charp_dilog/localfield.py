@@ -561,13 +561,15 @@ def germs_at_zero(field: Fq, prec: int, compute: Callable):
     """compute(germ), where ``germ`` maps a rational function over ``field``, or
     a :class:`~charp_dilog.tpoly.Trunc` of them, to its germ at s = 0 below
     absolute precision ``prec``; while compute reads past what its germs know,
-    it runs again on germs of twice the precision, so the value is exact."""
+    it runs again on germs of twice the precision, so the value is exact.
+    ``germ.ring`` is the :class:`LaurentRing` of the germs."""
     ring = LaurentRing(field, field.zero)
 
     def germ(x):
         if isinstance(x, Trunc):
             return Trunc._of(ring, x.m, [germ(c).raw for c in x.coeffs])
         return ring.zero if x.is_zero else expand_at(x, ring.center, prec - 1)
+    germ.ring = ring
 
     while True:
         try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .gf import FqElem
-from .localfield import LaurentRing, OneForm, RatFn, RatFnRing, germs_at_zero, residue_at
+from .localfield import OneForm, RatFn, RatFnRing, germs_at_zero, residue_at
 from .tpoly import (ModulusMismatch, Trunc, UnitDecomp, ell_all, inv_factorials, rp_eval,
                     unit_decompose, unit_recompose)
 from .wedge import WedgeK
@@ -226,10 +226,12 @@ def res_invariance_check(xs: Sequence[RatFn], w3: WedgeK) -> bool:
     ring = _entry_ring(w3)
     p = ring.characteristic
 
-    def forms(germ, entry):
+    def residue(germ):
         delta = germ(Trunc(ring, p, [ring.zero, *xs[:p - 1]]))
-        return w3.map_entries(lambda e: sigma_image_letters(delta, e, germ)), w3.map_entries(entry)
-    return _germ_residue(ring, forms).is_zero
+        moved = w3.map_entries(lambda e: sigma_image_letters(delta, e, germ))
+        fixed = w3.map_entries(lambda e: _germ_entry(germ, e))
+        return residue_at(omega_p(moved, germ.ring) - omega_p(fixed, germ.ring), germ.ring.center)
+    return germs_at_zero(ring.field, p + 1, residue).is_zero
 
 
 # -- the exactness identity ---------------------------------------------------
@@ -333,24 +335,18 @@ def res_omega_difference(w1: WedgeK, w2: WedgeK, ring: RatFnRing | None = None) 
     """
     if ring is None:
         ring = _entry_ring(w1 if w1.terms else w2)
-    return _germ_residue(ring, lambda germ, entry: (w1.map_entries(entry), w2.map_entries(entry)))
-
-
-def _germ_residue(ring: RatFnRing, forms) -> FqElem:
-    """Residue at s = 0 of omega_p(w1) - omega_p(w2) for (w1, w2) =
-    forms(germ, entry), where ``entry`` maps a rational unit or letter list to
-    germs; the germs start at absolute precision p + 1 and double until the
-    residue is exact."""
-    germs = LaurentRing(ring.field, ring.field.zero)
 
     def residue(germ):
-        def entry(e):
-            if isinstance(e, Trunc):
-                return germ(e)
-            return [Letter(letter.a, germ(letter.payload)) for letter in e]
-        w1, w2 = forms(germ, entry)
-        return residue_at(omega_p(w1, germs) - omega_p(w2, germs), germs.center)
+        a, b = (w.map_entries(lambda e: _germ_entry(germ, e)) for w in (w1, w2))
+        return residue_at(omega_p(a, germ.ring) - omega_p(b, germ.ring), germ.ring.center)
     return germs_at_zero(ring.field, ring.characteristic + 1, residue)
+
+
+def _germ_entry(germ, e):
+    """The germ of a wedge entry: a rational unit truncation or a letter list."""
+    if isinstance(e, Trunc):
+        return germ(e)
+    return [Letter(letter.a, germ(letter.payload)) for letter in e]
 
 
 _PERMS3 = (

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .gf import CtxMismatch, Fq, FqElem, Poly, is_irreducible, residue_field, trace_to
-from .localfield import RatFn, RatFnRing, germs_at_zero
+from .localfield import RatFn, RatFnRing
 from .rng import spawn
 from .tpoly import Trunc, hensel_root_zpoly, rp_eval
-from .wedge import GoodElem, ell, ell_p, goodness_split, res_good, res_local, wedge
+from .wedge import GoodElem, ell, ell_p, res_good, res_local, wedge
 from . import bloch, omega
 
 
@@ -350,8 +350,7 @@ def local_relift_report(inp: RegulatorInput, point_idx: int, alt_seed: int,
         # the same unit parts; the resulting data matches the standard one
         # modulo t alone, which is exactly where the correction breaks down
         unif_alt = unif_std + Trunc(ring, p, [ring.zero, RatFn.const(perturb_t1)])
-        ns = germs_at_zero(kprime, p + 1, lambda germ: [
-            goodness_split(germ(e), germ(unif_std)).n for e in entries_std])
+        ns = [fn.exponent_of(point_idx) for fn in inp.functions()]
         entries_alt = [e * unif_std ** (-n) * unif_alt ** n for e, n in zip(entries_std, ns)]
         point_value_alt = ell_p(res_local(entries_alt, unif_alt), ring=kprime)
         defect = omega.res_omega_difference(wedge(*entries_std), wedge(*entries_alt), ring)

@@ -135,6 +135,16 @@ def _split_at_zero(f, s_tilde):
     return germs_at_zero(field, s_tilde.m + 1, lambda germ: goodness_split(germ(f), germ(s_tilde)))
 
 
+def _assert_germ_unit_is_constant(u, value, p):
+    # every known coefficient of every u_j is that of the constant value at
+    # j = 0 and of zero above; u_0 is known to at least order p
+    assert u.m == p and u.coeffs[0].prec >= p
+    for j, c in enumerate(u.coeffs):
+        exps = range(min(c.val, 0), min(c.prec, 2 * p))
+        expected = value if j == 0 else c.field.zero
+        assert [c.coeff(k) for k in exps] == [expected if k == 0 else c.field.zero for k in exps]
+
+
 def test_goodness_split_examples(R5, F5):
     p = 5
     s = R5.gen
@@ -142,9 +152,11 @@ def test_goodness_split_examples(R5, F5):
     root = local_point(s_tilde)
     g = _split_at_zero(s_tilde, s_tilde)
     assert g.n == 1 and reduce_at(g.u, root) == Trunc.one(F5, p)
+    _assert_germ_unit_is_constant(g.u, F5.one, p)
     c = Trunc.constant(R5, p, RatFn.const(F5(3)))
     g = _split_at_zero(c, s_tilde)
     assert g.n == 0 and reduce_at(g.u, root) == Trunc.constant(F5, p, F5(3))
+    _assert_germ_unit_is_constant(g.u, F5(3), p)
 
 
 def test_goodness_split_not_good(R5):
