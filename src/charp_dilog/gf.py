@@ -801,7 +801,8 @@ class Poly:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        # equal polynomials have equal coefficients; the field would only cost a call
+        return hash(self.coeffs)
 
     def monic(self) -> tuple["Poly", FqElem]:
         """Return (self / lead, lead)."""

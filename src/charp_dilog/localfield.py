@@ -2,7 +2,10 @@
 
 The coefficient world for the comparison 1-form: every identity checked in
 this package is algebraic, so the computable subfield of rational functions
-stands in for the Laurent-series field.  :func:`expand_at` turns a rational
+stands in for the Laurent-series field.  A :class:`RatFn` keeps its
+denominator as powers of the polynomials it was built from, so arithmetic
+needs no gcd; Euclid runs only where a normal form is taken, in the public
+constructor and in :meth:`RatFn.reduced`.  :func:`expand_at` turns a rational
 function into a :class:`LaurentLocal`, its Laurent germ at a point, exact
 below a tracked absolute precision; :class:`LaurentRing` is the coefficient
 ring of such germs, so truncations and forms can be built from them.  A germ
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -53,16 +57,21 @@ INF = _Infinity()
 
 
 class RatFn:
-    """A rational function num/den over F_q.
+    """A rational function over F_q, held as n * prod_j B_j^(-e_j).
 
-    The public constructor normalizes (gcd-reduced, monic denominator).
-    Arithmetic is lazy: results may carry an unreduced representation until
-    :meth:`reduced` is called; value semantics (equality, zero tests,
-    expansions, residues) are unaffected, and order/degree readers normalize
-    on demand.
+    The bases B_j are monic polynomials, the denominators a value was built
+    from plus any numerator that :meth:`inverse` moved down; the e_j are
+    nonzero integers.  A sum raises both operands to the larger exponent of
+    each base, a common multiple known without a gcd; products, quotients and
+    powers add, negate or scale exponents, and :meth:`derivative` raises each
+    base by one power.  ``num`` and ``den`` are the products, formed on first
+    read.  Euclid runs only in the public constructor and in :meth:`reduced`,
+    which give the normal form (gcd-reduced, monic denominator); constants
+    are built in normal form directly.  Equality, hashing, evaluation, orders
+    and repr depend on the value alone.
     """
 
-    __slots__ = ("field", "num", "den", "_normal")
+    __slots__ = ("field", "_n", "_f", "_num", "_den", "_normal")
 
     def __init__(self, num: Poly, den: Poly | None = None):
         field = num.field
@@ -72,58 +81,67 @@ class RatFn:
             raise CtxMismatch("numerator and denominator over different fields")
         if den.is_zero:
             raise ZeroPolynomial("zero denominator")
-        num, den = _reduce_fraction(num, den)
-        self.field = field
-        self.num = num
-        self.den = den
-        self._normal = True
+        self._normal_form(*_reduce_fraction(num, den))
 
-    # lazy results normalize once their representation crosses this size, which
-    # bounds degree growth through long operation chains at a few gcds
-    _REDUCE_DEGREE = 48
+    def _normal_form(self, num: Poly, den: Poly) -> "RatFn":
+        self.field, self._n, self._num, self._den, self._normal = num.field, num, num, den, True
+        self._f = {den: 1} if den.degree > 0 else {}
+        return self
 
     @classmethod
-    def _raw(cls, num: Poly, den: Poly) -> "RatFn":
+    def _of(cls, num: Poly, den: Poly) -> "RatFn":
+        """num/den, already gcd-reduced with a monic denominator."""
+        return object.__new__(cls)._normal_form(num, den)
+
+    @classmethod
+    def _make(cls, n: Poly, f: dict) -> "RatFn":
+        """n * prod B^(-e) over the monic bases f = {B: e}; zero exponents drop."""
         self = object.__new__(cls)
-        normal = False
-        if den.degree > cls._REDUCE_DEGREE or num.degree > 4 * cls._REDUCE_DEGREE:
-            num, den = _reduce_fraction(num, den)
-            normal = True
-        self.field = num.field
-        self.num = num
-        self.den = den
-        self._normal = normal
+        self.field, self._n, self._num, self._den, self._normal = n.field, n, None, None, False
+        if not n.coeffs or not all(f.values()):
+            f = {b: e for b, e in f.items() if e and n.coeffs}
+        self._f = f
         return self
+
+    @property
+    def num(self) -> Poly:
+        if self._num is None:
+            self._num = math.prod((b ** -e for b, e in self._f.items() if e < 0), start=self._n)
+        return self._num
+
+    @property
+    def den(self) -> Poly:
+        if self._den is None:
+            powers = [b ** e for b, e in self._f.items() if e > 0]
+            self._den = functools.reduce(operator.mul, powers) if powers else Poly(self.field, [1])
+        return self._den
 
     def reduced(self) -> "RatFn":
         """The normalized representative (gcd-reduced, monic denominator)."""
         if self._normal:
             return self
-        num, den = _reduce_fraction(self.num, self.den)
-        out = RatFn._raw(num, den)
-        out._normal = True
-        return out
+        return RatFn._of(*_reduce_fraction(self.num, self.den))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def gen(cls, field: Fq) -> "RatFn":
         """The coordinate function s."""
-        return cls(Poly.x(field))
+        return cls._of(Poly.x(field), Poly(field, [1]))
 
     @classmethod
     def const(cls, c: FqElem) -> "RatFn":
-        return cls(Poly.constant(c))
+        return cls._of(Poly.constant(c), Poly(c.field, [1]))
 
     @classmethod
     def from_int(cls, field: Fq, n: int) -> "RatFn":
-        return cls(Poly(field, [n]))
+        return cls._of(Poly(field, [n]), Poly(field, [1]))
 
     # -- predicates -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return self._n.is_zero
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -140,25 +158,23 @@ class RatFn:
             return RatFn(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _over(self, f: dict) -> Poly:
+        """n times the powers that take this value's bases to the multiple f."""
+        return math.prod((b ** d for b, e in f.items() if (d := e - self._f.get(b, 0))),
+                         start=self._n)
+
+    def _sum(self, other, minus: bool = False):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den is other.den or self.den == other.den:
-            return RatFn._raw(self.num + other.num, self.den)
-        return RatFn._raw(self.num * other.den + other.num * self.den,
-                          self.den * other.den)
+        f = {b: max(e, 0) for b, e in self._f.items()}
+        for b, e in other._f.items():
+            f[b] = max(self._f.get(b, 0), e)
+        a, b = self._over(f), other._over(f)
+        return RatFn._make(a - b if minus else a + b, f)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den is other.den or self.den == other.den:
-            return RatFn._raw(self.num - other.num, self.den)
-        return RatFn._raw(self.num * other.den - other.num * self.den,
-                          self.den * other.den)
+    __add__ = __radd__ = _sum
+    __sub__ = functools.partialmethod(_sum, minus=True)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -167,17 +183,20 @@ class RatFn:
         return other - self
 
     def __neg__(self):
-        out = RatFn._raw(-self.num, self.den)
-        out._normal = self._normal
-        return out
+        if self._normal:
+            return RatFn._of(-self._n, self._den)
+        return RatFn._make(-self._n, self._f)
 
     def __mul__(self, other):
+        if isinstance(other, (int, FqElem)):
+            return RatFn._make(self._n * other, self._f)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.num.is_zero or other.num.is_zero:
-            return RatFn(Poly(self.field))
-        return RatFn._raw(self.num * other.num, self.den * other.den)
+        f = dict(self._f)
+        for b, e in other._f.items():
+            f[b] = f.get(b, 0) + e
+        return RatFn._make(self._n * other._n, f)
 
     __rmul__ = __mul__
 
@@ -196,20 +215,24 @@ class RatFn:
     def inverse(self) -> "RatFn":
         if self.is_zero:
             raise DivisionByZero("inverting the zero rational function")
-        return RatFn._raw(self.den, self.num)
+        f = {b: -e for b, e in self._f.items()}
+        n, lead = self._n.monic()
+        if n.degree > 0:
+            f[n] = f.get(n, 0) + 1
+        return RatFn._make(Poly.constant(lead.inverse()), f)
 
     def __pow__(self, n: int) -> "RatFn":
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFn._raw(self.num ** n, self.den ** n)
+        return RatFn._make(self._n ** n, {b: e * n for b, e in self._f.items()})
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self._normal and other._normal:
-            return self.num == other.num and self.den == other.den
-        return (self.num * other.den - other.num * self.den).is_zero
+            return self._n == other._n and self._den == other._den
+        return (self - other).is_zero
 
     def __hash__(self) -> int:
         r = self.reduced()
@@ -218,8 +241,13 @@ class RatFn:
     # -- calculus -------------------------------------------------------------
 
     def derivative(self) -> "RatFn":
-        num = self.num.derivative() * self.den - self.num * self.den.derivative()
-        return RatFn._raw(num, self.den * self.den)
+        """(n' prod B_j - n sum_j e_j B_j' prod_{k != j} B_k) / prod B_j^(e_j + 1)."""
+        num, done = self._n.derivative(), None
+        for b, e in self._f.items():
+            db = b.derivative() * e
+            num = num * b - self._n * (db if done is None else db * done)
+            done = b if done is None else done * b
+        return RatFn._make(num, {b: e + 1 for b, e in self._f.items()})
 
     def dlog(self) -> "OneForm":
         if self.is_zero:
@@ -240,7 +268,7 @@ class RatFn:
         if self.is_zero:
             raise ZeroArgument("the zero function has no order")
         if point is INF:
-            return self.den.degree - self.num.degree
+            return sum(e * b.degree for b, e in self._f.items()) - self._n.degree
         r = self.reduced()
         if isinstance(point, FqElem):
             point = Poly(point.field, [-point, 1])
@@ -254,9 +282,10 @@ class RatFn:
         return RatFn(r.num.embedded(field), r.den.embedded(field))
 
     def __repr__(self) -> str:
-        if self.den.degree == 0:
-            return f"({self.num})"
-        return f"({self.num})/({self.den})"
+        r = self.reduced()
+        if r.den.degree == 0:
+            return f"({r.num})"
+        return f"({r.num})/({r.den})"
 
 
 def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
@@ -288,11 +317,11 @@ class RatFnRing(ElementKernel):
 
     @property
     def zero(self) -> RatFn:
-        return RatFn(Poly(self.field))
+        return RatFn.from_int(self.field, 0)
 
     @property
     def one(self) -> RatFn:
-        return RatFn(Poly(self.field, [1]))
+        return RatFn.from_int(self.field, 1)
 
     @property
     def gen(self) -> RatFn:

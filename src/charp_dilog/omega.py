@@ -86,22 +86,23 @@ def _sort3(letters: Sequence[Letter]) -> tuple[list[Letter], int]:
     return items, sign
 
 
-def omega_letters(l1: Letter, l2: Letter, l3: Letter, p: int) -> RatFn | None:
-    """Value of the form on a single letter triple, or None when it vanishes."""
+def omega_letters(l1: Letter, l2: Letter, l3: Letter, p: int, dpayload=_dpayload) -> RatFn | None:
+    """Value of the form on a single letter triple, or None when it vanishes;
+    ``dpayload`` gives a letter's d(payload) (or dlog, at exponent zero)."""
     if l1.a + l2.a + l3.a != p:
         return None
     (A, B, C), sign = _sort3((l1, l2, l3))
     a, b, c = A.a, B.a, C.a
     if a > b:
         # alpha (b beta dgamma - c gamma dbeta); the c-term drops when c = 0
-        value = A.payload * (b * B.payload * _dpayload(C))
+        value = A.payload * (b * B.payload * dpayload(C))
         if c != 0:
-            value = value - A.payload * (c * C.payload * _dpayload(B))
+            value = value - A.payload * (c * C.payload * dpayload(B))
     elif b > c:
         # a = b > c; c = 0 would force 2a = p, impossible for odd p
         if c == 0:
             raise CaseTableGap(f"tie case ({a},{b},0) needs 2a = p = {p}")
-        value = C.payload * (a * A.payload * _dpayload(B) - b * B.payload * _dpayload(A))
+        value = C.payload * (a * A.payload * dpayload(B) - b * B.payload * dpayload(A))
     else:
         raise CaseTableGap(f"a = b = c = {a} needs 3 | p = {p}")
     return value if sign == 1 else -value
@@ -140,15 +141,22 @@ def omega_p(w: WedgeK, ring=None) -> OneForm:
             if isinstance(u, Trunc) and u.m != p:
                 raise ModulusMismatch("omega_p needs units of R[t]/(t^p)")
             letter_lists.append(_letters_of_entry(u))
+        # one derivative per letter; the lists keep letters alive, so ids stay unique
+        derivs = {}
+
+        def dpayload(letter):
+            if id(letter) not in derivs:
+                derivs[id(letter)] = _dpayload(letter)
+            return derivs[id(letter)]
         acc = ring.zero
         for a1 in letter_lists[0]:
             for a2 in letter_lists[1]:
                 for a3 in letter_lists[2]:
-                    v = omega_letters(a1, a2, a3, p)
+                    v = omega_letters(a1, a2, a3, p, dpayload)
                     if v is not None:
                         acc = acc + v
         total = total + k * acc
-    return OneForm(total)
+    return OneForm(total.reduced() if isinstance(total, RatFn) else total)
 
 
 def omega_p_pair(w: WedgeK, ring: RatFnRing | None = None) -> OneForm:
@@ -305,7 +313,7 @@ def antider_primitive(a: int, b: int, c: int, w: int, x: RatFn,
             if da[i] is None or db[j] is None or dc[k] is None:
                 raise CaseTableGap(f"coefficient of an undefined payload at ({i},{j},{k})")
             total = total + coeff * da[i] * db[j] * dc[k]
-    return xq_over_q * total
+    return (xq_over_q * total).reduced()
 
 
 # -- residues of pairs of liftings --------------------------------------------

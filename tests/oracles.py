@@ -5,7 +5,7 @@ faster way, kept here so the fast route is always compared with it.
 """
 
 from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius
-from charp_dilog.localfield import residue_at
+from charp_dilog.localfield import RatFn, residue_at
 from charp_dilog.omega import Letter, letters_of_unit, omega_p
 from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, rp_eval
 from charp_dilog.wedge import GoodElem, NotGood, local_point, res_good
@@ -209,3 +209,79 @@ def res_omega_difference_global(w1, w2, ring):
     """Residue at s = 0 of omega_p(w1) - omega_p(w2), with both forms built
     as global rational functions and the residue read from their difference."""
     return residue_at(omega_p(w1, ring) - omega_p(w2, ring), ring.field.zero)
+
+
+class EagerFraction:
+    """A rational function as num/den, gcd-reduced with a monic denominator
+    after every operation: the textbook fraction arithmetic that RatFn's
+    base powers avoid.  A RatFn, Poly, int or field element operand is
+    converted first, so the generic routines of ``omega`` run on it."""
+
+    def __init__(self, num, den=None):
+        if isinstance(num, RatFn):
+            num, den = num.num, num.den
+        den = Poly(num.field, [1]) if den is None else den
+        g = num.gcd(den)  # monic; den itself when num is zero
+        den, lead = (den // g).monic()
+        self.field, self.num, self.den = num.field, (num // g) * lead.inverse(), den
+
+    def _lift(self, x):
+        if isinstance(x, EagerFraction):
+            return x
+        return EagerFraction(x if isinstance(x, (RatFn, Poly)) else Poly(self.field, [x]))
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return EagerFraction(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        return EagerFraction(self.num * o.den - o.num * self.den, self.den * o.den)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __neg__(self):
+        return EagerFraction(-self.num, self.den)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return EagerFraction(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        return EagerFraction(self.num * o.den, self.den * o.num)
+
+    def inverse(self):
+        return EagerFraction(self.den, self.num)
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** -k
+        return EagerFraction(self.num ** k, self.den ** k)
+
+    def derivative(self):
+        return EagerFraction(self.num.derivative() * self.den - self.num * self.den.derivative(),
+                             self.den * self.den)
+
+    @property
+    def is_zero(self):
+        return self.num.is_zero
+
+    def reduced(self):
+        return self
+
+
+class EagerRing:
+    """The coefficient-ring handle that ``omega_p`` reads, for EagerFraction."""
+
+    def __init__(self, field):
+        self.field, self.characteristic = field, field.p
+
+    @property
+    def zero(self):
+        return EagerFraction(Poly(self.field))

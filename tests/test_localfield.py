@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -25,6 +26,8 @@ from charp_dilog.localfield import (
     residue_at,
 )
 from charp_dilog.rng import spawn
+
+from oracles import EagerFraction
 
 
 @pytest.fixture
@@ -186,6 +189,139 @@ def test_lazy_reduction_invariants(R5, F5):
     assert a.reduced().num == b.reduced().num
     assert a.ord_at(F5(-2)) == 0
     assert hash(a) == hash(b)
+
+
+def test_constants_are_built_without_a_gcd(monkeypatch, F5, F25):
+    # c/1 is already in normal form: no constructor of a constant, and no
+    # int or field-element operand, runs Euclid
+    calls = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
+    for field in (F5, F25):
+        ring = RatFnRing(field)
+        s, c = ring.gen, field.from_int(2) if field.base is None else field.gen()
+        values = [RatFn.const(c), RatFn.from_int(field, 3), ring.zero, ring.one, ring.embed(c),
+                  ring.from_int(-2), s + 1, 2 - s, s * c, 3 * s, s / 4, c / s]
+        assert values[2].is_zero and values[3] == 1 and values[-1] * s == c
+        assert values[4] == values[0] and values[5] == -2 and values[6] - 1 == s
+    assert calls == []
+
+
+def test_repr_is_the_reduced_form(R5, F5):
+    # the printed text depends on the value, not on the route that built it
+    s = R5.gen
+    a = RatFn(Poly(F5, [1, 2]), Poly(F5, [3, 0, 1]))
+    b = RatFn(Poly(F5, [4]), Poly(F5, [1, 1]))
+    for x in (a + b, a * b - a, (a + b).derivative(), (s + 1) * (s + 2) / ((s + 2) * (s + 3))):
+        assert repr(x) == repr(x.reduced())
+        assert repr(x - x) == "(0)"
+    assert repr((s + 1) * (s + 2) / ((s + 2) * (s + 3))) == repr((s + 1) / (s + 3))
+
+
+def _random_poly(field, rng, degree, monic=False):
+    while True:
+        coeffs = [field.random_element(rng) for _ in range(degree)]
+        f = Poly(field, coeffs + [field.one if monic else field.random_element(rng)])
+        if not f.is_zero:
+            return f
+
+
+def _factored_values(field, rng):
+    """Nonzero values over the bases B, B*C and C, which share factors, with
+    their sums, products, quotients and derivatives, so most are not normal
+    forms and some carry a factor that cancels."""
+    B, C = (_random_poly(field, rng, rng.randrange(1, 3), monic=True) for _ in range(2))
+    a, b, c = (RatFn(_random_poly(field, rng, rng.randrange(0, 3)), d) for d in (B, B * C, C * C))
+    values = [a, b, c, a + b, b - c, a * b, a.derivative() + c, RatFn(B) * a, (a - b) ** 2]
+    values += [x / y for x, y in ((b + c, a + 1), (a, b + c)) if not y.is_zero]
+    return [x for x in values if not x.is_zero]
+
+
+def _same(x, oracle):
+    r = x.reduced()
+    return (r.num, r.den) == (oracle.num, oracle.den)
+
+
+@pytest.mark.parametrize("fname", ["F5", "F7", "F25"])
+def test_factored_values_obey_the_field_axioms(request, fname):
+    field = request.getfixturevalue(fname)
+    rng = spawn(30, "ratfn-axioms", fname)
+    zero, one = RatFnRing(field).zero, RatFnRing(field).one
+    for _ in range(4):
+        values = _factored_values(field, rng)
+        for x in values:
+            assert x + zero == x and x * one == x and (x - x).is_zero and -(-x) == x
+            assert x + (-x) == zero and x * x.inverse() == one and x / x == one
+        for x, y, z in zip(values, values[1:] + values[:1], values[2:] + values[:2]):
+            ex, ey = EagerFraction(x), EagerFraction(y)
+            assert x + y == y + x and x * y == y * x
+            assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+            assert x * (y + z) == x * y + x * z
+            assert _same(x + y, ex + ey) and _same(x - y, ex - ey) and _same(x * y, ex * ey)
+            assert _same(x / y, ex / ey)
+
+
+@pytest.mark.parametrize("fname", ["F5", "F7", "F25"])
+def test_factored_derivative_rules(request, fname):
+    field = request.getfixturevalue(fname)
+    rng = spawn(31, "ratfn-derivative", fname)
+    for _ in range(4):
+        values = _factored_values(field, rng)
+        for x, y in zip(values, values[1:] + values[:1]):
+            dx, dy = x.derivative(), y.derivative()
+            assert _same(dx, EagerFraction(x).derivative())
+            assert (x * y).derivative() == dx * y + x * dy
+            assert (x / y).derivative() == (dx * y - x * dy) / y ** 2
+
+
+@pytest.mark.parametrize("fname", ["F5", "F7", "F25"])
+def test_factored_inverse_and_negative_powers(request, fname):
+    field = request.getfixturevalue(fname)
+    rng = spawn(32, "ratfn-inverse", fname)
+    one = RatFnRing(field).one
+    for _ in range(4):
+        for x in _factored_values(field, rng):
+            inv = x.inverse()
+            assert _same(inv, EagerFraction(x).inverse()) and inv.inverse() == x
+            for k in (1, 2, 3):
+                assert x ** -k == (x ** k).inverse() == one / x ** k
+                assert x ** -k * x ** k == one
+                assert _same(x ** -k, EagerFraction(x) ** -k)
+            assert x ** 0 == one
+
+
+@pytest.mark.parametrize("fname", ["F5", "F7", "F25"])
+def test_factored_equality_and_hash_follow_the_reduced_form(request, fname):
+    field = request.getfixturevalue(fname)
+    rng = spawn(33, "ratfn-equality", fname)
+    for _ in range(4):
+        values = _factored_values(field, rng)
+        for x in values:
+            r = x.reduced()
+            assert x == r and r == x and hash(x) == hash(r) and r.reduced() is r
+            assert x != x + 1
+        for x, y in itertools.product(values, repeat=2):
+            rx, ry = x.reduced(), y.reduced()
+            assert (x == y) == ((rx.num, rx.den) == (ry.num, ry.den))
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("fname", ["F5", "F7", "F25"])
+def test_expand_at_of_a_factored_value_equals_its_reduced_form(request, fname):
+    # centres include the roots of the bases, where a factored value's
+    # numerator and denominator can vanish together
+    field = request.getfixturevalue(fname)
+    rng = spawn(34, "ratfn-expand", fname)
+    centers = [field.zero, field.one, field.random_element(rng), INF]
+    for _ in range(4):
+        values = _factored_values(field, rng)
+        roots = [c for x in values for c in field.elements() if x.den.evaluate(c).is_zero]
+        for x in values:
+            for center in centers + roots[:4]:
+                for order in (-1, 2, 5):
+                    assert expand_at(x, center, order).raw == \
+                        expand_at(x.reduced(), center, order).raw
 
 
 def _check_times_denominator(f, center, order):

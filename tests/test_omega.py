@@ -31,10 +31,11 @@ from charp_dilog.sampling import (
     rand_ratfn,
     rand_sigma_weights,
 )
+from charp_dilog.suites import _exactness_tuples
 from charp_dilog.tpoly import Trunc, trunc_exp
 from charp_dilog.wedge import WedgeK, wedge
-from oracles import (res_omega_difference_global, sigma_image_letters_global, sigma_image_of_s,
-                     substitute_s)
+from oracles import (EagerFraction, EagerRing, res_omega_difference_global,
+                     sigma_image_letters_global, sigma_image_of_s, substitute_s)
 
 
 @pytest.fixture
@@ -310,6 +311,33 @@ def test_exactness_identity_spot_checks(R5):
         lhs = omega_p(moved, R5) - omega_p(q3, R5)
         prim = antider_primitive(a, b, c, w, x, pa, pb, pc)
         assert (lhs - OneForm(prim.derivative())).is_zero
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_exactness_forms_match_the_eager_oracle(p):
+    # on the exactness sampler's draws, the forms and the primitive come out
+    # as the normal forms that reducing after every operation gives, and the
+    # identity holds on both routes
+    ring = RatFnRing(Fq(p))
+    oracle_ring = EagerRing(ring.field)
+    tuples = _exactness_tuples(p)
+    for trial in range(30):
+        rng = spawn(40, "exactness-eager", p, trial)
+        a, b, c, w = tuples[rng.randrange(len(tuples))]
+        x = rand_ratfn(ring, rng)
+        pa, pb, pc = (rand_ratfn(ring, rng, nonzero=(e == 0)) for e in (a, b, c))
+        routes = []
+        for x_, (pa_, pb_, pc_), ring_ in ((x, (pa, pb, pc), ring),
+                                           (EagerFraction(x), map(EagerFraction, (pa, pb, pc)),
+                                            oracle_ring)):
+            q3 = wedge([Letter(a, pa_)], [Letter(b, pb_)], [Letter(c, pc_)])
+            moved = q3.map_entries(lambda ls: sigma_letters(x_, w, ls, p))
+            forms = [omega_p(moved, ring_).fn, omega_p(q3, ring_).fn,
+                     antider_primitive(a, b, c, w, x_, pa_, pb_, pc_)]
+            assert (forms[0] - forms[1] - forms[2].derivative()).is_zero
+            routes.append(forms)
+        for value, oracle in zip(*routes):
+            assert (value.num, value.den) == (oracle.num, oracle.den)
 
 
 def test_res_invariance_examples(R5, F5):

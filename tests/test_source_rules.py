@@ -56,6 +56,25 @@ def test_precision_doubling_lives_only_in_germs_at_zero():
     assert not outside, f"InsufficientPrecision caught outside germs_at_zero: {outside}"
 
 
+def test_euclid_runs_only_where_ratfn_takes_a_normal_form():
+    # RatFn arithmetic sums over a common multiple of known base powers; a
+    # gcd runs only in the public constructor and in reduced(), through
+    # _reduce_fraction, and no size threshold brings it back
+    assert not [f"{path}:{i}" for path in sorted((ROOT / "src").rglob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), start=1)
+                if "_REDUCE_DEGREE" in line]
+    tree = ast.parse((Path(charp_dilog.__file__).parent / "localfield.py").read_text())
+    callers = set()
+    for node in tree.body:
+        for owner in (node.body if isinstance(node, ast.ClassDef) else [node]):
+            name = getattr(owner, "name", "<body>")
+            where = f"{node.name}.{name}" if owner is not node else name
+            callers.update(where for call in ast.walk(owner) if isinstance(call, ast.Call)
+                           and (getattr(call.func, "attr", None) == "gcd"
+                                or getattr(call.func, "id", None) == "_reduce_fraction"))
+    assert callers == {"_reduce_fraction", "RatFn.__init__", "RatFn.reduced"}, callers
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 

@@ -284,13 +284,16 @@ def test_res_local_matches_the_global_split_and_reduction(p):
     # exponents and reduced units, as the splits of the global rational
     # functions with every coefficient substituted at the root; the sampled
     # uniformizers have no t-term, so their roots lie in (t^2), and a third
-    # uniformizer moved at order t has a root with a t-term
+    # uniformizer s_tilde + c t + d t^2 with c != 0, drawn apart from the
+    # sampler, has a root with a t-term
     ring = RatFnRing(Fq(p))
     rng = spawn(20, "res-local-germs", p)
     nonzero = 0
-    for _ in range(8):
+    for k in range(8):
         qt, qh, s_tilde, s_hat = rand_good_lifting_pair(ring, rng)
-        moved = s_tilde + Trunc(ring, p, [0, ring.field.from_int(rng.randrange(1, p))])
+        shift = spawn(22, "res-local-moved", p, k)
+        c, d = (ring.field.from_int(shift.randrange(1, p)) for _ in range(2))
+        moved = s_tilde + Trunc(ring, p, [0, c, d])
         ns = [goodness_split_global(e, s_tilde).n for e in qt]
         q_moved = [e * s_tilde ** (-n) * moved ** n for e, n in zip(qt, ns)]
         assert not local_point(moved).coeffs[1].is_zero
