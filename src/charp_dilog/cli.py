@@ -216,7 +216,7 @@ def cmd_cycle(args, out) -> int:
     data = _load_json(args.input)
     cyc = _cycle_from_json(data)
     try:
-        pts = cycles.boundary(cyc)
+        pts = cycles.boundary(cyc, deep=args.deep)
     except cycles.NotAdmissible as exc:
         rows = [{"failure": f.code, "coordinate": f.coordinate + 1, "detail": f.detail}
                 for f in exc.report.failures]

@@ -200,9 +200,10 @@ class BoundaryPoint:
     where: object
 
 
-def boundary(cycle: ParamCycle) -> list[BoundaryPoint]:
+def boundary(cycle: ParamCycle, deep: bool = True) -> list[BoundaryPoint]:
     """The signed boundary points with Hensel-deformed positions, one for each
-    face that ``admissibility_check`` found.
+    face that ``admissibility_check`` found: to depth p when ``deep``, else to
+    depth 3, all that the ell functional reads.
 
     For face (i, 0) the root of the i-th numerator's reduction is lifted to a
     root of the full numerator over t; for (i, inf) the denominator plays that
@@ -213,19 +214,20 @@ def boundary(cycle: ParamCycle) -> list[BoundaryPoint]:
     report = admissibility_check(cycle)
     if not report.ok:
         raise NotAdmissible(report)
-    return [_boundary_point(cycle, face) for face in report.faces]
+    m = cycle.field.p if deep else 3
+    return [_boundary_point(cycle, face, m) for face in report.faces]
 
 
-def _boundary_point(cycle: ParamCycle, face: Face) -> BoundaryPoint:
+def _boundary_point(cycle: ParamCycle, face: Face, m: int) -> BoundaryPoint:
     others = [c for j, c in enumerate(cycle.coords) if j != face.coordinate]
+    kprime = cycle.field if face.where is PARAM_INF else face.root[0]
+    cut = lambda c: c.reduce_to(m).embedded(kprime)
     if face.where is PARAM_INF:
-        kprime = cycle.field
-        pair = [c.num[-1] * c.den[-1].inverse() for c in others]
+        pair = [cut(c.num[-1]) * cut(c.den[-1]).inverse() for c in others]
     else:
-        kprime, root0 = face.root
-        z0 = hensel_root_zpoly([c.embedded(kprime) for c in face.coeffs], root0)
-        zero = Trunc.zero(kprime, z0.m)
-        values = [[rp_eval([x.embedded(kprime) for x in coeffs], z0, zero)
+        z0 = hensel_root_zpoly([cut(c) for c in face.coeffs], face.root[1])
+        zero = Trunc.zero(kprime, m)
+        values = [[rp_eval([cut(x) for x in coeffs], z0, zero)
                    for coeffs in (c.num, c.den)] for c in others]
         pair = [num * den.inverse() for num, den in values]
     i = face.coordinate + 1
@@ -246,7 +248,7 @@ def zero_cycle_value(points: Sequence[BoundaryPoint], field: Fq, deep: bool = Tr
 
 def rho_cycle(cycle: ParamCycle) -> FqElem:
     """The ell-invariant of an admissible cycle (boundary pairs read mod t^3)."""
-    return zero_cycle_value(boundary(cycle), cycle.field, deep=False)
+    return zero_cycle_value(boundary(cycle, deep=False), cycle.field, deep=False)
 
 
 def rho_K_cycle(cycle: ParamCycle) -> FqElem:

@@ -95,14 +95,17 @@ class Fq:
     """A finite field: F_p when ``base`` is None, else ``base[u]/(modulus)``.
 
     ``modulus`` is a monic irreducible polynomial over the base field, given
-    as a coefficient sequence (constant term first, leading 1 last).  Fields
-    compare by value, so two independently constructed copies of the same
-    field are interchangeable.
+    as a coefficient sequence (constant term first, leading 1 last); the
+    Rabin test rejects a reducible one, unless :func:`residue_field` passes
+    ``_irreducible`` for a modulus its caller already knows is irreducible.
+    Fields compare by value, so two independently constructed copies of the
+    same field are interchangeable.
     """
 
     __slots__ = ("p", "base", "modulus", "degree", "degree_abs", "order", "_zero", "_one")
 
-    def __init__(self, p: int, modulus: Sequence | None = None, base: "Fq | None" = None):
+    def __init__(self, p: int, modulus: Sequence | None = None, base: "Fq | None" = None,
+                 *, _irreducible: bool = False):
         if base is None:
             if not is_prime(p) or p < 5:
                 raise BadPrime(f"p = {p} is not a prime >= 5")
@@ -130,7 +133,7 @@ class Fq:
             self.degree = len(raw) - 1
             self.degree_abs = self.degree * base.degree_abs
             self.order = base.order ** self.degree
-            if not _modulus_is_irreducible(base, raw):
+            if not _irreducible and not _modulus_is_irreducible(base, raw):
                 raise ValueError("extension modulus is not irreducible")
         self._zero = FqElem(self, self._raw_from_int(0))
         self._one = FqElem(self, self._raw_from_int(1))
@@ -1010,6 +1013,8 @@ def factor_squarefree_irreducibles(f: Poly, seed: int = 0) -> list[tuple[Poly, i
 
     if f.is_zero:
         raise ZeroPolynomial("cannot factor the zero polynomial")
+    if f.degree == 1:
+        return [(f.monic()[0], 1)]
     rng = _random.Random(("edf", seed, f.field.order, f.coeffs).__repr__())
     factors: dict[Poly, int] = {}
     _factor_monic(f.monic()[0], factors, rng)
@@ -1067,9 +1072,16 @@ def roots_in_field(f: Poly) -> list[FqElem]:
 def residue_field(pi: Poly) -> tuple[Fq, FqElem]:
     """The residue field of the closed point cut out by a monic irreducible pi,
     with the root of pi there: the coefficient field and -pi(0) for degree 1,
-    else field[u]/(pi) and the class of u."""
+    else field[u]/(pi) and the class of u.
+
+    pi is not tested here; its irreducibility is known where it enters: a
+    factor from :func:`factor_squarefree_irreducibles` is irreducible by
+    construction, a ``LiftedPoint`` tests its reduction when it is built, and
+    ``localfield.residue_at`` tests the polynomial it is given.  This is the
+    only caller of the extension constructor that skips the Rabin test.
+    """
     field = pi.field
     if pi.degree == 1:
         return field, -pi.coeff(0)
-    ext = Fq(field.p, modulus=[pi.coeff(i) for i in range(pi.degree + 1)], base=field)
+    ext = Fq(field.p, modulus=pi.coeffs, base=field, _irreducible=True)
     return ext, ext.gen()

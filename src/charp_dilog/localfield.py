@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, _radd, _rsub,
-                 multiplicity, residue_field, schoolbook)
+                 is_irreducible, multiplicity, residue_field, schoolbook)
 from .tpoly import ElementKernel, Trunc, _series_inverse
 
 
@@ -651,6 +651,8 @@ def residue_at(omega: OneForm, point) -> FqElem:
     """
     f = omega.fn
     if isinstance(point, Poly):
+        if not (point.is_monic and is_irreducible(point)):
+            raise ValueError(f"a closed point is a monic irreducible polynomial, not {point!r}")
         point = residue_field(point)[1]
     elif point is not INF and not isinstance(point, FqElem):
         raise TypeError(f"not a point: {point!r}")

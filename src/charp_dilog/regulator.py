@@ -46,6 +46,11 @@ class LiftedPoint:
 
     poly: tuple[Trunc, ...] | None
 
+    def __post_init__(self):
+        # the one irreducibility test of a table point: residue_field trusts it
+        if self.poly is not None and not is_irreducible(self.reduction(self.poly[0].ring)):
+            raise ValueError("point reduction must be irreducible")
+
     @property
     def is_infinity(self) -> bool:
         return self.poly is None
@@ -73,9 +78,6 @@ def finite_point(field: Fq, coeffs: Sequence[Trunc]) -> LiftedPoint:
             raise CtxMismatch("point coefficients must live in k[t]/(t^2) over the base")
     if coeffs[-1] != Trunc.one(field, 2):
         raise ValueError("point polynomials are monic")
-    red = Poly(field, [c.c0 for c in coeffs])
-    if not is_irreducible(red):
-        raise ValueError("point reduction must be irreducible")
     return LiftedPoint(coeffs)
 
 

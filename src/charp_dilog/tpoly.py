@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Sequence
 
-from .gf import _rsub, power, schoolbook
+from .gf import Fq, _rsub, power, schoolbook
 
 
 class TruncError(Exception):
@@ -250,9 +250,9 @@ class Trunc:
 
     def reduce_to(self, m2: int) -> "Trunc":
         """Truncate to R[t]/(t^m2) for m2 <= m (the a|_{t^m2} operation)."""
-        if m2 > self.m:
-            raise ModulusMismatch("reduce_to cannot raise the modulus")
-        return Trunc(self.ring, m2, self.coeffs[:m2])
+        if not 2 <= m2 <= self.m:
+            raise ModulusMismatch(f"reduce_to needs 2 <= m2 <= {self.m}, not {m2}")
+        return Trunc._of(self.ring, m2, self.raws[:m2])
 
     def extended(self, m2: int, tail: Sequence = ()) -> "Trunc":
         """Lift into R[t]/(t^m2), m2 >= m, appending the given tail coefficients."""
@@ -283,8 +283,14 @@ class Trunc:
                      [fn(c) for c in self.coeffs])
 
     def embedded(self, ring) -> "Trunc":
-        """The same element with coefficients pushed into an extension field."""
-        return self if ring == self.ring else self.map_coeffs(ring.embed, ring)
+        """The same element with coefficients pushed into an extension field;
+        into an Fq directly over this ring, a raw c becomes (c, 0, ..., 0)."""
+        if ring == self.ring:
+            return self
+        if not isinstance(ring, Fq) or ring.base != self.ring:
+            return self.map_coeffs(ring.embed, ring)
+        pad = (self.ring._raw_from_int(0),) * (ring.degree - 1)
+        return Trunc._of(ring, self.m, [(c,) + pad for c in self.raws])
 
     def __repr__(self) -> str:
         parts = []

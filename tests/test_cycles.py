@@ -1,6 +1,6 @@
 import pytest
 
-from charp_dilog import cycles, suites
+from charp_dilog import cycles, gf, localfield, regulator, suites
 from charp_dilog.cycles import (
     BoundaryPoint,
     NotAdmissible,
@@ -19,7 +19,7 @@ from charp_dilog.gf import Fq, trace_to_base
 from charp_dilog.regulator import rho_K
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import quadratic_extension, rand_admissible_graph, rand_moebius_input
-from charp_dilog.tpoly import Trunc, rp_eval, rp_mul
+from charp_dilog.tpoly import ModulusMismatch, Trunc, rp_eval, rp_mul
 
 
 def const_coord(field, p, value):
@@ -173,6 +173,75 @@ def test_depth2_congruent_cycles_share_invariants(p):
         bumped = _bump(cyc, order=2, field=field)
         assert rho_K_cycle(cyc) == rho_K_cycle(bumped)
         assert rho_cycle(cyc) == rho_cycle(bumped)
+
+
+def _coordinate_graph(rng):
+    # (z, g, h) over F_7 with the g, h of test_boundary_of_coordinate_graph and
+    # random t-tails: it has a face at the parameter infinity, which no
+    # sampled graph cycle has
+    field = Fq(7)
+
+    def coeff(c):
+        return Trunc(field, 7, [c] + [field.random_element(rng) for _ in range(6)])
+
+    g, h = ([[coeff(c) for c in pair] for pair in pairs]
+            for pairs in (((1, 1), (3, 2)), ((3, 1), (2, 4))))
+    return make_cycle(field, [([coeff(0), coeff(1)], [coeff(1)]), g, h])
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_depth_three_boundary_is_the_deep_boundary_mod_t3(p):
+    # ell reads the boundary pairs mod t^3, so rho_cycle lifts its points to
+    # depth 3 only: they are the depth-p points cut at t^3, mod-t^2 moves too
+    field = Fq(p)
+    rng = spawn(23, "depth-three", p)
+    samples = []
+    for trial in range(6):
+        _, cyc = rand_admissible_graph(field, rng, seed=trial)
+        samples += [cyc, _bump(cyc, order=2, field=field)]
+    if p == 7:
+        samples += [_coordinate_graph(rng) for _ in range(3)]
+    degrees, faces = set(), set()
+    for c in samples:
+        deep, shallow = boundary(c), boundary(c, deep=False)
+        assert [(pt.kprime, pt.sign, pt.face, pt.where) for pt in shallow] == \
+            [(pt.kprime, pt.sign, pt.face, pt.where) for pt in deep]
+        assert [pt.pair for pt in shallow] == \
+            [tuple(x.reduce_to(3) for x in pt.pair) for pt in deep]
+        assert rho_cycle(c) == zero_cycle_value(deep, field, deep=False)
+        degrees.update(pt.kprime.degree for pt in deep)
+        faces.update(pt.face for pt in deep if pt.where is PARAM_INF)
+    # the sampler draws quadratic table points at p = 5 only
+    assert degrees == ({1, 2} if p == 5 else {1})
+    assert faces == ({(1, "inf")} if p == 7 else set())
+    with pytest.raises(ModulusMismatch):
+        zero_cycle_value(shallow, field)
+
+
+def test_boundary_and_regulate_run_no_irreducibility_test(monkeypatch):
+    # each closed point they visit was tested where it entered, by the
+    # factorization or by its LiftedPoint, so neither tests one again
+    calls = []
+    real = gf.is_irreducible
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+
+    for module in (gf, localfield, regulator):
+        monkeypatch.setattr(module, "is_irreducible", spy)
+    degrees = set()
+    for p in (5, 7):
+        rng = spawn(25, "tested-once", p)
+        for trial in range(4):
+            inp, cyc = rand_admissible_graph(Fq(p), rng, seed=trial)
+            before = len(calls)
+            for deep in (True, False):
+                degrees.update(pt.kprime.degree for pt in boundary(cyc, deep))
+                regulator.regulate(inp, lift_seed=trial, deep=deep)
+            assert len(calls) == before
+    # the spy does see the sampler's tests and its table points' own
+    assert calls and degrees == {1, 2}
 
 
 def test_depth1_perturbations_can_move_the_invariant(F5):

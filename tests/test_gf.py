@@ -19,6 +19,7 @@ from charp_dilog.gf import (
     trace_to_prime,
 )
 from charp_dilog.rng import spawn
+from charp_dilog.sampling import rand_nonzero
 from charp_dilog.tpoly import Trunc
 
 from oracles import trace_orbit
@@ -221,6 +222,19 @@ def test_factor_z2_plus_1_over_f7_irreducible(F7):
     assert all(not f.evaluate(c).is_zero for c in F7.elements())
     assert factor_squarefree_irreducibles(f) == [(f, 1)]
     assert is_irreducible(f)
+
+
+def test_linear_factor_is_the_full_factorization(F5, F25):
+    # a linear f is returned as its own monic factor, as the general route
+    # (squarefree, distinct- and equal-degree stages) finds it
+    rng = spawn(26, "linear-factor")
+    sample = [Poly(F5, [b, a]) for a in range(1, 5) for b in range(5)]
+    sample += [Poly(F25, [F25.random_element(rng), rand_nonzero(F25, rng)]) for _ in range(20)]
+    for f in sample:
+        assert f.degree == 1
+        full = {}
+        gf._factor_monic(f.monic()[0], full, rng)
+        assert factor_squarefree_irreducibles(f) == list(full.items())
 
 
 def test_factor_zero_polynomial(F5):

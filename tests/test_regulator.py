@@ -1,10 +1,12 @@
 import pytest
 
 from charp_dilog import regulator
-from charp_dilog.gf import CtxMismatch, Fq
+from charp_dilog.gf import CtxMismatch, Fq, Poly
+from charp_dilog.localfield import OneForm, RatFnRing, residue_at
 from charp_dilog.regulator import (
     DegenerateConfiguration,
     GoodFunction,
+    LiftedPoint,
     RegulatorInput,
     finite_point,
     linear_input,
@@ -198,6 +200,20 @@ def test_input_validation(F5, F7):
                        GoodFunction(one2, ()))
     with pytest.raises(ValueError):
         finite_point(F5, [Trunc(F5, 2, [1, 0]), Trunc(F5, 2, [2, 0])])  # not monic
+
+
+def test_a_reducible_point_is_rejected_where_it_enters(F5):
+    # residue_field trusts its argument, so each way in tests it: the public
+    # extension constructor, residue_at, and a table point built directly
+    reducible = [1, 0, 1]  # u^2 + 1 = (u + 2)(u + 3) over F_5
+    with pytest.raises(ValueError, match="irreducible"):
+        Fq(5, modulus=reducible, base=F5)
+    form = OneForm(RatFnRing(F5).one)
+    for pi in (reducible, [1, 2]):  # 2s + 1 is irreducible but not monic
+        with pytest.raises(ValueError, match="irreducible"):
+            residue_at(form, Poly(F5, pi))
+    with pytest.raises(ValueError, match="irreducible"):
+        LiftedPoint(tuple(Trunc(F5, 2, [c]) for c in reducible))
 
 
 def test_relift_rejects_a_different_residue_field(monkeypatch, F5):

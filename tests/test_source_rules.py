@@ -75,6 +75,24 @@ def test_euclid_runs_only_where_ratfn_takes_a_normal_form():
     assert callers == {"_reduce_fraction", "RatFn.__init__", "RatFn.reduced"}, callers
 
 
+def test_only_residue_field_skips_the_irreducibility_test():
+    # gf.residue_field is the one caller of the extension constructor that
+    # skips the Rabin test; every other polynomial is tested where it enters
+    inside, outside = [], []
+    for tree in TREES:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            module = ast.parse(path.read_text(), filename=str(path))
+            home = [line for node in module.body
+                    if path == Path(charp_dilog.__file__).parent / "gf.py"
+                    and isinstance(node, ast.FunctionDef) and node.name == "residue_field"
+                    for line in range(node.lineno, node.end_lineno + 1)]
+            for node in ast.walk(module):
+                if isinstance(node, ast.Call) and any(k.arg == "_irreducible" for k in node.keywords):
+                    (inside if node.lineno in home else outside).append(f"{path}:{node.lineno}")
+    assert inside, "gf.residue_field no longer builds its extension unchecked"
+    assert not outside, f"unchecked extensions built outside gf.residue_field: {outside}"
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 

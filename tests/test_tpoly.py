@@ -50,6 +50,9 @@ def test_modulus_bounds(F5):
         Trunc(F5, 1, [])
     with pytest.raises(ModulusMismatch):
         Trunc(F5, 2, [1]) + Trunc(F5, 3, [1])
+    for m2 in (1, 4):
+        with pytest.raises(ModulusMismatch):
+            Trunc(F5, 3, [1]).reduce_to(m2)
 
 
 def test_foreign_coefficients_are_rejected(F5, F25):
@@ -428,3 +431,18 @@ def test_embedded_keeps_its_own_ring(F5, F25):
     y = x.embedded(F25)
     assert y.ring == F25 and list(y.coeffs) == [F25.embed(c) for c in x.coeffs]
     assert y.embedded(F25) is y
+
+
+def test_embedded_is_the_coefficientwise_embedding(F5, F25):
+    # raws go straight to (c, 0, ..., 0) in an Fq directly over the ring; any
+    # other ring, or a field that does not extend it, goes through ring.embed
+    rng = spawn(24, "embedded-raw")
+    F625 = Fq(5, modulus=[-F25.gen(), 0, 1], base=F25)
+    for ring, target in ((F5, F25), (F25, F625), (F5, RatFnRing(F5))):
+        x = Trunc(ring, 4, [ring.random_element(rng) for _ in range(4)])
+        assert x.embedded(target) == x.map_coeffs(target.embed, target)
+    foreign = Fq(5, modulus=[3, 0, 1], base=F5)
+    for x, target in ((Trunc(F25, 3, [F25.gen()]), foreign), (Trunc(F5, 3, [2]), F625),
+                      (Trunc(Fq(7), 3, [2]), F25)):
+        with pytest.raises(CtxMismatch):
+            x.embedded(target)
