@@ -559,12 +559,6 @@ class FqElem:
             raise ValueError("a prime-field element has no base coefficients")
         return tuple(FqElem(self.field.base, c) for c in self.raw)
 
-    def lift_int(self) -> int:
-        """The canonical integer representative (prime-field elements only)."""
-        if self.field.base is not None:
-            raise ValueError("only prime-field elements lift to ints")
-        return self.raw
-
     def _coerce(self, other) -> "FqElem":
         if isinstance(other, FqElem):
             if other.field != self.field:
@@ -648,13 +642,6 @@ def trace_to(x: FqElem, field: Fq) -> FqElem:
     while x.field != field:
         if x.field.base is None:
             raise CtxMismatch(f"{field} is not a subfield below {x.field}")
-        x = trace_to_base(x)
-    return x
-
-
-def trace_to_prime(x: FqElem) -> FqElem:
-    """Absolute trace to F_p, as iterated relative traces down the tower."""
-    while x.field.base is not None:
         x = trace_to_base(x)
     return x
 
@@ -879,23 +866,6 @@ class Poly:
         if a.is_zero:
             return a
         return a.monic()[0]
-
-    def xgcd(self, other: "Poly") -> tuple["Poly", "Poly", "Poly"]:
-        """Return (g, s, t) with g = gcd monic and s*self + t*other = g."""
-        f = self.field
-        a, b = self, self._check(other)
-        s0, s1 = Poly(f, [1]), Poly(f)
-        t0, t1 = Poly(f), Poly(f, [1])
-        while not b.is_zero:
-            q, r = divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if a.is_zero:
-            return a, s0, t0
-        monic, lead = a.monic()
-        inv = lead.inverse()
-        return monic, s0 * inv, t0 * inv
 
     def __repr__(self) -> str:
         if self.is_zero:

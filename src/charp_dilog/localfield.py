@@ -269,9 +269,11 @@ class RatFn:
             raise ZeroArgument("the zero function has no order")
         if point is INF:
             return sum(e * b.degree for b, e in self._f.items()) - self._n.degree
-        r = self.reduced()
         if isinstance(point, FqElem):
             point = Poly(point.field, [-point, 1])
+        elif not (point.is_monic and is_irreducible(point)):
+            raise ValueError(f"a closed point is a monic irreducible polynomial, not {point!r}")
+        r = self.reduced()
         return multiplicity(r.num.embedded(point.field), point)[0] - \
             multiplicity(r.den.embedded(point.field), point)[0]
 

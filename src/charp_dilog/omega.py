@@ -7,8 +7,8 @@ of a closed formula on letter triples whose exponents sum to p, valued in
 action s -> s + x t^w in closed form and, on germs, by Taylor's formula, the
 exactness identity with its combinatorial coefficients, residue invariance,
 the residue pairing of two congruent liftings, and the depth-3 defect form
-used by the ordinary (non-Kontsevich) regulator route.  Residues at s = 0 are
-computed on Laurent germs there, not on the global rational form.
+of two triples congruent mod t^2.  Residues at s = 0 are computed on Laurent
+germs there, not on the global rational form.
 """
 
 from __future__ import annotations
@@ -17,17 +17,12 @@ from typing import NamedTuple, Sequence
 
 from .gf import FqElem
 from .localfield import OneForm, RatFn, RatFnRing, germs_at_zero, residue_at
-from .tpoly import (ModulusMismatch, Trunc, UnitDecomp, ell_all, inv_factorials, rp_eval,
-                    unit_decompose, unit_recompose)
+from .tpoly import ModulusMismatch, Trunc, ell_all, inv_factorials, rp_eval, unit_decompose
 from .wedge import WedgeK
 
 
 class OmegaError(Exception):
     """Base class for comparison-form errors."""
-
-
-class PairNotCongruent(OmegaError):
-    """Pair entries must agree modulo (t)."""
 
 
 class NotCongruentModT2(OmegaError):
@@ -159,35 +154,7 @@ def omega_p(w: WedgeK, ring=None) -> OneForm:
     return OneForm(total.reduced() if isinstance(total, RatFn) else total)
 
 
-def omega_p_pair(w: WedgeK, ring: RatFnRing | None = None) -> OneForm:
-    """The form on wedges of pairs congruent mod (t): value on first minus second."""
-    for _, entries in w.terms:
-        for u, v in entries:
-            if u.c0 != v.c0:
-                raise PairNotCongruent("pair entries differ modulo (t)")
-    first = w.map_entries(lambda pair: pair[0])
-    second = w.map_entries(lambda pair: pair[1])
-    return omega_p(first, ring) - omega_p(second, ring)
-
-
 # -- reparametrization -------------------------------------------------------
-
-def sigma_apply(x: RatFn, w: int, u: Trunc) -> Trunc:
-    """Apply s -> s + x t^w to a unit: the closed-form image of its letters,
-    multiplied back into one unit."""
-    ring: RatFnRing = u.ring
-    p = ring.characteristic
-    if u.m != p:
-        raise ModulusMismatch("sigma acts on units of R[t]/(t^p)")
-    # e(a t^i) e(b t^i) = e((a + b) t^i), so letters of one exponent add up
-    a0, exps = ring.one, [ring.zero] * (p - 1)
-    for letter in sigma_letters(x, w, letters_of_unit(u), p):
-        if letter.a == 0:
-            a0 = a0 * letter.payload
-        else:
-            exps[letter.a - 1] = exps[letter.a - 1] + letter.payload
-    return unit_recompose(UnitDecomp(ring, p, a0, tuple(exps)))
-
 
 def sigma_letters(x: RatFn, w: int, letters: Sequence[Letter], p: int) -> list[Letter]:
     """The closed-form image of a letter list under s -> s + x t^w."""

@@ -11,8 +11,7 @@ wedge functional applied to the residue at the lifted point.
 
 The deep-lift route (depth p with the characteristic-p functional) is the
 main construction; the depth-3 route with the ell functional is the ordinary
-infinitesimal dilogarithm.  Local re-lifting at one point reactivates the
-defect pairing and is how lift-independence is exercised.
+infinitesimal dilogarithm.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .gf import CtxMismatch, Fq, FqElem, Poly, is_irreducible, residue_field, trace_to
-from .localfield import RatFn, RatFnRing
 from .rng import spawn
 from .tpoly import Trunc, hensel_root_zpoly, rp_eval
-from .wedge import GoodElem, ell, ell_p, res_good, res_local, wedge
-from . import bloch, omega
+from .wedge import GoodElem, ell, ell_p, res_good
+from . import bloch
 
 
 class RegulatorError(Exception):
@@ -287,77 +285,3 @@ def rescaled_t(inp: RegulatorInput, lam: FqElem) -> RegulatorInput:
                 for pt in inp.points)
     fns = [GoodFunction(scale(fn.unit), fn.factors) for fn in inp.functions()]
     return RegulatorInput(inp.field, pts, *fns)
-
-
-# -- local re-lifting and the defect pairing ----------------------------------
-
-@dataclass
-class RelifReport:
-    """Outcome of recomputing one point's contribution through another lifting."""
-
-    value: FqElem
-    defect: FqElem
-    standard_value: FqElem
-    point_value_alt: FqElem
-
-
-def _realize_local(inp: RegulatorInput, lift: _Lift, idx: int, kprime: Fq,
-                   zhat: Trunc) -> tuple[list[Trunc], Trunc]:
-    """Realize the three lifted functions and the point's uniformizer in the
-    local model at the point: coordinate s with z = zhat + s, coefficients
-    rational functions over the residue field."""
-    ring = RatFnRing(kprime)
-    zero = Trunc.zero(ring, lift.m)
-    z = zhat.embedded(ring) + ring.gen
-    realized_points = {}
-    for i in {i for fn in inp.functions() for i, _ in fn.factors} | {idx}:
-        coeffs = [c.embedded(kprime).embedded(ring) for c in lift.points[i]]
-        realized_points[i] = rp_eval(coeffs, z, zero)
-    entries = []
-    for which, fn in enumerate(inp.functions()):
-        val = lift.units[which].embedded(kprime).embedded(ring)
-        for i, e in fn.factors:
-            val = val * realized_points[i] ** e
-        entries.append(val)
-    return entries, realized_points[idx]
-
-
-def local_relift_report(inp: RegulatorInput, point_idx: int, alt_seed: int,
-                        lift_seed: int = 0, perturb_t1: FqElem | None = None) -> RelifReport:
-    """Recompute the regulator replacing the lifting at one finite point.
-
-    The alternative lifting agrees with the standard one modulo t^2 (both lift
-    the same depth-2 data), so the defect pairing corrects the difference and
-    the total is unchanged.  With ``perturb_t1`` the alternative point
-    polynomial is moved at order t, which only preserves agreement modulo t;
-    the correction then fails, which is exactly the depth-2 threshold.
-    """
-    p = inp.field.p
-    std_total, breakdown = regulate(inp, lift_seed)
-    std_lift = _lift_input(inp, p, lift_seed)
-    kprime, zhat_std = _point_field_and_root(inp, std_lift, point_idx)
-    ring = RatFnRing(kprime)
-    entries_std, unif_std = _realize_local(inp, std_lift, point_idx, kprime, zhat_std)
-
-    if perturb_t1 is None:
-        alt_lift = _lift_input(inp, p, alt_seed)
-        kprime_alt, zhat_alt = _point_field_and_root(inp, alt_lift, point_idx)
-        if kprime != kprime_alt:
-            raise CtxMismatch(f"alternative lifting reduces to {kprime_alt}, not {kprime}")
-        point_value_alt = _residue_value(inp, alt_lift, point_idx, kprime, zhat_alt, ell_p)
-        entries_alt, _ = _realize_local(inp, alt_lift, point_idx, kprime, zhat_alt)
-        defect = omega.res_omega_pair(wedge(*entries_std), wedge(*entries_alt), ring)
-    else:
-        # move the uniformizer at order t only and reassemble the entries with
-        # the same unit parts; the resulting data matches the standard one
-        # modulo t alone, which is exactly where the correction breaks down
-        unif_alt = unif_std + Trunc(ring, p, [ring.zero, RatFn.const(perturb_t1)])
-        ns = [fn.exponent_of(point_idx) for fn in inp.functions()]
-        entries_alt = [e * unif_std ** (-n) * unif_alt ** n for e, n in zip(entries_std, ns)]
-        point_value_alt = ell_p(res_local(entries_alt, unif_alt), ring=kprime)
-        defect = omega.res_omega_difference(wedge(*entries_std), wedge(*entries_alt), ring)
-
-    std_point = dict(breakdown).get(point_idx, inp.field.zero)
-    value = std_total - std_point + trace_to(point_value_alt + defect, inp.field)
-    return RelifReport(value=value, defect=defect, standard_value=std_total,
-                       point_value_alt=point_value_alt)

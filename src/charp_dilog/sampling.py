@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .gf import Fq, FqElem, Poly
-from .localfield import RatFn, RatFnRing
+from .cycles import admissibility_check, graph_cycle
+from .gf import Fq, FqElem, Poly, is_irreducible
+from .localfield import OneForm, RatFn, RatFnRing
 from .omega import Letter
 from .regulator import GoodFunction, RegulatorInput, finite_point
 from .tpoly import Trunc
@@ -30,13 +31,6 @@ def rand_nonzero(field: Fq, rng) -> FqElem:
     while True:
         x = field.random_element(rng)
         if not x.is_zero:
-            return x
-
-
-def rand_trunc(ring, m: int, rng, unit: bool = False) -> Trunc:
-    while True:
-        x = Trunc(ring, m, [ring.random_element(rng) for _ in range(m)])
-        if not unit or x.is_unit:
             return x
 
 
@@ -169,8 +163,6 @@ def rand_good_lifting_pair(ring: RatFnRing, rng):
 def rand_oneform(ring: RatFnRing, rng):
     """A random 1-form f ds, numerator of degree at most 6 and denominator at
     most 8 (for the global residue test)."""
-    from .localfield import OneForm
-
     field = ring.field
     while True:
         num = Poly(field, [field.random_element(rng) for _ in range(7)])
@@ -209,7 +201,6 @@ def rand_moebius_input(field: Fq, rng, degrees: Sequence[int] = (1, 1, 1, 1, 1, 
                     break
                 coeffs0 = [field.random_element(rng) for _ in range(d)]
                 red = Poly(field, coeffs0 + [field.one])
-                from .gf import is_irreducible
                 if not is_irreducible(red):
                     continue
                 red_key = (d, tuple(c.raw for c in coeffs0))
@@ -240,8 +231,6 @@ def rand_moebius_input(field: Fq, rng, degrees: Sequence[int] = (1, 1, 1, 1, 1, 
 
 def rand_admissible_graph(field: Fq, rng, seed: int, trivial_units: bool = False):
     """A regulator input whose lifted graph cycle passes admissibility."""
-    from .cycles import admissibility_check, graph_cycle
-
     while True:
         degrees = (1, 1, 1, 1, 1, 1) if field.order > 6 else (1, 1, 1, 1, 2, 2)
         inp = rand_moebius_input(field, rng, degrees=degrees, trivial_units=trivial_units)

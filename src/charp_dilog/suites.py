@@ -11,8 +11,9 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import bloch, cycles, omega, regulator
-from .gf import Fq, NotInSubfield, factor_squarefree_irreducibles, trace_to, trace_to_base
-from .localfield import INF, OneForm, RatFn, RatFnRing, is_exact_form, residue_at
+from .gf import (Fq, NotInSubfield, factor_squarefree_irreducibles, roots_in_field, trace_to,
+                 trace_to_base)
+from .localfield import INF, OneForm, RatFnRing, is_exact_form, residue_at
 from .omega import Letter
 from .rng import spawn
 from .sampling import (
@@ -23,10 +24,11 @@ from .sampling import (
     rand_letter_wedge_entries,
     rand_nonzero,
     rand_oneform,
+    rand_ratfn,
     rand_sigma_weights,
     rand_theorem1_triple,
 )
-from .tpoly import Trunc
+from .tpoly import Trunc, hensel_root_zpoly
 from .wedge import ell_p, res_local, wedge
 
 
@@ -103,8 +105,6 @@ def _exactness_tuples(p: int) -> list[tuple[int, int, int, int]]:
 def _exactness_check(ring: RatFnRing, a: int, b: int, c: int, w: int, rng, result,
                      cross_oracle: bool) -> None:
     p = ring.characteristic
-    from .sampling import rand_ratfn
-
     x = rand_ratfn(ring, rng)
     pa = rand_ratfn(ring, rng, nonzero=(a == 0))
     pb = rand_ratfn(ring, rng, nonzero=(b == 0))
@@ -142,8 +142,6 @@ def run_exactness(p: int, trials: int = 20, seed: int = 0) -> SuiteResult:
         for t_idx, (a, b, c, w) in enumerate(((2, 0, 0, 2), (2, 2, 1, 3),
                                               (1, 2, 2, 1), (1, 1, 1, 2))):
             rng = spawn(seed, "exactness-zero", p, t_idx)
-            from .sampling import rand_ratfn
-
             x = rand_ratfn(ring, rng)
             pa, pb, pc = (rand_ratfn(ring, rng) for _ in range(3))
             q3 = wedge([Letter(a, pa)], [Letter(b, pb)], [Letter(c, pc)])
@@ -379,9 +377,6 @@ def _moebius_closed_form(inp):
         if pt.degree == 1:
             point_roots.append([(-pt.poly[0]).embedded(split)])
         else:
-            from .gf import roots_in_field
-            from .tpoly import hensel_root_zpoly
-
             red = pt.reduction(field).embedded(split)
             coeffs = [c.embedded(split) for c in pt.poly]
             point_roots.append([hensel_root_zpoly(coeffs, r0)

@@ -275,7 +275,9 @@ class Trunc:
         return Trunc._of(self.ring, self.m, (zeros + list(self.raws))[:self.m])
 
     def congruent(self, other: "Trunc", m2: int) -> bool:
-        """Whether self and other agree modulo t^m2."""
+        """Whether self and other, over one ring, agree modulo t^m2."""
+        if other.ring != self.ring or not 1 <= m2 <= min(self.m, other.m):
+            raise ModulusMismatch(f"congruence mod t^{m2} needs one ring and 1 <= m2 <= min(m)")
         return self.raws[:m2] == other.raws[:m2]
 
     def map_coeffs(self, fn: Callable, ring=None) -> "Trunc":

@@ -1,7 +1,8 @@
 """Independent reference routines that only the tests use.
 
 Each one is the plain textbook form of an operation the library computes a
-faster way, kept here so the fast route is always compared with it.
+faster way, kept here so the fast route is always compared with it; beside
+them, a sampler that only the tests draw from.
 """
 
 from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius
@@ -9,6 +10,14 @@ from charp_dilog.localfield import RatFn, residue_at
 from charp_dilog.omega import Letter, letters_of_unit, omega_p
 from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, rp_eval
 from charp_dilog.wedge import GoodElem, NotGood, local_point, res_good
+
+
+def rand_trunc(ring, m, rng, unit=False):
+    """A random element of R[t]/(t^m), redrawn until it is a unit when ``unit``."""
+    while True:
+        x = Trunc(ring, m, [ring.random_element(rng) for _ in range(m)])
+        if not unit or x.is_unit:
+            return x
 
 
 def trace_orbit(x):

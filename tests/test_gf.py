@@ -16,7 +16,6 @@ from charp_dilog.gf import (
     multiplicity,
     trace_to,
     trace_to_base,
-    trace_to_prime,
 )
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_nonzero
@@ -91,21 +90,21 @@ def test_frobenius_fixes_exactly_prime_subfield(F25, F49):
 
 
 def test_trace_examples(F25, F5):
-    assert trace_to_prime(F25.one) == F5(2)
+    assert trace_to(F25.one, F5) == F5(2)
     # base-field element c traces to deg * c
     c = F25.embed(F5(3))
-    assert trace_to_prime(c) == F5(6)
+    assert trace_to(c, F5) == F5(6)
     # trace(u) = u + u^5; u^5 = u^4 * u = (u^2)^2 u = 9u = 4u, so trace = 5u = 0
-    assert trace_to_prime(F25.gen()) == F5.zero
+    assert trace_to(F25.gen(), F5) == F5.zero
 
 
-def test_trace_additive_and_frobenius_stable(F49):
+def test_trace_additive_and_frobenius_stable(F7, F49):
     rng = spawn(1, "trace")
     for _ in range(40):
         x = F49.random_element(rng)
         y = F49.random_element(rng)
-        assert trace_to_prime(x + y) == trace_to_prime(x) + trace_to_prime(y)
-        assert trace_to_prime(frobenius(x)) == trace_to_prime(x)
+        assert trace_to(x + y, F7) == trace_to(x, F7) + trace_to(y, F7)
+        assert trace_to(frobenius(x), F7) == trace_to(x, F7)
 
 
 def _f625(F25):
@@ -125,8 +124,8 @@ def test_trace_through_a_tower(F25, F5):
     for _ in range(10):
         x = tower.random_element(rng)
         assert trace_to_base(x).field == F25
-        assert trace_to_prime(x) == trace_orbit(x)
-        assert trace_to_prime(x).field == F5
+        assert trace_to(x, F5) == trace_orbit(x)
+        assert trace_to(x, F5).field == F5
 
 
 def test_trace_to_goes_down_the_tower(F5, F7, F25):
@@ -316,7 +315,7 @@ def test_divmod_gcd_differential(request, name, max_deg):
         g = a.gcd(b)
         assert g.is_monic and (a % g).is_zero and (b % g).is_zero
         assert (g % common).is_zero if trial else g == b.monic()[0]
-        assert g == a.xgcd(b)[0] == b.gcd(a)
+        assert g == b.gcd(a)
         assert (a // g) * g == a and (b // g) * g == b
         if ext is not None and trial < 5:
             ea, eb = a.embedded(ext), b.embedded(ext)
@@ -342,15 +341,15 @@ def test_gcd_and_factor_match_sympy(p):
         f = a * b
         ours = {tuple(reversed(g.coeffs)): m for g, m in factor_squarefree_irreducibles(f)}
         lead, theirs = gf_factor(list(reversed(f.coeffs)), p, ZZ)
-        assert lead == f.leading().lift_int()
+        assert lead == f.leading().raw
         assert ours == {tuple(g): m for g, m in theirs}
 
 
-def test_trace_outside_subfield_raises(monkeypatch, F25):
+def test_trace_outside_subfield_raises(monkeypatch, F5, F25):
     # with Frobenius replaced by the identity, trace(u) = deg * u is not fixed
     monkeypatch.setattr(gf, "frobenius", lambda x, power=1: x)
     with pytest.raises(NotInSubfield):
-        trace_to_prime(F25.gen())
+        trace_to(F25.gen(), F5)
     with pytest.raises(NotInSubfield):
         trace_to_base(F25.gen())
 

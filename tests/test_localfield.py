@@ -191,6 +191,16 @@ def test_lazy_reduction_invariants(R5, F5):
     assert hash(a) == hash(b)
 
 
+def test_order_is_taken_only_at_a_closed_point(R5, F5):
+    # s^2 is not irreducible, s^2 + 1 = (s + 2)(s + 3) over F_5, 2s + 1 is not monic
+    f = R5.gen ** 3
+    for pi in ([0, 0, 1], [1, 0, 1], [1, 2]):
+        with pytest.raises(ValueError, match="irreducible"):
+            f.ord_at(Poly(F5, pi))
+    assert f.ord_at(Poly(F5, [0, 1])) == f.ord_at(F5.zero) == 3
+    assert f.ord_at(INF) == -3
+
+
 def test_constants_are_built_without_a_gcd(monkeypatch, F5, F25):
     # c/1 is already in normal form: no constructor of a constant, and no
     # int or field-element operand, runs Euclid
@@ -373,7 +383,7 @@ def _germ(ring, val, prec, coeffs):
 
 
 def _known(g):
-    return [g.coeff(e).lift_int() for e in range(g.val, g.prec)]
+    return [g.coeff(e).raw for e in range(g.val, g.prec)]
 
 
 def test_germ_precision_rules(F7):

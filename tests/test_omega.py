@@ -10,17 +10,14 @@ from charp_dilog.omega import (
     Letter,
     NotCongruentModT2,
     NotDivisible,
-    PairNotCongruent,
     antider_primitive,
     letters_of_unit,
     omega_char0_defect,
     omega_letters,
     omega_p,
-    omega_p_pair,
     res_invariance_check,
     res_omega_pair,
     s_coeff,
-    sigma_apply,
     sigma_image_letters,
     sigma_letters,
 )
@@ -48,6 +45,14 @@ def eletter(ring, a, payload):
     if a == 0:
         return Trunc.constant(ring, p, payload)
     return trunc_exp(Trunc(ring, p, [ring.zero] * a + [payload]))
+
+
+def unit_of(ring, letters):
+    """The unit of R[t]/(t^p) that a letter list multiplies out to."""
+    u = Trunc.one(ring, ring.characteristic)
+    for letter in letters:
+        u = u * eletter(ring, letter.a, letter.payload)
+    return u
 
 
 def test_three_units_vanish(R5):
@@ -136,10 +141,11 @@ def test_pair_form(R5):
     x = eletter(R5, 2, rand_ratfn(R5, rng))
     y = eletter(R5, 1, rand_ratfn(R5, rng))
     z = eletter(R5, 0, rand_ratfn(R5, rng, nonzero=True))
-    same = wedge((x, x), (y, y), (z, z))
-    assert omega_p_pair(same, R5).is_zero
-    with pytest.raises(PairNotCongruent):
-        omega_p_pair(wedge((x, x * eletter(R5, 0, R5.gen)), (y, y), (z, z)), R5)
+    # the pair form, first entries' form minus second entries', on the pair
+    # (x v, x) in the first slot is the form on v there
+    v = eletter(R5, 3, rand_ratfn(R5, rng))
+    form = omega_p(wedge(x * v, y, z), R5) - omega_p(wedge(x, y, z), R5)
+    assert (form - omega_p(wedge(v, y, z), R5)).is_zero
 
 
 def test_pair_form_on_displayed_counterexample(R5, F5):
@@ -150,7 +156,7 @@ def test_pair_form_on_displayed_counterexample(R5, F5):
     plain = Trunc.constant(R5, 5, s)
     a = Trunc.constant(R5, 5, one + s ** 4)
     b = Trunc.constant(R5, 5, one + s)
-    form = omega_p_pair(wedge((moved, plain), (a, a), (b, b)), R5)
+    form = omega_p(wedge(moved, a, b), R5) - omega_p(wedge(plain, a, b), R5)
     assert form.is_zero
     from charp_dilog.wedge import ell_p, res_local
     gap = ell_p(res_local([moved, a, b], moved), ring=F5) - \
@@ -160,15 +166,12 @@ def test_pair_form_on_displayed_counterexample(R5, F5):
 
 def test_sigma_identity_for_large_weight(R5):
     rng = spawn(7, "sig-w")
-    u = eletter(R5, 2, rand_ratfn(R5, rng))
-    assert sigma_apply(rand_ratfn(R5, rng), 5, u) == u
+    letters = [Letter(2, rand_ratfn(R5, rng))]
+    assert sigma_letters(rand_ratfn(R5, rng), 5, letters, 5) == letters
 
 
 def test_sigma_rejects_nonpositive_weight(R5):
-    u = eletter(R5, 2, R5.gen)
     for w in (0, -1):
-        with pytest.raises(ValueError):
-            sigma_apply(R5.gen, w, u)
         with pytest.raises(ValueError):
             sigma_letters(R5.gen, w, [Letter(2, R5.gen)], 5)
 
@@ -179,7 +182,7 @@ def test_sigma_on_coordinate_matches_displayed_formula(R5, F5):
     w = 1
     s = R5.gen
     u = Trunc.constant(R5, 5, s)
-    moved = sigma_apply(x, w, u)
+    moved = unit_of(R5, sigma_letters(x, w, letters_of_unit(u), 5))
     direct = substitute_s(u, sigma_image_of_s(R5, [x] + [R5.zero] * 3))
     assert moved == direct
     assert moved.c0 == s
@@ -195,21 +198,23 @@ def test_sigma_closed_form_equals_substitution(R5):
                   [rand_ratfn(R5, rng) for _ in range(4)])
         xs = [R5.zero] * 4
         xs[w - 1] = x
-        assert sigma_apply(x, w, u) == substitute_s(u, sigma_image_of_s(R5, xs))
+        moved = unit_of(R5, sigma_letters(x, w, letters_of_unit(u), 5))
+        assert moved == substitute_s(u, sigma_image_of_s(R5, xs))
 
 
-def test_sigma_letters_match_sigma_apply(R5):
+def test_sigma_letters_form_matches_substitution(R5):
     rng = spawn(9, "sig-let")
     for _ in range(15):
         x = rand_ratfn(R5, rng)
         w = rng.randrange(1, 5)
         a = rng.randrange(0, 5)
         payload = rand_ratfn(R5, rng, nonzero=(a == 0))
-        u = eletter(R5, a, payload)
+        xs = [R5.zero] * 4
+        xs[w - 1] = x
+        direct = substitute_s(eletter(R5, a, payload), sigma_image_of_s(R5, xs))
         via_letters = omega_p(wedge(sigma_letters(x, w, [Letter(a, payload)], 5),
                                     [Letter(1, R5.one)], [Letter(4, R5.gen)]), R5)
-        via_trunc = omega_p(wedge(sigma_apply(x, w, u),
-                                  eletter(R5, 1, R5.one), eletter(R5, 4, R5.gen)), R5)
+        via_trunc = omega_p(wedge(direct, eletter(R5, 1, R5.one), eletter(R5, 4, R5.gen)), R5)
         assert (via_letters - via_trunc).is_zero
 
 
@@ -220,10 +225,7 @@ def test_sigma_image_letters_match_substitution(R5):
         xs = rand_sigma_weights(R5, rng)
         image = sigma_image_of_s(R5, xs)
         for ls in entries:
-            u = Trunc.one(R5, 5)
-            for letter in ls:
-                u = u * eletter(R5, letter.a, letter.payload)
-            direct = substitute_s(u, image)
+            direct = substitute_s(unit_of(R5, ls), image)
             via = sigma_image_letters_global(xs, ls, R5)
             assert (omega_p(wedge(via, [Letter(1, R5.one)], [Letter(4, R5.gen)]), R5)
                     - omega_p(wedge(direct, eletter(R5, 1, R5.one),

@@ -1,8 +1,10 @@
+from dataclasses import dataclass
+
 import pytest
 
-from charp_dilog import regulator
-from charp_dilog.gf import CtxMismatch, Fq, Poly
-from charp_dilog.localfield import OneForm, RatFnRing, residue_at
+from charp_dilog import omega, regulator
+from charp_dilog.gf import CtxMismatch, Fq, FqElem, Poly, trace_to
+from charp_dilog.localfield import OneForm, RatFn, RatFnRing, residue_at
 from charp_dilog.regulator import (
     DegenerateConfiguration,
     GoodFunction,
@@ -10,7 +12,6 @@ from charp_dilog.regulator import (
     RegulatorInput,
     finite_point,
     linear_input,
-    local_relift_report,
     regulate,
     rescaled_t,
     rho,
@@ -19,7 +20,8 @@ from charp_dilog.regulator import (
 )
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_moebius_input, rand_theorem1_triple, rand_unit_k2
-from charp_dilog.tpoly import Trunc
+from charp_dilog.tpoly import Trunc, rp_eval
+from charp_dilog.wedge import ell_p, res_local, wedge
 
 
 def test_closed_form_guards(F5):
@@ -118,6 +120,81 @@ def test_scaling_law(F5):
             scaled = rescaled_t(inp, lam)
             assert rho(scaled, lift_seed=trial) == lam ** 3 * v3
             assert rho_K(scaled, lift_seed=trial) == lam ** 5 * vp
+
+
+# -- local re-lifting and the defect pairing ----------------------------------
+# Re-lifting one point reactivates the defect pairing; the regulator's own
+# helpers are called through the module so that a test can patch them.
+
+@dataclass
+class RelifReport:
+    """Outcome of recomputing one point's contribution through another lifting."""
+
+    value: FqElem
+    defect: FqElem
+    standard_value: FqElem
+    point_value_alt: FqElem
+
+
+def _realize_local(inp, lift, idx, kprime, zhat):
+    """Realize the three lifted functions and the point's uniformizer in the
+    local model at the point: coordinate s with z = zhat + s, coefficients
+    rational functions over the residue field."""
+    ring = RatFnRing(kprime)
+    zero = Trunc.zero(ring, lift.m)
+    z = zhat.embedded(ring) + ring.gen
+    realized_points = {}
+    for i in {i for fn in inp.functions() for i, _ in fn.factors} | {idx}:
+        coeffs = [c.embedded(kprime).embedded(ring) for c in lift.points[i]]
+        realized_points[i] = rp_eval(coeffs, z, zero)
+    entries = []
+    for which, fn in enumerate(inp.functions()):
+        val = lift.units[which].embedded(kprime).embedded(ring)
+        for i, e in fn.factors:
+            val = val * realized_points[i] ** e
+        entries.append(val)
+    return entries, realized_points[idx]
+
+
+def local_relift_report(inp, point_idx, alt_seed, lift_seed=0, perturb_t1=None):
+    """Recompute the regulator replacing the lifting at one finite point.
+
+    The alternative lifting agrees with the standard one modulo t^2 (both lift
+    the same depth-2 data), so the defect pairing corrects the difference and
+    the total is unchanged.  With ``perturb_t1`` the alternative point
+    polynomial is moved at order t, which only preserves agreement modulo t;
+    the correction then fails, which is exactly the depth-2 threshold.
+    """
+    p = inp.field.p
+    std_total, breakdown = regulator.regulate(inp, lift_seed)
+    std_lift = regulator._lift_input(inp, p, lift_seed)
+    kprime, zhat_std = regulator._point_field_and_root(inp, std_lift, point_idx)
+    ring = RatFnRing(kprime)
+    entries_std, unif_std = _realize_local(inp, std_lift, point_idx, kprime, zhat_std)
+
+    if perturb_t1 is None:
+        alt_lift = regulator._lift_input(inp, p, alt_seed)
+        kprime_alt, zhat_alt = regulator._point_field_and_root(inp, alt_lift, point_idx)
+        if kprime != kprime_alt:
+            raise CtxMismatch(f"alternative lifting reduces to {kprime_alt}, not {kprime}")
+        point_value_alt = regulator._residue_value(inp, alt_lift, point_idx, kprime,
+                                                   zhat_alt, ell_p)
+        entries_alt, _ = _realize_local(inp, alt_lift, point_idx, kprime, zhat_alt)
+        defect = omega.res_omega_pair(wedge(*entries_std), wedge(*entries_alt), ring)
+    else:
+        # move the uniformizer at order t only and reassemble the entries with
+        # the same unit parts; the resulting data matches the standard one
+        # modulo t alone, which is exactly where the correction breaks down
+        unif_alt = unif_std + Trunc(ring, p, [ring.zero, RatFn.const(perturb_t1)])
+        ns = [fn.exponent_of(point_idx) for fn in inp.functions()]
+        entries_alt = [e * unif_std ** (-n) * unif_alt ** n for e, n in zip(entries_std, ns)]
+        point_value_alt = ell_p(res_local(entries_alt, unif_alt), ring=kprime)
+        defect = omega.res_omega_difference(wedge(*entries_std), wedge(*entries_alt), ring)
+
+    std_point = dict(breakdown).get(point_idx, inp.field.zero)
+    value = std_total - std_point + trace_to(point_value_alt + defect, inp.field)
+    return RelifReport(value=value, defect=defect, standard_value=std_total,
+                       point_value_alt=point_value_alt)
 
 
 def test_relift_identity_is_trivial(F5):

@@ -97,31 +97,42 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+LIBRARY_TREES = ("src", "perfbench", "scripts")
+
+
 def unreferenced_definitions(root: Path) -> list[str]:
-    """Non-dunder functions, classes and methods of the library whose name no
-    file under the trees uses as a name, an attribute, an import or an
-    identifier-like string (the benchmark's tracer binds by string)."""
-    used = set()
-    defined = []
+    """Non-dunder functions, classes and methods of the library that nothing
+    uses as a name, an attribute, an import or an identifier-like string (the
+    benchmark's tracer binds by string).  A module-level function or class
+    needs a use under ``LIBRARY_TREES``; an import into ``__init__`` counts,
+    and puts it on the public list.  Methods and nested functions may also be
+    used from the tests."""
+    used = {tree: set() for tree in TREES}
+    top, nested = [], []
     package = root / "src" / "charp_dilog"
     for tree in TREES:
         for path in sorted((root / tree).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            module = ast.parse(path.read_text(), filename=str(path))
+            for node in ast.walk(module):
                 if isinstance(node, ast.Name):
-                    used.add(node.id)
+                    used[tree].add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
+                    used[tree].add(node.attr)
                 elif isinstance(node, ast.alias):
-                    used.update(node.name.split("."))
-                    used.add(node.asname)
+                    used[tree].update(node.name.split("."))
+                    used[tree].add(node.asname)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     parts = node.value.split(".")
                     if all(part.isidentifier() for part in parts):
-                        used.update(parts)
+                        used[tree].update(parts)
                 elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                       and path.parent == package and not _is_dunder(node.name)):
-                    defined.append((node.name, f"{path.name}:{node.lineno}"))
-    return [f"{where} {name}" for name, where in defined if name not in used]
+                    (top if node in module.body else nested).append(
+                        (node.name, f"{path.name}:{node.lineno}"))
+    in_library = set().union(*(used[tree] for tree in LIBRARY_TREES))
+    anywhere = set().union(*used.values())
+    return ([f"{where} {name}" for name, where in top if name not in in_library]
+            + [f"{where} {name}" for name, where in nested if name not in anywhere])
 
 
 def test_no_unreferenced_definitions():

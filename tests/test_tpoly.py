@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from charp_dilog.gf import CtxMismatch, Fq, Poly, is_irreducible, residue_field
 from charp_dilog.localfield import RatFn, RatFnRing
 from charp_dilog.rng import spawn
-from charp_dilog.sampling import rand_trunc
 from charp_dilog.tpoly import (
     ElementKernel,
     HenselFailure,
@@ -23,14 +22,7 @@ from charp_dilog.tpoly import (
     unit_recompose,
 )
 
-from oracles import hensel_root_oracle, trunc_horner
-
-
-def rand_unit(ring, m, rng):
-    while True:
-        u = Trunc(ring, m, [ring.random_element(rng) for _ in range(m)])
-        if u.is_unit:
-            return u
+from oracles import hensel_root_oracle, rand_trunc, trunc_horner
 
 
 def test_ring_examples(F5):
@@ -53,6 +45,20 @@ def test_modulus_bounds(F5):
     for m2 in (1, 4):
         with pytest.raises(ModulusMismatch):
             Trunc(F5, 3, [1]).reduce_to(m2)
+
+
+def test_congruence_needs_one_ring_and_a_modulus_in_range(F5):
+    # equal raws over two different quadratic extensions are not congruent
+    k1, k2 = (Fq(5, modulus=[c, 0, 1], base=F5) for c in (2, 3))
+    a, b = Trunc(k1, 3, [k1.gen(), 1]), Trunc(k2, 3, [k2.gen(), 1])
+    assert a.raws == b.raws
+    with pytest.raises(ModulusMismatch):
+        a.congruent(b, 2)
+    x, y = Trunc(F5, 3, [1, 2, 3]), Trunc(F5, 2, [1, 2])
+    assert x.congruent(y, 2) and x.congruent(x, 3)
+    for m2 in (0, 3):
+        with pytest.raises(ModulusMismatch):
+            x.congruent(y, m2)
 
 
 def test_foreign_coefficients_are_rejected(F5, F25):
@@ -119,8 +125,8 @@ def test_log_examples(F5):
 def test_log_is_homomorphism(F5):
     rng = spawn(1, "log-hom")
     for _ in range(200):
-        u = rand_unit(F5, 5, rng)
-        v = rand_unit(F5, 5, rng)
+        u = rand_trunc(F5, 5, rng, unit=True)
+        v = rand_trunc(F5, 5, rng, unit=True)
         assert log_circ(u * v) == log_circ(u) + log_circ(v)
 
 
@@ -130,7 +136,7 @@ def test_exp_log_inverse_pair(F7):
     for _ in range(100):
         a = Trunc(F7, m, [F7.zero] + [F7.random_element(rng) for _ in range(m - 1)])
         assert log_circ(trunc_exp(a)) == a
-        u = rand_unit(F7, m, rng)
+        u = rand_trunc(F7, m, rng, unit=True)
         v = trunc_exp(log_circ(u))
         assert v.scaled(u.c0) == u
 
@@ -151,7 +157,7 @@ def test_decompose_recompose_roundtrip(p):
     field = Fq(p)
     rng = spawn(3, "decomp", p)
     for _ in range(500):
-        u = rand_unit(field, p, rng)
+        u = rand_trunc(field, p, rng, unit=True)
         d = unit_decompose(u)
         assert unit_recompose(d) == u
         assert d.a0 == u.c0
@@ -408,7 +414,7 @@ def test_log_over_ratfn_ring_matches_series(F5):
     rng = spawn(10, "ratfn-log")
     for m in (3, 5):
         for _ in range(3):
-            u = rand_unit(ring, m, rng)
+            u = rand_trunc(ring, m, rng, unit=True)
             assert log_circ(u) == log_series_oracle(u)
 
 
@@ -417,7 +423,7 @@ def test_log_and_exp_at_huge_prime():
     field = Fq(2 ** 61 - 1)
     rng = spawn(11, "huge-p")
     for _ in range(20):
-        u = rand_unit(field, 3, rng)
+        u = rand_trunc(field, 3, rng, unit=True)
         log = log_circ(u)
         assert log == log_series_oracle(u)
         assert trunc_exp(log).scaled(u.c0) == u

@@ -8,7 +8,6 @@ from charp_dilog.sampling import (
     quadratic_extension,
     rand_good_lifting_pair,
     rand_regular_unit_ratfn,
-    rand_trunc,
 )
 from charp_dilog.tpoly import ModulusMismatch, Trunc, trunc_exp
 from charp_dilog.wedge import (
@@ -27,7 +26,7 @@ from charp_dilog.wedge import (
 )
 
 from oracles import (ell_p_antisymmetric, goodness_split_global, goodness_split_zpoly,
-                     local_point_oracle, ratfn_at_trunc, res_local_global, substitute)
+                     local_point_oracle, rand_trunc, ratfn_at_trunc, res_local_global, substitute)
 
 
 def test_ell_alternating_and_constant_kill(F5):
