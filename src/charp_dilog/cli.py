@@ -32,6 +32,9 @@ class ParseError(Exception):
     """Malformed input file or option."""
 
 
+LI1_MAX_P = 500  # li1 tabulates p values of a degree p - 1 polynomial: O(p^2) work
+
+
 def _field_from(p: int, ext) -> Fq:
     base = Fq(p)
     if not ext:
@@ -180,6 +183,8 @@ def _default_seed() -> int:
 
 
 def cmd_li1(args, out) -> int:
+    if args.p > LI1_MAX_P:
+        raise ParseError(f"li1 supports p <= {LI1_MAX_P}, got p = {args.p}")
     field = _field_from(args.p, None)
     rows = []
     if args.x is not None:
@@ -273,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         if inp:
             sp.add_argument("--input", required=True, help="JSON input file")
 
-    sp = sub.add_parser("li1", help="table of the truncated-logarithm polynomial")
+    sp = sub.add_parser("li1", help="table of the truncated-logarithm polynomial",
+                        description=f"Values of li1 over F_p, for 5 <= p <= {LI1_MAX_P}.")
     common(sp, p=True)
     sp.add_argument("--x", type=int, default=None, help="single argument instead of a table")
 

@@ -7,20 +7,19 @@ constructions straightforward.  Raw element data is an int for a prime field
 and a tuple of base-field raws for an extension; :class:`FqElem` is a thin
 wrapper over that data.
 
-Polynomial multiplication, division and gcd over a prime field (``base is
-None``) run on plain int lists: one lead inverse per division, one ``% p``
-per coefficient update, and Kronecker substitution for long products.
-
-An extension of a prime field keeps its raws as int tuples: element products
-are int schoolbook products reduced by the modulus with one ``% p`` per
-coefficient, and polynomial products map to one prime-field product by
-Kronecker substitution.  Deeper towers recurse through the base field.
+Polynomial division and gcd over a prime field (``base is None``) run on
+plain int lists, with one lead inverse per division and one ``% p`` per
+coefficient update; a product is one Kronecker-packed int product at every
+size.  An extension of a prime field keeps its raws as int tuples: element
+products are int products in u reduced by the modulus with one ``% p`` per
+coefficient, and polynomial products flatten into one packed prime-field
+product.  Deeper towers recurse through the base field.
 
 Beyond those int kernels, each operation has one generic routine for every
 field and ring: :func:`power` (square-and-multiply for any product),
 :func:`schoolbook` (the low coefficients of a product over any ``_raw_*``
-kernel), :func:`multiplicity` (how often one polynomial divides another) and
-:func:`trace_to` (the trace down a tower of fields).
+kernel, for towers and element kernels), :func:`multiplicity` (how often one
+polynomial divides another) and :func:`trace_to` (the trace down a tower).
 """
 
 from __future__ import annotations
@@ -89,6 +88,65 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+# (limb bytes, array typecode) for unsigned limbs of 16, 32 and 64 bits
+_LIMBS = tuple((array(code).itemsize, code) for code in "HIQ")
+
+
+def _rmul_packed(a: Sequence[int], b: Sequence[int], p: int) -> list:
+    """Polynomial product over F_p by Kronecker substitution, at every size.
+
+    A product coefficient is a sum of at most min(len a, len b) terms below
+    (p-1)^2, so limbs of 2*bitlen(p-1) + bitlen(min(len a, len b)) bits hold
+    it without carry.  Limbs of up to 64 bits pack and unpack through
+    ``array``; wider ones through byte slices.
+    """
+    n = len(a) + len(b) - 1
+    bits = 2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length()
+    width = (bits + 7) // 8
+    for size, code in _LIMBS:
+        if width <= size:
+            abuf, bbuf = array(code, a), array(code, b)
+            if sys.byteorder == "big":
+                abuf.byteswap()
+                bbuf.byteswap()
+            prod = int.from_bytes(abuf, "little") * int.from_bytes(bbuf, "little")
+            out = array(code, prod.to_bytes(size * n, "little"))
+            if sys.byteorder == "big":
+                out.byteswap()
+            return [c % p for c in out]
+    abuf = b"".join(c.to_bytes(width, "little") for c in a)
+    bbuf = b"".join(c.to_bytes(width, "little") for c in b)
+    prod = int.from_bytes(abuf, "little") * int.from_bytes(bbuf, "little")
+    raw = prod.to_bytes(width * n, "little")
+    return [int.from_bytes(raw[width * i: width * i + width], "little") % p for i in range(n)]
+
+
+def _rmul(field: Fq, a: Sequence, b: Sequence, n: int | None = None) -> list:
+    """The product of two raw coefficient lists, or with ``n`` its low n
+    coefficients padded with zero raws: one :func:`_rmul_packed` call over a
+    prime field or an extension of one, at every size; over a tower,
+    :func:`schoolbook`."""
+    if n is not None:
+        a, b = a[:n], b[:n]
+    size = len(a) + len(b) - 1
+    base = field.base
+    if base is None:
+        out = _rmul_packed(a, b, field.p)
+    elif base.base is None:
+        # u -> X, x -> X^w: a product of u-degree at most 2d - 2 < w, so
+        # block k of the F_p product is coefficient k
+        w, pad = 2 * field.degree - 1, (0,) * (field.degree - 1)
+        flat = _rmul_packed([c for x in a for c in x + pad], [c for y in b for c in y + pad],
+                            field.p)
+        out = [field._reduce_ints(flat[k * w:k * w + w])
+               for k in range(size if n is None else min(size, n))]
+    else:
+        return schoolbook(field, a, b, size if n is None else n)
+    if n is None:
+        return out
+    return out[:n] if len(out) >= n else out + [field._raw_from_int(0)] * (n - len(out))
 
 
 class Fq:
@@ -162,9 +220,7 @@ class Fq:
     def _raw_of(self, x):
         return self(x).raw
 
-    def _raw_mul_low(self, a: list, b: list, n: int) -> list:
-        """The low n coefficients of the product of two raw coefficient lists."""
-        return _rmul(self, a, b, n)
+    _raw_mul_low = _rmul  # (a, b, n): the low n coefficients of a product
 
     def _wrap(self, raws) -> tuple["FqElem", ...]:
         return tuple([FqElem(self, r) for r in raws])
@@ -424,70 +480,6 @@ def _rsub(field: Fq, a: Sequence, b: Sequence) -> list:
     sub = field._raw_sub
     zero = field._raw_from_int(0)
     return [sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=zero)]
-
-
-# (limb bytes, array typecode) for unsigned limbs of 16, 32 and 64 bits
-_LIMBS = tuple((array(code).itemsize, code) for code in "HIQ")
-
-
-def _rmul_packed(a: list, b: list, p: int) -> list:
-    """Prime-field polynomial product by Kronecker substitution.
-
-    A product coefficient is a sum of at most min(len a, len b) terms below
-    (p-1)^2, so limbs of 2*bitlen(p-1) + bitlen(min(len a, len b)) bits hold
-    it without carry.  Limbs of up to 64 bits pack and unpack through
-    ``array``; wider ones through byte slices.
-    """
-    n = len(a) + len(b) - 1
-    bits = 2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length()
-    width = (bits + 7) // 8
-    for size, code in _LIMBS:
-        if width <= size:
-            abuf, bbuf = array(code, a), array(code, b)
-            if sys.byteorder == "big":
-                abuf.byteswap()
-                bbuf.byteswap()
-            prod = int.from_bytes(abuf, "little") * int.from_bytes(bbuf, "little")
-            out = array(code, prod.to_bytes(size * n, "little"))
-            if sys.byteorder == "big":
-                out.byteswap()
-            return [c % p for c in out]
-    abuf = b"".join(c.to_bytes(width, "little") for c in a)
-    bbuf = b"".join(c.to_bytes(width, "little") for c in b)
-    prod = int.from_bytes(abuf, "little") * int.from_bytes(bbuf, "little")
-    raw = prod.to_bytes(width * n, "little")
-    return [int.from_bytes(raw[width * i: width * i + width], "little") % p for i in range(n)]
-
-
-def _rmul(field: Fq, a: list, b: list, n: int | None = None) -> list:
-    """The product of two nonempty raw coefficient lists; with ``n``, only its
-    low n coefficients, zero-padded to length n (the inputs may then carry
-    trailing zeros)."""
-    if n is None:
-        size = len(a) + len(b) - 1
-    else:
-        a, b, size = _rtrim(field, list(a[:n])), _rtrim(field, list(b[:n])), n
-    base = field.base
-    if base is None:
-        p = field.p
-        if len(a) + len(b) > 16:
-            out = _rmul_packed(a, b, p)
-            return out if n is None else out[:n] + [0] * (n - len(out))
-        acc = [0] * size
-        nb = len(b)
-        for i, x in enumerate(a):
-            if x:
-                acc[i:i + nb] = [s + x * y for s, y in zip(acc[i:i + nb], b)]
-        return [c % p for c in acc]
-    if base.base is None:
-        # Kronecker substitution u -> X, x -> X^w: a product of u-degree at
-        # most 2d - 2 < w, so block k of the F_p product is coefficient k
-        w = 2 * field.degree - 1
-        pad = (0,) * (field.degree - 1)
-        flat = _rmul(base, [c for x in a for c in x + pad], [c for y in b for c in y + pad],
-                     size * w)
-        return [field._reduce_ints(flat[k * w:k * w + w]) for k in range(size)]
-    return schoolbook(field, a, b, size)
 
 
 def _prime_reduce(rem: list, b: list, p: int, quot: list | None = None) -> list:
@@ -760,7 +752,7 @@ class Poly:
         f = self.field
         if self.is_zero or other.is_zero:
             return Poly(f)
-        return Poly._from_raw(f, _rmul(f, list(self.coeffs), list(other.coeffs)))
+        return Poly._from_raw(f, _rmul(f, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -513,7 +513,6 @@ class LaurentLocal:
     field = property(lambda self: self.ring.field)
     val = property(lambda self: self.raw[0])
     prec = property(lambda self: self.raw[1])
-    coeffs = property(lambda self: self.field._wrap(self.raw[2]))
     is_zero = property(lambda self: self.raw[0] == math.inf)
 
     def coeff(self, e: int) -> FqElem:
@@ -610,8 +609,8 @@ def germs_at_zero(field: Fq, prec: int, compute: Callable):
 
 
 def _trailing_zeros(f: Poly) -> int:
-    for i in range(f.degree + 1):
-        if not f.coeff(i).is_zero:
+    for i, c in enumerate(f.coeffs):
+        if not f.field._raw_is_zero(c):
             return i
     raise ZeroPolynomial("zero polynomial has no valuation")
 

@@ -7,8 +7,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, strategies as st
 
-from charp_dilog import cycles, regulator, suites
-from charp_dilog.cli import main
+from charp_dilog import bloch, cycles, regulator, suites
+from charp_dilog.cli import LI1_MAX_P, main
 from charp_dilog.gf import Fq, NotInSubfield
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_admissible_graph
@@ -44,6 +44,23 @@ def test_li1_table(capsys):
 def test_li1_bad_prime(capsys):
     assert main(["li1", "--p", "4"]) == 2
     assert "prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [LI1_MAX_P + 1, 503])
+def test_li1_rejects_p_above_its_bound_before_any_work(monkeypatch, capsys, p):
+    # 501 is the first p outside the bound and 503 the first prime; no value is computed
+    monkeypatch.setattr(bloch, "pounds1", lambda x: pytest.fail("li1 computed a value"))
+    assert main(["li1", "--p", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"p <= {LI1_MAX_P}" in captured.err
+    with pytest.raises(SystemExit):
+        main(["li1", "--help"])
+    assert f"5 <= p <= {LI1_MAX_P}" in capsys.readouterr().out
+
+
+def test_li1_admits_the_largest_prime_in_its_bound(capsys):
+    assert main(["li1", "--p", "499", "--x", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["x"] == 2
 
 
 def test_li1_json_format(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -397,28 +399,82 @@ def test_poly_add_sub_neg(request, name):
                                                (-a).embedded(ext))
 
 
-@pytest.mark.parametrize("name", ["F7", "F49", "F121", "F625"])
-def test_product_kernel_matches_schoolbook(request, name):
-    # prime (int or packed), extension over a prime field (Kronecker through
-    # the prime kernel) and a tower (the _raw_* loop); n keeps the low n
-    if name == "F121":
-        field = Fq(11, modulus=[1, 0, 1], base=Fq(11))
-    elif name == "F625":
-        f25 = Fq(5, modulus=[2, 0, 1], base=Fq(5))
-        field = Fq(5, modulus=[f25.from_coeffs([1, 1]), 0, 1], base=f25)
-    else:
-        field = request.getfixturevalue(name)
-    rng = spawn(14, "product-kernel", name)
-    for _ in range(25):
-        a = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(1, 14))])
-        b = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(1, 14))])
-        full = _schoolbook(a, b)
-        assert a * b == full
-        if a.is_zero or b.is_zero:
-            continue
-        for n in (1, 3, 11):
-            low = gf._rmul(field, list(a.coeffs) + [field.zero.raw] * 2, list(b.coeffs), n)
-            assert low == [full.coeff(k).raw for k in range(n)]
+def _product_fields() -> dict:
+    # 251 and 2^32 - 5 sit at a limb edge: 2 bitlen(p - 1) fills 16 and 64
+    # bits, so a sum of two or more top products needs the next limb size
+    f5, f7 = Fq(5), Fq(7)
+    f25 = Fq(5, modulus=[2, 0, 1], base=f5)
+    return {"F5": f5, "F7": f7, "F25": f25, "F49": Fq(7, modulus=[1, 0, 1], base=f7),
+            "F121": Fq(11, modulus=[1, 0, 1], base=Fq(11)),
+            "F625": _f625(f25),
+            "F251": Fq(251), "F2^32-5": Fq(2 ** 32 - 5), "F2^61-1": Fq(2 ** 61 - 1)}
+
+
+PRODUCT_FIELDS = _product_fields()
+
+
+def _top_raw(field: Fq):
+    """The raw whose ints are all p - 1: the largest terms a packed limb sums."""
+    return field.p - 1 if field.base is None else tuple([_top_raw(field.base)] * field.degree)
+
+
+def _is_tower(field: Fq) -> bool:
+    return field.base is not None and field.base.base is not None
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+def test_product_kernel_matches_schoolbook(name):
+    # prime (packed), extension over a prime field (Kronecker through the
+    # packed product) and a tower (the _raw_* loop), at every pair of lengths
+    # 1..17 on random operands, and over F_p and F_p[u]/(m) on all-(p - 1)
+    # operands, the largest sums a packed limb holds; with n the operands
+    # carry trailing zeros and the output is padded to n.  A tower multiplies
+    # element by element through its base field's kernel, so to keep the
+    # test short its operands are about half zeros, which that kernel skips,
+    # and it takes one n per length pair, in turn.
+    field = PRODUCT_FIELDS[name]
+    zero, top, tower = field.zero.raw, _top_raw(field), _is_tower(field)
+    rng = spawn(15, "one-product", name)
+
+    def draw(length):
+        return [field.random_element(rng).raw if not tower or rng.randrange(2) else zero
+                for _ in range(length)]
+
+    for i, (la, lb) in enumerate(itertools.product(range(1, 18), repeat=2)):
+        cases = [(draw(la), draw(lb))]
+        if not tower:
+            cases.append(([top] * la, [top] * lb))
+        sizes = (None, 1, la + lb - 1, la + lb + 2)
+        for a, b in cases:
+            full = _schoolbook(Poly(field, field._wrap(a)), Poly(field, field._wrap(b)))
+            want = [full.coeff(k).raw for k in range(la + lb - 1)]
+            assert gf._rmul(field, a, b) == want
+            if not tower:
+                assert Poly(field, field._wrap(a)) * Poly(field, field._wrap(b)) == full
+            padded = want + [zero] * 3
+            for n in sizes[i % 4:i % 4 + 1] if tower else sizes:
+                assert gf._rmul(field, a + [zero] * 2, b + [zero], n) == padded[:n]
+
+
+@pytest.mark.parametrize("name", sorted(name for name, field in PRODUCT_FIELDS.items()
+                                        if not _is_tower(field)))
+def test_prime_and_prime_extension_products_are_one_packed_call(monkeypatch, name):
+    # no size takes a second route: every product over F_p or F_p[u]/(m),
+    # also through the Trunc and germ entry point _raw_mul_low, is one
+    # _rmul_packed call
+    field = PRODUCT_FIELDS[name]
+    calls = []
+    packed = gf._rmul_packed
+    monkeypatch.setattr(gf, "_rmul_packed", lambda a, b, p: calls.append(p) or packed(a, b, p))
+    rng = spawn(15, "one-product-spy", name)
+    for la, lb in itertools.product(range(1, 18), repeat=2):
+        a = [field.random_element(rng).raw for _ in range(la)]
+        b = [field.random_element(rng).raw for _ in range(lb)]
+        for product in (lambda: gf._rmul(field, a, b), lambda: gf._rmul(field, a, b, 1),
+                        lambda: field._raw_mul_low(a, b, la + lb - 1)):
+            calls.clear()
+            product()
+            assert calls == [field.p]
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
