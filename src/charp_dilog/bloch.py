@@ -1,12 +1,15 @@
 """Bloch-group symbols, the five-term relation, and the additive dilogarithms.
 
-Two dilogarithms live on symbols over R[t]/(t^2): the additive one with its
+A symbol is a formal integer combination of flat generators [x], those with
+x(1-x) a unit; flatness is checked once, when a symbol is built.  Two
+dilogarithms live on symbols over R[t]/(t^2): the additive one with its
 closed form -a^3 / (2 s^2 (1-s)^2), and the characteristic-p one built from
 the degree-(p-1) truncated logarithm polynomial.  Each also factors through
 the boundary map delta composed with a wedge functional after lifting to a
-deeper truncation; the lift does not matter, and the lift-based routes here
-draw their higher coefficients at random from a seeded generator so the tests
-exercise that independence for free.
+deeper truncation.  A lift keeps the constant term, so it stays flat; the lift
+does not matter, and the lift-based routes here draw their higher coefficients
+at random from a seeded generator so the tests exercise that independence for
+free.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rng import spawn
-from .tpoly import Trunc
+from .tpoly import Trunc, _inverses
 from .wedge import WedgeK, ell, ell_p, wedge
 
 
@@ -30,15 +33,16 @@ class DifferenceNotUnit(BlochError):
     """The five-term relation needs x - y to be a unit."""
 
 
-class LiftNotFlat(BlochError):
-    """A random lift landed outside the flat locus (re-lift)."""
-
-
 @dataclass(frozen=True)
 class BlochSym:
     """A formal integer combination of flat generators [x]."""
 
     terms: tuple
+
+    def __post_init__(self):
+        for _, x in self.terms:
+            if not flat_check(x):
+                raise NotFlat(f"x(1-x) is not a unit for x = {x!r}")
 
     def __add__(self, other: "BlochSym") -> "BlochSym":
         return BlochSym(self.terms + other.terms)
@@ -56,101 +60,83 @@ class BlochSym:
 
 
 def symbol(x: Trunc, coeff: int = 1) -> BlochSym:
-    if not flat_check(x):
-        raise NotFlat(f"x(1-x) is not a unit for x = {x!r}")
     return BlochSym(((coeff, x),))
 
 
 def flat_check(x: Trunc) -> bool:
-    """Whether x(1-x) is a unit, i.e. x avoids 0 and 1 modulo the maximal ideal."""
-    one = Trunc.one(x.ring, x.m)
-    return (x * (one - x)).is_unit
+    """Whether x(1-x) is a unit: its constant term x0(1-x0) is nonzero exactly
+    when x0 avoids 0 and 1."""
+    ring, x0 = x.ring, x.raws[0]
+    return not (ring._raw_is_zero(x0) or ring._raw_is_zero(ring._raw_sub(x0, ring._raw_from_int(1))))
 
 
 def five_term(x: Trunc, y: Trunc) -> BlochSym:
     """The five-term combination [x]-[y]+[y/x]-[(1-1/x)/(1-1/y)]+[(1-x)/(1-y)]."""
-    if not flat_check(x):
-        raise NotFlat("x is not flat")
-    if not flat_check(y):
-        raise NotFlat("y is not flat")
+    pair = ((1, x), (-1, y))
+    BlochSym(pair)  # a non-flat x or y raises NotFlat here, not a division error below
     if not (x - y).is_unit:
         raise DifferenceNotUnit("five-term relation needs x - y a unit")
     one = Trunc.one(x.ring, x.m)
-    args = [
-        (1, x),
-        (-1, y),
-        (1, y / x),
-        (-1, (one - x.inverse()) / (one - y.inverse())),
-        (1, (one - x) / (one - y)),
-    ]
-    out = BlochSym(())
-    for c, arg in args:
-        out = out + symbol(arg, c)
-    return out
+    return BlochSym(pair + ((1, y / x),
+                            (-1, (one - x.inverse()) / (one - y.inverse())),
+                            (1, (one - x) / (one - y))))
 
 
 def delta(b: BlochSym) -> WedgeK:
     """The boundary [x] -> (1-x) ^ x into the wedge square of the units."""
     out = WedgeK(())
     for k, x in b.terms:
-        if not flat_check(x):
-            raise NotFlat(f"generator {x!r} is not flat")
-        one = Trunc.one(x.ring, x.m)
-        out = out + wedge(one - x, x, coeff=k)
+        out = out + wedge(Trunc.one(x.ring, x.m) - x, x, coeff=k)
     return out
 
 
 def pounds1(s):
-    """The truncated-logarithm polynomial sum_{1<=i<=p-1} s^i / i.
+    """The truncated-logarithm polynomial sum_{1<=i<=p-1} s^i / i, by Horner.
 
     Accepts any element carrying a ``field`` with characteristic p (a field
     scalar or a rational function) and returns the same kind of element.
     """
     p = s.field.p
-    acc = None
-    power = s
-    for i in range(1, p):
-        term = power * pow(i, p - 2, p)
-        acc = term if acc is None else acc + term
-        if i < p - 1:
-            power = power * s
+    inv = _inverses(p, p)
+    acc = s * inv[p - 1]
+    for i in range(p - 2, 0, -1):
+        acc = (acc + inv[i]) * s
     return acc
 
 
-def _symbol_sum(b: BlochSym, ring, name: str, closed_form):
-    """sum_k k * closed_form(ring, s, a) over generators s + a t of R[t]/(t^2)."""
-    value = None if ring is None else ring.zero
+def _sum(b: BlochSym, ring, name: str, value):
+    """sum_k k * value(x) over the generators x of b, which live over R[t]/(t^2)."""
+    total = None if ring is None else ring.zero
     for k, x in b.terms:
         if x.m != 2:
             raise NotFlat(f"{name} generators live over R[t]/(t^2)")
-        if not flat_check(x):
-            raise NotFlat(f"generator {x!r} is not flat")
-        ring = x.ring
-        term = ring.from_int(k) * closed_form(ring, x.coeffs[0], x.coeffs[1])
-        value = term if value is None else value + term
-    return value
+        term = x.ring.from_int(k) * value(x)
+        total = term if total is None else total + term
+    return total
 
 
-def _li2_closed_form(ring, s, a):
+def _li2_value(x: Trunc):
+    ring = x.ring
+    s, a = x.coeffs
     p = ring.characteristic
-    half_inv = ring.from_int(pow(2, p - 2, p))
     denom = s * (ring.one - s)
-    return -(a * a * a) * half_inv * (denom * denom).inverse()
+    return -(a * a * a) * ring.from_int(pow(2, p - 2, p)) * (denom * denom).inverse()
 
 
-def _li2p_closed_form(ring, s, a):
-    ratio = a * (s * (ring.one - s)).inverse()
-    return ratio ** ring.characteristic * pounds1(s)
+def _li2p_value(x: Trunc):
+    ring = x.ring
+    s, a = x.coeffs
+    return (a * (s * (ring.one - s)).inverse()) ** ring.characteristic * pounds1(s)
 
 
 def li2(b: BlochSym, ring=None):
     """The additive dilogarithm on symbols over R[t]/(t^2): -a^3/(2 s^2 (1-s)^2)."""
-    return _symbol_sum(b, ring, "li2", _li2_closed_form)
+    return _sum(b, ring, "li2", _li2_value)
 
 
 def li2p(b: BlochSym, ring=None):
     """The characteristic-p dilogarithm: (a/(s(1-s)))^p * pounds1(s)."""
-    return _symbol_sum(b, ring, "li2p", _li2p_closed_form)
+    return _sum(b, ring, "li2p", _li2p_value)
 
 
 def _via_lift(b: BlochSym, seed: int, deep: bool):
@@ -159,16 +145,8 @@ def _via_lift(b: BlochSym, seed: int, deep: bool):
     name = "li2p" if deep else "li2"
     fn = ell_p if deep else ell
     rng = spawn(seed, name + "-lift")
-    value = None
-    for k, x in b.terms:
-        if x.m != 2:
-            raise NotFlat(f"{name} generators live over R[t]/(t^2)")
-        lifted = x.random_extended(x.ring.characteristic if deep else 3, rng)
-        if not flat_check(lifted):
-            raise LiftNotFlat("random lift left the flat locus")
-        term = x.ring.from_int(k) * fn(delta(symbol(lifted)))
-        value = term if value is None else value + term
-    return value
+    return _sum(b, None, name, lambda x: fn(delta(symbol(
+        x.random_extended(x.ring.characteristic if deep else 3, rng)))))
 
 
 def li2_via_lift(b: BlochSym, seed: int = 0):

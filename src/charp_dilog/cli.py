@@ -33,6 +33,13 @@ class ParseError(Exception):
 
 
 LI1_MAX_P = 500  # li1 tabulates p values of a degree p - 1 polynomial: O(p^2) work
+_LI2P_MAX_P = 50_000  # li2p evaluates a degree p - 1 polynomial: O(p) work, <= 1 s
+
+
+def _check_max_p(args, max_p: int) -> None:
+    """Reject p above a command's bound before any work."""
+    if args.p > max_p:
+        raise ParseError(f"{args.command} supports p <= {max_p}, got p = {args.p}")
 
 
 def _field_from(p: int, ext) -> Fq:
@@ -183,8 +190,7 @@ def _default_seed() -> int:
 
 
 def cmd_li1(args, out) -> int:
-    if args.p > LI1_MAX_P:
-        raise ParseError(f"li1 supports p <= {LI1_MAX_P}, got p = {args.p}")
+    _check_max_p(args, LI1_MAX_P)
     field = _field_from(args.p, None)
     rows = []
     if args.x is not None:
@@ -197,7 +203,9 @@ def cmd_li1(args, out) -> int:
     return 0
 
 
-def _cmd_dilog(args, out, closed_form) -> int:
+def _cmd_dilog(args, out, closed_form, max_p: int | None = None) -> int:
+    if max_p is not None:
+        _check_max_p(args, max_p)
     field = _field_from(args.p, args.ext)
     x = Trunc(field, 2, [_elem_from_json(field, args.s), _elem_from_json(field, args.a)])
     sym = bloch.symbol(x)
@@ -283,9 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, p=True)
     sp.add_argument("--x", type=int, default=None, help="single argument instead of a table")
 
-    for name, help_text in (("li2", "additive dilogarithm at [s + a t]"),
-                            ("li2p", "deep dilogarithm at [s + a t]")):
-        sp = sub.add_parser(name, help=help_text)
+    for name, help_text, bound in (("li2", "additive dilogarithm at [s + a t]", ""),
+                                   ("li2p", "deep dilogarithm at [s + a t]",
+                                    f", for 5 <= p <= {_LI2P_MAX_P}")):
+        sp = sub.add_parser(name, help=help_text, description=f"The {help_text}{bound}.")
         common(sp, p=True, ext=True)
         sp.add_argument("--s", type=json.loads, required=True)
         sp.add_argument("--a", type=json.loads, required=True)
@@ -320,7 +329,7 @@ def main(argv=None) -> int:
         if args.command == "li2":
             return _cmd_dilog(args, out, bloch.li2)
         if args.command == "li2p":
-            return _cmd_dilog(args, out, bloch.li2p)
+            return _cmd_dilog(args, out, bloch.li2p, _LI2P_MAX_P)
         if args.command in ("rho-k", "rho"):
             return cmd_regulator(args, out)
         if args.command == "cycle":

@@ -62,31 +62,28 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime; n at or above the proven bound raises ``BadPrime``."""
+    if n >= _MR_EXACT_BELOW:
+        raise BadPrime(f"p = {n} is not below {_MR_EXACT_BELOW}, "
+                       "the bound under which primality is proven")
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n < _MR_EXACT_BELOW:
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        for a in _MR_BASES:
-            x = pow(a, d, n)
-            if x == 1 or x == n - 1:
-                continue
-            for _ in range(s - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -246,20 +246,18 @@ def rho(inp: RegulatorInput, lift_seed: int | None = 0) -> FqElem:
 # -- the closed form ----------------------------------------------------------
 
 def theorem1_closed_form(alpha: Trunc, beta: Trunc, gamma: Trunc) -> FqElem:
-    """Value on (z - alpha) ^ (z - beta) ^ (z - gamma): a^p * pounds1(s),
-    where (gamma - beta)/(alpha - beta) = s + a s(1-s) t."""
-    field = alpha.ring
+    """Value on (z - alpha) ^ (z - beta) ^ (z - gamma): li2p of the cross-ratio
+    (gamma - beta)/(alpha - beta)."""
     for x in (alpha, beta, gamma):
         if x.m != 2:
             raise ValueError("configuration points live in k[t]/(t^2)")
     if not (alpha - beta).is_unit:
         raise DegenerateConfiguration("alpha and beta coincide modulo t")
-    r = (gamma - beta) / (alpha - beta)
-    s = r.c0
-    if s.is_zero or s == field.one:
-        raise DegenerateConfiguration("the cross-ratio s must avoid 0 and 1")
-    a = r.coeffs[1] / (s * (field.one - s))
-    return a ** field.p * bloch.pounds1(s)
+    try:
+        cross_ratio = bloch.symbol((gamma - beta) / (alpha - beta))
+    except bloch.NotFlat:
+        raise DegenerateConfiguration("the cross-ratio s must avoid 0 and 1") from None
+    return bloch.li2p(cross_ratio)
 
 
 def linear_input(field: Fq, alpha: Trunc, beta: Trunc, gamma: Trunc) -> RegulatorInput:

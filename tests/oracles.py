@@ -56,6 +56,26 @@ def trunc_horner(coeffs, x):
     return acc
 
 
+def pounds1_direct(s):
+    """sum_{1<=i<=p-1} s^i / i term by term, each 1/i by Fermat."""
+    p = s.field.p
+    acc = power = s
+    for i in range(2, p):
+        power = power * s
+        acc = acc + power * pow(i, p - 2, p)
+    return acc
+
+
+def theorem1_a_p_formula(alpha, beta, gamma):
+    """Theorem 1's value a^p * pounds1(s), where the cross-ratio
+    (gamma - beta)/(alpha - beta) is s + a s(1-s) t."""
+    field = alpha.ring
+    r = (gamma - beta) / (alpha - beta)
+    s = r.c0
+    a = r.coeffs[1] / (s * (field.one - s))
+    return a ** field.p * pounds1_direct(s)
+
+
 def newton_fixed_steps(f, fprime, x0):
     """Solve f(x) = 0 in R[t]/(t^m) from a simple root mod t: a fixed number
     of Newton steps, each at full precision with a fresh series inverse."""

@@ -21,6 +21,8 @@ from charp_dilog.sampling import rand_flat_pair
 from charp_dilog.tpoly import Trunc
 from charp_dilog.wedge import ell_p
 
+from oracles import pounds1_direct, rand_trunc
+
 
 def test_flat_examples(F5):
     assert flat_check(Trunc.constant(F5, 2, F5(2)))
@@ -30,12 +32,51 @@ def test_flat_examples(F5):
     assert flat_check(Trunc(R, 2, [s, RatFn.const(F5(2))]))
 
 
+@pytest.mark.parametrize("m", ["2", "p"])
+@pytest.mark.parametrize("name", ["F5", "F25"])
+def test_flat_check_matches_the_product_route(request, name, m):
+    # x(1-x) is a unit exactly when its constant term x0(1-x0) is nonzero
+    field = request.getfixturevalue(name)
+    m = 2 if m == "2" else field.p
+    rng = spawn(6, "flat-product", name, m)
+    one = Trunc.one(field, m)
+    for x0 in field.elements():
+        x = Trunc(field, m, [x0, *rand_trunc(field, m, rng).coeffs[1:]])
+        assert flat_check(x) == (x * (one - x)).is_unit
+
+
+def test_flat_check_matches_the_product_route_over_ratfn_ring(F5):
+    R = RatFnRing(F5)
+    s = R.gen
+    for m in (2, 5):
+        one = Trunc.one(R, m)
+        for x0 in (R.zero, R.one, s, R.one - s, s * s, R.one / s, RatFn.const(F5(3))):
+            x = Trunc(R, m, [x0, s + R.one])
+            assert flat_check(x) == (x * (one - x)).is_unit
+        assert not flat_check(Trunc(R, m, [(s + R.one) / (s + R.one), s]))
+
+
+def test_non_flat_generator_is_rejected_when_the_symbol_is_built(F5, F25):
+    for field in (F5, F25):
+        for x0 in (0, 1):
+            x = Trunc(field, 2, [x0, 3])
+            with pytest.raises(NotFlat):
+                BlochSym(((1, x),))
+            with pytest.raises(NotFlat):
+                symbol(Trunc(field, 2, [2, 1])) + symbol(x, 4)
+
+
 def test_five_term_guards(F5):
     x = Trunc(F5, 2, [2, 1])
     with pytest.raises(DifferenceNotUnit):
         five_term(x, Trunc(F5, 2, [2, 3]))
-    with pytest.raises(NotFlat):
-        five_term(Trunc(F5, 2, [1, 1]), x)
+    # a non-flat x or y is NotFlat, not a division error from the derived generators
+    for x0 in (0, 1):
+        bad = Trunc(F5, 2, [x0, 1])
+        with pytest.raises(NotFlat):
+            five_term(bad, x)
+        with pytest.raises(NotFlat):
+            five_term(x, bad)
 
 
 def test_five_term_arguments_flat(F7):
@@ -57,16 +98,16 @@ def test_delta_linearity(F5):
     assert all(entries == (one - x, x) for _, entries in d.terms)
 
 
-def test_pounds1_direct_sum_oracle(F5, F7):
-    for field in (F5, F7):
-        p = field.p
+def test_pounds1_direct_sum_oracle(F5, F7, F25):
+    for field in (F5, F7, F25):
         for x in field.elements():
-            expected = field.zero
-            for i in range(1, p):
-                expected = expected + x ** i * pow(i, p - 2, p)
-            assert pounds1(x) == expected
+            assert pounds1(x) == pounds1_direct(x)
         assert pounds1(field.zero).is_zero
         assert pounds1(field.one).is_zero  # sum of inverses of 1..p-1 vanishes
+    s = RatFn.gen(F7)
+    for r in (s, (s * s + 3) / (s + 1), RatFn.const(F7(4)) / (s - 2)):
+        value = pounds1(r)
+        assert isinstance(value, RatFn) and value == pounds1_direct(r)
 
 
 def test_li2_zero_when_tangent_vanishes(F5):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charp_dilog import bloch, cycles, regulator, suites
-from charp_dilog.cli import LI1_MAX_P, main
+from charp_dilog.cli import _LI2P_MAX_P, LI1_MAX_P, main
 from charp_dilog.gf import Fq, NotInSubfield
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_admissible_graph
@@ -61,6 +61,19 @@ def test_li1_rejects_p_above_its_bound_before_any_work(monkeypatch, capsys, p):
 def test_li1_admits_the_largest_prime_in_its_bound(capsys):
     assert main(["li1", "--p", "499", "--x", "2", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)[0]["x"] == 2
+
+
+def test_li2p_rejects_p_above_its_bound_before_any_work(monkeypatch, capsys):
+    # 50021 is the first prime outside the bound; no value is computed
+    monkeypatch.setattr(bloch, "pounds1", lambda x: pytest.fail("li2p computed a value"))
+    assert main(["li2p", "--p", "50021", "--s", "2", "--a", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"p <= {_LI2P_MAX_P}" in captured.err
+    with pytest.raises(SystemExit):
+        main(["li2p", "--help"])
+    assert f"5 <= p <= {_LI2P_MAX_P}" in capsys.readouterr().out
+    # li2 costs O(log p) and takes the same p
+    assert main(["li2", "--p", "50021", "--s", "2", "--a", "1"]) == 0
 
 
 def test_li1_json_format(capsys):

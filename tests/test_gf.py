@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charp_dilog import gf
+from charp_dilog.cli import main
 from charp_dilog.gf import (
     BadPrime,
     CtxMismatch,
@@ -32,6 +33,21 @@ def test_prime_guard():
     with pytest.raises(BadPrime):
         Fq(3)
     Fq(5)
+
+
+def test_prime_guard_stops_at_the_proven_miller_rabin_bound(capsys):
+    # the fixed Miller-Rabin bases are proven only below the bound, which is
+    # itself a strong pseudoprime to all of them; no p at or above it is tried
+    bound = gf._MR_EXACT_BELOW
+    for p in (bound, 3317044064679887385962123):
+        with pytest.raises(BadPrime, match=str(bound)):
+            Fq(p)
+        with pytest.raises(BadPrime, match=str(bound)):
+            gf.is_prime(p)
+    assert Fq(3317044064679887385961813).p == 3317044064679887385961813  # largest prime below
+    assert main(["li2", "--p", "3317044064679887385962123", "--s", "2", "--a", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(bound) in captured.err
 
 
 def test_inverse_identity(F5):

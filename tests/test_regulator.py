@@ -23,6 +23,8 @@ from charp_dilog.sampling import rand_moebius_input, rand_theorem1_triple, rand_
 from charp_dilog.tpoly import Trunc, rp_eval
 from charp_dilog.wedge import ell_p, res_local, wedge
 
+from oracles import theorem1_a_p_formula
+
 
 def test_closed_form_guards(F5):
     a = Trunc(F5, 2, [1, 2])
@@ -64,6 +66,15 @@ def test_theorem1_matches_closed_form(p):
         alpha, beta, gamma = rand_theorem1_triple(field, rng)
         inp = linear_input(field, alpha, beta, gamma)
         assert rho_K(inp, lift_seed=trial) == theorem1_closed_form(alpha, beta, gamma)
+
+
+def test_theorem1_closed_form_matches_the_a_p_formula(F5, F25):
+    # li2p of the cross-ratio against a^p * pounds1(s), summed term by term
+    for field in (F5, F25):
+        rng = spawn(7, "thm1-a-p", field.order)
+        for _ in range(40):
+            alpha, beta, gamma = rand_theorem1_triple(field, rng)
+            assert theorem1_closed_form(alpha, beta, gamma) == theorem1_a_p_formula(alpha, beta, gamma)
 
 
 def test_lift_seed_independence(F7):

@@ -93,6 +93,22 @@ def test_only_residue_field_skips_the_irreducibility_test():
     assert not outside, f"unchecked extensions built outside gf.residue_field: {outside}"
 
 
+def test_flatness_is_checked_only_where_a_symbol_is_built():
+    # bloch.BlochSym.__post_init__ is the one caller of flat_check, so a
+    # non-flat generator cannot enter a symbol and no route re-checks one
+    callers = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        module = ast.parse(path.read_text(), filename=str(path))
+        for node in module.body:
+            for owner in (node.body if isinstance(node, ast.ClassDef) else [node]):
+                name = getattr(owner, "name", "<body>")
+                where = f"{path.stem}.{node.name}.{name}" if owner is not node else f"{path.stem}.{name}"
+                callers += [where for call in ast.walk(owner) if isinstance(call, ast.Call)
+                            and "flat_check" in (getattr(call.func, "attr", None),
+                                                 getattr(call.func, "id", None))]
+    assert callers == ["bloch.BlochSym.__post_init__"], callers
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
