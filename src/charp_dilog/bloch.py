@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .gf import FqElem
+from .localfield import RatFnRing
 from .rng import spawn
 from .tpoly import Trunc, _inverses
 from .wedge import WedgeK, ell, ell_p, wedge
@@ -91,17 +93,18 @@ def delta(b: BlochSym) -> WedgeK:
 
 
 def pounds1(s):
-    """The truncated-logarithm polynomial sum_{1<=i<=p-1} s^i / i, by Horner.
-
-    Accepts any element carrying a ``field`` with characteristic p (a field
-    scalar or a rational function) and returns the same kind of element.
-    """
-    p = s.field.p
+    """The truncated-logarithm polynomial sum_{1<=i<=p-1} s^i / i, by Horner on
+    raws: a field element through its field's kernel, a rational function
+    through :class:`~charp_dilog.localfield.RatFnRing`.  Returns the same kind
+    of element as s."""
+    ring = s.field if isinstance(s, FqElem) else RatFnRing(s.field)
+    p, x = ring.characteristic, ring._raw_of(s)
+    add, mul, from_int = ring._raw_add, ring._raw_mul, ring._raw_from_int
     inv = _inverses(p, p)
-    acc = s * inv[p - 1]
-    for i in range(p - 2, 0, -1):
-        acc = (acc + inv[i]) * s
-    return acc
+    acc = from_int(0)
+    for i in range(p - 1, 0, -1):
+        acc = mul(add(acc, from_int(inv[i])), x)
+    return ring._wrap([acc])[0]
 
 
 def _sum(b: BlochSym, ring, name: str, value):

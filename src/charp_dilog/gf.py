@@ -18,7 +18,7 @@ product.  Deeper towers recurse through the base field.
 Beyond those int kernels, each operation has one generic routine for every
 field and ring: :func:`power` (square-and-multiply for any product),
 :func:`schoolbook` (the low coefficients of a product over any ``_raw_*``
-kernel, for towers and element kernels), :func:`multiplicity` (how often one
+kernel, for towers, element kernels and ``rp_mul``), :func:`multiplicity` (how often one
 polynomial divides another) and :func:`trace_to` (the trace down a tower).
 """
 
@@ -431,7 +431,10 @@ def power(x, n: int, one, mul):
 def schoolbook(ring, a: Sequence, b: Sequence, n: int) -> list:
     """The low n coefficients of the product of two raw coefficient lists over
     any ``_raw_*`` kernel; zero operands on either side are skipped and the
-    partial products are added in index order."""
+    partial products are added in index order.  Its callers are polynomial
+    products over towers, :class:`~charp_dilog.tpoly.ElementKernel` (Truncs
+    over F_q(s)) and :func:`~charp_dilog.tpoly.rp_mul`; prime fields, their
+    extensions and germ truncations multiply by one packed product."""
     is_zero, add, mul = ring._raw_is_zero, ring._raw_add, ring._raw_mul
     out = [ring._raw_from_int(0)] * n
     for i, x in enumerate(a[:n]):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, _radd, _rsub,
-                 is_irreducible, multiplicity, residue_field, schoolbook)
+                 is_irreducible, multiplicity, residue_field)
 from .tpoly import ElementKernel, Trunc, _series_inverse
 
 
@@ -402,7 +402,8 @@ class LaurentRing:
     A raw ``(val, prec, coeffs)`` holds the field raws of exponents val, val + 1,
     ...; other exponents below ``prec`` are zero, the rest unknown.  A sum keeps
     the lower precision; a product is one field product, known below
-    min(val_a + prec_b, val_b + prec_a); an inverse keeps the relative precision
+    min(val_a + prec_b, val_b + prec_a), and so is a product of two truncations
+    of germs (:meth:`_raw_mul_low`); an inverse keeps the relative precision
     once the valuation is among the known coefficients (else
     :class:`InsufficientPrecision`); d/ds loses one.  Constants are exact
     (``prec`` infinite); only ``(inf, inf, ())`` is zero.
@@ -470,7 +471,79 @@ class LaurentRing:
     def _raw_dot(self, xs: Sequence, ys: Sequence):
         return functools.reduce(self._raw_add, map(self._raw_mul, xs, ys))
 
-    _raw_mul_low = schoolbook
+    def _raw_mul_low(self, a: Sequence, b: Sequence, n: int) -> list:
+        """The low n coefficients of a product of germ lists: the raws that
+        summing each coefficient's germ products in index order with
+        ``_raw_mul`` and ``_raw_add`` gives, from one field product.
+
+        Bivariate Kronecker substitution (von zur Gathen & Gerhard, Modern
+        Computer Algebra, 8.4): germ i goes into slot i at offset
+        i*w + val - (least val), w the sum of the two lists' s-spans minus one,
+        so each germ product lands in its own slot of one ``_raw_mul_low`` of
+        the field.  Output slot k takes the least val and prec of its germ
+        products and the coefficient window that their sum keeps, padded with
+        zeros where a product without coefficients reaches past the slot.  A
+        sum of exact constants that cancels restarts from the zero germ, so
+        constants summed before the first inexact product count towards val
+        and the window only when their sum is nonzero.
+        """
+        inf, field = math.inf, self.field
+        a, b = a[:n], b[:n]
+        # (val, relative precision, length) of each germ, None for the zero germ
+        meta_a = [None if v == inf else (v, p - v, len(c)) for v, p, c in a]
+        meta_b = [None if v == inf else (v, p - v, len(c)) for v, p, c in b]
+        live_a, live_b = [m for m in meta_a if m], [m for m in meta_b if m]
+        if not live_a or not live_b:
+            return [_ZERO] * n
+        low_a, low_b = min(live_a)[0], min(live_b)[0]
+        w = (max(1, *(v - low_a + length for v, _, length in live_a))
+             + max(1, *(v - low_b + length for v, _, length in live_b)) - 1)
+        pad = [field._raw_from_int(0)] * w
+
+        def pack(gs, low):
+            flat = []
+            for v, _, c in gs:
+                if v == inf:
+                    flat += pad
+                else:
+                    flat += pad[:v - low] + list(c) + pad[:w - v + low - len(c)]
+            return flat
+
+        prod = field._raw_mul_low(pack(a, low_a), pack(b, low_b), n * w)
+        out = []
+        for k in range(n):
+            val = prec = inf
+            top = -inf
+            xs, ys = [], []  # exact constants multiplied before the first inexact product
+            for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a))):
+                x, y = meta_a[i], meta_b[k - i]
+                if x is None or y is None:
+                    continue
+                (vx, rx, lx), (vy, ry, ly) = x, y
+                if rx == ry == prec == inf:
+                    xs.append(a[i][2][0])
+                    ys.append(b[k - i][2][0])
+                    continue
+                v, rel = vx + vy, rx if rx < ry else ry
+                if v < val:
+                    val = v
+                if v + rel < prec:
+                    prec = v + rel
+                size = rel if rel < lx + ly - 1 else lx + ly - 1
+                end = v + size if size > 0 else v
+                if end > top:
+                    top = end
+            s = field._raw_dot(xs, ys)
+            if prec == inf:  # no inexact product: the constants' sum, or no product at all
+                out.append(_ZERO if field._raw_is_zero(s) else (0, inf, (s,)))
+                continue
+            if not field._raw_is_zero(s):
+                val, top = min(val, 0), max(top, 1)
+            size = max(0, min(prec, top) - val)
+            start = k * w + val - low_a - low_b
+            c = prod[start:min(start + size, k * w + w)]
+            out.append((val, prec, tuple(c + pad[:size - len(c)])))
+        return out
 
     def _raw_inv(self, a):
         val, prec, c = a

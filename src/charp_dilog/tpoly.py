@@ -10,11 +10,14 @@ kernel: ``_raw_of`` and ``_wrap`` convert between elements and raws at the
 API boundary (construction, ``coeffs``, ``c0``), and ``_raw_add``,
 ``_raw_sub``, ``_raw_neg``, ``_raw_mul``, ``_raw_dot``, ``_raw_inv``,
 ``_raw_is_zero``, ``_raw_from_int`` and ``_raw_mul_low`` (the low n
-coefficients of a product) compute.  There are two kernels.
+coefficients of a product) compute.  There are three kernels.
 :class:`charp_dilog.gf.Fq` keeps an int or an int tuple per coefficient and
-multiplies through the field's one polynomial multiply.  :class:`ElementKernel`
-keeps each element as its own raw and multiplies by :func:`charp_dilog.gf.schoolbook`;
-it serves :class:`charp_dilog.localfield.RatFnRing`.  Powers go through
+multiplies through the field's one polynomial multiply.
+:class:`charp_dilog.localfield.LaurentRing` keeps a germ per coefficient and
+multiplies two truncations by one packed product of the germ field.
+:class:`ElementKernel` keeps each element as its own raw and multiplies by
+:func:`charp_dilog.gf.schoolbook`; it serves
+:class:`charp_dilog.localfield.RatFnRing`.  Powers go through
 :func:`charp_dilog.gf.power`.
 
 The branch logarithm comes from the logarithmic derivative: with

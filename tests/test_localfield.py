@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from charp_dilog import gf, tpoly
 from charp_dilog.gf import (
+    Fq,
     Poly,
     factor_squarefree_irreducibles,
     is_irreducible,
@@ -20,12 +22,16 @@ from charp_dilog.localfield import (
     RatFn,
     RatFnRing,
     ZeroArgument,
+    _ZERO,
     cartier,
     expand_at,
     is_exact_form,
     residue_at,
 )
+from charp_dilog.omega import res_omega_pair
 from charp_dilog.rng import spawn
+from charp_dilog.sampling import rand_good_lifting_pair
+from charp_dilog.wedge import ell_p, res_local, wedge
 
 from oracles import EagerFraction
 
@@ -435,3 +441,106 @@ def test_residue_of_a_germ(R5, F5):
             residue_at(OneForm(expand_at(f, F5.zero, 2)), F5.one)
         with pytest.raises(InsufficientPrecision):
             residue_at(OneForm(expand_at(f, F5.zero, -2)), F5.zero)
+
+
+def _germ_fields() -> dict:
+    f5 = Fq(5)
+    return {"F5": f5, "F7": Fq(7), "F25": Fq(5, modulus=[2, 0, 1], base=f5),
+            "F2^61-1": Fq(2 ** 61 - 1)}
+
+
+GERM_FIELDS = _germ_fields()
+
+
+def _top(field):
+    """The raw whose ints are all p - 1."""
+    return field.p - 1 if field.base is None else (field.p - 1,) * field.degree
+
+
+def _rand_germ_raw(field, rng, top: bool, constants: tuple):
+    """A germ raw: the zero germ, an exact constant, or a finite germ with any
+    valuation in -3..3, a precision from two below to five above it and up to
+    five coefficients, none in three draws of eight."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return _ZERO
+    if kind == 1:
+        return (0, math.inf, (constants[rng.randrange(len(constants))],))
+    val = rng.randrange(-3, 4)
+    draw = (lambda: _top(field)) if top else (lambda: field.random_element(rng).raw)
+    length = max(0, rng.randrange(-2, 6))
+    return val, val + rng.randrange(-2, 6), tuple(draw() for _ in range(length))
+
+
+@pytest.mark.parametrize("name", sorted(GERM_FIELDS))
+def test_packed_germ_product_matches_schoolbook(name):
+    # the packed product of germ lists gives schoolbook's raws, not just equal
+    # values: a germ compares by raw.  The exact constants are 1 and -1, so
+    # constants often cancel inside one coefficient, and schoolbook restarts
+    # such a sum from the zero germ; n runs from 1 (shorter than the operands)
+    # to past the product length
+    field = GERM_FIELDS[name]
+    ring = LaurentRing(field, field.zero)
+    one, zero = field.one.raw, field.zero.raw
+    constants = (one, field._raw_neg(one))
+    rng = spawn(17, "packed-germs", name)
+    for trial in range(2000):
+        top = trial % 5 == 0
+        a = [_rand_germ_raw(field, rng, top, constants) for _ in range(rng.randrange(1, 7))]
+        b = [_rand_germ_raw(field, rng, top, constants) for _ in range(rng.randrange(1, 7))]
+        n = rng.randrange(1, len(a) + len(b) + 2)
+        assert ring._raw_mul_low(a, b, n) == gf.schoolbook(ring, a, b, n), (a, b, n)
+    # two constants cancel in coefficient 2, which then holds only the finite
+    # product: its val is that product's, not the constants' 0
+    c, minus = (0, math.inf, (one,)), (0, math.inf, (constants[1],))
+    finite = (2, 5, (one,))
+    a, b = [c, c, finite], [c, minus, c]
+    assert ring._raw_mul_low(a, b, 3) == gf.schoolbook(ring, a, b, 3)
+    assert ring._raw_mul_low(a, b, 3)[1:] == [_ZERO, finite]
+    # a product of two germs with no coefficients ends one past its slot of
+    # the packed product: (3, 5, ()) (3, 3, ()) + (1, 4, (x,)) (2, 6, ()) is
+    # (3, 6, (0, 0, 0)); and where the next slot holds data, reading on would
+    # return it
+    x = _top(field)
+    a, b = [(3, 5, ()), (1, 4, (x,))], [(2, 6, ()), (3, 3, ())]
+    assert ring._raw_mul_low(a, b, 2) == gf.schoolbook(ring, a, b, 2)
+    assert ring._raw_mul_low(a, b, 2)[1] == (3, 6, (zero,) * 3)
+    assert ring._raw_mul_low([_ZERO, c], b, 2) == [_ZERO, (2, 6, ())]
+    a, b = [(1, 6, ()), (0, 9, (x,)), (0, 9, (x,))], [(0, 9, (x,)), (1, 6, ()), _ZERO]
+    assert ring._raw_mul_low(a, b, 3) == gf.schoolbook(ring, a, b, 3)
+    assert ring._raw_mul_low(a, b, 3)[1][2][1] == zero
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_germ_truncation_products_are_one_packed_call(monkeypatch, p):
+    # on the residue pairing of congruent liftings, every product of germ
+    # truncations over F_p is one _rmul_packed call, and schoolbook never
+    # sees a germ
+    field = Fq(p)
+    ring = RatFnRing(field)
+    packed, germ_product, schoolbook = gf._rmul_packed, LaurentRing._raw_mul_low, gf.schoolbook
+    calls, per_product, kernels = [], [], []
+
+    def spy_product(self, a, b, n):
+        before = len(calls)
+        out = germ_product(self, a, b, n)
+        per_product.append((self.field, len(calls) - before))
+        return out
+
+    def spy_schoolbook(kernel, a, b, n):
+        kernels.append(kernel)
+        return schoolbook(kernel, a, b, n)
+
+    monkeypatch.setattr(gf, "_rmul_packed", lambda a, b, q: calls.append(q) or packed(a, b, q))
+    monkeypatch.setattr(LaurentRing, "_raw_mul_low", spy_product)
+    for module in (gf, tpoly):
+        monkeypatch.setattr(module, "schoolbook", spy_schoolbook)
+    monkeypatch.setattr(tpoly.ElementKernel, "_raw_mul_low", spy_schoolbook)
+    rng = spawn(17, "one-germ-product", p)
+    for _ in range(2):
+        qt, qh, st, sh = rand_good_lifting_pair(ring, rng)
+        ell_p(res_local(qt, st), ring=field)
+        ell_p(res_local(qh, sh), ring=field)
+        res_omega_pair(wedge(*qt), wedge(*qh), ring)
+    assert per_product and set(per_product) == {(field, 1)}
+    assert not [k for k in kernels if isinstance(k, LaurentRing)]

@@ -109,6 +109,16 @@ def test_flatness_is_checked_only_where_a_symbol_is_built():
     assert callers == ["bloch.BlochSym.__post_init__"], callers
 
 
+def test_germ_products_take_no_schoolbook():
+    # a product of germ truncations is LaurentRing._raw_mul_low, one packed
+    # product of the field; localfield has no route back to gf.schoolbook
+    tree = ast.parse((Path(charp_dilog.__file__).parent / "localfield.py").read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if "schoolbook" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None))]
+    assert not found, f"localfield.py references schoolbook on lines {found}"
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
