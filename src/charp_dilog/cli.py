@@ -34,6 +34,9 @@ class ParseError(Exception):
 
 LI1_MAX_P = 500  # li1 tabulates p values of a degree p - 1 polynomial: O(p^2) work
 _LI2P_MAX_P = 50_000  # li2p evaluates a degree p - 1 polynomial: O(p) work, <= 1 s
+# exactness enumerates p^3 (p - 1) tuples and the draws' degrees grow with p:
+# one trial of every suite takes 3.4 s at p = 53, 8.4 s at 61 (budget 5 s)
+_VERIFY_MAX_P = 53
 
 
 def _check_max_p(args, max_p: int) -> None:
@@ -245,6 +248,7 @@ def cmd_cycle(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    _check_max_p(args, _VERIFY_MAX_P)
     if args.trials is not None and args.trials < 1:
         raise ParseError(f"--trials must be at least 1, got {args.trials}")
     results = []
@@ -312,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         common(csp, inp=True)
         csp.set_defaults(deep=deep)
 
-    sp = sub.add_parser("verify", help="run a seeded verification suite")
+    sp = sub.add_parser("verify", help="run a seeded verification suite",
+                        description="Run a seeded verification suite, "
+                                    f"for 5 <= p <= {_VERIFY_MAX_P}.")
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
     common(sp, p=True, seed=True, formats=("plain", "json"))
     sp.add_argument("--trials", type=int, default=None)

@@ -332,7 +332,8 @@ class Fq:
             for x, y in zip(xs, ys):
                 for i, xi in enumerate(x):
                     if xi:
-                        acc[i:i + d] = [s + xi * yj for s, yj in zip(acc[i:i + d], y)]
+                        for j, yj in enumerate(y, start=i):
+                            acc[j] += xi * yj
             return self._reduce_ints(acc)
         acc = self._raw_from_int(0)
         for x, y in zip(xs, ys):

@@ -400,8 +400,10 @@ class LaurentRing:
     with p-adic numbers" (arXiv:1701.06794).
 
     A raw ``(val, prec, coeffs)`` holds the field raws of exponents val, val + 1,
-    ...; other exponents below ``prec`` are zero, the rest unknown.  A sum keeps
-    the lower precision; a product is one field product, known below
+    ...; other exponents below ``prec`` are zero, the rest unknown.  So val is
+    a lower bound of the valuation, and a germ is its precision and its known
+    coefficients: two germs are equal when those are.  A sum keeps the lower
+    precision; a product is one field product, known below
     min(val_a + prec_b, val_b + prec_a), and so is a product of two truncations
     of germs (:meth:`_raw_mul_low`); an inverse keeps the relative precision
     once the valuation is among the known coefficients (else
@@ -472,21 +474,14 @@ class LaurentRing:
         return functools.reduce(self._raw_add, map(self._raw_mul, xs, ys))
 
     def _raw_mul_low(self, a: Sequence, b: Sequence, n: int) -> list:
-        """The low n coefficients of a product of germ lists: the raws that
-        summing each coefficient's germ products in index order with
-        ``_raw_mul`` and ``_raw_add`` gives, from one field product.
-
-        Bivariate Kronecker substitution (von zur Gathen & Gerhard, Modern
-        Computer Algebra, 8.4): germ i goes into slot i at offset
-        i*w + val - (least val), w the sum of the two lists' s-spans minus one,
-        so each germ product lands in its own slot of one ``_raw_mul_low`` of
-        the field.  Output slot k takes the least val and prec of its germ
-        products and the coefficient window that their sum keeps, padded with
-        zeros where a product without coefficients reaches past the slot.  A
-        sum of exact constants that cancels restarts from the zero germ, so
-        constants summed before the first inexact product count towards val
-        and the window only when their sum is nonzero.
-        """
+        """The low n coefficients of a product of germ lists, by bivariate
+        Kronecker substitution (von zur Gathen & Gerhard, Modern Computer
+        Algebra, 8.4): germ i goes into slot i at offset i*w + val - (least
+        val), w the sum of the two lists' s-spans minus one, so each germ
+        product lands in its own slot of one ``_raw_mul_low`` of the field.
+        Output slot k is known below the least prec of its germ products and
+        read from their least val, a lower bound as after any sum; a slot of
+        exact constants only is their sum."""
         inf, field = math.inf, self.field
         a, b = a[:n], b[:n]
         # (val, relative precision, length) of each germ, None for the zero germ
@@ -503,46 +498,25 @@ class LaurentRing:
         def pack(gs, low):
             flat = []
             for v, _, c in gs:
-                if v == inf:
-                    flat += pad
-                else:
-                    flat += pad[:v - low] + list(c) + pad[:w - v + low - len(c)]
+                flat += pad if v == inf else pad[:v - low] + list(c) + pad[:w - v + low - len(c)]
             return flat
 
         prod = field._raw_mul_low(pack(a, low_a), pack(b, low_b), n * w)
         out = []
         for k in range(n):
             val = prec = inf
-            top = -inf
-            xs, ys = [], []  # exact constants multiplied before the first inexact product
+            top = -inf  # where the products' data ends
             for i in range(max(0, k + 1 - len(b)), min(k + 1, len(a))):
                 x, y = meta_a[i], meta_b[k - i]
-                if x is None or y is None:
-                    continue
-                (vx, rx, lx), (vy, ry, ly) = x, y
-                if rx == ry == prec == inf:
-                    xs.append(a[i][2][0])
-                    ys.append(b[k - i][2][0])
-                    continue
-                v, rel = vx + vy, rx if rx < ry else ry
-                if v < val:
-                    val = v
-                if v + rel < prec:
-                    prec = v + rel
-                size = rel if rel < lx + ly - 1 else lx + ly - 1
-                end = v + size if size > 0 else v
-                if end > top:
-                    top = end
-            s = field._raw_dot(xs, ys)
-            if prec == inf:  # no inexact product: the constants' sum, or no product at all
-                out.append(_ZERO if field._raw_is_zero(s) else (0, inf, (s,)))
-                continue
-            if not field._raw_is_zero(s):
-                val, top = min(val, 0), max(top, 1)
-            size = max(0, min(prec, top) - val)
-            start = k * w + val - low_a - low_b
-            c = prod[start:min(start + size, k * w + w)]
-            out.append((val, prec, tuple(c + pad[:size - len(c)])))
+                if x and y:
+                    v = x[0] + y[0]
+                    val, prec = min(val, v), min(prec, v + min(x[1], y[1]))
+                    top = max(top, v + x[2] + y[2] - 1)
+            start = k * w - low_a - low_b
+            if prec == inf:  # exact constants only, or no product at all
+                out.append(_ZERO if val == inf else self._constant(prod[start]))
+            else:
+                out.append((val, prec, tuple(prod[start + val:start + max(val, min(prec, top))])))
         return out
 
     def _raw_inv(self, a):
@@ -575,7 +549,8 @@ class LaurentLocal:
     """A Laurent germ at a point, an element of a :class:`LaurentRing` (whose
     docstring gives the raw and the precision rules).  ``coeff(e)`` is zero
     below ``val`` and raises :class:`InsufficientPrecision` from ``prec`` on;
-    from :func:`expand_at`, ``val`` is the exact valuation."""
+    from :func:`expand_at`, ``val`` is the exact valuation, after a sum or a
+    product of truncations a lower bound.  Germs compare by value."""
 
     __slots__ = ("ring", "raw")
 
@@ -619,10 +594,13 @@ class LaurentLocal:
         return LaurentLocal(self.ring, (val - 1, prec - 1, out))
 
     def __eq__(self, other) -> bool:
-        """Equal raws: a germ known to finite precision equals no exact germ."""
+        """Equal precision and no nonzero known coefficient in the difference,
+        whatever the raws' val: a germ known to finite precision equals no
+        exact germ, and only the zero germ is an exact zero."""
         if not isinstance(other, LaurentLocal):
             return NotImplemented
-        return self.ring == other.ring and self.raw == other.raw
+        return (self.ring == other.ring and self.prec == other.prec
+                and all(map(self.field._raw_is_zero, self.ring._raw_sub(self.raw, other.raw)[2])))
 
 
 def expand_at(f: RatFn, center, order: int) -> LaurentLocal:

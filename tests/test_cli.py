@@ -2,13 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, strategies as st
 
-from charp_dilog import bloch, cycles, regulator, suites
-from charp_dilog.cli import _LI2P_MAX_P, LI1_MAX_P, main
+from charp_dilog import bloch, cli, cycles, regulator, suites
+from charp_dilog.cli import _LI2P_MAX_P, _VERIFY_MAX_P, LI1_MAX_P, build_parser, main
 from charp_dilog.gf import Fq, NotInSubfield
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_admissible_graph
@@ -74,6 +75,37 @@ def test_li2p_rejects_p_above_its_bound_before_any_work(monkeypatch, capsys):
     assert f"5 <= p <= {_LI2P_MAX_P}" in capsys.readouterr().out
     # li2 costs O(log p) and takes the same p
     assert main(["li2", "--p", "50021", "--s", "2", "--a", "1"]) == 0
+
+
+def test_verify_rejects_p_above_its_bound_before_any_work(monkeypatch, capsys):
+    # 59 is the first prime outside the bound; no suite runs
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kw: pytest.fail("verify ran a suite"))
+    assert main(["verify", "all", "--p", "59", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"p <= {_VERIFY_MAX_P}" in captured.err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert f"5 <= p <= {_VERIFY_MAX_P}" in capsys.readouterr().out
+
+
+def _subparsers(parser):
+    for action in parser._actions:
+        if action.choices and isinstance(action.choices, dict):
+            for name, sub in action.choices.items():
+                yield name, sub
+                yield from _subparsers(sub)
+
+
+def test_every_command_taking_p_states_its_bound():
+    # work is bounded for every p the command line admits, and the bound is
+    # in the command's --help; li2 alone costs O(log p) and takes any p
+    unbounded = {"li2"}
+    taking_p = {name: sub for name, sub in _subparsers(build_parser())
+                if any("--p" in action.option_strings for action in sub._actions)}
+    assert {"li1", "li2", "li2p", "verify"} <= set(taking_p)
+    missing = [name for name, sub in taking_p.items() if name not in unbounded
+               and not re.search(r"p <= \d", sub.format_help())]
+    assert not missing, f"commands taking --p without a stated bound: {missing}"
 
 
 def test_li1_json_format(capsys):

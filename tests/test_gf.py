@@ -391,6 +391,14 @@ def test_extension_int_kernel_matches_tower_loop(p, modulus):
         assert field._raw_is_zero(a) == all(base._raw_is_zero(x) for x in a)
         if not field._raw_is_zero(a):
             assert field._raw_mul(a, field._raw_inv(a)) == field.one.raw
+    # a dot product of 1 to 5 pairs is the sum of the tower loop's products
+    for _ in range(60):
+        k = rng.randrange(1, 6)
+        xs, ys = [rng.choice(elems) for _ in range(k)], [rng.choice(elems) for _ in range(k)]
+        want = field.zero.raw
+        for x, y in zip(xs, ys):
+            want = field._raw_add(want, gf._tower_mul(field, x, y))
+        assert field._raw_dot(xs, ys) == want
 
 
 @pytest.mark.parametrize("name", ["F7", "F11", "F49"])

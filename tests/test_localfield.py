@@ -428,6 +428,29 @@ def test_only_the_exact_zero_germ_is_zero(F7):
         one + expand_at(s, F7.one, 4)       # germs at different points do not mix
 
 
+def test_germs_compare_by_value(F7):
+    # a germ is its precision and its known coefficients, so the raw's val,
+    # its leading zeros and its coefficients from prec on do not count
+    ring = LaurentRing(F7, F7.zero)
+    same = [_germ(ring, 0, 3, [0, 1]), _germ(ring, 1, 3, [1]), _germ(ring, 1, 3, [1, 0]),
+            _germ(ring, -2, 3, [0, 0, 0, 1, 0]), _germ(ring, 1, 3, [1, 0, 5, 6])]
+    assert all(g == h for g in same for h in same)
+    assert _germ(ring, 1, 2, [1, 5]) == _germ(ring, 1, 2, [1]) == _germ(ring, 0, 2, [0, 1, 3])
+    assert _germ(ring, 2, 3, []) == _germ(ring, 0, 3, [0, 0, 0]) == _germ(ring, 5, 3, [4])
+    assert _germ(ring, 1, 3, [1]) != _germ(ring, 1, 4, [1])   # another precision
+    assert _germ(ring, 1, 3, [1]) != _germ(ring, 1, 3, [2])
+    assert _germ(ring, 1, 3, [1]) != _germ(ring, 1, 3, [1, 1])
+    # a finite germ never equals an exact one, and the zero germ equals only itself
+    assert _germ(ring, 0, 3, [1]) != ring.one and ring.one != _germ(ring, 0, 3, [1])
+    assert ring.one == ring.from_int(1) != ring.from_int(2)
+    assert ring.zero == ring.zero == LaurentLocal(ring, _ZERO)
+    assert ring.zero != _germ(ring, 0, 3, []) and _germ(ring, 5, 3, []) != ring.zero
+    assert ring.zero != ring.one and ring.one != ring.zero
+    # germs at different points, and non-germs, are never equal
+    assert _germ(ring, 1, 3, [1]) != _germ(LaurentRing(F7, F7.one), 1, 3, [1])
+    assert ring.one != 1 and ring.one != F7.one
+
+
 def test_residue_of_a_germ(R5, F5):
     rng = spawn(5, "germ-residue")
     for _ in range(30):
@@ -472,13 +495,18 @@ def _rand_germ_raw(field, rng, top: bool, constants: tuple):
     return val, val + rng.randrange(-2, 6), tuple(draw() for _ in range(length))
 
 
+def _assert_same_germs(ring, got, want):
+    """Equal germ values, with the zero germ in the same slots."""
+    assert ring._wrap(got) == ring._wrap(want), (got, want)
+    assert [g == _ZERO for g in got] == [g == _ZERO for g in want], (got, want)
+
+
 @pytest.mark.parametrize("name", sorted(GERM_FIELDS))
 def test_packed_germ_product_matches_schoolbook(name):
-    # the packed product of germ lists gives schoolbook's raws, not just equal
-    # values: a germ compares by raw.  The exact constants are 1 and -1, so
-    # constants often cancel inside one coefficient, and schoolbook restarts
-    # such a sum from the zero germ; n runs from 1 (shorter than the operands)
-    # to past the product length
+    # the packed product of germ lists gives schoolbook's values, and the zero
+    # germ where schoolbook does.  The exact constants are 1 and -1, so
+    # constants often cancel inside one coefficient; n runs from 1 (shorter
+    # than the operands) to past the product length
     field = GERM_FIELDS[name]
     ring = LaurentRing(field, field.zero)
     one, zero = field.one.raw, field.zero.raw
@@ -489,26 +517,30 @@ def test_packed_germ_product_matches_schoolbook(name):
         a = [_rand_germ_raw(field, rng, top, constants) for _ in range(rng.randrange(1, 7))]
         b = [_rand_germ_raw(field, rng, top, constants) for _ in range(rng.randrange(1, 7))]
         n = rng.randrange(1, len(a) + len(b) + 2)
-        assert ring._raw_mul_low(a, b, n) == gf.schoolbook(ring, a, b, n), (a, b, n)
-    # two constants cancel in coefficient 2, which then holds only the finite
-    # product: its val is that product's, not the constants' 0
+        _assert_same_germs(ring, ring._raw_mul_low(a, b, n), gf.schoolbook(ring, a, b, n))
+    # two constants cancel in coefficient 1, which is the zero germ, and in
+    # coefficient 2, which then has the finite product's value
     c, minus = (0, math.inf, (one,)), (0, math.inf, (constants[1],))
     finite = (2, 5, (one,))
     a, b = [c, c, finite], [c, minus, c]
-    assert ring._raw_mul_low(a, b, 3) == gf.schoolbook(ring, a, b, 3)
-    assert ring._raw_mul_low(a, b, 3)[1:] == [_ZERO, finite]
+    _assert_same_germs(ring, ring._raw_mul_low(a, b, 3), gf.schoolbook(ring, a, b, 3))
+    _assert_same_germs(ring, ring._raw_mul_low(a, b, 3)[1:], [_ZERO, finite])
     # a product of two germs with no coefficients ends one past its slot of
     # the packed product: (3, 5, ()) (3, 3, ()) + (1, 4, (x,)) (2, 6, ()) is
-    # (3, 6, (0, 0, 0)); and where the next slot holds data, reading on would
+    # zero below 6; and where the next slot holds data, reading on would
     # return it
     x = _top(field)
     a, b = [(3, 5, ()), (1, 4, (x,))], [(2, 6, ()), (3, 3, ())]
-    assert ring._raw_mul_low(a, b, 2) == gf.schoolbook(ring, a, b, 2)
-    assert ring._raw_mul_low(a, b, 2)[1] == (3, 6, (zero,) * 3)
-    assert ring._raw_mul_low([_ZERO, c], b, 2) == [_ZERO, (2, 6, ())]
+    _assert_same_germs(ring, ring._raw_mul_low(a, b, 2), gf.schoolbook(ring, a, b, 2))
+    _assert_same_germs(ring, ring._raw_mul_low(a, b, 2)[1:], [(3, 6, (zero,) * 3)])
+    _assert_same_germs(ring, ring._raw_mul_low([_ZERO, c], b, 2), [_ZERO, (2, 6, ())])
     a, b = [(1, 6, ()), (0, 9, (x,)), (0, 9, (x,))], [(0, 9, (x,)), (1, 6, ()), _ZERO]
-    assert ring._raw_mul_low(a, b, 3) == gf.schoolbook(ring, a, b, 3)
-    assert ring._raw_mul_low(a, b, 3)[1][2][1] == zero
+    _assert_same_germs(ring, ring._raw_mul_low(a, b, 3), gf.schoolbook(ring, a, b, 3))
+    assert LaurentLocal(ring, ring._raw_mul_low(a, b, 3)[1]).coeff(1).is_zero
+    # slot 0's one product has no coefficients and its window ends before the
+    # packed product starts; a negative end would read from the far end
+    a = [(0, 3, ()), (0, 5, (x,)), (0, 5, (x,))]
+    _assert_same_germs(ring, ring._raw_mul_low(a, a, 5), gf.schoolbook(ring, a, a, 5))
 
 
 @pytest.mark.parametrize("p", [5, 7])
