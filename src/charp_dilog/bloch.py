@@ -49,14 +49,6 @@ class BlochSym:
     def __add__(self, other: "BlochSym") -> "BlochSym":
         return BlochSym(self.terms + other.terms)
 
-    def __sub__(self, other: "BlochSym") -> "BlochSym":
-        return self + other.scaled(-1)
-
-    def scaled(self, c: int) -> "BlochSym":
-        if c == 0:
-            return BlochSym(())
-        return BlochSym(tuple((c * k, x) for k, x in self.terms))
-
     def __repr__(self) -> str:
         return " + ".join(f"{k}*[{x!r}]" for k, x in self.terms) if self.terms else "0"
 

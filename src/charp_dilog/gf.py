@@ -9,17 +9,15 @@ wrapper over that data.
 
 Polynomial division and gcd over a prime field (``base is None``) run on
 plain int lists, with one lead inverse per division and one ``% p`` per
-coefficient update; a product is one Kronecker-packed int product at every
-size.  An extension of a prime field keeps its raws as int tuples: element
-products are int products in u reduced by the modulus with one ``% p`` per
-coefficient, and polynomial products flatten into one packed prime-field
-product.  Deeper towers recurse through the base field.
+coefficient update.  Every field has one product path: one Kronecker-packed
+int product over F_p at every size; over an extension, both lists flatten
+into base-field lists, multiply once (a tower recurses down to F_p) and are
+reduced block by block by the monic modulus, as is a tower's element product.
 
-Beyond those int kernels, each operation has one generic routine for every
-field and ring: :func:`power` (square-and-multiply for any product),
-:func:`schoolbook` (the low coefficients of a product over any ``_raw_*``
-kernel, for towers, element kernels and ``rp_mul``), :func:`multiplicity` (how often one
-polynomial divides another) and :func:`trace_to` (the trace down a tower).
+Beyond those kernels, each operation has one generic routine for every
+field and ring: :func:`power` (square-and-multiply), :func:`schoolbook` (the
+low coefficients of a product over a ``_raw_*`` kernel with no packed form),
+:func:`multiplicity` and :func:`trace_to` (the trace down a tower).
 """
 
 from __future__ import annotations
@@ -122,25 +120,22 @@ def _rmul_packed(a: Sequence[int], b: Sequence[int], p: int) -> list:
 
 def _rmul(field: Fq, a: Sequence, b: Sequence, n: int | None = None) -> list:
     """The product of two raw coefficient lists, or with ``n`` its low n
-    coefficients padded with zero raws: one :func:`_rmul_packed` call over a
-    prime field or an extension of one, at every size; over a tower,
-    :func:`schoolbook`."""
+    coefficients padded with zero raws: one :func:`_rmul_packed` call over
+    F_p; over an extension, u -> X and x -> X^w flatten both lists into one
+    product over the base field, whose block k reduces to coefficient k."""
     if n is not None:
         a, b = a[:n], b[:n]
     size = len(a) + len(b) - 1
     base = field.base
     if base is None:
         out = _rmul_packed(a, b, field.p)
-    elif base.base is None:
-        # u -> X, x -> X^w: a product of u-degree at most 2d - 2 < w, so
-        # block k of the F_p product is coefficient k
-        w, pad = 2 * field.degree - 1, (0,) * (field.degree - 1)
-        flat = _rmul_packed([c for x in a for c in x + pad], [c for y in b for c in y + pad],
-                            field.p)
-        out = [field._reduce_ints(flat[k * w:k * w + w])
-               for k in range(size if n is None else min(size, n))]
     else:
-        return schoolbook(field, a, b, size if n is None else n)
+        # a product of u-degree at most 2d - 2 < w fits its block
+        w, pad = 2 * field.degree - 1, (base._raw_from_int(0),) * (field.degree - 1)
+        fa, fb = [c for x in a for c in x + pad], [c for y in b for c in y + pad]
+        flat = _rmul_packed(fa, fb, field.p) if base.base is None else _rmul(base, fa, fb)
+        out = [field._reduce(flat[k * w:k * w + w])
+               for k in range(size if n is None else min(size, n))]
     if n is None:
         return out
     return out[:n] if len(out) >= n else out + [field._raw_from_int(0)] * (n - len(out))
@@ -316,7 +311,7 @@ class Fq:
             return (a * b) % self.p
         if base.base is None:
             return self._raw_dot((a,), (b,))
-        return _tower_mul(self, a, b)
+        return self._reduce(_rmul(base, a, b))
 
     def _raw_dot(self, xs: Sequence, ys: Sequence):
         """The sum of the products of paired raws, reduced once at the end.
@@ -334,22 +329,29 @@ class Fq:
                     if xi:
                         for j, yj in enumerate(y, start=i):
                             acc[j] += xi * yj
-            return self._reduce_ints(acc)
+            return self._reduce(acc)
         acc = self._raw_from_int(0)
         for x, y in zip(xs, ys):
             acc = self._raw_add(acc, self._raw_mul(x, y))
         return acc
 
-    def _reduce_ints(self, acc: list) -> tuple:
-        """Reduce 2d - 1 int coefficients in u by the monic modulus, with one
-        ``% p`` per output coefficient (extensions of a prime field only)."""
-        d, mod = self.degree, self.modulus
+    def _reduce(self, acc: list) -> tuple:
+        """Reduce 2d - 1 coefficients in u by the monic modulus in place: ints
+        with one ``% p`` each over F_p, the base field's kernel over a tower."""
+        d, mod, base = self.degree, self.modulus, self.base
+        if base.base is None:
+            for k in range(2 * d - 2, d - 1, -1):
+                top = acc[k]
+                if top:
+                    acc[k - d:k] = [s - top * c for s, c in zip(acc[k - d:k], mod)]
+            p = self.p
+            return tuple([c % p for c in acc[:d]])
+        is_zero, sub, mul = base._raw_is_zero, base._raw_sub, base._raw_mul
         for k in range(2 * d - 2, d - 1, -1):
             top = acc[k]
-            if top:
-                acc[k - d:k] = [s - top * c for s, c in zip(acc[k - d:k], mod)]
-        p = self.p
-        return tuple([c % p for c in acc[:d]])
+            if not is_zero(top):
+                acc[k - d:k] = [sub(s, mul(top, c)) for s, c in zip(acc[k - d:k], mod)]
+        return tuple(acc[:d])
 
     def _raw_is_zero(self, a) -> bool:
         base = self.base
@@ -404,16 +406,6 @@ class Fq:
         return f"{self.base}[u]/{_modulus_str(self)}"
 
 
-def _tower_mul(field: Fq, a: tuple, b: tuple) -> tuple:
-    """Extension-field product through the base field's raw kernel: schoolbook,
-    then reduction by the monic modulus.  Any base works; ``Fq._raw_mul`` uses
-    it when the base is itself an extension, and the tests compare the int
-    path against it."""
-    base, d = field.base, field.degree
-    rem = _rdivmod(base, schoolbook(base, a, b, 2 * d - 1), field.modulus)[1][:d]
-    return tuple(rem + [base._raw_from_int(0)] * (d - len(rem)))
-
-
 def power(x, n: int, one, mul):
     """x^n for n >= 0 by square-and-multiply with the product ``mul``; ``one``
     is returned for n = 0 and is never multiplied, and nothing is squared
@@ -432,10 +424,9 @@ def power(x, n: int, one, mul):
 def schoolbook(ring, a: Sequence, b: Sequence, n: int) -> list:
     """The low n coefficients of the product of two raw coefficient lists over
     any ``_raw_*`` kernel; zero operands on either side are skipped and the
-    partial products are added in index order.  Its callers are polynomial
-    products over towers, :class:`~charp_dilog.tpoly.ElementKernel` (Truncs
-    over F_q(s)) and :func:`~charp_dilog.tpoly.rp_mul`; prime fields, their
-    extensions and germ truncations multiply by one packed product."""
+    partial products are added in index order.  Its one caller is
+    :class:`~charp_dilog.tpoly.ElementKernel` (Truncs over F_q(s)), a ring
+    with no packed form."""
     is_zero, add, mul = ring._raw_is_zero, ring._raw_add, ring._raw_mul
     out = [ring._raw_from_int(0)] * n
     for i, x in enumerate(a[:n]):

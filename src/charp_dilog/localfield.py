@@ -67,8 +67,8 @@ class RatFn:
     base by one power.  ``num`` and ``den`` are the products, formed on first
     read.  Euclid runs only in the public constructor and in :meth:`reduced`,
     which give the normal form (gcd-reduced, monic denominator); constants
-    are built in normal form directly.  Equality, hashing, evaluation, orders
-    and repr depend on the value alone.
+    are built in normal form directly.  Equality, hashing, orders and repr
+    depend on the value alone.
     """
 
     __slots__ = ("field", "_n", "_f", "_num", "_den", "_normal")
@@ -256,13 +256,6 @@ class RatFn:
 
     # -- point data -----------------------------------------------------------
 
-    def evaluate(self, x: FqElem) -> FqElem:
-        r = self.reduced()
-        d = r.den.evaluate(x)
-        if d.is_zero:
-            raise DivisionByZero(f"pole at {x!r}")
-        return r.num.evaluate(x) / d
-
     def ord_at(self, point) -> int:
         """Order of vanishing at a finite point (FqElem or monic irreducible Poly) or INF."""
         if self.is_zero:
@@ -276,12 +269,6 @@ class RatFn:
         r = self.reduced()
         return multiplicity(r.num.embedded(point.field), point)[0] - \
             multiplicity(r.den.embedded(point.field), point)[0]
-
-    def embedded(self, field: Fq) -> "RatFn":
-        if field == self.field:
-            return self
-        r = self.reduced()
-        return RatFn(r.num.embedded(field), r.den.embedded(field))
 
     def __repr__(self) -> str:
         r = self.reduced()
@@ -378,12 +365,6 @@ class OneForm:
 
     def __sub__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.fn - other.fn)
-
-    def __neg__(self) -> "OneForm":
-        return OneForm(-self.fn)
-
-    def scaled(self, c) -> "OneForm":
-        return OneForm(self.fn * c)
 
     @property
     def is_zero(self) -> bool:

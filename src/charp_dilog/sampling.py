@@ -17,8 +17,8 @@ from .tpoly import Trunc
 
 
 def quadratic_extension(field: Fq) -> Fq:
-    """Some quadratic extension of the field (smallest irreducible u^2+c or u^2+u+c)."""
-    for c in range(field.p):
+    """The first irreducible u^2 + c or u^2 + u + c, c in ``field.elements()`` order."""
+    for c in field.elements():
         for b in (0, 1):
             try:
                 return Fq(field.p, modulus=[c, b, 1], base=field)

@@ -16,7 +16,7 @@ multiplies through the field's one polynomial multiply.
 :class:`charp_dilog.localfield.LaurentRing` keeps a germ per coefficient and
 multiplies two truncations by one packed product of the germ field.
 :class:`ElementKernel` keeps each element as its own raw and multiplies by
-:func:`charp_dilog.gf.schoolbook`; it serves
+:func:`charp_dilog.gf.schoolbook`, that routine's one caller; it serves
 :class:`charp_dilog.localfield.RatFnRing`.  Powers go through
 :func:`charp_dilog.gf.power`.
 
@@ -25,8 +25,8 @@ theta = t d/dt, theta(log u) = theta(u) / u, and theta scales the coefficient
 of t^n by n, which is invertible for 0 < n < m <= p.  That costs one inverse
 and one product, O(m^2).
 
-Polynomials in z over R[t]/(t^m) are evaluated by one Horner kernel on
-raw coefficient lists, with products through ``_raw_mul_low``.  Hensel
+Polynomials in z over R[t]/(t^m) are multiplied by one ``_raw_mul_low``
+and evaluated by one Horner kernel on raw coefficient lists.  Hensel
 lifting is Newton iteration with precision doubling on those lists (von zur
 Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 9.4): the precisions are
 2, 3, ..., m, each the ceiling of half the next, and g = 1/P'(x) follows by
@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .gf import Fq, _rsub, power, schoolbook
@@ -382,12 +381,15 @@ def unit_recompose(d: UnitDecomp) -> Trunc:
 # -- polynomials in z over R[t]/(t^m) (lists, low first) ---------------------
 
 def rp_mul(a: Sequence, b: Sequence, zero) -> list:
-    """The product of two polynomials in z with Trunc coefficients like ``zero``."""
+    """The product of two polynomials in z with Trunc coefficients like ``zero``:
+    z -> t^w, w = 2m - 1, gives each coefficient a block of one ``_raw_mul_low``."""
     if not a or not b:
         return []
-    kernel = SimpleNamespace(_raw_from_int=lambda n: zero, _raw_add=operator.add,
-                             _raw_mul=operator.mul, _raw_is_zero=operator.attrgetter("is_zero"))
-    return schoolbook(kernel, a, b, len(a) + len(b) - 1)
+    ring, m, size = zero.ring, zero.m, len(a) + len(b) - 1
+    w, pad = 2 * m - 1, [ring._raw_from_int(0)] * (m - 1)
+    fa, fb = ([c for x in xs for c in [*zero._check(x).raws, *pad]] for xs in (a, b))
+    flat = ring._raw_mul_low(fa, fb, size * w)
+    return [Trunc._of(ring, m, flat[k * w:k * w + m]) for k in range(size)]
 
 
 def _horner(ring, coeffs: Sequence[list], x: list, n: int) -> list:

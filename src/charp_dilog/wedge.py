@@ -47,17 +47,6 @@ class WedgeK:
     def __add__(self, other: "WedgeK") -> "WedgeK":
         return WedgeK(self.terms + other.terms)
 
-    def __sub__(self, other: "WedgeK") -> "WedgeK":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "WedgeK":
-        return self.scaled(-1)
-
-    def scaled(self, c: int) -> "WedgeK":
-        if c == 0:
-            return WedgeK(())
-        return WedgeK(tuple((c * k, entries) for k, entries in self.terms))
-
     def map_entries(self, fn: Callable) -> "WedgeK":
         return WedgeK(tuple((k, tuple(fn(e) for e in entries)) for k, entries in self.terms))
 

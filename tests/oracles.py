@@ -5,7 +5,7 @@ faster way, kept here so the fast route is always compared with it; beside
 them, a sampler that only the tests draw from.
 """
 
-from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius
+from charp_dilog.gf import FqElem, NotInSubfield, Poly, _rdivmod, frobenius, schoolbook
 from charp_dilog.localfield import RatFn, residue_at
 from charp_dilog.omega import Letter, letters_of_unit, omega_p
 from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, rp_eval
@@ -34,6 +34,14 @@ def trace_orbit(x):
             raise NotInSubfield(f"trace of {x} in {field} is not in F_{field.p}")
         raw, f = raw[0], f.base
     return FqElem(f, raw)
+
+
+def tower_mul(field, a, b):
+    """An extension-field element product through the base field's raw
+    kernel: schoolbook in u, then the general division by the modulus."""
+    base, d = field.base, field.degree
+    rem = _rdivmod(base, schoolbook(base, a, b, 2 * d - 1), field.modulus)[1][:d]
+    return tuple(rem + [base._raw_from_int(0)] * (d - len(rem)))
 
 
 def ell_p_antisymmetric(a, b):

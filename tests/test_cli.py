@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from charp_dilog import bloch, cli, cycles, regulator, suites
 from charp_dilog.cli import _LI2P_MAX_P, _VERIFY_MAX_P, LI1_MAX_P, build_parser, main
-from charp_dilog.gf import Fq, NotInSubfield
+from charp_dilog.gf import Fq, NotInSubfield, is_prime, residue_field
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_admissible_graph
 from charp_dilog.tpoly import Trunc
@@ -191,6 +191,30 @@ def test_rho_command(thm1_file, capsys):
     json.loads(capsys.readouterr().out)
 
 
+def test_rho_rows_over_a_tower_residue_field(tmp_path, capsys):
+    # over F_25 = F_5[u]/(u^2 + 2) the point z^2 - u + t reduces to an
+    # irreducible quadratic (u is not a square), so its residue field is the
+    # tower F_625 over F_25 and every local term multiplies in the tower
+    data = {"schema": 1, "p": 5, "ext": [2, 0, 1],
+            "points": [{"poly": [[[0, 4], 1], [], [1]]}, {"poly": [[4, 0], [1]]},
+                       {"poly": [[0, 0], [1]]}, {"poly": [[2, 4], [1]]}],
+            "f": {"unit": [1], "factors": [[0, 1]]},
+            "g": {"unit": [1], "factors": [[1, 1], [2, 1]]},
+            "h": {"unit": [1], "factors": [[3, 1]]}}
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(data))
+    inp = cli._regulator_input_from_json(data)
+    field, _ = residue_field(inp.points[0].reduction(inp.field))
+    assert field.degree == 2 and field.base.base is not None
+    want = {"rho-k": [[0, 3], [2, 1], [2, 3], [3, 2], [1, 3], [3, 2]],
+            "rho": [[1, 3], [4, 0], [2, 0], [0, 2], [0, 0], [2, 0]]}
+    for command, values in want.items():
+        assert main([command, "--input", str(path), "--seed", "0", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows == [{"point": point, "value": value}
+                        for point, value in zip(["0", "1", "2", "3", "inf", "total"], values)]
+
+
 def _cycle_file(tmp_path, cyc):
     data = {"p": cyc.field.p}
     for key, coord in zip(("y1", "y2", "y3"), cyc.coords):
@@ -356,6 +380,15 @@ def test_verify_all(capsys):
     for name in ("five-term", "exactness", "invariance", "residue-formula",
                  "theorem1", "modulus", "cross-module"):
         assert f"{name} p=5" in out
+
+
+def test_verify_modulus_has_power_from_one_trial(capsys):
+    # a batch of fewer than 8 trials draws more order-t controls on fresh
+    # graphs until one moves the deep invariant, and records no more checks;
+    # at p = 41 the single trial's own control leaves the invariant unchanged
+    for p in (q for q in range(5, 54) if is_prime(q)):
+        assert main(["verify", "modulus", "--p", str(p), "--trials", "1", "--seed", "0"]) == 0, p
+        assert f"modulus p={p} trials=1 seed=0 checks=4 pass" in capsys.readouterr().out
 
 
 def test_verify_pass_and_exit_codes(capsys):

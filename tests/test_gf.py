@@ -21,10 +21,10 @@ from charp_dilog.gf import (
     trace_to_base,
 )
 from charp_dilog.rng import spawn
-from charp_dilog.sampling import rand_nonzero
+from charp_dilog.sampling import quadratic_extension, rand_nonzero
 from charp_dilog.tpoly import Trunc
 
-from oracles import trace_orbit
+from oracles import tower_mul, trace_orbit
 
 
 def test_prime_guard():
@@ -274,6 +274,39 @@ def test_factor_remultiplies(p):
         assert product == f
 
 
+def _rand_irreducible(field, rng, avoid):
+    """A random monic irreducible of degree 1 or 2 over the field, not in ``avoid``."""
+    while True:
+        g = _rand_poly(field, rng, rng.randrange(1, 3))
+        if g not in avoid and is_irreducible(g):
+            return g
+
+
+@pytest.mark.parametrize("name", ["F5", "F7", "F25"])
+def test_factor_takes_pth_roots(request, name):
+    # f = g^p h^e k with e in {1, p, p + 1, 2p}: the derivative drops every
+    # factor whose multiplicity p divides, so those come back through the
+    # p-th root of a polynomial in x^p; over F_25 the root takes c to c^5,
+    # which is not the identity on the coefficients
+    field = request.getfixturevalue(name)
+    p = field.p
+    rng = spawn(17, "pth-root", name)
+    for e in (1, p, p + 1, 2 * p):
+        for trial in range(3):
+            g = _rand_irreducible(field, rng, [])
+            h = _rand_irreducible(field, rng, [g])
+            k = _rand_irreducible(field, rng, [g, h])
+            lead = rand_nonzero(field, rng)
+            f = g ** p * h ** e * k * lead
+            factors = factor_squarefree_irreducibles(f, seed=trial)
+            assert dict(factors) == {g: p, h: e, k: 1}
+            product = Poly(field, [1])
+            for factor, mult in factors:
+                assert factor.is_monic and is_irreducible(factor)
+                product = product * factor ** mult
+            assert product == f * lead.inverse()
+
+
 def test_factor_deterministic(F5):
     x = Poly.x(F5)
     f = (x ** 2 + 2) * (x ** 2 + 3) * (x + 1) ** 2
@@ -293,7 +326,8 @@ def _schoolbook(a: Poly, b: Poly) -> Poly:
     field = a.field
     if a.is_zero or b.is_zero:
         return Poly(field)
-    return Poly(field, [sum((a.coeff(i) * b.coeff(k - i) for i in range(k + 1)),
+    return Poly(field, [sum((a.coeff(i) * b.coeff(k - i)
+                             for i in range(max(0, k - b.degree), min(k, a.degree) + 1)),
                             start=field.zero)
                         for k in range(a.degree + b.degree + 1)])
 
@@ -375,8 +409,8 @@ def test_trace_outside_subfield_raises(monkeypatch, F5, F25):
 @pytest.mark.parametrize("p, modulus", [(5, [2, 0, 1]), (11, [1, 0, 1]),
                                         (5, [1, 1, 0, 1]), (7, [2, 0, 0, 1])])
 def test_extension_int_kernel_matches_tower_loop(p, modulus):
-    # over a prime base the raw kernel works on int tuples; the recursive
-    # loop through the base field's kernel is the oracle
+    # over a prime base the raw kernel works on int tuples; schoolbook
+    # through the base field's kernel and a general division is the oracle
     field = Fq(p, modulus=modulus, base=Fq(p))
     base = field.base
     rng = spawn(12, "ext-int-kernel", p, len(modulus))
@@ -384,7 +418,7 @@ def test_extension_int_kernel_matches_tower_loop(p, modulus):
     elems += [field.zero.raw, field.one.raw, tuple([p - 1] * field.degree)]
     for a in elems:
         for b in elems[::7]:
-            assert field._raw_mul(a, b) == gf._tower_mul(field, a, b)
+            assert field._raw_mul(a, b) == tower_mul(field, a, b)
             assert field._raw_add(a, b) == tuple(base._raw_add(x, y) for x, y in zip(a, b))
             assert field._raw_sub(a, b) == tuple(base._raw_sub(x, y) for x, y in zip(a, b))
         assert field._raw_neg(a) == tuple(base._raw_neg(x) for x in a)
@@ -397,8 +431,50 @@ def test_extension_int_kernel_matches_tower_loop(p, modulus):
         xs, ys = [rng.choice(elems) for _ in range(k)], [rng.choice(elems) for _ in range(k)]
         want = field.zero.raw
         for x, y in zip(xs, ys):
-            want = field._raw_add(want, gf._tower_mul(field, x, y))
+            want = field._raw_add(want, tower_mul(field, x, y))
         assert field._raw_dot(xs, ys) == want
+
+
+def test_quadratic_extension_of_prime_and_extension_fields(F25):
+    # over F_p, the first irreducible u^2 + b u + c in (c, b) order with c in
+    # 0..p-1; over F_q, c runs over every element, because each c in 0..p-1
+    # is a square in a field of even degree over F_p
+    for p in (q for q in range(5, 54) if gf.is_prime(q)):
+        field = Fq(p)
+        want = next((c, b, 1) for c in range(p) for b in (0, 1)
+                    if is_irreducible(Poly(field, [c, b, 1])))
+        assert quadratic_extension(field).modulus == want
+    for base in (F25, PRODUCT_FIELDS["F121"]):
+        ext = quadratic_extension(base)
+        assert (ext.base, ext.degree, ext.order) == (base, 2, base.order ** 2)
+
+
+def test_tower_products_match_the_division_oracle(F25):
+    # a tower's element, dot and polynomial products flatten into one product
+    # over the base field and reduce by the monic modulus; the oracle is
+    # schoolbook through the base kernel and a general division.  F_625
+    # flattens to F_25 and F_5^8 to F_625, which recurses once more.
+    f625 = _f625(F25)
+    for field, count in ((f625, 30), (quadratic_extension(f625), 6)):
+        zero = field.zero.raw
+        rng = spawn(16, "tower-product", field.order)
+        elems = [field.random_element(rng).raw for _ in range(count)]
+        elems += [zero, field.one.raw, _top_raw(field)]
+        for a in elems:
+            for b in elems:
+                assert field._raw_mul(a, b) == tower_mul(field, a, b)
+        for _ in range(count):
+            k = rng.randrange(1, 6)
+            xs, ys = [rng.choice(elems) for _ in range(k)], [rng.choice(elems) for _ in range(k)]
+            want = zero
+            for x, y in zip(xs, ys):
+                want = field._raw_add(want, tower_mul(field, x, y))
+            assert field._raw_dot(xs, ys) == want
+            # schoolbook rests on the element product checked above
+            a, b = [rng.choice(elems) for _ in range(k)], [rng.choice(elems) for _ in range(6 - k)]
+            assert gf._rmul(field, a, b) == gf.schoolbook(field, a, b, 5)
+            for n in (1, 3, 7):
+                assert gf._rmul(field, a, b, n) == gf.schoolbook(field, a, b, n)
 
 
 @pytest.mark.parametrize("name", ["F7", "F11", "F49"])
@@ -446,38 +522,43 @@ def _is_tower(field: Fq) -> bool:
     return field.base is not None and field.base.base is not None
 
 
+def _check_products(field: Fq, a: list, b: list, want: list) -> None:
+    """The product of a and b is ``want`` through ``_rmul`` and ``Poly``, and
+    with n, on operands with trailing zeros, ``want`` padded to n."""
+    zero, size = field.zero.raw, len(a) + len(b) - 1
+    assert gf._rmul(field, a, b) == want
+    poly = Poly(field, field._wrap(want))
+    assert Poly(field, field._wrap(a)) * Poly(field, field._wrap(b)) == poly
+    padded = want + [zero] * 3
+    for n in (None, 1, size, size + 3):
+        assert gf._rmul(field, a + [zero] * 2, b + [zero], n) == padded[:n]
+
+
 @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
 def test_product_kernel_matches_schoolbook(name):
-    # prime (packed), extension over a prime field (Kronecker through the
-    # packed product) and a tower (the _raw_* loop), at every pair of lengths
-    # 1..17 on random operands, and over F_p and F_p[u]/(m) on all-(p - 1)
-    # operands, the largest sums a packed limb holds; with n the operands
-    # carry trailing zeros and the output is padded to n.  A tower multiplies
-    # element by element through its base field's kernel, so to keep the
-    # test short its operands are about half zeros, which that kernel skips,
-    # and it takes one n per length pair, in turn.
+    # prime (packed), extension over a prime field and a tower (flattened
+    # into one product over the base), at every pair of lengths 1..17 on
+    # random operands
     field = PRODUCT_FIELDS[name]
-    zero, top, tower = field.zero.raw, _top_raw(field), _is_tower(field)
     rng = spawn(15, "one-product", name)
+    for la, lb in itertools.product(range(1, 18), repeat=2):
+        a, b = ([field.random_element(rng).raw for _ in range(k)] for k in (la, lb))
+        full = _schoolbook(Poly(field, field._wrap(a)), Poly(field, field._wrap(b)))
+        _check_products(field, a, b, [full.coeff(k).raw for k in range(la + lb - 1)])
 
-    def draw(length):
-        return [field.random_element(rng).raw if not tower or rng.randrange(2) else zero
-                for _ in range(length)]
 
-    for i, (la, lb) in enumerate(itertools.product(range(1, 18), repeat=2)):
-        cases = [(draw(la), draw(lb))]
-        if not tower:
-            cases.append(([top] * la, [top] * lb))
-        sizes = (None, 1, la + lb - 1, la + lb + 2)
-        for a, b in cases:
-            full = _schoolbook(Poly(field, field._wrap(a)), Poly(field, field._wrap(b)))
-            want = [full.coeff(k).raw for k in range(la + lb - 1)]
-            assert gf._rmul(field, a, b) == want
-            if not tower:
-                assert Poly(field, field._wrap(a)) * Poly(field, field._wrap(b)) == full
-            padded = want + [zero] * 3
-            for n in sizes[i % 4:i % 4 + 1] if tower else sizes:
-                assert gf._rmul(field, a + [zero] * 2, b + [zero], n) == padded[:n]
+@pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+def test_product_kernel_holds_the_largest_sums(name):
+    # operands whose ints are all p - 1 give the largest sums a packed limb
+    # holds; coefficient k of their product is top^2 times its number of
+    # terms, at every pair of lengths 1..17
+    field = PRODUCT_FIELDS[name]
+    top = _top_raw(field)
+    top_sq = field._wrap([top])[0] ** 2
+    for la, lb in itertools.product(range(1, 18), repeat=2):
+        want = [(top_sq * (min(k, la - 1) - max(0, k - lb + 1) + 1)).raw
+                for k in range(la + lb - 1)]
+        _check_products(field, [top] * la, [top] * lb, want)
 
 
 @pytest.mark.parametrize("name", sorted(name for name, field in PRODUCT_FIELDS.items()

@@ -109,14 +109,20 @@ def test_flatness_is_checked_only_where_a_symbol_is_built():
     assert callers == ["bloch.BlochSym.__post_init__"], callers
 
 
-def test_germ_products_take_no_schoolbook():
-    # a product of germ truncations is LaurentRing._raw_mul_low, one packed
-    # product of the field; localfield has no route back to gf.schoolbook
-    tree = ast.parse((Path(charp_dilog.__file__).parent / "localfield.py").read_text())
-    found = [node.lineno for node in ast.walk(tree)
-             if "schoolbook" in (getattr(node, "id", None), getattr(node, "attr", None),
-                                 getattr(node, "name", None))]
-    assert not found, f"localfield.py references schoolbook on lines {found}"
+def test_only_the_element_kernel_multiplies_by_schoolbook():
+    # every field, tower and germ truncation multiplies through one packed
+    # product; gf.schoolbook is named only where it is defined and by
+    # tpoly.ElementKernel (and its import), the ring with no packed form
+    found = set()
+    for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            default = "<import>" if isinstance(node, ast.ImportFrom) else "<body>"
+            owner = getattr(node, "name", default)
+            if any("schoolbook" in (getattr(sub, "id", None), getattr(sub, "attr", None),
+                                    getattr(sub, "name", None))
+                   for sub in ast.walk(node)):
+                found.add(f"{path.stem}.{owner}")
+    assert found == {"gf.schoolbook", "tpoly.<import>", "tpoly.ElementKernel"}, found
 
 
 def _is_dunder(name: str) -> bool:
