@@ -45,13 +45,22 @@ def _check_max_p(args, max_p: int) -> None:
         raise ParseError(f"{args.command} supports p <= {max_p}, got p = {args.p}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bools, floats and strings are not read as numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _field_from(p: int, ext) -> Fq:
     base = Fq(p)
-    if not ext:
+    if ext is None:
         return base
-    if not isinstance(ext, list) or not all(isinstance(c, int) for c in ext):
-        raise ParseError("the extension modulus is an array of integer coefficients")
-    return Fq(p, modulus=ext, base=base)
+    if not isinstance(ext, list) or not all(map(_is_int, ext)):
+        raise ParseError(f"'ext' must be omitted, null or an array of integer coefficients, "
+                         f"got {json.dumps(ext)}")
+    try:
+        return Fq(p, modulus=ext, base=base)
+    except ValueError as exc:
+        raise ParseError(f"'ext': {exc}") from exc
 
 
 def _elem_to_json(x: FqElem):
@@ -62,26 +71,26 @@ def _elem_to_json(x: FqElem):
 
 def _elem_from_json(field: Fq, data) -> FqElem:
     try:
-        if isinstance(data, int):
+        if _is_int(data):
             return field.from_int(data)
         if field.base is None:
-            raise ParseError(f"prime-field element must be an int, got {data!r}")
+            raise ParseError(f"prime-field element must be an integer, got {json.dumps(data)}")
         if not isinstance(data, list):
-            raise ParseError(f"extension-field element must be an int or an array, got {data!r}")
+            raise ParseError("extension-field element must be an integer or an array, "
+                             f"got {json.dumps(data)}")
         return field.from_coeffs([_elem_from_json(field.base, c) for c in data])
-    except GFError as exc:
+    except (GFError, ValueError) as exc:
         raise ParseError(str(exc)) from exc
 
 
 def _trunc_from_json(field: Fq, m: int, data) -> Trunc:
     """A truncated element, as a bare coefficient array or {"m":..,"coeffs":[..]}."""
     if isinstance(data, dict):
-        try:
-            given = int(data.get("m", m))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"element modulus {data.get('m')!r} is not an integer") from exc
+        given = data.get("m", m)
+        if not _is_int(given):
+            raise ParseError(f"element modulus 'm' must be an integer, got {json.dumps(given)}")
         if given != m:
-            raise ParseError(f"element modulus {data.get('m')} does not match {m}")
+            raise ParseError(f"element modulus {given} does not match {m}")
         data = data.get("coeffs", [])
     if not isinstance(data, list):
         raise ParseError("truncated elements are coefficient arrays")
@@ -100,13 +109,12 @@ def _load_json(path: str) -> dict:
 
 def _input_field(data: dict) -> Fq:
     """The field named by an input file's 'p' and optional 'ext'."""
-    try:
-        p = int(data["p"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("input needs an integer field 'p'") from exc
+    p = data.get("p") if isinstance(data, dict) else None
+    if not _is_int(p):
+        raise ParseError(f"input needs an integer field 'p', got {json.dumps(p)}")
     try:
         return _field_from(p, data.get("ext"))
-    except (GFError, ValueError) as exc:
+    except GFError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -136,13 +144,12 @@ def _regulator_input_from_json(data: dict) -> RegulatorInput:
             raise ParseError(f"function {key!r} must be an object")
         unit = _trunc_from_json(field, 2, fn_data.get("unit", [1]))
         factors = fn_data.get("factors", [])
-        if not isinstance(factors, list):
-            raise ParseError(f"factors of {key!r} must be an array")
-        try:
-            factors = tuple((int(i), int(e)) for i, e in factors)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"factors of {key!r} are [point, exponent] pairs") from exc
-        fns[key] = GoodFunction(unit, factors)
+        if not (isinstance(factors, list) and all(
+                isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
+                for pair in factors)):
+            raise ParseError(f"factors of {key!r} are [point, exponent] integer pairs, "
+                             f"got {json.dumps(factors)}")
+        fns[key] = GoodFunction(unit, tuple(map(tuple, factors)))
     try:
         return RegulatorInput(field, tuple(points), fns["f"], fns["g"], fns["h"])
     except (ValueError, GFError) as exc:
@@ -210,7 +217,13 @@ def _cmd_dilog(args, out, closed_form, max_p: int | None = None) -> int:
     if max_p is not None:
         _check_max_p(args, max_p)
     field = _field_from(args.p, args.ext)
-    x = Trunc(field, 2, [_elem_from_json(field, args.s), _elem_from_json(field, args.a)])
+    coeffs = []
+    for name in ("s", "a"):
+        try:
+            coeffs.append(_elem_from_json(field, getattr(args, name)))
+        except ParseError as exc:
+            raise ParseError(f"--{name}: {exc}") from exc
+    x = Trunc(field, 2, coeffs)
     sym = bloch.symbol(x)
     value = closed_form(sym)
     _emit([{"s": args.s, "a": args.a, "value": _elem_to_json(value)}], args.format, out)

@@ -7,12 +7,14 @@ constructions straightforward.  Raw element data is an int for a prime field
 and a tuple of base-field raws for an extension; :class:`FqElem` is a thin
 wrapper over that data.
 
-Polynomial division and gcd over a prime field (``base is None``) run on
-plain int lists, with one lead inverse per division and one ``% p`` per
-coefficient update.  Every field has one product path: one Kronecker-packed
-int product over F_p at every size; over an extension, both lists flatten
-into base-field lists, multiply once (a tower recurses down to F_p) and are
-reduced block by block by the monic modulus, as is a tower's element product.
+Every field has one division with remainder, ``_rreduce``, behind divmod,
+gcd and the extension inverse: int lists with one ``% p`` per update over
+F_p (``base is None``), the ``_raw_*`` kernel over an extension.  Every field
+has one product path: one Kronecker-packed int product over F_p at every
+size; over an extension, both lists flatten into base-field lists, multiply
+once (a tower recurses down to F_p) and ``Fq._reduce`` reduces each block by
+the monic modulus, as in a tower's element product.  It needs no inverse and
+stays apart from ``_rreduce``, which measured slower on every product.
 
 Beyond those kernels, each operation has one generic routine for every
 field and ring: :func:`power` (square-and-multiply), :func:`schoolbook` (the
@@ -366,15 +368,17 @@ class Fq:
             raise DivisionByZero(f"inverting zero in {self}")
         if self.base is None:
             return pow(a, self.p - 2, self.p)
-        # extended Euclid for a against the modulus, over the base field
+        # extended Euclid against the modulus over the base (s stays trimmed: q's lead is nonzero)
         base = self.base
         zero, one = base._raw_from_int(0), base._raw_from_int(1)
-        r0, r1 = list(self.modulus), _rtrim(base, list(a))
+        r0, r1 = list(self.modulus), list(a)
+        while base._raw_is_zero(r1[-1]):
+            r1.pop()
         s0, s1 = [zero], [one]
         while len(r1) > 1:
-            q, r = _rdivmod(base, r0, r1)
-            r0, r1 = r1, _rtrim(base, r)
-            s0, s1 = s1, _rtrim(base, _rsub(base, s0, _rmul(base, q, s1)))
+            q = [zero] * (len(r0) - len(r1) + 1)
+            r0, r1 = r1, _rreduce(base, r0, r1, q)
+            s0, s1 = s1, _rsub(base, s0, _rmul(base, q, s1))
         lead_inv = base._raw_inv(r1[0])
         inv = [base._raw_mul(lead_inv, c) for c in s1]
         inv += [zero] * (self.degree - len(inv))
@@ -450,12 +454,6 @@ def _modulus_str(field: Fq) -> str:
 # raw polynomial helpers over a field (dense low-first lists of raws),
 # used by the extension-field kernel before Poly exists
 
-def _rtrim(field: Fq, c: list) -> list:
-    while c and field._raw_is_zero(c[-1]):
-        c.pop()
-    return c or [field._raw_from_int(0)]
-
-
 def _radd(field: Fq, a: Sequence, b: Sequence) -> list:
     if field.base is None:
         p = field.p
@@ -474,49 +472,34 @@ def _rsub(field: Fq, a: Sequence, b: Sequence) -> list:
     return [sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=zero)]
 
 
-def _prime_reduce(rem: list, b: list, p: int, quot: list | None = None) -> list:
-    """Reduce ``rem`` modulo ``b`` over F_p in place and return the trimmed remainder.
-
-    ``b`` has a nonzero lead.  When ``quot`` is given, quotient coefficient
-    k is stored in ``quot[k]``.
-    """
-    db = len(b) - 1
-    lead_inv = pow(b[-1], -1, p)
-    low = b[:-1]
-    for k in range(len(rem) - 1 - db, -1, -1):
-        c = rem[k + db] * lead_inv % p
-        if c:
-            if quot is not None:
-                quot[k] = c
-            rem[k:k + db] = [(r - c * y) % p for r, y in zip(rem[k:k + db], low)]
+def _rreduce(field: Fq, rem: list, b: Sequence, quot: list | None = None) -> list:
+    """Reduce ``rem`` modulo ``b`` (nonzero lead) in place and return the
+    trimmed remainder, with quotient coefficient k in ``quot[k]`` if ``quot``
+    is given: ints with one ``% p`` per update over F_p, the ``_raw_*``
+    kernel over an extension."""
+    db, low = len(b) - 1, b[:-1]
+    if field.base is None:
+        p, zero = field.p, 0
+        lead_inv = pow(b[-1], -1, p)
+        for k in range(len(rem) - 1 - db, -1, -1):
+            c = rem[k + db] * lead_inv % p
+            if c:
+                if quot is not None:
+                    quot[k] = c
+                rem[k:k + db] = [(r - c * y) % p for r, y in zip(rem[k:k + db], low)]
+    else:
+        is_zero, sub, mul = field._raw_is_zero, field._raw_sub, field._raw_mul
+        zero, lead_inv = field._raw_from_int(0), field._raw_inv(b[-1])
+        for k in range(len(rem) - 1 - db, -1, -1):
+            c = mul(rem[k + db], lead_inv)
+            if not is_zero(c):
+                if quot is not None:
+                    quot[k] = c
+                rem[k:k + db] = [sub(r, mul(c, y)) for r, y in zip(rem[k:k + db], low)]
     del rem[db:]
-    while rem and not rem[-1]:
+    while rem and rem[-1] == zero:
         rem.pop()
     return rem
-
-
-def _rdivmod(field: Fq, a: list, b: list) -> tuple[list, list]:
-    zero = field._raw_from_int(0)
-    b = list(b)
-    while len(b) > 1 and field._raw_is_zero(b[-1]):
-        b.pop()
-    if field._raw_is_zero(b[-1]):
-        raise DivisionByZero(f"inverting zero in {field}")
-    rem = list(a)
-    if len(rem) < len(b):
-        return [zero], rem
-    quot = [zero] * (len(rem) - len(b) + 1)
-    if field.base is None:
-        return quot, _prime_reduce(rem, b, field.p, quot)
-    lead_inv = field._raw_inv(b[-1])
-    for k in range(len(rem) - len(b), -1, -1):
-        c = field._raw_mul(rem[k + len(b) - 1], lead_inv)
-        if field._raw_is_zero(c):
-            continue
-        quot[k] = c
-        for j, y in enumerate(b):
-            rem[k + j] = field._raw_sub(rem[k + j], field._raw_mul(c, y))
-    return quot, rem
 
 
 def _modulus_is_irreducible(base: Fq, modulus: tuple) -> bool:
@@ -755,11 +738,16 @@ class Poly:
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
         other = self._check(other)
+        if other is NotImplemented:
+            return NotImplemented
         if other.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
         f = self.field
-        q, r = _rdivmod(f, list(self.coeffs) or [f._raw_from_int(0)], list(other.coeffs))
-        return Poly._from_raw(f, q), Poly._from_raw(f, r)
+        if self.degree < other.degree:
+            return Poly(f), self
+        quot = [f._raw_from_int(0)] * (len(self.coeffs) - other.degree)
+        rem = _rreduce(f, list(self.coeffs), other.coeffs, quot)
+        return Poly._from_raw(f, quot), Poly._from_raw(f, rem)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]
@@ -834,22 +822,18 @@ class Poly:
         return Poly(field, [field.embed(FqElem(self.field, c)) for c in self.coeffs])
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, self._check(other)
+        """The monic gcd (zero for two zeros), by Euclid on raw lists."""
+        b = self._check(other)
+        if b is NotImplemented:
+            raise TypeError(f"gcd of a polynomial and {type(other).__name__}")
         f = self.field
-        if f.base is None:
-            p = f.p
-            ra, rb = list(a.coeffs), list(b.coeffs)
-            while rb:
-                ra, rb = rb, _prime_reduce(ra, rb, p)
-            if ra:
-                lead_inv = pow(ra[-1], -1, p)
-                ra = [c * lead_inv % p for c in ra]
-            return Poly._from_raw(f, ra)
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()[0]
+        ra, rb = list(self.coeffs), list(b.coeffs)
+        while rb:
+            ra, rb = rb, _rreduce(f, ra, rb)
+        if ra:
+            lead_inv, mul = f._raw_inv(ra[-1]), f._raw_mul
+            ra = [mul(lead_inv, c) for c in ra]
+        return Poly._from_raw(f, ra)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -905,7 +889,8 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def _pth_root_poly(f: Poly) -> Poly:
-    """The p-th root of a polynomial with zero derivative (so f = g(x^p))."""
+    """sum_k c_(pk)^(1/p) x^k: it reads only f's coefficients at multiples of
+    p, so it is the p-th root of f when f has zero derivative (f = g(x^p))."""
     field = f.field
     p = field.p
     root_pow = field.order // p  # c -> c^(q/p) is the inverse of Frobenius

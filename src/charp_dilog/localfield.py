@@ -22,8 +22,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, _radd, _rsub,
-                 is_irreducible, multiplicity, residue_field)
+from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, _pth_root_poly,
+                 _radd, _rsub, is_irreducible, multiplicity, residue_field)
 from .tpoly import ElementKernel, Trunc, _series_inverse
 
 
@@ -660,11 +660,8 @@ def cartier(omega: OneForm) -> OneForm:
     if f.is_zero:
         return omega
     big = f.num * f.den ** (p - 1)
-    root_pow = field.order // p
-    out = []
-    for k in range((big.degree - (p - 1)) // p + 1):
-        out.append(big.coeff(p * k + p - 1) ** root_pow)
-    return OneForm(RatFn(Poly(field, out), f.den))
+    root = _pth_root_poly(Poly._from_raw(field, list(big.coeffs[p - 1:])))
+    return OneForm(RatFn(root, f.den))
 
 
 def is_exact_form(omega: OneForm) -> bool:

@@ -5,7 +5,7 @@ faster way, kept here so the fast route is always compared with it; beside
 them, a sampler that only the tests draw from.
 """
 
-from charp_dilog.gf import FqElem, NotInSubfield, Poly, _rdivmod, frobenius, schoolbook
+from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius, schoolbook
 from charp_dilog.localfield import RatFn, residue_at
 from charp_dilog.omega import Letter, letters_of_unit, omega_p
 from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, rp_eval
@@ -38,10 +38,15 @@ def trace_orbit(x):
 
 def tower_mul(field, a, b):
     """An extension-field element product through the base field's raw
-    kernel: schoolbook in u, then the general division by the modulus."""
+    kernel: schoolbook in u, then textbook long division by the monic
+    modulus, which subtracts top * u^(k-d) * m(u) whole."""
     base, d = field.base, field.degree
-    rem = _rdivmod(base, schoolbook(base, a, b, 2 * d - 1), field.modulus)[1][:d]
-    return tuple(rem + [base._raw_from_int(0)] * (d - len(rem)))
+    c = schoolbook(base, a, b, 2 * d - 1)
+    for k in range(2 * d - 2, d - 1, -1):
+        top = c[k]
+        for j, m in enumerate(field.modulus):
+            c[k - d + j] = base._raw_sub(c[k - d + j], base._raw_mul(top, m))
+    return tuple(c[:d])
 
 
 def ell_p_antisymmetric(a, b):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
@@ -307,6 +308,43 @@ def test_parse_error_exit_code(tmp_path, capsys):
         cycle.write_text(json.dumps({"p": 7, **coords, "y2": bad_coord}))
         assert main(["cycle", "rho-k", "--input", str(cycle)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, field", [
+    ({"p": 5.5}, "'p'"), ({"p": True}, "'p'"), ({"p": "5"}, "'p'"), ({"ext": []}, "'ext'"),
+    ({"ext": {}}, "'ext'"), ({"ext": False}, "'ext'"),
+    ({"f": {"unit": [1], "factors": [[0.9, 1]]}}, "factors of 'f'"),
+    ({"h": {"unit": [1], "factors": [[2, True]]}}, "factors of 'h'"),
+    ({"f": {"unit": {"m": 2.0, "coeffs": [1]}, "factors": [[0, 1]]}}, "'m'"),
+    ({"g": {"unit": [True], "factors": [[1, 1]]}}, "element")])
+def test_input_numbers_are_json_integers(thm1_file, change, field, capsys):
+    # a number that is not a JSON integer is never coerced (5.5 to p = 5,
+    # [0.9, 1] to point 0, true to 1, an empty or false ext to F_p)
+    with open(thm1_file) as fh:
+        data = json.load(fh)
+    with open(thm1_file, "w") as fh:
+        json.dump({**data, **change}, fh)
+    assert main(["rho-k", "--input", thm1_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("option, value, field", [
+    ("--a", "true", "--a:"), ("--s", "3.0", "--s:"), ("--ext", "{}", "'ext'"),
+    ("--ext", "[]", "'ext'"), ("--ext", "false", "'ext'")])
+def test_dilog_options_are_json_integers(option, value, field, capsys):
+    # never coerced: --a true would read a = 1, these ext values would run over F_p
+    argv = {"--s": "3", "--a": "2", option: value}
+    assert main(["li2", "--p", "7", *itertools.chain(*argv.items())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and field in captured.err and "Traceback" not in captured.err
+
+
+def test_null_ext_is_the_prime_field(capsys):
+    assert main(["li2", "--p", "7", "--s", "3", "--a", "2", "--ext", "null"]) == 0
+    with_null = capsys.readouterr().out
+    assert main(["li2", "--p", "7", "--s", "3", "--a", "2"]) == 0
+    assert with_null == capsys.readouterr().out == "s=3  a=2  value=3\n"
 
 
 def test_extension_field_input(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,15 +59,22 @@ def test_inverse_of_two_over_f5(F5):
     assert F5(2).inverse() == F5(3)
 
 
-def test_inverse_matches_power_oracle(F25):
-    # independent oracle: a^(q-2) inverts in F_q^x
-    rng = spawn(0, "inv-oracle")
-    for _ in range(50):
-        a = F25.random_element(rng)
-        if a.is_zero:
-            continue
-        assert a.inverse() == a ** (F25.order - 2)
-        assert a * a.inverse() == F25.one
+def test_inverse_matches_power_oracle(F25, F49):
+    # independent oracle: a^(q-2) by gf.power inverts in F_q^x; the extended
+    # Euclid of Fq._raw_inv runs over F_p, and over F_25 for the tower F_625
+    for field in (F25, F49, _f625(F25)):
+        for a in field.elements():
+            if not a.is_zero:
+                assert a.inverse() == a ** (field.order - 2)
+                assert a * a.inverse() == field.one
+
+
+@pytest.mark.parametrize("operand", ["x", 1.5])
+def test_a_non_polynomial_operand_is_a_type_error(F5, operand):
+    f = Poly(F5, [1, 2, 1])
+    for op in (divmod, operator.mod, operator.floordiv, Poly.gcd):
+        with pytest.raises(TypeError):
+            op(f, operand)
 
 
 def test_extension_inverse_euclid(F5, F25):
@@ -349,9 +357,13 @@ def _rand_poly(field, rng, degree):
     return Poly(field, [field.random_element(rng) for _ in range(degree)] + [field.one])
 
 
-@pytest.mark.parametrize("name, max_deg", [("F7", 200), ("F11", 200), ("F49", 40)])
+@pytest.mark.parametrize("name, max_deg",
+                         [("F7", 200), ("F11", 200), ("F49", 40), ("F625", 24)])
 def test_divmod_gcd_differential(request, name, max_deg):
-    field = request.getfixturevalue(name)
+    # over the tower F_625 the remainders run the _raw_* branch, whose lead
+    # inverses run the remainder kernel again over F_25 and F_5
+    field = (_f625(request.getfixturevalue("F25")) if name == "F625"
+             else request.getfixturevalue(name))
     # the generic _raw_* loop over a quadratic extension is the oracle for
     # the prime-field int kernel (u^2 + 1 is irreducible for p = 3 mod 4)
     ext = Fq(field.p, modulus=[1, 0, 1], base=field) if field.base is None else None
@@ -410,7 +422,7 @@ def test_trace_outside_subfield_raises(monkeypatch, F5, F25):
                                         (5, [1, 1, 0, 1]), (7, [2, 0, 0, 1])])
 def test_extension_int_kernel_matches_tower_loop(p, modulus):
     # over a prime base the raw kernel works on int tuples; schoolbook
-    # through the base field's kernel and a general division is the oracle
+    # through the base field's kernel and a long division is the oracle
     field = Fq(p, modulus=modulus, base=Fq(p))
     base = field.base
     rng = spawn(12, "ext-int-kernel", p, len(modulus))

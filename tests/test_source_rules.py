@@ -93,9 +93,9 @@ def test_only_residue_field_skips_the_irreducibility_test():
     assert not outside, f"unchecked extensions built outside gf.residue_field: {outside}"
 
 
-def test_flatness_is_checked_only_where_a_symbol_is_built():
-    # bloch.BlochSym.__post_init__ is the one caller of flat_check, so a
-    # non-flat generator cannot enter a symbol and no route re-checks one
+def _callers_of(func: str) -> list[str]:
+    """The module-level definitions and methods under src/ that call ``func``,
+    once per call, as module.name or module.Class.method."""
     callers = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         module = ast.parse(path.read_text(), filename=str(path))
@@ -104,8 +104,15 @@ def test_flatness_is_checked_only_where_a_symbol_is_built():
                 name = getattr(owner, "name", "<body>")
                 where = f"{path.stem}.{node.name}.{name}" if owner is not node else f"{path.stem}.{name}"
                 callers += [where for call in ast.walk(owner) if isinstance(call, ast.Call)
-                            and "flat_check" in (getattr(call.func, "attr", None),
-                                                 getattr(call.func, "id", None))]
+                            and func in (getattr(call.func, "attr", None),
+                                         getattr(call.func, "id", None))]
+    return callers
+
+
+def test_flatness_is_checked_only_where_a_symbol_is_built():
+    # bloch.BlochSym.__post_init__ is the one caller of flat_check, so a
+    # non-flat generator cannot enter a symbol and no route re-checks one
+    callers = _callers_of("flat_check")
     assert callers == ["bloch.BlochSym.__post_init__"], callers
 
 
@@ -123,6 +130,20 @@ def test_only_the_element_kernel_multiplies_by_schoolbook():
                    for sub in ast.walk(node)):
                 found.add(f"{path.stem}.{owner}")
     assert found == {"gf.schoolbook", "tpoly.<import>", "tpoly.ElementKernel"}, found
+
+
+def test_one_remainder_kernel_divides_for_every_field():
+    # gf._rreduce is the one division with remainder: the F_p-only kernel,
+    # the extension-only divmod and the trim helper are gone, and only
+    # Poly.__divmod__, Poly.gcd and the extension inverse call it
+    gone = {"_prime_reduce", "_rdivmod", "_rtrim"}
+    named = [f"{path}:{getattr(node, 'lineno', '?')}" for tree in TREES
+             for path in sorted((ROOT / tree).rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if gone & {getattr(node, key, None) for key in ("id", "attr", "name")}]
+    assert not named, f"removed division kernels still named: {named}"
+    callers = set(_callers_of("_rreduce"))
+    assert callers == {"gf.Poly.__divmod__", "gf.Poly.gcd", "gf.Fq._raw_inv"}, callers
 
 
 def _is_dunder(name: str) -> bool:
