@@ -69,34 +69,40 @@ def _elem_to_json(x: FqElem):
     return [_elem_to_json(c) for c in x.coeffs()]
 
 
-def _elem_from_json(field: Fq, data) -> FqElem:
+def _elem_from_json(field: Fq, data, where: str) -> FqElem:
+    """A field element; an error message starts with its key path ``where``."""
     try:
         if _is_int(data):
             return field.from_int(data)
         if field.base is None:
-            raise ParseError(f"prime-field element must be an integer, got {json.dumps(data)}")
-        if not isinstance(data, list):
-            raise ParseError("extension-field element must be an integer or an array, "
+            raise ParseError(f"{where}: prime-field element must be an integer, "
                              f"got {json.dumps(data)}")
-        return field.from_coeffs([_elem_from_json(field.base, c) for c in data])
+        if not isinstance(data, list):
+            raise ParseError(f"{where}: extension-field element must be an integer or an "
+                             f"array, got {json.dumps(data)}")
+        return field.from_coeffs([_elem_from_json(field.base, c, f"{where}[{i}]")
+                                  for i, c in enumerate(data)])
     except (GFError, ValueError) as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(f"{where}: {exc}") from exc
 
 
-def _trunc_from_json(field: Fq, m: int, data) -> Trunc:
-    """A truncated element, as a bare coefficient array or {"m":..,"coeffs":[..]}."""
+def _trunc_from_json(field: Fq, m: int, data, where: str) -> Trunc:
+    """A truncated element, as a bare coefficient array or {"m":..,"coeffs":[..]};
+    an error message starts with its key path ``where``."""
     if isinstance(data, dict):
         given = data.get("m", m)
         if not _is_int(given):
-            raise ParseError(f"element modulus 'm' must be an integer, got {json.dumps(given)}")
+            raise ParseError(f"{where}: element modulus 'm' must be an integer, "
+                             f"got {json.dumps(given)}")
         if given != m:
-            raise ParseError(f"element modulus {given} does not match {m}")
-        data = data.get("coeffs", [])
+            raise ParseError(f"{where}: element modulus {given} does not match {m}")
+        data, where = data.get("coeffs", []), f"{where}.coeffs"
     if not isinstance(data, list):
-        raise ParseError("truncated elements are coefficient arrays")
+        raise ParseError(f"{where}: truncated elements are coefficient arrays")
     if len(data) > m:
-        raise ParseError(f"too many coefficients for modulus {m}")
-    return Trunc(field, m, [_elem_from_json(field, c) for c in data])
+        raise ParseError(f"{where}: too many coefficients for modulus {m}")
+    return Trunc(field, m, [_elem_from_json(field, c, f"{where}[{i}]")
+                            for i, c in enumerate(data)])
 
 
 def _load_json(path: str) -> dict:
@@ -124,13 +130,14 @@ def _regulator_input_from_json(data: dict) -> RegulatorInput:
     entries = data.get("points", [])
     if not isinstance(entries, list):
         raise ParseError("'points' must be an array")
-    for entry in entries:
+    for j, entry in enumerate(entries):
         if entry == "inf":
             points.append(infinity_point())
             continue
         if not isinstance(entry, dict) or not isinstance(entry.get("poly"), list):
             raise ParseError("each point is 'inf' or an object with a 'poly' array")
-        coeffs = [_trunc_from_json(field, 2, c) for c in entry["poly"]]
+        coeffs = [_trunc_from_json(field, 2, c, f"points[{j}].poly[{k}]")
+                  for k, c in enumerate(entry["poly"])]
         try:
             points.append(finite_point(field, coeffs))
         except (ValueError, GFError) as exc:
@@ -142,7 +149,7 @@ def _regulator_input_from_json(data: dict) -> RegulatorInput:
         fn_data = data[key]
         if not isinstance(fn_data, dict):
             raise ParseError(f"function {key!r} must be an object")
-        unit = _trunc_from_json(field, 2, fn_data.get("unit", [1]))
+        unit = _trunc_from_json(field, 2, fn_data.get("unit", [1]), f"{key}.unit")
         factors = fn_data.get("factors", [])
         if not (isinstance(factors, list) and all(
                 isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair))
@@ -168,8 +175,10 @@ def _cycle_from_json(data: dict) -> cycles.ParamCycle:
                 and isinstance(coord.get("den"), list)):
             raise ParseError(f"coordinate {key!r} must be an object with num and den arrays")
         try:
-            num = [_trunc_from_json(field, p, c) for c in coord["num"]]
-            den = [_trunc_from_json(field, p, c) for c in coord["den"]]
+            num = [_trunc_from_json(field, p, c, f"{key}.num[{i}]")
+                   for i, c in enumerate(coord["num"])]
+            den = [_trunc_from_json(field, p, c, f"{key}.den[{i}]")
+                   for i, c in enumerate(coord["den"])]
         except TruncError as exc:
             raise ParseError(f"bad coordinate {key}: {exc}") from exc
         if not num or not den:
@@ -217,13 +226,8 @@ def _cmd_dilog(args, out, closed_form, max_p: int | None = None) -> int:
     if max_p is not None:
         _check_max_p(args, max_p)
     field = _field_from(args.p, args.ext)
-    coeffs = []
-    for name in ("s", "a"):
-        try:
-            coeffs.append(_elem_from_json(field, getattr(args, name)))
-        except ParseError as exc:
-            raise ParseError(f"--{name}: {exc}") from exc
-    x = Trunc(field, 2, coeffs)
+    x = Trunc(field, 2, [_elem_from_json(field, getattr(args, name), f"--{name}")
+                         for name in ("s", "a")])
     sym = bloch.symbol(x)
     value = closed_form(sym)
     _emit([{"s": args.s, "a": args.a, "value": _elem_to_json(value)}], args.format, out)

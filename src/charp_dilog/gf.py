@@ -827,7 +827,8 @@ class Poly:
         if b is NotImplemented:
             raise TypeError(f"gcd of a polynomial and {type(other).__name__}")
         f = self.field
-        ra, rb = list(self.coeffs), list(b.coeffs)
+        # the longer first (a stable sort), so no step divides by a lead it never uses
+        ra, rb = sorted((list(self.coeffs), list(b.coeffs)), key=len, reverse=True)
         while rb:
             ra, rb = rb, _rreduce(f, ra, rb)
         if ra:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, _pth_root_poly,
                  _radd, _rsub, is_irreducible, multiplicity, residue_field)
-from .tpoly import ElementKernel, Trunc, _series_inverse
+from .tpoly import ElementKernel, Trunc, _series_div
 
 
 class LocalFieldError(Exception):
@@ -511,7 +511,8 @@ class LaurentRing:
         # the relative precision; an exact germ is a constant
         size = 1 if prec == math.inf else prec - val
         unit = list(c[k:k + size]) + [self.field._raw_from_int(0)] * (size + k - len(c))
-        return -val, prec - 2 * val, tuple(_series_inverse(self.field, unit))
+        one = [self.field._raw_from_int(1)]
+        return -val, prec - 2 * val, tuple(_series_div(self.field, one, unit))
 
 
 _ZERO = (math.inf, math.inf, ())
@@ -610,12 +611,11 @@ def expand_at(f: RatFn, center, order: int) -> LaurentLocal:
     n_terms = order - val + 1
     if n_terms <= 0:
         return LaurentLocal(ring, (val, order + 1, ()))
-    # the quotient of the two windows, on raw coefficients: numerator times
-    # the series inverse of the denominator, mod (local parameter)^n_terms
+    # the quotient of the two windows, on raw coefficients: one series
+    # division, mod (local parameter)^n_terms
     b = list(den.coeffs[vd:vd + n_terms])
     b += [field._raw_from_int(0)] * (n_terms - len(b))
-    inv = _series_inverse(field, b)
-    out = field._raw_mul_low(list(num.coeffs[vn:vn + n_terms]), inv, n_terms)
+    out = _series_div(field, num.coeffs[vn:vn + n_terms], b)
     return LaurentLocal(ring, (val, order + 1, tuple(out)))
 
 

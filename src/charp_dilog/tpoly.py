@@ -21,9 +21,9 @@ multiplies two truncations by one packed product of the germ field.
 :func:`charp_dilog.gf.power`.
 
 The branch logarithm comes from the logarithmic derivative: with
-theta = t d/dt, theta(log u) = theta(u) / u, and theta scales the coefficient
-of t^n by n, which is invertible for 0 < n < m <= p.  That costs one inverse
-and one product, O(m^2).
+theta = t d/dt, theta(u) = u theta(log u), and theta scales the coefficient
+of t^n by n, which is invertible for 0 < n < m <= p.  A recurrence on
+w_n = n l_n gives it in one pass, O(m^2) (Brent & Kung, J. ACM 25, 1978).
 
 Polynomials in z over R[t]/(t^m) are multiplied by one ``_raw_mul_low``
 and evaluated by one Horner kernel on raw coefficient lists.  Hensel
@@ -91,13 +91,16 @@ def inv_factorials(p: int, n: int | None = None) -> list[int]:
     return out
 
 
-def _series_inverse(ring, a: Sequence) -> list:
-    """Raws of 1/a modulo t^len(a), from a_0 b_n + ... + a_n b_0 = 0 (n > 0)."""
-    out = [ring._raw_inv(a[0])]
-    minus = ring._raw_neg(out[0])
-    for n in range(1, len(a)):
-        out.append(ring._raw_mul(minus, ring._raw_dot(a[1:n + 1], out[::-1])))
-    return out
+def _series_div(ring, num: Sequence, den: Sequence) -> list:
+    """Raws of num/den mod t^len(den), from d_0 q_n + ... + d_n q_0 = num_n (0 past num)."""
+    inv, first, split = ring._raw_inv(den[0]), num[0], len(num)
+    # q_0 = num_0 / d_0 needs no product for an inverse (num_0 = 1)
+    rev = [inv if first == ring._raw_from_int(1) else ring._raw_mul(first, inv)]
+    minus, tail = ring._raw_neg(inv), den[1:]
+    for n in range(1, len(den)):
+        acc = ring._raw_dot(tail, rev)  # d_1 q_{n-1} + ... + d_n q_0: a dot stops at rev's end
+        rev.insert(0, ring._raw_mul(minus, ring._raw_sub(acc, num[n]) if n < split else acc))
+    return rev[::-1]
 
 
 class ElementKernel:
@@ -231,7 +234,8 @@ class Trunc:
     def inverse(self) -> "Trunc":
         if not self.is_unit:
             raise NonUnitConstantTerm("inverting a non-unit of R[t]/(t^m)")
-        return Trunc._of(self.ring, self.m, _series_inverse(self.ring, self.raws))
+        one = [self.ring._raw_from_int(1)]
+        return Trunc._of(self.ring, self.m, _series_div(self.ring, one, self.raws))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -320,23 +324,24 @@ def trunc_exp(alpha: Trunc) -> Trunc:
     return result
 
 
-def _weighted(x: Trunc, weights: Sequence[int]) -> Trunc:
-    """Multiply the coefficient of t^n by the integer weights[n]."""
-    mul, from_int = x.ring._raw_mul, x.ring._raw_from_int
-    return Trunc._of(x.ring, x.m, [mul(c, from_int(w)) for c, w in zip(x.raws, weights)])
-
-
 def log_circ(u: Trunc) -> Trunc:
     """The branch logarithm log(u / u(0)), defined for units when m <= p.
 
-    theta(log u) = theta(u) / u for theta = t d/dt, and theta^-1 divides the
-    coefficient of t^n by n (0 < n < m <= p), so l_n = [t^n](theta(u) / u) / n.
+    theta(u) = u theta(log u) for theta = t d/dt gives, with w_k = k l_k,
+    w_n = (n u_n - sum_{0<k<n} w_k u_{n-k}) / u_0, and l_n = w_n / n
+    (0 < n < m <= p).  ``ws`` holds w_{n-1}, ..., w_1 and the weight -n, so
+    one dot with u_1, ..., u_n gives -u_0 w_n.
     """
     if not u.is_unit:
         raise NonUnitConstantTerm("log of a non-unit")
-    m = u.m
-    euler = _weighted(u, range(m))
-    return _weighted(euler * u.inverse(), _inverses(u.ring.characteristic, m))
+    ring, a = u.ring, u.raws
+    mul, dot, from_int = ring._raw_mul, ring._raw_dot, ring._raw_from_int
+    minus, ws, out, tail = ring._raw_neg(ring._raw_inv(a[0])), [None], [from_int(0)], a[1:]
+    for n, inv_n in enumerate(_inverses(ring.characteristic, u.m)[1:], start=1):
+        ws[-1] = from_int(-n)
+        ws.insert(0, mul(minus, dot(ws, tail)))
+        out.append(mul(ws[0], from_int(inv_n)))
+    return Trunc._of(ring, u.m, out)
 
 
 def ell_i(u: Trunc, i: int):

@@ -20,6 +20,32 @@ def rand_trunc(ring, m, rng, unit=False):
             return x
 
 
+def series_inverse(ring, a):
+    """Raws of 1/a modulo t^len(a), from a_0 b_n + ... + a_n b_0 = 0 (n > 0),
+    the recurrence of an inverse alone."""
+    out = [ring._raw_inv(a[0])]
+    minus = ring._raw_neg(out[0])
+    for n in range(1, len(a)):
+        out.append(ring._raw_mul(minus, ring._raw_dot(a[1:n + 1], out[::-1])))
+    return out
+
+
+def div_via_inverse(ring, num, den):
+    """Raws of num/den modulo t^len(den): num times the inverse of den."""
+    return ring._raw_mul_low(list(num), series_inverse(ring, den), len(den))
+
+
+def log_via_inverse(u):
+    """log(u / u(0)) as theta(u) times u.inverse(), then 1/n on the coefficient
+    of t^n (theta = t d/dt), in the ring's raw kernel."""
+    ring, m, p = u.ring, u.m, u.ring.characteristic
+    mul, from_int = ring._raw_mul, ring._raw_from_int
+    theta = Trunc._of(ring, m, [mul(c, from_int(n)) for n, c in enumerate(u.raws)])
+    quotient = (theta * u.inverse()).raws
+    return Trunc._of(ring, m, [mul(c, from_int(pow(n, -1, p) if n else 0))
+                               for n, c in enumerate(quotient)])
+
+
 def trace_orbit(x):
     """Absolute trace to F_p as the sum of the Frobenius orbit of x."""
     field = x.field

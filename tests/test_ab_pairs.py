@@ -1,0 +1,51 @@
+"""The report of scripts/ab_pairs.py, on canned benchmark output (no run)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "scripts" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _stdout(ops, p90, failed=0):
+    # what perfbench/run.py prints: a context line, then the result line
+    context = json.dumps({"context": {"workload": "theorem1", "seed": 0}})
+    result = json.dumps({"correct": failed == 0, "attempted": 100, "failed": failed,
+                         "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                                     "op_ms_p90": {"value": p90, "unit": "ms"}}})
+    return f"{context}\n{result}\n"
+
+
+def test_report_gives_medians_ratio_and_pair_wins():
+    ab = _load_ab_pairs()
+    results = {"parent": [ab.parse_result(_stdout(ops, p90))
+                          for ops, p90 in ((280.0, 8.0), (290.0, 7.5), (300.0, 9.0))],
+               "change": [ab.parse_result(_stdout(ops, p90))
+                          for ops, p90 in ((336.0, 7.0), (280.0, 7.9), (348.0, 9.5))]}
+    lines = ab.report([("theorem1", 0, results)],
+                      [("ops_per_s", "higher"), ("op_ms_p90", "lower")])
+    assert lines[0] == "theorem1 seed=0: 3 pairs, failed ops 0 -> 0"
+    ops, p90 = lines[1], lines[2]
+    assert "280/290/300 -> 336/280/348" in ops
+    assert "median 290 -> 336 x1.159, parent IQR 20" in ops and "change better in 2/3" in ops
+    assert "median 8 -> 7.9 x0.988" in p90 and "change better in 1/3" in p90
+
+
+def test_report_counts_failed_ops_and_rejects_empty_output():
+    ab = _load_ab_pairs()
+    results = {"parent": [ab.parse_result(_stdout(10.0, 1.0))],
+               "change": [ab.parse_result(_stdout(12.0, 1.0, failed=2))]}
+    lines = ab.report([("exactness", 17, results)], [("op_ms_p90", "lower")])
+    assert lines[0] == "exactness seed=17: 1 pairs, failed ops 0 -> 2"
+    assert "parent IQR 0 " in lines[1] and "change better in 0/1" in lines[1]
+    with pytest.raises(ValueError):
+        ab.parse_result("\n")

@@ -329,6 +329,36 @@ def test_input_numbers_are_json_integers(thm1_file, change, field, capsys):
     assert captured.out == "" and field in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("change, where", [
+    ({"g": {"unit": [True], "factors": [[1, 1]]}}, "g.unit[0]: "),
+    ({"f": {"unit": {"m": 2, "coeffs": [1, "2"]}, "factors": [[0, 1]]}}, "f.unit.coeffs[1]: "),
+    ({"points": [{"poly": [[4, 0], [1]]}, {"poly": [[0, 0.5], [1]]}]}, "points[1].poly[0][1]: "),
+    ({"ext": [2, 0, 1], "points": [{"poly": [[[1, None]], [1]]}]}, "points[0].poly[0][0][1]: "),
+    ({"ext": [2, 0, 1], "h": {"unit": [[1, 0, 0]], "factors": [[2, 1]]}}, "h.unit[0]: ")])
+def test_regulator_element_errors_name_their_key_path(thm1_file, change, where, capsys):
+    with open(thm1_file) as fh:
+        data = json.load(fh)
+    with open(thm1_file, "w") as fh:
+        json.dump({**data, **change}, fh)
+    assert main(["rho-k", "--input", thm1_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {where}")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("coord, where", [
+    ({"num": [[1], [1, True]], "den": [[1]]}, "y2.num[1][1]: "),
+    ({"num": [[1]], "den": [["3"]]}, "y2.den[0][0]: ")])
+def test_cycle_element_errors_name_their_key_path(tmp_path, coord, where, capsys):
+    coords = {key: {"num": [[1]], "den": [[1]]} for key in ("y1", "y2", "y3")}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"p": 7, **coords, "y2": coord}))
+    assert main(["cycle", "rho-k", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {where}")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("option, value, field", [
     ("--a", "true", "--a:"), ("--s", "3.0", "--s:"), ("--ext", "{}", "'ext'"),
     ("--ext", "[]", "'ext'"), ("--ext", "false", "'ext'")])

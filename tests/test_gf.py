@@ -388,6 +388,28 @@ def test_divmod_gcd_differential(request, name, max_deg):
             assert ea * eb == (a * b).embedded(ext)
 
 
+def test_gcd_takes_the_same_lead_inverses_in_either_order(F49, monkeypatch):
+    # Euclid starts from the longer operand, so a shorter first operand costs
+    # no remainder step that divides nothing but inverts the divisor's lead
+    calls = []
+    raw_inv = Fq._raw_inv
+
+    def spy(field, a):
+        calls.append(field)
+        return raw_inv(field, a)
+
+    monkeypatch.setattr(Fq, "_raw_inv", spy)
+    rng = spawn(41, "gcd-order")
+    for _ in range(5):
+        common = _rand_poly(F49, rng, 1)
+        a, b = common, common * _rand_poly(F49, rng, 2)
+        counts = []
+        for x, y in ((a, b), (b, a)):
+            calls.clear()
+            counts.append((x.gcd(y), len(calls)))
+        assert counts[0] == counts[1] and counts[0][0] == a
+
+
 @pytest.mark.parametrize("p", [7, 11])
 def test_gcd_and_factor_match_sympy(p):
     pytest.importorskip("sympy")

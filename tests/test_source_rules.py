@@ -146,6 +146,42 @@ def test_one_remainder_kernel_divides_for_every_field():
     assert callers == {"gf.Poly.__divmod__", "gf.Poly.gcd", "gf.Fq._raw_inv"}, callers
 
 
+def test_one_series_division_for_inverses_and_expansions():
+    # tpoly._series_div is the one power-series division: the inverse-only
+    # recurrence and the weighting pass of the old logarithm are gone, and only
+    # Trunc.inverse, the germ inverse and expand_at call it
+    gone = {"_series_inverse", "_weighted"}
+    named = [f"{path}:{getattr(node, 'lineno', '?')}" for tree in TREES
+             for path in sorted((ROOT / tree).rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if gone & {getattr(node, key, None) for key in ("id", "attr", "name")}]
+    assert not named, f"removed series kernels still named: {named}"
+    callers = sorted(_callers_of("_series_div"))
+    assert callers == ["localfield.LaurentRing._raw_inv", "localfield.expand_at",
+                       "tpoly.Trunc.inverse"], callers
+
+
+def test_log_circ_runs_no_inverse_and_no_product(monkeypatch):
+    # the logarithm is one recurrence on raws: no Trunc.inverse, no Trunc product
+    from charp_dilog.gf import Fq
+    from charp_dilog.localfield import RatFnRing, germs_at_zero
+    from charp_dilog.tpoly import Trunc, log_circ
+
+    def forbidden(*args):
+        raise AssertionError("log_circ called a Trunc inverse or product")
+
+    f11 = Fq(11)
+    f121 = Fq(11, modulus=[1, 0, 1], base=f11)
+    ring = RatFnRing(Fq(5))
+    units = [Trunc(f11, 11, range(1, 12)), Trunc(f121, 11, [f121.gen(), 3, 0, 5]),
+             Trunc(ring, 5, [ring.gen + 1, ring.gen, 2])]
+    germ = germs_at_zero(ring.field, 6, lambda g: g)
+    want = [log_circ(u) for u in units] + [log_circ(germ(units[-1]))]
+    for name in ("inverse", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Trunc, name, forbidden)
+    assert [log_circ(u) for u in units] + [log_circ(germ(units[-1]))] == want
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charp_dilog.gf import CtxMismatch, Fq, Poly, is_irreducible, residue_field
-from charp_dilog.localfield import RatFn, RatFnRing
+from charp_dilog.localfield import InsufficientPrecision, RatFn, RatFnRing, germs_at_zero
 from charp_dilog.rng import spawn
+from charp_dilog.sampling import rand_good_lifting_pair, rand_ratfn
 from charp_dilog.tpoly import (
     ElementKernel,
     HenselFailure,
@@ -12,6 +13,7 @@ from charp_dilog.tpoly import (
     NonUnitConstantTerm,
     NonzeroConstantTerm,
     Trunc,
+    _series_div,
     ell_i,
     hensel_root_zpoly,
     log_circ,
@@ -22,7 +24,8 @@ from charp_dilog.tpoly import (
     unit_recompose,
 )
 
-from oracles import hensel_root_oracle, rand_trunc, trunc_horner
+from oracles import (div_via_inverse, hensel_root_oracle, log_via_inverse, rand_trunc,
+                     series_inverse, trunc_horner)
 
 
 def test_ring_examples(F5):
@@ -407,6 +410,105 @@ def test_raw_path_matches_generic_loop(name):
                 assert log == log_series_oracle(x)
                 assert log.coeffs == log_circ(gx).coeffs
                 assert log.coeffs == log_series_oracle(gx).coeffs
+
+
+LOG_RINGS = [*RINGS, "F5(s)"]
+
+
+def _log_ring(name):
+    return RatFnRing(RINGS["F5"]) if name == "F5(s)" else RINGS[name]
+
+
+@pytest.mark.parametrize("name", LOG_RINGS)
+def test_log_matches_the_inverse_route(name):
+    # the one-pass recurrence against theta(u) times u.inverse(), then 1/n
+    ring = _log_ring(name)
+    rng = spawn(42, "log-via-inverse", name)
+    for m in sorted({2, 3, ring.characteristic}):
+        for _ in range(2 if name == "F5(s)" else 8):
+            u = rand_trunc(ring, m, rng, unit=True)
+            assert log_circ(u) == log_via_inverse(u)
+
+
+def _germ_units(p, rng):
+    """Truncations of functions over F_p with a nonzero constant term: the
+    entries and uniformizers of good lifting pairs, and random functions
+    (some with a pole at s = 0)."""
+    ring = RatFnRing(Fq(p))
+    qtilde, qhat, s_tilde, s_hat = rand_good_lifting_pair(ring, rng)
+    units = [x for x in [*qtilde, *qhat, s_tilde, s_hat] if not x.c0.is_zero]
+    for pole in (False, True):
+        head = rand_ratfn(ring, rng, nonzero=True, pole_at_zero=pole)
+        units.append(Trunc(ring, p, [head, *(rand_ratfn(ring, rng) for _ in range(p - 1))]))
+    return ring, units
+
+
+def _logs_on_germs(field, prec, u):
+    """Both routes' logs of u's germ at s = 0 through germs_at_zero from
+    precision ``prec``, each with the number of precisions it tried."""
+    out = []
+    for log in (log_circ, log_via_inverse):
+        tries = []
+
+        def compute(germ):
+            tries.append(germ)
+            return log(germ(u))
+        out.append((germs_at_zero(field, prec, compute), len(tries)))
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_log_on_germs_matches_the_inverse_route(p):
+    # every coefficient agrees in value and precision, and both routes ask
+    # germs_at_zero for the same precision doublings
+    rng = spawn(43, "log-germs", p)
+    ring, units = _germ_units(p, rng)
+    for u in units:
+        for prec in (2, p + 1, 3 * p):
+            (ours, tries), (ref, ref_tries) = _logs_on_germs(ring.field, prec, u)
+            assert tries == ref_tries
+            assert ours.coeffs == ref.coeffs
+            assert [c.prec for c in ours.coeffs] == [c.prec for c in ref.coeffs]
+
+
+def test_low_precision_germ_log_doubles_the_same_way(F5):
+    # a constant term of valuation 3 is unknown below precision 3: both routes
+    # raise there, so germs_at_zero retries both at precision 4
+    ring = RatFnRing(F5)
+    u = Trunc(ring, 5, [ring.gen ** 3 + ring.gen ** 4, 1, ring.gen, 0, 2])
+    germ = germs_at_zero(F5, 2, lambda g: g)
+    for log in (log_circ, log_via_inverse):
+        with pytest.raises(InsufficientPrecision):
+            log(germ(u))
+    (ours, tries), (ref, ref_tries) = _logs_on_germs(F5, 2, u)
+    assert tries == ref_tries == 2
+    assert ours.coeffs == ref.coeffs and ours.coeffs[1].prec == ref.coeffs[1].prec
+
+
+@pytest.mark.parametrize("name", [*LOG_RINGS, "germs"])
+def test_series_div_matches_inverse_then_product(name):
+    # num/den by one recurrence against the inverse recurrence times num, with
+    # num shorter than den, and with num = [1] against the inverse alone
+    p = 7 if name == "germs" else _log_ring(name).characteristic
+    rng = spawn(44, "series-div", name)
+    for m in sorted({2, 3, p}):
+        for trial in range(2 if name == "F5(s)" else 6):
+            if name == "germs":
+                ring, units = _germ_units(p, rng)
+                u = units[trial % len(units)]
+                germ = germs_at_zero(ring.field, p + 1, lambda g: g)
+                ring, den = germ.ring, germ(u).raws[:m]
+                num = [germ(c).raw for c in rand_trunc(RatFnRing(ring.field), m, rng).coeffs]
+            else:
+                ring = _log_ring(name)
+                den = rand_trunc(ring, m, rng, unit=True).raws
+                num = rand_trunc(ring, m, rng).raws
+            one = [ring._raw_from_int(1)]
+            for k in range(1, m + 1):
+                got = _series_div(ring, num[:k], den)
+                want = div_via_inverse(ring, num[:k], den)
+                assert ring._wrap(got) == ring._wrap(want)
+            assert ring._wrap(_series_div(ring, one, den)) == ring._wrap(series_inverse(ring, den))
 
 
 def test_log_over_ratfn_ring_matches_series(F5):
