@@ -20,7 +20,7 @@ from .gf import FqElem
 from .localfield import RatFnRing
 from .rng import spawn
 from .tpoly import Trunc, _inverses
-from .wedge import WedgeK, ell, ell_p, wedge
+from .wedge import WedgeK, _wedge_sum, ell, ell_p, wedge
 
 
 class BlochError(Exception):
@@ -99,15 +99,12 @@ def pounds1(s):
     return ring._wrap([acc])[0]
 
 
-def _sum(b: BlochSym, ring, name: str, value):
-    """sum_k k * value(x) over the generators x of b, which live over R[t]/(t^2)."""
-    total = None if ring is None else ring.zero
+def _generators(b: BlochSym, name: str):
+    """b's terms as one-entry wedge terms; its generators live over R[t]/(t^2)."""
     for k, x in b.terms:
         if x.m != 2:
             raise NotFlat(f"{name} generators live over R[t]/(t^2)")
-        term = x.ring.from_int(k) * value(x)
-        total = term if total is None else total + term
-    return total
+        yield k, (x,)
 
 
 def _li2_value(x: Trunc):
@@ -126,12 +123,12 @@ def _li2p_value(x: Trunc):
 
 def li2(b: BlochSym, ring=None):
     """The additive dilogarithm on symbols over R[t]/(t^2): -a^3/(2 s^2 (1-s)^2)."""
-    return _sum(b, ring, "li2", _li2_value)
+    return _wedge_sum(_generators(b, "li2"), ring, _li2_value)
 
 
 def li2p(b: BlochSym, ring=None):
     """The characteristic-p dilogarithm: (a/(s(1-s)))^p * pounds1(s)."""
-    return _sum(b, ring, "li2p", _li2p_value)
+    return _wedge_sum(_generators(b, "li2p"), ring, _li2p_value)
 
 
 def _via_lift(b: BlochSym, seed: int, deep: bool):
@@ -140,7 +137,7 @@ def _via_lift(b: BlochSym, seed: int, deep: bool):
     name = "li2p" if deep else "li2"
     fn = ell_p if deep else ell
     rng = spawn(seed, name + "-lift")
-    return _sum(b, None, name, lambda x: fn(delta(symbol(
+    return _wedge_sum(_generators(b, name), None, lambda x: fn(delta(symbol(
         x.random_extended(x.ring.characteristic if deep else 3, rng)))))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .gf import FqElem
-from .localfield import OneForm, RatFn, RatFnRing, germs_at_zero, residue_at
+from .localfield import LaurentLocal, OneForm, RatFn, RatFnRing, germs_at_zero, residue_at
 from .tpoly import ModulusMismatch, Trunc, ell_all, inv_factorials, rp_eval, unit_decompose
 from .wedge import WedgeK
 
@@ -103,13 +103,14 @@ def omega_letters(l1: Letter, l2: Letter, l3: Letter, p: int, dpayload=_dpayload
     return value if sign == 1 else -value
 
 
-def _entry_ring(w: WedgeK) -> RatFnRing:
+def _entry_ring(w: WedgeK):
     for _, entries in w.terms:
         for e in entries:
             if isinstance(e, Trunc):
                 return e.ring
             if len(e):
-                return RatFnRing(e[0].payload.field)
+                payload = e[0].payload
+                return payload.ring if isinstance(payload, LaurentLocal) else RatFnRing(payload.field)
     raise ValueError("cannot infer the coefficient ring; pass it explicitly")
 
 

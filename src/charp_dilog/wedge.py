@@ -7,23 +7,21 @@ which is exactly what the test suite checks.
 
 Also home to the goodness decomposition f = u * s_tilde^n at a local point
 and the induced residue map from triples of good elements to wedges of units
-of the residue ring.  :func:`res_local` takes rational truncations; it finds
-the uniformizer's Hensel root globally, then splits and reduces on germs at
-s = 0 (the reduction is one Horner evaluation at the root), starting at
-absolute precision m + max |n| and doubling on demand.  The global route is
-the test oracle ``res_local_global`` in ``tests/oracles.py``.
+of the residue ring.  :func:`res_local` takes rational truncations and does
+everything else on germs at s = 0, starting at absolute precision m + max |n|
+and doubling on demand: the Hensel root of the germ uniformizer, the splits,
+and the reductions (one Horner evaluation at the root each).  The global
+route is the test oracle ``res_local_global`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import Poly
 from .localfield import RatFn, expand_at, germs_at_zero
-from .tpoly import ModulusMismatch, Trunc, _horner, hensel_root_zpoly, log_circ
+from .tpoly import ModulusMismatch, Trunc, _horner, log_circ, newton_root
 
 
 class WedgeError(Exception):
@@ -62,17 +60,18 @@ def wedge(*entries, coeff: int = 1) -> WedgeK:
     return WedgeK(((coeff, tuple(entries)),))
 
 
-def _wedge_sum(w: WedgeK, ring, pair_value: Callable):
-    """sum_k k * pair_value(a, b) over the terms; the zero of ``ring`` when empty."""
-    value = None
-    for k, (a, b) in w.terms:
-        term = a.ring.from_int(k) * pair_value(a, b)
-        value = term if value is None else value + term
-    if value is None:
+def _wedge_sum(terms, ring, value: Callable):
+    """sum_k k * value(*entries) over (k, entries) terms, k taken into the
+    first entry's ring; the zero of ``ring`` when there are none."""
+    total = None
+    for k, entries in terms:
+        term = entries[0].ring.from_int(k) * value(*entries)
+        total = term if total is None else total + term
+    if total is None:
         if ring is None:
-            raise ValueError("empty wedge needs an explicit ring for its zero")
+            raise ValueError("empty sum needs an explicit ring for its zero")
         return ring.zero
-    return value
+    return total
 
 
 def _ell_pair(a: Trunc, b: Trunc):
@@ -100,13 +99,13 @@ def _ell_p_pair(a: Trunc, b: Trunc):
 
 def ell(w: WedgeK, ring=None):
     """The functional ell_2 ^ ell_1 on wedges of units of R[t]/(t^m), m >= 3."""
-    return _wedge_sum(w, ring, _ell_pair)
+    return _wedge_sum(w.terms, ring, _ell_pair)
 
 
 def ell_p(w: WedgeK, ring=None):
     """The functional (1/2) sum_i i * (ell_{p-i} ^ ell_i) on wedges of units of R_p,
     where (ell_j ^ ell_i)(a, b) = ell_j(a) ell_i(b) - ell_j(b) ell_i(a)."""
-    return _wedge_sum(w, ring, _ell_p_pair)
+    return _wedge_sum(w.terms, ring, _ell_p_pair)
 
 
 @dataclass(frozen=True)
@@ -185,47 +184,40 @@ def res_good(goods: Sequence[GoodElem], reduce_fn: Callable) -> WedgeK:
 
 # -- local evaluation at a lifted point -------------------------------------
 
-def local_point(s_tilde: Trunc) -> Trunc:
-    """The Hensel root sigma(t) of the uniformizer: s_tilde(sigma(t), t) = 0.
+def _rows(u: Trunc) -> list:
+    """[s^k]u_j for j < m - k, k < m: the raws of a truncation of germs at
+    s = 0 that count at a point sigma in (t), where sigma^k lies in (t^k)."""
+    m = u.m
+    return [[c.coeff(k).raw for c in u.coeffs[:m - k]] for k in range(m)]
 
-    The root lies in (t) of F_q[t]/(t^m); it is the coordinate of the lifted
-    point defined by the uniformizer, so reductions at the point are
-    evaluations at this root.  With D the lcm of the coefficients'
-    denominators, D(0) != 0 (no coefficient has a pole at the point), so
-    D * s_tilde is a polynomial in z with the same simple root at 0, whose
-    Hensel lift is unique.
-    """
-    _check_uniformizer(s_tilde)
-    field, m = s_tilde.ring.field, s_tilde.m
-    fracs = [c.reduced() for c in s_tilde.coeffs]
-    den = functools.reduce(lambda d, f: d * (f.den // d.gcd(f.den)), fracs, Poly(field, [1]))
-    nums = [(f.num * (den // f.den)).coeffs for f in fracs]
-    zero = field._raw_from_int(0)
-    coeffs = [Trunc._of(field, m, [c[k] if k < len(c) else zero for c in nums])
-              for k in range(max(map(len, nums)))]
-    return hensel_root_zpoly(coeffs, field.zero)
+
+def local_point(unif: Trunc) -> Trunc:
+    """The Hensel root sigma(t) in (t) of a germ uniformizer, unif(sigma(t), t) = 0:
+    the coordinate of the lifted point, so reductions there are evaluations at
+    it.  It is the simple root at 0 of sum_k rows[k] z^k, unique mod t^m."""
+    field, m = unif.ring.field, unif.m
+    return Trunc._of(field, m, newton_root(field, _rows(unif), field._raw_from_int(0), m))
 
 
 def reduce_at(u: Trunc, root: Trunc) -> Trunc:
     """The reduction of a unit of germs at the point s = root(t), the
     identification of the point's function ring with F_q[t]/(t^m) that is the
-    identity mod (t).  As root lies in (t), only the first m - j terms of the
-    coefficient u_j of t^j count: the value is sum_k root^k sum_{j<m-k} [s^k]u_j t^j."""
-    m, field = u.m, root.ring
-    rows = [[c.coeff(k).raw for c in u.coeffs[:m - k]] for k in range(m)]
-    return Trunc._of(field, m, _horner(field, rows, root.raws, m))
+    identity mod (t): sum_k root^k sum_{j<m-k} [s^k]u_j t^j."""
+    return Trunc._of(root.ring, u.m, _horner(root.ring, _rows(u), root.raws, u.m))
 
 
 def res_local(triple: Sequence[Trunc], s_tilde: Trunc) -> WedgeK:
     """Residue of a wedge of three s_tilde-good local elements at the point;
     entries and uniformizer have rational coefficients, and the exponents n
     that set the starting precision are exact from any expansion."""
-    root = local_point(s_tilde)
-    shift = max((abs(expand_at(f.c0, root.ring.zero, 0).val) for f in triple
+    _check_uniformizer(s_tilde)
+    field = s_tilde.ring.field
+    shift = max((abs(expand_at(f.c0, field.zero, 0).val) for f in triple
                  if not f.c0.is_zero), default=0)
 
     def residue(germ):
         unif = germ(s_tilde)
+        root = local_point(unif)
         goods = [goodness_split(germ(f), unif) for f in triple]
         return res_good(goods, lambda u: reduce_at(u, root))
-    return germs_at_zero(root.ring, s_tilde.m + shift, residue)
+    return germs_at_zero(field, s_tilde.m + shift, residue)

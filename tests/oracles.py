@@ -9,7 +9,7 @@ from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius, schoolbook
 from charp_dilog.localfield import RatFn, residue_at
 from charp_dilog.omega import Letter, letters_of_unit, omega_p
 from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, rp_eval
-from charp_dilog.wedge import GoodElem, NotGood, local_point, res_good
+from charp_dilog.wedge import GoodElem, NotGood, res_good
 
 
 def rand_trunc(ring, m, rng, unit=False):
@@ -179,8 +179,8 @@ def goodness_split_global(f, s_tilde):
 def res_local_global(triple, s_tilde):
     """The residue of a good triple with the splits and the reductions done on
     global rational functions: each unit coefficient is substituted at the
-    root of the uniformizer."""
-    root = local_point(s_tilde)
+    root of the uniformizer, found by substitution too."""
+    root = local_point_oracle(s_tilde)
     goods = [goodness_split_global(f, s_tilde) for f in triple]
     return res_good(goods, lambda u: substitute(u.coeffs, root))
 

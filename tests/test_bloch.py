@@ -19,7 +19,7 @@ from charp_dilog.localfield import RatFn, RatFnRing
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_flat_pair
 from charp_dilog.tpoly import Trunc
-from charp_dilog.wedge import ell_p
+from charp_dilog.wedge import WedgeK, ell, ell_p
 
 from oracles import pounds1_direct
 
@@ -178,3 +178,18 @@ def test_five_term_vanishing_over_ratfn_ring(F5):
 def test_empty_symbol_zero(F5):
     assert li2(BlochSym(()), ring=F5).is_zero
     assert li2p(BlochSym(()), ring=F5).is_zero
+
+
+@pytest.mark.parametrize("fn", [li2, li2p, li2_via_lift, li2p_via_lift])
+def test_dilogarithms_take_generators_over_depth_two(F5, fn):
+    # a flat generator of R[t]/(t^3) is no argument of the dilogarithms
+    deep = symbol(Trunc(F5, 2, [2, 1])) + symbol(Trunc(F5, 3, [2, 1, 1]))
+    with pytest.raises(NotFlat, match="live over"):
+        fn(deep)
+
+
+@pytest.mark.parametrize("fn", [li2, li2p, li2_via_lift, li2p_via_lift, ell, ell_p])
+def test_empty_sum_without_a_ring_raises(fn):
+    # an empty symbol or wedge has no entry to take the ring of its zero from
+    with pytest.raises(ValueError):
+        fn(WedgeK(()) if fn in (ell, ell_p) else BlochSym(()))

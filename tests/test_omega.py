@@ -259,6 +259,26 @@ def test_germ_sigma_image_letters_match_the_global_letters(p):
     assert known > 30
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_omega_p_on_germ_letters_uses_the_germ_ring(p):
+    # without ``ring``, omega_p takes the coefficient ring of its entries: for
+    # letter lists of germs, the germs' own ring
+    ring = RatFnRing(Fq(p))
+    rng = spawn(24, "germ-entry-ring", p)
+    nonzero = 0
+    for _ in range(3):
+        entries = [letters_of_unit(u) for u in rand_good_lifting_pair(ring, rng)[1]]
+
+        def forms(germ):
+            w = wedge(*[[Letter(g.a, germ(g.payload)) for g in ls] for ls in entries])
+            return omega_p(w), omega_p(w, germ.ring)
+
+        inferred, explicit = germs_at_zero(ring.field, p + 1, forms)
+        assert inferred == explicit
+        nonzero += not explicit.fn.is_zero
+    assert nonzero
+
+
 def test_s_coeff_safety_and_antisymmetry():
     p = 5
     # k = c = 0 vanishes

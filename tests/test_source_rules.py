@@ -161,6 +161,19 @@ def test_one_series_division_for_inverses_and_expansions():
                        "tpoly.Trunc.inverse"], callers
 
 
+def test_one_local_model_for_the_hensel_root():
+    # the root of the uniformizer comes from its germ at s = 0: wedge._rows is
+    # read by the root and by the reduction at it, and wedge imports nothing
+    # from gf, so no lcm of denominators or other global route comes back
+    assert sorted(_callers_of("_rows")) == ["wedge.local_point", "wedge.reduce_at"]
+    tree = ast.parse((Path(charp_dilog.__file__).parent / "wedge.py").read_text())
+    imported = [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and "gf" in [(getattr(node, "module", None) or "").split(".")[-1],
+                             *(alias.name.split(".")[-1] for alias in node.names)]]
+    assert not imported, f"wedge imports from gf: {imported}"
+
+
 def test_log_circ_runs_no_inverse_and_no_product(monkeypatch):
     # the logarithm is one recurrence on raws: no Trunc.inverse, no Trunc product
     from charp_dilog.gf import Fq

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from charp_dilog import localfield
@@ -134,6 +136,12 @@ def _split_at_zero(f, s_tilde):
     return germs_at_zero(field, s_tilde.m + 1, lambda germ: goodness_split(germ(f), germ(s_tilde)))
 
 
+def _root_at_zero(s_tilde, prec=None):
+    # the Hensel root of a rational uniformizer, found on its germ at s = 0
+    field = s_tilde.ring.field
+    return germs_at_zero(field, prec or s_tilde.m, lambda germ: local_point(germ(s_tilde)))
+
+
 def _assert_germ_unit_is_constant(u, value, p):
     # every known coefficient of every u_j is that of the constant value at
     # j = 0 and of zero above; u_0 is known to at least order p
@@ -148,7 +156,8 @@ def test_goodness_split_examples(R5, F5):
     p = 5
     s = R5.gen
     s_tilde = Trunc.constant(R5, p, s)
-    root = local_point(s_tilde)
+    root = _root_at_zero(s_tilde)
+    assert root == Trunc.zero(F5, p)
     g = _split_at_zero(s_tilde, s_tilde)
     assert g.n == 1 and reduce_at(g.u, root) == Trunc.one(F5, p)
     _assert_germ_unit_is_constant(g.u, F5.one, p)
@@ -193,20 +202,76 @@ def test_goodness_split_zpoly_not_good(F5):
         goodness_split_zpoly(f, s_tilde)
 
 
+def _moved(s_tilde, p, *key):
+    # s_tilde + c t + d t^2 with c != 0: its root has a t-term
+    ring, shift = s_tilde.ring, spawn(22, "res-local-moved", p, *key)
+    c, d = (ring.field.from_int(shift.randrange(1, p)) for _ in range(2))
+    return s_tilde + Trunc(ring, p, [0, c, d])
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_local_point_matches_substitution_newton(p):
-    # the lift of D * s_tilde as a polynomial in z equals the Newton root that
-    # substitutes into the rational coefficients of s_tilde at every step
+    # the Newton root of the germ uniformizer's rows as a polynomial in z
+    # equals the Newton root that substitutes into the rational coefficients
+    # of the uniformizer at every step
     ring = RatFnRing(Fq(p))
     rng = spawn(p, "local-point")
-    for _ in range(6):
+    for k in range(6):
         _, _, s_tilde, s_hat = rand_good_lifting_pair(ring, rng)
         # a unit multiple whose coefficients have distinct denominators
         w = Trunc(ring, p, [rand_regular_unit_ratfn(ring, rng, deg=1) for _ in range(p)])
-        for unif in (s_tilde, s_hat, w * s_tilde):
-            root = local_point(unif)
+        moved = _moved(s_tilde, p, "local-point", k)
+        for unif in (s_tilde, s_hat, w * s_tilde, moved):
+            root = _root_at_zero(unif)
             assert root == local_point_oracle(unif)
             assert root.c0.is_zero
+        assert not root.coeffs[1].is_zero  # the moved uniformizer's, the last
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_local_point_doubles_from_a_short_start(monkeypatch, p):
+    # from absolute precision 2 the germ uniformizer cannot give its rows
+    # [s^k] for k >= 2: reading them raises, the precision doubles until the
+    # rows are known, and the root is the substitution root
+    ring = RatFnRing(Fq(p))
+    rng = spawn(23, "local-point-doubling", p)
+    orders = []
+    monkeypatch.setattr(localfield, "expand_at",
+                        lambda f, c, n: orders.append(n) or expand_at(f, c, n))
+    for k in range(3):
+        _, _, s_tilde, _ = rand_good_lifting_pair(ring, rng)
+        for unif in (s_tilde, _moved(s_tilde, p, "local-point-doubling", k)):
+            orders.clear()
+            assert _root_at_zero(unif, prec=2) == local_point_oracle(unif)
+            assert min(orders) == 1 and max(orders) >= p - 1
+            assert set(orders) <= {2 ** j - 1 for j in range(1, 6)}
+
+
+# sha256 of repr() of four rand_good_lifting_pair draws from spawn(25,
+# "sampler-pin", p); the draws and the returned values must not change
+SAMPLER_DIGESTS = {
+    5: "4a20ed51976ae183ff2d8e088328349de03c8b2a85745c50b792b4480b22db3c",
+    7: "2e1761fc2c2e7c409b2de115e8a414093cd1e426576fb5b844fa14b5f50e1586",
+}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_good_lifting_pair_values_and_inverses(monkeypatch, p):
+    # one series inverse for u^(-1), and one for each of s_hat^n and s_tilde^n
+    # per negative n: u^(-n) is a power of u itself, not an inverse of u^(-1)
+    ring = RatFnRing(Fq(p))
+    rng = spawn(25, "sampler-pin", p)
+    calls = []
+    inverse = Trunc.inverse
+    monkeypatch.setattr(Trunc, "inverse", lambda self: calls.append(1) or inverse(self))
+    draws = []
+    for _ in range(4):
+        calls.clear()
+        draws.append(rand_good_lifting_pair(ring, rng))
+        # qhat = uhat * s^n with uhat(0) a unit at s = 0, so n is its order there
+        negative = sum(e.c0.ord_at(ring.field.zero) < 0 for e in draws[-1][1])
+        assert len(calls) == 1 + 2 * negative
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == SAMPLER_DIGESTS[p]
 
 
 def test_res_good_drops_double_units(R5, F5):
@@ -290,12 +355,10 @@ def test_res_local_matches_the_global_split_and_reduction(p):
     nonzero = 0
     for k in range(8):
         qt, qh, s_tilde, s_hat = rand_good_lifting_pair(ring, rng)
-        shift = spawn(22, "res-local-moved", p, k)
-        c, d = (ring.field.from_int(shift.randrange(1, p)) for _ in range(2))
-        moved = s_tilde + Trunc(ring, p, [0, c, d])
+        moved = _moved(s_tilde, p, k)
         ns = [goodness_split_global(e, s_tilde).n for e in qt]
         q_moved = [e * s_tilde ** (-n) * moved ** n for e, n in zip(qt, ns)]
-        assert not local_point(moved).coeffs[1].is_zero
+        assert not _root_at_zero(moved).coeffs[1].is_zero
         for triple, unif in ((qt, s_tilde), (qh, s_hat), (q_moved, moved)):
             res = res_local(triple, unif)
             assert res.terms == res_local_global(triple, unif).terms
@@ -315,10 +378,11 @@ def test_split_and_reduction_double_from_a_short_start(monkeypatch, p):
                         lambda f, c, n: orders.append(n) or expand_at(f, c, n))
     for _ in range(4):
         qt, _, s_tilde, _ = rand_good_lifting_pair(ring, rng)
-        root = local_point(s_tilde)
 
         def residue(germ):
-            goods = [goodness_split(germ(f), germ(s_tilde)) for f in qt]
+            unif = germ(s_tilde)
+            root = local_point(unif)
+            goods = [goodness_split(germ(f), unif) for f in qt]
             return res_good(goods, lambda u: reduce_at(u, root))
 
         orders.clear()
@@ -332,16 +396,17 @@ def test_germ_split_and_reduction_run_no_gcd(monkeypatch):
     p = 7
     ring = RatFnRing(Fq(p))
     qt, _, s_tilde, _ = rand_good_lifting_pair(ring, spawn(22, "no-gcd"))
-    root = local_point(s_tilde)
     calls = []
     gcd = Poly.gcd
     monkeypatch.setattr(Poly, "gcd", lambda a, b: calls.append(1) or gcd(a, b))
 
     def reductions(germ):
         unif = germ(s_tilde)
+        root = local_point(unif)
         return [reduce_at(goodness_split(germ(f), unif).u, root) for f in qt]
 
     reduced = germs_at_zero(ring.field, 2 * p, reductions)
     assert calls == []
+    root = local_point_oracle(s_tilde)
     assert reduced == [substitute(goodness_split_global(f, s_tilde).u.coeffs, root) for f in qt]
     assert calls  # the counter does see the global route's normalizations
