@@ -34,9 +34,9 @@ class ParseError(Exception):
 
 LI1_MAX_P = 500  # li1 tabulates p values of a degree p - 1 polynomial: O(p^2) work
 _LI2P_MAX_P = 50_000  # li2p evaluates a degree p - 1 polynomial: O(p) work, <= 1 s
-# exactness enumerates p^3 (p - 1) tuples and the draws' degrees grow with p:
-# one trial of every suite takes 3.4 s at p = 53, 8.4 s at 61 (budget 5 s)
-_VERIFY_MAX_P = 53
+# residue-formula sets the limit: one trial of every suite took at most 3.8 s at p = 61 and
+# 6.6 s at 67 (worst of 3 runs with process start, 2-vCPU VM; budget 5 s)
+_VERIFY_MAX_P = 61
 
 
 def _check_max_p(args, max_p: int) -> None:

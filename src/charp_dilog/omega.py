@@ -4,11 +4,11 @@ Units are decomposed into letters: a constant-term unit and truncated
 exponentials e(alpha t^a).  The form is the alternating multilinear extension
 of a closed formula on letter triples whose exponents sum to p, valued in
 1-forms over the coefficient field.  Alongside it: the reparametrization
-action s -> s + x t^w in closed form and, on germs, by Taylor's formula, the
-exactness identity with its combinatorial coefficients, residue invariance,
-the residue pairing of two congruent liftings, and the depth-3 defect form
-of two triples congruent mod t^2.  Residues at s = 0 are computed on Laurent
-germs there, not on the global rational form.
+action s -> s + x t^w in closed form and, on germs, by substitution into the
+payloads, the exactness identity with its combinatorial coefficients, residue
+invariance, the residue pairing of two congruent liftings, and the depth-3
+defect form of two triples congruent mod t^2.  Residues at s = 0 are computed
+on Laurent germs there, not on the global rational form.
 """
 
 from __future__ import annotations
@@ -171,28 +171,27 @@ def sigma_letters(x: RatFn, w: int, letters: Sequence[Letter], p: int) -> list[L
     return out
 
 
-def sigma_image_letters(delta: Trunc, entry, germ) -> list[Letter]:
-    """Letters of the image of an entry under s -> s + delta, on germs at s = 0.
+def sigma_image_letters(image: Trunc, entry, germ) -> list[Letter]:
+    """Letters of the image of an entry under s -> image = s + delta, on germs at s = 0.
 
-    ``delta`` is a truncation of germs in (t), and ``germ`` maps rational
-    payloads to germs.  As delta^k lies in (t^k), Taylor's formula is exact
-    mod t^p: e(alpha t^a) maps to e(sum_{k<p-a} alpha^(k)/k! delta^k t^a), and
-    a constant h to h e(sum_{0<k<p} (h'/h)^(k-1)/k! delta^k), the derivative
-    ladder of :func:`sigma_letters`.
+    ``image`` is a truncation of germs with constant term s, and ``germ`` maps
+    rational payloads to germs.  Each payload alpha = num/den is substituted,
+    num and den by Horner over their own coefficients: e(alpha t^a) maps to
+    e(alpha(image) t^a) mod t^p, and a constant h to h e(log_circ(h(image))).
     """
-    ring, p = delta.ring, delta.m
-    zero = Trunc.zero(ring, p)
-    inv_fact = inv_factorials(p)
+    ring, p = image.ring, image.m
     out: list[Letter] = []
-    for letter in _letters_of_entry(entry):
-        payload = germ(letter.payload)
-        ladder = _derivative_ladder(letter.a, payload, p - 1 - letter.a)
-        if letter.a == 0:
-            out.append(Letter(0, payload))
-            ladder[0] = ring.zero
-        moved = rp_eval([d * inv_fact[k] for k, d in enumerate(ladder)], delta, zero)
-        out += [Letter(e, c) for e, c in enumerate(moved.coeffs[:p - letter.a], start=letter.a)
-                if not c.is_zero]
+    for a, payload in _letters_of_entry(entry):
+        x = image.reduce_to(max(2, p - a))
+        zero = Trunc.zero(ring, x.m)
+        num, den = ([f.coeff(i) for i in range(f.degree + 1)] for f in (payload.num, payload.den))
+        moved = rp_eval(num, x, zero) / rp_eval(den, x, zero)
+        if a == 0:
+            out.append(Letter(0, germ(payload)))
+            tail = enumerate(ell_all(moved), start=1)
+        else:
+            tail = enumerate(moved.coeffs[:p - a], start=a)
+        out += [Letter(e, c) for e, c in tail if not c.is_zero]
     return out
 
 
@@ -203,8 +202,8 @@ def res_invariance_check(xs: Sequence[RatFn], w3: WedgeK) -> bool:
     p = ring.characteristic
 
     def residue(germ):
-        delta = germ(Trunc(ring, p, [ring.zero, *xs[:p - 1]]))
-        moved = w3.map_entries(lambda e: sigma_image_letters(delta, e, germ))
+        image = germ(Trunc(ring, p, [ring.gen, *xs[:p - 1]]))
+        moved = w3.map_entries(lambda e: sigma_image_letters(image, e, germ))
         fixed = w3.map_entries(lambda e: _germ_entry(germ, e))
         return residue_at(omega_p(moved, germ.ring) - omega_p(fixed, germ.ring), germ.ring.center)
     return germs_at_zero(ring.field, p + 1, residue).is_zero

@@ -155,7 +155,7 @@ def rand_good_lifting_pair(ring: RatFnRing, rng):
             num = Poly(field, [field.random_element(rng) for _ in range(2)])
             tail.append(RatFn(num))
         v = uhat * (u if n < 0 else u_inv) ** abs(n) + Trunc(ring, p, tail)
-        qhat.append(uhat * s_hat ** n)
+        qhat.append(uhat * Trunc.constant(ring, p, s ** n))
         qtilde.append(v * s_tilde ** n)
     return qtilde, qhat, s_tilde, s_hat
 

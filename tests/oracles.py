@@ -7,8 +7,8 @@ them, a sampler that only the tests draw from.
 
 from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius, schoolbook
 from charp_dilog.localfield import RatFn, residue_at
-from charp_dilog.omega import Letter, letters_of_unit, omega_p
-from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, rp_eval
+from charp_dilog.omega import Letter, _derivative_ladder, letters_of_unit, omega_p
+from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, inv_factorials, rp_eval
 from charp_dilog.wedge import GoodElem, NotGood, res_good
 
 
@@ -263,13 +263,37 @@ def sigma_image_letters_global(xs, entry, ring):
     letters = letters_of_unit(entry) if isinstance(entry, Trunc) else entry
     out = []
     for letter in letters:
-        moved = ratfn_at_trunc(letter.payload, image)
+        # alpha(image) mod t^(p - a) reads image mod t^(p - a) alone
+        moved = ratfn_at_trunc(letter.payload, image.reduce_to(max(2, p - letter.a)))
         if letter.a == 0:
             out.append(Letter(0, moved.c0))
             tail = enumerate(ell_all(moved), start=1)
         else:
             tail = enumerate(moved.coeffs[:p - letter.a], start=letter.a)
         out += [Letter(e, c) for e, c in tail if not c.is_zero]
+    return out
+
+
+def sigma_image_letters_taylor(delta, entry, germ):
+    """Letters of the image of an entry under s -> s + delta, on germs at s = 0,
+    by Taylor's formula: delta is a truncation of germs in (t), so delta^k lies
+    in (t^k) and the formula is exact mod t^p.  e(alpha t^a) maps to
+    e(sum_{k<p-a} alpha^(k)/k! delta^k t^a), and a constant h to
+    h e(sum_{0<k<p} (h'/h)^(k-1)/k! delta^k), the derivative ladder of the
+    closed form ``omega.sigma_letters``."""
+    ring, p = delta.ring, delta.m
+    zero = Trunc.zero(ring, p)
+    inv_fact = inv_factorials(p)
+    out = []
+    for letter in letters_of_unit(entry) if isinstance(entry, Trunc) else entry:
+        payload = germ(letter.payload)
+        ladder = _derivative_ladder(letter.a, payload, p - 1 - letter.a)
+        if letter.a == 0:
+            out.append(Letter(0, payload))
+            ladder[0] = ring.zero
+        moved = rp_eval([d * inv_fact[k] for k, d in enumerate(ladder)], delta, zero)
+        out += [Letter(e, c) for e, c in enumerate(moved.coeffs[:p - letter.a], start=letter.a)
+                if not c.is_zero]
     return out
 
 

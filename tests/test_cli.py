@@ -79,14 +79,19 @@ def test_li2p_rejects_p_above_its_bound_before_any_work(monkeypatch, capsys):
 
 
 def test_verify_rejects_p_above_its_bound_before_any_work(monkeypatch, capsys):
-    # 59 is the first prime outside the bound; no suite runs
+    # 67 is the first prime outside the bound; no suite runs
     monkeypatch.setattr(cli, "run_suite", lambda *args, **kw: pytest.fail("verify ran a suite"))
-    assert main(["verify", "all", "--p", "59", "--trials", "1"]) == 2
+    assert main(["verify", "all", "--p", "67", "--trials", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"p <= {_VERIFY_MAX_P}" in captured.err
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     assert f"5 <= p <= {_VERIFY_MAX_P}" in capsys.readouterr().out
+
+
+def test_verify_runs_and_passes_at_its_bound():
+    # the largest admitted p runs and passes
+    assert main(["verify", "invariance", "--p", str(_VERIFY_MAX_P), "--trials", "1"]) == 0
 
 
 def _subparsers(parser):

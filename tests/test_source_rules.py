@@ -161,6 +161,20 @@ def test_one_series_division_for_inverses_and_expansions():
                        "tpoly.Trunc.inverse"], callers
 
 
+def test_germ_letters_move_by_substitution_not_by_the_derivative_ladder():
+    # the derivative ladder serves the rational closed forms alone; on germs
+    # the reparametrization substitutes into each payload, where a ladder
+    # would cost p - a germ products per letter
+    assert set(_callers_of("_derivative_ladder")) == {"omega.antider_primitive",
+                                                       "omega.sigma_letters"}
+    tree = ast.parse((Path(charp_dilog.__file__).parent / "omega.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "sigma_image_letters")
+    called = {getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+              for call in ast.walk(body) if isinstance(call, ast.Call)}
+    assert not called & {"derivative", "_derivative_ladder", "inv_factorials"}, called
+
+
 def test_one_local_model_for_the_hensel_root():
     # the root of the uniformizer comes from its germ at s = 0: wedge._rows is
     # read by the root and by the reduction at it, and wedge imports nothing
