@@ -7,7 +7,9 @@ first (parent then change, change then parent, ...) so that a drift in machine
 speed falls on both sides.  Prints, for every end-to-end metric named in
 ``BENCHMARK.json``, the per-run values, the two medians, their ratio (change
 over parent), the distance between the parent's quartiles and the number of
-pairs in which the change did better.
+pairs in which the change did better.  A metric whose change median is worse
+than the parent median by more than its ``bound`` there is marked
+``BOUND BREACH``.
 
 Usage: python3 scripts/ab_pairs.py PARENT CHANGE [--workloads theorem1,exactness]
            [--seeds 0,17] [--pairs 3] [--seconds 10]
@@ -59,17 +61,25 @@ def run_pairs(checkouts: dict, workload: str, seed: int, pairs: int, seconds: fl
     return results
 
 
+def breaches(parent: float, change: float, better: str, bound: float) -> bool:
+    """Whether the change is worse than the parent by more than the relative bound."""
+    if better == "higher":
+        return change < parent * (1 - bound)
+    return change > parent * (1 + bound)
+
+
 def report(rows, metrics) -> list[str]:
     """Report lines for ``rows`` of (workload, seed, results by side), over the
-    end-to-end ``metrics`` given as (name, "higher" or "lower" is better).
-    Pair i compares run i of each side."""
+    end-to-end ``metrics`` given as (name, "higher" or "lower" is better), or
+    as (name, better, bound) to mark a change worse than its parent by more
+    than the relative bound.  Pair i compares run i of each side."""
     lines = []
     for workload, seed, results in rows:
         parent, change = results["parent"], results["change"]
         failed = [sum(r["failed"] for r in results[side]) for side in SIDES]
         lines.append(f"{workload} seed={seed}: {len(parent)} pairs, "
                      f"failed ops {failed[0]} -> {failed[1]}")
-        for name, better in metrics:
+        for name, better, *bound in metrics:
             a = [r["metrics"][name]["value"] for r in parent]
             b = [r["metrics"][name]["value"] for r in change]
             mid_a, mid_b = statistics.median(a), statistics.median(b)
@@ -79,7 +89,9 @@ def report(rows, metrics) -> list[str]:
             lines.append(f"  {name:<11} {'/'.join(f'{v:.4g}' for v in a)} -> "
                          f"{'/'.join(f'{v:.4g}' for v in b)}  median {mid_a:.4g} -> {mid_b:.4g} "
                          f"{ratio}, parent IQR {quartiles[2] - quartiles[0]:.3g}  "
-                         f"({better} is better; change better in {wins}/{len(a)})")
+                         f"({better} is better; change better in {wins}/{len(a)})"
+                         + (f"  BOUND BREACH: worse by more than {bound[0]:g}"
+                            if bound and breaches(mid_a, mid_b, better, bound[0]) else ""))
     return lines
 
 
@@ -99,7 +111,7 @@ def main(argv=None) -> int:
             ap.error(f"{side} checkout {path} has no perfbench/run.py")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    metrics = [(m["name"], m["better"]) for m in bench["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
     rows = [(workload, seed, run_pairs(checkouts, workload, seed, args.pairs, args.seconds))
             for workload in args.workloads.split(",")
             for seed in (int(s) for s in args.seeds.split(","))]

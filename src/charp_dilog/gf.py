@@ -121,12 +121,14 @@ def _rmul_packed(a: Sequence[int], b: Sequence[int], p: int) -> list:
 
 
 def _rmul(field: Fq, a: Sequence, b: Sequence, n: int | None = None) -> list:
-    """The product of two raw coefficient lists, or with ``n`` its low n
-    coefficients padded with zero raws: one :func:`_rmul_packed` call over
-    F_p; over an extension, u -> X and x -> X^w flatten both lists into one
-    product over the base field, whose block k reduces to coefficient k."""
+    """The product of two raw coefficient lists ([] if one is empty), or with
+    ``n`` its low n coefficients padded with zero raws: one :func:`_rmul_packed`
+    call over F_p; over an extension, u -> X and x -> X^w flatten both lists
+    into one product over the base field, whose block k reduces to coefficient k."""
     if n is not None:
         a, b = a[:n], b[:n]
+    if not a or not b:
+        return [] if n is None else [field._raw_from_int(0)] * n
     size = len(a) + len(b) - 1
     base = field.base
     if base is None:
@@ -472,6 +474,11 @@ def _rsub(field: Fq, a: Sequence, b: Sequence) -> list:
     return [sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=zero)]
 
 
+def _rderiv(field: Fq, a: Sequence, k: int = 1) -> list:
+    """k times the derivative of a raw coefficient list."""
+    return [field._raw_mul(field._raw_from_int(i * k), x) for i, x in enumerate(a[1:], 1)]
+
+
 def _rreduce(field: Fq, rem: list, b: Sequence, quot: list | None = None) -> list:
     """Reduce ``rem`` modulo ``b`` (nonzero lead) in place and return the
     trimmed remainder, with quotient coefficient k in ``quot[k]`` if ``quot``
@@ -653,10 +660,6 @@ class Poly:
     def x(cls, field: Fq) -> "Poly":
         return cls(field, [0, 1])
 
-    @classmethod
-    def constant(cls, c: FqElem) -> "Poly":
-        return cls(c.field, [c])
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""
@@ -718,23 +721,20 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, FqElem)):
-            c = self.field(other)
-            f = self.field
-            return Poly._from_raw(f, [f._raw_mul(c.raw, x) for x in self.coeffs])
+            f, c = self.field, self.field(other).raw
+            return Poly._from_raw(f, [f._raw_mul(c, x) for x in self.coeffs])
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        f = self.field
-        if self.is_zero or other.is_zero:
-            return Poly(f)
-        return Poly._from_raw(f, _rmul(f, self.coeffs, other.coeffs))
+        return Poly._from_raw(self.field, _rmul(self.field, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return power(self, n, Poly(self.field, [1]), operator.mul)
+        one = Poly._from_raw(self.field, [self.field._raw_from_int(1)]) if n == 0 else None
+        return power(self, n, one, operator.mul)
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
         other = self._check(other)
@@ -776,13 +776,7 @@ class Poly:
         return Poly._from_raw(f, [f._raw_mul(inv.raw, c) for c in self.coeffs]), lead
 
     def derivative(self) -> "Poly":
-        f = self.field
-        if len(self.coeffs) <= 1:
-            return Poly(f)
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(f._raw_mul(f._raw_from_int(i), self.coeffs[i]))
-        return Poly._from_raw(f, out)
+        return Poly._from_raw(self.field, _rderiv(self.field, self.coeffs))
 
     def evaluate(self, x: FqElem) -> FqElem:
         f = x.field

@@ -2,14 +2,16 @@
 
 The coefficient world for the comparison 1-form: every identity checked in
 this package is algebraic, so the computable subfield of rational functions
-stands in for the Laurent-series field.  A :class:`RatFn` keeps its
-denominator as powers of the polynomials it was built from, so arithmetic
-needs no gcd; Euclid runs only where a normal form is taken, in the public
-constructor and in :meth:`RatFn.reduced`.  :func:`expand_at` turns a rational
-function into a :class:`LaurentLocal`, its Laurent germ at a point, exact
-below a tracked absolute precision; :class:`LaurentRing` is the coefficient
-ring of such germs, so truncations and forms can be built from them.  A germ
-never guesses: reading a coefficient at or beyond its precision raises
+stands in for the Laurent-series field.  A :class:`RatFn` keeps a raw
+numerator list and its denominator as powers of the polynomials it was built
+from, held as tuples of raws, so arithmetic needs no gcd and builds no
+:class:`~charp_dilog.gf.Poly`; Euclid runs only where a normal form is
+taken, in the public constructor and in :meth:`RatFn.reduced`.
+:func:`expand_at` turns a rational function into a :class:`LaurentLocal`,
+its Laurent germ at a point, exact below a tracked absolute precision;
+:class:`LaurentRing` is the coefficient ring of such germs, so truncations
+and forms can be built from them.  A germ never guesses: reading a
+coefficient at or beyond its precision raises
 :class:`InsufficientPrecision`, and a caller that needs more precision
 expands the rational source again, deeper.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, _pth_root_poly,
-                 _radd, _rsub, is_irreducible, multiplicity, residue_field)
+                 _radd, _rderiv, _rmul, _rsub, is_irreducible, multiplicity, power, residue_field)
 from .tpoly import ElementKernel, Trunc, _series_div
 
 
@@ -57,62 +59,61 @@ INF = _Infinity()
 
 
 class RatFn:
-    """A rational function over F_q, held as n * prod_j B_j^(-e_j).
+    """A rational function over F_q, held on raw data as n * prod_j B_j^(-e_j).
 
-    The bases B_j are monic polynomials, the denominators a value was built
-    from plus any numerator that :meth:`inverse` moved down; the e_j are
-    nonzero integers.  A sum raises both operands to the larger exponent of
-    each base, a common multiple known without a gcd; products, quotients and
-    powers add, negate or scale exponents, and :meth:`derivative` raises each
-    base by one power.  ``num`` and ``den`` are the products, formed on first
-    read.  Euclid runs only in the public constructor and in :meth:`reduced`,
-    which give the normal form (gcd-reduced, monic denominator); constants
-    are built in normal form directly.  Equality, hashing, orders and repr
-    depend on the value alone.
+    n is a trimmed raw coefficient list, the bases B_j are monic polynomials
+    as tuples of raws (the denominators a value was built from, and numerators
+    that :meth:`inverse` moved down), the e_j nonzero integers.  A sum raises
+    both operands to the larger exponent of each base, a common multiple known
+    without a gcd; products, quotients and powers add, negate or scale
+    exponents; :meth:`derivative` raises each base by one power.  All of it
+    runs on ``gf._rmul``, ``_radd``/``_rsub`` and ``gf.power``.  A :class:`Poly`
+    is built only where a value leaves the class: ``num`` and ``den`` (the
+    products, formed on first read), :meth:`ord_at`, and the normal form
+    (gcd-reduced, monic denominator) of the public constructor and
+    :meth:`reduced`, where alone Euclid runs.  Equality, hashing, orders and
+    repr depend on the value alone.
     """
 
     __slots__ = ("field", "_n", "_f", "_num", "_den", "_normal")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        field = num.field
-        if den is None:
-            den = Poly(field, [1])
-        if den.field != field:
+        den = Poly(num.field, [1]) if den is None else den
+        if den.field != num.field:
             raise CtxMismatch("numerator and denominator over different fields")
         if den.is_zero:
             raise ZeroPolynomial("zero denominator")
         self._normal_form(*_reduce_fraction(num, den))
 
     def _normal_form(self, num: Poly, den: Poly) -> "RatFn":
-        self.field, self._n, self._num, self._den, self._normal = num.field, num, num, den, True
-        self._f = {den: 1} if den.degree > 0 else {}
+        self.field, self._num, self._den, self._normal = num.field, num, den, True
+        self._n, self._f = list(num.coeffs), {den.coeffs: 1} if den.degree > 0 else {}
         return self
 
     @classmethod
-    def _of(cls, num: Poly, den: Poly) -> "RatFn":
-        """num/den, already gcd-reduced with a monic denominator."""
-        return object.__new__(cls)._normal_form(num, den)
-
-    @classmethod
-    def _make(cls, n: Poly, f: dict) -> "RatFn":
-        """n * prod B^(-e) over the monic bases f = {B: e}; zero exponents drop."""
+    def _make(cls, field: Fq, n: list, f: dict) -> "RatFn":
+        """n * prod B^(-e) over the monic bases f = {B: e}; n is trimmed in place."""
         self = object.__new__(cls)
-        self.field, self._n, self._num, self._den, self._normal = n.field, n, None, None, False
-        if not n.coeffs or not all(f.values()):
-            f = {b: e for b, e in f.items() if e and n.coeffs}
-        self._f = f
+        while n and field._raw_is_zero(n[-1]):
+            n.pop()
+        if not n or not all(f.values()):
+            f = {b: e for b, e in f.items() if e and n}
+        self.field, self._n, self._f = field, n, f
+        self._num, self._den, self._normal = None, None, not f  # no base: a normal form
         return self
 
     @property
     def num(self) -> Poly:
         if self._num is None:
-            self._num = math.prod((b ** -e for b, e in self._f.items() if e < 0), start=self._n)
+            field = self.field
+            self._num = math.prod((Poly._from_raw(field, list(b)) ** -e for b, e in self._f.items()
+                                   if e < 0), start=Poly._from_raw(field, self._n))
         return self._num
 
     @property
     def den(self) -> Poly:
         if self._den is None:
-            powers = [b ** e for b, e in self._f.items() if e > 0]
+            powers = [Poly._from_raw(self.field, list(b)) ** e for b, e in self._f.items() if e > 0]
             self._den = functools.reduce(operator.mul, powers) if powers else Poly(self.field, [1])
         return self._den
 
@@ -120,28 +121,28 @@ class RatFn:
         """The normalized representative (gcd-reduced, monic denominator)."""
         if self._normal:
             return self
-        return RatFn._of(*_reduce_fraction(self.num, self.den))
+        return object.__new__(RatFn)._normal_form(*_reduce_fraction(self.num, self.den))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def gen(cls, field: Fq) -> "RatFn":
         """The coordinate function s."""
-        return cls._of(Poly.x(field), Poly(field, [1]))
+        return cls._make(field, [field._raw_from_int(0), field._raw_from_int(1)], {})
 
     @classmethod
     def const(cls, c: FqElem) -> "RatFn":
-        return cls._of(Poly.constant(c), Poly(c.field, [1]))
+        return cls._make(c.field, [c.raw], {})
 
     @classmethod
     def from_int(cls, field: Fq, n: int) -> "RatFn":
-        return cls._of(Poly(field, [n]), Poly(field, [1]))
+        return cls.const(field.from_int(n))
 
     # -- predicates -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self._n.is_zero
+        return not self._n
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -150,18 +151,19 @@ class RatFn:
             if other.field != self.field:
                 raise CtxMismatch("rational functions over different fields")
             return other
-        if isinstance(other, int):
-            return RatFn.from_int(self.field, other)
-        if isinstance(other, FqElem):
+        if isinstance(other, (int, FqElem)):
             return RatFn.const(self.field(other))
         if isinstance(other, Poly):
             return RatFn(other)
         return NotImplemented
 
-    def _over(self, f: dict) -> Poly:
+    def _over(self, f: dict) -> list:
         """n times the powers that take this value's bases to the multiple f."""
-        return math.prod((b ** d for b, e in f.items() if (d := e - self._f.get(b, 0))),
-                         start=self._n)
+        mul, one, n = functools.partial(_rmul, self.field), [self.field._raw_from_int(1)], self._n
+        for b, e in f.items():
+            if d := e - self._f.get(b, 0):
+                n = mul(n, power(b, d, one, mul))
+        return n
 
     def _sum(self, other, minus: bool = False):
         other = self._coerce(other)
@@ -171,7 +173,7 @@ class RatFn:
         for b, e in other._f.items():
             f[b] = max(self._f.get(b, 0), e)
         a, b = self._over(f), other._over(f)
-        return RatFn._make(a - b if minus else a + b, f)
+        return RatFn._make(self.field, (_rsub if minus else _radd)(self.field, a, b), f)
 
     __add__ = __radd__ = _sum
     __sub__ = functools.partialmethod(_sum, minus=True)
@@ -183,20 +185,21 @@ class RatFn:
         return other - self
 
     def __neg__(self):
-        if self._normal:
-            return RatFn._of(-self._n, self._den)
-        return RatFn._make(-self._n, self._f)
+        out = RatFn._make(self.field, _rsub(self.field, (), self._n), self._f)
+        out._normal = self._normal
+        return out
 
     def __mul__(self, other):
         if isinstance(other, (int, FqElem)):
-            return RatFn._make(self._n * other, self._f)
+            c = self.field._raw_of(other)
+            return RatFn._make(self.field, [self.field._raw_mul(c, x) for x in self._n], self._f)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         f = dict(self._f)
         for b, e in other._f.items():
             f[b] = f.get(b, 0) + e
-        return RatFn._make(self._n * other._n, f)
+        return RatFn._make(self.field, _rmul(self.field, self._n, other._n), f)
 
     __rmul__ = __mul__
 
@@ -216,22 +219,25 @@ class RatFn:
         if self.is_zero:
             raise DivisionByZero("inverting the zero rational function")
         f = {b: -e for b, e in self._f.items()}
-        n, lead = self._n.monic()
-        if n.degree > 0:
-            f[n] = f.get(n, 0) + 1
-        return RatFn._make(Poly.constant(lead.inverse()), f)
+        lead_inv = self.field._raw_inv(self._n[-1])
+        if len(self._n) > 1:
+            b = tuple(_rmul(self.field, [lead_inv], self._n))
+            f[b] = f.get(b, 0) + 1
+        return RatFn._make(self.field, [lead_inv], f)
 
     def __pow__(self, n: int) -> "RatFn":
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFn._make(self._n ** n, {b: e * n for b, e in self._f.items()})
+        one = [self.field._raw_from_int(1)]
+        raws = power(self._n, n, one, functools.partial(_rmul, self.field))
+        return RatFn._make(self.field, raws, {b: e * n for b, e in self._f.items()})
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if self._normal and other._normal:
-            return self._n == other._n and self._den == other._den
+            return self._n == other._n and self._f == other._f
         return (self - other).is_zero
 
     def __hash__(self) -> int:
@@ -242,12 +248,13 @@ class RatFn:
 
     def derivative(self) -> "RatFn":
         """(n' prod B_j - n sum_j e_j B_j' prod_{k != j} B_k) / prod B_j^(e_j + 1)."""
-        num, done = self._n.derivative(), None
+        field, mul = self.field, functools.partial(_rmul, self.field)
+        num, done = _rderiv(field, self._n), None
         for b, e in self._f.items():
-            db = b.derivative() * e
-            num = num * b - self._n * (db if done is None else db * done)
-            done = b if done is None else done * b
-        return RatFn._make(num, {b: e + 1 for b, e in self._f.items()})
+            db = _rderiv(field, b, e)
+            num = _rsub(field, mul(num, b), mul(self._n, db if done is None else mul(db, done)))
+            done = b if done is None else mul(done, b)
+        return RatFn._make(field, num, {b: e + 1 for b, e in self._f.items()})
 
     def dlog(self) -> "OneForm":
         if self.is_zero:
@@ -261,7 +268,7 @@ class RatFn:
         if self.is_zero:
             raise ZeroArgument("the zero function has no order")
         if point is INF:
-            return sum(e * b.degree for b, e in self._f.items()) - self._n.degree
+            return sum(e * (len(b) - 1) for b, e in self._f.items()) - len(self._n) + 1
         if isinstance(point, FqElem):
             point = Poly(point.field, [-point, 1])
         elif not (point.is_monic and is_irreducible(point)):
@@ -279,9 +286,7 @@ class RatFn:
 
 def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     field = num.field
-    if num.is_zero:
-        return num, Poly(field, [1])
-    g = num.gcd(den)
+    g = num.gcd(den)  # den made monic when num is zero
     if g.degree > 0:
         num = num // g
         den = den // g

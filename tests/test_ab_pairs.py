@@ -49,3 +49,24 @@ def test_report_counts_failed_ops_and_rejects_empty_output():
     assert "parent IQR 0 " in lines[1] and "change better in 0/1" in lines[1]
     with pytest.raises(ValueError):
         ab.parse_result("\n")
+
+
+def _run(ops, rss):
+    return {"failed": 0, "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                                     "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def test_report_marks_a_metric_worse_than_its_bound():
+    # a change 27% faster whose peak RSS grew x1.16 against a bound of 0.1
+    ab = _load_ab_pairs()
+    metrics = [("ops_per_s", "higher", 0.2), ("peak_rss_mb", "lower", 0.1)]
+    results = {"parent": [_run(290.3, 25.69)] * 3, "change": [_run(368.7, 29.86)] * 3}
+    lines = ab.report([("exactness", 0, results)], metrics)
+    assert "BOUND BREACH" not in lines[1]
+    assert "x1.162" in lines[2] and lines[2].endswith("BOUND BREACH: worse by more than 0.1")
+    # within both bounds; then a rate that fell past its bound
+    results["change"] = [_run(240.0, 28.2)] * 3
+    assert not any("BOUND BREACH" in line for line in ab.report([("exactness", 0, results)], metrics))
+    results["change"] = [_run(230.0, 25.0)] * 3
+    lines = ab.report([("exactness", 0, results)], metrics)
+    assert lines[1].endswith("BOUND BREACH: worse by more than 0.2") and "BOUND" not in lines[2]

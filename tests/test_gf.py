@@ -616,6 +616,35 @@ def test_prime_and_prime_extension_products_are_one_packed_call(monkeypatch, nam
             assert calls == [field.p]
 
 
+@pytest.mark.parametrize("name", ["F7", "F49", "F625"])
+def test_product_with_an_empty_operand_is_zero(name):
+    # an empty list is the zero polynomial: the full product is [], and the
+    # low n coefficients are n zero raws, on either side and through the
+    # Trunc and germ entry point _raw_mul_low
+    field = PRODUCT_FIELDS[name]
+    rng = spawn(15, "empty-operand", name)
+    a = [field.random_element(rng).raw for _ in range(3)]
+    for x, y in (([], []), ([], a), (a, [])):
+        assert gf._rmul(field, x, y) == []
+        for n in (0, 1, 4):
+            assert gf._rmul(field, x, y, n) == field._raw_mul_low(x, y, n) == [field.zero.raw] * n
+    assert Poly(field, field._wrap(a)) * Poly(field) == Poly(field) * 0 == Poly(field)
+
+
+def test_poly_power_coerces_nothing_beyond_n_zero(F7, F49, monkeypatch):
+    # the one is built only when it is returned, for n = 0, and not through
+    # the public element constructor
+    calls = []
+    call = Fq.__call__
+    monkeypatch.setattr(Fq, "__call__", lambda self, x: calls.append(x) or call(self, x))
+    for field in (F7, F49):
+        b = Poly._from_raw(field, [field.random_element(spawn(16, "pow", field.p)).raw,
+                                   field.one.raw])
+        assert b ** 0 == Poly._from_raw(field, [field.one.raw]) and b ** 1 is b
+        assert b ** 3 == b * b * b
+    assert calls == []
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_residue_field_holds_a_root(F5, degree):
     rng = spawn(12, "residue-field", degree)

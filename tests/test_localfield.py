@@ -307,6 +307,35 @@ def test_factored_inverse_and_negative_powers(request, fname):
 
 
 @pytest.mark.parametrize("fname", ["F5", "F7", "F25"])
+def test_zero_and_constant_operands_match_the_eager_oracle(request, fname):
+    # _factored_values holds no zero: here zeros and constants, in normal
+    # form and carrying bases (x/x), meet the factored values
+    field = request.getfixturevalue(fname)
+    rng = spawn(35, "ratfn-zero", fname)
+    zero = RatFnRing(field).zero
+    for _ in range(3):
+        values = _factored_values(field, rng)
+        c = field.random_element(rng)
+        c = RatFn.const(field.one if c.is_zero else c)
+        for x in values + [c]:
+            ex, ez, ec = EagerFraction(x), EagerFraction(zero), EagerFraction(c)
+            built_zero, unit = x - x, x / x
+            assert built_zero.is_zero and _same(built_zero, ex - ex)
+            cases = [(zero * x, ez * ex), (x * 0, ex * 0), (x * built_zero, ex * ez),
+                     (x + zero, ex + ez), (zero + x, ez + ex), (zero - x, ez - ex),
+                     (x + built_zero, ex), (zero / x, ez / ex),
+                     (c.derivative(), ec.derivative()), (zero.derivative(), ez.derivative()),
+                     (unit.derivative(), EagerFraction(unit).derivative()),
+                     ((unit * c).derivative(), ez), (unit * c + x, ec + ex),
+                     (zero ** 0, ez ** 0), (zero ** 3, ez ** 3),
+                     (built_zero ** 0, ez ** 0), (built_zero ** 3, ez ** 3), (unit ** 0, ex ** 0)]
+            for value, oracle in cases:
+                assert _same(value, oracle) and value == RatFn(oracle.num, oracle.den)
+            with pytest.raises(DivisionByZero):
+                built_zero.inverse()
+
+
+@pytest.mark.parametrize("fname", ["F5", "F7", "F25"])
 def test_factored_equality_and_hash_follow_the_reduced_form(request, fname):
     field = request.getfixturevalue(fname)
     rng = spawn(33, "ratfn-equality", fname)

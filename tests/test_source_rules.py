@@ -209,6 +209,46 @@ def test_log_circ_runs_no_inverse_and_no_product(monkeypatch):
     assert [log_circ(u) for u in units] + [log_circ(germ(units[-1]))] == want
 
 
+def test_ratfn_arithmetic_builds_no_poly(monkeypatch):
+    # RatFn arithmetic runs on raw coefficient lists: a chain of +, -, *, /,
+    # **, inverse and derivative over factored values builds no Poly and
+    # multiplies none; num, den and reduced() still leave the class as Polys
+    from collections import Counter
+
+    from charp_dilog.gf import Fq, Poly
+    from charp_dilog.localfield import RatFn, RatFnRing
+
+    f7 = Fq(7)
+    fields = [f7, Fq(7, modulus=[1, 0, 1], base=f7)]
+    values = []
+    for field in fields:
+        s = RatFnRing(field).gen
+        a = RatFn(Poly(field, [1, 2, 1]), Poly(field, [3, 0, 1]))
+        b = RatFn(Poly(field, [2, 1]), Poly(field, [3, 0, 1]) * Poly(field, [1, 1]))
+        values.append((s, a, b, RatFn.const(field.one)))
+    counts = Counter()
+
+    def spy(name, func):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        return call
+    monkeypatch.setattr(Poly, "__init__", spy("__init__", Poly.__init__))
+    monkeypatch.setattr(Poly, "_from_raw", classmethod(spy("_from_raw", Poly._from_raw.__func__)))
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Poly, name, spy("__mul__", getattr(Poly, name)))
+    chains = []
+    for s, a, b, one in values:
+        x = (a + b) * (a - s) / (b + 2) - 3 * a ** 2
+        y = (x ** -2 + b.inverse()).derivative() * x - one / (a * b) ** 3
+        chains.append((x, y, y.derivative() - x, (y - y) * x, (one - one) ** 0))
+    assert counts == Counter(), counts
+    for x, y, dz, zero, unit in chains:
+        assert not dz.is_zero and zero.is_zero and unit == 1
+        assert isinstance(y.num, Poly) and isinstance(y.den, Poly) and y.reduced() == y
+    assert counts["_from_raw"] > 0 and counts["__mul__"] > 0, counts
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
