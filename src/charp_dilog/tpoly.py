@@ -2,7 +2,8 @@
 
 Provides exact arithmetic over an abstract coefficient ring, the truncated
 exponential and branch logarithm with their coefficient functionals, the
-canonical unit decomposition, and Newton/Hensel lifting of simple roots.
+canonical unit decomposition (recomposed by one exponential), and
+Newton/Hensel lifting of simple roots.
 
 A :class:`Trunc` stores the raw data of its coefficients, and every
 operation runs one algorithm through its coefficient ring's ``_raw_*``
@@ -26,11 +27,13 @@ of t^n by n, which is invertible for 0 < n < m <= p.  A recurrence on
 w_n = n l_n gives it in one pass, O(m^2) (Brent & Kung, J. ACM 25, 1978).
 
 Polynomials in z over R[t]/(t^m) are multiplied by one ``_raw_mul_low``
-and evaluated by one Horner kernel on raw coefficient lists.  Hensel
-lifting is Newton iteration with precision doubling on those lists (von zur
-Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 9.4): the precisions are
-2, 3, ..., m, each the ceiling of half the next, and g = 1/P'(x) follows by
-its own Newton step g <- g (2 - P'(x) g) instead of a series inverse.
+and evaluated by :func:`charp_dilog.gf.horner` on raw coefficient lists; the
+truncated exponential is that evaluation of the inverse factorials at alpha.
+Hensel lifting is Newton iteration with precision doubling on those lists
+(von zur Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 9.4): the
+precisions are 2, 3, ..., m, each the ceiling of half the next, and
+g = 1/P'(x) follows by its own Newton step g <- g (2 - P'(x) g) instead of a
+series inverse.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import Fq, _rsub, power, schoolbook
+from .gf import Fq, _rsub, horner, power, schoolbook
 
 
 class TruncError(Exception):
@@ -311,17 +314,10 @@ class Trunc:
 
 def trunc_exp(alpha: Trunc) -> Trunc:
     """The truncated exponential sum_{n<p} alpha^n / n! for alpha in (t)."""
-    ring = alpha.ring
-    if alpha.c0 != ring.zero:
+    if not alpha.ring._raw_is_zero(alpha.raws[0]):
         raise NonzeroConstantTerm("exponent must have zero constant term")
     # alpha^n vanishes mod t^m for n >= m
-    inv_fact = inv_factorials(ring.characteristic, alpha.m)
-    result = Trunc.one(ring, alpha.m)
-    alpha_n = Trunc.one(ring, alpha.m)
-    for n in range(1, alpha.m):
-        alpha_n = alpha_n * alpha
-        result = result + alpha_n.scaled(ring.from_int(inv_fact[n]))
-    return result
+    return rp_eval(inv_factorials(alpha.ring.characteristic, alpha.m), alpha)
 
 
 def log_circ(u: Trunc) -> Trunc:
@@ -373,14 +369,9 @@ def unit_decompose(u: Trunc) -> UnitDecomp:
 
 
 def unit_recompose(d: UnitDecomp) -> Trunc:
-    ring = d.ring
-    acc = Trunc.constant(ring, d.m, d.a0)
-    for i, alpha in enumerate(d.exps, start=1):
-        if alpha == ring.zero:
-            continue
-        arg = Trunc(ring, d.m, [ring.zero] * i + [alpha])
-        acc = acc * trunc_exp(arg)
-    return acc
+    """a0 e(sum_i exps[i-1] t^i): one exponential, since e(x) e(y) = e(x + y)
+    mod t^m for x, y in (t) when m <= p."""
+    return trunc_exp(Trunc(d.ring, d.m, [d.ring.zero, *d.exps])).scaled(d.a0)
 
 
 # -- polynomials in z over R[t]/(t^m) (lists, low first) ---------------------
@@ -397,25 +388,12 @@ def rp_mul(a: Sequence, b: Sequence, zero) -> list:
     return [Trunc._of(ring, m, flat[k * w:k * w + m]) for k in range(size)]
 
 
-def _horner(ring, coeffs: Sequence[list], x: list, n: int) -> list:
-    """sum_k coeffs[k] x^k mod t^n on raw coefficient lists of ``ring``; a
-    coefficient may be shorter than n (a scalar is a list of length one)."""
-    add, mul_low = ring._raw_add, ring._raw_mul_low
-    acc = list(coeffs[-1][:n])
-    acc += [ring._raw_from_int(0)] * (n - len(acc))
-    for c in reversed(coeffs[:-1]):
-        acc = mul_low(acc, x, n)
-        acc[:len(c)] = [add(a, b) for a, b in zip(acc, c)]
-    return acc
-
-
-def rp_eval(coeffs: Sequence, x: Trunc, zero):
-    """sum_k coeffs[k] x^k; a coefficient is a Trunc like x or a ring scalar."""
+def rp_eval(coeffs: Sequence, x: Trunc) -> Trunc:
+    """sum_k coeffs[k] x^k by :func:`~charp_dilog.gf.horner`; a coefficient is
+    a Trunc like x or a ring scalar."""
     ring = x.ring
-    if not coeffs:
-        return zero
     raws = [x._check(c).raws if isinstance(c, Trunc) else [ring._raw_of(c)] for c in coeffs]
-    return Trunc._of(ring, x.m, _horner(ring, raws, x.raws, x.m))
+    return Trunc._of(ring, x.m, horner(ring, raws, x.raws, x.m))
 
 
 def newton_root(ring, coeffs: Sequence[list], x0, m: int) -> list:
@@ -425,8 +403,8 @@ def newton_root(ring, coeffs: Sequence[list], x0, m: int) -> list:
     mul_low, from_int, is_zero = ring._raw_mul_low, ring._raw_from_int, ring._raw_is_zero
     dcoeffs = [[ring._raw_mul(from_int(k), c) for c in coeffs[k]]
                for k in range(1, len(coeffs))] or [[from_int(0)]]
-    d0 = _horner(ring, dcoeffs, [x0], 1)[0]
-    if is_zero(d0) or not is_zero(_horner(ring, coeffs, [x0], 1)[0]):
+    d0 = horner(ring, dcoeffs, [x0], 1)[0]
+    if is_zero(d0) or not is_zero(horner(ring, coeffs, [x0], 1)[0]):
         raise HenselFailure("the starting point is not a simple root mod t")
     precisions = [m]
     while precisions[-1] > 2:
@@ -434,11 +412,11 @@ def newton_root(ring, coeffs: Sequence[list], x0, m: int) -> list:
     x, g = [x0], [ring._raw_inv(d0)]
     for k in reversed(precisions):
         # x is a root and g = 1/P'(x) mod t^j at the previous precision j >= k/2
-        x = _rsub(ring, x, mul_low(g, _horner(ring, coeffs, x, k), k))
+        x = _rsub(ring, x, mul_low(g, horner(ring, coeffs, x, k), k))
         if k < m:
-            e = mul_low(_horner(ring, dcoeffs, x, k), g, k)
+            e = mul_low(horner(ring, dcoeffs, x, k), g, k)
             g = mul_low(g, _rsub(ring, [from_int(2)], e), k)
-    if not all(map(is_zero, _horner(ring, coeffs, x, m))):
+    if not all(map(is_zero, horner(ring, coeffs, x, m))):
         raise HenselFailure("Newton iteration failed to converge")
     return x
 

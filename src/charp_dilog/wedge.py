@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .localfield import RatFn, expand_at, germs_at_zero
-from .tpoly import ModulusMismatch, Trunc, _horner, log_circ, newton_root
+from .tpoly import ModulusMismatch, Trunc, horner, log_circ, newton_root
 
 
 class WedgeError(Exception):
@@ -203,7 +203,7 @@ def reduce_at(u: Trunc, root: Trunc) -> Trunc:
     """The reduction of a unit of germs at the point s = root(t), the
     identification of the point's function ring with F_q[t]/(t^m) that is the
     identity mod (t): sum_k root^k sum_{j<m-k} [s^k]u_j t^j."""
-    return Trunc._of(root.ring, u.m, _horner(root.ring, _rows(u), root.raws, u.m))
+    return Trunc._of(root.ring, u.m, horner(root.ring, _rows(u), root.raws, u.m))
 
 
 def res_local(triple: Sequence[Trunc], s_tilde: Trunc) -> WedgeK:

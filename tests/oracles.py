@@ -146,10 +146,9 @@ def ratfn_at_trunc(r, x):
     the point.
     """
     ring = x.ring
-    zero = Trunc.zero(ring, x.m)
     r = r.reduced()
     num, den = ([ring.embed(f.coeff(i)) for i in range(f.degree + 1)] for f in (r.num, r.den))
-    return rp_eval(num, x, zero) * rp_eval(den, x, zero).inverse()
+    return rp_eval(num, x) * rp_eval(den, x).inverse()
 
 
 def substitute(coeffs, x):
@@ -282,7 +281,6 @@ def sigma_image_letters_taylor(delta, entry, germ):
     h e(sum_{0<k<p} (h'/h)^(k-1)/k! delta^k), the derivative ladder of the
     closed form ``omega.sigma_letters``."""
     ring, p = delta.ring, delta.m
-    zero = Trunc.zero(ring, p)
     inv_fact = inv_factorials(p)
     out = []
     for letter in letters_of_unit(entry) if isinstance(entry, Trunc) else entry:
@@ -291,7 +289,7 @@ def sigma_image_letters_taylor(delta, entry, germ):
         if letter.a == 0:
             out.append(Letter(0, payload))
             ladder[0] = ring.zero
-        moved = rp_eval([d * inv_fact[k] for k, d in enumerate(ladder)], delta, zero)
+        moved = rp_eval([d * inv_fact[k] for k, d in enumerate(ladder)], delta)
         out += [Letter(e, c) for e, c in enumerate(moved.coeffs[:p - letter.a], start=letter.a)
                 if not c.is_zero]
     return out

@@ -91,8 +91,6 @@ def test_boundary_of_coordinate_graph(F7):
 def test_hensel_deformation_exactness(F5):
     rng = spawn(0, "hensel-def")
     _, cyc = rand_admissible_graph(F5, rng, seed=0)
-    p = 5
-    zero = Trunc.zero(F5, p)
     for pt in boundary(cyc):
         if pt.where is PARAM_INF or pt.kprime != F5:
             continue
@@ -101,7 +99,7 @@ def test_hensel_deformation_exactness(F5):
         root0 = -pt.where.coeff(0)
         from charp_dilog.tpoly import hensel_root_zpoly
         root = hensel_root_zpoly(num, root0)
-        assert rp_eval(num, root, zero).is_zero
+        assert rp_eval(num, root).is_zero
 
 
 def test_single_split_point_value(F5, F7):

@@ -631,6 +631,38 @@ def test_product_with_an_empty_operand_is_zero(name):
     assert Poly(field, field._wrap(a)) * Poly(field) == Poly(field) * 0 == Poly(field)
 
 
+@pytest.mark.parametrize("name", ["F7", "F49"])
+def test_product_with_a_negative_length_raises(name):
+    # a[:n] with n < 0 would drop coefficients from the end and return a
+    # wrong product; n = 0 still asks for no coefficients
+    field = PRODUCT_FIELDS[name]
+    a, b = ([field._raw_from_int(c) for c in cs] for cs in ([1, 2, 3], [1, 1]))
+    for n in (-1, -2):
+        with pytest.raises(ValueError):
+            gf._rmul(field, a, b, n)
+        with pytest.raises(ValueError):
+            field._raw_mul_low(a, b, n)
+    assert gf._rmul(field, a, b, 0) == field._raw_mul_low(a, b, 0) == []
+
+
+@pytest.mark.parametrize("name", ["F7", "F49", "F625"])
+def test_horner_matches_the_sum_of_powers(name):
+    # the scalar case (n = 1) and the truncated case both give sum_k c_k x^k:
+    # against element arithmetic at n = 1, against Trunc arithmetic above it
+    field = PRODUCT_FIELDS[name]
+    rng = spawn(25, "horner", name)
+    for size in (1, 2, 5):
+        cs = [field.random_element(rng) for _ in range(size)]
+        x = field.random_element(rng)
+        want = sum((c * x ** k for k, c in enumerate(cs)), field.zero)
+        assert gf.horner(field, [[c.raw] for c in cs], [x.raw], 1) == [want.raw]
+        xt = Trunc(field, 3, [x, field.random_element(rng)])
+        want = sum((xt ** k * c for k, c in enumerate(cs)), Trunc.zero(field, 3))
+        assert gf.horner(field, [[c.raw] for c in cs], list(xt.raws), 3) == list(want.raws)
+    for n in (1, 3):
+        assert gf.horner(field, [], [field.one.raw] * n, n) == [field.zero.raw] * n
+
+
 def test_poly_power_coerces_nothing_beyond_n_zero(F7, F49, monkeypatch):
     # the one is built only when it is returned, for n = 0, and not through
     # the public element constructor

@@ -152,12 +152,11 @@ def _realize_local(inp, lift, idx, kprime, zhat):
     local model at the point: coordinate s with z = zhat + s, coefficients
     rational functions over the residue field."""
     ring = RatFnRing(kprime)
-    zero = Trunc.zero(ring, lift.m)
     z = zhat.embedded(ring) + ring.gen
     realized_points = {}
     for i in {i for fn in inp.functions() for i, _ in fn.factors} | {idx}:
         coeffs = [c.embedded(kprime).embedded(ring) for c in lift.points[i]]
-        realized_points[i] = rp_eval(coeffs, z, zero)
+        realized_points[i] = rp_eval(coeffs, z)
     entries = []
     for which, fn in enumerate(inp.functions()):
         val = lift.units[which].embedded(kprime).embedded(ring)

@@ -132,6 +132,79 @@ def test_only_the_element_kernel_multiplies_by_schoolbook():
     assert found == {"gf.schoolbook", "tpoly.<import>", "tpoly.ElementKernel"}, found
 
 
+def _is_op(node, word: str, op) -> bool:
+    """Whether node is a ``op`` expression or a call whose name contains ``word``."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, op)
+    return isinstance(node, ast.Call) and word in (getattr(node.func, "attr", None)
+                                                   or getattr(node.func, "id", None) or "")
+
+
+def _names_in(node) -> set[str]:
+    return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+
+
+def _evaluation_loops(path: Path) -> set[str]:
+    """The module-level definitions and methods of one module with a loop that
+    carries a value through a product and a value through a sum of itself,
+    the shape of a polynomial evaluation: by Horner's rule, acc = acc x + c,
+    or term by term, x^n = x^(n-1) x and acc = acc + c_n x^n.  A value is a
+    name, assigned whole or through a subscript; a product reads it inside a
+    ``*`` or a call named like ``mul``, and a sum reads it where a ``+`` or a
+    call named like ``add`` is assigned to it."""
+    found = set()
+    module = ast.parse(path.read_text(), filename=str(path))
+    for node in module.body:
+        for owner in (node.body if isinstance(node, ast.ClassDef) else [node]):
+            name = getattr(owner, "name", "<body>")
+            where = f"{path.stem}.{node.name}.{name}" if owner is not node else f"{path.stem}.{name}"
+            for loop in ast.walk(owner):
+                if not isinstance(loop, (ast.For, ast.While)):
+                    continue
+                by_product, by_sum = set(), set()
+                for step in ast.walk(loop):
+                    if not isinstance(step, ast.Assign) or len(step.targets) != 1:
+                        continue
+                    target = step.targets[0]
+                    while isinstance(target, ast.Subscript):
+                        target = target.value
+                    if not isinstance(target, ast.Name):
+                        continue
+                    parts = list(ast.walk(step.value))
+                    if any(_is_op(sub, "mul", ast.Mult) and target.id in _names_in(sub)
+                           for sub in parts):
+                        by_product.add(target.id)
+                    if (target.id in _names_in(step.value)
+                            and any(_is_op(sub, "add", ast.Add) for sub in parts)):
+                        by_sum.add(target.id)
+                if by_product and by_sum:
+                    found.add(where)
+    return found
+
+
+def test_one_horner_kernel_evaluates_every_polynomial():
+    # gf.horner is the one polynomial evaluation: tpoly._horner and the loops
+    # of Poly.evaluate and trunc_exp are gone, and only these callers run it.
+    # Two loops stay apart, each slower through horner when measured:
+    # - Poly.shifted, expand_at's Taylor shift (one product of (d+1)-coefficient
+    #   lists per degree): a degree-8 shift over F_5 took 26.0 against 7.4 us,
+    #   and criterion 11 read a median of 1.39 against 1.18 s (5 runs each);
+    # - bloch.pounds1, sum_{i<p} s^i/i: its p one-scalar coefficient lists
+    #   made it take 25.9 against 21.6 ms over F_p at p = 49,999 (medians of
+    #   5 alternating best-of-5 runs), past a 10% bound.
+    named = [f"{path}:{getattr(node, 'lineno', '?')}" for tree in TREES
+             for path in sorted((ROOT / tree).rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if "_horner" in {getattr(node, key, None) for key in ("id", "attr", "name")}]
+    assert not named, f"the removed Horner kernel is still named: {named}"
+    loops = set().union(*(_evaluation_loops(path)
+                          for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py"))))
+    assert loops == {"gf.horner", "gf.Poly.shifted", "bloch.pounds1"}, loops
+    callers = sorted(set(_callers_of("horner")))
+    assert callers == ["gf.Poly.evaluate", "tpoly.newton_root", "tpoly.rp_eval",
+                       "wedge.reduce_at"], callers
+
+
 def test_one_remainder_kernel_divides_for_every_field():
     # gf._rreduce is the one division with remainder: the F_p-only kernel,
     # the extension-only divmod and the trim helper are gone, and only

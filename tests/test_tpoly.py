@@ -226,7 +226,7 @@ def test_hensel_root_lifts_simple_roots(F5):
         lin2 = [Trunc.constant(F5, m, -other), Trunc.one(F5, m)]
         poly = rp_mul(coeffs, lin2, Trunc.zero(F5, m))
         root = hensel_root_zpoly(poly, r0)
-        assert rp_eval(poly, root, Trunc.zero(F5, m)).is_zero
+        assert rp_eval(poly, root).is_zero
         assert root.c0 == r0
 
 
@@ -242,7 +242,7 @@ def test_rp_mul_evaluates_to_the_product(F7):
         x = rand_trunc(F7, m, rng)
         product = rp_mul(a, b, zero)
         assert len(product) == len(a) + len(b) - 1
-        assert rp_eval(product, x, zero) == rp_eval(a, x, zero) * rp_eval(b, x, zero)
+        assert rp_eval(product, x) == rp_eval(a, x) * rp_eval(b, x)
     assert rp_mul([], [zero], zero) == []
 
 
@@ -266,9 +266,9 @@ def test_rp_eval_raw_horner_matches_trunc_arithmetic(F7, F49):
             # Trunc and scalar coefficients mixed, as in ratfn_at_trunc
             coeffs = [rand_trunc(field, m, rng) if rng.randrange(2) else field.random_element(rng)
                       for _ in range(rng.randrange(1, 6))]
-            assert rp_eval(coeffs, x, Trunc.zero(field, m)) == trunc_horner(coeffs, x)
+            assert rp_eval(coeffs, x) == trunc_horner(coeffs, x)
     with pytest.raises(ModulusMismatch):
-        rp_eval([Trunc.one(F7, 3), Trunc.one(F7, 4)], Trunc.t(F7, 4), Trunc.zero(F7, 4))
+        rp_eval([Trunc.one(F7, 3), Trunc.one(F7, 4)], Trunc.t(F7, 4))
 
 
 def test_hensel_rejects_non_roots(F5):
