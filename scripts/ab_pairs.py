@@ -9,7 +9,10 @@ speed falls on both sides.  Prints, for every end-to-end metric named in
 over parent), the distance between the parent's quartiles and the number of
 pairs in which the change did better.  A metric whose change median is worse
 than the parent median by more than its ``bound`` there is marked
-``BOUND BREACH``.
+``BOUND BREACH``.  A metric is marked ``GAIN`` when, over at least ten pairs,
+the change did better in at least nine tenths of them (ties count for
+neither side) and its median is better than the parent median by more than
+the parent IQR.
 
 Usage: python3 scripts/ab_pairs.py PARENT CHANGE [--workloads theorem1,exactness]
            [--seeds 0,17] [--pairs 3] [--seconds 10]
@@ -68,6 +71,13 @@ def breaches(parent: float, change: float, better: str, bound: float) -> bool:
     return change > parent * (1 + bound)
 
 
+def gains(wins: int, pairs: int, parent: float, change: float, better: str, iqr: float) -> bool:
+    """Whether the change wins at least nine tenths of ten or more pairs and
+    its median beats the parent median by more than the parent IQR."""
+    margin = change - parent if better == "higher" else parent - change
+    return pairs >= 10 and 10 * wins >= 9 * pairs and margin > iqr
+
+
 def report(rows, metrics) -> list[str]:
     """Report lines for ``rows`` of (workload, seed, results by side), over the
     end-to-end ``metrics`` given as (name, "higher" or "lower" is better), or
@@ -86,10 +96,12 @@ def report(rows, metrics) -> list[str]:
             quartiles = statistics.quantiles(a, n=4) if len(a) > 1 else [mid_a, mid_a, mid_a]
             wins = sum((y > x) if better == "higher" else (y < x) for x, y in zip(a, b))
             ratio = f"x{mid_b / mid_a:.3f}" if mid_a else "x-"
+            iqr = quartiles[2] - quartiles[0]
             lines.append(f"  {name:<11} {'/'.join(f'{v:.4g}' for v in a)} -> "
                          f"{'/'.join(f'{v:.4g}' for v in b)}  median {mid_a:.4g} -> {mid_b:.4g} "
-                         f"{ratio}, parent IQR {quartiles[2] - quartiles[0]:.3g}  "
+                         f"{ratio}, parent IQR {iqr:.3g}  "
                          f"({better} is better; change better in {wins}/{len(a)})"
+                         + ("  GAIN" if gains(wins, len(a), mid_a, mid_b, better, iqr) else "")
                          + (f"  BOUND BREACH: worse by more than {bound[0]:g}"
                             if bound and breaches(mid_a, mid_b, better, bound[0]) else ""))
     return lines

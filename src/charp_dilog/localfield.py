@@ -386,15 +386,15 @@ class LaurentRing:
     with p-adic numbers" (arXiv:1701.06794).
 
     A raw ``(val, prec, coeffs)`` holds the field raws of exponents val, val + 1,
-    ...; other exponents below ``prec`` are zero, the rest unknown.  So val is
-    a lower bound of the valuation, and a germ is its precision and its known
+    ...; other exponents below ``prec`` are zero, the rest unknown.  So val is a
+    lower bound of the valuation, and a germ is its precision and its known
     coefficients: two germs are equal when those are.  A sum keeps the lower
-    precision; a product is one field product, known below
-    min(val_a + prec_b, val_b + prec_a), and so is a product of two truncations
-    of germs (:meth:`_raw_mul_low`); an inverse keeps the relative precision
-    once the valuation is among the known coefficients (else
-    :class:`InsufficientPrecision`); d/ds loses one.  Constants are exact
-    (``prec`` infinite); only ``(inf, inf, ())`` is zero.
+    precision; a product is one field product, or a scaling by an exact constant,
+    known below min(val_a + prec_b, val_b + prec_a, below) for an optional cut,
+    as is a product of two truncations of germs (:meth:`_raw_mul_low`, uncut); an
+    inverse keeps the relative precision once the valuation is among the known
+    coefficients (else :class:`InsufficientPrecision`); d/ds loses one.
+    Constants are exact (``prec`` infinite); only ``(inf, inf, ())`` is zero.
     """
 
     field: Fq
@@ -447,13 +447,14 @@ class LaurentRing:
     def _raw_neg(self, a):
         return a[:2] + (tuple(map(self.field._raw_neg, a[2])),)
 
-    def _raw_mul(self, a, b):
+    def _raw_mul(self, a, b, below: float = math.inf):
         if a[0] == math.inf or b[0] == math.inf:
             return _ZERO
-        (va, na, ca), (vb, nb, cb) = a, b
-        prec = min(va + nb, vb + na)
+        (va, na, ca), (vb, nb, cb) = (b, a) if a[1] == math.inf else (a, b)  # a constant second
+        prec = min(va + nb, vb + na, below)
         size = min(prec - va - vb, len(ca) + len(cb) - 1)
-        out = self.field._raw_mul_low(ca, cb, size) if size > 0 else ()
+        out = (() if size <= 0 else [self.field._raw_mul(cb[0], x) for x in ca[:size]]
+               if nb == math.inf else self.field._raw_mul_low(ca, cb, size))
         return va + vb, prec, tuple(out)
 
     def _raw_dot(self, xs: Sequence, ys: Sequence):

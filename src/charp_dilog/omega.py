@@ -7,8 +7,8 @@ of a closed formula on letter triples whose exponents sum to p, valued in
 action s -> s + x t^w in closed form and, on germs, by substitution into the
 payloads, the exactness identity with its combinatorial coefficients, residue
 invariance, the residue pairing of two congruent liftings, and the depth-3
-defect form of two triples congruent mod t^2.  Residues at s = 0 are computed
-on Laurent germs there, not on the global rational form.
+defect form of two triples congruent mod t^2.  Residues at s = 0 are read on
+Laurent germs there, from forms cut at s^0, not on the global rational form.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .gf import FqElem
-from .localfield import LaurentLocal, OneForm, RatFn, RatFnRing, germs_at_zero, residue_at
+from .localfield import LaurentLocal, LaurentRing, OneForm, RatFn, RatFnRing, germs_at_zero, residue_at
 from .tpoly import ModulusMismatch, Trunc, ell_all, inv_factorials, rp_eval, unit_decompose
 from .wedge import WedgeK
 
@@ -81,26 +81,23 @@ def _sort3(letters: Sequence[Letter]) -> tuple[list[Letter], int]:
     return items, sign
 
 
-def omega_letters(l1: Letter, l2: Letter, l3: Letter, p: int, dpayload=_dpayload) -> RatFn | None:
-    """Value of the form on a single letter triple, or None when it vanishes;
-    ``dpayload`` gives a letter's d(payload) (or dlog, at exponent zero)."""
-    if l1.a + l2.a + l3.a != p:
-        return None
+def _omega_factors(l1: Letter, l2: Letter, l3: Letter, p: int, dpayload) -> tuple[Letter, RatFn]:
+    """(F, g) with value F.payload * g on a letter triple whose exponents sum to p."""
     (A, B, C), sign = _sort3((l1, l2, l3))
     a, b, c = A.a, B.a, C.a
     if a > b:
         # alpha (b beta dgamma - c gamma dbeta); the c-term drops when c = 0
-        value = A.payload * (b * B.payload * dpayload(C))
+        first, g = A, b * B.payload * dpayload(C)
         if c != 0:
-            value = value - A.payload * (c * C.payload * dpayload(B))
+            g = g - c * C.payload * dpayload(B)
     elif b > c:
         # a = b > c; c = 0 would force 2a = p, impossible for odd p
         if c == 0:
             raise CaseTableGap(f"tie case ({a},{b},0) needs 2a = p = {p}")
-        value = C.payload * (a * A.payload * dpayload(B) - b * B.payload * dpayload(A))
+        first, g = C, a * A.payload * dpayload(B) - b * B.payload * dpayload(A)
     else:
         raise CaseTableGap(f"a = b = c = {a} needs 3 | p = {p}")
-    return value if sign == 1 else -value
+    return first, g if sign == 1 else -g
 
 
 def _entry_ring(w: WedgeK):
@@ -120,7 +117,10 @@ def omega_p(w: WedgeK, ring=None) -> OneForm:
 
     Entries may be unit truncations (decomposed canonically) or prepared
     letter lists; the value is the alternating multilinear extension of the
-    letter-triple formula.  Without ``ring``, the entries' ring is used.
+    letter-triple formula F.payload * g over the triples whose exponents sum
+    to p, one product per first letter F.  Without ``ring``, the entries'
+    ring is used.  On germs, those products are cut at s^0: the form is known
+    below s^0, which is all a residue reads.
     """
     if not w.terms:
         if ring is None:
@@ -128,6 +128,7 @@ def omega_p(w: WedgeK, ring=None) -> OneForm:
         return OneForm(ring.zero)
     ring = _entry_ring(w) if ring is None else ring
     p = ring.characteristic
+    cut = isinstance(ring, LaurentRing)
     total = ring.zero
     for k, entries in w.terms:
         if len(entries) != 3:
@@ -144,13 +145,19 @@ def omega_p(w: WedgeK, ring=None) -> OneForm:
             if id(letter) not in derivs:
                 derivs[id(letter)] = _dpayload(letter)
             return derivs[id(letter)]
-        acc = ring.zero
+        thirds = {}
+        for y in letter_lists[2]:
+            thirds.setdefault(y.a, []).append(y)
+        firsts = {}  # id(F) -> [F.payload, the g of each triple whose first letter is F]
         for a1 in letter_lists[0]:
             for a2 in letter_lists[1]:
-                for a3 in letter_lists[2]:
-                    v = omega_letters(a1, a2, a3, p, dpayload)
-                    if v is not None:
-                        acc = acc + v
+                for a3 in thirds.get(p - a1.a - a2.a, ()):
+                    first, g = _omega_factors(a1, a2, a3, p, dpayload)
+                    firsts.setdefault(id(first), [first.payload]).append(g)
+        acc = ring.zero
+        for f, g, *gs in firsts.values():
+            g = sum(gs, g)
+            acc += LaurentLocal(ring, ring._raw_mul(f.raw, g.raw, 0)) if cut else f * g
         total = total + k * acc
     return OneForm(total.reduced() if isinstance(total, RatFn) else total)
 

@@ -16,6 +16,7 @@ route is the test oracle ``res_local_global`` in ``tests/oracles.py``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -74,16 +75,26 @@ def _wedge_sum(terms, ring, value: Callable):
     return total
 
 
-def _ell_pair(a: Trunc, b: Trunc):
+def _logs(w: WedgeK) -> Callable:
+    """The log_circ raws of a unit of w; over more than one term, those of each
+    distinct unit are taken once, by id, for one functional call."""
+    if len(w.terms) < 2:
+        return lambda u: log_circ(u).raws
+    units = {id(u): u for _, entries in w.terms for u in entries}
+    memo = {key: log_circ(u).raws for key, u in units.items()}
+    return lambda u: memo[id(u)]
+
+
+def _ell_pair(a: Trunc, b: Trunc, logs):
     if a.m < 3:
         raise ModulusTooSmall("ell needs modulus m >= 3")
     r = a.ring
-    la, lb = log_circ(a).raws, log_circ(b).raws
+    la, lb = logs(a), logs(b)
     # l_2(a) l_1(b) - l_2(b) l_1(a) as one dot product of raw log coefficients
     return r._wrap([r._raw_dot((la[2], r._raw_neg(lb[2])), (lb[1], la[1]))])[0]
 
 
-def _ell_p_pair(a: Trunc, b: Trunc):
+def _ell_p_pair(a: Trunc, b: Trunc, logs):
     # i -> p - i turns the second half of (1/2) sum_i i (l_{p-i}(a) l_i(b) -
     # l_{p-i}(b) l_i(a)) into the first in characteristic p, so the value is
     # sum_i i l_{p-i}(a) l_i(b): one dot product of raw log coefficients
@@ -91,7 +102,7 @@ def _ell_p_pair(a: Trunc, b: Trunc):
     p = r.characteristic
     if a.m != p:
         raise ModulusMismatch("ell_p needs modulus m = p")
-    la, lb = log_circ(a).raws, log_circ(b).raws
+    la, lb = logs(a), logs(b)
     mul, from_int = r._raw_mul, r._raw_from_int
     weighted = [mul(from_int(i), la[p - i]) for i in range(1, p)]
     return r._wrap([r._raw_dot(weighted, lb[1:])])[0]
@@ -99,13 +110,13 @@ def _ell_p_pair(a: Trunc, b: Trunc):
 
 def ell(w: WedgeK, ring=None):
     """The functional ell_2 ^ ell_1 on wedges of units of R[t]/(t^m), m >= 3."""
-    return _wedge_sum(w.terms, ring, _ell_pair)
+    return _wedge_sum(w.terms, ring, functools.partial(_ell_pair, logs=_logs(w)))
 
 
 def ell_p(w: WedgeK, ring=None):
     """The functional (1/2) sum_i i * (ell_{p-i} ^ ell_i) on wedges of units of R_p,
     where (ell_j ^ ell_i)(a, b) = ell_j(a) ell_i(b) - ell_j(b) ell_i(a)."""
-    return _wedge_sum(w.terms, ring, _ell_p_pair)
+    return _wedge_sum(w.terms, ring, functools.partial(_ell_p_pair, logs=_logs(w)))
 
 
 @dataclass(frozen=True)

@@ -70,3 +70,33 @@ def test_report_marks_a_metric_worse_than_its_bound():
     results["change"] = [_run(230.0, 25.0)] * 3
     lines = ab.report([("exactness", 0, results)], metrics)
     assert lines[1].endswith("BOUND BREACH: worse by more than 0.2") and "BOUND" not in lines[2]
+
+
+def test_report_marks_a_gain_by_the_pair_rule():
+    # GAIN needs ten or more pairs, the change better in nine tenths of them
+    # (ties count for neither side) and the medians apart by more than the
+    # parent IQR, in the better direction
+    ab = _load_ab_pairs()
+    metrics = [("ops_per_s", "higher", 0.2), ("peak_rss_mb", "lower", 0.1)]
+    parent = [68.0, 69.0, 70.0, 69.5, 68.5, 69.0, 70.5, 68.0, 69.0, 69.5]  # IQR 1.25
+    faster = [75.0, 74.0, 76.0, 74.5, 75.5, 74.0, 76.5, 75.0, 74.0, 68.0]
+
+    def line(change, rss=(25.0, 25.0)):
+        results = {"parent": [_run(v, rss[0]) for v in parent],
+                   "change": [_run(v, rss[1]) for v in change]}
+        return ab.report([("residue-pairing", 0, results)], metrics)[1:]
+
+    ops, rss = line(faster)
+    assert "change better in 9/10)  GAIN" in ops and ops.endswith("GAIN")
+    assert "better in 0/10" in rss and "GAIN" not in rss  # ties win nothing
+    # 8/10 wins: no gain, whatever the medians
+    assert "GAIN" not in line(faster[:8] + [60.0, 60.0])[0]
+    # 10/10 wins by less than the parent IQR: no gain
+    assert "GAIN" not in line([v + 0.5 for v in parent])[0]
+    # a lower-is-better metric gains when it falls; nine pairs are too few
+    ops, rss = line(faster, rss=(25.0, 22.0))
+    assert rss.endswith("GAIN")
+    assert ab.gains(9, 9, 69.0, 75.0, "higher", 1.0) is False
+    assert ab.gains(9, 10, 69.0, 75.0, "higher", 1.0) is True
+    assert ab.gains(10, 10, 75.0, 69.0, "lower", 1.0) is True
+    assert ab.gains(10, 10, 69.0, 75.0, "lower", 1.0) is False

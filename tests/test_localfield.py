@@ -530,6 +530,39 @@ def _assert_same_germs(ring, got, want):
     assert [g == _ZERO for g in got] == [g == _ZERO for g in want], (got, want)
 
 
+@pytest.mark.parametrize("name", ["F7", "F49"])
+def test_exact_constant_germ_product_matches_the_packed_product(request, name):
+    # a product with an exact one-coefficient constant scales the other
+    # operand's coefficients; it gives the packed product's val, prec and
+    # coefficients, on either side, under a cut at s^below, and between two
+    # constants
+    field = request.getfixturevalue(name)
+    ring = LaurentRing(field, field.zero)
+    rng = spawn(26, "constant-germ-product", name)
+
+    def packed(a, b, below):
+        (va, na, ca), (vb, nb, cb) = a, b
+        prec = min(va + nb, vb + na, below)
+        size = min(prec - va - vb, len(ca) + len(cb) - 1)
+        return va + vb, prec, tuple(field._raw_mul_low(ca, cb, size) if size > 0 else ())
+
+    scaled = 0
+    for trial in range(600):
+        c = field.random_element(rng)
+        if c.is_zero:
+            continue
+        c = (0, math.inf, (c.raw,))
+        x = _rand_germ_raw(field, rng, trial % 5 == 0, (c[2][0], field.one.raw))
+        below = rng.choice([math.inf, rng.randrange(-4, 6)])
+        if x == _ZERO:
+            assert ring._raw_mul(c, x, below) == ring._raw_mul(x, c, below) == _ZERO
+            continue
+        want = packed(x, c, below)
+        assert ring._raw_mul(c, x, below) == ring._raw_mul(x, c, below) == want, (c, x, below)
+        scaled += len(want[2]) > 1
+    assert scaled > 50
+
+
 @pytest.mark.parametrize("name", sorted(GERM_FIELDS))
 def test_packed_germ_product_matches_schoolbook(name):
     # the packed product of germ lists gives schoolbook's values, and the zero

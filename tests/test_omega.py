@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import pytest
 
 from charp_dilog import localfield, omega
 from charp_dilog.gf import Fq
-from charp_dilog.localfield import OneForm, RatFn, RatFnRing, expand_at, germs_at_zero, residue_at
+from charp_dilog.localfield import (LaurentLocal, LaurentRing, OneForm, RatFn, RatFnRing, expand_at,
+                                   germs_at_zero, residue_at)
 from charp_dilog.omega import (
     CaseTableGap,
     Letter,
@@ -13,7 +15,6 @@ from charp_dilog.omega import (
     antider_primitive,
     letters_of_unit,
     omega_char0_defect,
-    omega_letters,
     omega_p,
     res_invariance_check,
     res_omega_pair,
@@ -519,6 +520,78 @@ def test_germ_route_doubles_past_a_deep_pole(monkeypatch, p):
     assert any(not v.is_zero for v in doubled)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_omega_p_on_germs_is_the_rational_form_below_s0(monkeypatch, p):
+    # on germs, omega_p cuts its products at s^0: the form is known below s^0,
+    # where it equals the expansion of the rational form.  Germs that start at
+    # precision 2 are too short for [s^-1] of some wedges, and reading the
+    # residue doubles them (the expansion orders show it)
+    ring = RatFnRing(Fq(p))
+    rng = spawn(26, "bounded-omega", p)
+    orders = []
+    monkeypatch.setattr(localfield, "expand_at",
+                        lambda f, c, n: orders.append(n) or expand_at(f, c, n))
+    wedges = [[letters_of_unit(u) for u in rand_good_lifting_pair(ring, rng)[0]] for _ in range(6)]
+    wedges += [rand_letter_wedge_entries(ring, rng) for _ in range(12)]
+    doubled = nonzero = 0
+    for entries in wedges:
+        def form(germ):
+            cut = omega_p(wedge(*[[Letter(x.a, germ(x.payload)) for x in ls] for ls in entries]),
+                          germ.ring).fn
+            residue_at(OneForm(cut), germ.ring.center)
+            return cut
+
+        orders.clear()
+        cut = germs_at_zero(ring.field, 2, form)
+        doubled += max(orders, default=1) > 1
+        full = omega_p(wedge(*entries), ring).fn
+        if full.is_zero:
+            assert cut.is_zero or cut == LaurentLocal(cut.ring, (0, 0, ()))
+            continue
+        nonzero += 1
+        assert cut == expand_at(full, ring.field.zero, -1)
+    assert doubled and nonzero > len(wedges) // 3
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_omega_p_visits_contributing_triples_once_with_one_product_per_first_letter(
+        monkeypatch, p):
+    # omega_p runs the triple formula once per triple whose exponents sum to
+    # p, in the order of the three letter loops, and forms one last product,
+    # cut at s^0, per distinct first letter F of the formula's F.payload * g
+    ring = RatFnRing(Fq(p))
+    rng = spawn(26, "triple-visits", p)
+    seen, firsts, cuts = [], [], []
+    factors, mul = omega._omega_factors, LaurentRing._raw_mul
+
+    def spy_factors(*args):
+        seen.append(tuple(map(id, args[:3])))
+        first, g = factors(*args)
+        firsts.append(id(first))
+        return first, g
+
+    def spy_mul(self, a, b, below=math.inf):
+        if below < math.inf:
+            cuts.append(below)
+        return mul(self, a, b, below)
+    monkeypatch.setattr(omega, "_omega_factors", spy_factors)
+    monkeypatch.setattr(LaurentRing, "_raw_mul", spy_mul)
+    shared = 0
+    for _ in range(4):
+        entries = [letters_of_unit(u) for u in rand_good_lifting_pair(ring, rng)[0]]
+
+        def check(germ):
+            lists = [[Letter(x.a, germ(x.payload)) for x in ls] for ls in entries]
+            seen.clear(), firsts.clear(), cuts.clear()
+            omega_p(wedge(*lists), germ.ring)
+            assert seen == [tuple(map(id, t)) for t in itertools.product(*lists)
+                            if sum(x.a for x in t) == p]
+            assert cuts == [0] * len(set(firsts))
+            return len(seen) - len(cuts)
+        shared += germs_at_zero(ring.field, p + 1, check)
+    assert shared > 0
+
+
 def test_res_omega_pair_runs_no_gcd(monkeypatch, R5):
     from charp_dilog.gf import Poly
 
@@ -596,9 +669,9 @@ def test_letter_formula_rejects_excluded_ties(R5):
     # a = b = c (3a = p) cannot occur; forced through p, both raise typed errors
     x = R5.gen + 1
     with pytest.raises(CaseTableGap):
-        omega_letters(Letter(2, x), Letter(0, x), Letter(2, x), 4)
+        omega._omega_factors(Letter(2, x), Letter(0, x), Letter(2, x), 4, omega._dpayload)
     with pytest.raises(CaseTableGap):
-        omega_letters(Letter(3, x), Letter(3, x), Letter(3, x), 9)
+        omega._omega_factors(Letter(3, x), Letter(3, x), Letter(3, x), 9, omega._dpayload)
 
 
 def test_antiderivative_rejects_undefined_payload(monkeypatch, R5):

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -11,7 +12,7 @@ from charp_dilog.sampling import (
     rand_good_lifting_pair,
     rand_regular_unit_ratfn,
 )
-from charp_dilog.tpoly import ModulusMismatch, Trunc, trunc_exp
+from charp_dilog.tpoly import ModulusMismatch, Trunc, log_circ, trunc_exp
 from charp_dilog.wedge import (
     GoodElem,
     ModulusTooSmall,
@@ -79,6 +80,25 @@ def test_ell_p_bilinear(F5):
         x2 = rand_trunc(F5, 5, rng, unit=True)
         y = rand_trunc(F5, 5, rng, unit=True)
         assert ell_p(wedge(x1 * x2, y)) == ell_p(wedge(x1, y)) + ell_p(wedge(x2, y))
+
+
+def test_ell_and_ell_p_log_each_distinct_unit_once_per_call(monkeypatch, F7):
+    # on a wedge whose units recur across terms, as res_good builds them, one
+    # call takes log_circ once per distinct unit; the memo ends with the call,
+    # and the value is the sum of the terms taken one call each
+    calls = []
+    monkeypatch.setattr(sys.modules["charp_dilog.wedge"], "log_circ",
+                        lambda u: calls.append(id(u)) or log_circ(u))
+    rng = spawn(26, "log-once")
+    x, y, z = (rand_trunc(F7, 7, rng, unit=True) for _ in range(3))
+    w = WedgeK(((2, (y, z)), (-1, (x, z)), (3, (x, y))))
+    for functional in (ell, ell_p):
+        calls.clear()
+        value = functional(w)
+        assert sorted(calls) == sorted(map(id, (x, y, z)))
+        calls.clear()
+        terms = [F7.from_int(k) * functional(wedge(*entries)) for k, entries in w.terms]
+        assert value == sum(terms, F7.zero) and len(calls) == 6
 
 
 @pytest.mark.parametrize("p, ring_kind, pairs", [
