@@ -12,7 +12,10 @@ than the parent median by more than its ``bound`` there is marked
 ``BOUND BREACH``.  A metric is marked ``GAIN`` when, over at least ten pairs,
 the change did better in at least nine tenths of them (ties count for
 neither side) and its median is better than the parent median by more than
-the parent IQR.
+the parent IQR.  A metric is marked ``UNRESOLVED`` when the parent IQR is
+wider than its ``bound`` relative to the parent median, so the runs cannot
+tell a change within the bound from one past it, unless every run of the
+change is better than every run of the parent.
 
 Usage: python3 scripts/ab_pairs.py PARENT CHANGE [--workloads theorem1,exactness]
            [--seeds 0,17] [--pairs 3] [--seconds 10]
@@ -78,11 +81,22 @@ def gains(wins: int, pairs: int, parent: float, change: float, better: str, iqr:
     return pairs >= 10 and 10 * wins >= 9 * pairs and margin > iqr
 
 
+def unresolved(parent: list, change: list, better: str, iqr: float, bound: float) -> bool:
+    """Whether the parent runs spread wider than the relative bound (their IQR
+    against their median) and some change run is no better than some parent run."""
+    if iqr <= bound * abs(statistics.median(parent)):
+        return False
+    if better == "higher":
+        return min(change) <= max(parent)
+    return max(change) >= min(parent)
+
+
 def report(rows, metrics) -> list[str]:
     """Report lines for ``rows`` of (workload, seed, results by side), over the
     end-to-end ``metrics`` given as (name, "higher" or "lower" is better), or
     as (name, better, bound) to mark a change worse than its parent by more
-    than the relative bound.  Pair i compares run i of each side."""
+    than the relative bound, and a metric the runs leave unresolved.  Pair i
+    compares run i of each side."""
     lines = []
     for workload, seed, results in rows:
         parent, change = results["parent"], results["change"]
@@ -103,7 +117,9 @@ def report(rows, metrics) -> list[str]:
                          f"({better} is better; change better in {wins}/{len(a)})"
                          + ("  GAIN" if gains(wins, len(a), mid_a, mid_b, better, iqr) else "")
                          + (f"  BOUND BREACH: worse by more than {bound[0]:g}"
-                            if bound and breaches(mid_a, mid_b, better, bound[0]) else ""))
+                            if bound and breaches(mid_a, mid_b, better, bound[0]) else "")
+                         + (f"  UNRESOLVED: parent IQR wider than {bound[0]:g} of its median"
+                            if bound and unresolved(a, b, better, iqr, bound[0]) else ""))
     return lines
 
 

@@ -17,11 +17,10 @@ the monic modulus, as in a tower's element product.  It needs no inverse and
 stays apart from ``_rreduce``, which measured slower on every product.
 
 Beyond those kernels, each operation has one generic routine for every
-field and ring: :func:`power` (square-and-multiply), :func:`schoolbook` (the
-low coefficients of a product over a ``_raw_*`` kernel with no packed form),
-:func:`horner` (polynomial evaluation: a scalar step of ``_raw_mul`` and
-``_raw_add`` at n = 1, one ``_raw_mul_low`` per coefficient above),
-:func:`multiplicity` and :func:`trace_to` (the trace down a tower).
+field and ring: :func:`power` (square-and-multiply), :func:`horner`
+(polynomial evaluation: a scalar step of ``_raw_mul`` and ``_raw_add`` at
+n = 1, one ``_raw_mul_low`` per coefficient above), :func:`multiplicity` and
+:func:`trace_to` (the trace down a tower).
 """
 
 from __future__ import annotations
@@ -324,7 +323,7 @@ class Fq:
     def _raw_dot(self, xs: Sequence, ys: Sequence):
         """The sum of the products of paired raws, reduced once at the end.
 
-        Over an extension of a prime field the products are int schoolbook
+        Over an extension of a prime field the products are term-by-term int
         products in u, summed before one reduction by the modulus."""
         base = self.base
         if base is None:
@@ -429,23 +428,6 @@ def power(x, n: int, one, mul):
         if n:
             x = mul(x, x)
     return result
-
-
-def schoolbook(ring, a: Sequence, b: Sequence, n: int) -> list:
-    """The low n coefficients of the product of two raw coefficient lists over
-    any ``_raw_*`` kernel; zero operands on either side are skipped and the
-    partial products are added in index order.  Its one caller is
-    :class:`~charp_dilog.tpoly.ElementKernel` (Truncs over F_q(s)), a ring
-    with no packed form."""
-    is_zero, add, mul = ring._raw_is_zero, ring._raw_add, ring._raw_mul
-    out = [ring._raw_from_int(0)] * n
-    for i, x in enumerate(a[:n]):
-        if is_zero(x):
-            continue
-        for j, y in enumerate(b[:n - i]):
-            if not is_zero(y):
-                out[i + j] = add(out[i + j], mul(x, y))
-    return out
 
 
 def horner(ring, coeffs: Sequence[Sequence], x: Sequence, n: int) -> list:

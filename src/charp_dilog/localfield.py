@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, _pth_root_poly,
                  _radd, _rderiv, _rmul, _rsub, is_irreducible, multiplicity, power, residue_field)
-from .tpoly import ElementKernel, Trunc, _series_div
+from .tpoly import Trunc, _series_div
 
 
 class LocalFieldError(Exception):
@@ -296,9 +296,10 @@ def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
-class RatFnRing(ElementKernel):
+class RatFnRing:
     """Coefficient-ring handle for rational functions over a fixed F_q; each
-    element is its own raw for :class:`~charp_dilog.tpoly.Trunc`."""
+    element is its own raw for :class:`~charp_dilog.tpoly.Trunc`, and the
+    ``_raw_*`` kernel is :class:`RatFn` arithmetic."""
 
     __slots__ = ("field",)
 
@@ -324,6 +325,8 @@ class RatFnRing(ElementKernel):
     def from_int(self, n: int) -> RatFn:
         return RatFn.from_int(self.field, n)
 
+    _raw_from_int = from_int
+
     def embed(self, c: FqElem) -> RatFn:
         """A coefficient-field element as a constant function."""
         return RatFn.const(self.field(c))
@@ -340,6 +343,29 @@ class RatFnRing(ElementKernel):
         if isinstance(x, FqElem):
             return self.embed(x)
         raise TypeError(f"cannot coerce {x!r} into {self}")
+
+    _wrap = staticmethod(tuple)
+    _raw_add = staticmethod(operator.add)
+    _raw_sub = staticmethod(operator.sub)
+    _raw_neg = staticmethod(operator.neg)
+    _raw_mul = staticmethod(operator.mul)
+    _raw_inv = staticmethod(operator.methodcaller("inverse"))
+    _raw_is_zero = staticmethod(operator.attrgetter("is_zero"))
+
+    @staticmethod
+    def _raw_dot(xs: Sequence, ys: Sequence) -> RatFn:
+        return functools.reduce(operator.add, map(operator.mul, xs, ys))
+
+    def _raw_mul_low(self, a: Sequence, b: Sequence, n: int) -> list:
+        """The low n coefficients of a product: coefficient k is zero plus the
+        nonzero a_i b_(k-i) in order of i, so its factored form is that sum's."""
+        out = [self.zero] * n
+        for i, x in enumerate(a[:n]):
+            if not x.is_zero:
+                for j, y in enumerate(b[:n - i]):
+                    if not y.is_zero:
+                        out[i + j] += x * y
+        return out
 
     def random_element(self, rng, num_deg: int = 2, den_deg: int = 2) -> RatFn:
         num = Poly(self.field, [self.field.random_element(rng) for _ in range(num_deg + 1)])
@@ -625,12 +651,19 @@ def expand_at(f: RatFn, center, order: int) -> LaurentLocal:
     return LaurentLocal(ring, (val, order + 1, tuple(out)))
 
 
+# Doublings germs_at_zero allows; the deepest read in the verification suites
+# and tests takes 3, from precision 2
+_MAX_DOUBLINGS = 6
+
+
 def germs_at_zero(field: Fq, prec: int, compute: Callable):
     """compute(germ), where ``germ`` maps a rational function over ``field``, or
     a :class:`~charp_dilog.tpoly.Trunc` of them, to its germ at s = 0 below
     absolute precision ``prec``; while compute reads past what its germs know,
     it runs again on germs of twice the precision, so the value is exact.
-    ``germ.ring`` is the :class:`LaurentRing` of the germs."""
+    After ``_MAX_DOUBLINGS`` doublings the last :class:`InsufficientPrecision`
+    propagates, so a computation that reads too far at every precision
+    fails.  ``germ.ring`` is the :class:`LaurentRing` of the germs."""
     ring = LaurentRing(field, field.zero)
 
     def germ(x):
@@ -639,11 +672,12 @@ def germs_at_zero(field: Fq, prec: int, compute: Callable):
         return ring.zero if x.is_zero else expand_at(x, ring.center, prec - 1)
     germ.ring = ring
 
-    while True:
+    for _ in range(_MAX_DOUBLINGS):
         try:
             return compute(germ)
         except InsufficientPrecision:
             prec *= 2
+    return compute(germ)
 
 
 def _trailing_zeros(f: Poly) -> int:

@@ -128,11 +128,13 @@ def rand_good_lifting_pair(ring: RatFnRing, rng):
     p = ring.characteristic
     s = ring.gen
     s_hat = Trunc.constant(ring, p, s)
+
+    def linear(count):
+        """count random polynomials of degree at most 1, as functions."""
+        return [RatFn(Poly(field, [field.random_element(rng) for _ in range(2)]))
+                for _ in range(count)]
     # u in k[[s,t]]^x ; x_w in k for w >= 2
-    u_coeffs = [rand_regular_unit_ratfn(ring, rng, deg=1)]
-    for _ in range(p - 1):
-        num = Poly(field, [field.random_element(rng) for _ in range(2)])
-        u_coeffs.append(RatFn(num))
+    u_coeffs = [rand_regular_unit_ratfn(ring, rng, deg=1), *linear(p - 1)]
     u = Trunc(ring, p, u_coeffs)
     s_tilde_coeffs = [u_coeffs[0] * s]
     for w in range(1, p):
@@ -144,17 +146,10 @@ def rand_good_lifting_pair(ring: RatFnRing, rng):
     qhat, qtilde = [], []
     for _ in range(3):
         n = rng.randrange(-2, 3)
-        uhat_coeffs = [rand_regular_unit_ratfn(ring, rng, deg=1)]
-        for _ in range(p - 1):
-            num = Poly(field, [field.random_element(rng) for _ in range(2)])
-            uhat_coeffs.append(RatFn(num))
-        uhat = Trunc(ring, p, uhat_coeffs)
+        uhat = Trunc(ring, p, [rand_regular_unit_ratfn(ring, rng, deg=1), *linear(p - 1)])
         # v = uhat * u^{-n} + t^2 * (regular tail) keeps v * s'^n = uhat * s^n mod t^2
-        tail = [ring.zero, ring.zero]
-        for _ in range(p - 2):
-            num = Poly(field, [field.random_element(rng) for _ in range(2)])
-            tail.append(RatFn(num))
-        v = uhat * (u if n < 0 else u_inv) ** abs(n) + Trunc(ring, p, tail)
+        tail = Trunc(ring, p, [ring.zero, ring.zero, *linear(p - 2)])
+        v = uhat * (u if n < 0 else u_inv) ** abs(n) + tail
         qhat.append(uhat * Trunc.constant(ring, p, s ** n))
         qtilde.append(v * s_tilde ** n)
     return qtilde, qhat, s_tilde, s_hat

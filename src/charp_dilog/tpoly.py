@@ -16,9 +16,9 @@ coefficients of a product) compute.  There are three kernels.
 multiplies through the field's one polynomial multiply.
 :class:`charp_dilog.localfield.LaurentRing` keeps a germ per coefficient and
 multiplies two truncations by one packed product of the germ field.
-:class:`ElementKernel` keeps each element as its own raw and multiplies by
-:func:`charp_dilog.gf.schoolbook`, that routine's one caller; it serves
-:class:`charp_dilog.localfield.RatFnRing`.  Powers go through
+:class:`charp_dilog.localfield.RatFnRing` keeps each rational function as its
+own raw and multiplies by its own loop over the coefficient products.  Each
+ring owns its product; no kernel is shared between them.  Powers go through
 :func:`charp_dilog.gf.power`.
 
 The branch logarithm comes from the logarithmic derivative: with
@@ -38,12 +38,11 @@ series inverse.
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import Fq, _rsub, horner, power, schoolbook
+from .gf import Fq, _rsub, horner, power
 
 
 class TruncError(Exception):
@@ -104,38 +103,6 @@ def _series_div(ring, num: Sequence, den: Sequence) -> list:
         acc = ring._raw_dot(tail, rev)  # d_1 q_{n-1} + ... + d_n q_0: a dot stops at rev's end
         rev.insert(0, ring._raw_mul(minus, ring._raw_sub(acc, num[n]) if n < split else acc))
     return rev[::-1]
-
-
-class ElementKernel:
-    """The raw-kernel protocol for a ring whose elements are their own raws.
-
-    A subclass provides ``zero``, ``one``, ``from_int`` and ``characteristic``;
-    its elements support +, -, *, ``inverse()`` and ``is_zero``.
-    """
-
-    __slots__ = ()
-
-    def _raw_of(self, x):
-        return self.from_int(x) if isinstance(x, int) else x
-
-    def _wrap(self, raws) -> tuple:
-        return tuple(raws)
-
-    def _raw_from_int(self, n: int):
-        return self.from_int(n)
-
-    _raw_add = staticmethod(operator.add)
-    _raw_sub = staticmethod(operator.sub)
-    _raw_neg = staticmethod(operator.neg)
-    _raw_mul = staticmethod(operator.mul)
-    _raw_inv = staticmethod(operator.methodcaller("inverse"))
-    _raw_is_zero = staticmethod(operator.attrgetter("is_zero"))
-
-    @staticmethod
-    def _raw_dot(xs: Sequence, ys: Sequence):
-        return functools.reduce(operator.add, map(operator.mul, xs, ys))
-
-    _raw_mul_low = schoolbook
 
 
 class Trunc:

@@ -5,7 +5,7 @@ faster way, kept here so the fast route is always compared with it; beside
 them, a sampler that only the tests draw from.
 """
 
-from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius, schoolbook
+from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius
 from charp_dilog.localfield import RatFn, residue_at
 from charp_dilog.omega import Letter, _derivative_ladder, letters_of_unit, omega_p
 from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, inv_factorials, rp_eval
@@ -18,6 +18,21 @@ def rand_trunc(ring, m, rng, unit=False):
         x = Trunc(ring, m, [ring.random_element(rng) for _ in range(m)])
         if not unit or x.is_unit:
             return x
+
+
+def schoolbook(ring, a, b, n):
+    """The low n coefficients of the product of two raw coefficient lists over
+    any ``_raw_*`` kernel, one partial product at a time; zero operands on
+    either side are skipped and the partial products are added in index order."""
+    is_zero, add, mul = ring._raw_is_zero, ring._raw_add, ring._raw_mul
+    out = [ring._raw_from_int(0)] * n
+    for i, x in enumerate(a[:n]):
+        if is_zero(x):
+            continue
+        for j, y in enumerate(b[:n - i]):
+            if not is_zero(y):
+                out[i + j] = add(out[i + j], mul(x, y))
+    return out
 
 
 def series_inverse(ring, a):

@@ -100,3 +100,31 @@ def test_report_marks_a_gain_by_the_pair_rule():
     assert ab.gains(9, 10, 69.0, 75.0, "higher", 1.0) is True
     assert ab.gains(10, 10, 75.0, 69.0, "lower", 1.0) is True
     assert ab.gains(10, 10, 69.0, 75.0, "lower", 1.0) is False
+
+
+def test_report_marks_a_metric_the_spread_leaves_unresolved():
+    # the parent IQR (4.0 against a median of 20.0) is wider than a 0.1
+    # bound: unresolved, unless every change run beats every parent run
+    ab = _load_ab_pairs()
+    metrics = [("ops_per_s", "higher", 0.1), ("peak_rss_mb", "lower", 0.1)]
+    parent = [_run(v, 25.0) for v in (16.0, 18.0, 20.0, 22.0, 24.0)]
+
+    def lines(ops, rss=25.0):
+        results = {"parent": parent, "change": [_run(v, rss) for v in ops]}
+        return ab.report([("theorem1", 0, results)], metrics)[1:]
+
+    ops, rss = lines([17.0, 19.0, 21.0, 23.0, 25.0])
+    assert "parent IQR 6" in ops
+    assert ops.endswith("UNRESOLVED: parent IQR wider than 0.1 of its median")
+    assert "UNRESOLVED" not in rss  # no spread
+    # every change run above the best parent run: resolved, here a gain in
+    # direction only (five pairs are too few for GAIN)
+    ops, _ = lines([24.5, 25.0, 26.0, 27.0, 30.0])
+    assert "UNRESOLVED" not in ops and "GAIN" not in ops
+    # a tie with the best parent run is not better
+    assert lines([24.0, 25.0, 26.0, 27.0, 30.0])[0].endswith("of its median")
+    # a lower-is-better metric: every change run below the lowest parent run
+    assert ab.unresolved([16.0, 18.0, 20.0, 22.0, 24.0], [15.0] * 5, "lower", 4.0, 0.1) is False
+    assert ab.unresolved([16.0, 18.0, 20.0, 22.0, 24.0], [15.0, 16.0], "lower", 4.0, 0.1) is True
+    # an IQR within the bound is resolved whatever the runs
+    assert ab.unresolved([19.0, 20.0, 21.0], [10.0] * 3, "higher", 2.0, 0.1) is False

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from charp_dilog import gf, tpoly
+from charp_dilog import gf, localfield
 from charp_dilog.gf import (
     Fq,
     Poly,
@@ -25,6 +25,7 @@ from charp_dilog.localfield import (
     _ZERO,
     cartier,
     expand_at,
+    germs_at_zero,
     is_exact_form,
     residue_at,
 )
@@ -33,7 +34,7 @@ from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_good_lifting_pair
 from charp_dilog.wedge import ell_p, res_local, wedge
 
-from oracles import EagerFraction
+from oracles import EagerFraction, schoolbook
 
 
 @pytest.fixture
@@ -335,6 +336,46 @@ def test_zero_and_constant_operands_match_the_eager_oracle(request, fname):
                 built_zero.inverse()
 
 
+@pytest.mark.parametrize("fname", ["F7", "F49"])
+def test_ratfn_truncation_product_matches_schoolbook(request, fname):
+    # RatFnRing's product adds the same partial products in the same order as
+    # the schoolbook oracle, so every coefficient keeps its factored form;
+    # operands have zero entries and unequal lengths, and n runs past the
+    # product length
+    field = request.getfixturevalue(fname)
+    ring = RatFnRing(field)
+    rng = spawn(27, "ratfn-truncation-product", fname)
+    for trial in range(12):
+        values = _factored_values(field, rng) + [ring.zero] * 3
+        a = [rng.choice(values) for _ in range(rng.randrange(1, 6))]
+        b = [rng.choice(values) for _ in range(rng.randrange(1, 6))]
+        for n in range(1, len(a) + len(b) + 2):
+            got, want = ring._raw_mul_low(a, b, n), schoolbook(ring, a, b, n)
+            assert ([(x._n, list(x._f.items())) for x in got]
+                    == [(y._n, list(y._f.items())) for y in want])
+
+
+def test_germs_at_zero_gives_up_after_its_doublings(F5):
+    # a computation that reads past its germs at every precision raises after
+    # the first attempt and _MAX_DOUBLINGS more, each at twice the precision;
+    # one that needs the last precision still gets its value
+    last = 3 * 2 ** localfield._MAX_DOUBLINGS
+
+    def reads(e, precs):
+        def compute(germ):
+            x = germ(RatFn.gen(F5))
+            precs.append(x.prec)
+            return x.coeff(e)
+        return compute
+
+    precs = []
+    with pytest.raises(InsufficientPrecision):
+        germs_at_zero(F5, 3, reads(last, precs))
+    assert precs == [3 * 2 ** k for k in range(localfield._MAX_DOUBLINGS + 1)]
+    precs.clear()
+    assert germs_at_zero(F5, 3, reads(last - 1, precs)).is_zero and precs[-1] == last
+
+
 @pytest.mark.parametrize("fname", ["F5", "F7", "F25"])
 def test_factored_equality_and_hash_follow_the_reduced_form(request, fname):
     field = request.getfixturevalue(fname)
@@ -579,13 +620,13 @@ def test_packed_germ_product_matches_schoolbook(name):
         a = [_rand_germ_raw(field, rng, top, constants) for _ in range(rng.randrange(1, 7))]
         b = [_rand_germ_raw(field, rng, top, constants) for _ in range(rng.randrange(1, 7))]
         n = rng.randrange(1, len(a) + len(b) + 2)
-        _assert_same_germs(ring, ring._raw_mul_low(a, b, n), gf.schoolbook(ring, a, b, n))
+        _assert_same_germs(ring, ring._raw_mul_low(a, b, n), schoolbook(ring, a, b, n))
     # two constants cancel in coefficient 1, which is the zero germ, and in
     # coefficient 2, which then has the finite product's value
     c, minus = (0, math.inf, (one,)), (0, math.inf, (constants[1],))
     finite = (2, 5, (one,))
     a, b = [c, c, finite], [c, minus, c]
-    _assert_same_germs(ring, ring._raw_mul_low(a, b, 3), gf.schoolbook(ring, a, b, 3))
+    _assert_same_germs(ring, ring._raw_mul_low(a, b, 3), schoolbook(ring, a, b, 3))
     _assert_same_germs(ring, ring._raw_mul_low(a, b, 3)[1:], [_ZERO, finite])
     # a product of two germs with no coefficients ends one past its slot of
     # the packed product: (3, 5, ()) (3, 3, ()) + (1, 4, (x,)) (2, 6, ()) is
@@ -593,27 +634,26 @@ def test_packed_germ_product_matches_schoolbook(name):
     # return it
     x = _top(field)
     a, b = [(3, 5, ()), (1, 4, (x,))], [(2, 6, ()), (3, 3, ())]
-    _assert_same_germs(ring, ring._raw_mul_low(a, b, 2), gf.schoolbook(ring, a, b, 2))
+    _assert_same_germs(ring, ring._raw_mul_low(a, b, 2), schoolbook(ring, a, b, 2))
     _assert_same_germs(ring, ring._raw_mul_low(a, b, 2)[1:], [(3, 6, (zero,) * 3)])
     _assert_same_germs(ring, ring._raw_mul_low([_ZERO, c], b, 2), [_ZERO, (2, 6, ())])
     a, b = [(1, 6, ()), (0, 9, (x,)), (0, 9, (x,))], [(0, 9, (x,)), (1, 6, ()), _ZERO]
-    _assert_same_germs(ring, ring._raw_mul_low(a, b, 3), gf.schoolbook(ring, a, b, 3))
+    _assert_same_germs(ring, ring._raw_mul_low(a, b, 3), schoolbook(ring, a, b, 3))
     assert LaurentLocal(ring, ring._raw_mul_low(a, b, 3)[1]).coeff(1).is_zero
     # slot 0's one product has no coefficients and its window ends before the
     # packed product starts; a negative end would read from the far end
     a = [(0, 3, ()), (0, 5, (x,)), (0, 5, (x,))]
-    _assert_same_germs(ring, ring._raw_mul_low(a, a, 5), gf.schoolbook(ring, a, a, 5))
+    _assert_same_germs(ring, ring._raw_mul_low(a, a, 5), schoolbook(ring, a, a, 5))
 
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_germ_truncation_products_are_one_packed_call(monkeypatch, p):
     # on the residue pairing of congruent liftings, every product of germ
-    # truncations over F_p is one _rmul_packed call, and schoolbook never
-    # sees a germ
+    # truncations over F_p is one _rmul_packed call
     field = Fq(p)
     ring = RatFnRing(field)
-    packed, germ_product, schoolbook = gf._rmul_packed, LaurentRing._raw_mul_low, gf.schoolbook
-    calls, per_product, kernels = [], [], []
+    packed, germ_product = gf._rmul_packed, LaurentRing._raw_mul_low
+    calls, per_product = [], []
 
     def spy_product(self, a, b, n):
         before = len(calls)
@@ -621,15 +661,8 @@ def test_germ_truncation_products_are_one_packed_call(monkeypatch, p):
         per_product.append((self.field, len(calls) - before))
         return out
 
-    def spy_schoolbook(kernel, a, b, n):
-        kernels.append(kernel)
-        return schoolbook(kernel, a, b, n)
-
     monkeypatch.setattr(gf, "_rmul_packed", lambda a, b, q: calls.append(q) or packed(a, b, q))
     monkeypatch.setattr(LaurentRing, "_raw_mul_low", spy_product)
-    for module in (gf, tpoly):
-        monkeypatch.setattr(module, "schoolbook", spy_schoolbook)
-    monkeypatch.setattr(tpoly.ElementKernel, "_raw_mul_low", spy_schoolbook)
     rng = spawn(17, "one-germ-product", p)
     for _ in range(2):
         qt, qh, st, sh = rand_good_lifting_pair(ring, rng)
@@ -637,4 +670,3 @@ def test_germ_truncation_products_are_one_packed_call(monkeypatch, p):
         ell_p(res_local(qh, sh), ring=field)
         res_omega_pair(wedge(*qt), wedge(*qh), ring)
     assert per_product and set(per_product) == {(field, 1)}
-    assert not [k for k in kernels if isinstance(k, LaurentRing)]

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,7 +9,6 @@ from charp_dilog.localfield import InsufficientPrecision, RatFn, RatFnRing, germ
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_good_lifting_pair, rand_ratfn
 from charp_dilog.tpoly import (
-    ElementKernel,
     HenselFailure,
     IndexOutOfRange,
     ModulusMismatch,
@@ -25,7 +27,7 @@ from charp_dilog.tpoly import (
 )
 
 from oracles import (div_via_inverse, hensel_root_oracle, log_via_inverse, rand_trunc,
-                     series_inverse, trunc_horner)
+                     schoolbook, series_inverse, trunc_horner)
 
 
 def test_ring_examples(F5):
@@ -344,14 +346,31 @@ def test_hensel_matches_full_precision_newton_in_residue_fields():
 
 # -- the raw path against the generic loop and the series definition ----------
 
-class GenericRing(ElementKernel):
-    """An Fq behind the element kernel, so Trunc computes on FqElem
-    coefficients with the element loops instead of the field's raw kernel."""
+class GenericRing:
+    """An Fq whose raws are its elements, so Trunc computes on FqElem
+    coefficients with element loops and the schoolbook product instead of
+    the field's raw kernel."""
 
     def __init__(self, field):
         self.characteristic = field.characteristic
         self.zero, self.one = field.zero, field.one
-        self.from_int = field.from_int
+        self.from_int = self._raw_from_int = field.from_int
+
+    def _raw_of(self, x):
+        return self.from_int(x) if isinstance(x, int) else x
+
+    _wrap = staticmethod(tuple)
+    _raw_add = staticmethod(operator.add)
+    _raw_sub = staticmethod(operator.sub)
+    _raw_neg = staticmethod(operator.neg)
+    _raw_mul = staticmethod(operator.mul)
+    _raw_inv = staticmethod(operator.methodcaller("inverse"))
+    _raw_is_zero = staticmethod(operator.attrgetter("is_zero"))
+    _raw_mul_low = schoolbook
+
+    @staticmethod
+    def _raw_dot(xs, ys):
+        return functools.reduce(operator.add, map(operator.mul, xs, ys))
 
 
 def log_series_oracle(u):

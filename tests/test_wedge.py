@@ -275,6 +275,25 @@ SAMPLER_DIGESTS = {
 }
 
 
+# sha256 of repr() of the (_n, list(_f.items())) of every coefficient of the
+# same draws: the factored forms, which set the cost of expanding them
+FORM_DIGESTS = {
+    5: "219c96e46971a22555193a3abaa8942928f530522576c8bcfcf2ab63c9f109be",
+    7: "780ab290de8e7212c63bab1b5c010057bf6dc4e36da7b63b8566c92be707c65e",
+}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_good_lifting_pair_factored_forms_are_pinned(p):
+    ring = RatFnRing(Fq(p))
+    rng = spawn(25, "sampler-pin", p)
+    forms = []
+    for _ in range(4):
+        qt, qh, st, sh = rand_good_lifting_pair(ring, rng)
+        forms += [[(c._n, list(c._f.items())) for c in x.coeffs] for x in (*qt, *qh, st, sh)]
+    assert hashlib.sha256(repr(forms).encode()).hexdigest() == FORM_DIGESTS[p]
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_good_lifting_pair_values_and_inverses(monkeypatch, p):
     # one series inverse for u^(-1), and one for s_tilde^n per negative n:
