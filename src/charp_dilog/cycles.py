@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 from .gf import Fq, FqElem, Poly, factor_squarefree_irreducibles, residue_field, trace_to
 from .regulator import _lift_input
-from .tpoly import Trunc, hensel_root_zpoly, rp_eval, rp_mul
+from .tpoly import Trunc, _series_div, hensel_root_zpoly, rp_eval, rp_mul
 from .wedge import ell, ell_p, wedge
 
 
@@ -222,13 +222,13 @@ def _boundary_point(cycle: ParamCycle, face: Face, m: int) -> BoundaryPoint:
     others = [c for j, c in enumerate(cycle.coords) if j != face.coordinate]
     kprime = cycle.field if face.where is PARAM_INF else face.root[0]
     cut = lambda c: c.reduce_to(m).embedded(kprime)
+    div = lambda num, den: Trunc._of(kprime, m, _series_div(kprime, num.raws, den.raws))
     if face.where is PARAM_INF:
-        pair = [cut(c.num[-1]) * cut(c.den[-1]).inverse() for c in others]
+        pair = [div(cut(c.num[-1]), cut(c.den[-1])) for c in others]
     else:
         z0 = hensel_root_zpoly([cut(c) for c in face.coeffs], face.root[1])
-        values = [[rp_eval([cut(x) for x in coeffs], z0)
-                   for coeffs in (c.num, c.den)] for c in others]
-        pair = [num * den.inverse() for num, den in values]
+        at = lambda coeffs: rp_eval([cut(x) for x in coeffs], z0)
+        pair = [div(at(c.num), at(c.den)) for c in others]
     i = face.coordinate + 1
     return BoundaryPoint(kprime, tuple(pair), face_sign(i, face.label == INF_FACE),
                          (i, face.label), face.where)

@@ -33,7 +33,8 @@ Hensel lifting is Newton iteration with precision doubling on those lists
 (von zur Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 9.4): the
 precisions are 2, 3, ..., m, each the ceiling of half the next, and
 g = 1/P'(x) follows by its own Newton step g <- g (2 - P'(x) g) instead of a
-series inverse.
+series inverse.  A linear P = c0 + c z whose c is constant in t skips the
+ladder: its root is -c0/c, one scalar inverse and m scalar products.
 """
 
 from __future__ import annotations
@@ -366,23 +367,30 @@ def rp_eval(coeffs: Sequence, x: Trunc) -> Trunc:
 def newton_root(ring, coeffs: Sequence[list], x0, m: int) -> list:
     """The root of P(z) = sum_k coeffs[k] z^k in F_q[t]/(t^m) that is x0 mod t,
     on raw data of the Fq ``ring``.  Raises :class:`HenselFailure` unless x0 is
-    a simple root mod t, or if the lift fails the check P(x) = 0 mod t^m."""
+    a simple root mod t, or if the lift fails the check P(x) = 0 mod t^m.
+    P = c0 + c z with c constant in t (no nonzero raw past its first) takes
+    the closed form x = -c0/c, one ``_raw_inv`` and m scalar products."""
     mul_low, from_int, is_zero = ring._raw_mul_low, ring._raw_from_int, ring._raw_is_zero
-    dcoeffs = [[ring._raw_mul(from_int(k), c) for c in coeffs[k]]
-               for k in range(1, len(coeffs))] or [[from_int(0)]]
+    linear = len(coeffs) == 2 and all(map(is_zero, coeffs[1][1:]))
+    dcoeffs = [coeffs[1][:1]] if linear else [[ring._raw_mul(from_int(k), c) for c in coeffs[k]]
+                                              for k in range(1, len(coeffs))] or [[from_int(0)]]
     d0 = horner(ring, dcoeffs, [x0], 1)[0]
     if is_zero(d0) or not is_zero(horner(ring, coeffs, [x0], 1)[0]):
         raise HenselFailure("the starting point is not a simple root mod t")
-    precisions = [m]
-    while precisions[-1] > 2:
-        precisions.append((precisions[-1] + 1) // 2)
-    x, g = [x0], [ring._raw_inv(d0)]
-    for k in reversed(precisions):
-        # x is a root and g = 1/P'(x) mod t^j at the previous precision j >= k/2
-        x = _rsub(ring, x, mul_low(g, horner(ring, coeffs, x, k), k))
-        if k < m:
-            e = mul_low(horner(ring, dcoeffs, x, k), g, k)
-            g = mul_low(g, _rsub(ring, [from_int(2)], e), k)
+    inv = ring._raw_inv(d0)
+    if linear:  # x = 0 - c0/c, padded to m raws where c0 is shorter
+        x = _rsub(ring, [from_int(0)] * m, [ring._raw_mul(inv, a) for a in coeffs[0][:m]])
+    else:
+        precisions = [m]
+        while precisions[-1] > 2:
+            precisions.append((precisions[-1] + 1) // 2)
+        x, g = [x0], [inv]
+        for k in reversed(precisions):
+            # x is a root and g = 1/P'(x) mod t^j at the previous precision j >= k/2
+            x = _rsub(ring, x, mul_low(g, horner(ring, coeffs, x, k), k))
+            if k < m:
+                e = mul_low(horner(ring, dcoeffs, x, k), g, k)
+                g = mul_low(g, _rsub(ring, [from_int(2)], e), k)
     if not all(map(is_zero, horner(ring, coeffs, x, m))):
         raise HenselFailure("Newton iteration failed to converge")
     return x
@@ -391,6 +399,8 @@ def newton_root(ring, coeffs: Sequence[list], x0, m: int) -> list:
 def hensel_root_zpoly(coeffs: Sequence[Trunc], x0) -> Trunc:
     """Lift a simple root x0 (mod t, a field element) of a polynomial whose
     z-coefficients are Truncs over one Fq: unwrap once, lift, wrap once."""
+    if not coeffs:
+        raise HenselFailure("the zero polynomial has no simple root")
     first = coeffs[0]
     raws = [first._check(c).raws for c in coeffs]
     return Trunc._of(first.ring, first.m,

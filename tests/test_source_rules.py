@@ -221,7 +221,8 @@ def test_one_remainder_kernel_divides_for_every_field():
 def test_one_series_division_for_inverses_and_expansions():
     # tpoly._series_div is the one power-series division: the inverse-only
     # recurrence and the weighting pass of the old logarithm are gone, and only
-    # Trunc.inverse, the germ inverse and expand_at call it
+    # Trunc.inverse, the germ inverse, expand_at and the face values of a
+    # cycle (num/den in one division, not an inverse and a product) call it
     gone = {"_series_inverse", "_weighted"}
     named = [f"{path}:{getattr(node, 'lineno', '?')}" for tree in TREES
              for path in sorted((ROOT / tree).rglob("*.py"))
@@ -229,8 +230,8 @@ def test_one_series_division_for_inverses_and_expansions():
              if gone & {getattr(node, key, None) for key in ("id", "attr", "name")}]
     assert not named, f"removed series kernels still named: {named}"
     callers = sorted(_callers_of("_series_div"))
-    assert callers == ["localfield.LaurentRing._raw_inv", "localfield.expand_at",
-                       "tpoly.Trunc.inverse"], callers
+    assert callers == ["cycles._boundary_point", "localfield.LaurentRing._raw_inv",
+                       "localfield.expand_at", "tpoly.Trunc.inverse"], callers
 
 
 def test_germ_letters_move_by_substitution_not_by_the_derivative_ladder():

@@ -4,7 +4,8 @@ import operator
 import pytest
 from hypothesis import given, strategies as st
 
-from charp_dilog.gf import CtxMismatch, Fq, Poly, is_irreducible, residue_field
+from charp_dilog import tpoly
+from charp_dilog.gf import CtxMismatch, Fq, Poly, horner, is_irreducible, residue_field
 from charp_dilog.localfield import InsufficientPrecision, RatFn, RatFnRing, germs_at_zero
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_good_lifting_pair, rand_ratfn
@@ -283,6 +284,8 @@ def test_hensel_rejects_non_roots(F5):
         hensel_root_zpoly([Trunc(F5, m, [1, 1]), one, one], F5.one)  # P(1) = 3, P'(1) = 3
     with pytest.raises(HenselFailure):
         hensel_root_zpoly([Trunc.t(F5, m)], F5.zero)  # constant in z
+    with pytest.raises(HenselFailure):
+        hensel_root_zpoly([], F5.zero)  # no z-coefficients at all
 
 
 def _hensel_fields():
@@ -297,10 +300,32 @@ def _depths(p):
     return sorted({m for m in (2, 3, 4, 5, 7, p) if m <= p})
 
 
+def _unit_not_one(field, rng):
+    while True:
+        c = field.random_element(rng)
+        if not c.is_zero and c != field.one:
+            return c
+
+
+def _linear(field, m, c, r0, rng):
+    """c0 + c z with c in F_q and a random c0 in F_q[t]/(t^m) whose root mod t is r0."""
+    c0 = rand_trunc(field, m, rng)
+    return [c0 - Trunc.constant(field, m, c0.c0 + c * r0), Trunc.constant(field, m, c)]
+
+
 def test_hensel_matches_full_precision_newton_in_the_coefficient_field():
     for field in _hensel_fields():
         rng = spawn(field.order, "hensel-oracle")
         for m in _depths(field.p):
+            # c constant in t: the closed form -c0/c, with c = 1 and another unit
+            linear = spawn(field.order, "hensel-oracle-linear", m)
+            for c in (field.one, _unit_not_one(field, linear)):
+                r0 = field.random_element(linear)
+                coeffs = _linear(field, m, c, r0, linear)
+                assert hensel_root_zpoly(coeffs, r0) == hensel_root_oracle(coeffs, r0)
+            # c(0) = 0 and no t-terms: no simple root, before any closed form
+            with pytest.raises(HenselFailure):
+                hensel_root_zpoly([Trunc.zero(field, m), Trunc.zero(field, m)], field.zero)
             for degree in range(1, 5):
                 for _ in range(3):
                     r0 = field.random_element(rng)
@@ -316,6 +341,48 @@ def test_hensel_matches_full_precision_newton_in_the_coefficient_field():
                     root = hensel_root_zpoly(coeffs, r0)
                     assert root == hensel_root_oracle(coeffs, r0)
                     assert root.c0 == r0 and trunc_horner(coeffs, root).is_zero
+
+
+def test_linear_root_with_a_constant_coefficient_runs_no_ladder(monkeypatch):
+    # c0 + c z with c constant in t: horner runs for the two checks at t = 0
+    # and the final check mod t^m, and the final check makes the only product;
+    # with c = c(0) + t the Newton ladder runs as before
+    F7, F11 = Fq(7), Fq(11)
+    F121 = Fq(11, modulus=[1, 0, 1], base=F11)
+    F625 = _hensel_fields()[-1]
+    horner_ns, products = [], []
+
+    def spy_horner(ring, coeffs, x, n):
+        horner_ns.append(n)
+        return horner(ring, coeffs, x, n)
+
+    def spy_mul_low(self, a, b, n):
+        products.append(len(horner_ns))
+        return mul_low(self, a, b, n)
+
+    mul_low = Fq._raw_mul_low
+    monkeypatch.setattr(tpoly, "horner", spy_horner)
+    monkeypatch.setattr(Fq, "_raw_mul_low", spy_mul_low)
+    for field in (F7, F121, F625):
+        rng = spawn(field.order, "closed-form")
+        for m in sorted({2, 5, field.p}):
+            for c in (field.one, _unit_not_one(field, rng)):
+                r0 = field.random_element(rng)
+                coeffs = _linear(field, m, c, r0, rng)
+                horner_ns.clear()
+                products.clear()
+                root = hensel_root_zpoly(coeffs, r0)
+                assert horner_ns == [1, 1, m], (field, m, horner_ns)
+                assert products == [3], (field, m, products)  # inside the final check
+                assert rp_eval(coeffs, root).is_zero and root.c0 == r0
+                # rows shorter than m, as wedge._rows gives them: still m raws
+                short = [coeffs[0].raws[:1], coeffs[1].raws[:1]]
+                assert (tpoly.newton_root(field, short, field._raw_of(r0), m)
+                        == list(Trunc.constant(field, m, r0).raws))
+                coeffs[1] = coeffs[1] + Trunc.t(field, m)
+                horner_ns.clear()
+                hensel_root_zpoly(coeffs, r0)
+                assert len(horner_ns) > 3, (field, m, horner_ns)
 
 
 def test_hensel_matches_full_precision_newton_in_residue_fields():
