@@ -15,7 +15,9 @@ neither side) and its median is better than the parent median by more than
 the parent IQR.  A metric is marked ``UNRESOLVED`` when the parent IQR is
 wider than its ``bound`` relative to the parent median, so the runs cannot
 tell a change within the bound from one past it, unless every run of the
-change is better than every run of the parent.
+change is better than every run of the parent.  A workload is marked
+``FAILED MORE`` when the change's share of failed ops (``failed`` over
+``attempted``, summed over its runs) is larger than the parent's.
 
 Usage: python3 scripts/ab_pairs.py PARENT CHANGE [--workloads theorem1,exactness]
            [--seeds 0,17] [--pairs 3] [--seconds 10]
@@ -91,6 +93,11 @@ def unresolved(parent: list, change: list, better: str, iqr: float, bound: float
     return max(change) >= min(parent)
 
 
+def failed_share(runs: list) -> float:
+    """Failed over attempted ops, summed over the runs of one side."""
+    return sum(r["failed"] for r in runs) / sum(r["attempted"] for r in runs)
+
+
 def report(rows, metrics) -> list[str]:
     """Report lines for ``rows`` of (workload, seed, results by side), over the
     end-to-end ``metrics`` given as (name, "higher" or "lower" is better), or
@@ -120,6 +127,9 @@ def report(rows, metrics) -> list[str]:
                             if bound and breaches(mid_a, mid_b, better, bound[0]) else "")
                          + (f"  UNRESOLVED: parent IQR wider than {bound[0]:g} of its median"
                             if bound and unresolved(a, b, better, iqr, bound[0]) else ""))
+        shares = [failed_share(results[side]) for side in SIDES]
+        if shares[1] > shares[0]:
+            lines.append(f"  FAILED MORE: share of failed ops {shares[0]:.3g} -> {shares[1]:.3g}")
     return lines
 
 

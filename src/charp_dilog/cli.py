@@ -222,14 +222,14 @@ def cmd_li1(args, out) -> int:
     return 0
 
 
-def _cmd_dilog(args, out, closed_form, max_p: int | None = None) -> int:
-    if max_p is not None:
-        _check_max_p(args, max_p)
+def cmd_dilog(args, out) -> int:
+    if args.max_p is not None:
+        _check_max_p(args, args.max_p)
     field = _field_from(args.p, args.ext)
     x = Trunc(field, 2, [_elem_from_json(field, getattr(args, name), f"--{name}")
                          for name in ("s", "a")])
     sym = bloch.symbol(x)
-    value = closed_form(sym)
+    value = args.closed_form(sym)
     _emit([{"s": args.s, "a": args.a, "value": _elem_to_json(value)}], args.format, out)
     return 0
 
@@ -311,27 +311,30 @@ def build_parser() -> argparse.ArgumentParser:
                         description=f"Values of li1 over F_p, for 5 <= p <= {LI1_MAX_P}.")
     common(sp, p=True)
     sp.add_argument("--x", type=int, default=None, help="single argument instead of a table")
+    sp.set_defaults(handler=cmd_li1)
 
-    for name, help_text, bound in (("li2", "additive dilogarithm at [s + a t]", ""),
-                                   ("li2p", "deep dilogarithm at [s + a t]",
-                                    f", for 5 <= p <= {_LI2P_MAX_P}")):
+    for name, help_text, closed_form, max_p in (
+            ("li2", "additive dilogarithm at [s + a t]", bloch.li2, None),
+            ("li2p", "deep dilogarithm at [s + a t]", bloch.li2p, _LI2P_MAX_P)):
+        bound = f", for 5 <= p <= {max_p}" if max_p else ""
         sp = sub.add_parser(name, help=help_text, description=f"The {help_text}{bound}.")
         common(sp, p=True, ext=True)
         sp.add_argument("--s", type=json.loads, required=True)
         sp.add_argument("--a", type=json.loads, required=True)
+        sp.set_defaults(handler=cmd_dilog, closed_form=closed_form, max_p=max_p)
 
     for name, deep, help_text in (("rho-k", True, "deep regulator of a good-function triple"),
                                   ("rho", False, "depth-3 regulator of a good-function triple")):
         sp = sub.add_parser(name, help=help_text)
         common(sp, seed=True, inp=True)
-        sp.set_defaults(deep=deep)
+        sp.set_defaults(handler=cmd_regulator, deep=deep)
 
     sp = sub.add_parser("cycle", help="invariants of a parametrized cycle")
     cyc_sub = sp.add_subparsers(dest="cycle_command", required=True)
     for name, deep in (("rho-k", True), ("rho", False)):
         csp = cyc_sub.add_parser(name)
         common(csp, inp=True)
-        csp.set_defaults(deep=deep)
+        csp.set_defaults(handler=cmd_cycle, deep=deep)
 
     sp = sub.add_parser("verify", help="run a seeded verification suite",
                         description="Run a seeded verification suite, "
@@ -339,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=sorted(SUITES) + ["all"])
     common(sp, p=True, seed=True, formats=("plain", "json"))
     sp.add_argument("--trials", type=int, default=None)
+    sp.set_defaults(handler=cmd_verify)
     return parser
 
 
@@ -347,19 +351,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = sys.stdout
     try:
-        if args.command == "li1":
-            return cmd_li1(args, out)
-        if args.command == "li2":
-            return _cmd_dilog(args, out, bloch.li2)
-        if args.command == "li2p":
-            return _cmd_dilog(args, out, bloch.li2p, _LI2P_MAX_P)
-        if args.command in ("rho-k", "rho"):
-            return cmd_regulator(args, out)
-        if args.command == "cycle":
-            return cmd_cycle(args, out)
-        if args.command == "verify":
-            return cmd_verify(args, out)
-        raise AssertionError("unreachable")
+        return args.handler(args, out)
     except (ParseError, BadPrime, UnknownSuite, TruncError, LocalFieldError,
             GFError, cycles.NotAdmissible, bloch.BlochError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

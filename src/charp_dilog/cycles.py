@@ -298,8 +298,8 @@ def graph_cycle(inp, lift_seed: int = 0) -> ParamCycle:
             base = lift.points[idx]
             for _ in range(abs(e)):
                 if e > 0:
-                    num = rp_mul(num, base, Trunc.zero(field, p))
+                    num = rp_mul(num, base)
                 else:
-                    den = rp_mul(den, base, Trunc.zero(field, p))
+                    den = rp_mul(den, base)
         coords.append((num, den))
     return make_cycle(field, coords)

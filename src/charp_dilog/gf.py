@@ -723,9 +723,6 @@ class Poly:
 
     def __neg__(self):
         f = self.field
-        if f.base is None:
-            p = f.p
-            return Poly._from_raw(f, [p - c if c else 0 for c in self.coeffs])
         return Poly._from_raw(f, [f._raw_neg(c) for c in self.coeffs])
 
     def __mul__(self, other):

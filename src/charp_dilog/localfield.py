@@ -367,10 +367,11 @@ class RatFnRing:
                         out[i + j] += x * y
         return out
 
-    def random_element(self, rng, num_deg: int = 2, den_deg: int = 2) -> RatFn:
-        num = Poly(self.field, [self.field.random_element(rng) for _ in range(num_deg + 1)])
+    def random_element(self, rng, deg: int = 2) -> RatFn:
+        """A numerator, then a nonzero denominator, each of degree at most ``deg``."""
+        num = Poly(self.field, [self.field.random_element(rng) for _ in range(deg + 1)])
         while True:
-            den = Poly(self.field, [self.field.random_element(rng) for _ in range(den_deg + 1)])
+            den = Poly(self.field, [self.field.random_element(rng) for _ in range(deg + 1)])
             if not den.is_zero:
                 return RatFn(num, den)
 

@@ -291,11 +291,13 @@ def antider_primitive(a: int, b: int, c: int, w: int, x: RatFn,
 
 # -- residues of pairs of liftings --------------------------------------------
 
-def res_omega_pair(qtilde: WedgeK, qhat: WedgeK, ring: RatFnRing | None = None) -> FqElem:
-    """Residue at s = 0 of the form difference of two liftings congruent mod t^2.
+def res_omega_pair(qtilde: WedgeK, qhat: WedgeK, ring: RatFnRing) -> FqElem:
+    """Residue at s = 0 of the form difference of two liftings congruent mod t^2,
+    whose entries are unit truncations over ``ring``.
 
     Realizes both liftings in one coordinate; additive in chains of congruent
-    liftings.
+    liftings.  An entry that is not a truncation, such as a letter list, has
+    no class mod t^2 and raises ``TypeError`` naming it.
     """
     if len(qtilde.terms) != len(qhat.terms):
         raise NotCongruentModT2("liftings have different presentations")
@@ -303,19 +305,21 @@ def res_omega_pair(qtilde: WedgeK, qhat: WedgeK, ring: RatFnRing | None = None) 
         if k1 != k2:
             raise NotCongruentModT2("liftings have different coefficients")
         for u, v in zip(e1, e2):
+            for e in (u, v):
+                if not isinstance(e, Trunc):
+                    raise TypeError(f"a lifting entry must be a unit truncation, not {e!r}")
             if not u.congruent(v, 2):
                 raise NotCongruentModT2("entries differ modulo t^2")
     return res_omega_difference(qtilde, qhat, ring)
 
 
-def res_omega_difference(w1: WedgeK, w2: WedgeK, ring: RatFnRing | None = None) -> FqElem:
-    """Residue at s = 0 of omega_p(w1) - omega_p(w2), over rational functions.
+def res_omega_difference(w1: WedgeK, w2: WedgeK, ring: RatFnRing) -> FqElem:
+    """Residue at s = 0 of omega_p(w1) - omega_p(w2), over the rational
+    functions ``ring``; entries are unit truncations or letter lists.
 
     Only germs at s = 0 matter: each rational coefficient or letter payload is
     expanded there once, and the form is computed on those germs.
     """
-    if ring is None:
-        ring = _entry_ring(w1 if w1.terms else w2)
 
     def residue(germ):
         a, b = (w.map_entries(lambda e: _germ_entry(germ, e)) for w in (w1, w2))

@@ -193,7 +193,7 @@ def _residue_value(inp: RegulatorInput, lift: _Lift, idx: int, kprime: Fq,
     point's residue field."""
     goods = [GoodElem(fn.exponent_of(idx), _value_at_point(inp, lift, which, idx, kprime, zhat))
              for which, fn in enumerate(inp.functions())]
-    return functional(res_good(goods, lambda u: u), ring=kprime)
+    return functional(res_good(goods), ring=kprime)
 
 
 def _residue_value_infinity(inp: RegulatorInput, lift: _Lift,
@@ -205,8 +205,7 @@ def _residue_value_infinity(inp: RegulatorInput, lift: _Lift,
     """
     goods = [GoodElem(-inp.degree_of(fn), lift.units[which])
              for which, fn in enumerate(inp.functions())]
-    res = res_good(goods, lambda u: u)
-    return functional(res, ring=inp.field)
+    return functional(res_good(goods), ring=inp.field)
 
 
 def regulate(inp: RegulatorInput, lift_seed: int | None = 0, deep: bool = True):

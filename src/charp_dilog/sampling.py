@@ -38,36 +38,33 @@ def rand_ratfn(ring: RatFnRing, rng, deg: int = 2, nonzero: bool = False,
                pole_at_zero: bool = False) -> RatFn:
     """A random rational function; optionally force s into the denominator."""
     while True:
-        r = ring.random_element(rng, deg, deg)
+        r = ring.random_element(rng, deg)
         if pole_at_zero:
             r = r / ring.gen
         if not nonzero or not r.is_zero:
             return r
 
 
-def rand_regular_unit_ratfn(ring: RatFnRing, rng, deg: int = 2) -> RatFn:
-    """A random rational function with neither zero nor pole at s = 0."""
+def rand_regular_unit_ratfn(ring: RatFnRing, rng) -> RatFn:
+    """A random ratio of degree-1 polynomials with neither zero nor pole at s = 0."""
     field = ring.field
     while True:
-        num = Poly(field, [rand_nonzero(field, rng)] +
-                   [field.random_element(rng) for _ in range(deg)])
-        den = Poly(field, [rand_nonzero(field, rng)] +
-                   [field.random_element(rng) for _ in range(deg)])
+        num = Poly(field, [rand_nonzero(field, rng), field.random_element(rng)])
+        den = Poly(field, [rand_nonzero(field, rng), field.random_element(rng)])
         r = RatFn(num, den)
         if not r.is_zero:
             return r
 
 
-def rand_flat_pair(ring, m: int, rng) -> tuple[Trunc, Trunc]:
-    """Admissible (x, y) for the five-term relation over a field coefficient ring."""
+def rand_flat_pair(ring, rng) -> tuple[Trunc, Trunc]:
+    """Admissible (x, y) in R[t]/(t^2) for the five-term relation over a field R."""
     while True:
         x0 = ring.random_element(rng)
         y0 = ring.random_element(rng)
         if x0.is_zero or y0.is_zero or x0 == ring.one or y0 == ring.one or x0 == y0:
             continue
-        x = Trunc(ring, m, [x0] + [ring.random_element(rng) for _ in range(m - 1)])
-        y = Trunc(ring, m, [y0] + [ring.random_element(rng) for _ in range(m - 1)])
-        return x, y
+        return (Trunc(ring, 2, [x0, ring.random_element(rng)]),
+                Trunc(ring, 2, [y0, ring.random_element(rng)]))
 
 
 def rand_theorem1_triple(field: Fq, rng) -> tuple[Trunc, Trunc, Trunc]:
@@ -134,7 +131,7 @@ def rand_good_lifting_pair(ring: RatFnRing, rng):
         return [RatFn(Poly(field, [field.random_element(rng) for _ in range(2)]))
                 for _ in range(count)]
     # u in k[[s,t]]^x ; x_w in k for w >= 2
-    u_coeffs = [rand_regular_unit_ratfn(ring, rng, deg=1), *linear(p - 1)]
+    u_coeffs = [rand_regular_unit_ratfn(ring, rng), *linear(p - 1)]
     u = Trunc(ring, p, u_coeffs)
     s_tilde_coeffs = [u_coeffs[0] * s]
     for w in range(1, p):
@@ -146,7 +143,7 @@ def rand_good_lifting_pair(ring: RatFnRing, rng):
     qhat, qtilde = [], []
     for _ in range(3):
         n = rng.randrange(-2, 3)
-        uhat = Trunc(ring, p, [rand_regular_unit_ratfn(ring, rng, deg=1), *linear(p - 1)])
+        uhat = Trunc(ring, p, [rand_regular_unit_ratfn(ring, rng), *linear(p - 1)])
         # v = uhat * u^{-n} + t^2 * (regular tail) keeps v * s'^n = uhat * s^n mod t^2
         tail = Trunc(ring, p, [ring.zero, ring.zero, *linear(p - 2)])
         v = uhat * (u if n < 0 else u_inv) ** abs(n) + tail

@@ -79,13 +79,13 @@ def _fields_for(p: int) -> list[Fq]:
     return [base, quadratic_extension(base)]
 
 
-def run_five_term(p: int, trials: int = 500, seed: int = 0) -> SuiteResult:
+def run_five_term(p: int, trials: int, seed: int) -> SuiteResult:
     """Both dilogarithms vanish exactly on five-term combinations."""
     result = SuiteResult("five-term", p, trials, seed)
     for fi, field in enumerate(_fields_for(p)):
         for trial in range(trials):
             rng = spawn(seed, "five-term", p, fi, trial)
-            x, y = rand_flat_pair(field, 2, rng)
+            x, y = rand_flat_pair(field, rng)
             sym = bloch.five_term(x, y)
             result.record(bloch.li2(sym).is_zero, "li2-five-term", x=x, y=y)
             result.record(bloch.li2p(sym).is_zero, "li2p-five-term", x=x, y=y)
@@ -120,7 +120,7 @@ def _exactness_check(ring: RatFnRing, a: int, b: int, c: int, w: int, rng, resul
         result.record(is_exact_form(lhs), "exactness-cartier", tuple=(a, b, c, w))
 
 
-def run_exactness(p: int, trials: int = 20, seed: int = 0) -> SuiteResult:
+def run_exactness(p: int, trials: int, seed: int) -> SuiteResult:
     """The reparametrization defect matches the differential of its primitive.
 
     Exhaustive over admissible (a, b, c, w) at p = 5 with `trials` draws each;
@@ -156,7 +156,7 @@ def run_exactness(p: int, trials: int = 20, seed: int = 0) -> SuiteResult:
     return result
 
 
-def run_invariance(p: int, trials: int = 100, seed: int = 0) -> SuiteResult:
+def run_invariance(p: int, trials: int, seed: int) -> SuiteResult:
     """Residues at s = 0 are unchanged by general reparametrizations."""
     result = SuiteResult("invariance", p, trials, seed)
     ring = RatFnRing(Fq(p))
@@ -186,7 +186,7 @@ def _remark_counterexample(p: int, result: SuiteResult) -> None:
     result.record(v3.is_zero, "counterexample-form-residue", value=v3)
 
 
-def run_residue_formula(p: int, trials: int = 100, seed: int = 0) -> SuiteResult:
+def run_residue_formula(p: int, trials: int, seed: int) -> SuiteResult:
     """The residue pairing against the functional difference, the displayed
     counterexample values, and the global residue theorem."""
     result = SuiteResult("residue-formula", p, trials, seed)
@@ -212,7 +212,7 @@ def run_residue_formula(p: int, trials: int = 100, seed: int = 0) -> SuiteResult
     return result
 
 
-def run_theorem1(p: int, trials: int = 200, seed: int = 0) -> SuiteResult:
+def run_theorem1(p: int, trials: int, seed: int) -> SuiteResult:
     """The deep regulator on linear-factor inputs equals the closed form,
     over the prime field, over its quadratic extension, and on quadratic-point
     configurations with a genuine trace."""
@@ -289,7 +289,7 @@ def _descend_to(base: Fq):
     return down
 
 
-def run_modulus(p: int, trials: int = 50, seed: int = 0) -> SuiteResult:
+def run_modulus(p: int, trials: int, seed: int) -> SuiteResult:
     """Cycles congruent mod t^2 share both invariants; order-t perturbations
     (congruent mod t only) disagree somewhere in the batch, so the test has power.
     A batch of fewer than 8 trials tries more controls on fresh graphs, until
@@ -348,7 +348,7 @@ def _perturb_cycle(cyc, order: int, rng):
     return cycles.make_cycle(field, coords)
 
 
-def run_cross_module(p: int, trials: int = 100, seed: int = 0) -> SuiteResult:
+def run_cross_module(p: int, trials: int, seed: int) -> SuiteResult:
     """The cycle invariant of a graph equals the regulator up to one global sign,
     pinned on a configuration whose value reduces to closed forms."""
     result = SuiteResult("cross-module", p, trials, seed)

@@ -344,14 +344,14 @@ def unit_recompose(d: UnitDecomp) -> Trunc:
 
 # -- polynomials in z over R[t]/(t^m) (lists, low first) ---------------------
 
-def rp_mul(a: Sequence, b: Sequence, zero) -> list:
-    """The product of two polynomials in z with Trunc coefficients like ``zero``:
+def rp_mul(a: Sequence, b: Sequence) -> list:
+    """The product of two polynomials in z with Trunc coefficients like ``a[0]``:
     z -> t^w, w = 2m - 1, gives each coefficient a block of one ``_raw_mul_low``."""
     if not a or not b:
         return []
-    ring, m, size = zero.ring, zero.m, len(a) + len(b) - 1
+    ring, m, size = a[0].ring, a[0].m, len(a) + len(b) - 1
     w, pad = 2 * m - 1, [ring._raw_from_int(0)] * (m - 1)
-    fa, fb = ([c for x in xs for c in [*zero._check(x).raws, *pad]] for xs in (a, b))
+    fa, fb = ([c for x in xs for c in [*a[0]._check(x).raws, *pad]] for xs in (a, b))
     flat = ring._raw_mul_low(fa, fb, size * w)
     return [Trunc._of(ring, m, flat[k * w:k * w + m]) for k in range(size)]
 

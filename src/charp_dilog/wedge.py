@@ -76,10 +76,8 @@ def _wedge_sum(terms, ring, value: Callable):
 
 
 def _logs(w: WedgeK) -> Callable:
-    """The log_circ raws of a unit of w; over more than one term, those of each
-    distinct unit are taken once, by id, for one functional call."""
-    if len(w.terms) < 2:
-        return lambda u: log_circ(u).raws
+    """The log_circ raws of a unit of w: those of each distinct unit, by id,
+    are taken once, in a memo that lives for one functional call."""
     units = {id(u): u for _, entries in w.terms for u in entries}
     memo = {key: log_circ(u).raws for key, u in units.items()}
     return lambda u: memo[id(u)]
@@ -165,31 +163,23 @@ def goodness_split(f: Trunc, s_tilde: Trunc) -> GoodElem:
     return GoodElem(n, u)
 
 
-def res_good(goods: Sequence[GoodElem], reduce_fn: Callable) -> WedgeK:
+def res_good(goods: Sequence[GoodElem]) -> WedgeK:
     """The residue of a triple of good elements, as a wedge over the residue ring.
 
-    For f = u s^a, g = v s^b, h = w s^c the value is
-    a*(v~ ^ w~) - b*(u~ ^ w~) + c*(u~ ^ v~), where ~ is the reduction at the
-    lifted point supplied by ``reduce_fn``; the convention is pinned by the
-    projective-line computation in the acceptance suite.
+    For f = u s^a, g = v s^b, h = w s^c, units already reduced at the lifted
+    point, the value is a*(v ^ w) - b*(u ^ w) + c*(u ^ v); the convention is
+    pinned by the projective-line computation in the acceptance suite.
     """
     if len(goods) != 3:
         raise ValueError("res_good takes a triple")
-    a, b, c = (g.n for g in goods)
-    reduced = [None, None, None]
-
-    def red(i: int):
-        if reduced[i] is None:
-            reduced[i] = reduce_fn(goods[i].u)
-        return reduced[i]
-
+    (a, u), (b, v), (c, w) = ((g.n, g.u) for g in goods)
     terms = []
     if a != 0:
-        terms.append((a, (red(1), red(2))))
+        terms.append((a, (v, w)))
     if b != 0:
-        terms.append((-b, (red(0), red(2))))
+        terms.append((-b, (u, w)))
     if c != 0:
-        terms.append((c, (red(0), red(1))))
+        terms.append((c, (u, v)))
     return WedgeK(tuple(terms))
 
 
@@ -220,7 +210,8 @@ def reduce_at(u: Trunc, root: Trunc) -> Trunc:
 def res_local(triple: Sequence[Trunc], s_tilde: Trunc) -> WedgeK:
     """Residue of a wedge of three s_tilde-good local elements at the point;
     entries and uniformizer have rational coefficients, and the exponents n
-    that set the starting precision are exact from any expansion."""
+    that set the starting precision are exact from any expansion.  Each split
+    unit is reduced at the root by :func:`reduce_at` before :func:`res_good`."""
     _check_uniformizer(s_tilde)
     field = s_tilde.ring.field
     shift = max((abs(expand_at(f.c0, field.zero, 0).val) for f in triple
@@ -230,5 +221,5 @@ def res_local(triple: Sequence[Trunc], s_tilde: Trunc) -> WedgeK:
         unif = germ(s_tilde)
         root = local_point(unif)
         goods = [goodness_split(germ(f), unif) for f in triple]
-        return res_good(goods, lambda u: reduce_at(u, root))
+        return res_good([GoodElem(g.n, reduce_at(g.u, root)) for g in goods])
     return germs_at_zero(field, s_tilde.m + shift, residue)

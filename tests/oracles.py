@@ -196,7 +196,7 @@ def res_local_global(triple, s_tilde):
     root of the uniformizer, found by substitution too."""
     root = local_point_oracle(s_tilde)
     goods = [goodness_split_global(f, s_tilde) for f in triple]
-    return res_good(goods, lambda u: substitute(u.coeffs, root))
+    return res_good([GoodElem(g.n, substitute(g.u.coeffs, root)) for g in goods])
 
 
 def local_point_oracle(s_tilde):

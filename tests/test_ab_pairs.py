@@ -47,13 +47,15 @@ def test_report_counts_failed_ops_and_rejects_empty_output():
     lines = ab.report([("exactness", 17, results)], [("op_ms_p90", "lower")])
     assert lines[0] == "exactness seed=17: 1 pairs, failed ops 0 -> 2"
     assert "parent IQR 0 " in lines[1] and "change better in 0/1" in lines[1]
+    assert lines[2] == "  FAILED MORE: share of failed ops 0 -> 0.02"
     with pytest.raises(ValueError):
         ab.parse_result("\n")
 
 
 def _run(ops, rss):
-    return {"failed": 0, "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
-                                     "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    return {"attempted": 100, "failed": 0,
+            "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
 
 
 def test_report_marks_a_metric_worse_than_its_bound():
@@ -128,3 +130,20 @@ def test_report_marks_a_metric_the_spread_leaves_unresolved():
     assert ab.unresolved([16.0, 18.0, 20.0, 22.0, 24.0], [15.0, 16.0], "lower", 4.0, 0.1) is True
     # an IQR within the bound is resolved whatever the runs
     assert ab.unresolved([19.0, 20.0, 21.0], [10.0] * 3, "higher", 2.0, 0.1) is False
+
+
+def test_report_marks_a_larger_share_of_failed_ops():
+    # the share is failed over attempted ops, summed over a side's runs: more
+    # failed ops out of more attempted ones is not a larger share
+    ab = _load_ab_pairs()
+
+    def lines(parent, change):
+        results = {side: [dict(_run(10.0, 25.0), attempted=a, failed=f) for a, f in runs]
+                   for side, runs in (("parent", parent), ("change", change))}
+        return ab.report([("cycle-modulus", 0, results)], [("ops_per_s", "higher", 0.2)])
+
+    assert len(lines([(100, 0)] * 3, [(100, 0)] * 3)) == 2
+    assert lines([(100, 1)], [(300, 2)])[0].endswith("failed ops 1 -> 2")
+    assert len(lines([(100, 1)], [(300, 2)])) == 2
+    assert lines([(100, 1), (100, 0)], [(100, 1), (50, 0)])[-1] == \
+        "  FAILED MORE: share of failed ops 0.005 -> 0.00667"

@@ -110,7 +110,7 @@ def test_criterion_7_factorization_through_delta():
         field = Fq(p)
         for trial in range(200):
             rng = spawn(29, "delta-routes", p, trial)
-            x, _ = rand_flat_pair(field, 2, rng)
+            x, _ = rand_flat_pair(field, rng)
             sym = bloch.symbol(x)
             v2 = bloch.li2(sym)
             vp = bloch.li2p(sym)

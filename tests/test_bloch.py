@@ -82,7 +82,7 @@ def test_five_term_guards(F5):
 def test_five_term_arguments_flat(F7):
     rng = spawn(0, "ft-flat")
     for _ in range(100):
-        x, y = rand_flat_pair(F7, 2, rng)
+        x, y = rand_flat_pair(F7, rng)
         sym = five_term(x, y)
         assert len(sym.terms) == 5
         assert [k for k, _ in sym.terms] == [1, -1, 1, -1, 1]
@@ -120,7 +120,7 @@ def test_closed_forms_match_lift_routes(p):
     field = Fq(p)
     rng = spawn(1, "dual", p)
     for trial in range(60):
-        x, _ = rand_flat_pair(field, 2, rng)
+        x, _ = rand_flat_pair(field, rng)
         b = symbol(x)
         assert li2(b) == li2_via_lift(b, seed=trial)
         assert li2p(b) == li2p_via_lift(b, seed=trial)
@@ -128,7 +128,7 @@ def test_closed_forms_match_lift_routes(p):
 
 def test_lift_route_is_lift_independent(F5):
     rng = spawn(2, "lift-indep")
-    x, _ = rand_flat_pair(F5, 2, rng)
+    x, _ = rand_flat_pair(F5, rng)
     b = symbol(x)
     values2 = {li2_via_lift(b, seed=s).raw for s in range(5)}
     valuesp = {li2p_via_lift(b, seed=s).raw for s in range(5)}
@@ -144,7 +144,7 @@ def test_li2p_equals_ell_p_delta_of_flat_lift(F5):
 
 def test_dilogarithms_additive(F5):
     rng = spawn(3, "add")
-    x, y = rand_flat_pair(F5, 2, rng)
+    x, y = rand_flat_pair(F5, rng)
     s = symbol(x) + symbol(y)
     assert li2(s) == li2(symbol(x)) + li2(symbol(y))
     assert li2p(s) == li2p(symbol(x)) + li2p(symbol(y))
@@ -156,7 +156,7 @@ def test_scaling_law_on_generators(F5):
     rng = spawn(4, "scale")
     p = 5
     for _ in range(40):
-        x, _ = rand_flat_pair(F5, 2, rng)
+        x, _ = rand_flat_pair(F5, rng)
         for lam_raw in range(1, p):
             lam = F5(lam_raw)
             scaled = Trunc(F5, 2, [x.coeffs[0], x.coeffs[1] * lam])

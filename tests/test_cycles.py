@@ -39,7 +39,7 @@ def test_double_root_rejected(F5):
     p = 5
     one = Trunc.one(F5, p)
     z = [Trunc.zero(F5, p), one]
-    sq = rp_mul(z, z, Trunc.zero(F5, p))  # y1 = z^2: double root at the zero face
+    sq = rp_mul(z, z)  # y1 = z^2: double root at the zero face
     cyc = make_cycle(F5, [(sq, [one]), const_coord(F5, p, 2), const_coord(F5, p, 3)])
     report = admissibility_check(cyc)
     assert not report.ok

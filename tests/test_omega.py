@@ -472,6 +472,19 @@ def test_res_omega_pair_trivial_and_guard(R5):
         res_omega_pair(wedge(*bumped), wedge(*qh), R5)
 
 
+def test_res_omega_pair_rejects_letter_list_entries(R5):
+    # a letter list has no class mod t^2: the pairing names it in a TypeError,
+    # while the form difference itself accepts the same wedge
+    s = R5.gen
+    w = wedge([Letter(1, s)], [Letter(2, s + 1)], [Letter(2, s * s + 2)])
+    assert omega.res_omega_difference(w, w, R5).is_zero
+    with pytest.raises(TypeError, match=r"Letter\(a=1"):
+        res_omega_pair(w, w, R5)
+    unit = Trunc.one(R5, 5)
+    with pytest.raises(TypeError, match=r"Letter\(a=2"):
+        res_omega_pair(wedge(unit, unit, unit), wedge(unit, unit, [Letter(2, s)]), R5)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_germ_route_matches_the_global_form(p):
     # the residue from germs at s = 0 equals the residue of the global rational

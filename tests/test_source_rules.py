@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import charp_dilog
@@ -392,3 +393,29 @@ def test_tracer_bindings_exist():
         if not callable(getattr(module, attr, None)):
             missing.append(f"{mod_name}.{attr}")
     assert not missing, f"tracer bindings missing from the library: {missing}"
+
+
+def test_every_submodule_name_is_its_module():
+    # a package-level name that shadows a submodule (the function wedge over
+    # charp_dilog.wedge) makes `import charp_dilog.X as m` bind that name, so a
+    # spy set through it patches nothing
+    names = sorted(p.stem for p in Path(charp_dilog.__file__).parent.glob("*.py")
+                   if p.stem != "__init__")
+    wrong = []
+    for name in names:
+        module = importlib.import_module(f"charp_dilog.{name}")
+        scope = {}
+        exec(f"import charp_dilog.{name} as m", scope)
+        if getattr(charp_dilog, name) is not module or scope["m"] is not module:
+            wrong.append(name)
+    assert not wrong, f"package names that are not their submodules: {wrong}"
+
+
+def test_suite_runners_declare_no_defaults():
+    # the default trial counts live in suites.SUITES alone; every caller of a
+    # suite's run_* function passes its trials and its seed
+    from charp_dilog.suites import SUITES
+    found = [fn.__name__ for fn, _ in SUITES.values()
+             if any(param.default is not inspect.Parameter.empty
+                    for param in inspect.signature(fn).parameters.values())]
+    assert len(SUITES) == 7 and not found, f"suite runners with defaults: {found}"

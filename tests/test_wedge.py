@@ -206,8 +206,7 @@ def test_goodness_split_zpoly_example(F5):
     s_tilde = [-gamma, one]
     v = [Trunc(F5, m, [1, 3]), one]  # z + (1 + 3t)
     from charp_dilog.tpoly import rp_mul
-    zero = Trunc.zero(F5, m)
-    f = rp_mul(rp_mul(s_tilde, s_tilde, zero), v, zero)
+    f = rp_mul(rp_mul(s_tilde, s_tilde), v)
     g = goodness_split_zpoly(f, s_tilde)
     assert g.n == 2
     assert g.u == v
@@ -239,7 +238,7 @@ def test_local_point_matches_substitution_newton(p):
     for k in range(6):
         _, _, s_tilde, s_hat = rand_good_lifting_pair(ring, rng)
         # a unit multiple whose coefficients have distinct denominators
-        w = Trunc(ring, p, [rand_regular_unit_ratfn(ring, rng, deg=1) for _ in range(p)])
+        w = Trunc(ring, p, [rand_regular_unit_ratfn(ring, rng) for _ in range(p)])
         moved = _moved(s_tilde, p, "local-point", k)
         for unif in (s_tilde, s_hat, w * s_tilde, moved):
             root = _root_at_zero(unif)
@@ -316,7 +315,34 @@ def test_good_lifting_pair_values_and_inverses(monkeypatch, p):
 
 def test_res_good_drops_double_units(R5, F5):
     goods = [GoodElem(0, "u1"), GoodElem(0, "u2"), GoodElem(0, "u3")]
-    assert res_good(goods, lambda u: u).terms == ()
+    assert res_good(goods).terms == ()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_res_local_reduces_each_split_unit_once(monkeypatch, p):
+    # res_local reduces all three split units before res_good, also one whose
+    # two partner exponents are 0, which no term of the residue reads: a draw
+    # that needs no doubling makes one local_point and three reduce_at calls
+    ring = RatFnRing(Fq(p))
+    rng = spawn(29, "reduce-each-unit", p)
+    module = sys.modules["charp_dilog.wedge"]
+    calls = []
+    for name in ("local_point", "reduce_at"):
+        monkeypatch.setattr(module, name, lambda *args, fn=getattr(module, name), name=name:
+                            calls.append(name) or fn(*args))
+    single = unread = 0
+    for _ in range(12):
+        qt, qh, s_tilde, s_hat = rand_good_lifting_pair(ring, rng)
+        # qhat = uhat * s^n with uhat(0) a unit at s = 0, and qtilde shares the n
+        ns = [e.c0.ord_at(ring.field.zero) for e in qh]
+        for triple, unif in ((qt, s_tilde), (qh, s_hat)):
+            calls.clear()
+            res_local(triple, unif)
+            if calls.count("local_point") == 1:
+                assert calls.count("reduce_at") == 3
+                single += 1
+                unread += ns.count(0) == 2
+    assert single and unread
 
 
 def test_res_local_projective_line_computation(R5, F5):
@@ -368,13 +394,13 @@ def test_res_local_uniformizer_independence(R5, F5):
     s = R5.gen
     for _ in range(20):
         s_tilde = Trunc(R5, p, [s] + [RatFn.const(F5.random_element(rng)) for _ in range(p - 1)])
-        w = Trunc(R5, p, [rand_regular_unit_ratfn(R5, rng, deg=1)] +
+        w = Trunc(R5, p, [rand_regular_unit_ratfn(R5, rng)] +
                   [RatFn.const(F5.random_element(rng)) for _ in range(p - 1)])
         s_other = w * s_tilde
         triple = []
         for _ in range(3):
             n = rng.randrange(-1, 2)
-            u = Trunc(R5, p, [rand_regular_unit_ratfn(R5, rng, deg=1)] +
+            u = Trunc(R5, p, [rand_regular_unit_ratfn(R5, rng)] +
                       [RatFn.const(F5.random_element(rng)) for _ in range(p - 1)])
             triple.append(u * s_tilde ** n)
         v1 = ell_p(res_local(triple, s_tilde), ring=F5)
@@ -423,7 +449,7 @@ def test_split_and_reduction_double_from_a_short_start(monkeypatch, p):
             unif = germ(s_tilde)
             root = local_point(unif)
             goods = [goodness_split(germ(f), unif) for f in qt]
-            return res_good(goods, lambda u: reduce_at(u, root))
+            return res_good([GoodElem(g.n, reduce_at(g.u, root)) for g in goods])
 
         orders.clear()
         res = germs_at_zero(ring.field, 2, residue)
