@@ -11,10 +11,10 @@ depth-one mismatch.  Run with --p 5 or --p 7.
 import argparse
 
 from charp_dilog.gf import Fq
-from charp_dilog.localfield import RatFnRing, residue_at
-from charp_dilog.omega import omega_p
+from charp_dilog.localfield import RatFnRing
+from charp_dilog.omega import res_omega_difference
 from charp_dilog.tpoly import Trunc
-from charp_dilog.wedge import WedgeK, ell_p, res_local
+from charp_dilog.wedge import ell_p, res_local, wedge
 
 
 def main() -> int:
@@ -34,8 +34,7 @@ def main() -> int:
 
     v_moved = ell_p(res_local([moved, a, b], moved), ring=field)
     v_plain = ell_p(res_local([plain, a, b], plain), ring=field)
-    form = omega_p(WedgeK(((1, (moved, a, b)), (-1, (plain, a, b)))), ring)
-    res_form = residue_at(form, field.zero)
+    res_form = res_omega_difference(wedge(moved, a, b), wedge(plain, a, b), ring)
 
     print(f"p = {p}")
     print(f"  deep value at the moved uniformizer : {v_moved}")

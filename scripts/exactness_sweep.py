@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Exhaustive reparametrization-exactness sweep with timing.
+"""Reparametrization-exactness sweep with timing.
 
-Runs the full (a, b, c, w) sweep at the given prime (every admissible tuple
-with 0 < q < p), a configurable number of random rational draws per tuple,
-and prints the per-tuple check counts and total wall time.
+At p = 5 it runs the full (a, b, c, w) sweep (every admissible tuple with
+0 < q < p) with --draws random rational draws per tuple; at any other prime
+it checks --draws random (tuple, draw) samples.  It prints the check count
+and the total wall time.
 
 Usage: python3 scripts/exactness_sweep.py [--p 5] [--draws 20] [--seed 0]
 """

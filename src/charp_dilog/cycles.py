@@ -279,7 +279,7 @@ def _normalized(coord: Coordinate, i: int) -> tuple[list, list]:
     return [c * inv for c in coord.num], [c * inv for c in coord.den]
 
 
-def graph_cycle(inp, lift_seed: int = 0) -> ParamCycle:
+def graph_cycle(inp, lift_seed: int) -> ParamCycle:
     """The parametrized graph of a regulator input's three functions.
 
     Uses the same seeded depth-p lift as the deep regulator, so the cycle

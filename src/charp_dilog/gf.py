@@ -153,8 +153,9 @@ class Fq:
 
     ``modulus`` is a monic irreducible polynomial over the base field, given
     as a coefficient sequence (constant term first, leading 1 last); the
-    Rabin test rejects a reducible one, unless :func:`residue_field` passes
-    ``_irreducible`` for a modulus its caller already knows is irreducible.
+    distinct-degree test of :func:`is_irreducible` rejects a reducible one,
+    unless :func:`residue_field` passes ``_irreducible`` for a modulus its
+    caller already knows is irreducible.
     Fields compare by value, so two independently constructed copies of the
     same field are interchangeable.
     """
@@ -190,7 +191,7 @@ class Fq:
             self.degree = len(raw) - 1
             self.degree_abs = self.degree * base.degree_abs
             self.order = base.order ** self.degree
-            if not _irreducible and not _modulus_is_irreducible(base, raw):
+            if not _irreducible and not is_irreducible(Poly._from_raw(base, list(raw))):
                 raise ValueError("extension modulus is not irreducible")
         self._zero = FqElem(self, self._raw_from_int(0))
         self._one = FqElem(self, self._raw_from_int(1))
@@ -516,11 +517,6 @@ def _rreduce(field: Fq, rem: list, b: Sequence, quot: list | None = None) -> lis
     while rem and rem[-1] == zero:
         rem.pop()
     return rem
-
-
-def _modulus_is_irreducible(base: Fq, modulus: tuple) -> bool:
-    poly = Poly(base, [FqElem(base, c) for c in modulus])
-    return is_irreducible(poly)
 
 
 class FqElem:
@@ -851,36 +847,12 @@ def poly_powmod(base: Poly, n: int, mod: Poly) -> Poly:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test over F_q."""
-    d = f.degree
-    if d <= 0:
-        return False
-    if d == 1:
+    """Whether f is irreducible over F_q: degree 1, or a distinct-degree split
+    that is the one entry (f, deg f)."""
+    if f.degree == 1:
         return True
-    q = f.field.order
-    x = Poly.x(f.field)
-    xq = poly_powmod(x, q ** d, f)
-    if xq != x % f:
-        return False
-    for r in _prime_divisors(d):
-        h = poly_powmod(x, q ** (d // r), f) - x
-        if f.gcd(h).degree != 0:
-            return False
-    return True
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    split = _distinct_degree(f)
+    return len(split) == 1 and split[0][1] == f.degree
 
 
 def _pth_root_poly(f: Poly) -> Poly:
@@ -896,7 +868,10 @@ def _pth_root_poly(f: Poly) -> Poly:
 
 
 def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:
-    """Split a squarefree monic f into products of irreducibles of one degree."""
+    """Split a squarefree monic f into products of irreducibles of one degree:
+    step d divides out gcd(f, x^(q^d) - x) while 2d is at most the degree left.
+    Any f of degree n > 1 is irreducible iff the split is the one entry (f, n)
+    (Ben-Or's test): a least factor degree k <= n/2 makes the first entry (g, k)."""
     field = f.field
     q = field.order
     out = []
@@ -1012,7 +987,8 @@ def residue_field(pi: Poly) -> tuple[Fq, FqElem]:
     factor from :func:`factor_squarefree_irreducibles` is irreducible by
     construction, a ``LiftedPoint`` tests its reduction when it is built, and
     ``localfield.residue_at`` tests the polynomial it is given.  This is the
-    only caller of the extension constructor that skips the Rabin test.
+    only caller of the extension constructor that skips the distinct-degree
+    test.
     """
     field = pi.field
     if pi.degree == 1:

@@ -168,6 +168,8 @@ def sigma_letters(x: RatFn, w: int, letters: Sequence[Letter], p: int) -> list[L
     """The closed-form image of a letter list under s -> s + x t^w."""
     if w < 1:
         raise ValueError(f"the weight w = {w} must be positive")
+    if p != x.field.p:
+        raise ValueError(f"p = {p} is not the characteristic of {x.field}")
     inv_fact = inv_factorials(p)
     out: list[Letter] = []
     for letter in letters:

@@ -136,7 +136,6 @@ class RegulatorInput:
 class _Lift:
     """A seeded coefficientwise lift of the table and units to depth m."""
 
-    m: int
     points: list
     units: list
 
@@ -157,7 +156,7 @@ def _lift_input(inp: RegulatorInput, m: int, seed: int | None) -> _Lift:
             continue
         points.append([lift(c) for c in pt.poly[:-1]] + [one])
     units = [lift(fn.unit) for fn in inp.functions()]
-    return _Lift(m, points, units)
+    return _Lift(points, units)
 
 
 def _point_field_and_root(inp: RegulatorInput, lift: _Lift, idx: int):

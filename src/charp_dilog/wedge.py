@@ -84,9 +84,11 @@ def _logs(w: WedgeK) -> Callable:
 
 
 def _ell_pair(a: Trunc, b: Trunc, logs):
-    if a.m < 3:
+    if a.m < 3 or b.m < 3:
         raise ModulusTooSmall("ell needs modulus m >= 3")
     r = a.ring
+    if b.ring != r:
+        raise ModulusMismatch("ell pairs units of one coefficient ring")
     la, lb = logs(a), logs(b)
     # l_2(a) l_1(b) - l_2(b) l_1(a) as one dot product of raw log coefficients
     return r._wrap([r._raw_dot((la[2], r._raw_neg(lb[2])), (lb[1], la[1]))])[0]
@@ -98,8 +100,8 @@ def _ell_p_pair(a: Trunc, b: Trunc, logs):
     # sum_i i l_{p-i}(a) l_i(b): one dot product of raw log coefficients
     r = a.ring
     p = r.characteristic
-    if a.m != p:
-        raise ModulusMismatch("ell_p needs modulus m = p")
+    if a.m != p or b.m != p or b.ring != r:
+        raise ModulusMismatch("ell_p pairs units of one coefficient ring with modulus m = p")
     la, lb = logs(a), logs(b)
     mul, from_int = r._raw_mul, r._raw_from_int
     weighted = [mul(from_int(i), la[p - i]) for i in range(1, p)]
@@ -203,7 +205,10 @@ def local_point(unif: Trunc) -> Trunc:
 def reduce_at(u: Trunc, root: Trunc) -> Trunc:
     """The reduction of a unit of germs at the point s = root(t), the
     identification of the point's function ring with F_q[t]/(t^m) that is the
-    identity mod (t): sum_k root^k sum_{j<m-k} [s^k]u_j t^j."""
+    identity mod (t): sum_k root^k sum_{j<m-k} [s^k]u_j t^j.  The root lies
+    over the germs' field with their modulus."""
+    if root.m != u.m or root.ring != u.ring.field:
+        raise ModulusMismatch("reduce_at needs a root over the germs' field with their modulus")
     return Trunc._of(root.ring, u.m, horner(root.ring, _rows(u), root.raws, u.m))
 
 

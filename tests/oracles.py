@@ -5,6 +5,8 @@ faster way, kept here so the fast route is always compared with it; beside
 them, a sampler that only the tests draw from.
 """
 
+import itertools
+
 from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius
 from charp_dilog.localfield import RatFn, residue_at
 from charp_dilog.omega import Letter, _derivative_ladder, letters_of_unit, omega_p
@@ -100,6 +102,23 @@ def ell_p_antisymmetric(a, b):
     for i in range(1, p):
         acc = acc + r.from_int(i) * (la[p - i - 1] * lb[i - 1] - lb[p - i - 1] * la[i - 1])
     return r.from_int((p + 1) // 2) * acc
+
+
+def is_irreducible_by_trial_division(f):
+    """Whether f is irreducible over its field, by trial division alone: f of
+    degree d >= 1 is irreducible iff no monic polynomial of degree 1 to d/2
+    divides it.  x - c divides f iff f(c) = 0, so degree 1 is a root search.
+    It takes no power and no gcd, and tries every candidate, so it suits
+    only small q^(d/2)."""
+    field = f.field
+    elems = list(field.elements())
+    if f.degree >= 2 and any(f.evaluate(c).is_zero for c in elems):
+        return False
+    for k in range(2, f.degree // 2 + 1):
+        for tail in itertools.product(elems, repeat=k):
+            if (f % Poly(field, [*tail, field.one])).is_zero:
+                return False
+    return f.degree >= 1
 
 
 def trunc_horner(coeffs, x):

@@ -25,7 +25,7 @@ from charp_dilog.rng import spawn
 from charp_dilog.sampling import quadratic_extension, rand_nonzero
 from charp_dilog.tpoly import Trunc
 
-from oracles import schoolbook, tower_mul, trace_orbit
+from oracles import is_irreducible_by_trial_division, schoolbook, tower_mul, trace_orbit
 
 
 def test_prime_guard():
@@ -355,6 +355,27 @@ def test_packed_multiplication_matches_schoolbook(p):
 
 def _rand_poly(field, rng, degree):
     return Poly(field, [field.random_element(rng) for _ in range(degree)] + [field.one])
+
+
+def test_is_irreducible_matches_trial_division(F5, F7, F25):
+    # is_irreducible reads the distinct-degree split that factorization runs,
+    # so the factor tests no longer check one against the other; the oracle
+    # divides by every monic candidate and takes no power and no gcd
+    exhaustive = [Poly(field, [*tail, lead]) for field, top in ((F5, 4), (F7, 3))
+                  for d in range(top + 1) for lead in (1, 2)
+                  for tail in itertools.product(range(field.p), repeat=d)]
+    rng = spawn(30, "irreducible-oracle")
+    groups = [
+        exhaustive + [Poly(F5), Poly(F7)],
+        [_rand_poly(F5, rng, rng.randrange(5, 7)) for _ in range(300)],
+        [_rand_poly(F25, rng, rng.randrange(1, 4)) for _ in range(300)],
+        # degree 2 and 3 over the tower: trial division is a root search
+        [_rand_poly(_f625(F25), rng, rng.randrange(2, 4)) for _ in range(30)],
+    ]
+    for group in groups:
+        answers = [is_irreducible(f) for f in group]
+        assert answers == [is_irreducible_by_trial_division(f) for f in group]
+        assert True in answers and False in answers
 
 
 @pytest.mark.parametrize("name, max_deg",

@@ -178,6 +178,14 @@ def test_sigma_rejects_nonpositive_weight(R5):
             sigma_letters(R5.gen, w, [Letter(2, R5.gen)], 5)
 
 
+def test_sigma_rejects_a_p_that_is_not_the_characteristic(R5):
+    # at p = 7 over F_5 the ladder ran to exponent 6 with zero payloads
+    x = R5.gen + 1
+    with pytest.raises(ValueError, match="characteristic"):
+        sigma_letters(x, 1, [Letter(0, R5.gen)], 7)
+    assert [letter.a for letter in sigma_letters(x, 1, [Letter(0, R5.gen)], 5)] == [0, 1, 2, 3, 4]
+
+
 def test_sigma_on_coordinate_matches_displayed_formula(R5, F5):
     # sigma(s) = s * prod e(x^i (1/s)^(i-1) / i! t^(iw)) truncated
     x = RatFn.const(F5(2))

@@ -78,7 +78,8 @@ def test_euclid_runs_only_where_ratfn_takes_a_normal_form():
 
 def test_only_residue_field_skips_the_irreducibility_test():
     # gf.residue_field is the one caller of the extension constructor that
-    # skips the Rabin test; every other polynomial is tested where it enters
+    # skips the distinct-degree test; every other polynomial is tested where
+    # it enters
     inside, outside = [], []
     for tree in TREES:
         for path in sorted((ROOT / tree).rglob("*.py")):
@@ -92,6 +93,25 @@ def test_only_residue_field_skips_the_irreducibility_test():
                     (inside if node.lineno in home else outside).append(f"{path}:{node.lineno}")
     assert inside, "gf.residue_field no longer builds its extension unchecked"
     assert not outside, f"unchecked extensions built outside gf.residue_field: {outside}"
+
+
+def test_one_irreducibility_test():
+    # gf.is_irreducible reads the distinct-degree split that factorization
+    # runs (Ben-Or's test) and takes no power, gcd or loop of its own, so
+    # Rabin's test and its prime divisors of the degree are gone from src/
+    tree = ast.parse((Path(charp_dilog.__file__).parent / "gf.py").read_text())
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "is_irreducible")
+    called = {getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+              for call in ast.walk(body) if isinstance(call, ast.Call)}
+    assert "_distinct_degree" in called, called
+    assert not called & {"poly_powmod", "power", "gcd"}, called
+    assert not [node for node in ast.walk(body) if isinstance(node, (ast.For, ast.While))]
+    named = [f"{path.name}:{getattr(node, 'lineno', '?')}"
+             for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if "_prime_divisors" in {getattr(node, key, None) for key in ("id", "attr", "name")}]
+    assert not named, f"Rabin's prime divisors still named: {named}"
 
 
 def _callers_of(func: str) -> list[str]:

@@ -49,11 +49,41 @@ def test_ell_example(F5):
 def test_ell_needs_depth_three(F5):
     with pytest.raises(ModulusTooSmall):
         ell(wedge(Trunc(F5, 2, [1, 1]), Trunc(F5, 2, [1, 2])))
+    with pytest.raises(ModulusTooSmall):
+        ell(wedge(Trunc(F5, 3, [1, 1]), Trunc(F5, 2, [1, 2])))
 
 
 def test_ell_p_modulus_guard(F5):
     with pytest.raises(ModulusMismatch):
         ell_p(wedge(Trunc(F5, 3, [1, 1]), Trunc(F5, 3, [1, 2])))
+
+
+def test_functionals_reject_a_unit_of_another_ring_or_modulus(F5, F7):
+    # the logs of a mismatched unit were read as if they were a's: ell_p
+    # returned 1 beside an m = 3 unit, and 0 beside a unit over F_7
+    a = Trunc(F5, 5, [1, 2, 3, 4, 1])
+    for b in (Trunc(F5, 3, [1, 1, 2]), Trunc(F7, 5, [1, 2, 3, 4, 1])):
+        for w in (wedge(a, b), wedge(b, a)):
+            with pytest.raises(ModulusMismatch):
+                ell_p(w)
+    with pytest.raises(ModulusMismatch):
+        ell(wedge(a, Trunc(F7, 5, [1, 2, 3, 4, 1])))
+    # ell reads l_1 and l_2 alone, which any m >= 3 carries
+    assert ell(wedge(a, Trunc(F5, 3, [1, 1, 2]))) == ell(wedge(a, Trunc(F5, 5, [1, 1, 2])))
+
+
+def test_reduce_at_rejects_a_root_of_another_modulus_or_field(R5, F5, F7):
+    # an m = 3 root left the t^3 and t^4 coefficients of an m = 5 reduction wrong
+    s_tilde = Trunc(R5, 5, [R5.gen, -R5.one])
+    u = Trunc.constant(R5, 5, R5.one + R5.gen)
+
+    def reductions(germ):
+        unit, root = germ(u), local_point(germ(s_tilde))
+        for bad in (root.reduce_to(3), Trunc(F7, 5, [0, 1])):
+            with pytest.raises(ModulusMismatch):
+                reduce_at(unit, bad)
+        return reduce_at(unit, root)
+    assert germs_at_zero(F5, 5, reductions) == Trunc(F5, 5, [1, 1])
 
 
 @pytest.mark.parametrize("p", [5, 7])
