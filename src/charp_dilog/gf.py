@@ -4,8 +4,9 @@ Fields are value-like handles; elements carry their field and refuse to mix
 with elements of another field.  Extensions are built as towers over an
 arbitrary base field, which keeps relative traces and residue-field
 constructions straightforward.  Raw element data is an int for a prime field
-and a tuple of base-field raws for an extension; :class:`FqElem` is a thin
-wrapper over that data.
+and a tuple of base-field raws for an extension; :class:`FqElem` holds the
+field and that data, and its operators are those of :class:`RingElem`, the
+one element class over a ring's ``_raw_*`` kernel that Laurent germs share.
 
 Every field has one division with remainder, ``_rreduce``, behind divmod,
 gcd and the extension inverse: int lists with one ``% p`` per update over
@@ -213,12 +214,20 @@ class Fq:
     def from_int(self, n: int) -> "FqElem":
         return FqElem(self, self._raw_from_int(n))
 
-    # tpoly.Trunc stores the raws of its coefficients and computes with the
-    # ``_raw_*`` kernel; ``_raw_of`` unwraps an element (or an int) once, and
-    # ``_wrap`` turns raws back into elements at the API boundary.
+    # tpoly.Trunc and the element operators compute with the ``_raw_*`` kernel;
+    # ``_raw_of`` unwraps a Trunc coefficient, ``_operand`` the other operand of
+    # an element operator (see RingElem), and ``_wrap`` turns raws back into
+    # elements at the API boundary.
 
     def _raw_of(self, x):
         return self(x).raw
+
+    def _operand(self, x):
+        if isinstance(x, FqElem):
+            if x.ring is not self and x.ring != self:
+                raise CtxMismatch(f"mixing {self} and {x.ring}")
+            return x.raw
+        return self._raw_from_int(x) if isinstance(x, int) else NotImplemented
 
     _raw_mul_low = _rmul  # (a, b, n): the low n coefficients of a product
 
@@ -228,15 +237,11 @@ class Fq:
     # -- construction and coercion ----------------------------------------
 
     def __call__(self, x) -> "FqElem":
-        if isinstance(x, FqElem):
-            if x.field != self:
-                raise CtxMismatch(f"element of {x.field} used in {self}")
-            return x
-        if isinstance(x, int):
-            return self.from_int(x)
         if self.base is not None and isinstance(x, (tuple, list)):
             return self.from_coeffs(x)
-        raise TypeError(f"cannot coerce {x!r} into {self}")
+        if (raw := self._operand(x)) is NotImplemented:
+            raise TypeError(f"cannot coerce {x!r} into {self}")
+        return x if isinstance(x, FqElem) else FqElem(self, raw)
 
     def from_coeffs(self, coeffs: Sequence) -> "FqElem":
         """Build an extension element from base-field coefficients (low first)."""
@@ -390,13 +395,6 @@ class Fq:
         inv += [zero] * (self.degree - len(inv))
         return tuple(inv[: self.degree])
 
-    def _raw_pow(self, a, n: int):
-        if n < 0:
-            return self._raw_pow(self._raw_inv(a), -n)
-        if self.base is None:
-            return pow(a, n, self.p)
-        return power(a, n, self._raw_from_int(1), self._raw_mul)
-
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -519,82 +517,79 @@ def _rreduce(field: Fq, rem: list, b: Sequence, quot: list | None = None) -> lis
     return rem
 
 
-class FqElem:
-    """An element of an :class:`Fq`, carrying its field by value."""
+def _binary(kernel: str, swap: bool = False):
+    """The :class:`RingElem` operator that runs the ring's ``kernel`` on the
+    two raws, the other operand's first when ``swap``."""
+    def op(self, other):
+        if (b := self.ring._operand(other)) is NotImplemented:
+            return b
+        run = getattr(self.ring, kernel)
+        return type(self)(self.ring, run(b, self.raw) if swap else run(self.raw, b))
+    return op
 
-    __slots__ = ("field", "raw")
 
-    def __init__(self, field: Fq, raw):
-        self.field = field
+class RingElem:
+    """An element of a ring with a ``_raw_*`` kernel: the ring and one raw.
+
+    Every operator runs the ring's kernel.  The ring's ``_operand(x)`` gives
+    the raw of an element of the ring or of an int (a germ ring also takes a
+    field element as a constant), raises :class:`CtxMismatch` for another
+    ring's element, and gives NotImplemented for anything else, so that
+    operand's reflected operator runs.  Division is a product by the inverse,
+    and a power runs :func:`power` (on the inverse for a negative exponent)."""
+
+    __slots__ = ("ring", "raw")
+
+    def __init__(self, ring, raw):
+        self.ring = ring
         self.raw = raw
 
     @property
     def is_zero(self) -> bool:
-        return self.field._raw_is_zero(self.raw)
+        return self.ring._raw_is_zero(self.raw)
+
+    __add__ = __radd__ = _binary("_raw_add")
+    __sub__, __rsub__ = _binary("_raw_sub"), _binary("_raw_sub", swap=True)
+    __mul__ = __rmul__ = _binary("_raw_mul")
+
+    def __truediv__(self, other):
+        if (b := self.ring._operand(other)) is NotImplemented:
+            return b
+        return self * type(self)(self.ring, b).inverse()
+
+    def __rtruediv__(self, other):
+        if (b := self.ring._operand(other)) is NotImplemented:
+            return b
+        return type(self)(self.ring, b) * self.inverse()
+
+    def __neg__(self):
+        return type(self)(self.ring, self.ring._raw_neg(self.raw))
+
+    def __pow__(self, n: int):
+        ring = self.ring
+        x = self.raw if n >= 0 else ring._raw_inv(self.raw)
+        return type(self)(ring, power(x, abs(n), ring._raw_from_int(1), ring._raw_mul))
+
+    def inverse(self):
+        return type(self)(self.ring, self.ring._raw_inv(self.raw))
+
+
+class FqElem(RingElem):
+    """An element of an :class:`Fq`, carrying its field by value."""
+
+    __slots__ = ()
+    field = RingElem.ring  # the ring slot under its field name
+    # the benchmark's ``gf.FqElem.ops`` counter wraps these names in this class's own dict
+    __add__ = __radd__ = RingElem.__add__
+    __sub__, __rsub__ = RingElem.__sub__, RingElem.__rsub__
+    __mul__ = __rmul__ = RingElem.__mul__
+    inverse = RingElem.inverse
 
     def coeffs(self) -> tuple["FqElem", ...]:
         """Coefficients over the base field (extension elements only)."""
         if self.field.base is None:
             raise ValueError("a prime-field element has no base coefficients")
         return tuple(FqElem(self.field.base, c) for c in self.raw)
-
-    def _coerce(self, other) -> "FqElem":
-        if isinstance(other, FqElem):
-            if other.field != self.field:
-                raise CtxMismatch(f"mixing {self.field} and {other.field}")
-            return other
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field._raw_add(self.raw, other.raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field._raw_sub(self.raw, other.raw))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field._raw_sub(other.raw, self.raw))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FqElem(self.field, self.field._raw_mul(self.raw, other.raw))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __neg__(self):
-        return FqElem(self.field, self.field._raw_neg(self.raw))
-
-    def __pow__(self, n: int):
-        return FqElem(self.field, self.field._raw_pow(self.raw, n))
-
-    def inverse(self) -> "FqElem":
-        return FqElem(self.field, self.field._raw_inv(self.raw))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

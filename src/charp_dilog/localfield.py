@@ -24,8 +24,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, ZeroPolynomial, _pth_root_poly,
-                 _radd, _rderiv, _rmul, _rsub, is_irreducible, multiplicity, power, residue_field)
+from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, RingElem, ZeroPolynomial,
+                 _pth_root_poly, _radd, _rderiv, _rmul, _rsub, is_irreducible, multiplicity, power,
+                 residue_field)
 from .tpoly import Trunc, _series_div
 
 
@@ -338,9 +339,7 @@ class RatFnRing:
             if x.field != self.field:
                 raise CtxMismatch(f"function over {x.field} used in {self}")
             return x
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, FqElem):
+        if isinstance(x, (int, FqElem)):
             return self.embed(x)
         raise TypeError(f"cannot coerce {x!r} into {self}")
 
@@ -434,13 +433,20 @@ class LaurentRing:
     def from_int(self, n: int) -> "LaurentLocal":
         return LaurentLocal(self, self._raw_from_int(n))
 
-    def _raw_of(self, x):
+    def _operand(self, x):
         """A germ of this ring, or an int or field element as a constant."""
         if isinstance(x, LaurentLocal):
             if x.ring is not self and x.ring != self:
                 raise CtxMismatch(f"germ of {x.ring} used in {self}")
             return x.raw
-        return self._constant(self.field._raw_of(x))
+        c = self.field._operand(x)
+        return c if c is NotImplemented else self._constant(c)
+
+    def _raw_of(self, x):
+        """A Trunc coefficient: what ``_operand`` takes."""
+        if (raw := self._operand(x)) is NotImplemented:
+            raise TypeError(f"cannot coerce {x!r} into {self}")
+        return raw
 
     def _wrap(self, raws) -> tuple:
         return tuple([LaurentLocal(self, r) for r in raws])
@@ -551,51 +557,24 @@ class LaurentRing:
 _ZERO = (math.inf, math.inf, ())
 
 
-def _germ_op(kernel: str):
-    """A binary operator of germs through the ring kernel; ints and field
-    elements are constants, and anything else raises."""
-    def op(self, other):
-        raw = getattr(self.ring, kernel)(self.raw, self.ring._raw_of(other))
-        return LaurentLocal(self.ring, raw)
-    return op
-
-
-class LaurentLocal:
+class LaurentLocal(RingElem):
     """A Laurent germ at a point, an element of a :class:`LaurentRing` (whose
     docstring gives the raw and the precision rules).  ``coeff(e)`` is zero
     below ``val`` and raises :class:`InsufficientPrecision` from ``prec`` on;
     from :func:`expand_at`, ``val`` is the exact valuation, after a sum or a
     product of truncations a lower bound.  Germs compare by value."""
 
-    __slots__ = ("ring", "raw")
-
-    def __init__(self, ring: LaurentRing, raw):
-        self.ring = ring
-        self.raw = raw
+    __slots__ = ()
 
     field = property(lambda self: self.ring.field)
     val = property(lambda self: self.raw[0])
     prec = property(lambda self: self.raw[1])
-    is_zero = property(lambda self: self.raw[0] == math.inf)
 
     def coeff(self, e: int) -> FqElem:
         val, prec, c = self.raw
         if e >= prec:
             raise InsufficientPrecision(f"coefficient {e} beyond precision {prec}")
         return FqElem(self.field, c[e - val]) if 0 <= e - val < len(c) else self.field.zero
-
-    __add__ = __radd__ = _germ_op("_raw_add")
-    __sub__ = _germ_op("_raw_sub")
-    __mul__ = __rmul__ = _germ_op("_raw_mul")
-
-    def __neg__(self):
-        return LaurentLocal(self.ring, self.ring._raw_neg(self.raw))
-
-    def inverse(self) -> "LaurentLocal":
-        return LaurentLocal(self.ring, self.ring._raw_inv(self.raw))
-
-    def __truediv__(self, other):
-        return self * LaurentLocal(self.ring, self.ring._raw_of(other)).inverse()
 
     def derivative(self) -> "LaurentLocal":
         """d/ds, which is d/du for the local parameter u = s - center."""

@@ -11,7 +11,9 @@ kernel: ``_raw_of`` and ``_wrap`` convert between elements and raws at the
 API boundary (construction, ``coeffs``, ``c0``), and ``_raw_add``,
 ``_raw_sub``, ``_raw_neg``, ``_raw_mul``, ``_raw_dot``, ``_raw_inv``,
 ``_raw_is_zero``, ``_raw_from_int`` and ``_raw_mul_low`` (the low n
-coefficients of a product) compute.  There are three kernels.
+coefficients of a product) compute.  There are three kernels; the elements
+of the first two share one class over theirs, :class:`charp_dilog.gf.RingElem`,
+whose operators read the other operand with the ring's ``_operand``.
 :class:`charp_dilog.gf.Fq` keeps an int or an int tuple per coefficient and
 multiplies through the field's one polynomial multiply.
 :class:`charp_dilog.localfield.LaurentRing` keeps a germ per coefficient and

@@ -21,6 +21,7 @@ from charp_dilog.gf import (
     trace_to,
     trace_to_base,
 )
+from charp_dilog.localfield import RatFn, expand_at
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import quadratic_extension, rand_nonzero
 from charp_dilog.tpoly import Trunc
@@ -84,14 +85,41 @@ def test_extension_inverse_euclid(F5, F25):
     assert u.inverse() == F25.from_coeffs([0, 2])
 
 
-def test_ctx_mismatch(F5, F7):
-    with pytest.raises(CtxMismatch):
-        F5(2) + F7(2)
+def test_ctx_mismatch(F5, F7, F25, F49):
+    # every operator, in both orders, refuses to mix fields (an element of the
+    # base field included) and germs at different points or over different fields
+    s = RatFn.gen(F7)
+    f = (s + 2) / (s + 3)
+    germ, at_one = expand_at(f, F7.zero, 3), expand_at(f, F7.one, 3)
+    over_f49 = expand_at(f, F49.gen(), 3)
+    pairs = [(F5(2), F7(2)), (F25.gen(), F5(2)), (germ, at_one), (germ, over_f49),
+             (germ, F5(2)), (germ, F49.gen()), (over_f49, F7(2)), (over_f49, germ.ring.one)]
+    for x, y in pairs:
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for a, b in ((x, y), (y, x)):
+                with pytest.raises(CtxMismatch):
+                    op(a, b)
 
 
-def test_division_by_zero(F5):
+def test_division_by_zero(F5, F25):
+    # a zero field element or the zero germ has no inverse and no negative
+    # power and divides nothing; an int or field-element zero divides nothing
+    s = RatFn.gen(F5)
+    germ = expand_at((s + 2) / (s + 3), F5.zero, 3)
+    for zero, unit, numerators in ((F5.zero, F5(2), (F5(2), 1)),
+                                   (F25.zero, F25.gen(), (F25.gen(), 1)),
+                                   (germ.ring.zero, germ, (germ, F5(2), 1))):
+        with pytest.raises(DivisionByZero):
+            zero.inverse()
+        with pytest.raises(DivisionByZero):
+            zero ** -1
+        with pytest.raises(DivisionByZero):
+            unit / 0
+        for num in numerators:
+            with pytest.raises(DivisionByZero):
+                num / zero
     with pytest.raises(DivisionByZero):
-        F5.zero.inverse()
+        germ / F5.zero
 
 
 @given(st.integers(0, 24), st.integers(0, 24), st.integers(0, 24))

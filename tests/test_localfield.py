@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 
 import pytest
 
@@ -32,6 +33,7 @@ from charp_dilog.localfield import (
 from charp_dilog.omega import res_omega_pair
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_good_lifting_pair
+from charp_dilog.tpoly import NonUnitConstantTerm, Trunc
 from charp_dilog.wedge import ell_p, res_local, wedge
 
 from oracles import EagerFraction, schoolbook
@@ -519,6 +521,84 @@ def test_germs_compare_by_value(F7):
     # germs at different points, and non-germs, are never equal
     assert _germ(ring, 1, 3, [1]) != _germ(LaurentRing(F7, F7.one), 1, 3, [1])
     assert ring.one != 1 and ring.one != F7.one
+
+
+def _operand_kinds(field):
+    """What a scalar meets, each as (value, the constant of a scalar c, the
+    (operator, scalar first) pairs its type lacks): germs at finite and exact
+    precision, a rational function, a polynomial, and truncations over the
+    field and over the germs."""
+    s, a = RatFn.gen(field), field.gen() if field.base is not None else field(2)
+    f, ring = (s + a) / (s * s + 3), LaurentRing(field, field.zero)
+    germ = expand_at(f, field.zero, 3)
+    exact = LaurentLocal(ring, (0, math.inf, (a.raw,)))
+
+    def germ_of(c):   # the constant germ, by its raw
+        c = field(c)
+        return ring.zero if c.is_zero else LaurentLocal(ring, (0, math.inf, (c.raw,)))
+
+    return {
+        "germ": (germ, germ_of, set()),
+        "exact germ": (exact, germ_of, set()),
+        "function": (f, lambda c: RatFn.const(field(c)), set()),
+        "polynomial": (Poly(field, [1, a, 3]), lambda c: Poly(field, [c]),
+                       {("/", True), ("/", False)}),
+        "truncation": (Trunc(field, 3, [2, a, 5]), lambda c: Trunc(field, 3, [c]), {("/", True)}),
+        "germ truncation": (Trunc(ring, 3, [germ, exact, 1]), lambda c: Trunc(ring, 3, [c]),
+                            {("/", True)}),
+    }
+
+
+@pytest.mark.parametrize("fname", ["F7", "F49"])
+def test_scalars_meet_each_kind_as_its_constants(fname, request):
+    # a field element or an int, in either order, against each kind gives that
+    # kind's type and the value of the same operation on the scalar made a
+    # constant of the kind (germs included: c - g, c / g and g ** n run through
+    # the germ ring), or the same error; an operator the kind lacks raises
+    # TypeError; a germ equals no scalar
+    field = request.getfixturevalue(fname)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    scalars = (field(3), 3, field.zero, 0, field.gen() if field.base is not None else field(6))
+    for name, (value, const, lacks) in _operand_kinds(field).items():
+        for c in scalars:
+            k = const(c)
+            for sym, op in ops.items():
+                for first in (True, False):
+                    args, ref = ((c, value), (k, value)) if first else ((value, c), (value, k))
+                    if (sym, first) in lacks:
+                        with pytest.raises(TypeError):
+                            op(*args)
+                        continue
+                    try:
+                        want = op(*ref)
+                    except (DivisionByZero, NonUnitConstantTerm) as exc:
+                        with pytest.raises(type(exc)):
+                            op(*args)
+                        continue
+                    got = op(*args)
+                    assert type(got) is type(value) and got == want, (name, c, sym, first)
+            germ = isinstance(value, LaurentLocal)
+            assert (c == value) is (value == c) is (False if germ else k == value), (name, c)
+        assert value ** 3 == value * value * value and value ** 0 == const(1), name
+        with pytest.raises(TypeError):
+            value ** field(3)
+        if isinstance(value, LaurentLocal):
+            assert value ** -2 == (value * value).inverse()
+
+
+@pytest.mark.parametrize("fname", ["F7", "F49"])
+def test_elements_take_only_ints_and_elements_as_operands(fname, request):
+    # one operand rule for field elements and germs: a tuple or list that
+    # looks like a raw, a float or a string is no operand, in either order
+    field = request.getfixturevalue(fname)
+    s = RatFn.gen(field)
+    germ = expand_at((s + 2) / (s + 3), field.zero, 3)
+    for x in (field(3), field.gen() if field.base is not None else field(5), germ, germ.ring.one):
+        for bad in ((1, 2), [0, 1], 1.5, "1"):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                for args in ((x, bad), (bad, x)):
+                    with pytest.raises(TypeError):
+                        op(*args)
 
 
 def test_residue_of_a_germ(R5, F5):

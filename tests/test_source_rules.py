@@ -7,6 +7,8 @@ import inspect
 from pathlib import Path
 
 import charp_dilog
+from charp_dilog.gf import FqElem, RingElem
+from charp_dilog.localfield import LaurentLocal
 
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "perfbench", "scripts")
@@ -413,6 +415,29 @@ def test_tracer_bindings_exist():
         if not callable(getattr(module, attr, None)):
             missing.append(f"{mod_name}.{attr}")
     assert not missing, f"tracer bindings missing from the library: {missing}"
+
+
+def test_one_element_class_over_the_raw_kernels():
+    # field elements and germs are thin subclasses of gf.RingElem, whose
+    # operators run the ring's kernel: neither class defines its own arithmetic,
+    # and each name the benchmark counts in FqElem's own dict (all but its
+    # equality) is RingElem's function, so the counter wraps the shared operator
+    assert issubclass(FqElem, RingElem) and issubclass(LaurentLocal, RingElem)
+    arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse"}
+    counted = next(c[3] for c in _load_spans().COUNTERS if c[0] == "gf.FqElem.ops")
+    assert set(counted) - {"__eq__"} <= arithmetic
+    own = [name for name in arithmetic & set(vars(FqElem))
+           if vars(FqElem)[name] is not vars(RingElem)[name]]
+    assert not own, f"FqElem defines its own arithmetic: {own}"
+    assert not [name for name in set(counted) - {"__eq__"} if name not in vars(FqElem)]
+    assert not arithmetic & set(vars(LaurentLocal)), sorted(arithmetic & set(vars(LaurentLocal)))
+    assert not hasattr(FqElem, "_coerce")
+    named = [f"{path.name}:{getattr(node, 'lineno', '?')}"
+             for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if "_germ_op" in {getattr(node, key, None) for key in ("id", "attr", "name")}]
+    assert not named, f"the germ operator factory is still named: {named}"
 
 
 def test_every_submodule_name_is_its_module():
