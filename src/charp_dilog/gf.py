@@ -15,7 +15,8 @@ has one product path: one Kronecker-packed int product over F_p at every
 size; over an extension, both lists flatten into base-field lists, multiply
 once (a tower recurses down to F_p) and ``Fq._reduce`` reduces each block by
 the monic modulus, as in a tower's element product.  It needs no inverse and
-stays apart from ``_rreduce``, which measured slower on every product.
+stays apart from ``_rreduce``, which measured slower on every product.  Over
+F_p in degree 2 it is one fold by u^2 = -m1 u - m0, in closed form.
 
 Beyond those kernels, each operation has one generic routine for every
 field and ring: :func:`power` (square-and-multiply), :func:`horner`
@@ -139,7 +140,7 @@ def _rmul(field: Fq, a: Sequence, b: Sequence, n: int | None = None) -> list:
         out = _rmul_packed(a, b, field.p)
     else:
         # a product of u-degree at most 2d - 2 < w fits its block
-        w, pad = 2 * field.degree - 1, (base._raw_from_int(0),) * (field.degree - 1)
+        w, pad = 2 * field.degree - 1, field._pad
         fa, fb = [c for x in a for c in x + pad], [c for y in b for c in y + pad]
         flat = _rmul_packed(fa, fb, field.p) if base.base is None else _rmul(base, fa, fb)
         out = [field._reduce(flat[k * w:k * w + w])
@@ -161,7 +162,7 @@ class Fq:
     same field are interchangeable.
     """
 
-    __slots__ = ("p", "base", "modulus", "degree", "degree_abs", "order", "_zero", "_one")
+    __slots__ = ("p", "base", "modulus", "degree", "degree_abs", "order", "_pad", "_zero", "_one")
 
     def __init__(self, p: int, modulus: Sequence | None = None, base: "Fq | None" = None,
                  *, _irreducible: bool = False):
@@ -192,6 +193,7 @@ class Fq:
             self.degree = len(raw) - 1
             self.degree_abs = self.degree * base.degree_abs
             self.order = base.order ** self.degree
+            self._pad = (base._raw_from_int(0),) * (self.degree - 1)
             if not _irreducible and not is_irreducible(Poly._from_raw(base, list(raw))):
                 raise ValueError("extension modulus is not irreducible")
         self._zero = FqElem(self, self._raw_from_int(0))
@@ -288,8 +290,7 @@ class Fq:
     def _raw_from_int(self, n: int):
         if self.base is None:
             return n % self.p
-        zero = self.base._raw_from_int(0)
-        return (self.base._raw_from_int(n),) + (zero,) * (self.degree - 1)
+        return (self.base._raw_from_int(n),) + self._pad
 
     def _raw_add(self, a, b):
         base = self.base
@@ -323,6 +324,9 @@ class Fq:
         if base is None:
             return (a * b) % self.p
         if base.base is None:
+            if self.degree == 2:
+                (a0, a1), (b0, b1) = a, b
+                return self._reduce([a0 * b0, a0 * b1 + a1 * b0, a1 * b1])
             return self._raw_dot((a,), (b,))
         return self._reduce(_rmul(base, a, b))
 
@@ -330,11 +334,16 @@ class Fq:
         """The sum of the products of paired raws, reduced once at the end.
 
         Over an extension of a prime field the products are term-by-term int
-        products in u, summed before one reduction by the modulus."""
+        products in u (in degree 2 three schoolbook sums), reduced once by the modulus."""
         base = self.base
         if base is None:
             return sum(map(operator.mul, xs, ys)) % self.p
         if base.base is None:
+            if self.degree == 2:
+                c0 = c1 = c2 = 0
+                for (a0, a1), (b0, b1) in zip(xs, ys):
+                    c0, c1, c2 = c0 + a0 * b0, c1 + a0 * b1 + a1 * b0, c2 + a1 * b1
+                return self._reduce([c0, c1, c2])
             d = self.degree
             acc = [0] * (2 * d - 1)
             for x, y in zip(xs, ys):
@@ -349,10 +358,13 @@ class Fq:
         return acc
 
     def _reduce(self, acc: list) -> tuple:
-        """Reduce 2d - 1 coefficients in u by the monic modulus in place: ints
-        with one ``% p`` each over F_p, the base field's kernel over a tower."""
+        """Reduce 2d - 1 coefficients in u by the monic modulus: ints with one ``% p``
+        each over F_p (in degree 2 one fold by u^2 = -m1 u - m0), else the base kernel."""
         d, mod, base = self.degree, self.modulus, self.base
         if base.base is None:
+            if d == 2:
+                (m0, m1, _), (c0, c1, c2), p = mod, acc, self.p
+                return ((c0 - c2 * m0) % p, (c1 - c2 * m1) % p)
             for k in range(2 * d - 2, d - 1, -1):
                 top = acc[k]
                 if top:

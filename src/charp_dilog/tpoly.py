@@ -214,6 +214,9 @@ class Trunc:
         other = self._check(other)
         return self * other.inverse()
 
+    def __rtruediv__(self, other):
+        return self._check(other) / self
+
     def __pow__(self, n: int) -> "Trunc":
         if n < 0:
             return self.inverse() ** (-n)

@@ -489,16 +489,20 @@ def test_trace_outside_subfield_raises(monkeypatch, F5, F25):
         trace_to_base(F25.gen())
 
 
+# u^2 - u + 5 is the first u^2 - u + c over F_{2^61-1} that is_irreducible accepts
 @pytest.mark.parametrize("p, modulus", [(5, [2, 0, 1]), (11, [1, 0, 1]),
-                                        (5, [1, 1, 0, 1]), (7, [2, 0, 0, 1])])
+                                        (5, [1, 1, 0, 1]), (7, [2, 0, 0, 1]),
+                                        (5, [2, 1, 1]), (2 ** 61 - 1, [5, 2 ** 61 - 2, 1])])
 def test_extension_int_kernel_matches_tower_loop(p, modulus):
-    # over a prime base the raw kernel works on int tuples; schoolbook
-    # through the base field's kernel and a long division is the oracle
+    # over a prime base the raw kernel works on int tuples (in closed form in
+    # degree 2, where u^2 = -m1 u - m0); schoolbook through the base field's
+    # kernel and a long division is the oracle
     field = Fq(p, modulus=modulus, base=Fq(p))
     base = field.base
     rng = spawn(12, "ext-int-kernel", p, len(modulus))
+    top = tuple([p - 1] * field.degree)
     elems = [field.random_element(rng).raw for _ in range(40)]
-    elems += [field.zero.raw, field.one.raw, tuple([p - 1] * field.degree)]
+    elems += [field.zero.raw, field.one.raw, top]
     for a in elems:
         for b in elems[::7]:
             assert field._raw_mul(a, b) == tower_mul(field, a, b)
@@ -508,10 +512,13 @@ def test_extension_int_kernel_matches_tower_loop(p, modulus):
         assert field._raw_is_zero(a) == all(base._raw_is_zero(x) for x in a)
         if not field._raw_is_zero(a):
             assert field._raw_mul(a, field._raw_inv(a)) == field.one.raw
-    # a dot product of 1 to 5 pairs is the sum of the tower loop's products
+    # a dot product of 1 to 20 pairs is the sum of the tower loop's products;
+    # 20 pairs of all-(p-1) raws give the largest unreduced sums
+    draws = [([top] * 20, [top] * 20)]
     for _ in range(60):
-        k = rng.randrange(1, 6)
-        xs, ys = [rng.choice(elems) for _ in range(k)], [rng.choice(elems) for _ in range(k)]
+        k = rng.randrange(1, 21)
+        draws.append(([rng.choice(elems) for _ in range(k)], [rng.choice(elems) for _ in range(k)]))
+    for xs, ys in draws:
         want = field.zero.raw
         for x, y in zip(xs, ys):
             want = field._raw_add(want, tower_mul(field, x, y))

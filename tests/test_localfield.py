@@ -527,7 +527,7 @@ def _operand_kinds(field):
     """What a scalar meets, each as (value, the constant of a scalar c, the
     (operator, scalar first) pairs its type lacks): germs at finite and exact
     precision, a rational function, a polynomial, and truncations over the
-    field and over the germs."""
+    field (one with a non-unit constant term) and over the germs."""
     s, a = RatFn.gen(field), field.gen() if field.base is not None else field(2)
     f, ring = (s + a) / (s * s + 3), LaurentRing(field, field.zero)
     germ = expand_at(f, field.zero, 3)
@@ -543,9 +543,9 @@ def _operand_kinds(field):
         "function": (f, lambda c: RatFn.const(field(c)), set()),
         "polynomial": (Poly(field, [1, a, 3]), lambda c: Poly(field, [c]),
                        {("/", True), ("/", False)}),
-        "truncation": (Trunc(field, 3, [2, a, 5]), lambda c: Trunc(field, 3, [c]), {("/", True)}),
-        "germ truncation": (Trunc(ring, 3, [germ, exact, 1]), lambda c: Trunc(ring, 3, [c]),
-                            {("/", True)}),
+        "truncation": (Trunc(field, 3, [2, a, 5]), lambda c: Trunc(field, 3, [c]), set()),
+        "non-unit truncation": (Trunc(field, 3, [0, a, 5]), lambda c: Trunc(field, 3, [c]), set()),
+        "germ truncation": (Trunc(ring, 3, [germ, exact, 1]), lambda c: Trunc(ring, 3, [c]), set()),
     }
 
 

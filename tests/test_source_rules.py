@@ -116,20 +116,25 @@ def test_one_irreducibility_test():
     assert not named, f"Rabin's prime divisors still named: {named}"
 
 
-def _callers_of(func: str) -> list[str]:
-    """The module-level definitions and methods under src/ that call ``func``,
-    once per call, as module.name or module.Class.method."""
-    callers = []
+def _owners_of(match) -> list[str]:
+    """The module-level definitions and methods under src/ that hold a node
+    ``match`` accepts, once per node, as module.name or module.Class.method."""
+    owners = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         module = ast.parse(path.read_text(), filename=str(path))
         for node in module.body:
             for owner in (node.body if isinstance(node, ast.ClassDef) else [node]):
                 name = getattr(owner, "name", "<body>")
                 where = f"{path.stem}.{node.name}.{name}" if owner is not node else f"{path.stem}.{name}"
-                callers += [where for call in ast.walk(owner) if isinstance(call, ast.Call)
-                            and func in (getattr(call.func, "attr", None),
-                                         getattr(call.func, "id", None))]
-    return callers
+                owners += [where for found in ast.walk(owner) if match(found)]
+    return owners
+
+
+def _callers_of(func: str) -> list[str]:
+    """The module-level definitions and methods under src/ that call ``func``,
+    once per call."""
+    return _owners_of(lambda node: isinstance(node, ast.Call)
+                      and func in (getattr(node.func, "attr", None), getattr(node.func, "id", None)))
 
 
 def test_flatness_is_checked_only_where_a_symbol_is_built():
@@ -239,6 +244,17 @@ def test_one_remainder_kernel_divides_for_every_field():
     assert not named, f"removed division kernels still named: {named}"
     callers = set(_callers_of("_rreduce"))
     assert callers == {"gf.Poly.__divmod__", "gf.Poly.gcd", "gf.Fq._raw_inv"}, callers
+
+
+def test_only_the_field_reduces_by_its_modulus():
+    # Fq._reduce is the one reduction of a product by the monic modulus (its
+    # degree-2 branch folds u^2 = -m1 u - m0), so the products that feed it
+    # never read the modulus; besides it, only the constructor, the inverse's
+    # Euclid, value equality, hashing and the field's repr read a .modulus
+    readers = set(_owners_of(lambda node: isinstance(node, ast.Attribute)
+                             and node.attr == "modulus"))
+    assert readers == {"gf.Fq.__init__", "gf.Fq._reduce", "gf.Fq._raw_inv", "gf.Fq.__eq__",
+                       "gf.Fq.__hash__", "gf._modulus_str"}, readers
 
 
 def test_one_series_division_for_inverses_and_expansions():
