@@ -2,22 +2,20 @@
 
 A symbol is a formal integer combination of flat generators [x], those with
 x(1-x) a unit; flatness is checked once, when a symbol is built.  Two
-dilogarithms live on symbols over R[t]/(t^2): the additive one with its
-closed form -a^3 / (2 s^2 (1-s)^2), and the characteristic-p one built from
-the degree-(p-1) truncated logarithm polynomial.  Each also factors through
-the boundary map delta composed with a wedge functional after lifting to a
-deeper truncation.  A lift keeps the constant term, so it stays flat; the lift
-does not matter, and the lift-based routes here draw their higher coefficients
-at random from a seeded generator so the tests exercise that independence for
-free.
+dilogarithms live on symbols over R[t]/(t^2): the additive one with its closed
+form -a^3 / (2 s^2 (1-s)^2), and, over a finite field, the characteristic-p
+one built from the degree-(p-1) truncated logarithm polynomial.  Each also
+factors through the boundary map delta composed with a wedge functional after
+lifting to a deeper truncation.  A lift keeps the constant term, so it stays
+flat; the lift does not matter, and the lift-based routes here draw their
+higher coefficients at random from a seeded generator so the tests exercise
+that independence for free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import FqElem
-from .localfield import RatFnRing
 from .rng import spawn
 from .tpoly import Trunc, _inverses
 from .wedge import WedgeK, _wedge_sum, ell, ell_p, wedge
@@ -53,8 +51,8 @@ class BlochSym:
         return " + ".join(f"{k}*[{x!r}]" for k, x in self.terms) if self.terms else "0"
 
 
-def symbol(x: Trunc, coeff: int = 1) -> BlochSym:
-    return BlochSym(((coeff, x),))
+def symbol(x: Trunc) -> BlochSym:
+    return BlochSym(((1, x),))
 
 
 def flat_check(x: Trunc) -> bool:
@@ -85,11 +83,11 @@ def delta(b: BlochSym) -> WedgeK:
 
 
 def pounds1(s):
-    """The truncated-logarithm polynomial sum_{1<=i<=p-1} s^i / i, by Horner on
-    raws through the kernel of s's field, or of RatFnRing for a rational
-    function; returns the same kind of element as s.  Not through gf.horner:
-    its p coefficient lists took 25.9 against 21.6 ms over F_p at p = 49,999."""
-    ring = s.field if isinstance(s, FqElem) else RatFnRing(s.field)
+    """The truncated-logarithm polynomial sum_{1<=i<=p-1} s^i / i at an element
+    s of a finite field, by Horner on raws through the field's kernel.  Not
+    through gf.horner: its p coefficient lists took 25.9 against 21.6 ms over
+    F_p at p = 49,999."""
+    ring = s.field
     p, x = ring.characteristic, ring._raw_of(s)
     add, mul, from_int = ring._raw_add, ring._raw_mul, ring._raw_from_int
     inv = _inverses(p, p)
@@ -121,14 +119,14 @@ def _li2p_value(x: Trunc):
     return (a * (s * (ring.one - s)).inverse()) ** ring.characteristic * pounds1(s)
 
 
-def li2(b: BlochSym, ring=None):
+def li2(b: BlochSym):
     """The additive dilogarithm on symbols over R[t]/(t^2): -a^3/(2 s^2 (1-s)^2)."""
-    return _wedge_sum(_generators(b, "li2"), ring, _li2_value)
+    return _wedge_sum(_generators(b, "li2"), None, _li2_value)
 
 
-def li2p(b: BlochSym, ring=None):
-    """The characteristic-p dilogarithm: (a/(s(1-s)))^p * pounds1(s)."""
-    return _wedge_sum(_generators(b, "li2p"), ring, _li2p_value)
+def li2p(b: BlochSym):
+    """The characteristic-p dilogarithm over a finite field: (a/(s(1-s)))^p * pounds1(s)."""
+    return _wedge_sum(_generators(b, "li2p"), None, _li2p_value)
 
 
 def _via_lift(b: BlochSym, seed: int, deep: bool):
@@ -141,11 +139,11 @@ def _via_lift(b: BlochSym, seed: int, deep: bool):
         x.random_extended(x.ring.characteristic if deep else 3, rng)))))
 
 
-def li2_via_lift(b: BlochSym, seed: int = 0):
+def li2_via_lift(b: BlochSym, seed: int):
     """li2 through an arbitrary lift to R[t]/(t^3) and the ell functional."""
     return _via_lift(b, seed, deep=False)
 
 
-def li2p_via_lift(b: BlochSym, seed: int = 0):
+def li2p_via_lift(b: BlochSym, seed: int):
     """li2p through an arbitrary lift to R[t]/(t^p) and the ell_p functional."""
     return _via_lift(b, seed, deep=True)

@@ -204,10 +204,6 @@ def _emit(rows: list[dict], fmt: str, out) -> None:
             out.write("  ".join(f"{k}={v}" for k, v in row.items()) + "\n")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("CHARP_DILOG_SEED", "0"))
-
-
 def cmd_li1(args, out) -> int:
     _check_max_p(args, LI1_MAX_P)
     field = _field_from(args.p, None)
@@ -303,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--ext", type=json.loads, default=None,
                             help="extension modulus coefficients over F_p, e.g. [2,0,1]")
         if seed:
-            sp.add_argument("--seed", type=int, default=_default_seed())
+            # a string default goes through ``type``, so a bad variable is an
+            # input error of the commands that read the seed alone
+            sp.add_argument("--seed", type=int, default=os.environ.get("CHARP_DILOG_SEED", "0"))
         if inp:
             sp.add_argument("--input", required=True, help="JSON input file")
 

@@ -617,7 +617,7 @@ class FqElem(RingElem):
         return str(self.raw)
 
 
-def frobenius(x: FqElem, power: int = 1) -> FqElem:
+def frobenius(x: FqElem, power: int) -> FqElem:
     """The absolute Frobenius x -> x^(p^power)."""
     return x ** (x.field.p ** power)
 
@@ -634,17 +634,21 @@ def trace_to(x: FqElem, field: Fq) -> FqElem:
 
 def trace_to_base(x: FqElem) -> FqElem:
     """Relative trace of an extension element down to its base field."""
+    acc = y = x
+    for _ in range(x.field.degree - 1):
+        y = frobenius(y, x.field.base.degree_abs)
+        acc = acc + y
+    return descend(acc)
+
+
+def descend(x: FqElem) -> FqElem:
+    """An extension element that lies in the base field, as an element there."""
     field = x.field
     if field.base is None:
         raise ValueError("a prime-field element has no base field")
-    acc = x
-    y = x
-    for _ in range(field.degree - 1):
-        y = frobenius(y, field.base.degree_abs)
-        acc = acc + y
-    if not all(field.base._raw_is_zero(c) for c in acc.raw[1:]):
-        raise NotInSubfield(f"trace of {x} in {field} is not in {field.base}")
-    return FqElem(field.base, acc.raw[0])
+    if not all(field.base._raw_is_zero(c) for c in x.raw[1:]):
+        raise NotInSubfield(f"{x} in {field} is not in {field.base}")
+    return FqElem(field.base, x.raw[0])
 
 
 class Poly:
@@ -918,12 +922,12 @@ def _equal_degree(f: Poly, d: int, rng) -> list[Poly]:
     return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
-def factor_squarefree_irreducibles(f: Poly, seed: int = 0) -> list[tuple[Poly, int]]:
-    """Factor f into monic irreducibles with multiplicities.
+def factor_squarefree_irreducibles(f: Poly) -> list[tuple[Poly, int]]:
+    """Factor f into monic irreducibles with multiplicities, sorted.
 
     The product of the factors times f's leading coefficient equals f.  The
     equal-degree stage draws its splitting polynomials from a generator
-    seeded by ``seed``, so runs are reproducible.
+    seeded by f itself, so runs are reproducible.
     """
     import random as _random
 
@@ -931,7 +935,7 @@ def factor_squarefree_irreducibles(f: Poly, seed: int = 0) -> list[tuple[Poly, i
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if f.degree == 1:
         return [(f.monic()[0], 1)]
-    rng = _random.Random(("edf", seed, f.field.order, f.coeffs).__repr__())
+    rng = _random.Random(("edf", 0, f.field.order, f.coeffs).__repr__())
     factors: dict[Poly, int] = {}
     _factor_monic(f.monic()[0], factors, rng)
     def key(g: Poly):

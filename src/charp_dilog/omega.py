@@ -100,33 +100,16 @@ def _omega_factors(l1: Letter, l2: Letter, l3: Letter, p: int, dpayload) -> tupl
     return first, g if sign == 1 else -g
 
 
-def _entry_ring(w: WedgeK):
-    for _, entries in w.terms:
-        for e in entries:
-            if isinstance(e, Trunc):
-                return e.ring
-            if len(e):
-                payload = e[0].payload
-                return payload.ring if isinstance(payload, LaurentLocal) else RatFnRing(payload.field)
-    raise ValueError("cannot infer the coefficient ring; pass it explicitly")
-
-
-def omega_p(w: WedgeK, ring=None) -> OneForm:
+def omega_p(w: WedgeK, ring) -> OneForm:
     """The comparison form on a wedge of three units of R[t]/(t^p) over ``ring``:
     rational functions, or their Laurent germs at one point.
 
     Entries may be unit truncations (decomposed canonically) or prepared
     letter lists; the value is the alternating multilinear extension of the
     letter-triple formula F.payload * g over the triples whose exponents sum
-    to p, one product per first letter F.  Without ``ring``, the entries'
-    ring is used.  On germs, those products are cut at s^0: the form is known
-    below s^0, which is all a residue reads.
+    to p, one product per first letter F.  On germs, those products are cut at
+    s^0: the form is known below s^0, which is all a residue reads.
     """
-    if not w.terms:
-        if ring is None:
-            raise ValueError("empty wedge needs an explicit coefficient ring")
-        return OneForm(ring.zero)
-    ring = _entry_ring(w) if ring is None else ring
     p = ring.characteristic
     cut = isinstance(ring, LaurentRing)
     total = ring.zero
@@ -203,10 +186,10 @@ def sigma_image_letters(image: Trunc, entry, germ) -> list[Letter]:
     return out
 
 
-def res_invariance_check(xs: Sequence[RatFn], w3: WedgeK) -> bool:
-    """Whether the residue at s = 0 of the form is unchanged by the
-    reparametrization s -> s + sum_w xs[w-1] t^w."""
-    ring = _entry_ring(w3)
+def res_invariance_check(xs: Sequence[RatFn], w3: WedgeK, ring: RatFnRing) -> bool:
+    """Whether the residue at s = 0 of the form of w3, a wedge over the
+    rational functions ``ring``, is unchanged by the reparametrization
+    s -> s + sum_w xs[w-1] t^w."""
     p = ring.characteristic
 
     def residue(germ):

@@ -207,7 +207,7 @@ def _residue_value_infinity(inp: RegulatorInput, lift: _Lift,
     return functional(res_good(goods), ring=inp.field)
 
 
-def regulate(inp: RegulatorInput, lift_seed: int | None = 0, deep: bool = True):
+def regulate(inp: RegulatorInput, lift_seed: int | None, deep: bool = True):
     """The regulator and its per-point breakdown [(point, value), ...].
 
     Traced residues of a seeded global good lifting: to depth p with the
@@ -230,12 +230,12 @@ def regulate(inp: RegulatorInput, lift_seed: int | None = 0, deep: bool = True):
     return total, breakdown
 
 
-def rho_K(inp: RegulatorInput, lift_seed: int | None = 0) -> FqElem:
+def rho_K(inp: RegulatorInput, lift_seed: int | None) -> FqElem:
     """The deep regulator: traced residues of a seeded global good lifting to depth p."""
     return regulate(inp, lift_seed)[0]
 
 
-def rho(inp: RegulatorInput, lift_seed: int | None = 0) -> FqElem:
+def rho(inp: RegulatorInput, lift_seed: int | None) -> FqElem:
     """The depth-3 regulator with the ell functional."""
     return regulate(inp, lift_seed, deep=False)[0]
 

@@ -171,8 +171,8 @@ def rand_unit_k2(field: Fq, rng) -> Trunc:
             return x
 
 
-def rand_moebius_input(field: Fq, rng, degrees: Sequence[int] = (1, 1, 1, 1, 1, 1),
-                       trivial_units: bool = False) -> RegulatorInput:
+def rand_moebius_input(field: Fq, rng, degrees: Sequence[int],
+                       trivial_units: bool) -> RegulatorInput:
     """Three degree-balanced good functions (num and den factors of equal total
     degree) over distinct table points; at most q rational points exist, so
     callers over small fields pass some degree-2 entries."""

@@ -11,8 +11,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import bloch, cycles, omega, regulator
-from .gf import (Fq, NotInSubfield, factor_squarefree_irreducibles, roots_in_field, trace_to,
-                 trace_to_base)
+from .gf import Fq, descend, factor_squarefree_irreducibles, roots_in_field, trace_to, trace_to_base
 from .localfield import INF, OneForm, RatFnRing, is_exact_form, residue_at
 from .omega import Letter
 from .rng import spawn
@@ -102,16 +101,20 @@ def _exactness_tuples(p: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def _moved_difference(ring: RatFnRing, a: int, b: int, c: int, w: int, x, pa, pb, pc) -> OneForm:
+    """omega_p of the letter triple moved by s -> s + x t^w, less omega_p of the triple."""
+    q3 = wedge([Letter(a, pa)], [Letter(b, pb)], [Letter(c, pc)])
+    moved = q3.map_entries(lambda ls: omega.sigma_letters(x, w, ls, ring.characteristic))
+    return omega.omega_p(moved, ring) - omega.omega_p(q3, ring)
+
+
 def _exactness_check(ring: RatFnRing, a: int, b: int, c: int, w: int, rng, result,
                      cross_oracle: bool) -> None:
-    p = ring.characteristic
     x = rand_ratfn(ring, rng)
     pa = rand_ratfn(ring, rng, nonzero=(a == 0))
     pb = rand_ratfn(ring, rng, nonzero=(b == 0))
     pc = rand_ratfn(ring, rng, nonzero=(c == 0))
-    q3 = wedge([Letter(a, pa)], [Letter(b, pb)], [Letter(c, pc)])
-    moved = q3.map_entries(lambda ls: omega.sigma_letters(x, w, ls, p))
-    lhs = omega.omega_p(moved, ring) - omega.omega_p(q3, ring)
+    lhs = _moved_difference(ring, a, b, c, w, x, pa, pb, pc)
     prim = omega.antider_primitive(a, b, c, w, x, pa, pb, pc)
     diff = lhs - OneForm(prim.derivative())
     result.record(diff.is_zero, "exactness-identity", tuple=(a, b, c, w),
@@ -144,9 +147,7 @@ def run_exactness(p: int, trials: int, seed: int) -> SuiteResult:
             rng = spawn(seed, "exactness-zero", p, t_idx)
             x = rand_ratfn(ring, rng)
             pa, pb, pc = (rand_ratfn(ring, rng) for _ in range(3))
-            q3 = wedge([Letter(a, pa)], [Letter(b, pb)], [Letter(c, pc)])
-            moved = q3.map_entries(lambda ls: omega.sigma_letters(x, w, ls, p))
-            diff = omega.omega_p(moved, ring) - omega.omega_p(q3, ring)
+            diff = _moved_difference(ring, a, b, c, w, x, pa, pb, pc)
             result.record(diff.is_zero, "exactness-vacuous", tuple=(a, b, c, w))
     else:
         for trial in range(trials):
@@ -164,12 +165,15 @@ def run_invariance(p: int, trials: int, seed: int) -> SuiteResult:
         rng = spawn(seed, "invariance", p, trial)
         entries = rand_letter_wedge_entries(ring, rng)
         xs = rand_sigma_weights(ring, rng)
-        ok = omega.res_invariance_check(xs, wedge(*entries))
+        ok = omega.res_invariance_check(xs, wedge(*entries), ring)
         result.record(ok, "residue-invariance", entries=entries, xs=xs)
     return result
 
 
-def _remark_counterexample(p: int, result: SuiteResult) -> None:
+def depth_one_counterexample(p: int):
+    """The displayed pair q' = (s - t) ^ (1 + s^(p-1)) ^ (1 + s) and
+    q = s ^ (1 + s^(p-1)) ^ (1 + s), congruent mod t only: the deep value of
+    the residue at each uniformizer, and the residue of the form difference."""
     field = Fq(p)
     ring = RatFnRing(field)
     s = ring.gen
@@ -178,12 +182,9 @@ def _remark_counterexample(p: int, result: SuiteResult) -> None:
     s_plain = Trunc.constant(ring, p, s)
     a = Trunc.constant(ring, p, one + s ** (p - 1))
     b = Trunc.constant(ring, p, one + s)
-    v1 = ell_p(res_local([s_minus_t, a, b], s_minus_t), ring=field)
-    v2 = ell_p(res_local([s_plain, a, b], s_plain), ring=field)
-    v3 = omega.res_omega_difference(wedge(s_minus_t, a, b), wedge(s_plain, a, b), ring)
-    result.record(v1 == field.one, "counterexample-deep-value", value=v1)
-    result.record(v2.is_zero, "counterexample-plain-value", value=v2)
-    result.record(v3.is_zero, "counterexample-form-residue", value=v3)
+    return (ell_p(res_local([s_minus_t, a, b], s_minus_t), ring=field),
+            ell_p(res_local([s_plain, a, b], s_plain), ring=field),
+            omega.res_omega_difference(wedge(s_minus_t, a, b), wedge(s_plain, a, b), ring))
 
 
 def run_residue_formula(p: int, trials: int, seed: int) -> SuiteResult:
@@ -192,7 +193,10 @@ def run_residue_formula(p: int, trials: int, seed: int) -> SuiteResult:
     result = SuiteResult("residue-formula", p, trials, seed)
     field = Fq(p)
     ring = RatFnRing(field)
-    _remark_counterexample(p, result)
+    v1, v2, v3 = depth_one_counterexample(p)
+    result.record(v1 == field.one, "counterexample-deep-value", value=v1)
+    result.record(v2.is_zero, "counterexample-plain-value", value=v2)
+    result.record(v3.is_zero, "counterexample-form-residue", value=v3)
     for trial in range(trials):
         rng = spawn(seed, "residue-pairs", p, trial)
         qtilde, qhat, s_tilde, s_hat = rand_good_lifting_pair(ring, rng)
@@ -259,7 +263,7 @@ def _quadratic_point_check(base: Fq, quad: Fq, rng, result: SuiteResult, trial: 
     beta = Trunc(base, 2, [b0, base.random_element(rng)])
     conj = gamma.map_coeffs(lambda c: c ** base.order, quad)
     quad_poly_ext = [gamma * conj, -(gamma + conj), Trunc.one(quad, 2)]
-    quad_poly = [c.map_coeffs(_descend_to(base), base) for c in quad_poly_ext[:2]]
+    quad_poly = [c.map_coeffs(descend, base) for c in quad_poly_ext[:2]]
     quad_poly.append(one2)
     pts = (
         regulator.finite_point(base, quad_poly),
@@ -277,16 +281,6 @@ def _quadratic_point_check(base: Fq, quad: Fq, rng, result: SuiteResult, trial: 
                                                             beta.embedded(quad)))
     result.record(value == expected, "theorem1-quadratic-trace",
                   gamma=gamma, value=value, expected=expected)
-
-
-def _descend_to(base: Fq):
-    def down(c):
-        coeffs = c.coeffs()
-        if not all(x.is_zero for x in coeffs[1:]):
-            raise NotInSubfield(f"coefficient {c} is not Galois-stable over {base}")
-        return coeffs[0]
-
-    return down
 
 
 def run_modulus(p: int, trials: int, seed: int) -> SuiteResult:
@@ -410,7 +404,7 @@ def _moebius_closed_form(inp):
                 value = regulator.theorem1_closed_form(r1, r2, r3)
                 total = total + (value if s1 * s2 * s3 == 1 else -value)
     if split != field:
-        total = _descend_to(field)(total)
+        total = descend(total)
     return total
 
 
@@ -425,7 +419,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, p: int, trials: int | None = None, seed: int = 0) -> SuiteResult:
+def run_suite(name: str, p: int, trials: int | None, seed: int) -> SuiteResult:
     if name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn, default_trials = SUITES[name]

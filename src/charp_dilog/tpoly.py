@@ -262,9 +262,8 @@ class Trunc:
             raise ModulusMismatch(f"congruence mod t^{m2} needs one ring and 1 <= m2 <= min(m)")
         return self.raws[:m2] == other.raws[:m2]
 
-    def map_coeffs(self, fn: Callable, ring=None) -> "Trunc":
-        return Trunc(ring if ring is not None else self.ring, self.m,
-                     [fn(c) for c in self.coeffs])
+    def map_coeffs(self, fn: Callable, ring) -> "Trunc":
+        return Trunc(ring, self.m, [fn(c) for c in self.coeffs])
 
     def embedded(self, ring) -> "Trunc":
         """The same element with coefficients pushed into an extension field;

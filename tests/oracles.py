@@ -68,7 +68,7 @@ def trace_orbit(x):
     field = x.field
     acc = y = x
     for _ in range(field.degree_abs - 1):
-        y = frobenius(y)
+        y = frobenius(y, 1)
         acc = acc + y
     # the sum is Frobenius-fixed, so at every level of the tower it is a constant
     raw, f = acc.raw, field

@@ -132,7 +132,7 @@ def test_criterion_8_scaling_law():
             rng = spawn(31, "scaling", p, trial)
             degrees = (1, 1, 1, 1, 1, 1) if p > 5 else (1, 1, 1, 1, 2, 2)
             from charp_dilog.sampling import rand_moebius_input
-            inp = rand_moebius_input(field, rng, degrees=degrees)
+            inp = rand_moebius_input(field, rng, degrees=degrees, trivial_units=False)
             lam = field.from_int(rng.randrange(2, p))
             scaled = regulator.rescaled_t(inp, lam)
             ok = ok and regulator.rho(scaled, trial) == lam ** 3 * regulator.rho(inp, trial)

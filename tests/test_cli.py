@@ -1,37 +1,46 @@
+import copy
 import csv
+import functools
 import hashlib
 import io
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from charp_dilog import bloch, cli, cycles, regulator, suites
 from charp_dilog.cli import _LI2P_MAX_P, _VERIFY_MAX_P, LI1_MAX_P, build_parser, main
-from charp_dilog.gf import Fq, NotInSubfield, is_prime, residue_field
+from charp_dilog.gf import Fq, NotInSubfield, descend, is_prime, residue_field
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import rand_admissible_graph
 from charp_dilog.tpoly import Trunc
 
 
+# (z - 1) ^ z ^ (z - (3 + t)): closed form 4^5 * li1(3) = 2 over F_5
+THM1_DOC = {
+    "schema": 1,
+    "p": 5,
+    "ext": None,
+    "points": [{"poly": [[4, 0], [1]]}, {"poly": [[0, 0], [1]]},
+               {"poly": [[2, 4], [1]]}],
+    "f": {"unit": [1], "factors": [[0, 1]]},
+    "g": {"unit": [1], "factors": [[1, 1]]},
+    "h": {"unit": [1], "factors": [[2, 1]]},
+}
+
+
 @pytest.fixture
 def thm1_file(tmp_path):
-    # (z - 1) ^ z ^ (z - (3 + t)): closed form 4^5 * li1(3) = 2 over F_5
-    data = {
-        "schema": 1,
-        "p": 5,
-        "ext": None,
-        "points": [{"poly": [[4, 0], [1]]}, {"poly": [[0, 0], [1]]},
-                   {"poly": [[2, 4], [1]]}],
-        "f": {"unit": [1], "factors": [[0, 1]]},
-        "g": {"unit": [1], "factors": [[1, 1]]},
-        "h": {"unit": [1], "factors": [[2, 1]]},
-    }
     path = tmp_path / "thm1.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(THM1_DOC))
     return str(path)
 
 
@@ -221,13 +230,17 @@ def test_rho_rows_over_a_tower_residue_field(tmp_path, capsys):
                         for point, value in zip(["0", "1", "2", "3", "inf", "total"], values)]
 
 
-def _cycle_file(tmp_path, cyc):
+def _cycle_json(cyc) -> dict:
     data = {"p": cyc.field.p}
     for key, coord in zip(("y1", "y2", "y3"), cyc.coords):
         data[key] = {part: [[c.raw for c in x.coeffs] for x in getattr(coord, part)]
                      for part in ("num", "den")}
+    return data
+
+
+def _cycle_file(tmp_path, cyc):
     path = tmp_path / "cycle.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(_cycle_json(cyc)))
     return str(path)
 
 
@@ -313,6 +326,67 @@ def test_parse_error_exit_code(tmp_path, capsys):
         cycle.write_text(json.dumps({"p": 7, **coords, "y2": bad_coord}))
         assert main(["cycle", "rho-k", "--input", str(cycle)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), SMALL_INTS, st.sampled_from(["", "inf", "x", 2.0])),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.sampled_from(["m", "coeffs", "poly", "unit",
+                                                            "factors", "num", "den", "x"]),
+                                           kids, max_size=3)),
+    max_leaves=8)
+_DROP = object()
+
+
+@functools.cache
+def _cycle_doc() -> dict:
+    return _cycle_json(rand_admissible_graph(Fq(5), spawn(2, "cli-cycle"), seed=0)[1])
+
+
+def _paths(doc, path=()):
+    """The path of every entry of a JSON document, the document's own () first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _mutated(doc, path, value):
+    """A copy of a JSON document with the entry at a nonempty ``path`` replaced
+    or dropped."""
+    doc = copy.copy(doc)
+    key, rest = path[0], path[1:]
+    if rest:
+        doc[key] = _mutated(doc[key], rest, value)
+    elif value is _DROP:
+        del doc[key]
+    else:
+        doc[key] = value
+    return doc
+
+
+@settings(max_examples=300)
+@given(command=st.sampled_from([["rho"], ["rho-k"], ["cycle", "rho"], ["cycle", "rho-k"]]),
+       data=st.data())
+def test_input_file_commands_keep_the_exit_code_contract(command, data):
+    # valid p = 5 inputs with up to three entries replaced by JSON values or
+    # dropped: a run succeeds, rejects its input, or reports a cycle that is not
+    # admissible, and never raises (in a process of its own, a traceback)
+    doc = THM1_DOC if command[0] != "cycle" else _cycle_doc()
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        path = data.draw(st.sampled_from(list(_paths(doc))[1:]), label="path")
+        doc = _mutated(doc, path, data.draw(st.one_of(st.just(_DROP), JSON_VALUES), label="value"))
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*command, "--input", path])
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error:")
+    if code == 1:
+        assert command[0] == "cycle" and out.getvalue().startswith("failure=")
 
 
 @pytest.mark.parametrize("change, field", [
@@ -480,11 +554,11 @@ def test_verify_rejects_trials_below_one(trials, capsys):
 
 
 def test_suite_that_checked_nothing_does_not_pass():
-    result = suites.run_suite("five-term", 5, trials=0)
+    result = suites.run_suite("five-term", 5, trials=0, seed=0)
     assert result.checks == 0 and not result.failures
     assert not result.ok and result.to_dict()["passed"] is False
     # pinned checks count: the residue formula runs three at trials=0
-    pinned = suites.run_suite("residue-formula", 5, trials=0)
+    pinned = suites.run_suite("residue-formula", 5, trials=0, seed=0)
     assert pinned.checks > 0 and pinned.ok
 
 
@@ -537,12 +611,28 @@ def test_env_seed_default(monkeypatch, thm1_file, capsys):
     assert args.seed == 17
 
 
+def test_bad_seed_variable_is_an_input_error_of_the_seeded_commands(thm1_file):
+    # a non-integer CHARP_DILOG_SEED fails --seed's parse, so li1, which takes
+    # no seed, still runs; each command runs in its own process
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, CHARP_DILOG_SEED="abc", PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for argv, code in ((["li1", "--p", "5", "--x", "2"], 0),
+                       (["rho-k", "--input", thm1_file], 2),
+                       (["verify", "five-term", "--trials", "1"], 2)):
+        done = subprocess.run([sys.executable, "-m", "charp_dilog.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert code == 0 or "--seed: invalid int value: 'abc'" in done.stderr
+
+
 def test_suite_descent_rejects_unstable_coefficient():
     base = Fq(5)
     quad = Fq(5, modulus=[2, 0, 1], base=base)
-    assert suites._descend_to(base)(quad.from_coeffs([3])) == base(3)
+    assert descend(quad.from_coeffs([3])) == base(3)
     with pytest.raises(NotInSubfield):
-        suites._descend_to(base)(quad.gen())
+        descend(quad.gen())
 
 
 def test_moebius_closed_form_rejects_higher_exponents():

@@ -325,7 +325,7 @@ def test_not_admissible_carries_the_check_report(F5):
     rng = spawn(8, "rejected")
     rejected = 0
     for trial in range(30):
-        inp = rand_moebius_input(F5, rng, degrees=(1, 1, 1, 1, 2, 2))
+        inp = rand_moebius_input(F5, rng, degrees=(1, 1, 1, 1, 2, 2), trivial_units=False)
         cyc = graph_cycle(inp, lift_seed=trial)
         report = admissibility_check(cyc)
         if report.ok:

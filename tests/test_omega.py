@@ -317,30 +317,10 @@ def test_germ_sigma_image_letters_double_past_a_deep_pole(monkeypatch, p):
     assert sum(not v.is_zero for v in values) > len(values) // 2
 
 
-@pytest.mark.parametrize("p", [5, 7])
-def test_omega_p_on_germ_letters_uses_the_germ_ring(p):
-    # without ``ring``, omega_p takes the coefficient ring of its entries: for
-    # letter lists of germs, the germs' own ring
-    ring = RatFnRing(Fq(p))
-    rng = spawn(24, "germ-entry-ring", p)
-    nonzero = 0
-    for _ in range(3):
-        entries = [letters_of_unit(u) for u in rand_good_lifting_pair(ring, rng)[1]]
-
-        def forms(germ):
-            w = wedge(*[[Letter(g.a, germ(g.payload)) for g in ls] for ls in entries])
-            return omega_p(w), omega_p(w, germ.ring)
-
-        inferred, explicit = germs_at_zero(ring.field, p + 1, forms)
-        assert inferred == explicit
-        nonzero += not explicit.fn.is_zero
-    assert nonzero
-
-
 def test_s_coeff_safety_and_antisymmetry():
     p = 5
     # k = c = 0 vanishes
-    assert s_coeff(2, 3, 0, 1, 2, 0, 1, p) == 0 or True
+    assert s_coeff(2, 3, 0, 1, 2, 0, 1, p) == 0
     for a, b, c in itertools.product(range(p), repeat=3):
         rest = p - (a + b + c)
         if rest <= 0 or rest % 1 != 0:
@@ -424,10 +404,10 @@ def test_res_invariance_examples(R5, F5):
     rng = spawn(12, "inv")
     entries = rand_letter_wedge_entries(R5, rng)
     # identity sigma
-    assert res_invariance_check([R5.zero] * 4, wedge(*entries))
+    assert res_invariance_check([R5.zero] * 4, wedge(*entries), R5)
     # a coefficient with a pole at the origin is allowed
     xs = [R5.gen.inverse(), R5.zero, R5.one, R5.zero]
-    assert res_invariance_check(xs, wedge(*entries))
+    assert res_invariance_check(xs, wedge(*entries), R5)
 
 
 @pytest.mark.parametrize("p", [5, 7])

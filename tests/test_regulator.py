@@ -80,7 +80,7 @@ def test_theorem1_closed_form_matches_the_a_p_formula(F5, F25):
 def test_lift_seed_independence(F7):
     rng = spawn(2, "seeds")
     for trial in range(15):
-        inp = rand_moebius_input(F7, rng)
+        inp = rand_moebius_input(F7, rng, degrees=(1,) * 6, trivial_units=False)
         v = rho_K(inp, lift_seed=0)
         assert all(rho_K(inp, lift_seed=s) == v for s in (1, 2, 3))
         w = rho(inp, lift_seed=0)
@@ -123,7 +123,7 @@ def test_wedge_linearity_in_first_slot(F7):
 def test_scaling_law(F5):
     rng = spawn(5, "scaling")
     for trial in range(10):
-        inp = rand_moebius_input(F5, rng, degrees=(1, 1, 1, 1, 2, 2))
+        inp = rand_moebius_input(F5, rng, degrees=(1, 1, 1, 1, 2, 2), trivial_units=False)
         v3 = rho(inp, lift_seed=trial)
         vp = rho_K(inp, lift_seed=trial)
         for lam_raw in (2, 3):
@@ -233,7 +233,7 @@ def test_relift_preserves_value_with_nonzero_defect(F7):
 def test_relift_at_degree_two_point(F5):
     # local re-lifting across a residue field extension
     rng = spawn(8, "relift-deg2")
-    inp = rand_moebius_input(F5, rng, degrees=(2, 2, 1, 1, 1, 1))
+    inp = rand_moebius_input(F5, rng, degrees=(2, 2, 1, 1, 1, 1), trivial_units=False)
     rep = local_relift_report(inp, 0, alt_seed=5, lift_seed=1)
     assert rep.value == rep.standard_value
 

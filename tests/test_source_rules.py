@@ -287,17 +287,29 @@ def test_germ_letters_move_by_substitution_not_by_the_derivative_ladder():
     assert not called & {"derivative", "_derivative_ladder", "inv_factorials"}, called
 
 
+def _imports_from(module: str, sources: set[str]) -> list[str]:
+    """The import statements of charp_dilog.``module`` that name one of ``sources``."""
+    tree = ast.parse((Path(charp_dilog.__file__).parent / f"{module}.py").read_text())
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and sources & {(getattr(node, "module", None) or "").split(".")[-1],
+                           *(alias.name.split(".")[-1] for alias in node.names)}]
+
+
 def test_one_local_model_for_the_hensel_root():
     # the root of the uniformizer comes from its germ at s = 0: wedge._rows is
     # read by the root and by the reduction at it, and wedge imports nothing
     # from gf, so no lcm of denominators or other global route comes back
     assert sorted(_callers_of("_rows")) == ["wedge.local_point", "wedge.reduce_at"]
-    tree = ast.parse((Path(charp_dilog.__file__).parent / "wedge.py").read_text())
-    imported = [ast.unparse(node) for node in ast.walk(tree)
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                and "gf" in [(getattr(node, "module", None) or "").split(".")[-1],
-                             *(alias.name.split(".")[-1] for alias in node.names)]]
+    imported = _imports_from("wedge", {"gf"})
     assert not imported, f"wedge imports from gf: {imported}"
+
+
+def test_bloch_reads_its_field_off_its_arguments():
+    # pounds1, and so li2p, runs over a finite field only: bloch imports
+    # nothing from gf or localfield, so no F_q(s) branch comes back
+    imported = _imports_from("bloch", {"gf", "localfield"})
+    assert not imported, f"bloch imports from gf or localfield: {imported}"
 
 
 def test_log_circ_runs_no_inverse_and_no_product(monkeypatch):
@@ -480,3 +492,84 @@ def test_suite_runners_declare_no_defaults():
              if any(param.default is not inspect.Parameter.empty
                     for param in inspect.signature(fn).parameters.values())]
     assert len(SUITES) == 7 and not found, f"suite runners with defaults: {found}"
+
+
+# Every defaulted parameter under src/, with the library definitions (under
+# src/, scripts/ or perfbench/) that pass it a value other than its default.
+# A default that no library caller overrides is a constant; a new one fails
+# the rule below until its entry names such a caller.
+DEFAULTS_SET_BY = {
+    "cli.build_parser.common:ext": ("cli.build_parser",),
+    "cli.build_parser.common:formats": ("cli.build_parser",),
+    "cli.build_parser.common:inp": ("cli.build_parser",),
+    "cli.build_parser.common:p": ("cli.build_parser",),
+    "cli.build_parser.common:seed": ("cli.build_parser",),
+    "cycles.boundary:deep": ("cli.cmd_cycle", "cycles.rho_cycle"),
+    "cycles.zero_cycle_value:deep": ("cli.cmd_cycle", "cycles.rho_cycle", "suites.run_modulus"),
+    "gf.Fq.__init__:_irreducible": ("gf.residue_field",),
+    "gf.Fq.__init__:base": ("cli._field_from", "gf.residue_field", "sampling.quadratic_extension"),
+    "gf.Fq.__init__:modulus": ("cli._field_from", "gf.residue_field",
+                               "sampling.quadratic_extension"),
+    "gf.Poly.__init__:coeffs": ("gf._pth_root_poly", "regulator.LiftedPoint.reduction"),
+    "gf._binary:swap": ("gf.RingElem",),
+    "gf._factor_monic:mult": ("gf._factor_monic",),
+    # Fq._raw_mul_low is _rmul
+    "gf._rmul:n": ("gf.horner", "tpoly.Trunc.__mul__", "tpoly.rp_mul"),
+    "gf._rderiv:k": ("localfield.RatFn.derivative",),
+    "gf._rreduce:quot": ("gf.Fq._raw_inv", "gf.Poly.__divmod__"),
+    "localfield.LaurentRing._raw_add:minus": ("localfield.LaurentRing",),
+    "localfield.LaurentRing._raw_mul:below": ("omega.omega_p",),
+    "localfield.RatFn.__init__:den": ("localfield.RatFnRing.random_element", "sampling.rand_oneform"),
+    "localfield.RatFn._sum:minus": ("localfield.RatFn",),
+    "localfield.RatFnRing.random_element:deg": ("sampling.rand_ratfn",),
+    "regulator.regulate:deep": ("cli.cmd_regulator", "regulator.rho"),
+    "sampling.rand_admissible_graph:trivial_units": ("suites.run_cross_module",
+                                                     "workloads._cycle_setup"),
+    "sampling.rand_ratfn:deg": ("sampling.rand_sigma_weights",),
+    "sampling.rand_ratfn:nonzero": ("sampling.rand_letter_wedge_entries", "suites._exactness_check"),
+    "sampling.rand_ratfn:pole_at_zero": ("sampling.rand_letter_wedge_entries",
+                                         "sampling.rand_sigma_weights"),
+    "tpoly.Trunc.extended:tail": ("tpoly.Trunc.random_extended",),
+    "tpoly.inv_factorials:n": ("tpoly.trunc_exp",),
+    "wedge._order:below": ("wedge._check_uniformizer", "wedge.goodness_split"),
+    "wedge.ell:ring": ("cycles.zero_cycle_value", "regulator._residue_value"),
+    "wedge.ell_p:ring": ("cycles.zero_cycle_value", "regulator._residue_value",
+                         "suites.run_residue_formula"),
+    "wedge.wedge:coeff": ("bloch.delta",),
+}
+
+
+def _definitions(trees) -> dict[str, ast.AST]:
+    """Every function and class under ``trees``, by module.Qual.name."""
+    found = {}
+
+    def visit(node, qual):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found[f"{qual}.{child.name}"] = child
+                visit(child, f"{qual}.{child.name}")
+    for tree in trees:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+def test_every_default_names_a_library_caller_that_overrides_it():
+    # every entry names callers that exist; cli.main's argv needs none, as the
+    # console script calls main() with no argument and argparse reads sys.argv
+    defaults = set()
+    for name, node in _definitions(["src"]).items():
+        if isinstance(node, ast.ClassDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaults.update(f"{name}:{arg.arg}" for arg in positional[len(positional) - len(args.defaults):])
+        defaults.update(f"{name}:{arg.arg}" for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None)
+    unmatched = sorted((defaults - {"cli.main:argv"}) ^ set(DEFAULTS_SET_BY))
+    assert not unmatched, f"defaults without an entry, or entries without a default: {unmatched}"
+    library = _definitions(LIBRARY_TREES)
+    missing = [(key, caller) for key, callers in DEFAULTS_SET_BY.items() for caller in callers
+               if caller not in library]
+    assert all(DEFAULTS_SET_BY.values()) and not missing, f"callers that do not exist: {missing}"
+
