@@ -126,6 +126,8 @@ def li2(b: BlochSym):
 
 def li2p(b: BlochSym):
     """The characteristic-p dilogarithm over a finite field: (a/(s(1-s)))^p * pounds1(s)."""
+    if not all(hasattr(x.ring, "order") for _, x in b.terms):  # a finite field has an order
+        raise TypeError("li2p needs generators over a finite field, where pounds1 sums s^i/i")
     return _wedge_sum(_generators(b, "li2p"), None, _li2p_value)
 
 

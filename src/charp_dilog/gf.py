@@ -792,11 +792,8 @@ class Poly:
         return Poly._from_raw(self.field, _rderiv(self.field, self.coeffs))
 
     def evaluate(self, x: FqElem) -> FqElem:
-        f = x.field
-        if f != self.field and f.base != self.field:
-            raise CtxMismatch("evaluation point in an unrelated field")
-        coeffs = [[c] for c in self.embedded(f).coeffs]
-        return FqElem(f, horner(f, coeffs, [x.raw], 1)[0])
+        coeffs = [[c] for c in self.embedded(x.field).coeffs]
+        return FqElem(x.field, horner(x.field, coeffs, [x.raw], 1)[0])
 
     def shifted(self, theta: FqElem) -> "Poly":
         """The composition self(x + theta), over theta's field: a Taylor shift
@@ -817,10 +814,12 @@ class Poly:
         return Poly._from_raw(self.field, list(reversed(self.coeffs)))
 
     def embedded(self, field: Fq) -> "Poly":
-        """The same polynomial with coefficients pushed into an extension."""
+        """The same polynomial over an extension directly over its field: c -> (c, 0, ..., 0)."""
         if field == self.field:
             return self
-        return Poly(field, [field.embed(FqElem(self.field, c)) for c in self.coeffs])
+        if field.base != self.field:
+            raise CtxMismatch(f"cannot embed polynomials over {self.field} into {field}")
+        return Poly._from_raw(field, [(c,) + field._pad for c in self.coeffs])
 
     def gcd(self, other: "Poly") -> "Poly":
         """The monic gcd (zero for two zeros), by Euclid on raw lists."""

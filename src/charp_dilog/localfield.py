@@ -77,6 +77,7 @@ class RatFn:
     """
 
     __slots__ = ("field", "_n", "_f", "_num", "_den", "_normal")
+    raw = property(lambda self: self)  # its own raw in RatFnRing, as an element's .raw
 
     def __init__(self, num: Poly, den: Poly | None = None):
         den = Poly(num.field, [1]) if den is None else den

@@ -31,12 +31,11 @@ w_n = n l_n gives it in one pass, O(m^2) (Brent & Kung, J. ACM 25, 1978).
 Polynomials in z over R[t]/(t^m) are multiplied by one ``_raw_mul_low``
 and evaluated by :func:`charp_dilog.gf.horner` on raw coefficient lists; the
 truncated exponential is that evaluation of the inverse factorials at alpha.
-Hensel lifting is Newton iteration with precision doubling on those lists
-(von zur Gathen & Gerhard, Modern Computer Algebra, 3rd ed., 9.4): the
-precisions are 2, 3, ..., m, each the ceiling of half the next, and
-g = 1/P'(x) follows by its own Newton step g <- g (2 - P'(x) g) instead of a
-series inverse.  A linear P = c0 + c z whose c is constant in t skips the
-ladder: its root is -c0/c, one scalar inverse and m scalar products.
+Hensel lifting on those lists takes one of three routes: -c0/c for a linear
+P = c0 + c z whose c is constant in t; up to a measured crossover m0, one
+t-coefficient at a time from scalar dots (relaxed lifting); above it, Newton
+iteration with precision doubling (von zur Gathen & Gerhard, Modern Computer
+Algebra, 3rd ed., 9.4), where g = 1/P'(x) follows by its own Newton step.
 """
 
 from __future__ import annotations
@@ -236,18 +235,18 @@ class Trunc:
             raise ModulusMismatch(f"reduce_to needs 2 <= m2 <= {self.m}, not {m2}")
         return Trunc._of(self.ring, m2, self.raws[:m2])
 
-    def extended(self, m2: int, tail: Sequence = ()) -> "Trunc":
-        """Lift into R[t]/(t^m2), m2 >= m, appending the given tail coefficients."""
+    def extended(self, m2: int) -> "Trunc":
+        """Lift into R[t]/(t^m2), m2 >= m, with zero tail coefficients."""
         if m2 < self.m:
             raise ModulusMismatch("extended cannot lower the modulus")
-        tail = list(tail)
-        if len(tail) > m2 - self.m:
-            raise ValueError("lift tail too long")
-        return Trunc(self.ring, m2, list(self.coeffs) + tail)
+        return Trunc(self.ring, m2, self.coeffs)
 
     def random_extended(self, m2: int, rng) -> "Trunc":
-        """Lift into R[t]/(t^m2) with tail coefficients drawn in order from rng."""
-        return self.extended(m2, [self.ring.random_element(rng) for _ in range(m2 - self.m)])
+        """Lift into R[t]/(t^m2), m <= m2 <= p, with tail raws drawn in order from rng."""
+        if not self.m <= m2 <= self.ring.characteristic:
+            raise ModulusMismatch(f"random_extended needs {self.m} <= m2 <= p, not {m2}")
+        draw = self.ring.random_element
+        return Trunc._of(self.ring, m2, [*self.raws, *(draw(rng).raw for _ in range(m2 - self.m))])
 
     def shifted(self, j: int) -> "Trunc":
         """Multiply by t^j for j >= 0 (zero when j >= m)."""
@@ -272,8 +271,7 @@ class Trunc:
             return self
         if not isinstance(ring, Fq) or ring.base != self.ring:
             return self.map_coeffs(ring.embed, ring)
-        pad = (self.ring._raw_from_int(0),) * (ring.degree - 1)
-        return Trunc._of(ring, self.m, [(c,) + pad for c in self.raws])
+        return Trunc._of(ring, self.m, [(c,) + ring._pad for c in self.raws])
 
     def __repr__(self) -> str:
         parts = []
@@ -368,35 +366,65 @@ def rp_eval(coeffs: Sequence, x: Trunc) -> Trunc:
     return Trunc._of(ring, x.m, horner(ring, raws, x.raws, x.m))
 
 
+_RELAXED_MAX_M = 23  # m0, from the crossover curve of scripts/hensel_crossover.py
+
+
 def newton_root(ring, coeffs: Sequence[list], x0, m: int) -> list:
     """The root of P(z) = sum_k coeffs[k] z^k in F_q[t]/(t^m) that is x0 mod t,
-    on raw data of the Fq ``ring``.  Raises :class:`HenselFailure` unless x0 is
-    a simple root mod t, or if the lift fails the check P(x) = 0 mod t^m.
-    P = c0 + c z with c constant in t (no nonzero raw past its first) takes
-    the closed form x = -c0/c, one ``_raw_inv`` and m scalar products."""
-    mul_low, from_int, is_zero = ring._raw_mul_low, ring._raw_from_int, ring._raw_is_zero
-    linear = len(coeffs) == 2 and all(map(is_zero, coeffs[1][1:]))
-    dcoeffs = [coeffs[1][:1]] if linear else [[ring._raw_mul(from_int(k), c) for c in coeffs[k]]
-                                              for k in range(1, len(coeffs))] or [[from_int(0)]]
-    d0 = horner(ring, dcoeffs, [x0], 1)[0]
+    on raw data of the Fq ``ring``: -c0/c for P = c0 + c z with c constant in t
+    (no nonzero raw past its first), else :func:`_relaxed_root` for m <= m0 =
+    ``_RELAXED_MAX_M`` and :func:`_ladder_root` above.  Raises :class:`HenselFailure`
+    unless x0 is a simple root mod t, or if the lift fails the check P(x) = 0 mod t^m."""
+    from_int, is_zero, mul = ring._raw_from_int, ring._raw_is_zero, ring._raw_mul
+    d0 = horner(ring, [[mul(from_int(k), c[0])] for k, c in enumerate(coeffs) if k], [x0], 1)[0]
     if is_zero(d0) or not is_zero(horner(ring, coeffs, [x0], 1)[0]):
         raise HenselFailure("the starting point is not a simple root mod t")
     inv = ring._raw_inv(d0)
-    if linear:  # x = 0 - c0/c, padded to m raws where c0 is shorter
-        x = _rsub(ring, [from_int(0)] * m, [ring._raw_mul(inv, a) for a in coeffs[0][:m]])
+    if len(coeffs) == 2 and all(map(is_zero, coeffs[1][1:])):  # x = -c0/c, padded to m raws
+        x = _rsub(ring, [from_int(0)] * m, [mul(inv, a) for a in coeffs[0][:m]])
     else:
-        precisions = [m]
-        while precisions[-1] > 2:
-            precisions.append((precisions[-1] + 1) // 2)
-        x, g = [x0], [inv]
-        for k in reversed(precisions):
-            # x is a root and g = 1/P'(x) mod t^j at the previous precision j >= k/2
-            x = _rsub(ring, x, mul_low(g, horner(ring, coeffs, x, k), k))
-            if k < m:
-                e = mul_low(horner(ring, dcoeffs, x, k), g, k)
-                g = mul_low(g, _rsub(ring, [from_int(2)], e), k)
+        x = (_relaxed_root if m <= _RELAXED_MAX_M else _ladder_root)(ring, coeffs, x0, inv, m)
     if not all(map(is_zero, horner(ring, coeffs, x, m))):
         raise HenselFailure("Newton iteration failed to converge")
+    return x
+
+
+def _ladder_root(ring, coeffs: Sequence[list], x0, inv, m: int) -> list:
+    """Newton iteration with precision doubling, inv = 1/P'(x0) mod t: O(deg log m) products."""
+    mul_low, from_int = ring._raw_mul_low, ring._raw_from_int
+    dcoeffs = [[ring._raw_mul(from_int(k), c) for c in coeffs[k]] for k in range(1, len(coeffs))]
+    precisions = [m]
+    while precisions[-1] > 2:
+        precisions.append((precisions[-1] + 1) // 2)
+    x, g = [x0], [inv]
+    for k in reversed(precisions):
+        # x is a root and g = 1/P'(x) mod t^j at the previous precision j >= k/2
+        x = _rsub(ring, x, mul_low(g, horner(ring, coeffs, x, k), k))
+        if k < m:
+            e = mul_low(horner(ring, dcoeffs, x, k), g, k)
+            g = mul_low(g, _rsub(ring, [from_int(2)], e), k)
+    return x
+
+
+def _relaxed_root(ring, coeffs: Sequence[list], x0, inv, m: int) -> list:
+    """One t-coefficient at a time (relaxed lifting; van der Hoeven, J. Symb. Comp. 34, 2002):
+    [t^k] P(x) is its value at x_k = 0 plus P'(x0)(0) x_k, inv = 1/P'(x0) mod t.  ``pows[i-1]``
+    holds [t^n] x^i, n = k..0, one ``_raw_dot`` a step: O(deg m^2) products, none packed."""
+    zero, add, mul, dot = ring._raw_from_int(0), ring._raw_add, ring._raw_mul, ring._raw_dot
+    pows = [[power(x0, i, None, mul)] for i in range(1, len(coeffs))]
+    slopes = [mul(ring._raw_from_int(i), r[0]) for i, r in enumerate(pows[:-1], start=2)]
+    minus, x = ring._raw_neg(inv), [x0]
+    for k in range(1, m):
+        pows[0].insert(0, zero)  # x_k, unknown yet
+        for r, below in zip(pows[1:], pows):  # sum_{a<k} x_a [t^(k-a)] x^(i-1)
+            r.insert(0, dot(x, below))
+        acc = coeffs[0][k] if k < len(coeffs[0]) else zero
+        for row, r in zip(coeffs[1:], pows):
+            acc = add(acc, dot(row, r))
+        x.append(mul(minus, acc))
+        pows[0][0] = x[-1]
+        for r, slope in zip(pows[1:], slopes):  # [t^k] x^i gains i x_0^(i-1) x_k
+            r[0] = add(r[0], mul(slope, x[-1]))
     return x
 
 

@@ -129,6 +129,19 @@ def trunc_horner(coeffs, x):
     return acc
 
 
+def poly_embedded_via_elements(f, field):
+    """f over an extension of its field, each coefficient wrapped and embedded
+    by ``field.embed``."""
+    return Poly(field, [field.embed(FqElem(f.field, c)) for c in f.coeffs])
+
+
+def random_extended_via_elements(x, m2, rng):
+    """x lifted to R[t]/(t^m2) with tail elements drawn in order from rng,
+    every coefficient coerced again by the Trunc constructor."""
+    tail = [x.ring.random_element(rng) for _ in range(m2 - x.m)]
+    return Trunc(x.ring, m2, list(x.coeffs) + tail)
+
+
 def pounds1_direct(s):
     """sum_{1<=i<=p-1} s^i / i term by term, each 1/i by Fermat."""
     p = s.field.p

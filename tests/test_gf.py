@@ -11,11 +11,13 @@ from charp_dilog.gf import (
     CtxMismatch,
     DivisionByZero,
     Fq,
+    FqElem,
     NotInSubfield,
     Poly,
     ZeroPolynomial,
     factor_squarefree_irreducibles,
     frobenius,
+    horner,
     is_irreducible,
     multiplicity,
     trace_to,
@@ -26,7 +28,8 @@ from charp_dilog.rng import spawn
 from charp_dilog.sampling import quadratic_extension, rand_nonzero
 from charp_dilog.tpoly import Trunc
 
-from oracles import is_irreducible_by_trial_division, schoolbook, tower_mul, trace_orbit
+from oracles import (is_irreducible_by_trial_division, poly_embedded_via_elements, schoolbook,
+                     tower_mul, trace_orbit)
 
 
 def test_prime_guard():
@@ -767,3 +770,23 @@ def test_taylor_shift_matches_substitution(request, F7, F49, name):
         assert f.shifted(field.zero) is f
         for theta in (field.random_element(rng), F49.zero, F49.random_element(rng)):
             assert f.shifted(theta) == _composed(f, theta)
+
+
+def test_evaluate_in_an_extension_embeds_raws_as_the_element_route_does(F5, F25):
+    # a polynomial over k evaluated at a point of an extension directly over k:
+    # the raws (c, 0, ..., 0) give the values of the wrapped-and-embedded route,
+    # over F_25 and over the F_625 tower; a field that does not extend k is refused
+    F625 = Fq(5, modulus=[-F25.gen(), 0, 1], base=F25)
+    rng = spawn(34, "evaluate-embedded")
+    for field, ext in ((F5, F25), (F25, F625)):
+        for _ in range(30):
+            f = Poly(field, [field.random_element(rng) for _ in range(rng.randrange(0, 7))])
+            old = poly_embedded_via_elements(f, ext)
+            assert f.embedded(ext) == old
+            for theta in (ext.random_element(rng), ext.embed(field.random_element(rng))):
+                assert f.evaluate(theta) == FqElem(ext, horner(ext, [[c] for c in old.coeffs],
+                                                                [theta.raw], 1)[0])
+    foreign = Fq(5, modulus=[3, 0, 1], base=F5)  # another F_25, not over F25
+    for f, point in ((Poly(F5, [1, 2]), F625.gen()), (Poly(F25, [F25.gen()]), foreign.gen())):
+        with pytest.raises(CtxMismatch):
+            f.evaluate(point)

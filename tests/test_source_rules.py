@@ -228,8 +228,8 @@ def test_one_horner_kernel_evaluates_every_polynomial():
                           for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py"))))
     assert loops == {"gf.horner", "gf.Poly.shifted", "bloch.pounds1"}, loops
     callers = sorted(set(_callers_of("horner")))
-    assert callers == ["gf.Poly.evaluate", "tpoly.newton_root", "tpoly.rp_eval",
-                       "wedge.reduce_at"], callers
+    assert callers == ["gf.Poly.evaluate", "tpoly._ladder_root", "tpoly.newton_root",
+                       "tpoly.rp_eval", "wedge.reduce_at"], callers
 
 
 def test_one_remainder_kernel_divides_for_every_field():
@@ -529,7 +529,6 @@ DEFAULTS_SET_BY = {
     "sampling.rand_ratfn:nonzero": ("sampling.rand_letter_wedge_entries", "suites._exactness_check"),
     "sampling.rand_ratfn:pole_at_zero": ("sampling.rand_letter_wedge_entries",
                                          "sampling.rand_sigma_weights"),
-    "tpoly.Trunc.extended:tail": ("tpoly.Trunc.random_extended",),
     "tpoly.inv_factorials:n": ("tpoly.trunc_exp",),
     "wedge._order:below": ("wedge._check_uniformizer", "wedge.goodness_split"),
     "wedge.ell:ring": ("cycles.zero_cycle_value", "regulator._residue_value"),

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from charp_dilog import tpoly
-from charp_dilog.gf import CtxMismatch, Fq, Poly, horner, is_irreducible, residue_field
+from charp_dilog.gf import (CtxMismatch, Fq, Poly, _rderiv, horner, is_irreducible, is_prime,
+                            residue_field)
 from charp_dilog.localfield import InsufficientPrecision, RatFn, RatFnRing, germs_at_zero
 from charp_dilog.rng import spawn
-from charp_dilog.sampling import rand_good_lifting_pair, rand_ratfn
+from charp_dilog.sampling import quadratic_extension, rand_good_lifting_pair, rand_ratfn
 from charp_dilog.tpoly import (
     HenselFailure,
     IndexOutOfRange,
@@ -28,7 +29,7 @@ from charp_dilog.tpoly import (
 )
 
 from oracles import (div_via_inverse, hensel_root_oracle, log_via_inverse, rand_trunc,
-                     schoolbook, series_inverse, trunc_horner)
+                     random_extended_via_elements, schoolbook, series_inverse, trunc_horner)
 
 
 def test_ring_examples(F5):
@@ -344,12 +345,15 @@ def test_hensel_matches_full_precision_newton_in_the_coefficient_field():
 
 
 def test_linear_root_with_a_constant_coefficient_runs_no_ladder(monkeypatch):
-    # c0 + c z with c constant in t: horner runs for the two checks at t = 0
-    # and the final check mod t^m, and the final check makes the only product;
-    # with c = c(0) + t the Newton ladder runs as before
+    # three routes: c0 + c z with c constant in t is -c0/c, whose only products
+    # are those of the final check P(x) = 0 mod t^m; any other P takes the
+    # recurrence up to m0, with no product before that check either, and the
+    # Newton ladder, whose products come before it, above m0
     F7, F11 = Fq(7), Fq(11)
     F121 = Fq(11, modulus=[1, 0, 1], base=F11)
     F625 = _hensel_fields()[-1]
+    m0 = tpoly._RELAXED_MAX_M
+    Fp = _field_above(m0 + 1)
     horner_ns, products = [], []
 
     def spy_horner(ring, coeffs, x, n):
@@ -360,29 +364,39 @@ def test_linear_root_with_a_constant_coefficient_runs_no_ladder(monkeypatch):
         products.append(len(horner_ns))
         return mul_low(self, a, b, n)
 
+    def lift(coeffs, r0):
+        """The horner precisions and the products (by the horner calls before
+        each) of one lift."""
+        horner_ns.clear()
+        products.clear()
+        root = hensel_root_zpoly(coeffs, r0)
+        seen = list(horner_ns), list(products)
+        assert rp_eval(coeffs, root).is_zero and root.c0 == r0
+        return seen
+
     mul_low = Fq._raw_mul_low
     monkeypatch.setattr(tpoly, "horner", spy_horner)
     monkeypatch.setattr(Fq, "_raw_mul_low", spy_mul_low)
-    for field in (F7, F121, F625):
+    for field in (F7, F121, F625, Fp, quadratic_extension(Fp)):
         rng = spawn(field.order, "closed-form")
-        for m in sorted({2, 5, field.p}):
+        for m in sorted(m for m in {2, 5, field.p, m0, m0 + 1} if m <= field.p):
             for c in (field.one, _unit_not_one(field, rng)):
                 r0 = field.random_element(rng)
                 coeffs = _linear(field, m, c, r0, rng)
-                horner_ns.clear()
-                products.clear()
-                root = hensel_root_zpoly(coeffs, r0)
-                assert horner_ns == [1, 1, m], (field, m, horner_ns)
-                assert products == [3], (field, m, products)  # inside the final check
-                assert rp_eval(coeffs, root).is_zero and root.c0 == r0
+                # P'(x0) and P(x0) at t = 0, then the final check, which makes every product
+                assert lift(coeffs, r0) == ([1, 1, m], [3]), (field, m)
                 # rows shorter than m, as wedge._rows gives them: still m raws
                 short = [coeffs[0].raws[:1], coeffs[1].raws[:1]]
                 assert (tpoly.newton_root(field, short, field._raw_of(r0), m)
                         == list(Trunc.constant(field, m, r0).raws))
+                # c = c(0) + t, and a quadratic: no closed form
                 coeffs[1] = coeffs[1] + Trunc.t(field, m)
-                horner_ns.clear()
-                hensel_root_zpoly(coeffs, r0)
-                assert len(horner_ns) > 3, (field, m, horner_ns)
+                for poly in (coeffs, rp_mul(coeffs, [Trunc.one(field, m), Trunc.t(field, m)])):
+                    ns, prods = lift(poly, r0)
+                    if m <= m0:
+                        assert ns == [1, 1, m] and set(prods) == {3}, (field, m, ns, prods)
+                    else:
+                        assert ns[-1] == m and len(ns) > 3 and prods[0] < len(ns), (field, m, ns)
 
 
 def test_hensel_matches_full_precision_newton_in_residue_fields():
@@ -409,6 +423,84 @@ def test_hensel_matches_full_precision_newton_in_residue_fields():
                 root = hensel_root_zpoly(coeffs, r0)
                 assert root == hensel_root_oracle(coeffs, r0)
                 assert root.c0 == r0 and trunc_horner(coeffs, root).is_zero
+
+
+def _field_above(m):
+    """The first prime field with p >= m, so that Truncs reach precision m."""
+    return Fq(next(p for p in range(max(m, 5), 2 * m + 5) if is_prime(p)))
+
+
+def _rooted_rows(field, m, degree, rng):
+    """Raw rows of a random P of the degree over F_q[t]/(t^m), shifted so that
+    a random r0 is a root mod t, with r0."""
+    r0 = field.random_element(rng)
+    rows = [[field.random_element(rng).raw for _ in range(m)] for _ in range(degree + 1)]
+    rows[0][0] = field._raw_sub(rows[0][0], horner(field, rows, [r0.raw], 1)[0])
+    return rows, r0
+
+
+def test_recurrence_ladder_and_oracle_agree_across_the_crossover():
+    # the coefficient recurrence, the Newton ladder and full-precision Newton
+    # give one root over F_p, F_p^2 and the F_625 tower, at degrees 1 to 6
+    # (a linear P has a c that is not constant in t) and on both sides of m0;
+    # where r0 is no simple root, newton_root raises
+    m0 = tpoly._RELAXED_MAX_M
+    Fp = _field_above(m0 + 1)
+    for field in (Fp, quadratic_extension(Fp), _hensel_fields()[-1]):
+        rng = spawn(field.order, "hensel-crossover")
+        for m in (2, 3, 5, 7, m0, m0 + 1):
+            for degree in range(1, 7):
+                rows, r0 = _rooted_rows(field, m, degree, rng)
+                slope = horner(field, [[c] for c in _rderiv(field, [row[0] for row in rows])],
+                               [r0.raw], 1)[0]
+                if field._raw_is_zero(slope):
+                    with pytest.raises(HenselFailure):
+                        tpoly.newton_root(field, rows, r0.raw, m)
+                    continue
+                inv = field._raw_inv(slope)
+                ladder = tpoly._ladder_root(field, rows, r0.raw, inv, m)
+                relaxed = tpoly._relaxed_root(field, rows, r0.raw, inv, m)
+                assert relaxed == ladder, (field, m, degree)
+                assert tpoly.newton_root(field, rows, r0.raw, m) == ladder
+                if m <= field.p:
+                    coeffs = [Trunc._of(field, m, row) for row in rows]
+                    assert hensel_root_oracle(coeffs, r0).raws == tuple(ladder), (field, m, degree)
+
+
+def test_hensel_failures_keep_their_type_on_both_sides_of_the_crossover():
+    # not a root, a double root, constant in z, no coefficients, and a linear
+    # P whose c vanishes at t = 0, at m0 (the recurrence) and m0 + 1 (the ladder)
+    m0 = tpoly._RELAXED_MAX_M
+    field = _field_above(m0 + 1)
+    for m in (m0, m0 + 1):
+        one, t = Trunc.one(field, m), Trunc.t(field, m)
+        double = [one, Trunc.constant(field, m, -2), one]  # (z - 1)^2
+        cases = [([Trunc(field, m, [1, 1]), one, one], field.one),  # P(1) = 3
+                 (double, field.one), ([one + t] + double[1:], field.one),
+                 ([t], field.zero), ([t, t], field.zero), ([t, t, one], field.zero)]
+        for coeffs, r0 in cases:
+            with pytest.raises(HenselFailure):
+                hensel_root_zpoly(coeffs, r0)
+        with pytest.raises(HenselFailure):
+            tpoly.newton_root(field, [], field._raw_from_int(0), m)
+        with pytest.raises(HenselFailure):
+            hensel_root_zpoly([], field.zero)
+
+
+def test_random_extended_draws_raws_as_the_element_route_does(F5, F7, F49):
+    # the same lift and the same rng state afterwards as the route that draws
+    # elements and coerces every coefficient again, over F_p, F_p^2 and F_q(s);
+    # m2 stays within m <= m2 <= p
+    for ring in (F5, F7, F49, RatFnRing(F5)):
+        for m, m2 in ((2, 2), (2, ring.characteristic), (3, 4)):
+            x = rand_trunc(ring, m, spawn(35, "lift-base", m))
+            new_rng, old_rng = spawn(35, "lift", m2), spawn(35, "lift", m2)
+            assert x.random_extended(m2, new_rng) == random_extended_via_elements(x, m2, old_rng)
+            assert new_rng.random() == old_rng.random()
+        x = Trunc.one(ring, 3)
+        for m2 in (2, ring.characteristic + 1):
+            with pytest.raises(ModulusMismatch):
+                x.random_extended(m2, spawn(35, "bad-lift"))
 
 
 # -- the raw path against the generic loop and the series definition ----------
