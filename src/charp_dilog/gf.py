@@ -18,6 +18,14 @@ the monic modulus, as in a tower's element product.  It needs no inverse and
 stays apart from ``_rreduce``, which measured slower on every product.  Over
 F_p in degree 2 it is one fold by u^2 = -m1 u - m0, in closed form.
 
+Every arithmetic class keeps one operand rule.  A ring's ``_operand`` reads
+an element of the ring or an int (a germ ring and ``RatFnRing`` also a field
+element, as a constant), raises :class:`CtxMismatch` for another ring's
+element and gives NotImplemented for anything else, a tuple or list included.
+``_raw_of``, that or TypeError in every ring, reads Poly and Trunc
+coefficients.  Each class's ``_lift`` reads its operators' other operand, and
+:class:`Arithmetic` writes ``r-``, ``/`` and ``r/`` once over it.
+
 Beyond those kernels, each operation has one generic routine for every
 field and ring: :func:`power` (square-and-multiply), :func:`horner`
 (polynomial evaluation: a scalar step of ``_raw_mul`` and ``_raw_add`` at
@@ -150,6 +158,14 @@ def _rmul(field: Fq, a: Sequence, b: Sequence, n: int | None = None) -> list:
     return out[:n] if len(out) >= n else out + [field._raw_from_int(0)] * (n - len(out))
 
 
+def _raw_of_operand(ring, x):
+    """The raw that ``ring._operand`` reads from x, else TypeError: every ring
+    binds it as ``_raw_of``, the reader of Trunc and Poly coefficients."""
+    if (raw := ring._operand(x)) is NotImplemented:
+        raise TypeError(f"cannot coerce {x!r} into {ring}")
+    return raw
+
+
 class Fq:
     """A finite field: F_p when ``base`` is None, else ``base[u]/(modulus)``.
 
@@ -217,19 +233,20 @@ class Fq:
         return FqElem(self, self._raw_from_int(n))
 
     # tpoly.Trunc and the element operators compute with the ``_raw_*`` kernel;
-    # ``_raw_of`` unwraps a Trunc coefficient, ``_operand`` the other operand of
-    # an element operator (see RingElem), and ``_wrap`` turns raws back into
-    # elements at the API boundary.
-
-    def _raw_of(self, x):
-        return self(x).raw
+    # ``_operand`` reads a scalar (the one operand rule), ``_raw_of`` a Trunc or
+    # Poly coefficient, and ``_wrap`` turns raws back into elements at the API
+    # boundary.
 
     def _operand(self, x):
+        """The raw of an element of this field or of an int; CtxMismatch for
+        another field's element, NotImplemented for anything else."""
         if isinstance(x, FqElem):
             if x.ring is not self and x.ring != self:
                 raise CtxMismatch(f"mixing {self} and {x.ring}")
             return x.raw
         return self._raw_from_int(x) if isinstance(x, int) else NotImplemented
+
+    _raw_of = _raw_of_operand
 
     _raw_mul_low = _rmul  # (a, b, n): the low n coefficients of a product
 
@@ -239,10 +256,11 @@ class Fq:
     # -- construction and coercion ----------------------------------------
 
     def __call__(self, x) -> "FqElem":
+        """An element from what ``_operand`` reads, or an extension element from
+        its base-field coordinates (a tuple or list, low first)."""
         if self.base is not None and isinstance(x, (tuple, list)):
             return self.from_coeffs(x)
-        if (raw := self._operand(x)) is NotImplemented:
-            raise TypeError(f"cannot coerce {x!r} into {self}")
+        raw = self._raw_of(x)
         return x if isinstance(x, FqElem) else FqElem(self, raw)
 
     def from_coeffs(self, coeffs: Sequence) -> "FqElem":
@@ -529,6 +547,28 @@ def _rreduce(field: Fq, rem: list, b: Sequence, quot: list | None = None) -> lis
     return rem
 
 
+def _lifted(method):
+    """The operator that runs ``method`` on the other operand as ``self._lift`` reads
+    it, or gives NotImplemented, so that operand's reflected operator runs."""
+    def op(self, other):
+        if (other := self._lift(other)) is NotImplemented:
+            return other
+        return method(self, other)
+    return op
+
+
+class Arithmetic:
+    """``r-``, ``/`` and ``r/`` of every arithmetic class, over its ``_lift(x)``:
+    an element of the same ring (same field, and for a truncation the same m;
+    a mismatch raises), a scalar that the coefficient ring's ``_operand``
+    reads, as a constant, or NotImplemented."""
+
+    __slots__ = ()
+    __rsub__ = _lifted(lambda self, other: other - self)
+    __truediv__ = _lifted(lambda self, other: self * other.inverse())
+    __rtruediv__ = _lifted(lambda self, other: other * self.inverse())
+
+
 def _binary(kernel: str, swap: bool = False):
     """The :class:`RingElem` operator that runs the ring's ``kernel`` on the
     two raws, the other operand's first when ``swap``."""
@@ -540,21 +580,23 @@ def _binary(kernel: str, swap: bool = False):
     return op
 
 
-class RingElem:
+class RingElem(Arithmetic):
     """An element of a ring with a ``_raw_*`` kernel: the ring and one raw.
 
-    Every operator runs the ring's kernel.  The ring's ``_operand(x)`` gives
-    the raw of an element of the ring or of an int (a germ ring also takes a
-    field element as a constant), raises :class:`CtxMismatch` for another
-    ring's element, and gives NotImplemented for anything else, so that
-    operand's reflected operator runs.  Division is a product by the inverse,
-    and a power runs :func:`power` (on the inverse for a negative exponent)."""
+    Every operator runs the ring's kernel on the raw that the ring's
+    ``_operand`` reads from the other operand (the module's operand rule);
+    division is :class:`Arithmetic`'s, and a power runs :func:`power` (on the
+    inverse for a negative exponent)."""
 
     __slots__ = ("ring", "raw")
 
     def __init__(self, ring, raw):
         self.ring = ring
         self.raw = raw
+
+    def _lift(self, x):
+        raw = self.ring._operand(x)
+        return raw if raw is NotImplemented else type(self)(self.ring, raw)
 
     @property
     def is_zero(self) -> bool:
@@ -563,16 +605,6 @@ class RingElem:
     __add__ = __radd__ = _binary("_raw_add")
     __sub__, __rsub__ = _binary("_raw_sub"), _binary("_raw_sub", swap=True)
     __mul__ = __rmul__ = _binary("_raw_mul")
-
-    def __truediv__(self, other):
-        if (b := self.ring._operand(other)) is NotImplemented:
-            return b
-        return self * type(self)(self.ring, b).inverse()
-
-    def __rtruediv__(self, other):
-        if (b := self.ring._operand(other)) is NotImplemented:
-            return b
-        return type(self)(self.ring, b) * self.inverse()
 
     def __neg__(self):
         return type(self)(self.ring, self.ring._raw_neg(self.raw))
@@ -657,7 +689,7 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Fq, coeffs=()):
-        raws = [field(c).raw for c in coeffs]
+        raws = [field._raw_of(c) for c in coeffs]
         while raws and field._raw_is_zero(raws[-1]):
             raws.pop()
         self.field = field
@@ -699,46 +731,38 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == self.field.one.raw
 
-    def _check(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            if other.field != self.field:
+    def _lift(self, x):
+        """A polynomial over this field, or what the field's ``_operand`` reads
+        as a constant (see :class:`Arithmetic`)."""
+        if isinstance(x, Poly):
+            if x.field != self.field:
                 raise CtxMismatch("polynomials over different fields")
-            return other
-        if isinstance(other, (int, FqElem)):
-            return Poly(self.field, [other])
-        return NotImplemented
+            return x
+        c = self.field._operand(x)
+        return c if c is NotImplemented else Poly._from_raw(self.field, [c])
 
+    @_lifted
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
         return Poly._from_raw(self.field, _radd(self.field, self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
+    @_lifted
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
         return Poly._from_raw(self.field, _rsub(self.field, self.coeffs, other.coeffs))
 
-    def __rsub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+    __rsub__ = Arithmetic.__rsub__  # no division: a polynomial has no inverse
 
     def __neg__(self):
         f = self.field
         return Poly._from_raw(f, [f._raw_neg(c) for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, FqElem)):
-            f, c = self.field, self.field(other).raw
+        if isinstance(other, (int, FqElem)):  # a scalar scales, before any _lift
+            f, c = self.field, self.field._raw_of(other)
             return Poly._from_raw(f, [f._raw_mul(c, x) for x in self.coeffs])
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if (other := self._lift(other)) is NotImplemented:
+            return other
         return Poly._from_raw(self.field, _rmul(self.field, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
@@ -749,10 +773,8 @@ class Poly:
         one = Poly._from_raw(self.field, [self.field._raw_from_int(1)]) if n == 0 else None
         return power(self, n, one, operator.mul)
 
+    @_lifted
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
         if other.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
         f = self.field
@@ -823,8 +845,7 @@ class Poly:
 
     def gcd(self, other: "Poly") -> "Poly":
         """The monic gcd (zero for two zeros), by Euclid on raw lists."""
-        b = self._check(other)
-        if b is NotImplemented:
+        if (b := self._lift(other)) is NotImplemented:
             raise TypeError(f"gcd of a polynomial and {type(other).__name__}")
         f = self.field
         # the longer first (a stable sort), so no step divides by a lead it never uses
@@ -937,15 +958,8 @@ def factor_squarefree_irreducibles(f: Poly) -> list[tuple[Poly, int]]:
     rng = _random.Random(("edf", 0, f.field.order, f.coeffs).__repr__())
     factors: dict[Poly, int] = {}
     _factor_monic(f.monic()[0], factors, rng)
-    def key(g: Poly):
-        return (g.degree, [_raw_key(g.field, c) for c in g.coeffs])
-    return sorted(factors.items(), key=lambda it: key(it[0]))
-
-
-def _raw_key(field: Fq, raw):
-    if field.base is None:
-        return raw
-    return tuple(_raw_key(field.base, c) for c in raw)
+    # by degree, then by the raws themselves: ints over F_p, tuples of base raws above
+    return sorted(factors.items(), key=lambda it: (it[0].degree, it[0].coeffs))
 
 
 def _factor_monic(f: Poly, out: dict[Poly, int], rng, mult: int = 1) -> None:

@@ -24,9 +24,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import (CtxMismatch, DivisionByZero, Fq, FqElem, Poly, RingElem, ZeroPolynomial,
-                 _pth_root_poly, _radd, _rderiv, _rmul, _rsub, is_irreducible, multiplicity, power,
-                 residue_field)
+from .gf import (Arithmetic, CtxMismatch, DivisionByZero, Fq, FqElem, Poly, RingElem,
+                 ZeroPolynomial, _lifted, _pth_root_poly, _radd, _raw_of_operand, _rderiv, _rmul,
+                 _rsub, is_irreducible, multiplicity, power, residue_field)
 from .tpoly import Trunc, _series_div
 
 
@@ -59,7 +59,7 @@ class _Infinity:
 INF = _Infinity()
 
 
-class RatFn:
+class RatFn(Arithmetic):
     """A rational function over F_q, held on raw data as n * prod_j B_j^(-e_j).
 
     n is a trimmed raw coefficient list, the bases B_j are monic polynomials
@@ -148,16 +148,16 @@ class RatFn:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _coerce(self, other) -> "RatFn":
-        if isinstance(other, RatFn):
-            if other.field != self.field:
-                raise CtxMismatch("rational functions over different fields")
-            return other
-        if isinstance(other, (int, FqElem)):
-            return RatFn.const(self.field(other))
-        if isinstance(other, Poly):
-            return RatFn(other)
-        return NotImplemented
+    def _lift(self, x):
+        """A function over this field, or what the field's ``_operand`` reads as a
+        constant (see :class:`~charp_dilog.gf.Arithmetic`); it reads only
+        ``self.field``, so it is :class:`RatFnRing`'s ``_operand`` too."""
+        if isinstance(x, RatFn):
+            if x.field != self.field:
+                raise CtxMismatch(f"function over {x.field} used over {self.field}")
+            return x
+        c = self.field._operand(x)
+        return c if c is NotImplemented else RatFn._make(self.field, [c], {})
 
     def _over(self, f: dict) -> list:
         """n times the powers that take this value's bases to the multiple f."""
@@ -168,23 +168,14 @@ class RatFn:
         return n
 
     def _sum(self, other, minus: bool = False):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         f = {b: max(e, 0) for b, e in self._f.items()}
         for b, e in other._f.items():
             f[b] = max(self._f.get(b, 0), e)
         a, b = self._over(f), other._over(f)
         return RatFn._make(self.field, (_rsub if minus else _radd)(self.field, a, b), f)
 
-    __add__ = __radd__ = _sum
-    __sub__ = functools.partialmethod(_sum, minus=True)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+    __add__ = __radd__ = _lifted(_sum)
+    __sub__ = _lifted(functools.partial(_sum, minus=True))
 
     def __neg__(self):
         out = RatFn._make(self.field, _rsub(self.field, (), self._n), self._f)
@@ -192,30 +183,17 @@ class RatFn:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, (int, FqElem)):
+        if isinstance(other, (int, FqElem)):  # a scalar scales, before any _lift
             c = self.field._raw_of(other)
             return RatFn._make(self.field, [self.field._raw_mul(c, x) for x in self._n], self._f)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if (other := self._lift(other)) is NotImplemented:
+            return other
         f = dict(self._f)
         for b, e in other._f.items():
             f[b] = f.get(b, 0) + e
         return RatFn._make(self.field, _rmul(self.field, self._n, other._n), f)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     def inverse(self) -> "RatFn":
         if self.is_zero:
@@ -234,10 +212,8 @@ class RatFn:
         raws = power(self._n, n, one, functools.partial(_rmul, self.field))
         return RatFn._make(self.field, raws, {b: e * n for b, e in self._f.items()})
 
+    @_lifted
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         if self._normal and other._normal:
             return self._n == other._n and self._f == other._f
         return (self - other).is_zero
@@ -333,16 +309,8 @@ class RatFnRing:
         """A coefficient-field element as a constant function."""
         return RatFn.const(self.field(c))
 
-    def _raw_of(self, x) -> RatFn:
-        """A coefficient of a Trunc over this ring: an int, a function over the
-        field, or a field element as a constant."""
-        if isinstance(x, RatFn):
-            if x.field != self.field:
-                raise CtxMismatch(f"function over {x.field} used in {self}")
-            return x
-        if isinstance(x, (int, FqElem)):
-            return self.embed(x)
-        raise TypeError(f"cannot coerce {x!r} into {self}")
+    _operand = RatFn._lift  # a function over the field, or a field scalar as a constant
+    _raw_of = _raw_of_operand
 
     _wrap = staticmethod(tuple)
     _raw_add = staticmethod(operator.add)
@@ -443,11 +411,7 @@ class LaurentRing:
         c = self.field._operand(x)
         return c if c is NotImplemented else self._constant(c)
 
-    def _raw_of(self, x):
-        """A Trunc coefficient: what ``_operand`` takes."""
-        if (raw := self._operand(x)) is NotImplemented:
-            raise TypeError(f"cannot coerce {x!r} into {self}")
-        return raw
+    _raw_of = _raw_of_operand
 
     def _wrap(self, raws) -> tuple:
         return tuple([LaurentLocal(self, r) for r in raws])

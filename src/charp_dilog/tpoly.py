@@ -12,8 +12,10 @@ API boundary (construction, ``coeffs``, ``c0``), and ``_raw_add``,
 ``_raw_sub``, ``_raw_neg``, ``_raw_mul``, ``_raw_dot``, ``_raw_inv``,
 ``_raw_is_zero``, ``_raw_from_int`` and ``_raw_mul_low`` (the low n
 coefficients of a product) compute.  There are three kernels; the elements
-of the first two share one class over theirs, :class:`charp_dilog.gf.RingElem`,
-whose operators read the other operand with the ring's ``_operand``.
+of the first two share one class over theirs, :class:`charp_dilog.gf.RingElem`.
+A :class:`Trunc` keeps :mod:`charp_dilog.gf`'s operand rule: an operand is a Trunc
+over the same ring with the same m, or a scalar the ring's ``_operand`` reads
+(never a tuple or list), and ``r-``, ``/``, ``r/`` come from ``gf.Arithmetic``.
 :class:`charp_dilog.gf.Fq` keeps an int or an int tuple per coefficient and
 multiplies through the field's one polynomial multiply.
 :class:`charp_dilog.localfield.LaurentRing` keeps a germ per coefficient and
@@ -44,7 +46,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import Fq, _rsub, horner, power
+from .gf import Arithmetic, Fq, _lifted, _rsub, horner, power
 
 
 class TruncError(Exception):
@@ -81,17 +83,12 @@ def _inverses(p: int, n: int) -> list[int]:
 
 
 def inv_factorials(p: int, n: int | None = None) -> list[int]:
-    """Inverses of k! modulo p for 0 <= k < n, for n <= p (default n = p)."""
-    if n is None:
-        n = p
-    out = [1] * n
-    fact = 1
-    for k in range(1, n):
-        fact = fact * k % p
-    inv = pow(fact, -1, p)
-    for k in range(n - 1, 0, -1):
-        out[k] = inv
-        inv = inv * k % p
+    """Inverses of k! modulo p for 0 <= k < n, for n <= p (default n = p): the
+    running product of the inverses of 1..n-1, as 1/k! = 1/(k-1)! * 1/k."""
+    n = p if n is None else n
+    out = [1][:n]
+    for inv in _inverses(p, n)[1:]:
+        out.append(out[-1] * inv % p)
     return out
 
 
@@ -107,7 +104,7 @@ def _series_div(ring, num: Sequence, den: Sequence) -> list:
     return rev[::-1]
 
 
-class Trunc:
+class Trunc(Arithmetic):
     """An element of R[t]/(t^m), held as exactly m raws of its ring (low first)."""
 
     __slots__ = ("ring", "m", "raws")
@@ -165,33 +162,35 @@ class Trunc:
     def is_unit(self) -> bool:
         return not self.ring._raw_is_zero(self.raws[0])
 
-    def _check(self, other) -> "Trunc":
-        if isinstance(other, Trunc):
-            if other.ring != self.ring or other.m != self.m:
+    def _lift(self, x):
+        """A truncation over this ring with this m, or what the ring's ``_operand``
+        reads as a constant (see :class:`~charp_dilog.gf.Arithmetic`)."""
+        if isinstance(x, Trunc):
+            if x.ring != self.ring or x.m != self.m:
                 raise ModulusMismatch("mixing truncated rings")
-            return other
-        return Trunc.constant(self.ring, self.m, other)
+            return x
+        ring = self.ring
+        if (c := ring._operand(x)) is NotImplemented:
+            return c
+        return Trunc._of(ring, self.m, [c] + [ring._raw_from_int(0)] * (self.m - 1))
 
+    @_lifted
     def __add__(self, other):
-        other = self._check(other)
         add = self.ring._raw_add
         return Trunc._of(self.ring, self.m, [add(a, b) for a, b in zip(self.raws, other.raws)])
 
     __radd__ = __add__
 
+    @_lifted
     def __sub__(self, other):
-        other = self._check(other)
         sub = self.ring._raw_sub
         return Trunc._of(self.ring, self.m, [sub(a, b) for a, b in zip(self.raws, other.raws)])
-
-    def __rsub__(self, other):
-        return self._check(other) - self
 
     def __neg__(self):
         return Trunc._of(self.ring, self.m, [self.ring._raw_neg(a) for a in self.raws])
 
+    @_lifted
     def __mul__(self, other):
-        other = self._check(other)
         return Trunc._of(self.ring, self.m,
                          self.ring._raw_mul_low(self.raws, other.raws, self.m))
 
@@ -208,13 +207,6 @@ class Trunc:
             raise NonUnitConstantTerm("inverting a non-unit of R[t]/(t^m)")
         one = [self.ring._raw_from_int(1)]
         return Trunc._of(self.ring, self.m, _series_div(self.ring, one, self.raws))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._check(other) / self
 
     def __pow__(self, n: int) -> "Trunc":
         if n < 0:
@@ -346,6 +338,13 @@ def unit_recompose(d: UnitDecomp) -> Trunc:
 
 # -- polynomials in z over R[t]/(t^m) (lists, low first) ---------------------
 
+def _raws_like(x: Trunc, c) -> tuple:
+    """The m raws of c read as an operand of x: a Trunc like x, or a scalar of its ring."""
+    if (y := x._lift(c)) is NotImplemented:
+        raise TypeError(f"{c!r} is not an operand of {x.ring}[t]/(t^{x.m})")
+    return y.raws
+
+
 def rp_mul(a: Sequence, b: Sequence) -> list:
     """The product of two polynomials in z with Trunc coefficients like ``a[0]``:
     z -> t^w, w = 2m - 1, gives each coefficient a block of one ``_raw_mul_low``."""
@@ -353,7 +352,7 @@ def rp_mul(a: Sequence, b: Sequence) -> list:
         return []
     ring, m, size = a[0].ring, a[0].m, len(a) + len(b) - 1
     w, pad = 2 * m - 1, [ring._raw_from_int(0)] * (m - 1)
-    fa, fb = ([c for x in xs for c in [*a[0]._check(x).raws, *pad]] for xs in (a, b))
+    fa, fb = ([c for x in xs for c in [*_raws_like(a[0], x), *pad]] for xs in (a, b))
     flat = ring._raw_mul_low(fa, fb, size * w)
     return [Trunc._of(ring, m, flat[k * w:k * w + m]) for k in range(size)]
 
@@ -362,7 +361,7 @@ def rp_eval(coeffs: Sequence, x: Trunc) -> Trunc:
     """sum_k coeffs[k] x^k by :func:`~charp_dilog.gf.horner`; a coefficient is
     a Trunc like x or a ring scalar."""
     ring = x.ring
-    raws = [x._check(c).raws if isinstance(c, Trunc) else [ring._raw_of(c)] for c in coeffs]
+    raws = [_raws_like(x, c) if isinstance(c, Trunc) else [ring._raw_of(c)] for c in coeffs]
     return Trunc._of(ring, x.m, horner(ring, raws, x.raws, x.m))
 
 
@@ -434,6 +433,6 @@ def hensel_root_zpoly(coeffs: Sequence[Trunc], x0) -> Trunc:
     if not coeffs:
         raise HenselFailure("the zero polynomial has no simple root")
     first = coeffs[0]
-    raws = [first._check(c).raws for c in coeffs]
+    raws = [_raws_like(first, c) for c in coeffs]
     return Trunc._of(first.ring, first.m,
                      newton_root(first.ring, raws, first.ring._raw_of(x0), first.m))

@@ -389,6 +389,45 @@ def test_input_file_commands_keep_the_exit_code_contract(command, data):
         assert command[0] == "cycle" and out.getvalue().startswith("failure=")
 
 
+# each option of `verify` as (valid values, invalid values); the valid p and
+# trials are small, so a run that passes every check takes a fraction of a second
+VERIFY_OPTIONS = {
+    "--p": (["5", "7"], ["4", "63", "-5", "-7", "0", "1", "9", "15", "49", "5.0", "5e0", "five", ""]),
+    "--trials": (["1", "2"], ["0", "-1", "-3", "1.5", "1e0", "two", ""]),
+    "--format": (["plain", "json"], ["csv", "JSON", "xml", ""]),
+    "--seed": (["0", "17", "-3"], ["3.5", "0x10", "seed", ""]),
+}
+VERIFY_SUITES = (sorted(suites.SUITES) + ["all"],
+                 ["", "nope", "ALL", "five_term", "theorem", "-", "--nope"])
+
+
+def _valid_or_not(values):
+    valid, invalid = values
+    return st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_verify_arguments_keep_the_exit_code_contract(data):
+    # suite names, p, trials, format and seed, valid or not and in any order
+    # (trials always given, so no run takes the acceptance trial counts): a
+    # run passes, fails a check with a report, or rejects its arguments with a
+    # message and no report, and never raises (in a process, a traceback)
+    argv = ["verify", data.draw(_valid_or_not(VERIFY_SUITES), label="suite")]
+    for flag in data.draw(st.permutations(sorted(VERIFY_OPTIONS)), label="order"):
+        if flag == "--trials" or data.draw(st.booleans(), label=f"{flag} given"):
+            argv += [flag, data.draw(_valid_or_not(VERIFY_OPTIONS[flag]), label=flag)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's rejection
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert (code == 2) == bool(err.getvalue()) and (code == 2) != bool(out.getvalue()), argv
+    assert "Traceback" not in err.getvalue()
+
+
 @pytest.mark.parametrize("change, field", [
     ({"p": 5.5}, "'p'"), ({"p": True}, "'p'"), ({"p": "5"}, "'p'"), ({"ext": []}, "'ext'"),
     ({"ext": {}}, "'ext'"), ({"ext": False}, "'ext'"),

@@ -353,6 +353,44 @@ def test_factor_deterministic(F5):
         factor_squarefree_irreducibles(f)
 
 
+# factor_squarefree_irreducibles of (x^2 - u)(x^2 + u + 1)(x + u)(x - 1),
+# (x^4 - u)(x + u^2)^2 and x^6 + u x^3 + 1, as (coefficient raws, multiplicity),
+# taken when factors were sorted by a key built from the raws level by level
+FACTOR_ORDER_PINS = {
+    "F25": [
+        [(((0, 1), (1, 0)), 1), (((4, 0), (1, 0)), 1), (((0, 4), (0, 0), (1, 0)), 1),
+         (((1, 1), (0, 0), (1, 0)), 1)],
+        [(((3, 0), (1, 0)), 2), (((0, 4), (0, 0), (0, 0), (0, 0), (1, 0)), 1)],
+        [(((1, 3), (0, 0), (0, 0), (1, 0)), 1), (((4, 3), (0, 0), (0, 0), (1, 0)), 1)],
+    ],
+    "F625": [
+        [((((0, 0), (1, 0)), ((1, 0), (0, 0))), 1), ((((4, 0), (0, 0)), ((1, 0), (0, 0))), 1),
+         ((((0, 0), (4, 0)), ((0, 0), (0, 0)), ((1, 0), (0, 0))), 1),
+         ((((1, 0), (1, 0)), ((0, 0), (0, 0)), ((1, 0), (0, 0))), 1)],
+        [((((0, 4), (4, 0)), ((1, 0), (0, 0))), 2),
+         ((((0, 0), (4, 0)), ((0, 0), (0, 0)), ((0, 0), (0, 0)), ((0, 0), (0, 0)),
+           ((1, 0), (0, 0))), 1)],
+        [((((1, 0), (0, 0)), ((2, 0), (4, 3)), ((1, 0), (0, 0))), 1),
+         ((((2, 1), (0, 0)), ((4, 3), (4, 2)), ((1, 0), (0, 0))), 1),
+         ((((2, 4), (0, 0)), ((4, 2), (2, 0)), ((1, 0), (0, 0))), 1)],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTOR_ORDER_PINS))
+def test_factors_sort_by_degree_then_coefficient_raws(F25, name):
+    # a raw compares as its value (an int over F_p, a tuple of base raws
+    # above), so the raws themselves order the factors of one degree; three
+    # of these six orders differ from the order the factors were found in
+    field = F25 if name == "F25" else _f625(F25)
+    assert field.modulus == (((0, 1), (1, 0), (1, 0)) if name == "F625" else (2, 0, 1))
+    x, u = Poly.x(field), field.gen()
+    polys = [(x ** 2 - u) * (x ** 2 + u + 1) * (x + u) * (x - 1),
+             (x ** 4 - u) * (x + u ** 2) ** 2, x ** 6 + u * x ** 3 + 1]
+    got = [[(g.coeffs, m) for g, m in factor_squarefree_irreducibles(f)] for f in polys]
+    assert got == FACTOR_ORDER_PINS[name]
+
+
 def test_factor_over_extension(F25):
     x = Poly.x(F25)
     u = F25.gen()

@@ -588,17 +588,30 @@ def test_scalars_meet_each_kind_as_its_constants(fname, request):
 
 @pytest.mark.parametrize("fname", ["F7", "F49"])
 def test_elements_take_only_ints_and_elements_as_operands(fname, request):
-    # one operand rule for field elements and germs: a tuple or list that
-    # looks like a raw, a float or a string is no operand, in either order
+    # one operand rule for every arithmetic class: field elements, germs,
+    # polynomials, functions and truncations over the field, the germs and
+    # the functions take a tuple or list that looks like a raw, a float or a
+    # string as no operand, in either order; a function and a polynomial are
+    # no operands of each other, over one field or two
     field = request.getfixturevalue(fname)
     s = RatFn.gen(field)
     germ = expand_at((s + 2) / (s + 3), field.zero, 3)
-    for x in (field(3), field.gen() if field.base is not None else field(5), germ, germ.ring.one):
+    a = field.gen() if field.base is not None else field(5)
+    values = (field(3), a, germ, germ.ring.one, Poly(field, [1, a]), s + a,
+              Trunc(field, 3, [2, a]), Trunc(germ.ring, 3, [germ, 1]),
+              Trunc(RatFnRing(field), 3, [s, a]))
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for x in values:
         for bad in ((1, 2), [0, 1], 1.5, "1"):
-            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for op in ops:
                 for args in ((x, bad), (bad, x)):
                     with pytest.raises(TypeError):
                         op(*args)
+    for poly in (Poly(field, [1, 2]), Poly(Fq(5), [1, 2])):
+        for op in ops:
+            for args in ((s, poly), (poly, s)):
+                with pytest.raises(TypeError):
+                    op(*args)
 
 
 def test_residue_of_a_germ(R5, F5):

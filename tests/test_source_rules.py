@@ -7,8 +7,10 @@ import inspect
 from pathlib import Path
 
 import charp_dilog
-from charp_dilog.gf import FqElem, RingElem
-from charp_dilog.localfield import LaurentLocal
+from charp_dilog import gf
+from charp_dilog.gf import Fq, FqElem, Poly, RingElem
+from charp_dilog.localfield import LaurentLocal, LaurentRing, RatFn, RatFnRing
+from charp_dilog.tpoly import Trunc
 
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "perfbench", "scripts")
@@ -466,6 +468,48 @@ def test_one_element_class_over_the_raw_kernels():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if "_germ_op" in {getattr(node, key, None) for key in ("id", "attr", "name")}]
     assert not named, f"the germ operator factory is still named: {named}"
+
+
+def test_one_operand_rule_for_every_arithmetic_class():
+    # subtraction from, and division by and into, another operand are written
+    # once, in gf.Arithmetic, over each class's _lift; a class may only alias
+    # them (FqElem's counted names, Poly's __rsub__), and RingElem alone keeps
+    # its kernel __rsub__ from _binary.  The per-class readers _check and
+    # _coerce are gone, and the three coefficient rings read a scalar with
+    # their own _operand and share one _raw_of
+    derived = {"__truediv__", "__rtruediv__", "__rsub__"}
+    own, named = [], []
+    for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text(), filename=str(path))
+        for cls in (node for node in ast.walk(module) if isinstance(node, ast.ClassDef)):
+            if (path.stem, cls.name) == ("gf", "Arithmetic"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name in derived:
+                    own.append(f"{path.stem}.{cls.name}.{node.name}")
+                if not isinstance(node, ast.Assign):
+                    continue
+                for target in node.targets:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                             else [(name, node.value) for name in getattr(target, "elts", [target])])
+                    for name, value in pairs:
+                        where = f"{path.stem}.{cls.name}.{getattr(name, 'id', '')}"
+                        kernel = (where == "gf.RingElem.__rsub__" and isinstance(value, ast.Call)
+                                  and getattr(value.func, "id", None) == "_binary")
+                        alias = isinstance(value, (ast.Attribute, ast.Name))
+                        if getattr(name, "id", None) in derived and not (kernel or alias):
+                            own.append(where)
+        named += [f"{path.name}:{getattr(node, 'lineno', '?')}" for node in ast.walk(module)
+                  if {"_check", "_coerce"} & {getattr(node, key, None)
+                                               for key in ("id", "attr", "name", "arg")}]
+    assert not own, f"classes with their own -, / or reflected /: {own}"
+    assert not named, f"per-class operand readers still named: {named}"
+    rings = (Fq, LaurentRing, RatFnRing)
+    assert all("_operand" in vars(ring) for ring in rings)
+    assert {id(vars(ring).get("_raw_of")) for ring in rings} == {id(gf._raw_of_operand)}
+    assert all(issubclass(cls, gf.Arithmetic) for cls in (RingElem, Trunc, RatFn))
+    assert Poly.__rsub__ is gf.Arithmetic.__rsub__ and not hasattr(Poly, "__truediv__")
 
 
 def test_every_submodule_name_is_its_module():

@@ -104,6 +104,19 @@ def test_inverse_needs_unit(F5):
         Trunc.t(F5, 3).inverse()
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 4001])
+def test_inv_factorials_invert_the_factorials(p):
+    # the running product of the inverses of 1..n-1 gives 1/k! for k < n
+    for n in (2, p):
+        inv = tpoly.inv_factorials(p, n)
+        assert len(inv) == n
+        fact = 1
+        for k, c in enumerate(inv):
+            fact = fact * max(k, 1) % p
+            assert c * fact % p == 1, (p, n, k)
+    assert tpoly.inv_factorials(p) == tpoly.inv_factorials(p, p)
+
+
 def test_exp_requires_zero_constant(F5):
     with pytest.raises(NonzeroConstantTerm):
         trunc_exp(Trunc.one(F5, 3))
