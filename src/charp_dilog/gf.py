@@ -24,7 +24,12 @@ element, as a constant), raises :class:`CtxMismatch` for another ring's
 element and gives NotImplemented for anything else, a tuple or list included.
 ``_raw_of``, that or TypeError in every ring, reads Poly and Trunc
 coefficients.  Each class's ``_lift`` reads its operators' other operand, and
-:class:`Arithmetic` writes ``r-``, ``/`` and ``r/`` once over it.
+:class:`Arithmetic` writes ``r-``, ``/``, ``r/``, ``==`` and the hash once over
+it.  So one law holds: ``==`` never raises, values of different rings (field,
+m, center or kind) compare False, a scalar compares as the constant ``_lift``
+reads, and equal values hash equal, ints in [0, p) included.  Germs keep their
+precision rule: a germ, or a truncation of germs, equals no scalar and hashes
+nothing.
 
 Beyond those kernels, each operation has one generic routine for every
 field and ring: :func:`power` (square-and-multiply), :func:`horner`
@@ -558,15 +563,26 @@ def _lifted(method):
 
 
 class Arithmetic:
-    """``r-``, ``/`` and ``r/`` of every arithmetic class, over its ``_lift(x)``:
-    an element of the same ring (same field, and for a truncation the same m;
-    a mismatch raises), a scalar that the coefficient ring's ``_operand``
-    reads, as a constant, or NotImplemented."""
+    """``r-``, ``/``, ``r/``, ``==`` and hash (the module's law) over each class's hooks:
+    ``_lift(x)``, the other operand in this ring (another ring's value raises CtxMismatch)
+    or NotImplemented; ``_key()``, the normal form, which a constant shares with its scalar
+    (an int in the prime subfield) and no other value does; and ``_equal(other)``, which
+    compares two values of one ring as their keys do, as cheaply as the class can."""
 
     __slots__ = ()
     __rsub__ = _lifted(lambda self, other: other - self)
     __truediv__ = _lifted(lambda self, other: self * other.inverse())
     __rtruediv__ = _lifted(lambda self, other: other * self.inverse())
+
+    def __eq__(self, other) -> bool:
+        try:
+            other = self._lift(other)
+        except CtxMismatch:
+            return False
+        return other if other is NotImplemented else self._equal(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _binary(kernel: str, swap: bool = False):
@@ -595,6 +611,8 @@ class RingElem(Arithmetic):
         self.raw = raw
 
     def _lift(self, x):
+        if type(x) is type(self) and x.ring is self.ring:  # already its own lift
+            return x
         raw = self.ring._operand(x)
         return raw if raw is NotImplemented else type(self)(self.ring, raw)
 
@@ -628,6 +646,8 @@ class FqElem(RingElem):
     __sub__, __rsub__ = RingElem.__sub__, RingElem.__rsub__
     __mul__ = __rmul__ = RingElem.__mul__
     inverse = RingElem.inverse
+    __eq__, __hash__ = Arithmetic.__eq__, Arithmetic.__hash__  # __eq__ alone unsets the hash
+    _equal = lambda self, other: self.raw == other.raw  # one field's raws compare as keys do
 
     def coeffs(self) -> tuple["FqElem", ...]:
         """Coefficients over the base field (extension elements only)."""
@@ -635,15 +655,11 @@ class FqElem(RingElem):
             raise ValueError("a prime-field element has no base coefficients")
         return tuple(FqElem(self.field.base, c) for c in self.raw)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        if not isinstance(other, FqElem):
-            return NotImplemented
-        return self.field == other.field and self.raw == other.raw
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.raw))
+    def _key(self):  # the raw, or the int of a constant of the prime subfield
+        field, raw = self.field, self.raw
+        while field.base is not None and raw[1:] == field._pad:
+            field, raw = field.base, raw[0]
+        return raw if field.base is None else self.raw
 
     def __repr__(self) -> str:
         return str(self.raw)
@@ -790,16 +806,11 @@ class Poly:
     def __mod__(self, other) -> "Poly":
         return divmod(self, other)[1]
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, FqElem)):
-            other = Poly(self.field, [other])
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+    __eq__, __hash__ = Arithmetic.__eq__, Arithmetic.__hash__
+    _equal = lambda self, other: self.coeffs == other.coeffs  # one field's raws compare as keys do
 
-    def __hash__(self) -> int:
-        # equal polynomials have equal coefficients; the field would only cost a call
-        return hash(self.coeffs)
+    def _key(self):
+        return self.coeffs if len(self.coeffs) > 1 else self.coeff(0)._key()
 
     def monic(self) -> tuple["Poly", FqElem]:
         """Return (self / lead, lead)."""

@@ -212,15 +212,13 @@ class RatFn(Arithmetic):
         raws = power(self._n, n, one, functools.partial(_rmul, self.field))
         return RatFn._make(self.field, raws, {b: e * n for b, e in self._f.items()})
 
-    @_lifted
-    def __eq__(self, other) -> bool:
-        if self._normal and other._normal:
-            return self._n == other._n and self._f == other._f
-        return (self - other).is_zero
+    def _key(self):  # the normal form's raws, or the numerator's key over denominator 1
+        r = self if self._normal else self.reduced()  # a normal value takes no Euclid
+        return (r.num.coeffs, r.den.coeffs) if r._f else r.num._key()
 
-    def __hash__(self) -> int:
-        r = self.reduced()
-        return hash((r.num, r.den))
+    def _equal(self, other) -> bool:  # a difference takes no gcd, unlike a normal form
+        both = self._normal and other._normal
+        return self._key() == other._key() if both else (self - other).is_zero
 
     # -- calculus -------------------------------------------------------------
 
@@ -284,21 +282,10 @@ class RatFnRing:
     def __init__(self, field: Fq):
         self.field = field
 
-    @property
-    def characteristic(self) -> int:
-        return self.field.p
-
-    @property
-    def zero(self) -> RatFn:
-        return RatFn.from_int(self.field, 0)
-
-    @property
-    def one(self) -> RatFn:
-        return RatFn.from_int(self.field, 1)
-
-    @property
-    def gen(self) -> RatFn:
-        return RatFn.gen(self.field)
+    characteristic = property(lambda self: self.field.p)
+    zero = property(lambda self: RatFn.from_int(self.field, 0))
+    one = property(lambda self: RatFn.from_int(self.field, 1))
+    gen = property(lambda self: RatFn.gen(self.field))
 
     def from_int(self, n: int) -> RatFn:
         return RatFn.from_int(self.field, n)
@@ -534,6 +521,7 @@ class LaurentLocal(RingElem):
     field = property(lambda self: self.ring.field)
     val = property(lambda self: self.raw[0])
     prec = property(lambda self: self.raw[1])
+    _key = lambda self: self  # a truncation of germs keys as its germs, by their rule
 
     def coeff(self, e: int) -> FqElem:
         val, prec, c = self.raw

@@ -13,9 +13,9 @@ API boundary (construction, ``coeffs``, ``c0``), and ``_raw_add``,
 ``_raw_is_zero``, ``_raw_from_int`` and ``_raw_mul_low`` (the low n
 coefficients of a product) compute.  There are three kernels; the elements
 of the first two share one class over theirs, :class:`charp_dilog.gf.RingElem`.
-A :class:`Trunc` keeps :mod:`charp_dilog.gf`'s operand rule: an operand is a Trunc
-over the same ring with the same m, or a scalar the ring's ``_operand`` reads
-(never a tuple or list), and ``r-``, ``/``, ``r/`` come from ``gf.Arithmetic``.
+A :class:`Trunc` keeps :mod:`charp_dilog.gf`'s operand rule and equality law: an
+operand is a Trunc over the same ring with the same m, or a scalar the ring's
+``_operand`` reads, and ``r-``, ``/``, ``r/``, ``==`` come from ``gf.Arithmetic``.
 :class:`charp_dilog.gf.Fq` keeps an int or an int tuple per coefficient and
 multiplies through the field's one polynomial multiply.
 :class:`charp_dilog.localfield.LaurentRing` keeps a germ per coefficient and
@@ -46,15 +46,15 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import Arithmetic, Fq, _lifted, _rsub, horner, power
+from .gf import Arithmetic, CtxMismatch, Fq, _lifted, _rsub, horner, power
 
 
 class TruncError(Exception):
     """Base class for truncated-ring errors."""
 
 
-class ModulusMismatch(TruncError):
-    """Operands live in truncated rings with different data."""
+class ModulusMismatch(TruncError, CtxMismatch):
+    """Operands live in truncated rings with different data: different rings."""
 
 
 class NonUnitConstantTerm(TruncError):
@@ -155,8 +155,7 @@ class Trunc(Arithmetic):
 
     @property
     def is_zero(self) -> bool:
-        zero = self.ring._raw_from_int(0)
-        return all(c == zero for c in self.raws)
+        return all(map(self.ring._raw_is_zero, self.raws))
 
     @property
     def is_unit(self) -> bool:
@@ -213,13 +212,13 @@ class Trunc(Arithmetic):
             return self.inverse() ** (-n)
         return power(self, n, Trunc.one(self.ring, self.m), operator.mul)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Trunc):
-            return NotImplemented
-        return self.ring == other.ring and self.m == other.m and self.raws == other.raws
+    def _key(self):  # a constant's term's key, else the raws over a field, else coefficients
+        if all(map(self.ring._raw_is_zero, self.raws[1:])):
+            return self.c0._key()
+        return self.raws if isinstance(self.ring, Fq) else self.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.m, self.raws))
+    def _equal(self, other) -> bool:  # as the keys compare, with no key built
+        return self.raws == other.raws if isinstance(self.ring, Fq) else self.coeffs == other.coeffs
 
     def reduce_to(self, m2: int) -> "Trunc":
         """Truncate to R[t]/(t^m2) for m2 <= m (the a|_{t^m2} operation)."""
@@ -248,10 +247,12 @@ class Trunc(Arithmetic):
         return Trunc._of(self.ring, self.m, (zeros + list(self.raws))[:self.m])
 
     def congruent(self, other: "Trunc", m2: int) -> bool:
-        """Whether self and other, over one ring, agree modulo t^m2."""
+        """Whether self and other, over one ring, agree modulo t^m2: whether their
+        first m2 coefficients are equal, as two truncations are."""
         if other.ring != self.ring or not 1 <= m2 <= min(self.m, other.m):
             raise ModulusMismatch(f"congruence mod t^{m2} needs one ring and 1 <= m2 <= min(m)")
-        return self.raws[:m2] == other.raws[:m2]
+        ring = self.ring
+        return Trunc._of(ring, m2, self.raws[:m2])._equal(Trunc._of(ring, m2, other.raws[:m2]))
 
     def map_coeffs(self, fn: Callable, ring) -> "Trunc":
         return Trunc(ring, self.m, [fn(c) for c in self.coeffs])

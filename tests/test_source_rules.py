@@ -10,7 +10,7 @@ import charp_dilog
 from charp_dilog import gf
 from charp_dilog.gf import Fq, FqElem, Poly, RingElem
 from charp_dilog.localfield import LaurentLocal, LaurentRing, RatFn, RatFnRing
-from charp_dilog.tpoly import Trunc
+from charp_dilog.tpoly import ModulusMismatch, Trunc
 
 ROOT = Path(__file__).resolve().parents[1]
 TREES = ("src", "tests", "perfbench", "scripts")
@@ -450,18 +450,22 @@ def test_tracer_bindings_exist():
 def test_one_element_class_over_the_raw_kernels():
     # field elements and germs are thin subclasses of gf.RingElem, whose
     # operators run the ring's kernel: neither class defines its own arithmetic,
-    # and each name the benchmark counts in FqElem's own dict (all but its
-    # equality) is RingElem's function, so the counter wraps the shared operator
+    # and each name the benchmark counts in FqElem's own dict, its equality
+    # included, is the function RingElem has, so the counter wraps the shared one
     assert issubclass(FqElem, RingElem) and issubclass(LaurentLocal, RingElem)
     arithmetic = {"__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                  "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse"}
+                  "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inverse",
+                  "__eq__", "__hash__"}
     counted = next(c[3] for c in _load_spans().COUNTERS if c[0] == "gf.FqElem.ops")
-    assert set(counted) - {"__eq__"} <= arithmetic
+    assert set(counted) <= arithmetic
     own = [name for name in arithmetic & set(vars(FqElem))
-           if vars(FqElem)[name] is not vars(RingElem)[name]]
+           if vars(FqElem)[name] is not getattr(RingElem, name)]
     assert not own, f"FqElem defines its own arithmetic: {own}"
-    assert not [name for name in set(counted) - {"__eq__"} if name not in vars(FqElem)]
-    assert not arithmetic & set(vars(LaurentLocal)), sorted(arithmetic & set(vars(LaurentLocal)))
+    assert not [name for name in counted if name not in vars(FqElem)]
+    assert vars(FqElem)["__eq__"] is gf.Arithmetic.__eq__
+    # germs keep their precision rule, and so their own equality and no hash
+    kernel = arithmetic - {"__eq__", "__hash__"}
+    assert not kernel & set(vars(LaurentLocal)), sorted(kernel & set(vars(LaurentLocal)))
     assert not hasattr(FqElem, "_coerce")
     named = [f"{path.name}:{getattr(node, 'lineno', '?')}"
              for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py"))
@@ -510,6 +514,44 @@ def test_one_operand_rule_for_every_arithmetic_class():
     assert {id(vars(ring).get("_raw_of")) for ring in rings} == {id(gf._raw_of_operand)}
     assert all(issubclass(cls, gf.Arithmetic) for cls in (RingElem, Trunc, RatFn))
     assert Poly.__rsub__ is gf.Arithmetic.__rsub__ and not hasattr(Poly, "__truediv__")
+
+
+def test_one_equality_and_hash_law_for_every_arithmetic_class():
+    # == and hash are written once, in gf.Arithmetic, over each class's _lift,
+    # _key and _equal; a class may only alias them (FqElem's counted __eq__,
+    # Poly's pair).  LaurentLocal alone keeps an __eq__ body, the germs'
+    # precision rule, and so hashes nothing.  Each class's _equal compares two
+    # values of one ring as their keys do (the law test checks it) without
+    # building them where it can: FqElem, Poly and Trunc by their raws (a Trunc
+    # over germs or functions by its coefficients), and RatFn, unless both
+    # values are normal, by their difference, which takes no gcd
+    bodies = {}
+    for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text(), filename=str(path))
+        loaded = importlib.import_module(f"charp_dilog.{path.stem}")
+        for cls in (node for node in ast.walk(module) if isinstance(node, ast.ClassDef)):
+            obj = getattr(loaded, cls.name, None)
+            if not (isinstance(obj, type) and (issubclass(obj, gf.Arithmetic) or obj is Poly)):
+                continue
+            for node in cls.body:
+                names = [node.name] if isinstance(node, ast.FunctionDef) else []
+                for target in node.targets if isinstance(node, ast.Assign) else []:
+                    pairs = (zip(target.elts, node.value.elts)
+                             if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                             else [(name, node.value) for name in getattr(target, "elts", [target])])
+                    names += [getattr(name, "id", None) for name, value in pairs
+                              if not isinstance(value, (ast.Attribute, ast.Name))]
+                for name in {"__eq__", "__hash__", "_equal"} & set(names):
+                    bodies.setdefault(name, set()).add(f"{path.stem}.{cls.name}")
+    assert bodies == {"__eq__": {"gf.Arithmetic", "localfield.LaurentLocal"},
+                      "__hash__": {"gf.Arithmetic"},
+                      "_equal": {"gf.FqElem", "gf.Poly", "tpoly.Trunc", "localfield.RatFn"}}, bodies
+    for cls in (FqElem, Poly, Trunc, RatFn):
+        assert (cls.__eq__, cls.__hash__) == (gf.Arithmetic.__eq__, gf.Arithmetic.__hash__), cls
+        assert "_key" in vars(cls) and "_equal" in vars(cls), cls
+    assert LaurentLocal.__hash__ is None
+    # a different m is a different ring, so == reads one mismatch type
+    assert issubclass(ModulusMismatch, gf.CtxMismatch)
 
 
 def test_every_submodule_name_is_its_module():
