@@ -94,7 +94,7 @@ def pounds1(s):
     acc = from_int(0)
     for i in range(p - 1, 0, -1):
         acc = mul(add(acc, from_int(inv[i])), x)
-    return ring._wrap([acc])[0]
+    return ring._element(acc)
 
 
 def _generators(b: BlochSym, name: str):

@@ -8,6 +8,11 @@ and a tuple of base-field raws for an extension; :class:`FqElem` holds the
 field and that data, and its operators are those of :class:`RingElem`, the
 one element class over a ring's ``_raw_*`` kernel that Laurent germs share.
 
+Every coefficient ring, :class:`Fq`, the germ ring and ``RatFnRing``, is a
+:class:`Ring`: it gives ``field``, ``_element(raw)``, ``_operand``,
+``_raw_from_int``, its value ``_key()`` and a ``_raw_*`` kernel, and
+:class:`Ring` writes the rest of the handle once, value equality included.
+
 Every field has one division with remainder, ``_rreduce``, behind divmod,
 gcd and the extension inverse: int lists with one ``% p`` per update over
 F_p (``base is None``), the ``_raw_*`` kernel over an extension.  Every field
@@ -40,6 +45,7 @@ n = 1, one ``_raw_mul_low`` per coefficient above), :func:`multiplicity` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import sys
@@ -164,14 +170,51 @@ def _rmul(field: Fq, a: Sequence, b: Sequence, n: int | None = None) -> list:
 
 
 def _raw_of_operand(ring, x):
-    """The raw that ``ring._operand`` reads from x, else TypeError: every ring
+    """The raw that ``ring._operand`` reads from x, else TypeError: :class:`Ring`
     binds it as ``_raw_of``, the reader of Trunc and Poly coefficients."""
     if (raw := ring._operand(x)) is NotImplemented:
         raise TypeError(f"cannot coerce {x!r} into {ring}")
     return raw
 
 
-class Fq:
+class Ring:
+    """The coefficient-ring handle (the module's ring protocol), written once over five
+    hooks: ``field`` (an Fq is its own), ``_element(raw)``, ``_operand(x)``,
+    ``_raw_from_int(n)`` and ``_key()``, the ring's value, which equality and the hash
+    read (rings of different classes compare False); a ring also owns ``_raw_mul_low``.
+    The defaults are those of a ring whose elements are their own raws: ``_element`` is
+    the identity, ``_key()`` the field, the ``_raw_*`` kernel the elements' operators, and
+    ``_raws_key(raws)``, by which a Trunc's raws compare, the raws."""
+
+    __slots__ = ()
+    characteristic = property(lambda self: self.field.p)
+    zero = property(lambda self: self._element(self._raw_from_int(0)))
+    one = property(lambda self: self._element(self._raw_from_int(1)))
+    _raw_of = _raw_of_operand
+    _element = _raws_key = staticmethod(lambda x: x)
+    _key = lambda self: self.field
+    _raw_add, _raw_sub, _raw_neg, _raw_mul = map(staticmethod, (
+        operator.add, operator.sub, operator.neg, operator.mul))
+    _raw_inv = staticmethod(operator.methodcaller("inverse"))
+    _raw_is_zero = staticmethod(operator.attrgetter("is_zero"))
+
+    def from_int(self, n: int):
+        return self._element(self._raw_from_int(n))
+
+    def _wrap(self, raws) -> tuple:
+        return tuple([self._element(r) for r in raws])
+
+    def _raw_dot(self, xs: Sequence, ys: Sequence):
+        return functools.reduce(self._raw_add, map(self._raw_mul, xs, ys))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is type(self) and self._key() == other._key())
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Fq(Ring):
     """A finite field: F_p when ``base`` is None, else ``base[u]/(modulus)``.
 
     ``modulus`` is a monic irreducible polynomial over the base field, given
@@ -220,27 +263,17 @@ class Fq:
         self._zero = FqElem(self, self._raw_from_int(0))
         self._one = FqElem(self, self._raw_from_int(1))
 
-    # -- ring-handle protocol used by tpoly.Trunc -------------------------
+    # -- the ring protocol's hooks (see :class:`Ring`) --------------------
 
-    @property
-    def characteristic(self) -> int:
-        return self.p
+    field = property(lambda self: self)
+    zero = property(lambda self: self._zero)
+    one = property(lambda self: self._one)
 
-    @property
-    def zero(self) -> "FqElem":
-        return self._zero
+    def _element(self, raw) -> "FqElem":
+        return FqElem(self, raw)
 
-    @property
-    def one(self) -> "FqElem":
-        return self._one
-
-    def from_int(self, n: int) -> "FqElem":
-        return FqElem(self, self._raw_from_int(n))
-
-    # tpoly.Trunc and the element operators compute with the ``_raw_*`` kernel;
-    # ``_operand`` reads a scalar (the one operand rule), ``_raw_of`` a Trunc or
-    # Poly coefficient, and ``_wrap`` turns raws back into elements at the API
-    # boundary.
+    def _key(self) -> tuple:
+        return self.p, self.modulus, self.base
 
     def _operand(self, x):
         """The raw of an element of this field or of an int; CtxMismatch for
@@ -251,12 +284,7 @@ class Fq:
             return x.raw
         return self._raw_from_int(x) if isinstance(x, int) else NotImplemented
 
-    _raw_of = _raw_of_operand
-
     _raw_mul_low = _rmul  # (a, b, n): the low n coefficients of a product
-
-    def _wrap(self, raws) -> tuple["FqElem", ...]:
-        return tuple([FqElem(self, r) for r in raws])
 
     # -- construction and coercion ----------------------------------------
 
@@ -429,19 +457,6 @@ class Fq:
         inv = [base._raw_mul(lead_inv, c) for c in s1]
         inv += [zero] * (self.degree - len(inv))
         return tuple(inv[: self.degree])
-
-    # -- value semantics ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Fq):
-            return NotImplemented
-        return (self.p == other.p and self.modulus == other.modulus
-                and self.base == other.base)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.modulus, None if self.base is None else hash(self.base)))
 
     def __repr__(self) -> str:
         if self.base is None:

@@ -24,9 +24,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import (Arithmetic, CtxMismatch, DivisionByZero, Fq, FqElem, Poly, RingElem,
-                 ZeroPolynomial, _lifted, _pth_root_poly, _radd, _raw_of_operand, _rderiv, _rmul,
-                 _rsub, is_irreducible, multiplicity, power, residue_field)
+from .gf import (Arithmetic, CtxMismatch, DivisionByZero, Fq, FqElem, Poly, Ring, RingElem,
+                 ZeroPolynomial, _lifted, _pth_root_poly, _radd, _rderiv, _rmul, _rsub,
+                 is_irreducible, multiplicity, power, residue_field)
 from .tpoly import Trunc, _series_div
 
 
@@ -272,49 +272,28 @@ def _reduce_fraction(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
-class RatFnRing:
+class RatFnRing(Ring):
     """Coefficient-ring handle for rational functions over a fixed F_q; each
-    element is its own raw for :class:`~charp_dilog.tpoly.Trunc`, and the
-    ``_raw_*`` kernel is :class:`RatFn` arithmetic."""
+    element is its own raw for :class:`~charp_dilog.tpoly.Trunc`, so the
+    ``_raw_*`` kernel is :class:`~charp_dilog.gf.Ring`'s, :class:`RatFn` arithmetic."""
 
     __slots__ = ("field",)
 
     def __init__(self, field: Fq):
         self.field = field
 
-    characteristic = property(lambda self: self.field.p)
-    zero = property(lambda self: RatFn.from_int(self.field, 0))
-    one = property(lambda self: RatFn.from_int(self.field, 1))
     gen = property(lambda self: RatFn.gen(self.field))
-
-    def from_int(self, n: int) -> RatFn:
-        return RatFn.from_int(self.field, n)
-
-    _raw_from_int = from_int
+    _raw_from_int = lambda self, n: RatFn.from_int(self.field, n)
+    _operand = RatFn._lift  # a function over the field, or a field scalar as a constant
 
     def embed(self, c: FqElem) -> RatFn:
         """A coefficient-field element as a constant function."""
         return RatFn.const(self.field(c))
 
-    _operand = RatFn._lift  # a function over the field, or a field scalar as a constant
-    _raw_of = _raw_of_operand
-
-    _wrap = staticmethod(tuple)
-    _raw_add = staticmethod(operator.add)
-    _raw_sub = staticmethod(operator.sub)
-    _raw_neg = staticmethod(operator.neg)
-    _raw_mul = staticmethod(operator.mul)
-    _raw_inv = staticmethod(operator.methodcaller("inverse"))
-    _raw_is_zero = staticmethod(operator.attrgetter("is_zero"))
-
-    @staticmethod
-    def _raw_dot(xs: Sequence, ys: Sequence) -> RatFn:
-        return functools.reduce(operator.add, map(operator.mul, xs, ys))
-
     def _raw_mul_low(self, a: Sequence, b: Sequence, n: int) -> list:
         """The low n coefficients of a product: coefficient k is zero plus the
         nonzero a_i b_(k-i) in order of i, so its factored form is that sum's."""
-        out = [self.zero] * n
+        out = [self._raw_from_int(0)] * n
         for i, x in enumerate(a[:n]):
             if not x.is_zero:
                 for j, y in enumerate(b[:n - i]):
@@ -329,12 +308,6 @@ class RatFnRing:
             den = Poly(self.field, [self.field.random_element(rng) for _ in range(deg + 1)])
             if not den.is_zero:
                 return RatFn(num, den)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatFnRing) and other.field == self.field
-
-    def __hash__(self) -> int:
-        return hash(("ratfn", self.field))
 
     def __repr__(self) -> str:
         return f"{self.field}(s)"
@@ -361,8 +334,7 @@ class OneForm:
         return f"{self.fn} ds"
 
 
-@dataclass(frozen=True, slots=True)
-class LaurentRing:
+class LaurentRing(Ring):
     """Coefficient ring of Laurent germs at one point (local parameter s - center,
     or 1/s at INF) with tracked absolute precision, as in Caruso, "Computations
     with p-adic numbers" (arXiv:1701.06794).
@@ -379,15 +351,14 @@ class LaurentRing:
     Constants are exact (``prec`` infinite); only ``(inf, inf, ())`` is zero.
     """
 
-    field: Fq
-    center: object
+    __slots__ = ("field", "center")
 
-    characteristic = property(lambda self: self.field.p)
-    zero = property(lambda self: LaurentLocal(self, _ZERO))
-    one = property(lambda self: self.from_int(1))
+    def __init__(self, field: Fq, center):
+        self.field, self.center = field, center
 
-    def from_int(self, n: int) -> "LaurentLocal":
-        return LaurentLocal(self, self._raw_from_int(n))
+    _element = lambda self, raw: LaurentLocal(self, raw)
+    _key = lambda self: (self.field, self.center)
+    _raws_key = Ring._wrap  # a truncation's germs compare by their rule and hash nothing
 
     def _operand(self, x):
         """A germ of this ring, or an int or field element as a constant."""
@@ -397,11 +368,6 @@ class LaurentRing:
             return x.raw
         c = self.field._operand(x)
         return c if c is NotImplemented else self._constant(c)
-
-    _raw_of = _raw_of_operand
-
-    def _wrap(self, raws) -> tuple:
-        return tuple([LaurentLocal(self, r) for r in raws])
 
     def _constant(self, c):
         return _ZERO if self.field._raw_is_zero(c) else (0, math.inf, (c,))
@@ -441,9 +407,6 @@ class LaurentRing:
         out = (() if size <= 0 else [self.field._raw_mul(cb[0], x) for x in ca[:size]]
                if nb == math.inf else self.field._raw_mul_low(ca, cb, size))
         return va + vb, prec, tuple(out)
-
-    def _raw_dot(self, xs: Sequence, ys: Sequence):
-        return functools.reduce(self._raw_add, map(self._raw_mul, xs, ys))
 
     def _raw_mul_low(self, a: Sequence, b: Sequence, n: int) -> list:
         """The low n coefficients of a product of germ lists, by bivariate
@@ -504,6 +467,9 @@ class LaurentRing:
         unit = list(c[k:k + size]) + [self.field._raw_from_int(0)] * (size + k - len(c))
         one = [self.field._raw_from_int(1)]
         return -val, prec - 2 * val, tuple(_series_div(self.field, one, unit))
+
+    def __repr__(self) -> str:
+        return f"LaurentRing(field={self.field!r}, center={self.center!r})"
 
 
 _ZERO = (math.inf, math.inf, ())

@@ -7,23 +7,19 @@ Newton/Hensel lifting of simple roots.
 
 A :class:`Trunc` stores the raw data of its coefficients, and every
 operation runs one algorithm through its coefficient ring's ``_raw_*``
-kernel: ``_raw_of`` and ``_wrap`` convert between elements and raws at the
-API boundary (construction, ``coeffs``, ``c0``), and ``_raw_add``,
-``_raw_sub``, ``_raw_neg``, ``_raw_mul``, ``_raw_dot``, ``_raw_inv``,
-``_raw_is_zero``, ``_raw_from_int`` and ``_raw_mul_low`` (the low n
-coefficients of a product) compute.  There are three kernels; the elements
-of the first two share one class over theirs, :class:`charp_dilog.gf.RingElem`.
-A :class:`Trunc` keeps :mod:`charp_dilog.gf`'s operand rule and equality law: an
-operand is a Trunc over the same ring with the same m, or a scalar the ring's
-``_operand`` reads, and ``r-``, ``/``, ``r/``, ``==`` come from ``gf.Arithmetic``.
+kernel, read through the one ring protocol, :class:`charp_dilog.gf.Ring`.
+It keeps :mod:`charp_dilog.gf`'s operand rule and equality law: an operand
+is a Trunc over the same ring with the same m, or a scalar the ring's
+``_operand`` reads, and ``r-``, ``/``, ``r/``, ``==`` come from
+``gf.Arithmetic``.  There are three rings, each with its own product.
 :class:`charp_dilog.gf.Fq` keeps an int or an int tuple per coefficient and
 multiplies through the field's one polynomial multiply.
 :class:`charp_dilog.localfield.LaurentRing` keeps a germ per coefficient and
 multiplies two truncations by one packed product of the germ field.
 :class:`charp_dilog.localfield.RatFnRing` keeps each rational function as its
-own raw and multiplies by its own loop over the coefficient products.  Each
-ring owns its product; no kernel is shared between them.  Powers go through
-:func:`charp_dilog.gf.power`.
+own raw and multiplies by its own loop over the coefficient products.  The
+elements of the first two share one class over their kernels,
+:class:`charp_dilog.gf.RingElem`.  Powers go through :func:`charp_dilog.gf.power`.
 
 The branch logarithm comes from the logarithmic derivative: with
 theta = t d/dt, theta(u) = u theta(log u), and theta scales the coefficient
@@ -151,7 +147,7 @@ class Trunc(Arithmetic):
 
     @property
     def c0(self):
-        return self.ring._wrap(self.raws[:1])[0]
+        return self.ring._element(self.raws[0])
 
     @property
     def is_zero(self) -> bool:
@@ -212,13 +208,13 @@ class Trunc(Arithmetic):
             return self.inverse() ** (-n)
         return power(self, n, Trunc.one(self.ring, self.m), operator.mul)
 
-    def _key(self):  # a constant's term's key, else the raws over a field, else coefficients
+    def _key(self):  # a constant's term's key, else the raws as the ring keys them
         if all(map(self.ring._raw_is_zero, self.raws[1:])):
             return self.c0._key()
-        return self.raws if isinstance(self.ring, Fq) else self.coeffs
+        return self.ring._raws_key(self.raws)
 
-    def _equal(self, other) -> bool:  # as the keys compare, with no key built
-        return self.raws == other.raws if isinstance(self.ring, Fq) else self.coeffs == other.coeffs
+    def _equal(self, other) -> bool:  # as the keys compare
+        return self.ring._raws_key(self.raws) == self.ring._raws_key(other.raws)
 
     def reduce_to(self, m2: int) -> "Trunc":
         """Truncate to R[t]/(t^m2) for m2 <= m (the a|_{t^m2} operation)."""

@@ -91,7 +91,7 @@ def _ell_pair(a: Trunc, b: Trunc, logs):
         raise ModulusMismatch("ell pairs units of one coefficient ring")
     la, lb = logs(a), logs(b)
     # l_2(a) l_1(b) - l_2(b) l_1(a) as one dot product of raw log coefficients
-    return r._wrap([r._raw_dot((la[2], r._raw_neg(lb[2])), (lb[1], la[1]))])[0]
+    return r._element(r._raw_dot((la[2], r._raw_neg(lb[2])), (lb[1], la[1])))
 
 
 def _ell_p_pair(a: Trunc, b: Trunc, logs):
@@ -105,7 +105,7 @@ def _ell_p_pair(a: Trunc, b: Trunc, logs):
     la, lb = logs(a), logs(b)
     mul, from_int = r._raw_mul, r._raw_from_int
     weighted = [mul(from_int(i), la[p - i]) for i in range(1, p)]
-    return r._wrap([r._raw_dot(weighted, lb[1:])])[0]
+    return r._element(r._raw_dot(weighted, lb[1:]))
 
 
 def ell(w: WedgeK, ring=None):

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from charp_dilog import cycles, gf, localfield, regulator, suites
+from charp_dilog import cli, cycles, gf, localfield, regulator, suites
 from charp_dilog.cycles import (
     BoundaryPoint,
     NotAdmissible,
@@ -54,6 +56,46 @@ def test_coordinate_identically_one_rejected(F5):
     cyc = make_cycle(F5, [([one], [one]), const_coord(F5, p, 2), const_coord(F5, p, 3)])
     report = admissibility_check(cyc)
     assert any(f.code == "ConstantOneCoordinate" for f in report.failures)
+
+
+def _coordinate(num, den):
+    """A coordinate of a cycle input file: z-coefficients as t-coefficient lists."""
+    return {"num": num, "den": den}
+
+
+# each input fails the check at t = 0 in one way; over F_5, with 2 and 3 as
+# constant coordinates that fail nothing
+ADMISSIBILITY_FAILURES = {
+    # y1 = t reduces to 0, y1 = 1/t to infinity
+    "ZeroCoordinate": ([_coordinate([[0, 1]], [[1]]), _coordinate([[2]], [[1]]),
+                        _coordinate([[3]], [[1]])], [("ZeroCoordinate", 1)]),
+    "InfiniteCoordinate": ([_coordinate([[1]], [[0, 1]]), _coordinate([[2]], [[1]]),
+                            _coordinate([[3]], [[1]])], [("InfiniteCoordinate", 1)]),
+    # y2 = (z + 1)/((z + 1)(z + 2)): numerator and denominator share the root -1
+    "BasePoint": ([_coordinate([[2]], [[1]]), _coordinate([[1], [1]], [[2], [3], [1]]),
+                   _coordinate([[3]], [[1]])], [("BasePoint", 2)]),
+    # y1 = z and y2 = z + 2 each have a face at the parameter infinity, where the
+    # other, of numerator degree 1 over denominator degree 0, survives
+    "FaceValueCollision": ([_coordinate([[0], [1]], [[1]]), _coordinate([[2], [1]], [[1]]),
+                            _coordinate([[3]], [[1]])],
+                           [("FaceValueCollision", 2), ("FaceValueCollision", 1)]),
+}
+
+
+@pytest.mark.parametrize("code", list(ADMISSIBILITY_FAILURES))
+def test_each_admissibility_failure_is_reported(code, tmp_path, capsys):
+    coords, want = ADMISSIBILITY_FAILURES[code]
+    doc = {"schema": 1, "p": 5, "ext": None, **dict(zip(("y1", "y2", "y3"), coords))}
+    report = admissibility_check(cli._cycle_from_json(doc))
+    assert [(f.code, f.coordinate + 1) for f in report.failures] == want
+    if code == "FaceValueCollision":
+        assert {f.detail for f in report.failures} == {
+            "coordinate degenerates at the parameter infinity"}
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["cycle", "rho-k", "--input", str(path), "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert [(row["failure"], row["coordinate"]) for row in rows] == want
 
 
 def test_boundary_of_coordinate_graph(F7):

@@ -8,13 +8,14 @@ precision rule: a germ equals no scalar, and germs and truncations of germs
 hash nothing.
 """
 
+import itertools
 import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from charp_dilog.gf import CtxMismatch, Fq, FqElem, Poly
-from charp_dilog.localfield import LaurentLocal, LaurentRing, RatFn, RatFnRing
+from charp_dilog.localfield import INF, LaurentLocal, LaurentRing, RatFn, RatFnRing
 from charp_dilog.tpoly import Trunc
 
 F5, F7 = Fq(5), Fq(7)
@@ -239,3 +240,27 @@ def test_a_constant_truncation_equals_its_scalar(field):
     s = ring.gen
     assert Trunc(ring, 2, [s]) == s and hash(Trunc(ring, 2, [s])) == hash(s)
     assert Trunc(ring, 2, [ring.one]) == 1 and hash(Trunc(ring, 2, [ring.one])) == 1
+
+
+def test_rings_compare_by_value_and_never_raise():
+    # a ring's value is its gf.Ring._key: rings built apart compare and hash
+    # as one, and rings of different kinds never compare equal
+    f25 = Fq(5, modulus=[2, 0, 1], base=Fq(5))
+    same = ((f25, F25), (LaurentRing(F5, 0), LaurentRing(F5, F5(0))),
+            (LaurentRing(F5, INF), LaurentRing(Fq(5), INF)), (RatFnRing(F5), RatFnRing(Fq(5))))
+    for a, b in same:
+        assert a is not b and a == b and b == a and not a != b and hash(a) == hash(b), (a, b)
+    kinds = (Fq(5), RatFnRing(Fq(5)), LaurentRing(Fq(5), 0))
+    # v^2 - u over F_5[u]/(u^2 - 2) and over F_5[u]/(u^2 - 3): one modulus raw, two bases
+    towers = [Fq(5, modulus=[(0, -1), 0, 1], base=Fq(5, modulus=[-c, 0, 1], base=F5)) for c in (2, 3)]
+    assert towers[0].modulus == towers[1].modulus
+    apart = [tuple(towers), *itertools.permutations(kinds, 2), (F5, F7), (F5, F25), (RatFnRing(F5), RatFnRing(F7)),
+             (LaurentRing(F5, 0), LaurentRing(F5, 1)), (LaurentRing(F5, 0), LaurentRing(F5, INF)),
+             (LaurentRing(F5, 0), LaurentRing(F25, 0))]
+    for a, b in apart:
+        assert not a == b and a != b, (a, b)
+    others = (0, 1, 5, None, "F_5", F5(0), F5(1), Poly(F5, [1]), RatFn.gen(F5), Trunc(F5, 2, [1]),
+              GERMS5.one, Trunc(GERMS5, 2, [1]))
+    for ring in (*kinds, F25, LaurentRing(F5, INF)):
+        for x in others:
+            assert not ring == x and not x == ring and ring != x and x != ring, (ring, x)

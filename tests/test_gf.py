@@ -55,6 +55,25 @@ def test_prime_guard_stops_at_the_proven_miller_rabin_bound(capsys):
     assert captured.out == "" and str(bound) in captured.err
 
 
+@pytest.mark.parametrize("n", [2021, 3215031751, 3825123056546413051])
+def test_miller_rabin_rejects_composites_with_no_factor_among_the_bases(n):
+    # 43 * 47, a strong pseudoprime to the bases 2, 3, 5, 7, and one to every
+    # base from 2 to 23: no trial by a base divides them, so Miller-Rabin decides
+    assert all(n % q for q in gf._MR_BASES)
+    assert not gf.is_prime(n)
+
+
+def test_is_prime_matches_trial_division_above_the_bases():
+    def by_trial_division(n):
+        return all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    rng = spawn(5, "is-prime")
+    sample = [*range(42, 3000), *(rng.randrange(10 ** 6, 10 ** 7) for _ in range(300))]
+    wrong = [n for n in sample if gf.is_prime(n) != by_trial_division(n)]
+    assert not wrong, wrong
+    assert any(all(n % q for q in gf._MR_BASES) and not gf.is_prime(n) for n in sample)
+
+
 def test_inverse_identity(F5):
     assert F5.one.inverse() == F5.one
 
@@ -344,6 +363,28 @@ def test_factor_takes_pth_roots(request, name):
                 assert factor.is_monic and is_irreducible(factor)
                 product = product * factor ** mult
             assert product == f * lead.inverse()
+
+
+@pytest.mark.parametrize("name", ["F5", "F7", "F25"])
+def test_factor_of_a_polynomial_in_x_to_the_p(request, name):
+    # (g h)^e with e = p or p^2 is a polynomial in x^p, whose derivative is
+    # zero, so factoring starts with its p-th root; e = p + 1 is the contrast
+    field = request.getfixturevalue(name)
+    p = field.p
+    rng = spawn(23, "x-to-the-p", name)
+    for e in (p, p + 1, p * p):
+        g = _rand_irreducible(field, rng, [])
+        h = _rand_irreducible(field, rng, [g])
+        lead = rand_nonzero(field, rng)
+        f = (g * h) ** e * lead
+        assert f.derivative().is_zero == (e % p == 0)
+        factors = factor_squarefree_irreducibles(f)
+        assert dict(factors) == {g: e, h: e}
+        product = Poly(field, [1])
+        for factor, mult in factors:
+            assert factor.is_monic and is_irreducible_by_trial_division(factor)
+            product = product * factor ** mult
+        assert product == f.monic()[0]
 
 
 def test_factor_deterministic(F5):

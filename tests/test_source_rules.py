@@ -1,6 +1,7 @@
 """Rules on the library source itself."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -252,11 +253,12 @@ def test_only_the_field_reduces_by_its_modulus():
     # Fq._reduce is the one reduction of a product by the monic modulus (its
     # degree-2 branch folds u^2 = -m1 u - m0), so the products that feed it
     # never read the modulus; besides it, only the constructor, the inverse's
-    # Euclid, value equality, hashing and the field's repr read a .modulus
+    # Euclid, the field's value (its _key, which equality and hashing read)
+    # and the field's repr read a .modulus
     readers = set(_owners_of(lambda node: isinstance(node, ast.Attribute)
                              and node.attr == "modulus"))
-    assert readers == {"gf.Fq.__init__", "gf.Fq._reduce", "gf.Fq._raw_inv", "gf.Fq.__eq__",
-                       "gf.Fq.__hash__", "gf._modulus_str"}, readers
+    assert readers == {"gf.Fq.__init__", "gf.Fq._reduce", "gf.Fq._raw_inv", "gf.Fq._key",
+                       "gf._modulus_str"}, readers
 
 
 def test_one_series_division_for_inverses_and_expansions():
@@ -480,7 +482,7 @@ def test_one_operand_rule_for_every_arithmetic_class():
     # them (FqElem's counted names, Poly's __rsub__), and RingElem alone keeps
     # its kernel __rsub__ from _binary.  The per-class readers _check and
     # _coerce are gone, and the three coefficient rings read a scalar with
-    # their own _operand and share one _raw_of
+    # their own _operand and share the one _raw_of that gf.Ring binds
     derived = {"__truediv__", "__rtruediv__", "__rsub__"}
     own, named = [], []
     for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py")):
@@ -511,7 +513,8 @@ def test_one_operand_rule_for_every_arithmetic_class():
     assert not named, f"per-class operand readers still named: {named}"
     rings = (Fq, LaurentRing, RatFnRing)
     assert all("_operand" in vars(ring) for ring in rings)
-    assert {id(vars(ring).get("_raw_of")) for ring in rings} == {id(gf._raw_of_operand)}
+    assert vars(gf.Ring)["_raw_of"] is gf._raw_of_operand
+    assert not [ring for ring in rings if "_raw_of" in vars(ring)]
     assert all(issubclass(cls, gf.Arithmetic) for cls in (RingElem, Trunc, RatFn))
     assert Poly.__rsub__ is gf.Arithmetic.__rsub__ and not hasattr(Poly, "__truediv__")
 
@@ -552,6 +555,38 @@ def test_one_equality_and_hash_law_for_every_arithmetic_class():
     assert LaurentLocal.__hash__ is None
     # a different m is a different ring, so == reads one mismatch type
     assert issubclass(ModulusMismatch, gf.CtxMismatch)
+
+
+def test_one_ring_protocol():
+    # the coefficient-ring handle is written once, on gf.Ring, over each ring's
+    # hooks: Fq, LaurentRing and RatFnRing derive from it and restate none of
+    # its shared members; Fq alone keeps its cached zero and one and its int
+    # _raw_dot; a single raw becomes an element through _element, not _wrap;
+    # and Trunc keys and compares its raws through the ring, naming no ring class
+    rings = (Fq, LaurentRing, RatFnRing)
+    assert all(issubclass(ring, gf.Ring) for ring in rings)
+    shared = {"characteristic", "from_int", "_raw_of", "_wrap", "__eq__", "__hash__"}
+    assert shared <= set(vars(gf.Ring))
+    restated = [f"{ring.__name__}.{name}" for ring in rings for name in shared & set(vars(ring))]
+    assert not restated, f"rings that restate the protocol: {restated}"
+    own = {name: {ring.__name__ for ring in rings if name in vars(ring)}
+           for name in ("zero", "one", "_raw_dot")}
+    assert own == {"zero": {"Fq"}, "one": {"Fq"}, "_raw_dot": {"Fq"}}, own
+    assert not dataclasses.is_dataclass(LaurentRing)
+    single = [f"{path.name}:{node.lineno}"
+              for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_wrap"
+              and any(isinstance(arg, ast.List) for arg in node.args)]
+    assert not single, f"single raws wrapped as a list: {single}"
+    source = Path(charp_dilog.__file__).parent / "tpoly.py"
+    trunc = next(node for node in ast.parse(source.read_text()).body
+                 if isinstance(node, ast.ClassDef) and node.name == "Trunc")
+    named = {f"{method.name}: {node.id}" for method in trunc.body
+             if isinstance(method, ast.FunctionDef) and method.name in ("_key", "_equal")
+             for node in ast.walk(method) if isinstance(node, ast.Name)
+             and node.id in {"isinstance", "Fq", "LaurentRing", "RatFnRing", "Ring"}}
+    assert not named, f"Trunc dispatches on its ring's class: {named}"
 
 
 def test_every_submodule_name_is_its_module():

@@ -1,12 +1,9 @@
-import functools
-import operator
-
 import pytest
 from hypothesis import given, strategies as st
 
 from charp_dilog import tpoly
-from charp_dilog.gf import (CtxMismatch, Fq, Poly, _rderiv, horner, is_irreducible, is_prime,
-                            residue_field)
+from charp_dilog.gf import (CtxMismatch, Fq, Poly, Ring, _rderiv, horner, is_irreducible,
+                            is_prime, residue_field)
 from charp_dilog.localfield import InsufficientPrecision, RatFn, RatFnRing, germs_at_zero
 from charp_dilog.rng import spawn
 from charp_dilog.sampling import quadratic_extension, rand_good_lifting_pair, rand_ratfn
@@ -518,31 +515,22 @@ def test_random_extended_draws_raws_as_the_element_route_does(F5, F7, F49):
 
 # -- the raw path against the generic loop and the series definition ----------
 
-class GenericRing:
+class GenericRing(Ring):
     """An Fq whose raws are its elements, so Trunc computes on FqElem
     coefficients with element loops and the schoolbook product instead of
-    the field's raw kernel."""
+    the field's raw kernel: the ring protocol's defaults over three hooks."""
 
     def __init__(self, field):
-        self.characteristic = field.characteristic
-        self.zero, self.one = field.zero, field.one
-        self.from_int = self._raw_from_int = field.from_int
+        self.field = field
 
-    def _raw_of(self, x):
-        return self.from_int(x) if isinstance(x, int) else x
+    def _raw_from_int(self, n):
+        return self.field.from_int(n)
 
-    _wrap = staticmethod(tuple)
-    _raw_add = staticmethod(operator.add)
-    _raw_sub = staticmethod(operator.sub)
-    _raw_neg = staticmethod(operator.neg)
-    _raw_mul = staticmethod(operator.mul)
-    _raw_inv = staticmethod(operator.methodcaller("inverse"))
-    _raw_is_zero = staticmethod(operator.attrgetter("is_zero"))
+    def _operand(self, x):
+        raw = self.field._operand(x)
+        return raw if raw is NotImplemented else self.field._element(raw)
+
     _raw_mul_low = schoolbook
-
-    @staticmethod
-    def _raw_dot(xs, ys):
-        return functools.reduce(operator.add, map(operator.mul, xs, ys))
 
 
 def log_series_oracle(u):
