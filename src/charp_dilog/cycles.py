@@ -215,13 +215,15 @@ def boundary(cycle: ParamCycle, deep: bool = True) -> list[BoundaryPoint]:
     if not report.ok:
         raise NotAdmissible(report)
     m = cycle.field.p if deep else 3
-    return [_boundary_point(cycle, face, m) for face in report.faces]
+    # each coefficient reduced mod t^m once per call, by id: the cycle holds every one
+    cuts = {id(c): c.reduce_to(m) for coord in cycle.coords for c in coord.num + coord.den}
+    return [_boundary_point(cycle, face, m, cuts) for face in report.faces]
 
 
-def _boundary_point(cycle: ParamCycle, face: Face, m: int) -> BoundaryPoint:
+def _boundary_point(cycle: ParamCycle, face: Face, m: int, cuts: dict) -> BoundaryPoint:
     others = [c for j, c in enumerate(cycle.coords) if j != face.coordinate]
     kprime = cycle.field if face.where is PARAM_INF else face.root[0]
-    cut = lambda c: c.reduce_to(m).embedded(kprime)
+    cut = lambda c: cuts[id(c)].embedded(kprime)
     div = lambda num, den: Trunc._of(kprime, m, _series_div(kprime, num.raws, den.raws))
     if face.where is PARAM_INF:
         pair = [div(cut(c.num[-1]), cut(c.den[-1])) for c in others]

@@ -21,7 +21,8 @@ size; over an extension, both lists flatten into base-field lists, multiply
 once (a tower recurses down to F_p) and ``Fq._reduce`` reduces each block by
 the monic modulus, as in a tower's element product.  It needs no inverse and
 stays apart from ``_rreduce``, which measured slower on every product.  Over
-F_p in degree 2 it is one fold by u^2 = -m1 u - m0, in closed form.
+F_p in degree 2 both are closed forms: the product folds by u^2 = -m1 u - m0,
+and the inverse is the conjugate over the norm, an element of F_p.
 
 Every arithmetic class keeps one operand rule.  A ring's ``_operand`` reads
 an element of the ring or an int (a germ ring and ``RatFnRing`` also a field
@@ -226,7 +227,7 @@ class Fq(Ring):
     same field are interchangeable.
     """
 
-    __slots__ = ("p", "base", "modulus", "degree", "degree_abs", "order", "_pad", "_zero", "_one")
+    __slots__ = ("p", "base", "modulus", "degree", "degree_abs", "order", "_pad", "_zero", "_one", "_value")
 
     def __init__(self, p: int, modulus: Sequence | None = None, base: "Fq | None" = None,
                  *, _irreducible: bool = False):
@@ -260,6 +261,7 @@ class Fq(Ring):
             self._pad = (base._raw_from_int(0),) * (self.degree - 1)
             if not _irreducible and not is_irreducible(Poly._from_raw(base, list(raw))):
                 raise ValueError("extension modulus is not irreducible")
+        self._value = (self.p, self.modulus, self.base)
         self._zero = FqElem(self, self._raw_from_int(0))
         self._one = FqElem(self, self._raw_from_int(1))
 
@@ -273,7 +275,7 @@ class Fq(Ring):
         return FqElem(self, raw)
 
     def _key(self) -> tuple:
-        return self.p, self.modulus, self.base
+        return self._value
 
     def _operand(self, x):
         """The raw of an element of this field or of an int; CtxMismatch for
@@ -384,8 +386,8 @@ class Fq(Ring):
     def _raw_dot(self, xs: Sequence, ys: Sequence):
         """The sum of the products of paired raws, reduced once at the end.
 
-        Over an extension of a prime field the products are term-by-term int
-        products in u (in degree 2 three schoolbook sums), reduced once by the modulus."""
+        Over an extension of a prime field the products are term-by-term int products
+        in u (over F_{p^2} three schoolbook sums in closed form), reduced once by the modulus."""
         base = self.base
         if base is None:
             return sum(map(operator.mul, xs, ys)) % self.p
@@ -409,8 +411,8 @@ class Fq(Ring):
         return acc
 
     def _reduce(self, acc: list) -> tuple:
-        """Reduce 2d - 1 coefficients in u by the monic modulus: ints with one ``% p``
-        each over F_p (in degree 2 one fold by u^2 = -m1 u - m0), else the base kernel."""
+        """Reduce 2d - 1 coefficients in u by the monic modulus: ints with one ``% p`` each
+        over F_p (over F_{p^2} one closed-form fold by u^2 = -m1 u - m0), else the base kernel."""
         d, mod, base = self.degree, self.modulus, self.base
         if base.base is None:
             if d == 2:
@@ -438,12 +440,19 @@ class Fq(Ring):
         return all(base._raw_is_zero(x) for x in a)
 
     def _raw_inv(self, a):
+        """1/a: over F_p a power; over F_{p^2} the conjugate (a0 - m1 a1) - a1 u over the
+        norm N = a0 (a0 - m1 a1) + m0 a1^2, in F_p, in closed form; else the extended Euclid."""
         if self._raw_is_zero(a):
             raise DivisionByZero(f"inverting zero in {self}")
         if self.base is None:
             return pow(a, self.p - 2, self.p)
-        # extended Euclid against the modulus over the base (s stays trimmed: q's lead is nonzero)
         base = self.base
+        if base.base is None and self.degree == 2:
+            (m0, m1, _), (a0, a1), p = self.modulus, a, self.p
+            b0 = a0 - m1 * a1
+            n_inv = pow(a0 * b0 + m0 * a1 * a1, p - 2, p)
+            return b0 * n_inv % p, -a1 * n_inv % p
+        # extended Euclid against the modulus over the base (s stays trimmed: q's lead is nonzero)
         zero, one = base._raw_from_int(0), base._raw_from_int(1)
         r0, r1 = list(self.modulus), list(a)
         while base._raw_is_zero(r1[-1]):

@@ -7,7 +7,7 @@ them, a sampler that only the tests draw from.
 
 import itertools
 
-from charp_dilog.gf import FqElem, NotInSubfield, Poly, frobenius
+from charp_dilog.gf import FqElem, NotInSubfield, Poly, _rmul, _rreduce, _rsub, frobenius
 from charp_dilog.localfield import RatFn, residue_at
 from charp_dilog.omega import Letter, _derivative_ladder, letters_of_unit, omega_p
 from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, inv_factorials, rp_eval
@@ -90,6 +90,26 @@ def tower_mul(field, a, b):
         for j, m in enumerate(field.modulus):
             c[k - d + j] = base._raw_sub(c[k - d + j], base._raw_mul(top, m))
     return tuple(c[:d])
+
+
+def euclid_inverse(field, a):
+    """The inverse of a nonzero extension raw by the extended Euclid against the
+    modulus over the base field's kernel (s stays trimmed: q's lead is nonzero),
+    the route ``Fq._raw_inv`` keeps for towers and degree 3 and up."""
+    base = field.base
+    zero, one = base._raw_from_int(0), base._raw_from_int(1)
+    r0, r1 = list(field.modulus), list(a)
+    while base._raw_is_zero(r1[-1]):
+        r1.pop()
+    s0, s1 = [zero], [one]
+    while len(r1) > 1:
+        q = [zero] * (len(r0) - len(r1) + 1)
+        r0, r1 = r1, _rreduce(base, r0, r1, q)
+        s0, s1 = s1, _rsub(base, s0, _rmul(base, q, s1))
+    lead_inv = base._raw_inv(r1[0])
+    inv = [base._raw_mul(lead_inv, c) for c in s1]
+    inv += [zero] * (field.degree - len(inv))
+    return tuple(inv[: field.degree])
 
 
 def ell_p_antisymmetric(a, b):

@@ -28,8 +28,8 @@ from charp_dilog.rng import spawn
 from charp_dilog.sampling import quadratic_extension, rand_nonzero
 from charp_dilog.tpoly import Trunc
 
-from oracles import (is_irreducible_by_trial_division, poly_embedded_via_elements, schoolbook,
-                     tower_mul, trace_orbit)
+from oracles import (euclid_inverse, is_irreducible_by_trial_division, poly_embedded_via_elements,
+                     schoolbook, tower_mul, trace_orbit)
 
 
 def test_prime_guard():
@@ -83,8 +83,9 @@ def test_inverse_of_two_over_f5(F5):
 
 
 def test_inverse_matches_power_oracle(F25, F49):
-    # independent oracle: a^(q-2) by gf.power inverts in F_q^x; the extended
-    # Euclid of Fq._raw_inv runs over F_p, and over F_25 for the tower F_625
+    # independent oracle: a^(q-2) by gf.power inverts in F_q^x; Fq._raw_inv takes
+    # the norm over F_25 and F_49, and runs the extended Euclid over F_25 for the
+    # tower F_625
     for field in (F25, F49, _f625(F25)):
         for a in field.elements():
             if not a.is_zero:
@@ -605,6 +606,42 @@ def test_extension_int_kernel_matches_tower_loop(p, modulus):
         for x, y in zip(xs, ys):
             want = field._raw_add(want, tower_mul(field, x, y))
         assert field._raw_dot(xs, ys) == want
+
+
+# u^2 + 2 (m1 = 0) and u^2 + u + 2 (m1 != 0) over F_5, u^2 + 1 over F_11, and
+# u^2 - u + 5 over F_{2^61-1} (200 random units)
+@pytest.mark.parametrize("p, modulus, draws", [(5, [2, 0, 1], 0), (5, [2, 1, 1], 0),
+                                               (11, [1, 0, 1], 0), (2 ** 61 - 1, [5, 2 ** 61 - 2, 1], 200)])
+def test_quadratic_inverse_by_the_norm_matches_the_euclid(p, modulus, draws):
+    # over F_p in degree 2 the inverse is the conjugate over the norm; the
+    # extended Euclid it replaced and a^(q-2) by gf.power are the oracles
+    field = Fq(p, modulus=modulus, base=Fq(p))
+    if draws:
+        rng = spawn(38, "norm-inverse", p)
+        units = [x for x in (field.random_element(rng).raw for _ in range(draws)) if any(x)]
+        units += [(1, 0), (0, 1), (p - 1, p - 1)]
+    else:
+        units = [a.raw for a in field.elements() if not a.is_zero]
+        assert len(units) == field.order - 1
+    for a in units:
+        inv = field._raw_inv(a)
+        assert inv == euclid_inverse(field, a)
+        assert inv == gf.power(a, field.order - 2, field.one.raw, field._raw_mul)
+    with pytest.raises(DivisionByZero):
+        field._raw_inv(field.zero.raw)
+    with pytest.raises(DivisionByZero):
+        field.zero.inverse()
+
+
+def test_quadratic_tower_inverse_keeps_the_euclid(F25):
+    # degree 2 over F_25 is no quadratic field over F_p: its inverse stays the Euclid
+    tower = _f625(F25)
+    units = [a.raw for a in tower.elements() if not a.is_zero]
+    assert len(units) == 624
+    for a in units:
+        assert tower._raw_inv(a) == euclid_inverse(tower, a)
+    with pytest.raises(DivisionByZero):
+        tower._raw_inv(tower.zero.raw)
 
 
 def test_quadratic_extension_of_prime_and_extension_fields(F25):

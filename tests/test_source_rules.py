@@ -252,12 +252,12 @@ def test_one_remainder_kernel_divides_for_every_field():
 def test_only_the_field_reduces_by_its_modulus():
     # Fq._reduce is the one reduction of a product by the monic modulus (its
     # degree-2 branch folds u^2 = -m1 u - m0), so the products that feed it
-    # never read the modulus; besides it, only the constructor, the inverse's
-    # Euclid, the field's value (its _key, which equality and hashing read)
-    # and the field's repr read a .modulus
+    # never read the modulus; besides it, only the constructor (which also
+    # builds the field's value, the key that equality and hashing read), the
+    # inverse (its norm and its Euclid) and the field's repr read a .modulus
     readers = set(_owners_of(lambda node: isinstance(node, ast.Attribute)
                              and node.attr == "modulus"))
-    assert readers == {"gf.Fq.__init__", "gf.Fq._reduce", "gf.Fq._raw_inv", "gf.Fq._key",
+    assert readers == {"gf.Fq.__init__", "gf.Fq._reduce", "gf.Fq._raw_inv",
                        "gf._modulus_str"}, readers
 
 
