@@ -14,8 +14,7 @@ that independence for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .gf import Record
 from .rng import spawn
 from .tpoly import Trunc, _inverses
 from .wedge import WedgeK, _wedge_sum, ell, ell_p, wedge
@@ -33,14 +32,14 @@ class DifferenceNotUnit(BlochError):
     """The five-term relation needs x - y to be a unit."""
 
 
-@dataclass(frozen=True)
-class BlochSym:
+class BlochSym(Record):
     """A formal integer combination of flat generators [x]."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        for _, x in self.terms:
+    def __init__(self, terms: tuple):
+        super().__init__(terms)
+        for _, x in terms:
             if not flat_check(x):
                 raise NotFlat(f"x(1-x) is not a unit for x = {x!r}")
 

@@ -16,13 +16,7 @@ import sys
 
 from .gf import BadPrime, Fq, FqElem, GFError
 from .localfield import LocalFieldError
-from .regulator import (
-    GoodFunction,
-    RegulatorInput,
-    finite_point,
-    infinity_point,
-    regulate,
-)
+from .regulator import GoodFunction, LiftedPoint, RegulatorInput, finite_point, regulate
 from .suites import SUITES, UnknownSuite, run_suite
 from .tpoly import Trunc, TruncError
 from . import bloch, cycles
@@ -132,7 +126,7 @@ def _regulator_input_from_json(data: dict) -> RegulatorInput:
         raise ParseError("'points' must be an array")
     for j, entry in enumerate(entries):
         if entry == "inf":
-            points.append(infinity_point())
+            points.append(LiftedPoint(None))
             continue
         if not isinstance(entry, dict) or not isinstance(entry.get("poly"), list):
             raise ParseError("each point is 'inf' or an object with a 'poly' array")

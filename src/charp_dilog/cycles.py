@@ -11,11 +11,10 @@ modulus property the acceptance suite pins down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
-from .gf import Fq, FqElem, Poly, factor_squarefree_irreducibles, residue_field, trace_to
+from .gf import Fq, FqElem, MutableRecord, Poly, Record, factor_squarefree_irreducibles, residue_field, trace_to
 from .regulator import _lift_input
 from .tpoly import Trunc, _series_div, hensel_root_zpoly, rp_eval, rp_mul
 from .wedge import ell, ell_p, wedge
@@ -45,24 +44,20 @@ def face_sign(i_one_based: int, at_infinity: bool) -> int:
     return s if at_infinity else -s
 
 
-@dataclass(frozen=True)
-class Coordinate:
+class Coordinate(Record):
     """One coordinate function: num(z)/den(z) with truncated coefficients."""
 
-    num: tuple
-    den: tuple
+    __slots__ = ("num", "den")
 
     def reductions(self, field: Fq) -> tuple[Poly, Poly]:
         return (Poly(field, [c.c0 for c in self.num]),
                 Poly(field, [c.c0 for c in self.den]))
 
 
-@dataclass(frozen=True)
-class ParamCycle:
+class ParamCycle(Record):
     """A parametrized cycle: three coordinates over k[t]/(t^p)."""
 
-    field: Fq
-    coords: tuple
+    __slots__ = ("field", "coords")
 
 
 def make_cycle(field: Fq, coords: Sequence[tuple[Sequence[Trunc], Sequence[Trunc]]]) -> ParamCycle:
@@ -73,11 +68,8 @@ def make_cycle(field: Fq, coords: Sequence[tuple[Sequence[Trunc], Sequence[Trunc
     return ParamCycle(field, tuple(Coordinate(tuple(num), tuple(den)) for num, den in coords))
 
 
-@dataclass(frozen=True)
-class Failure:
-    code: str
-    coordinate: int
-    detail: str
+class Failure(Record):
+    __slots__ = ("code", "coordinate", "detail")
 
 
 class Face(NamedTuple):
@@ -91,10 +83,8 @@ class Face(NamedTuple):
     root: tuple = ()
 
 
-@dataclass
-class AdmissibilityReport:
-    failures: list = dc_field(default_factory=list)
-    faces: list = dc_field(default_factory=list)
+class AdmissibilityReport(MutableRecord):
+    __slots__ = ("failures", "faces")
 
     @property
     def ok(self) -> bool:
@@ -116,7 +106,7 @@ def admissibility_check(cycle: ParamCycle) -> AdmissibilityReport:
     Each simple face goes into ``report.faces``, in the order ``boundary``
     lists its points.
     """
-    report = AdmissibilityReport()
+    report = AdmissibilityReport([], [])
     field = cycle.field
     reds = [c.reductions(field) for c in cycle.coords]
     for i, (num, den) in enumerate(reds):
@@ -189,15 +179,10 @@ def _check_other_coords_at_param_inf(report, reds, i):
                                            "coordinate hits 1 at the parameter infinity"))
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(Record):
     """A signed face point with the surviving coordinate pair evaluated at it."""
 
-    kprime: Fq
-    pair: tuple
-    sign: int
-    face: tuple
-    where: object
+    __slots__ = ("kprime", "pair", "sign", "face", "where")
 
 
 def boundary(cycle: ParamCycle, deep: bool = True) -> list[BoundaryPoint]:
@@ -215,15 +200,23 @@ def boundary(cycle: ParamCycle, deep: bool = True) -> list[BoundaryPoint]:
     if not report.ok:
         raise NotAdmissible(report)
     m = cycle.field.p if deep else 3
-    # each coefficient reduced mod t^m once per call, by id: the cycle holds every one
+    # each coefficient reduced mod t^m once per call, by id (the cycle holds every one),
+    # and embedded once per face field: faces over equal fields share one table
     cuts = {id(c): c.reduce_to(m) for coord in cycle.coords for c in coord.num + coord.den}
-    return [_boundary_point(cycle, face, m, cuts) for face in report.faces]
+    tables = {cycle.field: cuts}
+    return [_boundary_point(cycle, face, m, cuts, tables) for face in report.faces]
 
 
-def _boundary_point(cycle: ParamCycle, face: Face, m: int, cuts: dict) -> BoundaryPoint:
+def _boundary_point(cycle: ParamCycle, face: Face, m: int, cuts: dict, tables: dict) -> BoundaryPoint:
     others = [c for j, c in enumerate(cycle.coords) if j != face.coordinate]
     kprime = cycle.field if face.where is PARAM_INF else face.root[0]
-    cut = lambda c: cuts[id(c)].embedded(kprime)
+    table = tables.setdefault(kprime, {})
+
+    def cut(c):
+        if (x := table.get(id(c))) is None:
+            x = table[id(c)] = cuts[id(c)].embedded(kprime)
+        return x
+
     div = lambda num, den: Trunc._of(kprime, m, _series_div(kprime, num.raws, den.raws))
     if face.where is PARAM_INF:
         pair = [div(cut(c.num[-1]), cut(c.den[-1])) for c in others]
@@ -276,7 +269,7 @@ def _normalized(coord: Coordinate, i: int) -> tuple[list, list]:
     if not lead.is_unit:
         raise NotAdmissible(AdmissibilityReport([Failure(
             "LeadingCoefficientDegenerates", i,
-            "cannot normalize: denominator leading coefficient is not a unit")]))
+            "cannot normalize: denominator leading coefficient is not a unit")], []))
     inv = lead.inverse()
     return [c * inv for c in coord.num], [c * inv for c in coord.den]
 

@@ -12,6 +12,10 @@ Every coefficient ring, :class:`Fq`, the germ ring and ``RatFnRing``, is a
 :class:`Ring`: it gives ``field``, ``_element(raw)``, ``_operand``,
 ``_raw_from_int``, its value ``_key()`` and a ``_raw_*`` kernel, and
 :class:`Ring` writes the rest of the handle once, value equality included.
+Every record (a symbol, a boundary point, a report) is a :class:`Record` that
+names its fields in ``__slots__``; one law holds: a positional constructor,
+equality of the field tuples within one class and their hash, the repr
+``Name(field=value)``, and no field reassigned unless a :class:`MutableRecord`.
 
 Every field has one division with remainder, ``_rreduce``, behind divmod,
 gcd and the extension inverse: int lists with one ``% p`` per update over
@@ -198,6 +202,7 @@ class Ring:
         operator.add, operator.sub, operator.neg, operator.mul))
     _raw_inv = staticmethod(operator.methodcaller("inverse"))
     _raw_is_zero = staticmethod(operator.attrgetter("is_zero"))
+    _random_raw = lambda self, rng: self.random_element(rng)
 
     def from_int(self, n: int):
         return self._element(self._raw_from_int(n))
@@ -332,11 +337,13 @@ class Fq(Ring):
                                            repeat=self.degree):
                 yield FqElem(self, combo)
 
-    def random_element(self, rng) -> "FqElem":
+    random_element = lambda self, rng: FqElem(self, self._random_raw(rng))
+
+    def _random_raw(self, rng):
+        """An int over F_p, else one base raw per coordinate, low first, drawn from rng."""
         if self.base is None:
-            return FqElem(self, rng.randrange(self.p))
-        return FqElem(self, tuple(self.base.random_element(rng).raw
-                                  for _ in range(self.degree)))
+            return rng.randrange(self.p)
+        return tuple([self.base._random_raw(rng) for _ in range(self.degree)])
 
     # -- raw kernel --------------------------------------------------------
 
@@ -607,6 +614,46 @@ class Arithmetic:
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+
+class Record:
+    """The module's record law over a subclass's ``__slots__``.  Defining a record
+    generates no code: the class keeps the setters of its slots, read once."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *values):
+        if len(values) != len(setters := self._setters):
+            raise TypeError(f"{type(self).__name__} takes {len(setters)} fields, not {len(values)}")
+        for i, setter in enumerate(setters):
+            setter(self, values[i])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class MutableRecord(Record):
+    """A :class:`Record` whose fields can be assigned, and so hashes nothing."""
+
+    __slots__ = ()
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
 
 def _binary(kernel: str, swap: bool = False):

@@ -21,10 +21,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import (Arithmetic, CtxMismatch, DivisionByZero, Fq, FqElem, Poly, Ring, RingElem,
+from .gf import (Arithmetic, CtxMismatch, DivisionByZero, Fq, FqElem, Poly, Record, Ring, RingElem,
                  ZeroPolynomial, _lifted, _pth_root_poly, _radd, _rderiv, _rmul, _rsub,
                  is_irreducible, multiplicity, power, residue_field)
 from .tpoly import Trunc, _series_div
@@ -313,12 +312,11 @@ class RatFnRing(Ring):
         return f"{self.field}(s)"
 
 
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(Record):
     """A Kaehler differential f * ds on the s-line; f is a rational function, or
     a :class:`LaurentLocal` germ of one at a point."""
 
-    fn: "RatFn | LaurentLocal"
+    __slots__ = ("fn",)
 
     def __add__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.fn + other.fn)

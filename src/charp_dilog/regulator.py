@@ -16,10 +16,9 @@ infinitesimal dilogarithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import CtxMismatch, Fq, FqElem, Poly, is_irreducible, residue_field, trace_to
+from .gf import CtxMismatch, Fq, FqElem, MutableRecord, Poly, Record, is_irreducible, residue_field, trace_to
 from .rng import spawn
 from .tpoly import Trunc, hensel_root_zpoly, rp_eval
 from .wedge import GoodElem, ell, ell_p, res_good
@@ -37,14 +36,14 @@ class DegenerateConfiguration(RegulatorError):
 INFINITY = "inf"
 
 
-@dataclass(frozen=True)
-class LiftedPoint:
+class LiftedPoint(Record):
     """A table entry: a monic polynomial over k[t]/(t^2) with irreducible
     reduction (a smooth lifting of its closed point), or the point at infinity."""
 
-    poly: tuple[Trunc, ...] | None
+    __slots__ = ("poly",)
 
-    def __post_init__(self):
+    def __init__(self, poly: tuple[Trunc, ...] | None):
+        super().__init__(poly)
         # the one irreducibility test of a table point: residue_field trusts it
         if self.poly is not None and not is_irreducible(self.reduction(self.poly[0].ring)):
             raise ValueError("point reduction must be irreducible")
@@ -79,32 +78,22 @@ def finite_point(field: Fq, coeffs: Sequence[Trunc]) -> LiftedPoint:
     return LiftedPoint(coeffs)
 
 
-def infinity_point() -> LiftedPoint:
-    return LiftedPoint(None)
-
-
-@dataclass(frozen=True)
-class GoodFunction:
+class GoodFunction(Record):
     """unit * prod table_point^exponent, a function good at every point."""
 
-    unit: Trunc
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("unit", "factors")
 
     def exponent_of(self, idx: int) -> int:
         return sum(e for i, e in self.factors if i == idx)
 
 
-@dataclass(frozen=True)
-class RegulatorInput:
+class RegulatorInput(Record):
     """Three good functions over one point table on the projective line."""
 
-    field: Fq
-    points: tuple[LiftedPoint, ...]
-    f: GoodFunction
-    g: GoodFunction
-    h: GoodFunction
+    __slots__ = ("field", "points", "f", "g", "h")
 
-    def __post_init__(self):
+    def __init__(self, field: Fq, points: tuple, f: GoodFunction, g: GoodFunction, h: GoodFunction):
+        super().__init__(field, points, f, g, h)
         reductions = set()
         for pt in self.points:
             if pt.is_infinity:
@@ -132,12 +121,10 @@ class RegulatorInput:
         return sum(e * self.points[i].degree for i, e in fn.factors)
 
 
-@dataclass
-class _Lift:
+class _Lift(MutableRecord):
     """A seeded coefficientwise lift of the table and units to depth m."""
 
-    points: list
-    units: list
+    __slots__ = ("points", "units")
 
 
 def _lift_input(inp: RegulatorInput, m: int, seed: int | None) -> _Lift:

@@ -8,10 +8,9 @@ seed), never on wall time, so reports are byte-identical across runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 
 from . import bloch, cycles, omega, regulator
-from .gf import Fq, descend, factor_squarefree_irreducibles, roots_in_field, trace_to, trace_to_base
+from .gf import Fq, MutableRecord, descend, factor_squarefree_irreducibles, roots_in_field, trace_to, trace_to_base
 from .localfield import INF, OneForm, RatFnRing, is_exact_form, residue_at
 from .omega import Letter
 from .rng import spawn
@@ -35,17 +34,13 @@ class UnknownSuite(Exception):
     """No suite with the requested name."""
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(MutableRecord):
     """Outcome of one suite run; deterministic given (name, p, trials, seed)."""
 
-    name: str
-    p: int
-    trials: int
-    seed: int
-    checks: int = 0
-    failures: list = dc_field(default_factory=list)
-    notes: list = dc_field(default_factory=list)
+    __slots__ = ("name", "p", "trials", "seed", "checks", "failures", "notes")
+
+    def __init__(self, name: str, p: int, trials: int, seed: int):
+        super().__init__(name, p, trials, seed, 0, [], [])
 
     @property
     def ok(self) -> bool:
@@ -60,17 +55,10 @@ class SuiteResult:
             self.failures.append(entry)
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "suite": self.name,
-            "p": self.p,
-            "trials": self.trials,
-            "seed": self.seed,
-            "checks": self.checks,
-            "passed": self.ok,
-            "failures": self.failures,
-            "notes": self.notes,
-        }
+        """The report entry: the fields, the name as ``suite``, the schema and ``passed``."""
+        entry = dict(zip(self.__slots__, self._values()), schema=1, passed=self.ok)
+        entry["suite"] = entry.pop("name")
+        return entry
 
 
 def _fields_for(p: int) -> list[Fq]:

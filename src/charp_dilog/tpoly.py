@@ -39,10 +39,9 @@ Algebra, 3rd ed., 9.4), where g = 1/P'(x) follows by its own Newton step.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .gf import Arithmetic, CtxMismatch, Fq, _lifted, _rsub, horner, power
+from .gf import Arithmetic, CtxMismatch, Fq, Record, _lifted, _rsub, horner, power
 
 
 class TruncError(Exception):
@@ -232,8 +231,8 @@ class Trunc(Arithmetic):
         """Lift into R[t]/(t^m2), m <= m2 <= p, with tail raws drawn in order from rng."""
         if not self.m <= m2 <= self.ring.characteristic:
             raise ModulusMismatch(f"random_extended needs {self.m} <= m2 <= p, not {m2}")
-        draw = self.ring.random_element
-        return Trunc._of(self.ring, m2, [*self.raws, *(draw(rng).raw for _ in range(m2 - self.m))])
+        draw = self.ring._random_raw
+        return Trunc._of(self.ring, m2, [*self.raws, *(draw(rng) for _ in range(m2 - self.m))])
 
     def shifted(self, j: int) -> "Trunc":
         """Multiply by t^j for j >= 0 (zero when j >= m)."""
@@ -311,14 +310,10 @@ def ell_all(u: Trunc) -> tuple:
     return log_circ(u).coeffs[1:]
 
 
-@dataclass(frozen=True)
-class UnitDecomp:
+class UnitDecomp(Record):
     """A unit written as a0 * e(exps[0] t) * e(exps[1] t^2) * ...  exactly."""
 
-    ring: object
-    m: int
-    a0: object
-    exps: tuple
+    __slots__ = ("ring", "m", "a0", "exps")
 
 
 def unit_decompose(u: Trunc) -> UnitDecomp:

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from .gf import Record
 from .localfield import RatFn, expand_at, germs_at_zero
 from .tpoly import ModulusMismatch, Trunc, horner, log_circ, newton_root
 
@@ -37,11 +37,10 @@ class NotGood(WedgeError):
     """The element admits no u * s_tilde^n decomposition at the point."""
 
 
-@dataclass(frozen=True)
-class WedgeK:
+class WedgeK(Record):
     """Formal sum of integer-weighted k-tuples of group elements."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
     def __add__(self, other: "WedgeK") -> "WedgeK":
         return WedgeK(self.terms + other.terms)
@@ -119,12 +118,10 @@ def ell_p(w: WedgeK, ring=None):
     return _wedge_sum(w.terms, ring, functools.partial(_ell_p_pair, logs=_logs(w)))
 
 
-@dataclass(frozen=True)
-class GoodElem:
+class GoodElem(Record):
     """A local decomposition f = u * s_tilde^n with u a unit at the point."""
 
-    n: int
-    u: object
+    __slots__ = ("n", "u")
 
 
 def _order(g, below: float = math.inf) -> float:

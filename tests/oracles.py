@@ -5,9 +5,10 @@ faster way, kept here so the fast route is always compared with it; beside
 them, a sampler that only the tests draw from.
 """
 
+import dataclasses
 import itertools
 
-from charp_dilog.gf import FqElem, NotInSubfield, Poly, _rmul, _rreduce, _rsub, frobenius
+from charp_dilog.gf import FqElem, MutableRecord, NotInSubfield, Poly, _rmul, _rreduce, _rsub, frobenius
 from charp_dilog.localfield import RatFn, residue_at
 from charp_dilog.omega import Letter, _derivative_ladder, letters_of_unit, omega_p
 from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, inv_factorials, rp_eval
@@ -160,6 +161,23 @@ def random_extended_via_elements(x, m2, rng):
     every coefficient coerced again by the Trunc constructor."""
     tail = [x.ring.random_element(rng) for _ in range(m2 - x.m)]
     return Trunc(x.ring, m2, list(x.coeffs) + tail)
+
+
+def random_element_by_wrappers(field, rng):
+    """A random element drawn the wrapper way: each base-field coordinate drawn
+    as an element of the base field and read back through ``.raw``, low first."""
+    if field.base is None:
+        return FqElem(field, rng.randrange(field.p))
+    return FqElem(field, tuple(random_element_by_wrappers(field.base, rng).raw
+                               for _ in range(field.degree)))
+
+
+def record_oracle(cls):
+    """The dataclass that a ``gf.Record`` class stands for: its fields from
+    ``__slots__``, frozen (and so hashed by its field tuple) unless the class is a
+    ``MutableRecord``, which compares the same way and hashes nothing."""
+    return dataclasses.make_dataclass(cls.__name__, cls.__slots__,
+                                      frozen=not issubclass(cls, MutableRecord))
 
 
 def pounds1_direct(s):

@@ -5,6 +5,9 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import charp_dilog
@@ -141,10 +144,10 @@ def _callers_of(func: str) -> list[str]:
 
 
 def test_flatness_is_checked_only_where_a_symbol_is_built():
-    # bloch.BlochSym.__post_init__ is the one caller of flat_check, so a
+    # bloch.BlochSym.__init__ is the one caller of flat_check, so a
     # non-flat generator cannot enter a symbol and no route re-checks one
     callers = _callers_of("flat_check")
-    assert callers == ["bloch.BlochSym.__post_init__"], callers
+    assert callers == ["bloch.BlochSym.__init__"], callers
 
 
 def test_only_the_element_kernel_multiplies_by_schoolbook():
@@ -292,18 +295,21 @@ def test_germ_letters_move_by_substitution_not_by_the_derivative_ladder():
 
 
 def _imports_from(module: str, sources: set[str]) -> list[str]:
-    """The import statements of charp_dilog.``module`` that name one of ``sources``."""
+    """The import statements of charp_dilog.``module`` that name one of ``sources``,
+    leaving out the import of the record base ``gf.Record``, which holds no arithmetic."""
     tree = ast.parse((Path(charp_dilog.__file__).parent / f"{module}.py").read_text())
     return [ast.unparse(node) for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom))
             and sources & {(getattr(node, "module", None) or "").split(".")[-1],
-                           *(alias.name.split(".")[-1] for alias in node.names)}]
+                           *(alias.name.split(".")[-1] for alias in node.names)}
+            and ast.unparse(node) != "from .gf import Record"]
 
 
 def test_one_local_model_for_the_hensel_root():
     # the root of the uniformizer comes from its germ at s = 0: wedge._rows is
     # read by the root and by the reduction at it, and wedge imports nothing
-    # from gf, so no lcm of denominators or other global route comes back
+    # from gf but the record base, so no lcm of denominators or other global
+    # route comes back
     assert sorted(_callers_of("_rows")) == ["wedge.local_point", "wedge.reduce_at"]
     imported = _imports_from("wedge", {"gf"})
     assert not imported, f"wedge imports from gf: {imported}"
@@ -311,7 +317,8 @@ def test_one_local_model_for_the_hensel_root():
 
 def test_bloch_reads_its_field_off_its_arguments():
     # pounds1, and so li2p, runs over a finite field only: bloch imports
-    # nothing from gf or localfield, so no F_q(s) branch comes back
+    # nothing from gf but the record base, nor from localfield, so no F_q(s)
+    # branch comes back
     imported = _imports_from("bloch", {"gf", "localfield"})
     assert not imported, f"bloch imports from gf or localfield: {imported}"
 
@@ -587,6 +594,43 @@ def test_one_ring_protocol():
              for node in ast.walk(method) if isinstance(node, ast.Name)
              and node.id in {"isinstance", "Fq", "LaurentRing", "RatFnRing", "Ring"}}
     assert not named, f"Trunc dispatches on its ring's class: {named}"
+
+
+def test_every_record_derives_from_the_one_record_base():
+    # the records are gf.Record classes that name their fields in __slots__:
+    # nothing under src/ imports dataclasses, and no record restates the law's
+    # ==, hash or repr, but for the four that show themselves in their own form
+    found, restated, imported = {}, [], []
+    for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text(), filename=str(path))
+        loaded = importlib.import_module(f"charp_dilog.{path.stem}")
+        imported += [f"{path.name}:{node.lineno}" for node in ast.walk(module)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     and "dataclasses" in {getattr(node, "module", None),
+                                           *(alias.name for alias in node.names)}]
+        for cls in (node for node in module.body if isinstance(node, ast.ClassDef)):
+            obj = getattr(loaded, cls.name)
+            if not issubclass(obj, gf.Record) or path.stem == "gf":
+                continue
+            found[f"{path.stem}.{cls.name}"] = obj
+            restated += [f"{path.stem}.{cls.name}.{name}" for name in ("__eq__", "__hash__", "__repr__")
+                         if name in vars(obj)]
+    assert not imported, f"dataclasses imported under src/: {imported}"
+    assert len(found) == 15 and all("__slots__" in vars(cls) for cls in found.values()), found
+    mutable = {name for name, cls in found.items() if issubclass(cls, gf.MutableRecord)}
+    assert mutable == {"regulator._Lift", "suites.SuiteResult", "cycles.AdmissibilityReport"}
+    assert sorted(restated) == ["bloch.BlochSym.__repr__", "localfield.OneForm.__repr__",
+                                "regulator.LiftedPoint.__repr__", "wedge.WedgeK.__repr__"], restated
+
+
+def test_importing_the_command_line_builds_no_dataclass():
+    # a cold import of the command line, the entry point of every fresh
+    # process, pulls in neither dataclasses nor inspect, its import
+    probe = "import charp_dilog.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]", done.stdout
 
 
 def test_every_submodule_name_is_its_module():

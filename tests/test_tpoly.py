@@ -26,7 +26,8 @@ from charp_dilog.tpoly import (
 )
 
 from oracles import (div_via_inverse, hensel_root_oracle, log_via_inverse, rand_trunc,
-                     random_extended_via_elements, schoolbook, series_inverse, trunc_horner)
+                     random_element_by_wrappers, random_extended_via_elements, schoolbook,
+                     series_inverse, trunc_horner)
 
 
 def test_ring_examples(F5):
@@ -511,6 +512,20 @@ def test_random_extended_draws_raws_as_the_element_route_does(F5, F7, F49):
         for m2 in (2, ring.characteristic + 1):
             with pytest.raises(ModulusMismatch):
                 x.random_extended(m2, spawn(35, "bad-lift"))
+
+
+def test_random_extended_draws_the_raws_of_the_wrapper_route(F5):
+    # the tail raws are drawn as raws, with the rng calls, in the order, of
+    # drawing each tail coefficient as an element whose base coordinates are
+    # elements too, and reading the raws back: over F_p, F_p^2 and a tower
+    f25 = Fq(5, modulus=[2, 0, 1], base=F5)
+    for ring in (F5, f25, Fq(5, modulus=[-f25.gen(), 0, 1], base=f25)):
+        x = rand_trunc(ring, 2, spawn(39, "raw-base"))
+        new_rng, old_rng = spawn(39, "raw-lift"), spawn(39, "raw-lift")
+        tail = [random_element_by_wrappers(ring, old_rng).raw for _ in range(3)]
+        assert list(x.random_extended(5, new_rng).raws) == [*x.raws, *tail]
+        assert ring.random_element(new_rng) == random_element_by_wrappers(ring, old_rng)
+        assert new_rng.random() == old_rng.random()
 
 
 # -- the raw path against the generic loop and the series definition ----------
