@@ -19,8 +19,15 @@ change is better than every run of the parent.  A workload is marked
 ``FAILED MORE`` when the change's share of failed ops (``failed`` over
 ``attempted``, summed over its runs) is larger than the parent's.
 
+With ``--trace`` each run is a traced run (``--trace 1``, which runs a fixed
+number of ops whatever ``--seconds`` says), and the report says where the
+time moved: for every span, the median ``.self_s`` of each side and their
+ratio; a ``.calls`` count, ``gf.FqElem.ops`` or
+``localfield.expand_at.order_sum`` that differs between the sides in some pair
+is marked ``COUNT CHANGED``.
+
 Usage: python3 scripts/ab_pairs.py PARENT CHANGE [--workloads theorem1,exactness]
-           [--seeds 0,17] [--pairs 3] [--seconds 10]
+           [--seeds 0,17] [--pairs 3] [--seconds 10] [--trace]
 
 PARENT and CHANGE are checkout roots, for example a ``git clone`` of the
 parent commit and this repository.
@@ -47,9 +54,9 @@ def parse_result(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {done.returncode}:\n"
@@ -57,12 +64,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_result(done.stdout)
 
 
-def run_pairs(checkouts: dict, workload: str, seed: int, pairs: int, seconds: float) -> dict:
+def run_pairs(checkouts: dict, workload: str, seed: int, pairs: int, seconds: float,
+              trace: bool) -> dict:
     """``pairs`` results per side, the side that runs first alternating."""
     results = {side: [] for side in SIDES}
     for i in range(pairs):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            result = run_once(checkouts[side], workload, seed, seconds)
+            result = run_once(checkouts[side], workload, seed, seconds, trace)
             results[side].append(result)
             print(f"  {workload} seed={seed} pair {i + 1}/{pairs} {side}: "
                   f"{json.dumps(result['metrics'])}", file=sys.stderr)
@@ -133,6 +141,38 @@ def report(rows, metrics) -> list[str]:
     return lines
 
 
+COUNTS = ("gf.FqElem.ops", "localfield.expand_at.order_sum")
+
+
+def trace_report(rows) -> list[str]:
+    """Report lines for ``rows`` of (workload, seed, traced results by side):
+    each span's median ``.self_s`` per side and their ratio, then every count
+    (``.calls``, and ``COUNTS``) that differs between the sides in some pair."""
+    lines = []
+    for workload, seed, results in rows:
+        parent, change = results["parent"], results["change"]
+        failed = [sum(r["failed"] for r in results[side]) for side in SIDES]
+        lines.append(f"{workload} seed={seed}: {len(parent)} traced pairs, "
+                     f"failed ops {failed[0]} -> {failed[1]}")
+        names = list(parent[0]["metrics"])
+        for name in names:
+            a, b = ([r["metrics"][name]["value"] for r in side] for side in (parent, change))
+            mid_a, mid_b = statistics.median(a), statistics.median(b)
+            if name.endswith(".self_s") and (mid_a or mid_b):
+                ratio = f"x{mid_b / mid_a:.3f}" if mid_a else "x-"
+                lines.append(f"  {name:<40} {mid_a:.4g} -> {mid_b:.4g} s  {ratio}")
+        changed = [name for name in names if (name.endswith(".calls") or name in COUNTS)
+                   and any(x["metrics"][name]["value"] != y["metrics"][name]["value"]
+                           for x, y in zip(parent, change))]
+        for name in changed:
+            a, b = ([r["metrics"][name]["value"] for r in side] for side in (parent, change))
+            lines.append(f"  {name:<40} {'/'.join(f'{v:g}' for v in a)} -> "
+                         f"{'/'.join(f'{v:g}' for v in b)}  COUNT CHANGED")
+        if not changed:
+            lines.append("  every count equal on both sides")
+    return lines
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -142,6 +182,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="0")
     ap.add_argument("--pairs", type=int, default=3)
     ap.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
+    ap.add_argument("--trace", action="store_true",
+                    help="traced runs: per-span self time and changed counts")
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, path in checkouts.items():
@@ -150,10 +192,11 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     metrics = [(m["name"], m["better"], m["bound"]) for m in bench["end_to_end"]]
-    rows = [(workload, seed, run_pairs(checkouts, workload, seed, args.pairs, args.seconds))
+    rows = [(workload, seed,
+             run_pairs(checkouts, workload, seed, args.pairs, args.seconds, args.trace))
             for workload in args.workloads.split(",")
             for seed in (int(s) for s in args.seeds.split(","))]
-    print("\n".join(report(rows, metrics)))
+    print("\n".join(trace_report(rows) if args.trace else report(rows, metrics)))
     return 0
 
 

@@ -116,6 +116,7 @@ def is_prime(n: int) -> bool:
 
 # (limb bytes, array typecode) for unsigned limbs of 16, 32 and 64 bits
 _LIMBS = tuple((array(code).itemsize, code) for code in "HIQ")
+_LIMB_OF = {width: next(limb for limb in _LIMBS if width <= limb[0]) for width in range(1, 9)}
 
 
 def _rmul_packed(a: Sequence[int], b: Sequence[int], p: int) -> list:
@@ -172,6 +173,29 @@ def _rmul(field: Fq, a: Sequence, b: Sequence, n: int | None = None) -> list:
     if n is None:
         return out
     return out[:n] if len(out) >= n else out + [field._raw_from_int(0)] * (n - len(out))
+
+
+def _rdot(field: Fq, terms: Sequence, low: int, n: int) -> list:
+    """Coefficients low..low+n-1 of sum_i X^(s_i) a_i b_i over terms (s_i >= low, a_i, b_i) of
+    raw lists: over F_p one packed sum whose limbs widen :func:`_rmul_packed`'s by bitlen(len
+    terms) bits, so no sum carries; over an extension flat as in :func:`_rmul`, blocks reduced."""
+    base, p = field.base, field.p
+    if base is not None:
+        w, pad = 2 * field.degree - 1, field._pad
+        flat = _rdot(base, [(s * w, [c for x in a for c in x + pad], [c for y in b for c in y + pad])
+                            for s, a, b in terms], low * w, n * w)
+        return [field._reduce(flat[k * w:k * w + w]) for k in range(n)]
+    most = max([min(len(a), len(b)) for _, a, b in terms], default=1)
+    width = (2 * (p - 1).bit_length() + most.bit_length() + len(terms).bit_length() + 7) // 8
+    size, code = _LIMB_OF.get(width, (width, None)) if sys.byteorder == "little" else (width, None)
+    pack = (functools.partial(array, code) if code else
+            lambda c: b"".join([x.to_bytes(size, "little") for x in c]))
+    acc = sum([int.from_bytes(pack(a), "little") * int.from_bytes(pack(b), "little")
+               << 8 * size * (s - low) for s, a, b in terms])
+    raw = (acc & ((1 << 8 * size * n) - 1)).to_bytes(size * n, "little")
+    out = (array(code, raw) if code else
+           [int.from_bytes(raw[i:i + size], "little") for i in range(0, size * n, size)])
+    return [c % p for c in out]
 
 
 def _raw_of_operand(ring, x):

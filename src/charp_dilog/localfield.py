@@ -10,10 +10,10 @@ taken, in the public constructor and in :meth:`RatFn.reduced`.
 :func:`expand_at` turns a rational function into a :class:`LaurentLocal`,
 its Laurent germ at a point, exact below a tracked absolute precision;
 :class:`LaurentRing` is the coefficient ring of such germs, so truncations
-and forms can be built from them.  A germ never guesses: reading a
-coefficient at or beyond its precision raises
-:class:`InsufficientPrecision`, and a caller that needs more precision
-expands the rational source again, deeper.
+and forms can be built from them, and sums their products in one packed dot.
+A germ never guesses: reading a coefficient at or beyond its precision
+raises :class:`InsufficientPrecision`, and a caller that needs more
+precision expands the rational source again, deeper.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import operator
 from typing import Callable, Sequence
 
 from .gf import (Arithmetic, CtxMismatch, DivisionByZero, Fq, FqElem, Poly, Record, Ring, RingElem,
-                 ZeroPolynomial, _lifted, _pth_root_poly, _radd, _rderiv, _rmul, _rsub,
+                 ZeroPolynomial, _lifted, _pth_root_poly, _radd, _rderiv, _rdot, _rmul, _rsub,
                  is_irreducible, multiplicity, power, residue_field)
 from .tpoly import Trunc, _series_div
 
@@ -343,10 +343,10 @@ class LaurentRing(Ring):
     coefficients: two germs are equal when those are.  A sum keeps the lower
     precision; a product is one field product, or a scaling by an exact constant,
     known below min(val_a + prec_b, val_b + prec_a, below) for an optional cut,
-    as is a product of two truncations of germs (:meth:`_raw_mul_low`, uncut); an
-    inverse keeps the relative precision once the valuation is among the known
-    coefficients (else :class:`InsufficientPrecision`); d/ds loses one.
-    Constants are exact (``prec`` infinite); only ``(inf, inf, ())`` is zero.
+    as is a product of two truncations of germs (:meth:`_raw_mul_low`, uncut); a dot
+    (:meth:`_raw_dot`) is one packed sum of its products; an inverse keeps the relative
+    precision once a known coefficient gives the valuation (else :class:`InsufficientPrecision`);
+    d/ds loses one.  Constants are exact (``prec`` infinite); only ``(inf, inf, ())`` is zero.
     """
 
     __slots__ = ("field", "center")
@@ -405,6 +405,28 @@ class LaurentRing(Ring):
         out = (() if size <= 0 else [self.field._raw_mul(cb[0], x) for x in ca[:size]]
                if nb == math.inf else self.field._raw_mul_low(ca, cb, size))
         return va + vb, prec, tuple(out)
+
+    def _raw_dot(self, xs: Sequence, ys: Sequence):
+        """The sum of the products of paired germs, each shifted by its val less the
+        least, in one ``gf._rdot``: raw for raw the fold of ``gf.Ring``, whose val, prec
+        and length it replays.  Zero germs drop out, exact constants that cancel
+        before any inexact product are the fold's zero germ, a later constant lowers
+        val to 0, and the sum is read to the least prec or the end of the data."""
+        inf, field = math.inf, self.field
+        val, prec, top, terms = inf, inf, -inf, []  # top: where the products' data ends
+        const = lambda: field._raw_dot([a[0] for _, a, _ in terms], [b[0] for _, _, b in terms])
+        for (va, na, ca), (vb, nb, cb) in zip(xs, ys):
+            if va == inf or vb == inf:
+                continue
+            v, q = va + vb, (va + nb if va + nb < vb + na else vb + na)
+            if q < prec == inf and terms and field._raw_is_zero(const()):  # first inexact
+                val, top, terms = inf, -inf, []  # after constants that cancel: the zero germ
+            val, prec = (v if v < val else val), (q if q < prec else prec)
+            top = max(top, v, min(q, v + len(ca) + len(cb) - 1))
+            terms.append((v, ca, cb))  # its data from X^q on lies past the window
+        if prec == inf:
+            return self._constant(const()) if terms else _ZERO
+        return val, prec, tuple(_rdot(field, terms, val, max(0, min(prec, top) - val)))
 
     def _raw_mul_low(self, a: Sequence, b: Sequence, n: int) -> list:
         """The low n coefficients of a product of germ lists, by bivariate

@@ -1,14 +1,14 @@
 """The comparison 1-form on wedges of units of R[t]/(t^p) over a differential ring.
 
-Units are decomposed into letters: a constant-term unit and truncated
-exponentials e(alpha t^a).  The form is the alternating multilinear extension
-of a closed formula on letter triples whose exponents sum to p, valued in
-1-forms over the coefficient field.  Alongside it: the reparametrization
-action s -> s + x t^w in closed form and, on germs, by substitution into the
-payloads, the exactness identity with its combinatorial coefficients, residue
-invariance, the residue pairing of two congruent liftings, and the depth-3
-defect form of two triples congruent mod t^2.  Residues at s = 0 are read on
-Laurent germs there, from forms cut at s^0, not on the global rational form.
+Units are decomposed into letters: a constant-term unit and truncated exponentials
+e(alpha t^a).  The form is the alternating multilinear extension of a closed formula
+on letter triples whose exponents sum to p, valued in 1-forms over the coefficient
+field, one ring dot per first letter.  Alongside it: the reparametrization action
+s -> s + x t^w in closed form and, on germs, by substitution into the payloads, the
+exactness identity with its combinatorial coefficients, residue invariance, the
+residue pairing of two congruent liftings, and the depth-3 defect form of two
+triples congruent mod t^2.  Residues at s = 0 are read on Laurent germs there, from
+forms cut at s^0, not on the global rational form.
 """
 
 from __future__ import annotations
@@ -81,23 +81,22 @@ def _sort3(letters: Sequence[Letter]) -> tuple[list[Letter], int]:
     return items, sign
 
 
-def _omega_factors(l1: Letter, l2: Letter, l3: Letter, p: int, dpayload) -> tuple[Letter, RatFn]:
-    """(F, g) with value F.payload * g on a letter triple whose exponents sum to p."""
+def _omega_factors(l1: Letter, l2: Letter, l3: Letter, p: int, dpayload) -> tuple[Letter, list]:
+    """(F, pairs), valued F.payload * sum x y over the pairs (k X.payload, dpayload(Y)),
+    on a letter triple whose exponents sum to p; k holds the permutation sign."""
     (A, B, C), sign = _sort3((l1, l2, l3))
     a, b, c = A.a, B.a, C.a
     if a > b:
         # alpha (b beta dgamma - c gamma dbeta); the c-term drops when c = 0
-        first, g = A, b * B.payload * dpayload(C)
-        if c != 0:
-            g = g - c * C.payload * dpayload(B)
+        first, terms = A, [(b, B, C), (-c, C, B)] if c != 0 else [(b, B, C)]
     elif b > c:
         # a = b > c; c = 0 would force 2a = p, impossible for odd p
         if c == 0:
             raise CaseTableGap(f"tie case ({a},{b},0) needs 2a = p = {p}")
-        first, g = C, a * A.payload * dpayload(B) - b * B.payload * dpayload(A)
+        first, terms = C, [(a, A, B), (-b, B, A)]
     else:
         raise CaseTableGap(f"a = b = c = {a} needs 3 | p = {p}")
-    return first, g if sign == 1 else -g
+    return first, [(sign * k * x.payload, dpayload(y)) for k, x, y in terms]
 
 
 def omega_p(w: WedgeK, ring) -> OneForm:
@@ -107,8 +106,8 @@ def omega_p(w: WedgeK, ring) -> OneForm:
     Entries may be unit truncations (decomposed canonically) or prepared
     letter lists; the value is the alternating multilinear extension of the
     letter-triple formula F.payload * g over the triples whose exponents sum
-    to p, one product per first letter F.  On germs, those products are cut at
-    s^0: the form is known below s^0, which is all a residue reads.
+    to p: g is one ``ring._raw_dot`` per first letter F, then one product F.payload * g,
+    on germs cut at s^0: the form is known below s^0, which is all a residue reads.
     """
     p = ring.characteristic
     cut = isinstance(ring, LaurentRing)
@@ -131,16 +130,16 @@ def omega_p(w: WedgeK, ring) -> OneForm:
         thirds = {}
         for y in letter_lists[2]:
             thirds.setdefault(y.a, []).append(y)
-        firsts = {}  # id(F) -> [F.payload, the g of each triple whose first letter is F]
+        firsts = {}  # id(F) -> (F.payload, the pairs of every triple whose first letter is F)
         for a1 in letter_lists[0]:
             for a2 in letter_lists[1]:
                 for a3 in thirds.get(p - a1.a - a2.a, ()):
-                    first, g = _omega_factors(a1, a2, a3, p, dpayload)
-                    firsts.setdefault(id(first), [first.payload]).append(g)
+                    first, pairs = _omega_factors(a1, a2, a3, p, dpayload)
+                    firsts.setdefault(id(first), (first.payload, []))[1].extend(pairs)
         acc = ring.zero
-        for f, g, *gs in firsts.values():
-            g = sum(gs, g)
-            acc += LaurentLocal(ring, ring._raw_mul(f.raw, g.raw, 0)) if cut else f * g
+        for f, pairs in firsts.values():
+            g = ring._raw_dot([x.raw for x, _ in pairs], [y.raw for _, y in pairs])
+            acc += LaurentLocal(ring, ring._raw_mul(f.raw, g, 0)) if cut else f * ring._element(g)
         total = total + k * acc
     return OneForm(total.reduced() if isinstance(total, RatFn) else total)
 

@@ -6,11 +6,15 @@ them, a sampler that only the tests draw from.
 """
 
 import dataclasses
+import functools
 import itertools
+import operator
 
-from charp_dilog.gf import FqElem, MutableRecord, NotInSubfield, Poly, _rmul, _rreduce, _rsub, frobenius
-from charp_dilog.localfield import RatFn, residue_at
-from charp_dilog.omega import Letter, _derivative_ladder, letters_of_unit, omega_p
+from charp_dilog.gf import (FqElem, MutableRecord, NotInSubfield, Poly, Ring, _rmul, _rreduce,
+                            _rsub, frobenius)
+from charp_dilog.localfield import LaurentLocal, LaurentRing, OneForm, RatFn, residue_at
+from charp_dilog.omega import (CaseTableGap, Letter, _derivative_ladder, _letters_of_entry, _sort3,
+                               letters_of_unit, omega_p)
 from charp_dilog.tpoly import HenselFailure, Trunc, ell_all, inv_factorials, rp_eval
 from charp_dilog.wedge import GoodElem, NotGood, res_good
 
@@ -36,6 +40,12 @@ def schoolbook(ring, a, b, n):
             if not is_zero(y):
                 out[i + j] = add(out[i + j], mul(x, y))
     return out
+
+
+def germ_dot_fold(ring, xs, ys):
+    """The sum of the products of paired raws as a left fold of ``_raw_add``
+    over ``_raw_mul``, one product and one sum at a time: the generic dot."""
+    return functools.reduce(ring._raw_add, map(ring._raw_mul, xs, ys))
 
 
 def series_inverse(ring, a):
@@ -386,6 +396,53 @@ def res_omega_difference_global(w1, w2, ring):
     return residue_at(omega_p(w1, ring) - omega_p(w2, ring), ring.field.zero)
 
 
+def omega_factors_by_triple(l1, l2, l3, p, dpayload):
+    """(F, g) with value F.payload * g on a letter triple whose exponents sum to
+    p: the letter-triple formula with each g formed as a sum of products."""
+    (A, B, C), sign = _sort3((l1, l2, l3))
+    a, b, c = A.a, B.a, C.a
+    if a > b:
+        first, g = A, b * B.payload * dpayload(C)
+        if c != 0:
+            g = g - c * C.payload * dpayload(B)
+    elif b > c:
+        if c == 0:
+            raise CaseTableGap(f"tie case ({a},{b},0) needs 2a = p = {p}")
+        first, g = C, a * A.payload * dpayload(B) - b * B.payload * dpayload(A)
+    else:
+        raise CaseTableGap(f"a = b = c = {a} needs 3 | p = {p}")
+    return first, g if sign == 1 else -g
+
+
+def omega_p_by_triples(w, ring):
+    """The comparison form by the per-triple route: one g per contributing
+    triple, the g of each first letter F summed as elements, then one product
+    F.payload * g per first letter, cut at s^0 on germs."""
+    p = ring.characteristic
+    cut = isinstance(ring, LaurentRing)
+    total = ring.zero
+    for k, entries in w.terms:
+        letter_lists = [_letters_of_entry(u) for u in entries]
+        derivs = {}
+
+        def dpayload(letter):
+            if id(letter) not in derivs:
+                derivs[id(letter)] = (letter.payload.derivative() / letter.payload
+                                      if letter.a == 0 else letter.payload.derivative())
+            return derivs[id(letter)]
+        firsts = {}
+        for a1, a2, a3 in itertools.product(*letter_lists):
+            if a1.a + a2.a + a3.a == p:
+                first, g = omega_factors_by_triple(a1, a2, a3, p, dpayload)
+                firsts.setdefault(id(first), [first.payload]).append(g)
+        acc = ring.zero
+        for f, g, *gs in firsts.values():
+            g = sum(gs, g)
+            acc += LaurentLocal(ring, ring._raw_mul(f.raw, g.raw, 0)) if cut else f * g
+        total = total + k * acc
+    return OneForm(total.reduced() if isinstance(total, RatFn) else total)
+
+
 class EagerFraction:
     """A rational function as num/den, gcd-reduced with a monic denominator
     after every operation: the textbook fraction arithmetic that RatFn's
@@ -399,6 +456,8 @@ class EagerFraction:
         g = num.gcd(den)  # monic; den itself when num is zero
         den, lead = (den // g).monic()
         self.field, self.num, self.den = num.field, (num // g) * lead.inverse(), den
+
+    raw = property(lambda self: self)  # its own raw in EagerRing, as for RatFn
 
     def _lift(self, x):
         if isinstance(x, EagerFraction):
@@ -452,7 +511,12 @@ class EagerFraction:
 
 
 class EagerRing:
-    """The coefficient-ring handle that ``omega_p`` reads, for EagerFraction."""
+    """The coefficient-ring handle that ``omega_p`` reads, for EagerFraction:
+    each element is its own raw, and a dot is the fold of its operators."""
+
+    _element = staticmethod(lambda x: x)
+    _raw_add, _raw_mul = staticmethod(operator.add), staticmethod(operator.mul)
+    _raw_dot = Ring._raw_dot
 
     def __init__(self, field):
         self.field, self.characteristic = field, field.p

@@ -147,3 +147,37 @@ def test_report_marks_a_larger_share_of_failed_ops():
     assert len(lines([(100, 1)], [(300, 2)])) == 2
     assert lines([(100, 1), (100, 0)], [(100, 1), (50, 0)])[-1] == \
         "  FAILED MORE: share of failed ops 0.005 -> 0.00667"
+
+
+def _traced(self_s, calls, ops=1000, order_sum=50, failed=0):
+    # the result line of a traced run: per-layer metrics, unscaled
+    metrics = {"omega.omega_p.calls": {"value": calls, "unit": "count"},
+               "omega.omega_p.self_s": {"value": self_s, "unit": "s"},
+               "cycles.boundary.calls": {"value": 0, "unit": "count"},
+               "cycles.boundary.self_s": {"value": 0.0, "unit": "s"},
+               "gf.FqElem.ops": {"value": ops, "unit": "count"},
+               "localfield.expand_at.order_sum": {"value": order_sum, "unit": "count"},
+               "trace.overhead_ratio": {"value": 1.1, "unit": "ratio"}}
+    return {"correct": failed == 0, "attempted": 64, "failed": failed, "metrics": metrics}
+
+
+def test_trace_report_gives_median_self_times_and_marks_changed_counts():
+    ab = _load_ab_pairs()
+    results = {"parent": [_traced(s, 128) for s in (0.08, 0.09, 0.10)],
+               "change": [_traced(s, 128) for s in (0.06, 0.065, 0.07)]}
+    lines = ab.trace_report([("residue-pairing", 0, results)])
+    assert lines[0] == "residue-pairing seed=0: 3 traced pairs, failed ops 0 -> 0"
+    # a span no op reaches has no line; the ratio is change over parent
+    assert len(lines) == 3 and "omega.omega_p.self_s" in lines[1]
+    assert lines[1].endswith("0.09 -> 0.065 s  x0.722")
+    assert lines[2] == "  every count equal on both sides"
+    # a call count, the element-op count and the expansion orders are counts
+    results["change"] = [_traced(0.07, 130), _traced(0.07, 128, ops=999),
+                         _traced(0.07, 128, order_sum=51)]
+    lines = ab.trace_report([("residue-pairing", 0, results)])
+    changed = [line.split()[0] for line in lines if line.endswith("COUNT CHANGED")]
+    assert changed == ["omega.omega_p.calls", "gf.FqElem.ops", "localfield.expand_at.order_sum"]
+    assert "128/128/128 -> 130/128/128  COUNT CHANGED" in lines[2]
+    assert not any("every count equal" in line for line in lines)
+    # the overhead ratio is neither a span time nor a count
+    assert not any("overhead" in line for line in lines)

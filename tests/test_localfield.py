@@ -36,7 +36,7 @@ from charp_dilog.sampling import rand_good_lifting_pair
 from charp_dilog.tpoly import NonUnitConstantTerm, Trunc
 from charp_dilog.wedge import ell_p, res_local, wedge
 
-from oracles import EagerFraction, schoolbook
+from oracles import EagerFraction, germ_dot_fold, schoolbook
 
 
 @pytest.fixture
@@ -640,7 +640,7 @@ GERM_FIELDS = _germ_fields()
 
 def _top(field):
     """The raw whose ints are all p - 1."""
-    return field.p - 1 if field.base is None else (field.p - 1,) * field.degree
+    return field.p - 1 if field.base is None else (_top(field.base),) * field.degree
 
 
 def _rand_germ_raw(field, rng, top: bool, constants: tuple):
@@ -763,3 +763,130 @@ def test_germ_truncation_products_are_one_packed_call(monkeypatch, p):
         ell_p(res_local(qh, sh), ring=field)
         res_omega_pair(wedge(*qt), wedge(*qh), ring)
     assert per_product and set(per_product) == {(field, 1)}
+
+
+def _dot_fields() -> dict:
+    # F_25 by u^2 + u + 2 (m1 != 0) and F_625 over it (a tower); 251 and
+    # 2^32 - 5 sit at a limb edge, as for the one product
+    f5 = Fq(5)
+    f25 = Fq(5, modulus=[2, 1, 1], base=f5)
+    for c in f25.elements():
+        try:
+            f625 = Fq(5, modulus=[c, f25.one, f25.one], base=f25)
+            break
+        except ValueError:
+            continue
+    return {"F5": f5, "F7": Fq(7), "F25": f25, "F625": f625, "F251": Fq(251),
+            "F2^32-5": Fq(2 ** 32 - 5)}
+
+
+DOT_FIELDS = _dot_fields()
+
+
+def _dot_shapes(field, xs, ys) -> set:
+    """The cases of the fold that a germ dot's pairs reach."""
+    inf, top, shapes, consts, prefix = math.inf, _top(field), set(), [], None
+    for x, y in zip(xs, ys):
+        for g in (x, y):
+            shapes |= {"zero"} if g == _ZERO else set() if g[2] else {"empty"}
+            shapes |= {"prec <= val"} if g[1] <= g[0] < inf else set()
+            shapes |= {"negative val"} if g[0] < 0 else set()
+            shapes |= {"all p - 1"} if g[1] < inf and g[2] and set(g[2]) == {top} else set()
+        if _ZERO in (x, y):
+            continue
+        if x[1] == y[1] == inf:
+            shapes |= {"constant after inexact"} if prefix is not None else set()
+            consts.append((x[2][0], y[2][0]))
+        elif prefix is None:  # the first inexact product, after the constant prefix
+            prefix = consts
+            if prefix and field._raw_is_zero(field._raw_dot(*zip(*prefix))):
+                shapes.add("cancelling prefix")
+    return shapes
+
+
+def _rand_dot(field, rng, top: bool):
+    """Germ lists of one to eight pairs (the second list may be one longer, as
+    a dot stops at the shorter); one dot in four starts with exact constants
+    c, -c times 1, whose products cancel."""
+    one, c = field.one.raw, field.zero.raw
+    while field._raw_is_zero(c):
+        c = field.random_element(rng).raw
+    constants = (one, field._raw_neg(one), c, field._raw_neg(c))
+    k = rng.randrange(1, 9)
+    xs = [_rand_germ_raw(field, rng, top, constants) for _ in range(k)]
+    ys = [_rand_germ_raw(field, rng, top, constants) for _ in range(k + rng.randrange(2))]
+    if rng.randrange(4) == 0:
+        exact = [(0, math.inf, (x,)) for x in (c, field._raw_neg(c), one)]
+        xs, ys = exact[:2] + xs, [exact[2]] * 2 + ys
+    return xs, ys
+
+
+@pytest.mark.parametrize("name", sorted(DOT_FIELDS))
+def test_germ_dot_matches_the_fold(name):
+    # the packed germ dot gives the fold of one product and one sum at a
+    # time raw for raw: val, prec, length and coefficients, the zero germ and
+    # exact constants included, on 1..8 pairs
+    field = DOT_FIELDS[name]
+    ring = LaurentRing(field, field.zero)
+    rng = spawn(40, "germ-dot", name)
+    shapes = set()
+    for trial in range(1500):
+        xs, ys = _rand_dot(field, rng, trial % 5 == 0)
+        assert ring._raw_dot(xs, ys) == germ_dot_fold(ring, xs, ys), (xs, ys)
+        shapes |= _dot_shapes(field, xs, ys)
+    assert shapes == {"zero", "empty", "prec <= val", "negative val", "all p - 1",
+                      "constant after inexact", "cancelling prefix"}, shapes
+    # a cancelling prefix is forgotten, so val is the inexact product's; a
+    # constant after an inexact product lowers val to 0; a product with no
+    # coefficients ends the data where it starts
+    one, minus = (0, math.inf, (field.one.raw,)), (0, math.inf, (field._raw_neg(field.one.raw),))
+    x, top = (2, 6, (_top(field),) * 2), _top(field)
+    cases = [([one, one, x], [one, minus, one]), ([x, one], [one, minus]),
+             ([(0, 9, (top,)), (1, 9, ())], [(0, 9, (top,)), (3, 9, ())])]
+    for xs, ys in cases:
+        assert ring._raw_dot(xs, ys) == germ_dot_fold(ring, xs, ys), (xs, ys)
+    assert ring._raw_dot(*cases[0])[0] == 2 and ring._raw_dot(*cases[1])[0] == 0
+    assert len(ring._raw_dot(*cases[2])[2]) == 4
+
+
+@pytest.mark.parametrize("name", sorted(DOT_FIELDS))
+def test_germ_dot_holds_the_largest_sums(name):
+    # eight products of germs whose ints are all p - 1, at lengths where the
+    # limb is just wide enough for one product's sums: the limbs hold eight
+    field = DOT_FIELDS[name]
+    ring = LaurentRing(field, field.zero)
+    top = _top(field)
+    for length in (1, 2, 255, 341, 1023):
+        germs = [(0, length, (top,) * length)] * 8
+        assert ring._raw_dot(germs, germs) == germ_dot_fold(ring, germs, germs), length
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_germ_dots_are_one_packed_call(monkeypatch, p):
+    # on the residue pairing of congruent liftings, every germ dot over F_p
+    # (log_circ, the series division of Trunc.inverse and omega_p) with an
+    # inexact product is one packed accumulation and no product; a dot of
+    # exact constants only is their field dot, packing nothing
+    field = Fq(p)
+    ring = RatFnRing(field)
+    dot, per_dot, calls = LaurentRing._raw_dot, [], []
+    packed, product = localfield._rdot, gf._rmul_packed
+
+    def spy_dot(self, xs, ys):
+        before = len(calls)
+        out = dot(self, xs, ys)
+        inexact = any(x[1] < math.inf or y[1] < math.inf for x, y in zip(xs, ys)
+                      if _ZERO not in (x, y))
+        per_dot.append((inexact, tuple(calls[before:])))
+        return out
+
+    monkeypatch.setattr(localfield, "_rdot", lambda *args: calls.append("dot") or packed(*args))
+    monkeypatch.setattr(gf, "_rmul_packed", lambda *args: calls.append("mul") or product(*args))
+    monkeypatch.setattr(LaurentRing, "_raw_dot", spy_dot)
+    rng = spawn(40, "one-germ-dot", p)
+    for _ in range(2):
+        qt, qh, st, sh = rand_good_lifting_pair(ring, rng)
+        ell_p(res_local(qt, st), ring=field)
+        ell_p(res_local(qh, sh), ring=field)
+        res_omega_pair(wedge(*qt), wedge(*qh), ring)
+    assert len(per_dot) > 100 and set(per_dot) == {(True, ("dot",)), (False, ())}, set(per_dot)

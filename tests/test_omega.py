@@ -32,7 +32,7 @@ from charp_dilog.sampling import (
 from charp_dilog.suites import _exactness_tuples
 from charp_dilog.tpoly import Trunc, trunc_exp
 from charp_dilog.wedge import WedgeK, wedge
-from oracles import (EagerFraction, EagerRing, res_omega_difference_global,
+from oracles import (EagerFraction, EagerRing, omega_p_by_triples, res_omega_difference_global,
                      sigma_image_letters_global, sigma_image_letters_taylor, sigma_image_of_s,
                      substitute_s)
 
@@ -558,39 +558,83 @@ def test_omega_p_on_germs_is_the_rational_form_below_s0(monkeypatch, p):
 def test_omega_p_visits_contributing_triples_once_with_one_product_per_first_letter(
         monkeypatch, p):
     # omega_p runs the triple formula once per triple whose exponents sum to
-    # p, in the order of the three letter loops, and forms one last product,
-    # cut at s^0, per distinct first letter F of the formula's F.payload * g
+    # p, in the order of the three letter loops, and per distinct first letter
+    # F of the formula's F.payload * g forms g by one dot of its pairs and
+    # makes one last product, cut at s^0
     ring = RatFnRing(Fq(p))
     rng = spawn(26, "triple-visits", p)
-    seen, firsts, cuts = [], [], []
-    factors, mul = omega._omega_factors, LaurentRing._raw_mul
+    seen, firsts, cuts, dots = [], [], [], []
+    factors, mul, dot = omega._omega_factors, LaurentRing._raw_mul, LaurentRing._raw_dot
 
     def spy_factors(*args):
         seen.append(tuple(map(id, args[:3])))
-        first, g = factors(*args)
+        first, pairs = factors(*args)
         firsts.append(id(first))
-        return first, g
+        return first, pairs
 
     def spy_mul(self, a, b, below=math.inf):
         if below < math.inf:
             cuts.append(below)
         return mul(self, a, b, below)
+
+    def spy_dot(self, xs, ys):
+        dots.append(len(cuts))
+        return dot(self, xs, ys)
     monkeypatch.setattr(omega, "_omega_factors", spy_factors)
     monkeypatch.setattr(LaurentRing, "_raw_mul", spy_mul)
+    monkeypatch.setattr(LaurentRing, "_raw_dot", spy_dot)
     shared = 0
     for _ in range(4):
         entries = [letters_of_unit(u) for u in rand_good_lifting_pair(ring, rng)[0]]
 
         def check(germ):
             lists = [[Letter(x.a, germ(x.payload)) for x in ls] for ls in entries]
-            seen.clear(), firsts.clear(), cuts.clear()
+            seen.clear(), firsts.clear(), cuts.clear(), dots.clear()
             omega_p(wedge(*lists), germ.ring)
             assert seen == [tuple(map(id, t)) for t in itertools.product(*lists)
                             if sum(x.a for x in t) == p]
             assert cuts == [0] * len(set(firsts))
+            assert dots == list(range(len(cuts)))  # each dot right before its cut product
             return len(seen) - len(cuts)
         shared += germs_at_zero(ring.field, p + 1, check)
     assert shared > 0
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_omega_p_matches_the_per_triple_route(monkeypatch, p):
+    # one dot per first letter gives the per-triple route's form: the same
+    # germ raws, cut at s^0, and the same normal form over F_q(s).  Germs that
+    # start at precision 2 are too short for some wedges, and the residue read
+    # doubles them (the expansion orders show it)
+    ring = RatFnRing(Fq(p))
+    rng = spawn(40, "per-triple-route", p)
+    orders = []
+    monkeypatch.setattr(localfield, "expand_at",
+                        lambda f, c, n: orders.append(n) or expand_at(f, c, n))
+    units = [rand_good_lifting_pair(ring, rng)[0] for _ in range(6)]
+    wedges = [[letters_of_unit(u) for u in entries] for entries in units]
+    wedges += [rand_letter_wedge_entries(ring, rng) for _ in range(12)]
+    doubled = nonzero = 0
+    for entries in wedges:
+        def forms(germ):
+            w = wedge(*[[Letter(x.a, germ(x.payload)) for x in ls] for ls in entries])
+            got, want = omega_p(w, germ.ring).fn, omega_p_by_triples(w, germ.ring).fn
+            residue_at(OneForm(want), germ.ring.center)
+            return got, want
+
+        orders.clear()
+        got, want = germs_at_zero(ring.field, 2, forms)
+        doubled += max(orders, default=1) > 1
+        assert got.raw == want.raw
+        w = wedge(*entries)
+        full, oracle = omega_p(w, ring).fn, omega_p_by_triples(w, ring).fn
+        assert (full.num, full.den) == (oracle.num, oracle.den)
+        nonzero += not full.is_zero
+    for entries in units:
+        w = wedge(*entries)
+        full, oracle = omega_p(w, ring).fn, omega_p_by_triples(w, ring).fn
+        assert (full.num, full.den) == (oracle.num, oracle.den)
+    assert doubled and nonzero > len(wedges) // 3
 
 
 def test_res_omega_pair_runs_no_gcd(monkeypatch, R5):

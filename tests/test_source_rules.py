@@ -567,8 +567,9 @@ def test_one_equality_and_hash_law_for_every_arithmetic_class():
 def test_one_ring_protocol():
     # the coefficient-ring handle is written once, on gf.Ring, over each ring's
     # hooks: Fq, LaurentRing and RatFnRing derive from it and restate none of
-    # its shared members; Fq alone keeps its cached zero and one and its int
-    # _raw_dot; a single raw becomes an element through _element, not _wrap;
+    # its shared members; Fq alone keeps its cached zero and one; Fq (its int
+    # dot) and LaurentRing (its packed germ dot) own _raw_dot, and RatFnRing
+    # keeps the fold; a single raw becomes an element through _element, not _wrap;
     # and Trunc keys and compares its raws through the ring, naming no ring class
     rings = (Fq, LaurentRing, RatFnRing)
     assert all(issubclass(ring, gf.Ring) for ring in rings)
@@ -578,7 +579,7 @@ def test_one_ring_protocol():
     assert not restated, f"rings that restate the protocol: {restated}"
     own = {name: {ring.__name__ for ring in rings if name in vars(ring)}
            for name in ("zero", "one", "_raw_dot")}
-    assert own == {"zero": {"Fq"}, "one": {"Fq"}, "_raw_dot": {"Fq"}}, own
+    assert own == {"zero": {"Fq"}, "one": {"Fq"}, "_raw_dot": {"Fq", "LaurentRing"}}, own
     assert not dataclasses.is_dataclass(LaurentRing)
     single = [f"{path.name}:{node.lineno}"
               for path in sorted(Path(charp_dilog.__file__).parent.glob("*.py"))
@@ -594,6 +595,31 @@ def test_one_ring_protocol():
              for node in ast.walk(method) if isinstance(node, ast.Name)
              and node.id in {"isinstance", "Fq", "LaurentRing", "RatFnRing", "Ring"}}
     assert not named, f"Trunc dispatches on its ring's class: {named}"
+
+
+def test_omega_p_sums_the_pairs_of_a_first_letter_in_one_dot():
+    # omega._omega_factors makes no ring product: each * in it scales by an
+    # int (an exponent, a weight k or the permutation sign), and it calls no
+    # ring kernel; the products of its pairs are summed by the ring's
+    # _raw_dot, which omega_p alone in omega reaches
+    tree = ast.parse((Path(charp_dilog.__file__).parent / "omega.py").read_text())
+    factors = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_omega_factors")
+
+    def is_int(node) -> bool:
+        if isinstance(node, ast.BinOp):
+            return is_int(node.left) and is_int(node.right)
+        if isinstance(node, ast.UnaryOp):
+            return is_int(node.operand)
+        return getattr(node, "id", None) in {"a", "b", "c", "k", "sign"}
+    products = [ast.unparse(node) for node in ast.walk(factors)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and not (is_int(node.left) or is_int(node.right))]
+    assert not products, f"ring products in _omega_factors: {products}"
+    kernels = {getattr(node, "attr", None) for node in ast.walk(factors)} & {
+        "_raw_mul", "_raw_dot", "_raw_mul_low", "_raw_add", "_raw_sub"}
+    assert not kernels, kernels
+    assert [c for c in _callers_of("_raw_dot") if c.startswith("omega.")] == ["omega.omega_p"]
 
 
 def test_every_record_derives_from_the_one_record_base():
